@@ -13,6 +13,7 @@
 package vos_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -419,6 +420,92 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngineFreshQuery measures the read that follows a write: one
+// 256-edge ProcessBatch, Flush, then a pair Query, at the shape of the
+// repository benchmark's embed-churn workload (2 shards, m = 2^21, k =
+// 6400, 20k live users, position cache off). The query has to bring the
+// merged snapshot current first; with resident views that is a replay of
+// the last two writes, not a re-merge of both shards and 20k counters.
+// After the loop the engine's export must be byte-identical to a single
+// sketch fed the same stream, and every timed refresh must have replayed.
+func BenchmarkEngineFreshQuery(b *testing.B) {
+	const users, batch = 20_000, 256
+	cfg := vos.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 1}
+	eng, err := vos.NewEngine(vos.EngineConfig{Sketch: cfg, Shards: 2, PositionCacheUsers: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ref := vos.MustNew(cfg)
+
+	preload := make([]vos.Edge, 0, 5*users)
+	for i := 0; i < 5*users; i++ {
+		preload = append(preload, vos.Edge{User: vos.User(i % users), Item: vos.Item(i), Op: vos.Insert})
+	}
+	// write i subscribes 256 users to a fresh item each and cancels the
+	// subscriptions write i-1 made, so the live set stays put.
+	write := func(i int) []vos.Edge {
+		out := make([]vos.Edge, 0, batch)
+		for j := 0; j < batch/2; j++ {
+			u := vos.User((i*batch/2 + j) * 7919 % users)
+			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			if i > 0 {
+				prev := vos.User(((i-1)*batch/2 + j) * 7919 % users)
+				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+			}
+		}
+		return out
+	}
+	step := func(i int) {
+		if err := eng.ProcessBatch(write(i)); err != nil {
+			b.Fatal(err)
+		}
+		eng.Flush()
+		estimateSink = eng.Query(vos.User(i%users), vos.User((i+1)%users))
+	}
+	if err := eng.ProcessBatch(preload); err != nil {
+		b.Fatal(err)
+	}
+	const warm = 2 // one re-merge per resident view
+	for i := 0; i < warm; i++ {
+		step(i)
+	}
+	before := eng.SnapshotStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + i)
+	}
+	b.StopTimer()
+
+	after := eng.SnapshotStats()
+	if replays := after.Replays - before.Replays; replays != uint64(b.N) || after.Rebuilds() != before.Rebuilds() {
+		b.Fatalf("%d timed reads after writes took %d replays and %d re-merges", b.N, replays, after.Rebuilds()-before.Rebuilds())
+	}
+	for _, ed := range preload {
+		ref.Process(ed)
+	}
+	for i := 0; i < warm+b.N; i++ {
+		for _, ed := range write(i) {
+			ref.Process(ed)
+		}
+	}
+	got, err := eng.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		b.Fatal("engine export diverges from a single sketch over the same stream")
+	}
+	if last := warm + b.N - 1; estimateSink != ref.Query(vos.User(last%users), vos.User((last+1)%users)) {
+		b.Fatal("last fresh Query diverges from the single-sketch estimate")
+	}
+	b.ReportMetric(float64(after.ReplayedEdges-before.ReplayedEdges)/float64(b.N), "replayed-edges/op")
 }
 
 // BenchmarkQueryCost measures the O(k) pair-query cost of VOS at the

@@ -72,6 +72,11 @@ type ANNConfig = engine.ANNConfig
 // dirty backlog, maintenance counters), from Engine.ANNStats.
 type ANNStats = engine.ANNStats
 
+// SnapshotStats counts how the engine's merged query snapshot has been
+// kept current (journal replays against full re-merges by cause), from
+// Engine.SnapshotStats — whether reads after writes take the cheap path.
+type SnapshotStats = engine.SnapshotStats
+
 // ErrNoANN is returned by Engine.TopKApprox (and the ApproxTopK service
 // extension) when the backing engine was built without EngineConfig.ANN.
 var ErrNoANN = engine.ErrNoANN

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/poscache"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -100,6 +101,43 @@ func TestRecoveredCacheInvalidatedByWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	parity("after Merge")
+}
+
+// TestSharedRecoveredCache pins the sharing rule of ShareRecoveredCache:
+// two sketches of different state serve from one cache under distinct
+// stamps without ever answering for each other, and a sharer that is
+// written and then re-stamped stops seeing what it cached before the write.
+func TestSharedRecoveredCache(t *testing.T) {
+	cfg := Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 9}
+	a, users := materializedWorkload(t, cfg)
+	b := MustNew(cfg)
+	for i, u := range users[:30] {
+		b.Process(stream.Edge{User: u, Item: stream.Item(7000 + i), Op: stream.Insert})
+	}
+	shared := poscache.New(64)
+	a.ShareRecoveredCache(shared, 1)
+	b.ShareRecoveredCache(shared, 2)
+	parity := func(label string) {
+		t.Helper()
+		for _, v := range []*VOS{a, b, a, b} { // alternate: each pass overwrites the other's entries
+			for _, u := range users[:10] {
+				for _, w := range users[:30] {
+					if got, ref := v.Query(u, w), v.QueryPerBit(u, w); got != ref {
+						t.Fatalf("%s: Query(%d,%d) = %+v, per-bit %+v", label, u, w, got, ref)
+					}
+				}
+			}
+		}
+	}
+	parity("two sharers")
+	for i := 0; i < 40; i++ {
+		a.Process(stream.Edge{User: users[i%10], Item: stream.Item(9000 + i), Op: stream.Insert})
+	}
+	a.ShareRecoveredCache(shared, 3) // one write moved a's version onto b's stamp
+	parity("after a write and a re-stamp")
+	if st := shared.Stats(); st.Hits == 0 {
+		t.Fatalf("the shared cache never served a hit: %+v", st)
+	}
 }
 
 // TestQueryParitySaturated drives a deliberately overloaded sketch (tiny

@@ -134,11 +134,11 @@ type VOS struct {
 	version uint64
 }
 
-// defaultRecoveredCacheEntries bounds the recovered-sketch cache a new
+// DefaultRecoveredCacheEntries bounds the recovered-sketch cache a new
 // sketch gets. Entries cost k/8 bytes (800 B at the paper's k = 6400, so
 // the default is ≈3 MiB at paper scale) — small enough to enable by
 // default, unlike position tables, which are 64× larger per user.
-const defaultRecoveredCacheEntries = 4096
+const DefaultRecoveredCacheEntries = 4096
 
 // New creates an empty VOS sketch. It returns an error for degenerate
 // configurations.
@@ -150,7 +150,7 @@ func New(cfg Config) (*VOS, error) {
 		cfg:  cfg,
 		arr:  bitset.New(cfg.MemoryBits),
 		card: make(map[stream.User]int64),
-		rec:  poscache.New(defaultRecoveredCacheEntries),
+		rec:  poscache.New(DefaultRecoveredCacheEntries),
 	}
 	if cfg.Family == hashing.KindFast {
 		v.fslots = hashing.NewFastFamily(cfg.SketchBits, cfg.Seed)
@@ -235,10 +235,21 @@ func (v *VOS) SetRecoveredCacheCapacity(entries int) {
 	case entries < 0:
 		v.rec = nil
 	case entries == 0:
-		v.rec = poscache.New(defaultRecoveredCacheEntries)
+		v.rec = poscache.New(DefaultRecoveredCacheEntries)
 	default:
 		v.rec = poscache.New(entries)
 	}
+}
+
+// ShareRecoveredCache makes v serve and fill packed recovered sketches from
+// c, stamped with stamp, in place of its private cache and write version.
+// Sketches with identical Config may share one cache as long as every stamp
+// is unique among them and each is re-stamped after its last write, before
+// it is next read — a write advances the version past the stamp, into
+// values another sharer may hold. The engine's resident merged views share
+// one cache this way, so two views pin one set of recovered sketches.
+func (v *VOS) ShareRecoveredCache(c *poscache.Cache, stamp uint64) {
+	v.rec, v.version = c, stamp
 }
 
 // RecoveredCacheStats reports the recovered-sketch cache counters; ok is
@@ -518,11 +529,14 @@ func (v *VOS) Merge(other *VOS) error {
 	}
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
+	if len(v.card) == 0 {
+		// Merging into an empty sketch (every snapshot rebuild, checkpoint
+		// load and import starts this way): size the map once instead of
+		// growing it from nothing by doubling.
+		v.card = make(map[stream.User]int64, len(other.card))
+	}
 	for u, c := range other.card {
-		v.card[u] += c
-		if v.card[u] == 0 {
-			delete(v.card, u)
-		}
+		v.bump(u, c)
 	}
 	return nil
 }

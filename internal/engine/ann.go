@@ -111,7 +111,7 @@ type ANNStats struct {
 // annIndex is the engine's ANN state: the band index plus the lazy
 // invalidation bookkeeping. mu serialises maintenance and probing (the
 // BandIndex compacts buckets in place during probes); candidate scoring
-// happens outside mu on the immutable snapshot.
+// happens outside mu on the snapshot view the probe holds.
 type annIndex struct {
 	mu    sync.Mutex
 	cfg   ANNConfig
@@ -130,15 +130,15 @@ type annIndex struct {
 	// and re-recovering the probe's packed sketch plus re-walking its band
 	// buckets per call is pure waste. The last probe's recovered sketch and
 	// candidate set are kept and served again while all three freshness
-	// coordinates hold: same user, same merged snapshot (pointer identity —
-	// snapshots are immutable once merged, and holding lastSnap keeps its
-	// address from being recycled), and same index-mutation stamp (the
+	// coordinates hold: same user, same merged snapshot state (its publish
+	// generation — unique across both resident views and across refreshes
+	// of one, where a pointer would not be), and same index-mutation stamp (the
 	// monotone sum rebands+removals+rotations: any Put, Remove, or
 	// rotation invalidation advances it, so a probe never reuses across an
 	// index change). lastCands is read-only once cached — the liveness
 	// filter copies instead of compacting in place.
 	lastUser  stream.User
-	lastSnap  *core.VOS
+	lastGen   uint64
 	lastStamp uint64
 	lastRec   *core.Recovered
 	lastCands []stream.User
@@ -229,7 +229,9 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	// the two, the index is reconciled against the older stamp and the
 	// next probe re-marks it — conservative, never the reverse.
 	rot := e.winRot.Load()
-	snap := e.snapshot()
+	view := e.acquire(e.cfg.SnapshotMaxLag)
+	defer view.release() // held through maintenance and the scoring fan-out
+	snap := view.sk
 
 	a.mu.Lock()
 	if err := e.annMaintain(a, snap, rot); err != nil {
@@ -239,7 +241,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	stamp := a.rebands + a.removals + a.rotations
 	var r *core.Recovered
 	var cands []stream.User
-	if a.haveLast && a.lastUser == u && a.lastSnap == snap && a.lastStamp == stamp {
+	if a.haveLast && a.lastUser == u && a.lastGen == view.gen && a.lastStamp == stamp {
 		// Repeated probe of the same user against unchanged state: serve
 		// the packed recovered sketch and candidate set from the last call.
 		r, cands = a.lastRec, a.lastCands
@@ -253,7 +255,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 			a.mu.Unlock()
 			return nil, err
 		}
-		a.lastUser, a.lastSnap, a.lastStamp = u, snap, stamp
+		a.lastUser, a.lastGen, a.lastStamp = u, view.gen, stamp
 		a.lastRec, a.lastCands = r, cands
 		a.haveLast = true
 	}

@@ -243,8 +243,10 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, err
 		}
 	} else {
+		snap := e.acquire(0)
 		var err error
-		data, err = e.snapshotMaxLag(0).MarshalBinary()
+		data, err = snap.sk.MarshalBinary()
+		snap.release()
 		if err != nil {
 			return 0, err
 		}

@@ -17,11 +17,15 @@
 // shard, each shard sees a feasible sub-stream and its cardinality
 // counters are exact.
 //
-// Queries answer from a merged global snapshot rebuilt on demand when the
-// applied-edge count has advanced past Config.SnapshotMaxLag — merging is
-// exact, so a post-Flush Query returns bit-identical estimates to a single
-// Sketch that consumed the whole stream. QueryLocal offers a lower-latency
-// path that touches only the owning shard when both users co-reside.
+// Queries answer from a merged global snapshot — merging is exact, so a
+// post-Flush Query returns bit-identical estimates to a single Sketch that
+// consumed the whole stream. The snapshot is resident and kept current by
+// delta: once the applied-edge count has advanced past
+// Config.SnapshotMaxLag, the batches the shard workers applied since are
+// replayed onto it, which costs the churn rather than a re-merge of every
+// shard (see snapshot.go; the full re-merge remains as the fallback).
+// QueryLocal offers a lower-latency path that touches only the owning shard
+// when both users co-reside.
 package engine
 
 import (
@@ -95,10 +99,12 @@ type Config struct {
 	FlushInterval time.Duration
 
 	// SnapshotMaxLag is the query-path staleness budget, in applied edges:
-	// Query rebuilds the merged global snapshot when more than this many
-	// edges have been applied since the snapshot was taken. 0 (the
-	// default) re-merges whenever anything new has been applied, so every
-	// Query is exact with respect to the applied stream.
+	// Query brings the merged global snapshot current when more than this
+	// many edges have been applied since it last was. 0 (the default)
+	// refreshes whenever anything new has been applied, so every Query is
+	// exact with respect to the applied stream. It bounds staleness only:
+	// a refresh replays the applied delta, so exact reads are not the
+	// expensive setting they were when every refresh re-merged the shards.
 	SnapshotMaxLag uint64
 
 	// PositionCacheUsers bounds the engine's shared position-table cache:
@@ -188,6 +194,17 @@ type shard struct {
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
 
+	// journal is the suffix of applied batches the resident merged views
+	// may still have to replay (see snapshot.go): contiguous, oldest first,
+	// covering processed counts (jFrom, last end]. jOn is false until the
+	// first re-merge starts the journal and again after it outgrows
+	// Engine.journalMax. jMu guards all three; the worker appends inside
+	// its skMu critical section, and jMu is never held across other locks.
+	jMu     sync.Mutex
+	journal []journalEntry
+	jFrom   uint64
+	jOn     bool
+
 	// annDirty collects users this shard has written since an ANN probe
 	// last stole the set (nil on engines without Config.ANN). The worker
 	// fills it inside the skMu critical section that advances processed,
@@ -216,18 +233,27 @@ type Engine struct {
 	stop   chan struct{} // stops the linger ticker
 	start  time.Time
 
-	// snapMu guards the merged query snapshot. snap is immutable once
-	// published: rebuilds create a fresh sketch, so callers may keep
-	// reading a superseded snapshot safely.
-	snapMu  sync.Mutex
-	snap    *core.VOS
-	snapAt  []uint64 // per-shard processed counts captured at merge time
-	snapRot uint64   // winRot captured at merge time; rotation forces a rebuild
+	// snapMu guards the merged query snapshot (see snapshot.go): cur is the
+	// published view, spare the other resident one, which the next refresh
+	// brings forward and publishes in turn. A view is never written while a
+	// reader can hold it — readers register on cur under snapMu, and a
+	// refresh writes spare only once its readers have drained — so a reader
+	// may keep using a superseded view safely until it releases it. Each
+	// view carries the per-shard processed counts, rotation stamp and base
+	// it reflects. snapGen numbers the published states, and rcache is the one
+	// recovered-sketch cache all views share (stamped by generation), so two
+	// resident views do not pin two sets of recovered sketches.
+	snapMu     sync.Mutex
+	cur, spare *view
+	snapGen    uint64
+	rcache     *poscache.Cache
+	journalMax uint64 // per-shard journal bound in edges, fixed by the array size
+	snapCount  snapshotCounters
 
 	// pcache is the shared position-table cache (nil when disabled):
 	// position tables depend only on user and sketch Config, so one cache
 	// serves every shard and every merged snapshot for the engine's
-	// lifetime, surviving snapshot rebuilds. It is internally locked, so
+	// lifetime, surviving snapshot re-merges. It is internally locked, so
 	// sharing it keeps concurrent query paths race-clean.
 	pcache *poscache.Cache
 
@@ -252,8 +278,8 @@ type Engine struct {
 	// straddles a rotation. Lock order: winMu before any shard's skMu.
 	// winEnd mirrors the shards' current bucket end (unix ns) for the
 	// lock-free has-anything-expired check; winRot counts rotations and
-	// stamps query snapshots, so a rotation invalidates the cached
-	// snapshot without touching snapMu (avoiding a winMu/snapMu cycle).
+	// stamps query snapshot views, so a rotation retires both resident
+	// views without touching snapMu (avoiding a winMu/snapMu cycle).
 	// winBase is the rotating window recovered from a windowed checkpoint
 	// — unlike base it is NOT frozen: its buckets retire in lockstep with
 	// the shards', guarded by winMu.
@@ -285,11 +311,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	batches := (cfg.QueueSize + cfg.BatchSize - 1) / cfg.BatchSize
 	e := &Engine{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
-		start:  time.Now(),
-		snapAt: make([]uint64, cfg.Shards),
+		cfg:        cfg,
+		shards:     make([]*shard, cfg.Shards),
+		stop:       make(chan struct{}),
+		start:      time.Now(),
+		rcache:     poscache.New(core.DefaultRecoveredCacheEntries),
+		journalMax: cfg.Sketch.MemoryBits / 64 / journalWordsPerEdge,
 	}
 	if cfg.ANN != nil {
 		// Resolve into a private copy so the caller's struct is never
@@ -392,7 +419,9 @@ func (e *Engine) worker(s *shard) {
 			}
 			s.annMu.Unlock()
 		}
-		s.processed.Add(uint64(len(batch)))
+		end := s.processed.Load() + uint64(len(batch))
+		e.record(s, batch, end)
+		s.processed.Store(end)
 		s.skMu.Unlock()
 	}
 }
@@ -615,71 +644,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// snapshot returns the merged global sketch, rebuilding it when more than
-// SnapshotMaxLag edges have been applied since the last merge. The
-// returned sketch is never mutated after publication.
-func (e *Engine) snapshot() *core.VOS {
-	return e.snapshotMaxLag(e.cfg.SnapshotMaxLag)
-}
-
-// snapshotMaxLag is snapshot with an explicit staleness budget; budget 0
-// demands exactness over every applied edge, which Checkpoint and
-// MarshalBinary use to override a relaxed Config.SnapshotMaxLag.
-func (e *Engine) snapshotMaxLag(maxLag uint64) *core.VOS {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	rot := e.winRot.Load()
-	if e.snap != nil && e.snapRot == rot {
-		// A rotation changes shard state without advancing any processed
-		// counter, so the rotation stamp must match before the lag check
-		// can vouch for the cached snapshot.
-		lag := uint64(0)
-		for i, s := range e.shards {
-			lag += s.processed.Load() - e.snapAt[i]
-		}
-		if lag <= maxLag {
-			return e.snap
-		}
-	}
-	// In window mode, hold the window read-lock across the whole merge
-	// loop so the snapshot never observes shard A pre-rotation and shard B
-	// post-rotation (winMu before skMu — see window.go).
-	if e.cfg.Window != nil {
-		e.winMu.RLock()
-		defer e.winMu.RUnlock()
-		rot = e.winRot.Load() // re-read now that rotation is excluded
-	}
-	merged := core.MustNew(e.cfg.Sketch)
-	merged.SetPositionCache(e.pcache) // tables survive snapshot rebuilds
-	if base := e.base.Load(); base != nil {
-		// The recovered checkpoint (possibly extended by ImportSketch);
-		// immutable once published, identical config by Open's and
-		// ImportSketch's validation, so the merge cannot fail.
-		if err := merged.Merge(base); err != nil {
-			panic(fmt.Sprintf("engine: base merge failed: %v", err))
-		}
-	}
-	if e.winBase != nil {
-		// The recovered window base rotates under winMu, which we hold.
-		if err := merged.Merge(e.winBase.Merged()); err != nil {
-			panic(fmt.Sprintf("engine: window base merge failed: %v", err))
-		}
-	}
-	for i, s := range e.shards {
-		s.skMu.RLock()
-		e.snapAt[i] = s.processed.Load()
-		err := merged.Merge(s.sk)
-		s.skMu.RUnlock()
-		if err != nil {
-			// Impossible: every shard shares e.cfg.Sketch by construction.
-			panic(fmt.Sprintf("engine: shard merge failed: %v", err))
-		}
-	}
-	e.snap = merged
-	e.snapRot = rot
-	return merged
-}
-
 // Query estimates the similarity of users u and v from the merged global
 // snapshot. With the default SnapshotMaxLag of 0, the answer is exact for
 // every applied edge; call Flush first for read-your-writes over edges
@@ -687,14 +651,18 @@ func (e *Engine) snapshotMaxLag(maxLag uint64) *core.VOS {
 // vos.Sketch that consumed the whole stream with the same Config.
 func (e *Engine) Query(u, v stream.User) core.Estimate {
 	e.maybeAdvance()
-	return e.snapshot().Query(u, v)
+	snap := e.acquire(e.cfg.SnapshotMaxLag)
+	defer snap.release()
+	return snap.sk.Query(u, v)
 }
 
 // QueryMany estimates u against every candidate in one pass over the
 // merged snapshot (see core.VOS.QueryMany).
 func (e *Engine) QueryMany(u stream.User, candidates []stream.User) []core.Estimate {
 	e.maybeAdvance()
-	return e.snapshot().QueryMany(u, candidates)
+	snap := e.acquire(e.cfg.SnapshotMaxLag)
+	defer snap.release()
+	return snap.sk.QueryMany(u, candidates)
 }
 
 // TopK returns the n candidates most similar to u from the merged global
@@ -703,8 +671,8 @@ func (e *Engine) QueryMany(u stream.User, candidates []stream.User) []core.Estim
 // once; candidates are then split into ranges fanned out across up to
 // GOMAXPROCS goroutines, each streaming its range against the packed probe
 // with a bounded min-heap, and the per-worker tops are merged. The
-// snapshot is immutable and the shared position cache is internally
-// locked, so the fan-out is read-only and race-clean.
+// snapshot view is not written while the call holds it and the shared
+// caches are internally locked, so the fan-out is read-only and race-clean.
 //
 // The result is identical to snapshot.TopK(u, candidates, n) — and to
 // sorting per-pair Query estimates — regardless of worker count: every
@@ -734,8 +702,9 @@ func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []st
 // topK is the shared body of TopK and TopKContext: snapshot, fan out, merge.
 func (e *Engine) topK(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	e.maybeAdvance()
-	snap := e.snapshot()
-	return e.rankCandidates(ctx, snap, snap.RecoverSketch(u), candidates, n)
+	snap := e.acquire(e.cfg.SnapshotMaxLag)
+	defer snap.release() // held through the whole fan-out
+	return e.rankCandidates(ctx, snap.sk, snap.sk.RecoverSketch(u), candidates, n)
 }
 
 // rankCandidates scores the candidates against a recovered probe and
@@ -839,8 +808,7 @@ func (e *Engine) QueryContext(ctx context.Context, u, v stream.User) (core.Estim
 	if err := ctx.Err(); err != nil {
 		return core.Estimate{}, err
 	}
-	e.maybeAdvance()
-	return e.snapshot().Query(u, v), nil
+	return e.Query(u, v), nil
 }
 
 // CardinalityContext is Cardinality with lifecycle and cancellation checks.
@@ -899,7 +867,9 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 // not just one array.
 func (e *Engine) Stats() core.Stats {
 	e.maybeAdvance()
-	st := e.snapshot().Stats()
+	snap := e.acquire(e.cfg.SnapshotMaxLag)
+	st := snap.sk.Stats()
+	snap.release()
 	if w := e.cfg.Window; w != nil {
 		st.WindowSeconds = (time.Duration(w.Buckets) * w.BucketDuration).Seconds()
 		st.WindowBuckets = w.Buckets
@@ -929,7 +899,9 @@ func (e *Engine) Stats() core.Stats {
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.maybeAdvance()
 	e.Flush()
-	return e.snapshotMaxLag(0).MarshalBinary()
+	snap := e.acquire(0)
+	defer snap.release()
+	return snap.sk.MarshalBinary()
 }
 
 // ShardStats reports one health snapshot per shard: ingest counters,

@@ -48,8 +48,10 @@ func (e *Engine) ImportSketch(data []byte) error {
 			imported.Config(), e.cfg.Sketch)
 	}
 	// snapMu serializes concurrent imports (the read-merge-publish below
-	// must not interleave) and invalidates the cached query snapshot in
-	// the same critical section the new base is published in, so no reader
+	// must not interleave). Publishing the new base is also what retires
+	// both resident query views: each is stamped with the base it was
+	// merged from, acquire compares that stamp under this same mutex, and a
+	// view of another base is never replayed, only re-merged — so no reader
 	// can pair a stale snapshot decision with the new state.
 	e.snapMu.Lock()
 	merged := core.MustNew(e.cfg.Sketch)
@@ -65,7 +67,6 @@ func (e *Engine) ImportSketch(data []byte) error {
 		return err
 	}
 	e.base.Store(merged)
-	e.snap = nil
 	e.snapMu.Unlock()
 
 	if e.log != nil {

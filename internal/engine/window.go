@@ -12,11 +12,13 @@ package engine
 //
 // Rotation is coordinated: every shard window is created with the same
 // epoch-aligned boundaries and only ever advances under the engine's
-// window lock (winMu), which snapshot building and checkpointing hold in
-// read mode for their whole merge loop — so no snapshot or checkpoint can
-// observe shard A pre-rotation and shard B post-rotation. The lock order
-// is winMu before any shard's skMu; the ingest workers take only skMu and
-// are blocked per shard exactly for that shard's O(sketch) retire pass.
+// window lock (winMu), which snapshot refreshes and checkpointing hold in
+// read mode from their first shard to their last — so no snapshot or
+// checkpoint can observe shard A pre-rotation and shard B post-rotation,
+// and a snapshot refresh never replays a journal across a rotation. The
+// lock order is winMu before any shard's skMu; the ingest workers take
+// only skMu and are blocked per shard exactly for that shard's O(sketch)
+// retire pass.
 //
 // Time advances from three places, all funnelled through AdvanceWindowTo:
 // the ingest and query paths poll the clock (one atomic load when nothing

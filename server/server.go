@@ -708,6 +708,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		udp := UDPStatsToWire(s.opt.UDPStats())
 		resp.UDP = &udp
 	}
+	if sr, ok := s.svc.(vos.SnapshotReporter); ok {
+		snap := SnapshotStatsToWire(sr.SnapshotStats())
+		resp.Snapshot = &snap
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

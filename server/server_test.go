@@ -196,6 +196,64 @@ func TestStatsHashFamilyOnWire(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshotOnWire: /v1/stats carries the engine's snapshot
+// maintenance counters — after the two re-merges that build the resident
+// views, a read that follows a write shows up as a replay — and leaves the
+// object out for a service with no engine behind it.
+func TestStatsSnapshotOnWire(t *testing.T) {
+	ctx := context.Background()
+	eng, err := vos.NewEngine(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{}))
+	defer ts.Close()
+	cl := client.New(ts.URL, client.Options{})
+	defer cl.Close()
+
+	stats := func(url string) server.StatsResponse {
+		t.Helper()
+		resp, err := http.Get(url + server.RouteStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var wire server.StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	for i := 0; i < 3; i++ {
+		if err := cl.Ingest(ctx, feasibleStream(40, 20, 0, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Similarity(ctx, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := stats(ts.URL).Snapshot
+	if got == nil {
+		t.Fatal("engine-backed /v1/stats has no snapshot object")
+	}
+	if want := server.SnapshotStatsToWire(eng.SnapshotStats()); *got != want {
+		t.Fatalf("snapshot on the wire %+v, in-process %+v", *got, want)
+	}
+	if got.RebuildsFirst != 2 || got.Replays != 1 || got.ReplayedEdges != 80 {
+		t.Fatalf("three reads after writes should be two first re-merges and one 80-edge replay: %+v", *got)
+	}
+
+	plain := httptest.NewServer(server.New(vos.NewSketchService(vos.MustNew(testEngineConfig().Sketch)), server.Options{}))
+	defer plain.Close()
+	if snap := stats(plain.URL).Snapshot; snap != nil {
+		t.Fatalf("sketch-backed /v1/stats carries a snapshot object: %+v", *snap)
+	}
+}
+
 // TestIngestFormats: the JSON single-object, JSON array, and NDJSON bodies
 // all land edges, and all agree with the binary path the client uses.
 func TestIngestFormats(t *testing.T) {

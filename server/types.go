@@ -155,6 +155,38 @@ type StatsResponse struct {
 	// UDP is the UDP ingest plane's counter snapshot, present only when
 	// the serving process runs a datagram listener (vosd -udp-listen).
 	UDP *UDPStatsJSON `json:"udp,omitempty"`
+	// Snapshot reports how the engine's merged query snapshot has been
+	// kept current, present when the backing service is a
+	// vos.SnapshotReporter (an in-process Engine).
+	Snapshot *SnapshotStatsJSON `json:"snapshot,omitempty"`
+}
+
+// SnapshotStatsJSON is vos.SnapshotStats on the wire: refreshes of the
+// merged query snapshot by path. A serving engine shows replays growing
+// with its reads-after-writes and the rebuild counters standing still.
+type SnapshotStatsJSON struct {
+	Replays          uint64 `json:"replays"`
+	ReplayedEdges    uint64 `json:"replayed_edges"`
+	RebuildsFirst    uint64 `json:"rebuilds_first"`
+	RebuildsOverflow uint64 `json:"rebuilds_overflow"`
+	RebuildsRotation uint64 `json:"rebuilds_rotation"`
+	RebuildsImport   uint64 `json:"rebuilds_import"`
+	RebuildsBusy     uint64 `json:"rebuilds_busy"`
+	JournalOverflows uint64 `json:"journal_overflows"`
+}
+
+// SnapshotStatsToWire converts the engine counters to their wire form.
+func SnapshotStatsToWire(s vos.SnapshotStats) SnapshotStatsJSON {
+	return SnapshotStatsJSON{
+		Replays:          s.Replays,
+		ReplayedEdges:    s.ReplayedEdges,
+		RebuildsFirst:    s.RebuildsFirst,
+		RebuildsOverflow: s.RebuildsOverflow,
+		RebuildsRotation: s.RebuildsRotation,
+		RebuildsImport:   s.RebuildsImport,
+		RebuildsBusy:     s.RebuildsBusy,
+		JournalOverflows: s.JournalOverflows,
+	}
 }
 
 // UDPStatsJSON is metrics.UDPStats on the wire: the datagram ingest

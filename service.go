@@ -133,6 +133,14 @@ type PartialTopK interface {
 	TopKPartial(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, bool, error)
 }
 
+// SnapshotReporter is the optional read-path observability extension of
+// SimilarityService: services backed by an Engine report how its merged
+// query snapshot has been kept current. GET /v1/stats probes for it and
+// carries the counters as its `snapshot` object.
+type SnapshotReporter interface {
+	SnapshotStats() SnapshotStats
+}
+
 // ErrQueryUnavailable is returned by query paths that cannot answer in the
 // backing engine's current state (e.g. Engine.QueryLocal after checkpoint
 // recovery). Callers should fall back to the merged-snapshot query path.
@@ -159,7 +167,9 @@ const ingestCheckStride = 1024
 // (the exact silent-zero the typed service contract exists to remove).
 // Write-heavy deployments that prefer bounded staleness over
 // read-your-writes should query the Engine directly with
-// EngineConfig.SnapshotMaxLag set.
+// EngineConfig.SnapshotMaxLag set — a staleness choice only: the engine
+// brings its snapshot current by replaying the applied delta, so the exact
+// reads this adapter makes are not the expensive setting.
 type engineService struct {
 	e *Engine
 }
@@ -215,6 +225,9 @@ func (s *engineService) Stats(ctx context.Context) (Stats, error) {
 	}
 	return s.e.StatsContext(ctx)
 }
+
+// SnapshotStats implements SnapshotReporter.
+func (s *engineService) SnapshotStats() SnapshotStats { return s.e.SnapshotStats() }
 
 // Checkpoint implements Checkpointer; ErrEngineNoDurability on a
 // memory-only engine.
