@@ -7,66 +7,19 @@
 //
 //	vosbench -experiment fig3a
 //	vosbench -experiment all -scale 0.02 -csv
-//	vosbench -experiment throughput -shards 1,2,4,8
-//	vosbench -experiment query -json
-//	vosbench -experiment window -buckets 8 -json
+//	vosbench -experiment compare -dataset Flickr -json
 //
-// Experiments: fig2a, fig2b, fig3a, fig3b, fig3c, fig3d, abl-lambda,
-// abl-load, abl-dense, abl-delbias, compare, throughput, query, hashing,
-// window, topk-ann, udpsoak, cluster, all.
+// Experiments: fig2a, fig2b (update cost against k and per dataset),
+// fig3a, fig3b, fig3c, fig3d (AAPE and ARMSE over time and at the end of
+// the stream, against MinHash, OPH and RP), abl-lambda, abl-load,
+// abl-dense, abl-delbias (the ablations), compare (per-method error
+// quantiles), and all, which runs every one of them.
 //
-// The throughput experiment measures the sharded ingestion engine: for
-// each shard count it ingests the runtime workload through vos.Engine,
-// reports edges/s and the speedup over both the sequential sketch and the
-// single-shard engine, and verifies the engine's post-flush estimates are
-// bit-identical to the sequential sketch (VOS merging is exact).
+// vosbench reproduces the paper; it measures no system performance.
+// Throughput, latency and per-layer costs of the engine, the servers and
+// the cluster tier come from the repository's benchmark: go run ./benchmark.
 //
-// The query experiment measures the materialized read path: per-pair and
-// top-K-of-1000 cost on the scalar per-bit baseline, the packed
-// materialized path, the warm-cache steady state, and the engine's
-// parallel fan-out — each parity-checked against the per-bit oracle
-// before it is timed.
-//
-// The hashing experiment measures the hash layer and the compare kernels:
-// position-table fill cost per family (classic k-seeded vs DKT-style
-// fast), the blocked gather/XOR/popcount kernels against their scalar
-// references, cold pair-query cost per family, and ingest ns/edge —
-// every row parity-gated (bulk fill vs scalar definition, blocked vs
-// reference kernels, planted-pair accuracy for both families, fast
-// materialized vs per-bit queries) before it is timed.
-//
-// The window experiment measures the sliding-window subsystem: bucket
-// rotation cost at growing fill levels (rotation is O(sketch), so the
-// cost must stay flat) and windowed-query accuracy against exact
-// in-window ground truth, parity-gated on the live window sketch being
-// bit-identical to a fresh sketch built from only the in-window edges.
-//
-// The udpsoak experiment soaks both ingest planes over real loopback
-// sockets at the same batch size — the HTTP binary path (one POST
-// round-trip per batch) and the VOSSTRM1 datagram path (fire-and-forget
-// frames with windowed acks) — reporting edges/s, ns/edge, and ack RTT
-// percentiles, then replays the datagram run under a deterministic
-// drop/duplicate/reorder fault plan and refuses to emit rows unless every
-// injected fault surfaces in the receiver's counters exactly and each
-// transport's sketch is bit-identical to an in-process oracle.
-//
-// The cluster experiment measures the gateway tier (internal/cluster):
-// for each node count it stands up K engine-backed nodes behind a
-// scatter-gather gateway over real loopback HTTP, fans the workload in
-// through the ring's user partition (multi-node rows include a live shard
-// handoff at half-stream), and reports sharded-ingest throughput plus
-// cold-gather and cached-snapshot query cost — refusing to emit a row
-// unless the cluster's merged export is bit-identical to a single
-// in-process engine over the same stream and sampled answers match it.
-//
-// The topk-ann experiment measures the approximate top-K path
-// (Engine.TopKApprox over the banded-LSH index) against the exact scan on
-// a planted heavy-cluster workload, and refuses to emit a timing row when
-// mean recall@10 falls below -ann-min-recall or any approximate result is
-// not a subset-ordered prefix of the exact ranking.
-//
-// -json renders every table as a machine-readable JSON document (see
-// bench/ for the checked-in trajectory this feeds).
+// -json renders every table as a machine-readable JSON document.
 package main
 
 import (
@@ -82,7 +35,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig2a fig2b fig3a fig3b fig3c fig3d abl-lambda abl-load abl-dense abl-delbias compare throughput query hashing window topk-ann udpsoak cluster all)")
+		experiment = flag.String("experiment", "all", "experiment id ("+strings.Join(experimentIDs(), " ")+" all)")
 		scale      = flag.Float64("scale", 0.01, "dataset profile scale factor (paper scale = 1.0)")
 		seed       = flag.Int64("seed", 2, "workload seed")
 		k32        = flag.Int("k", 100, "registers per user for the baselines (paper: 100)")
@@ -92,22 +45,9 @@ func main() {
 		checks     = flag.Int("checkpoints", 12, "measurement points for over-time panels")
 		runtimeKs  = flag.String("runtime-ks", "1,10,100,1000,10000", "comma-separated k sweep for fig2")
 		dataset    = flag.String("dataset", "YouTube", "profile for single-dataset experiments (YouTube, Flickr, Orkut, LiveJournal)")
-		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -experiment throughput")
-		buckets    = flag.Int("buckets", 8, "sliding-window bucket count for -experiment window")
-		soakEdges  = flag.Int("soak-edges", 200_000, "workload size per transport for -experiment udpsoak")
-		soakBatch  = flag.Int("soak-batch", 256, "edges per batch/frame for -experiment udpsoak")
-
-		clusterEdges = flag.Int("cluster-edges", 120_000, "workload size per cluster run for -experiment cluster")
-		clusterNodes = flag.String("cluster-nodes", "1,2,3,4", "comma-separated node counts for -experiment cluster")
-
-		annUsers     = flag.Int("ann-users", 100000, "total population for -experiment topk-ann")
-		annBands     = flag.Int("ann-bands", 0, "LSH bands for -experiment topk-ann (0 = experiment default 128)")
-		annRows      = flag.Int("ann-rows", 0, "LSH rows per band for -experiment topk-ann (0 = experiment default 20)")
-		annProbes    = flag.Int("ann-probes", 24, "cluster members probed by -experiment topk-ann")
-		annMinRecall = flag.Float64("ann-min-recall", 0.95, "recall@10 gate for -experiment topk-ann; below it the run errors instead of emitting rows")
-		csv          = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON instead of aligned text")
-		outdir       = flag.String("outdir", "", "also write each table as <outdir>/<id>.csv")
+		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of aligned text")
+		outdir     = flag.String("outdir", "", "also write each table as <outdir>/<id>.csv")
 	)
 	flag.Parse()
 
@@ -127,28 +67,7 @@ func main() {
 		RuntimeKs:   ks,
 	}
 
-	shardCounts, err := parseIntList(*shards, "-shards")
-	if err != nil {
-		fatal(err)
-	}
-
-	annOpts := experiments.TopKANNOptions{
-		Users:     *annUsers,
-		Bands:     *annBands,
-		Rows:      *annRows,
-		Probes:    *annProbes,
-		MinRecall: *annMinRecall,
-	}
-
-	soakOpts := experiments.UDPSoakOptions{Edges: *soakEdges, BatchSize: *soakBatch}
-
-	clusterNodeCounts, err := parseIntList(*clusterNodes, "-cluster-nodes")
-	if err != nil {
-		fatal(err)
-	}
-	clusterOpts := experiments.ClusterOptions{Edges: *clusterEdges, Nodes: clusterNodeCounts}
-
-	tables, err := runWithShards(*experiment, opts, shardCounts, *buckets, annOpts, soakOpts, clusterOpts)
+	tables, err := run(*experiment, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -188,113 +107,84 @@ func writeCSV(dir string, t *experiments.Table) error {
 	return f.Close()
 }
 
-// runWithShards dispatches experiments that take extra topology knobs
-// (the shard-count sweep, the window bucket count, the ANN shape) and
-// delegates everything else to run.
-func runWithShards(id string, opts experiments.Options, shardCounts []int, buckets int, annOpts experiments.TopKANNOptions, soakOpts experiments.UDPSoakOptions, clusterOpts experiments.ClusterOptions) ([]*experiments.Table, error) {
-	switch id {
-	case "throughput":
-		t, err := experiments.Throughput(opts, shardCounts)
-		return one(t, err)
-	case "window":
-		t, err := experiments.WindowExperiment(opts, buckets)
-		return one(t, err)
-	case "topk-ann":
-		t, err := experiments.TopKANN(opts, annOpts)
-		return one(t, err)
-	case "udpsoak":
-		t, err := experiments.UDPSoak(opts, soakOpts)
-		return one(t, err)
-	case "cluster":
-		t, err := experiments.Cluster(opts, clusterOpts)
-		return one(t, err)
-	}
-	return run(id, opts)
+// runner computes the tables of one protocol run. The Figure 3 panels come
+// in pairs from one computation, so a runner may return more tables than
+// the id it is registered under.
+type runner func(experiments.Options) ([]*experiments.Table, error)
+
+// registry is every experiment id, in the order "all" prints them. A
+// single id and "all" both dispatch through it, so neither can list an
+// experiment the other lacks.
+var registry = []struct {
+	id  string
+	run runner
+}{
+	{"fig2a", one(experiments.Fig2a)},
+	{"fig2b", one(experiments.Fig2b)},
+	{"fig3a", two(experiments.Fig3TimeSeries)},
+	{"fig3b", two(experiments.Fig3Final)},
+	{"fig3c", two(experiments.Fig3TimeSeries)},
+	{"fig3d", two(experiments.Fig3Final)},
+	{"abl-lambda", one(experiments.AblLambda)},
+	{"abl-load", one(experiments.AblLoad)},
+	{"abl-dense", one(experiments.AblDense)},
+	{"abl-delbias", one(experiments.AblDelBias)},
+	{"compare", one(experiments.Compare)},
 }
 
+func experimentIDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// run returns the table registered under id, or every table in registry
+// order for "all". A runner that yields two panels runs once: its second
+// table is kept until the loop reaches that panel's id.
 func run(id string, opts experiments.Options) ([]*experiments.Table, error) {
-	switch id {
-	case "fig2a":
-		t, err := experiments.Fig2a(opts)
-		return one(t, err)
-	case "fig2b":
-		t, err := experiments.Fig2b(opts)
-		return one(t, err)
-	case "fig3a":
-		a, _, err := experiments.Fig3TimeSeries(opts)
-		return one(a, err)
-	case "fig3c":
-		_, c, err := experiments.Fig3TimeSeries(opts)
-		return one(c, err)
-	case "fig3b":
-		b, _, err := experiments.Fig3Final(opts)
-		return one(b, err)
-	case "fig3d":
-		_, d, err := experiments.Fig3Final(opts)
-		return one(d, err)
-	case "abl-lambda":
-		t, err := experiments.AblLambda(opts)
-		return one(t, err)
-	case "abl-load":
-		t, err := experiments.AblLoad(opts)
-		return one(t, err)
-	case "abl-dense":
-		t, err := experiments.AblDense(opts)
-		return one(t, err)
-	case "abl-delbias":
-		t, err := experiments.AblDelBias(opts)
-		return one(t, err)
-	case "compare":
-		t, err := experiments.Compare(opts)
-		return one(t, err)
-	case "query":
-		t, err := experiments.QueryPerf(opts)
-		return one(t, err)
-	case "hashing":
-		t, err := experiments.HashingPerf(opts)
-		return one(t, err)
-	case "all":
-		var out []*experiments.Table
-		f2a, err := experiments.Fig2a(opts)
-		if err != nil {
-			return nil, err
+	computed := map[string]*experiments.Table{}
+	var out []*experiments.Table
+	for _, e := range registry {
+		if id != "all" && id != e.id {
+			continue
 		}
-		out = append(out, f2a)
-		f2b, err := experiments.Fig2b(opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f2b)
-		f3a, f3c, err := experiments.Fig3TimeSeries(opts)
-		if err != nil {
-			return nil, err
-		}
-		f3b, f3d, err := experiments.Fig3Final(opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f3a, f3b, f3c, f3d)
-		for _, fn := range []func(experiments.Options) (*experiments.Table, error){
-			experiments.AblLambda, experiments.AblLoad,
-			experiments.AblDense, experiments.AblDelBias,
-		} {
-			t, err := fn(opts)
+		if computed[e.id] == nil {
+			tables, err := e.run(opts)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, t)
+			for _, t := range tables {
+				computed[t.ID] = t
+			}
 		}
-		return out, nil
-	default:
+		out = append(out, computed[e.id])
+	}
+	if len(out) == 0 {
 		return nil, fmt.Errorf("vosbench: unknown experiment %q", id)
+	}
+	return out, nil
+}
+
+func one(fn func(experiments.Options) (*experiments.Table, error)) runner {
+	return func(opts experiments.Options) ([]*experiments.Table, error) {
+		t, err := fn(opts)
+		if err != nil {
+			return nil, err
+		}
+		return []*experiments.Table{t}, nil
 	}
 }
 
-func one(t *experiments.Table, err error) ([]*experiments.Table, error) {
-	if err != nil {
-		return nil, err
+func two(fn func(experiments.Options) (a, b *experiments.Table, err error)) runner {
+	return func(opts experiments.Options) ([]*experiments.Table, error) {
+		a, b, err := fn(opts)
+		if err != nil {
+			return nil, err
+		}
+		return []*experiments.Table{a, b}, nil
 	}
-	return []*experiments.Table{t}, nil
 }
 
 // parseIntList parses a comma-separated list of positive integers, naming

@@ -19,7 +19,7 @@ func TestParseKs(t *testing.T) {
 		}
 	}
 	// Trailing comma tolerated.
-	if got, err := parseIntList("5,", "-shards"); err != nil || len(got) != 1 {
+	if got, err := parseIntList("5,", "-runtime-ks"); err != nil || len(got) != 1 {
 		t.Errorf("trailing comma: %v, %v", got, err)
 	}
 }
@@ -27,57 +27,6 @@ func TestParseKs(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if _, err := run("nope", experiments.Options{}); err == nil {
 		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestRunThroughput(t *testing.T) {
-	opts := experiments.Options{
-		Seed: 3, K32: 8, Lambda: 2,
-		RuntimeUsers: 50, RuntimeEdges: 2_000,
-	}
-	tables, err := runWithShards("throughput", opts, []int{1, 2}, 8, experiments.TopKANNOptions{}, experiments.UDPSoakOptions{}, experiments.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].ID != "throughput" {
-		t.Fatalf("tables = %v", tables)
-	}
-	if len(tables[0].Rows) != 2 {
-		t.Fatalf("want one row per shard count, got %d", len(tables[0].Rows))
-	}
-	for _, row := range tables[0].Rows {
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("engine estimates diverged from sequential sketch: %v", row)
-		}
-	}
-	// Ids without topology knobs must still dispatch through run.
-	if _, err := runWithShards("nope", opts, []int{1}, 8, experiments.TopKANNOptions{}, experiments.UDPSoakOptions{}, experiments.ClusterOptions{}); err == nil {
-		t.Error("unknown experiment accepted via runWithShards")
-	}
-}
-
-func TestRunWindow(t *testing.T) {
-	opts := experiments.Options{
-		Seed: 3, K32: 8, Lambda: 2,
-		RuntimeUsers: 50, RuntimeEdges: 2_000, MaxPairs: 40,
-	}
-	tables, err := runWithShards("window", opts, []int{1}, 2, experiments.TopKANNOptions{}, experiments.UDPSoakOptions{}, experiments.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].ID != "window" {
-		t.Fatalf("tables = %v", tables)
-	}
-	// 3 rotation rows + parity row + 2 accuracy rows, window-parity-gated
-	// inside the runner.
-	if len(tables[0].Rows) != 6 {
-		t.Fatalf("want 6 rows, got %d: %v", len(tables[0].Rows), tables[0].Rows)
-	}
-	if tables[0].Rows[3][2] != "bit-identical" {
-		t.Fatalf("parity row = %v", tables[0].Rows[3])
-	}
-	if _, err := runWithShards("window", opts, []int{1}, 0, experiments.TopKANNOptions{}, experiments.UDPSoakOptions{}, experiments.ClusterOptions{}); err == nil {
-		t.Error("window experiment accepted 0 buckets")
 	}
 }
 
@@ -94,6 +43,28 @@ func TestRunSingleExperiment(t *testing.T) {
 	if len(tables) != 1 || tables[0].ID != "abl-dense" {
 		t.Errorf("tables = %v", tables)
 	}
+
+	// "all" is every registered id, once each, in registry order; a
+	// two-panel id alone yields only its own panel.
+	all, err := run("all", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(registry) {
+		t.Fatalf("all ran %d tables, registry has %d ids", len(all), len(registry))
+	}
+	for i, e := range registry {
+		if all[i].ID != e.id {
+			t.Errorf("all[%d] = %q, want %q", i, all[i].ID, e.id)
+		}
+	}
+	tables, err = run("fig3c", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || tables[0].ID != "fig3c" {
+		t.Errorf("fig3c alone = %v", tables)
+	}
 }
 
 func TestWriteCSV(t *testing.T) {
@@ -109,23 +80,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if string(data) != "a\n1\n" {
 		t.Errorf("csv content %q", data)
-	}
-}
-
-func TestRunQuery(t *testing.T) {
-	opts := experiments.Options{
-		Seed: 3, K32: 8, Lambda: 2,
-		RuntimeUsers: 50, RuntimeEdges: 2_000,
-	}
-	tables, err := run("query", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || tables[0].ID != "query" {
-		t.Fatalf("tables = %v", tables)
-	}
-	// 3 pair rows + 4 top-K rows, each parity-gated inside the runner.
-	if len(tables[0].Rows) != 7 {
-		t.Fatalf("want 7 rows, got %d: %v", len(tables[0].Rows), tables[0].Rows)
 	}
 }

@@ -176,11 +176,6 @@ func (b *Bitset) XorCountWordsRef(ws []uint64) uint64 {
 	return xorCountWordsRef(b.words, ws)
 }
 
-// FastKernels reports whether this build dispatches the public methods to
-// the blocked kernels (false under the purego build tag and on targets
-// without a tuned shape).
-func FastKernels() bool { return fastKernels }
-
 // UnsafeWords exposes the backing word slice, least-significant bit first,
 // tail bits zero, WITHOUT copying — "Unsafe" because the slice aliases the
 // bitset's storage and mutating it would silently corrupt the bitset

@@ -7,8 +7,6 @@ package bitset
 // The word-vs-word XOR-popcount is the same on both builds: its scalar
 // loop is already throughput-bound (see xorCountWordsRef).
 
-const fastKernels = true
-
 func gatherWords(dstW, src []uint64, n uint64, idx []uint64) uint64 {
 	return gatherWordsBlocked(dstW, src, n, idx)
 }

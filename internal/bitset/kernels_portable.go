@@ -6,8 +6,6 @@ package bitset
 // because the purego tag asked for them or because the target is not one
 // the blocked shapes are tuned for.
 
-const fastKernels = false
-
 func gatherWords(dstW, src []uint64, n uint64, idx []uint64) uint64 {
 	return gatherWordsRef(dstW, src, n, idx)
 }

@@ -32,7 +32,7 @@ type Options struct {
 	// backend crash could lose.
 	Client client.Options
 	// DisableSnapshotCache forces every read to re-gather instead of
-	// reusing the merged cluster sketch until the next acknowledged
+	// reusing the merged cluster sketch until the next attempted
 	// ingest or membership change. The cache key covers both, so there is
 	// no correctness knob here — the field exists for benchmarks that
 	// want to measure the cold gather.
@@ -69,10 +69,11 @@ type Gateway struct {
 	// merge), and ingest never fails during a handoff, it just waits.
 	gates []sync.RWMutex
 
-	// ingests counts acknowledged ingest batches; with the ring version
-	// it keys the snapshot cache. Counting BEFORE the gather makes a
-	// stale hit impossible: a racing ingest bumps the counter and the
-	// next query re-gathers.
+	// ingests counts ingest calls that were fanned out, acknowledged or
+	// not (a failed forward may have applied); with the ring version it
+	// keys the snapshot cache. Counting BEFORE the gather makes a stale
+	// hit impossible: a racing ingest bumps the counter and the next
+	// query re-gathers.
 	ingests atomic.Uint64
 
 	snapMu  sync.Mutex
@@ -206,11 +207,10 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 		}(shard, group)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
+	// Invalidate on failure too: a forward that errored or timed out may
+	// still have applied, and the shards that acked certainly did.
 	g.ingests.Add(1)
-	return nil
+	return errors.Join(errs...)
 }
 
 // forward ships one shard's edges to its owner under the shard's handoff
@@ -245,7 +245,7 @@ var errNoBackends = fmt.Errorf("%w: no cluster backend reachable", vos.ErrQueryU
 //
 // With allowPartial, unreachable backends are skipped and complete=false
 // reports the gap; otherwise any failure fails the gather. Complete
-// merges are cached, keyed by (acknowledged-ingest count, ring version):
+// merges are cached, keyed by (forwarded-ingest count, ring version):
 // the count is captured BEFORE the gather, so a racing ingest can only
 // make a cached snapshot re-gather early, never serve late.
 func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, bool, error) {
@@ -540,21 +540,21 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 	mux.HandleFunc(server.RouteClusterRing, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			gwError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterRing+" requires GET")
+			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterRing+" requires GET")
 			return
 		}
 		ring := g.Ring()
-		gwJSON(w, http.StatusOK, server.RingResponse{Version: ring.Version, RouteSeed: ring.RouteSeed, Shards: ring.Shards})
+		server.WriteJSON(w, http.StatusOK, server.RingResponse{Version: ring.Version, RouteSeed: ring.RouteSeed, Shards: ring.Shards})
 	})
 	mux.HandleFunc(server.RouteClusterHandoff, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			gwError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterHandoff+" requires POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterHandoff+" requires POST")
 			return
 		}
 		var req server.HandoffRequest
 		if err := decodeJSONBody(r, &req); err != nil {
-			gwError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 			return
 		}
 		version, err := g.Handoff(r.Context(), req.Shard, req.To)
@@ -562,12 +562,12 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 			g.gwServiceError(w, err)
 			return
 		}
-		gwJSON(w, http.StatusOK, server.HandoffResponse{Version: version})
+		server.WriteJSON(w, http.StatusOK, server.HandoffResponse{Version: version})
 	})
 	mux.HandleFunc(server.RouteClusterCheckpoint, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			gwError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterCheckpoint+" requires POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterCheckpoint+" requires POST")
 			return
 		}
 		m, err := g.CheckpointCluster(r.Context())
@@ -579,30 +579,30 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 		for i, s := range m.Shards {
 			resp.Shards[i] = server.ClusterNodeCheckpointJSON{Shard: s.Shard, Node: s.Node, Position: s.Position}
 		}
-		gwJSON(w, http.StatusOK, resp)
+		server.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.Handle("/", api)
 	return mux
 }
 
 // gwServiceError maps gateway errors onto the standard envelope: ring
-// violations are the caller's fault, everything else goes through the
-// shared service mapping (a backend's *client.Error keeps its own status).
+// violations are the caller's fault, a backend's *client.Error keeps its
+// own status, and everything else goes through the server's mapping —
+// except that a failure it cannot classify is a 502 here, because behind a
+// gateway it came from a backend.
 func (g *Gateway) gwServiceError(w http.ResponseWriter, err error) {
 	var apiErr *client.Error
 	switch {
 	case errors.Is(err, ErrBadRing):
-		gwError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 	case errors.As(err, &apiErr):
-		gwError(w, apiErr.Status, apiErr.Code, err.Error())
-	case errors.Is(err, context.Canceled):
-		gwError(w, server.StatusClientClosedRequest, server.CodeCanceled, err.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		gwError(w, http.StatusGatewayTimeout, server.CodeTimeout, err.Error())
-	case errors.Is(err, vos.ErrClosed), errors.Is(err, vos.ErrQueryUnavailable):
-		gwError(w, http.StatusServiceUnavailable, server.CodeUnavailable, err.Error())
+		server.WriteError(w, apiErr.Status, apiErr.Code, err.Error())
 	default:
-		gwError(w, http.StatusBadGateway, server.CodeInternal, err.Error())
+		status, code := server.StatusFor(err)
+		if status == http.StatusInternalServerError {
+			status = http.StatusBadGateway
+		}
+		server.WriteError(w, status, code, err.Error())
 	}
 }
 
@@ -619,17 +619,4 @@ func decodeJSONBody(r *http.Request, out any) error {
 		return errors.New("bad JSON body: trailing data")
 	}
 	return nil
-}
-
-// gwJSON and gwError mirror the server package's response helpers (which
-// are unexported) for the gateway-only routes, emitting the same
-// Content-Type and error envelope so clients see one uniform protocol.
-func gwJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", server.ContentTypeJSON)
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func gwError(w http.ResponseWriter, status int, code, msg string) {
-	gwJSON(w, status, server.ErrorEnvelope{Error: server.ErrorBody{Code: code, Message: msg}})
 }

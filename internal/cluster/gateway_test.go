@@ -426,6 +426,59 @@ func TestGatewayPartialTopK(t *testing.T) {
 	}
 }
 
+// TestGatewayPartialIngestInvalidatesSnapshot pins cache invalidation on
+// a partial fan-out failure: when one shard group of a batch is applied
+// and another is refused, the merged-snapshot reads (export, similarity,
+// top-K, stats) must show the applied group, as the routed cardinality
+// read already does, instead of the merge cached before the ingest.
+func TestGatewayPartialIngestInvalidatesSnapshot(t *testing.T) {
+	const users = 60
+	good, empty := newBackend(t, ""), newBackend(t, "")
+	// Shard 1's stand-in refuses every ingest and serves everything else
+	// from a real, empty backend, so gathers still complete.
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == server.RouteEdges {
+			server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, "injected ingest failure")
+			return
+		}
+		empty.srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(failing.Close)
+	ring := &Ring{Version: 1, RouteSeed: 9, Shards: []string{good.URL(), failing.URL}}
+	gw, err := New(ring, Options{Client: client.Options{MaxRetries: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+
+	// Preload shard 0's users only, then read everything once: the parity
+	// check leaves a complete merged snapshot in the cache.
+	var applied []vos.Edge
+	on := map[int]vos.User{}
+	for _, e := range clusterWorkload(21, users, 2000) {
+		shard := ring.ShardOf(e.User)
+		on[shard] = e.User
+		if shard == 0 {
+			applied = append(applied, e)
+		}
+	}
+	if len(on) != 2 {
+		t.Fatalf("workload reached shards %v, want both", on)
+	}
+	ingestBatches(t, gw, applied, 200)
+	assertClusterParity(t, gw, oracleFor(applied), users)
+
+	// One batch, one new edge per shard: shard 0 acks, shard 1 answers 500.
+	batch := []vos.Edge{
+		{User: on[0], Item: 1 << 40, Op: vos.Insert},
+		{User: on[1], Item: 1 << 40, Op: vos.Insert},
+	}
+	if err := gw.Ingest(context.Background(), batch); err == nil {
+		t.Fatal("ingest with one refusing shard reported success")
+	}
+	assertClusterParity(t, gw, oracleFor(append(applied, batch[0])), users)
+}
+
 // TestGatewayClusterCheckpoint runs the coordinated checkpoint over
 // durable backends: every node persists under a full ingest quiesce, the
 // manifest records ring version and per-shard WAL positions, and the

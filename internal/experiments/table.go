@@ -93,10 +93,9 @@ func (t *Table) Render(w io.Writer) error {
 }
 
 // RenderJSON writes the table as a machine-readable JSON document: the id,
-// title, notes, and one object per row keyed by the header names. This is
-// the format the checked-in bench trajectory (bench/*.json) and any CI
-// regression tooling consume; unlike the text renderers it round-trips
-// through jq without parsing column widths.
+// title, notes, and one object per row keyed by the header names. Unlike
+// the text renderers it round-trips through jq without parsing column
+// widths.
 func (t *Table) RenderJSON(w io.Writer) error {
 	rows := make([]map[string]string, len(t.Rows))
 	for i, row := range t.Rows {

@@ -58,39 +58,6 @@ func PlantedJaccard(size int, jaccard float64) (common int) {
 	return c
 }
 
-// PlantedCluster constructs a stream in which every listed user subscribes
-// to size items, common of them shared by the whole cluster (a shared core
-// plus per-user private tails). Every within-cluster pair then has the
-// exactly known similarity
-//
-//	s = common,  J = common / (2·size − common),
-//
-// and users from disjoint clusters share nothing. Top-K recall harnesses
-// are built on planted clusters: each member's true nearest neighbours are
-// its cluster mates, so ground truth needs no exhaustive set arithmetic.
-func PlantedCluster(users []stream.User, size, common int, seed int64) []stream.Edge {
-	if common > size || common < 0 {
-		panic(fmt.Sprintf("gen: planted core %d impossible for size %d", common, size))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	edges := make([]stream.Edge, 0, len(users)*size)
-	// Same disjoint-range layout as PlantedPair: [base, base+common) is the
-	// shared core, private tails follow, random base against alignment.
-	base := uint64(rng.Int63n(1 << 40))
-	next := base + uint64(common)
-	for _, u := range users {
-		for j := 0; j < common; j++ {
-			edges = append(edges, stream.Edge{User: u, Item: stream.Item(base + uint64(j)), Op: stream.Insert})
-		}
-		for j := 0; j < size-common; j++ {
-			edges = append(edges, stream.Edge{User: u, Item: stream.Item(next), Op: stream.Insert})
-			next++
-		}
-	}
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	return edges
-}
-
 // DeleteSome returns deletion elements for a uniformly random fraction frac
 // of the given user's currently subscribed items (as recorded in items),
 // for building hand-crafted dynamic scenarios in tests.

@@ -19,8 +19,7 @@ import "fmt"
 // and the generator itself passes BigCrush, so positions within one key's
 // table are empirically indistinguishable from independent draws. Across
 // keys, states are separated by the full Hash64 avalanche. The statistical
-// tests in fast_test.go and the parity gates of the vosbench hashing
-// experiment pin both properties against tolerance bounds.
+// tests in fast_test.go pin both properties against tolerance bounds.
 //
 // Why it is fast: a table fill touches no seed table (the classic family's
 // k-word seed array exceeds L1 at k = 6400, so every classic evaluation
@@ -28,7 +27,7 @@ import "fmt"
 // fits 32 bits (each 64-bit output is split into halves, reduced with a
 // 32-bit fixed-point multiply), and every loop iteration is independent,
 // so the multiplies pipeline. At paper scale this is a multiple-x fill
-// speedup; see bench/hashing.json for the checked-in trajectory.
+// speedup (BenchmarkHashRangeIntoFast against BenchmarkHashRangeInto).
 //
 // Compatibility: positions under KindFast are UNRELATED to positions under
 // KindClassic for the same seed. Sketches built under different families

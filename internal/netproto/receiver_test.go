@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"github.com/vossketch/vos/internal/admit"
+	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/metrics"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -215,4 +217,117 @@ func TestReceiverStatsMergesTrackerLedger(t *testing.T) {
 		t.Fatalf("session accounting: %+v", st)
 	}
 	var _ metrics.UDPStats = st
+}
+
+// TestReceiverFaultPlan drives a deterministic drop/duplicate/reorder plan
+// through a real loopback socket, as a send order over sequence numbers:
+//
+//	seq%10 == 7  never sent                 → must confirm as a gap
+//	seq%10 == 3  sent twice, back to back   → the second copy is a replay
+//	seq%10 == 5  swapped with its successor → the predecessor applies late
+//
+// The three residues never collide, and a swap's successor (seq%10 == 6)
+// is itself never dropped or duplicated, so every counter has one exact
+// expected value: undetected loss, a double apply or a miscounted fault
+// all fail here. The sink's sketch must then be byte-identical to one fed
+// every sent batch once — ascending order will do, XOR toggles commute,
+// which is why applying a late frame is sound at all.
+func TestReceiverFaultPlan(t *testing.T) {
+	const batch = 64
+	edges := make([]stream.Edge, 94*batch)
+	for i := range edges {
+		edges[i] = stream.Edge{User: stream.User(i % 97), Item: stream.Item(i), Op: stream.Insert}
+		if i%5 == 4 && i >= 97 {
+			// The same user's insert from 97 edges ago (97%5 == 2, so that
+			// one was not itself a delete).
+			edges[i] = stream.Edge{User: stream.User(i % 97), Item: stream.Item(i - 97), Op: stream.Delete}
+		}
+	}
+	frames := uint64(len(edges) / batch)
+	payload := func(seq uint64) []stream.Edge {
+		if seq >= frames {
+			return nil // trailer
+		}
+		return edges[seq*batch : (seq+1)*batch]
+	}
+
+	var order []uint64
+	var drops, dups, swaps uint64
+	for seq := uint64(0); seq < frames; seq++ {
+		switch seq % 10 {
+		case 7:
+			drops++
+		case 3:
+			order = append(order, seq, seq)
+			dups++
+		case 5: // never the last frame: frames%10 == 4
+			order = append(order, seq+1, seq)
+			swaps++
+		case 6:
+			// Already sent ahead of seq-1 by the swap above.
+		default:
+			order = append(order, seq)
+		}
+	}
+	// Empty trailer frames push every dropped sequence out of the reorder
+	// window, so its loss is confirmed, not still pending.
+	for i := uint64(0); i < WindowSize+2; i++ {
+		order = append(order, frames+i)
+	}
+
+	cfg := core.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 7}
+	want := core.MustNew(cfg)
+	wantFrames, wantEdges := uint64(WindowSize+2), uint64(0)
+	for seq := uint64(0); seq < frames; seq++ {
+		if seq%10 != 7 {
+			want.ProcessBatch(payload(seq))
+			wantFrames++
+			wantEdges += batch
+		}
+	}
+
+	var mu sync.Mutex
+	got := core.MustNew(cfg)
+	r, conn := startReceiver(t, Config{Sink: func(b []stream.Edge) error {
+		mu.Lock()
+		defer mu.Unlock()
+		got.ProcessBatch(b)
+		return nil
+	}})
+	for i, seq := range order {
+		send(t, conn, 0x1CDE2019, seq, 0, payload(seq))
+		if sent := uint64(i + 1); sent%16 == 0 || i == len(order)-1 {
+			// Stay below the socket buffer: loss the plan did not inject
+			// would fail the exact counts below for the wrong reason.
+			waitFor(t, "sent frames to arrive", func() bool { return r.Stats().FramesReceived == sent })
+		}
+	}
+	// FramesApplied is the last counter a frame touches, and the last
+	// frame sent is a trailer, which applies.
+	waitFor(t, "the last frame to apply", func() bool { return r.Stats().FramesApplied >= wantFrames })
+
+	st := r.Stats()
+	if st.GapsDetected != drops || st.ReplaysDropped != dups || st.LateApplied != swaps {
+		t.Errorf("injected %d drops, %d duplicates, %d reorders; ledger has gaps=%d replays=%d late=%d",
+			drops, dups, swaps, st.GapsDetected, st.ReplaysDropped, st.LateApplied)
+	}
+	if st.FramesApplied != wantFrames || st.EdgesApplied != wantEdges {
+		t.Errorf("applied %d edges in %d frames, want %d in %d", st.EdgesApplied, st.FramesApplied, wantEdges, wantFrames)
+	}
+	if st.Malformed != 0 || st.AdmitRejected != 0 || st.SinkErrors != 0 {
+		t.Errorf("faults outside the plan: %+v", st)
+	}
+	mu.Lock()
+	gotBytes, err := got.MarshalBinary()
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Error("sink sketch differs from a sketch fed every sent batch once")
+	}
 }

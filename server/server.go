@@ -199,17 +199,17 @@ func New(svc vos.SimilarityService, opt Options) *Server {
 	// alive, and readiness must keep answering (with 503) so load
 	// balancers see the flip.
 	s.mux.HandleFunc(RouteHealthz, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 	})
 	s.mux.HandleFunc(RouteReadyz, func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
+			WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+		WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 	})
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.URL.Path)
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.URL.Path)
 	})
 	return s
 }
@@ -287,12 +287,12 @@ func (s *Server) handle(route, method string, h http.HandlerFunc) {
 		func() {
 			if r.Method != method {
 				w.Header().Set("Allow", method)
-				writeError(sw, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+				WriteError(sw, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 					fmt.Sprintf("%s requires %s", route, method))
 				return
 			}
 			if !s.admit() {
-				writeError(sw, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+				WriteError(sw, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 				return
 			}
 			defer s.inFlight.Done()
@@ -330,7 +330,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	isBinary := normalizeCT(r.Header.Get("Content-Type")) == ContentTypeBinary
 	if wire < 0 {
 		if isBinary {
-			writeError(w, http.StatusLengthRequired, CodeBadRequest,
+			WriteError(w, http.StatusLengthRequired, CodeBadRequest,
 				"binary ingest requires Content-Length")
 			return
 		}
@@ -345,10 +345,10 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			// Retrying cannot help either way — tell the caller to split
 			// (the charge scales with the declared size, so splitting
 			// always helps).
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, admitErr.Error())
+			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, admitErr.Error())
 		default: // admit.ErrBackpressure: transient, so a retry hint
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, CodeBackpressure,
+			WriteError(w, http.StatusTooManyRequests, CodeBackpressure,
 				"in-flight ingest byte budget exhausted; retry after a delay")
 		}
 		return
@@ -360,16 +360,16 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
+			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if hdr := r.Header.Get(HeaderBatchTs); hdr != "" {
 		ts, err := strconv.ParseFloat(hdr, 64)
 		if err != nil || !validUnixSeconds(ts) {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
 				HeaderBatchTs+" must be positive fractional unix seconds before year 2262")
 			return
 		}
@@ -396,7 +396,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestResponse{Accepted: len(edges)})
+	WriteJSON(w, http.StatusOK, IngestResponse{Accepted: len(edges)})
 }
 
 // maxUnixSeconds bounds the ts/at wire fields: the largest fractional
@@ -556,25 +556,25 @@ func (s *Server) checkAt(w http.ResponseWriter, r *http.Request, at float64) boo
 		return true
 	}
 	if !validUnixSeconds(at) {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "at must be positive unix seconds before year 2262")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "at must be positive unix seconds before year 2262")
 		return false
 	}
 	wsvc, ok := s.svc.(vos.Windowed)
 	if !ok {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
 		return false
 	}
 	info, err := wsvc.WindowInfo(r.Context())
 	if err != nil {
 		if errors.Is(err, vos.ErrNoWindow) {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
 		} else {
 			s.writeServiceError(w, err)
 		}
 		return false
 	}
 	if t := unixSeconds(at); t.Before(info.Start) {
-		writeError(w, http.StatusUnprocessableEntity, CodeOutsideWindow,
+		WriteError(w, http.StatusUnprocessableEntity, CodeOutsideWindow,
 			fmt.Sprintf("instant %s predates the live window (starts %s, spans %s)",
 				t.UTC().Format(time.RFC3339Nano), info.Start.UTC().Format(time.RFC3339Nano), info.Span()))
 		return false
@@ -586,13 +586,13 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	u, okU := parseID(r.URL.Query().Get("u"))
 	v, okV := parseID(r.URL.Query().Get("v"))
 	if !okU || !okV {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "u and v must be unsigned integers")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "u and v must be unsigned integers")
 		return
 	}
 	if atStr := r.URL.Query().Get("at"); atStr != "" {
 		at, err := strconv.ParseFloat(atStr, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "at must be fractional unix seconds")
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "at must be fractional unix seconds")
 			return
 		}
 		if !s.checkAt(w, r, at) {
@@ -604,21 +604,21 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateToWire(est))
+	WriteJSON(w, http.StatusOK, EstimateToWire(est))
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: "+err.Error())
 		return
 	}
 	var top []vos.TopKResult
 	switch req.Mode {
 	case "", "exact":
 		if req.N <= 0 || len(req.Candidates) == 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "need n > 0 and a non-empty candidates list")
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "need n > 0 and a non-empty candidates list")
 			return
 		}
 		if !s.checkAt(w, r, req.At) {
@@ -651,16 +651,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	case "ann":
 		if req.N <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "need n > 0")
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "need n > 0")
 			return
 		}
 		if len(req.Candidates) != 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, `mode "ann" is candidates-free; omit the candidates list`)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, `mode "ann" is candidates-free; omit the candidates list`)
 			return
 		}
 		ann, ok := s.svc.(vos.ApproxTopK)
 		if !ok {
-			writeError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not support approximate top-K")
+			WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not support approximate top-K")
 			return
 		}
 		if !s.checkAt(w, r, req.At) {
@@ -673,20 +673,20 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(`mode must be "exact" or "ann", got %q`, req.Mode))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(`mode must be "exact" or "ann", got %q`, req.Mode))
 		return
 	}
 	out := make([]TopKResultJSON, len(top))
 	for i, res := range top {
 		out[i] = TopKResultJSON{User: uint64(res.User), Estimate: EstimateToWire(res.Estimate)}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
 	u, ok := parseID(r.URL.Query().Get("user"))
 	if !ok {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "user must be an unsigned integer")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "user must be an unsigned integer")
 		return
 	}
 	card, err := s.svc.Cardinality(r.Context(), vos.User(u))
@@ -694,7 +694,7 @@ func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CardinalityResponse{User: u, Cardinality: card})
+	WriteJSON(w, http.StatusOK, CardinalityResponse{User: u, Cardinality: card})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -712,7 +712,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := SnapshotStatsToWire(sr.SnapshotStats())
 		resp.Snapshot = &snap
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- cluster state transfer ---
@@ -727,7 +727,7 @@ const maxImportBytes = 1 << 30
 func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 	exp, ok := s.svc.(vos.StateExporter)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not export sketch state")
+		WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not export sketch state")
 		return
 	}
 	data, err := exp.ExportSketch(r.Context())
@@ -744,11 +744,11 @@ func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	imp, ok := s.svc.(vos.StateImporter)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not import sketch state")
+		WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not import sketch state")
 		return
 	}
 	if ct := normalizeCT(r.Header.Get("Content-Type")); ct != ContentTypeBinary {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("cluster import takes %s, got %q", ContentTypeBinary, ct))
 		return
 	}
@@ -756,23 +756,23 @@ func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
+			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if err := imp.ImportSketch(r.Context(), data); err != nil {
 		s.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ImportResponse{Bytes: len(data)})
+	WriteJSON(w, http.StatusOK, ImportResponse{Bytes: len(data)})
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	ck, ok := s.svc.(vos.Checkpointer)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not support checkpoints")
+		WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not support checkpoints")
 		return
 	}
 	pos, err := ck.Checkpoint(r.Context())
@@ -780,7 +780,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{Position: pos})
+	WriteJSON(w, http.StatusOK, CheckpointResponse{Position: pos})
 }
 
 // --- metrics ---
@@ -822,15 +822,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st.mu.Unlock()
 		out.Endpoints[route] = m
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // --- shared plumbing ---
 
 // writeServiceError maps a service error onto the typed envelope.
 func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
-	status, code := statusFor(err)
-	writeError(w, status, code, err.Error())
+	status, code := StatusFor(err)
+	WriteError(w, status, code, err.Error())
 }
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
@@ -838,8 +838,10 @@ func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
 // would page an operator for client behavior.
 const StatusClientClosedRequest = 499
 
-// statusFor maps service-layer errors to HTTP status + envelope code.
-func statusFor(err error) (int, string) {
+// StatusFor maps service-layer errors to HTTP status + envelope code.
+// Exported, with WriteJSON and WriteError, so the cluster gateway's own
+// routes answer in the same protocol as the routes it wraps.
+func StatusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest, CodeCanceled
@@ -870,14 +872,16 @@ func statusFor(err error) (int, string) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
+// WriteError writes the typed error envelope.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 
 func parseID(s string) (uint64, bool) {
