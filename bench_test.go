@@ -26,6 +26,7 @@ import (
 	"github.com/vossketch/vos/client"
 	"github.com/vossketch/vos/internal/experiments"
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/poscache"
 	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/server"
 )
@@ -278,20 +279,22 @@ func BenchmarkSequentialIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkMutexIngest measures the global-RWMutex ConcurrentSketch under
-// parallel writers: every Process serialises on one lock, so adding cores
-// does not add throughput — the bottleneck the Engine removes.
+// BenchmarkMutexIngest measures one sketch behind NewSketchService's
+// read-write mutex under parallel single-edge writers: every Ingest
+// serialises on one lock, so adding cores does not add throughput — the
+// bottleneck the Engine removes.
 func BenchmarkMutexIngest(b *testing.B) {
 	edges := ingestStream(b)
-	cs, err := vos.NewConcurrent(ingestConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	svc := vos.NewSketchService(vos.MustNew(ingestConfig()))
+	ctx := context.Background()
 	var next atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			i := next.Add(1)
-			cs.Process(edges[i%uint64(len(edges))])
+			i := next.Add(1) % uint64(len(edges))
+			if err := svc.Ingest(ctx, edges[i:i+1]); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 }
@@ -572,7 +575,7 @@ func BenchmarkQueryPair(b *testing.B) {
 		}
 	})
 	b.Run("materialized-warm", func(b *testing.B) {
-		sk.EnablePositionCache(16)
+		sk.SetPositionCache(poscache.New(16))
 		sk.SetRecoveredCacheCapacity(0) // default
 		sk.Query(1, 2)                  // warm both caches
 		b.ResetTimer()
@@ -626,7 +629,7 @@ func BenchmarkTopK(b *testing.B) {
 		}
 	})
 	b.Run("materialized-warm", func(b *testing.B) {
-		sk.EnablePositionCache(1024 + 1)
+		sk.SetPositionCache(poscache.New(1024 + 1))
 		sk.SetRecoveredCacheCapacity(0)
 		sk.TopK(1, candidates, n) // warm both caches
 		b.ResetTimer()

@@ -32,8 +32,8 @@ func concurrentTestStream(t *testing.T) []vos.Edge {
 
 // TestConcurrentSketchMatchesSequential runs concurrent writers (one per
 // user partition, so per-user order is preserved) against concurrent
-// readers, then demands the final state match a sequential sketch exactly.
-// Run with -race to exercise the locking.
+// readers of a 1-shard Engine, then demands the final state match a
+// sequential sketch exactly. Run with -race to exercise the locking.
 func TestConcurrentSketchMatchesSequential(t *testing.T) {
 	cfg := vos.Config{MemoryBits: 1 << 18, SketchBits: 512, Seed: 3}
 	edges := concurrentTestStream(t)
@@ -43,10 +43,11 @@ func TestConcurrentSketchMatchesSequential(t *testing.T) {
 		seq.Process(e)
 	}
 
-	cs, err := vos.NewConcurrent(cfg)
+	cs, err := vos.NewEngine(vos.EngineConfig{Sketch: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cs.Close()
 	const writers = 4
 	parts := vos.PartitionByUser(edges, writers, 77)
 	var wg sync.WaitGroup
@@ -55,7 +56,10 @@ func TestConcurrentSketchMatchesSequential(t *testing.T) {
 		go func(part []vos.Edge) {
 			defer wg.Done()
 			for _, e := range part {
-				cs.Process(e)
+				if err := cs.Process(e); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(part)
 	}
@@ -76,15 +80,15 @@ func TestConcurrentSketchMatchesSequential(t *testing.T) {
 					t.Errorf("mid-stream Jaccard out of range: %v", est.Jaccard)
 					return
 				}
-				_ = cs.Beta()
 				_ = cs.Cardinality(1)
-				_ = cs.Stats()
+				_ = cs.Stats().Beta
 			}
 		}()
 	}
 	wg.Wait()
 	close(stop)
 	readers.Wait()
+	cs.Flush()
 
 	if got, want := cs.Stats(), seq.Stats(); got != want {
 		t.Fatalf("concurrent stats %+v, sequential %+v", got, want)
@@ -94,20 +98,27 @@ func TestConcurrentSketchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotMergeRoundTrip: Snapshot under load restores via
-// Unmarshal, and Merge folds a shard sketch in exactly.
+// TestConcurrentSnapshotMergeRoundTrip: MarshalBinary restores via
+// Unmarshal, and ImportSketch folds a shard sketch in exactly.
 func TestConcurrentSnapshotMergeRoundTrip(t *testing.T) {
 	cfg := vos.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 8}
-	cs, err := vos.NewConcurrent(cfg)
+	cs, err := vos.NewEngine(vos.EngineConfig{Sketch: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cs.Close()
+	process := func(e vos.Edge) {
+		t.Helper()
+		if err := cs.Process(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 200; i++ {
-		cs.Process(vos.Edge{User: 1, Item: vos.Item(i), Op: vos.Insert})
-		cs.Process(vos.Edge{User: 2, Item: vos.Item(i + 100), Op: vos.Insert})
+		process(vos.Edge{User: 1, Item: vos.Item(i), Op: vos.Insert})
+		process(vos.Edge{User: 2, Item: vos.Item(i + 100), Op: vos.Insert})
 	}
 
-	data, err := cs.Snapshot()
+	data, err := cs.MarshalBinary() // flushes first
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +143,7 @@ func TestConcurrentSnapshotMergeRoundTrip(t *testing.T) {
 		shard.Process(e)
 		all.Process(e)
 	}
-	if err := cs.Merge(shard); err != nil {
+	if err := cs.ImportSketch(marshalSketch(t, shard)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cs.Query(1, 3), all.Query(1, 3); got != want {
@@ -141,7 +152,7 @@ func TestConcurrentSnapshotMergeRoundTrip(t *testing.T) {
 
 	// Config mismatch must be rejected.
 	bad := vos.MustNew(vos.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 9})
-	if err := cs.Merge(bad); err == nil {
+	if err := cs.ImportSketch(marshalSketch(t, bad)); err == nil {
 		t.Fatal("merge with mismatched config accepted")
 	}
 }

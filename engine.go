@@ -14,17 +14,16 @@ import (
 // Use it when ingest throughput must scale past one core. Because VOS
 // merging is exact for any partition of the stream, a K-shard Engine
 // returns (after Flush) bit-identical estimates to a single Sketch that
-// consumed the whole stream — sharding costs no accuracy. For a simple
-// shared sketch with reader/writer locking, see ConcurrentSketch; for the
-// offline equivalent, see PartitionByUser plus Sketch.Merge.
+// consumed the whole stream — sharding costs no accuracy. It is the one
+// concurrent shape: Shards: 1 is a thread-safe sketch (NewSketchService is
+// the same thing behind SimilarityService without the ingest goroutine).
+// For the offline equivalent, see PartitionByUser plus Sketch.Merge.
 //
 // All methods are safe for concurrent use, with one lifecycle rule: no
 // Process/ProcessBatch call may start after Close has begun. Once Close
 // begins, writes and the context-aware query methods return
-// ErrEngineClosed; Engine.QueryLocal additionally answers typed
-// ErrQueryUnavailable (checkpoint-recovered engines) and
-// ErrNotCoResident (users on different shards) instead of silent zero
-// estimates.
+// ErrEngineClosed. Every pair read takes one path: acquire the merged
+// view, query it, release it.
 //
 // See internal/engine for the full model.
 type Engine = engine.Engine

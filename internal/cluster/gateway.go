@@ -31,12 +31,6 @@ type Options struct {
 	// backend's WAL" — a gateway-side buffer would acknowledge edges a
 	// backend crash could lose.
 	Client client.Options
-	// DisableSnapshotCache forces every read to re-gather instead of
-	// reusing the merged cluster sketch until the next attempted
-	// ingest or membership change. The cache key covers both, so there is
-	// no correctness knob here — the field exists for benchmarks that
-	// want to measure the cold gather.
-	DisableSnapshotCache bool
 }
 
 // Gateway is the vosgw routing tier: one instance fans ingest to the
@@ -251,15 +245,13 @@ var errNoBackends = fmt.Errorf("%w: no cluster backend reachable", vos.ErrQueryU
 func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, bool, error) {
 	seq := g.ingests.Load()
 	ring := g.Ring()
-	if !g.opt.DisableSnapshotCache {
-		g.snapMu.Lock()
-		if g.snap != nil && g.snapSeq == seq && g.snapVer == ring.Version {
-			snap := g.snap
-			g.snapMu.Unlock()
-			return snap, true, nil
-		}
+	g.snapMu.Lock()
+	if g.snap != nil && g.snapSeq == seq && g.snapVer == ring.Version {
+		snap := g.snap
 		g.snapMu.Unlock()
+		return snap, true, nil
 	}
+	g.snapMu.Unlock()
 
 	type part struct {
 		sk  *core.VOS
@@ -309,7 +301,7 @@ func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, b
 	if merged == nil {
 		return nil, false, errNoBackends
 	}
-	if complete && !g.opt.DisableSnapshotCache {
+	if complete {
 		g.snapMu.Lock()
 		g.snap = merged
 		g.snapSeq = seq

@@ -361,9 +361,9 @@ func TestGatewayHandoffPersistsRing(t *testing.T) {
 // oracle over only the reachable shards' users.
 func TestGatewayPartialTopK(t *testing.T) {
 	const users = 90
-	// Cache disabled so the gather actually contacts the drained backend
-	// (a cached complete snapshot would - correctly - keep serving).
-	gw, backends := newTestCluster(t, 3, Options{DisableSnapshotCache: true})
+	// Nothing reads before the drain, so no complete merge is cached and
+	// every gather below contacts the drained backend.
+	gw, backends := newTestCluster(t, 3, Options{})
 	edges := clusterWorkload(11, users, 3000)
 	ingestBatches(t, gw, edges, 200)
 	ctx := context.Background()

@@ -131,10 +131,6 @@ func (v *VOS) gatherBits(u stream.User) *bitset.Bitset {
 	return bits
 }
 
-// Recover is RecoverSketch under its original name, kept for callers of
-// the pre-materialization API.
-func (v *VOS) Recover(u stream.User) *Recovered { return v.RecoverSketch(u) }
-
 // QueryRecovered estimates the similarity between a recovered snapshot
 // and user w, equivalent to Query(r.User(), w) against the sketch state
 // at recovery time. When w's recovered sketch is cached at the current

@@ -38,7 +38,7 @@ func TestQueryManyMatchesQuery(t *testing.T) {
 
 func TestRecoveredReuse(t *testing.T) {
 	v := buildBatchSketch(t)
-	r := v.Recover(1)
+	r := v.RecoverSketch(1)
 	if r.User() != 1 {
 		t.Errorf("User() = %d", r.User())
 	}
@@ -54,7 +54,7 @@ func TestRecoveredReuse(t *testing.T) {
 
 func TestRecoverMatchesRecoverBit(t *testing.T) {
 	v := buildBatchSketch(t)
-	r := v.Recover(2)
+	r := v.RecoverSketch(2)
 	for j := 0; j < v.K(); j++ {
 		if r.bits.Get(uint64(j)) != v.RecoverBit(2, j) {
 			t.Fatalf("slot %d differs", j)

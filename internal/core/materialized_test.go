@@ -53,10 +53,11 @@ func TestQueryParityPerBitVsMaterialized(t *testing.T) {
 	// Position cache smaller than the user set: the full sweep exercises
 	// misses and evictions, the narrow sweep repeat-queries a window that
 	// fits so hits occur too.
-	v.EnablePositionCache(16)
+	pc := poscache.New(16)
+	v.SetPositionCache(pc)
 	check("poscache cold", users[:20], users)
 	check("poscache narrow", users[:4], users[:10])
-	st := v.PositionCache().Stats()
+	st := pc.Stats()
 	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
 		t.Fatalf("cache exercised no hit/miss/eviction paths: %+v", st)
 	}
@@ -75,7 +76,7 @@ func TestQueryParityPerBitVsMaterialized(t *testing.T) {
 // Process and Merge — so the materialized path never serves stale bits.
 func TestRecoveredCacheInvalidatedByWrites(t *testing.T) {
 	v, users := materializedWorkload(t, Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 9})
-	v.EnablePositionCache(128)
+	v.SetPositionCache(poscache.New(128))
 	parity := func(label string) {
 		t.Helper()
 		for _, u := range users[:10] {

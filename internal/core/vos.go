@@ -213,17 +213,10 @@ func (v *VOS) MemoryBits() uint64 { return v.cfg.MemoryBits }
 // path (nil detaches). Position tables depend only on the user key and the
 // sketch's Seed/MemoryBits/SketchBits, so one cache may be shared across
 // sketches with identical Config — the engine shares a single cache
-// between its shards and every merged snapshot. Sharing across different
-// configs returns wrong positions; don't.
+// between all its merged snapshots. Sharing across different configs
+// returns wrong positions; don't. Each entry costs SketchBits·8 bytes
+// (50 KiB at the paper's k = 6400); see poscache.New for sizing guidance.
 func (v *VOS) SetPositionCache(c *poscache.Cache) { v.pos = c }
-
-// EnablePositionCache attaches a fresh private position cache holding up
-// to entries users. Each entry costs SketchBits·8 bytes (50 KiB at the
-// paper's k = 6400); see poscache.New for sizing guidance.
-func (v *VOS) EnablePositionCache(entries int) { v.pos = poscache.New(entries) }
-
-// PositionCache returns the attached position cache, or nil.
-func (v *VOS) PositionCache() *poscache.Cache { return v.pos }
 
 // SetRecoveredCacheCapacity resizes the recovered-sketch cache: entries
 // packed recovered sketches (k/8 bytes each) are kept, stamped by write

@@ -23,9 +23,8 @@ package engine
 //
 // The recovered checkpoint is kept as a frozen base sketch rather than
 // being split back into shards (a merged sketch cannot be un-merged).
-// Query paths merge it in: snapshots start from the base, Cardinality adds
-// the base counter, and QueryLocal — whose answer would silently omit base
-// parity bits — disables itself on recovered engines.
+// Query paths merge it in: snapshots start from the base, and Cardinality
+// adds the base counter.
 
 import (
 	"errors"
@@ -163,7 +162,6 @@ func Open(cfg Config) (*Engine, error) {
 			s.skMu.Lock()
 			s.win = win
 			s.sk = win.Merged()
-			s.sk.SetPositionCache(e.pcache)
 			s.skMu.Unlock()
 		}
 		e.winEnd.Store(end.UnixNano())

@@ -6,7 +6,7 @@
 // "one sketch per shard, merge for queries" a lossless parallelisation —
 // the same partition-then-merge structure gSketch (VLDB'12) uses to
 // localise stream updates — where a single mutex-guarded sketch
-// (vos.ConcurrentSketch) serialises every update on one lock.
+// (vos.NewSketchService) serialises every update on one lock.
 //
 // Topology: N independent core.VOS shards with identical Config, each owned
 // by one ingest goroutine fed through a buffered channel of edge batches.
@@ -23,15 +23,15 @@
 // delta: once the applied-edge count has advanced past
 // Config.SnapshotMaxLag, the batches the shard workers applied since are
 // replayed onto it, which costs the churn rather than a re-merge of every
-// shard (see snapshot.go; the full re-merge remains as the fallback).
-// QueryLocal offers a lower-latency path that touches only the owning shard
-// when both users co-reside.
+// shard (see snapshot.go; the full re-merge remains as the fallback). That
+// is the only pair read path: acquire the merged view, query it, release
+// it. Nothing queries a shard sketch on its own — a shard alone holds
+// neither the recovery base's parity nor the global fill β.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -53,17 +53,12 @@ import (
 // final flush.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrQueryUnavailable is returned by query paths that cannot answer in the
-// engine's current state — today, QueryLocal on a checkpoint-recovered
-// engine, whose pre-checkpoint parity lives in the frozen base sketch
-// rather than in any shard. Callers should fall back to the merged-snapshot
-// path (Query/QueryContext).
+// ErrQueryUnavailable is the sentinel for a query the serving state cannot
+// answer. The engine itself never returns it — every engine read goes
+// through the merged view, which always can answer — but the cluster
+// gateway does (no backend reachable) and the server and client map it
+// over the wire; it is declared here so all tiers share one value.
 var ErrQueryUnavailable = errors.New("engine: query unavailable")
-
-// ErrNotCoResident is returned by QueryLocal when the two users live on
-// different shards, so no single shard holds both users' parity state.
-// Callers should fall back to Query.
-var ErrNotCoResident = errors.New("engine: users are not co-resident on one shard")
 
 // Config parameterises an Engine. The zero value of every field except
 // Sketch selects a sensible default.
@@ -111,10 +106,10 @@ type Config struct {
 	// the materialized query path caches each user's k array positions
 	// (valid for the engine's lifetime — they depend only on user and
 	// sketch Config, never on sketch contents), so repeat queries for hot
-	// users skip all hashing. One cache is shared by every shard and
-	// every merged snapshot. Each entry costs Sketch.SketchBits·8 bytes
-	// (50 KiB at the paper's k = 6400). 0 selects the default of 512
-	// entries (≈25 MiB at paper scale); negative disables caching.
+	// users skip all hashing. One cache is shared by every merged
+	// snapshot. Each entry costs Sketch.SketchBits·8 bytes (50 KiB at the
+	// paper's k = 6400). 0 selects the default of 512 entries (≈25 MiB at
+	// paper scale); negative disables caching.
 	PositionCacheUsers int
 
 	// Durability, when non-nil with a Dir, enables the write-ahead log and
@@ -252,9 +247,10 @@ type Engine struct {
 
 	// pcache is the shared position-table cache (nil when disabled):
 	// position tables depend only on user and sketch Config, so one cache
-	// serves every shard and every merged snapshot for the engine's
-	// lifetime, surviving snapshot re-merges. It is internally locked, so
-	// sharing it keeps concurrent query paths race-clean.
+	// serves every merged view for the engine's lifetime, surviving
+	// snapshot re-merges. Only the views are wired to it — nothing queries
+	// a shard sketch or the recovery base on its own. It is internally
+	// locked, so sharing it keeps concurrent query paths race-clean.
 	pcache *poscache.Cache
 
 	// Durability state (nil/zero on memory-only engines — see
@@ -265,8 +261,8 @@ type Engine struct {
 	// (plus any ImportSketch merges — see transfer.go): shards hold only
 	// post-checkpoint deltas and query paths merge the base back in. Each
 	// published base sketch is immutable; ImportSketch swaps in a freshly
-	// merged one, which is why the pointer is atomic — Cardinality and
-	// QueryLocal read it without any lock.
+	// merged one, which is why the pointer is atomic — Cardinality reads it
+	// without any lock.
 	log   *wal.Log
 	walMu sync.RWMutex
 	base  atomic.Pointer[core.VOS]
@@ -358,7 +354,6 @@ func newEngine(cfg Config) (*Engine, error) {
 			}
 			s.sk = sk
 		}
-		s.sk.SetPositionCache(e.pcache) // shared: positions are config-pure
 		e.shards[i] = s
 		e.wg.Add(1)
 		go e.worker(s)
@@ -656,15 +651,6 @@ func (e *Engine) Query(u, v stream.User) core.Estimate {
 	return snap.sk.Query(u, v)
 }
 
-// QueryMany estimates u against every candidate in one pass over the
-// merged snapshot (see core.VOS.QueryMany).
-func (e *Engine) QueryMany(u stream.User, candidates []stream.User) []core.Estimate {
-	e.maybeAdvance()
-	snap := e.acquire(e.cfg.SnapshotMaxLag)
-	defer snap.release()
-	return snap.sk.QueryMany(u, candidates)
-}
-
 // TopK returns the n candidates most similar to u from the merged global
 // snapshot — highest estimated Jaccard first, ties broken by user ID, with
 // the full estimates attached. The probe's virtual sketch is recovered
@@ -761,39 +747,6 @@ func (e *Engine) PositionCacheStats() (st poscache.Stats, ok bool) {
 		return poscache.Stats{}, false
 	}
 	return e.pcache.Stats(), true
-}
-
-// QueryLocal answers a pair query from the owning shard alone when both
-// users co-reside, skipping the global merge: one RLock on one shard, no
-// cross-shard work. It returns ErrNotCoResident when the users live on
-// different shards (fall back to Query), ErrQueryUnavailable on a
-// checkpoint-recovered engine, and ErrClosed after Close — typed errors
-// instead of the zero estimates these states used to produce silently.
-//
-// The shard holds all of both users' parity state, so the estimate is
-// valid — and its contamination term β reflects only the shard's own
-// users, typically less loaded than the global array — but it is not
-// bit-identical to the monolithic baseline, which Query is.
-//
-// On an engine recovered from a checkpoint the pre-checkpoint parity state
-// lives in the frozen base sketch, not in any shard, so the local answer
-// would be wrong; QueryLocal then always returns ErrQueryUnavailable.
-func (e *Engine) QueryLocal(u, v stream.User) (core.Estimate, error) {
-	if e.closed.Load() {
-		return core.Estimate{}, ErrClosed
-	}
-	if e.base.Load() != nil || e.winBase != nil {
-		return core.Estimate{}, fmt.Errorf("%w: pre-checkpoint state lives in the recovery base, not in any shard", ErrQueryUnavailable)
-	}
-	e.maybeAdvance()
-	su, sv := e.ShardOf(u), e.ShardOf(v)
-	if su != sv {
-		return core.Estimate{}, fmt.Errorf("%w: user %d is on shard %d, user %d on shard %d", ErrNotCoResident, u, su, v, sv)
-	}
-	s := e.shards[su]
-	s.skMu.RLock()
-	defer s.skMu.RUnlock()
-	return s.sk.Query(u, v), nil
 }
 
 // QueryContext is Query with lifecycle and cancellation checks: ErrClosed

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -119,46 +118,6 @@ func TestShardingMatchesPartitionByUser(t *testing.T) {
 	}
 }
 
-// TestQueryLocal checks the co-residence routing and that with all state
-// on one shard the local answer equals the global one.
-func TestQueryLocal(t *testing.T) {
-	cfg := testConfig()
-	e := MustNew(Config{Sketch: cfg, Shards: 4})
-	defer e.Close()
-
-	// Find two users owned by the same shard and stream only them, so the
-	// owning shard's array equals the merged array.
-	u := stream.User(1)
-	v := u + 1
-	for e.ShardOf(v) != e.ShardOf(u) {
-		v++
-	}
-	var w stream.User // a user on a different shard
-	for w = v + 1; e.ShardOf(w) == e.ShardOf(u); w++ {
-	}
-
-	for i := 0; i < 300; i++ {
-		if err := e.Process(stream.Edge{User: u, Item: stream.Item(i), Op: stream.Insert}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Process(stream.Edge{User: v, Item: stream.Item(i + 100), Op: stream.Insert}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Flush()
-
-	local, err := e.QueryLocal(u, v)
-	if err != nil {
-		t.Fatalf("QueryLocal on co-resident users: %v", err)
-	}
-	if global := e.Query(u, v); local != global {
-		t.Fatalf("single-shard stream: local %+v != global %+v", local, global)
-	}
-	if _, err := e.QueryLocal(u, w); !errors.Is(err, ErrNotCoResident) {
-		t.Fatalf("QueryLocal across shards: want ErrNotCoResident, got %v", err)
-	}
-}
-
 // TestConcurrentProducersAndQueries hammers the engine from several
 // producers while queries run — the -race target — then verifies parity.
 func TestConcurrentProducersAndQueries(t *testing.T) {
@@ -190,7 +149,7 @@ func TestConcurrentProducersAndQueries(t *testing.T) {
 	stopQ := make(chan struct{})
 	var query sync.WaitGroup
 	query.Add(1)
-	go func() { // concurrent readers on snapshot, local, and stats paths
+	go func() { // concurrent readers on snapshot and stats paths
 		defer query.Done()
 		for {
 			select {
@@ -199,7 +158,6 @@ func TestConcurrentProducersAndQueries(t *testing.T) {
 			default:
 			}
 			_ = e.Query(1, 2)
-			_, _ = e.QueryLocal(3, 4)
 			_ = e.ShardStats()
 			_ = e.Cardinality(5)
 		}

@@ -55,7 +55,6 @@ func (e *Engine) ImportSketch(data []byte) error {
 	// can pair a stale snapshot decision with the new state.
 	e.snapMu.Lock()
 	merged := core.MustNew(e.cfg.Sketch)
-	merged.SetPositionCache(e.pcache)
 	if old := e.base.Load(); old != nil {
 		if err := merged.Merge(old); err != nil {
 			e.snapMu.Unlock()

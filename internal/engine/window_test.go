@@ -512,27 +512,6 @@ func TestEngineWindowCheckpointModeMismatch(t *testing.T) {
 	}
 }
 
-// TestEngineWindowQueryLocalAfterRecovery: pre-checkpoint parity lives in
-// the rotating base, so QueryLocal must answer ErrQueryUnavailable.
-func TestEngineWindowQueryLocalAfterRecovery(t *testing.T) {
-	dir := t.TempDir()
-	clk := newFakeClock(time.Unix(6000, 0))
-	e := MustOpen(durableWindowConfig(dir, 1, 2, clk))
-	if err := e.ProcessBatch(feasibleStream(200, 10, 0, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	r := MustOpen(durableWindowConfig(dir, 1, 2, clk))
-	if _, err := r.QueryLocal(1, 2); err == nil {
-		t.Fatal("QueryLocal answered on a window-recovered engine")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEngineWindowValidation pins constructor errors.
 func TestEngineWindowValidation(t *testing.T) {
 	if _, err := New(Config{Sketch: testConfig(), Window: &WindowConfig{Buckets: 0, BucketDuration: time.Second}}); err == nil {

@@ -56,6 +56,9 @@ func (s *Sketch) K() int { return s.k }
 // BitsPerUser returns the §V memory accounting: k registers of 32 bits.
 func (s *Sketch) BitsPerUser() uint64 { return 32 * uint64(s.k) }
 
+// Name identifies the method in the evaluation's tables and figures.
+func (s *Sketch) Name() string { return "MinHash" }
+
 // Process folds one element into the sketch in O(k): every register
 // evaluates its own hash function on the item.
 func (s *Sketch) Process(e stream.Edge) {

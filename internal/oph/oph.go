@@ -64,6 +64,9 @@ func (s *Sketch) hashItem(i stream.Item) (binIdx int, h uint64) {
 	return int(hashing.Reduce(h, uint64(s.k))), h
 }
 
+// Name identifies the method in the evaluation's tables and figures.
+func (s *Sketch) Name() string { return "OPH" }
+
 // Process folds one element into the sketch in O(1): one hash, one bin.
 func (s *Sketch) Process(e stream.Edge) {
 	bins := s.bins[e.User]

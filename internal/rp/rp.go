@@ -68,6 +68,9 @@ func (st *userState) coin() float64 {
 	return hashing.Float01(hashing.SplitMix64(&st.rng))
 }
 
+// Name identifies the method in the evaluation's tables and figures.
+func (s *Sketch) Name() string { return "RP" }
+
 // Process folds one element into the sketch in O(k): every sampler of the
 // touched user takes an independent RP step.
 func (s *Sketch) Process(e stream.Edge) {

@@ -94,11 +94,11 @@ func New(method string, b Budget, seed uint64) (Estimator, error) {
 		}
 		return &vosAdapter{v}, nil
 	case "minhash":
-		return &minhashAdapter{minhash.New(b.K32, seed)}, nil
+		return minhash.New(b.K32, seed), nil
 	case "oph":
-		return &ophAdapter{oph.New(b.K32, seed)}, nil
+		return oph.New(b.K32, seed), nil
 	case "rp":
-		return &rpAdapter{rp.New(b.K32, seed)}, nil
+		return rp.New(b.K32, seed), nil
 	case "exact":
 		return NewExact(), nil
 	default:
@@ -145,42 +145,6 @@ func (a *vosAdapter) Cardinality(u stream.User) int64 { return a.v.Cardinality(u
 // VOS unwraps the underlying core sketch (for diagnostics such as β).
 func (a *vosAdapter) VOS() *core.VOS { return a.v }
 
-type minhashAdapter struct{ s *minhash.Sketch }
-
-func (a *minhashAdapter) Name() string          { return MethodMinHash }
-func (a *minhashAdapter) Process(e stream.Edge) { a.s.Process(e) }
-func (a *minhashAdapter) EstimateCommonItems(u, v stream.User) float64 {
-	return a.s.EstimateCommonItems(u, v)
-}
-func (a *minhashAdapter) EstimateJaccard(u, v stream.User) float64 {
-	return a.s.EstimateJaccard(u, v)
-}
-func (a *minhashAdapter) Cardinality(u stream.User) int64 { return a.s.Cardinality(u) }
-
-type ophAdapter struct{ s *oph.Sketch }
-
-func (a *ophAdapter) Name() string          { return MethodOPH }
-func (a *ophAdapter) Process(e stream.Edge) { a.s.Process(e) }
-func (a *ophAdapter) EstimateCommonItems(u, v stream.User) float64 {
-	return a.s.EstimateCommonItems(u, v)
-}
-func (a *ophAdapter) EstimateJaccard(u, v stream.User) float64 {
-	return a.s.EstimateJaccard(u, v)
-}
-func (a *ophAdapter) Cardinality(u stream.User) int64 { return a.s.Cardinality(u) }
-
-type rpAdapter struct{ s *rp.Sketch }
-
-func (a *rpAdapter) Name() string          { return MethodRP }
-func (a *rpAdapter) Process(e stream.Edge) { a.s.Process(e) }
-func (a *rpAdapter) EstimateCommonItems(u, v stream.User) float64 {
-	return a.s.EstimateCommonItems(u, v)
-}
-func (a *rpAdapter) EstimateJaccard(u, v stream.User) float64 {
-	return a.s.EstimateJaccard(u, v)
-}
-func (a *rpAdapter) Cardinality(u stream.User) int64 { return a.s.Cardinality(u) }
-
 // Exact is the ground-truth oracle behind the Estimator interface. Its
 // "estimates" are exact values; it exists so harness code can treat truth
 // and sketches uniformly and so examples can sanity-check sketch output.
@@ -214,25 +178,6 @@ func (x *Exact) Cardinality(u stream.User) int64 {
 // Store exposes the underlying exact store.
 func (x *Exact) Store() *exact.Store { return x.store }
 
-// BatchJaccard is the optional fast path for one-against-many queries:
-// estimators that can amortise per-query setup (VOS recovers the query
-// user's virtual sketch once) implement it, and TopSimilar uses it
-// automatically. Results must equal per-pair EstimateJaccard calls.
-type BatchJaccard interface {
-	EstimateJaccardMany(u stream.User, candidates []stream.User) []float64
-}
-
-// EstimateJaccardMany implements BatchJaccard on the VOS adapter via the
-// core batch path.
-func (a *vosAdapter) EstimateJaccardMany(u stream.User, candidates []stream.User) []float64 {
-	ests := a.v.QueryMany(u, candidates)
-	out := make([]float64, len(ests))
-	for i, e := range ests {
-		out[i] = e.Jaccard
-	}
-	return out
-}
-
 // TopKer is the optional native top-K fast path: estimators that can rank
 // candidates without materialising every score (VOS recovers the probe
 // user's packed sketch once and keeps a bounded min-heap) implement it,
@@ -257,8 +202,7 @@ func (a *vosAdapter) TopSimilarUsers(u stream.User, candidates []stream.User, n 
 // TopSimilar returns, for an estimator and a candidate user set, the n
 // users most similar to u by estimated Jaccard, descending (ties broken by
 // user ID). The building block of the "similar users" examples. Estimators
-// implementing TopKer rank through the native heap path; BatchJaccard
-// estimators are queried through the batch fast path.
+// implementing TopKer rank through the native heap path.
 func TopSimilar(est Estimator, u stream.User, candidates []stream.User, n int) []stream.User {
 	if tk, ok := est.(TopKer); ok {
 		return tk.TopSimilarUsers(u, candidates, n)
@@ -268,23 +212,11 @@ func TopSimilar(est Estimator, u stream.User, candidates []stream.User, n int) [
 		j    float64
 	}
 	xs := make([]scored, 0, len(candidates))
-	if batch, ok := est.(BatchJaccard); ok {
-		others := make([]stream.User, 0, len(candidates))
-		for _, c := range candidates {
-			if c != u {
-				others = append(others, c)
-			}
+	for _, c := range candidates {
+		if c == u {
+			continue
 		}
-		for i, j := range batch.EstimateJaccardMany(u, others) {
-			xs = append(xs, scored{user: others[i], j: j})
-		}
-	} else {
-		for _, c := range candidates {
-			if c == u {
-				continue
-			}
-			xs = append(xs, scored{user: c, j: est.EstimateJaccard(u, c)})
-		}
+		xs = append(xs, scored{user: c, j: est.EstimateJaccard(u, c)})
 	}
 	sort.Slice(xs, func(i, j int) bool {
 		if xs[i].j != xs[j].j {

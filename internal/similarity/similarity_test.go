@@ -165,8 +165,8 @@ func TestTopSimilar(t *testing.T) {
 }
 
 func TestTopSimilarBatchPathMatchesLoop(t *testing.T) {
-	// The VOS adapter implements BatchJaccard; its TopSimilar result must
-	// equal the generic per-pair path.
+	// The VOS adapter implements TopKer; its TopSimilar result must equal
+	// the generic per-pair path.
 	b := Budget{K32: 100, Users: 50, Lambda: 2}
 	est := MustNew(MethodVOS, b, 3)
 	for _, e := range gen.PlantedPair(1, 2, 100, 100, 60, 4) {
@@ -186,8 +186,8 @@ func TestTopSimilarBatchPathMatchesLoop(t *testing.T) {
 		candidates = append(candidates, u)
 	}
 
-	if _, ok := est.(BatchJaccard); !ok {
-		t.Fatal("VOS adapter should implement BatchJaccard")
+	if _, ok := est.(TopKer); !ok {
+		t.Fatal("VOS adapter should implement TopKer")
 	}
 	gotBatch := TopSimilar(est, 1, candidates, 5)
 

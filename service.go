@@ -12,7 +12,7 @@ import (
 // one contract for "ingest a dynamic graph stream, answer similarity
 // queries over it" that every deployment shape satisfies —
 //
-//   - NewSketchService / NewConcurrentService wrap an in-process sketch,
+//   - NewSketchService wraps an in-process sketch,
 //   - NewEngineService wraps the sharded (optionally durable) Engine,
 //   - package client implements it over the versioned HTTP API that
 //     package server exposes, so swapping an in-process engine for a
@@ -27,15 +27,15 @@ type SimilarityService interface {
 	// Ingest folds a slice of stream elements into the sketch state.
 	// Implementations may batch internally; when Ingest returns nil the
 	// edges are accepted (remote implementations may still be buffering —
-	// see client.Client.Flush). ctx is checked on entry (and periodically
-	// by the in-process loops), but an ingest the backing engine has
-	// started accepting runs to completion even if ctx is cancelled
-	// mid-call: a durable engine has already logged the batch, and
-	// abandoning the shard hand-off would desynchronise checkpoints from
-	// the WAL. Engine backpressure (full shard queues) therefore blocks
-	// past cancellation; bound it with queue sizing, not ctx. Returns
-	// ErrClosed once the backing engine has shut down — the edges were
-	// NOT accepted.
+	// see client.Client.Flush). ctx is checked on entry only, and an
+	// ingest that has started runs to completion even if ctx is cancelled
+	// mid-call: XOR updates are not idempotent, so a slice applied in part
+	// is a write the caller can neither retry nor assume lost; a durable
+	// engine has also already logged the batch, and abandoning the shard
+	// hand-off would desynchronise checkpoints from the WAL. Engine
+	// backpressure (full shard queues) therefore blocks past cancellation;
+	// bound it with queue sizing, not ctx. Returns ErrClosed once the
+	// backing engine has shut down — the edges were NOT accepted.
 	Ingest(ctx context.Context, edges []Edge) error
 	// Similarity estimates the similarity of users u and v. Returns
 	// ErrClosed once the backing engine has shut down and
@@ -93,7 +93,8 @@ type Windowed interface {
 // the same total order as TopK, so the result is a subset-ordered prefix
 // of the exact scan. Recall depends on the band parameters and the
 // workload's similarity structure — see the README's "Approximate top-K"
-// section and the topk-ann experiment.
+// section; TestTopKApproxSubsetOrderedPrefix in internal/engine pins the
+// ordering contract and the benchmark's lsh.recall_at_10 row the recall.
 type ApproxTopK interface {
 	TopKApprox(ctx context.Context, u User, n int) ([]TopKResult, error)
 }
@@ -142,23 +143,15 @@ type SnapshotReporter interface {
 }
 
 // ErrQueryUnavailable is returned by query paths that cannot answer in the
-// backing engine's current state (e.g. Engine.QueryLocal after checkpoint
-// recovery). Callers should fall back to the merged-snapshot query path.
+// serving state behind them — today the cluster gateway with no backend
+// reachable, and package client for the server's "unavailable" and
+// "draining" codes. No estimate was produced; retry later or elsewhere.
 var ErrQueryUnavailable = engine.ErrQueryUnavailable
-
-// ErrNotCoResident is returned by Engine.QueryLocal when the two users live
-// on different shards; fall back to Engine.Query.
-var ErrNotCoResident = engine.ErrNotCoResident
 
 // ErrClosed is returned by every SimilarityService method once the backing
 // engine has been closed. It is the same sentinel as ErrEngineClosed, under
 // the name the service layer uses.
 var ErrClosed = engine.ErrClosed
-
-// ingestCheckStride is how many edges the in-process Ingest loops fold
-// between context polls: frequent enough that a cancelled bulk load stops
-// within microseconds, rare enough that the poll never shows on a profile.
-const ingestCheckStride = 1024
 
 // engineService adapts *Engine to SimilarityService. Reads flush first —
 // read-your-writes: an accepted edge may still sit in a producer buffer or
@@ -306,32 +299,30 @@ func (s *engineService) flush(ctx context.Context) error {
 	return nil
 }
 
-// sketchService adapts a bare *Sketch to SimilarityService, serialising
-// every call on one mutex — the sketch itself is not safe for concurrent
-// use, and a service handed to an HTTP server will be called from many
-// goroutines. It is the single-core deployment shape; use NewEngineService
-// when ingest must scale.
+// sketchService adapts a bare *Sketch to SimilarityService behind one
+// read-write mutex — the sketch itself is not safe for concurrent
+// mutation, and a service handed to an HTTP server will be called from
+// many goroutines. Writes take the lock exclusively; reads share it, which
+// the sketch allows on quiescent state (see core.VOS). It is the one-array,
+// single-core deployment shape; use NewEngineService when ingest must scale.
 type sketchService struct {
-	mu sync.Mutex
+	mu sync.RWMutex
 	sk *Sketch
 }
 
 // NewSketchService wraps a bare Sketch in the SimilarityService interface.
-// Calls are serialised on an internal mutex, so the service is safe for
-// concurrent use even though the sketch is not.
+// Calls synchronise on an internal read-write mutex, so the service is safe
+// for concurrent use even though the sketch is not; the caller must not
+// touch the sketch directly afterwards.
 func NewSketchService(sk *Sketch) SimilarityService { return &sketchService{sk: sk} }
 
 func (s *sketchService) Ingest(ctx context.Context, edges []Edge) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, e := range edges {
-		if i%ingestCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s.sk.Process(e)
-	}
+	s.sk.ProcessBatch(edges)
 	return nil
 }
 
@@ -339,8 +330,8 @@ func (s *sketchService) Similarity(ctx context.Context, u, v User) (Estimate, er
 	if err := ctx.Err(); err != nil {
 		return Estimate{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.sk.Query(u, v), nil
 }
 
@@ -348,8 +339,8 @@ func (s *sketchService) TopK(ctx context.Context, u User, candidates []User, n i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.sk.TopKRecoveredContext(ctx, s.sk.RecoverSketch(u), candidates, n)
 }
 
@@ -357,8 +348,8 @@ func (s *sketchService) Cardinality(ctx context.Context, u User) (int64, error) 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.sk.Cardinality(u), nil
 }
 
@@ -366,56 +357,7 @@ func (s *sketchService) Stats(ctx context.Context) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.sk.Stats(), nil
-}
-
-// concurrentService adapts *ConcurrentSketch: the wrapper already owns the
-// locking, so the adapter only adds the context checks.
-type concurrentService struct {
-	c *ConcurrentSketch
-}
-
-// NewConcurrentService wraps a ConcurrentSketch in the SimilarityService
-// interface.
-func NewConcurrentService(c *ConcurrentSketch) SimilarityService {
-	return &concurrentService{c: c}
-}
-
-func (s *concurrentService) Ingest(ctx context.Context, edges []Edge) error {
-	for i, e := range edges {
-		if i%ingestCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s.c.Process(e)
-	}
-	return nil
-}
-
-func (s *concurrentService) Similarity(ctx context.Context, u, v User) (Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return Estimate{}, err
-	}
-	return s.c.Query(u, v), nil
-}
-
-func (s *concurrentService) TopK(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, error) {
-	return s.c.TopKContext(ctx, u, candidates, n)
-}
-
-func (s *concurrentService) Cardinality(ctx context.Context, u User) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.c.Cardinality(u), nil
-}
-
-func (s *concurrentService) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	return s.c.Stats(), nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,34 +16,88 @@ func serviceSketchConfig() vos.Config {
 	return vos.Config{MemoryBits: 1 << 18, SketchBits: 512, Seed: 7}
 }
 
-// TestServiceAdaptersAgree: the three in-process adapters answer the same
-// stream identically — the interface is a veneer, not a third estimator.
+// inProcessServices builds the two in-process adapters over one config.
+func inProcessServices(t *testing.T) map[string]vos.SimilarityService {
+	t.Helper()
+	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
+	t.Cleanup(func() { eng.Close() })
+	return map[string]vos.SimilarityService{
+		"engine": vos.NewEngineService(eng),
+		"sketch": vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
+	}
+}
+
+// startReaders calls read from n goroutines, over and over, until the
+// returned stop function is called (stop waits for them) or read reports
+// false.
+func startReaders(n int, read func() bool) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !read() {
+					return
+				}
+			}
+		}()
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestServiceAdaptersAgree: the two in-process adapters answer the same
+// stream identically — the interface is a veneer, not a second estimator.
+// Readers run against both while the stream is being ingested, so -race
+// covers the sketch adapter's shared read lock against its writer.
 func TestServiceAdaptersAgree(t *testing.T) {
 	ctx := context.Background()
 	edges := engineTestStream(8_000, 60, 0.25, 21)
-
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	defer eng.Close()
-	cs, err := vos.NewConcurrent(serviceSketchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	services := map[string]vos.SimilarityService{
-		"engine":     vos.NewEngineService(eng),
-		"sketch":     vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
-		"concurrent": vos.NewConcurrentService(cs),
-	}
-	for name, svc := range services {
-		if err := svc.Ingest(ctx, edges); err != nil {
-			t.Fatalf("%s: Ingest: %v", name, err)
-		}
-	}
-
-	ref := services["sketch"]
+	services := inProcessServices(t)
 	candidates := make([]vos.User, 50)
 	for i := range candidates {
 		candidates[i] = vos.User(i)
 	}
+
+	var stops []func()
+	for name, svc := range services {
+		stops = append(stops, startReaders(3, func() bool {
+			est, err := svc.Similarity(ctx, 1, 4)
+			if err != nil || est.Jaccard < 0 || est.Jaccard > 1 {
+				t.Errorf("%s: mid-stream Similarity = %+v, %v", name, est, err)
+				return false
+			}
+			_, topErr := svc.TopK(ctx, 1, candidates, 5)
+			_, cardErr := svc.Cardinality(ctx, 1)
+			_, statsErr := svc.Stats(ctx)
+			if err := errors.Join(topErr, cardErr, statsErr); err != nil {
+				t.Errorf("%s: mid-stream read: %v", name, err)
+				return false
+			}
+			return true
+		}))
+	}
+	for lo := 0; lo < len(edges); lo += 500 {
+		for name, svc := range services {
+			if err := svc.Ingest(ctx, edges[lo:lo+500]); err != nil {
+				t.Fatalf("%s: Ingest: %v", name, err)
+			}
+		}
+	}
+	for _, stop := range stops {
+		stop()
+	}
+
+	ref := services["sketch"]
 	wantTop, err := ref.TopK(ctx, 1, candidates, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -87,22 +143,22 @@ func TestServiceAdaptersAgree(t *testing.T) {
 }
 
 // TestServicePreCancelledContext: every method of every adapter refuses an
-// already-cancelled context with ctx.Err().
+// already-cancelled context with ctx.Err() — before it takes any lock, so
+// while live readers hold the sketch adapter's read lock too.
 func TestServicePreCancelledContext(t *testing.T) {
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	defer eng.Close()
-	cs, err := vos.NewConcurrent(serviceSketchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	services := map[string]vos.SimilarityService{
-		"engine":     vos.NewEngineService(eng),
-		"sketch":     vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
-		"concurrent": vos.NewConcurrentService(cs),
-	}
+	services := inProcessServices(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	edges := []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}
+
+	sketch := services["sketch"]
+	stop := startReaders(3, func() bool {
+		if _, err := sketch.Similarity(context.Background(), 1, 2); err != nil {
+			t.Errorf("live reader: %v", err)
+			return false
+		}
+		return true
+	})
 	for name, svc := range services {
 		if err := svc.Ingest(ctx, edges); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Ingest on cancelled ctx: %v", name, err)
@@ -118,6 +174,56 @@ func TestServicePreCancelledContext(t *testing.T) {
 		}
 		if _, err := svc.Stats(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Stats on cancelled ctx: %v", name, err)
+		}
+	}
+	stop()
+	// The refused Ingest applied nothing.
+	if n, err := sketch.Cardinality(context.Background(), 1); err != nil || n != 0 {
+		t.Errorf("sketch: Cardinality after refused Ingest = %d, %v", n, err)
+	}
+}
+
+// flipContext reports no error on its first Err call and Canceled from the
+// second on: a cancellation that lands after Ingest's entry check.
+type flipContext struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *flipContext) Err() error {
+	if c.calls.Add(1) >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSketchServiceIngestAllOrNothing: XOR updates are not idempotent, so
+// an Ingest that a mid-call cancellation stops part-way leaves a write the
+// caller can neither retry nor assume lost. Either Ingest reports an error
+// and the sketch is untouched, or it reports nil and holds every edge.
+func TestSketchServiceIngestAllOrNothing(t *testing.T) {
+	edges := engineTestStream(5_000, 60, 0.25, 33)
+	svc := vos.NewSketchService(vos.MustNew(serviceSketchConfig()))
+	err := svc.Ingest(&flipContext{Context: context.Background()}, edges)
+
+	want := vos.MustNew(serviceSketchConfig())
+	if err == nil {
+		want.ProcessBatch(edges)
+	}
+	got, serr := svc.Stats(context.Background())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if got != want.Stats() {
+		t.Fatalf("Ingest returned %v but left %+v; all-or-nothing state is %+v", err, got, want.Stats())
+	}
+	for u := vos.User(0); u < 60; u++ {
+		n, cerr := svc.Cardinality(context.Background(), u)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if n != want.Cardinality(u) {
+			t.Fatalf("Ingest returned %v but user %d holds %d items, want %d", err, u, n, want.Cardinality(u))
 		}
 	}
 }
@@ -200,41 +306,5 @@ func TestEngineServiceClosed(t *testing.T) {
 	// ErrClosed and the legacy ErrEngineClosed are the same sentinel.
 	if !errors.Is(vos.ErrClosed, vos.ErrEngineClosed) {
 		t.Fatal("ErrClosed and ErrEngineClosed diverged")
-	}
-}
-
-// TestQueryLocalTypedErrors pins the root-level view of the satellite fix:
-// cross-shard pairs and recovered engines answer with sentinels, not
-// silent zero estimates.
-func TestQueryLocalTypedErrors(t *testing.T) {
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 4})
-	defer eng.Close()
-	u := vos.User(1)
-	w := u + 1
-	for eng.ShardOf(w) == eng.ShardOf(u) {
-		w++
-	}
-	if _, err := eng.QueryLocal(u, w); !errors.Is(err, vos.ErrNotCoResident) {
-		t.Fatalf("cross-shard QueryLocal: want ErrNotCoResident, got %v", err)
-	}
-
-	dir := t.TempDir()
-	durable, err := vos.OpenEngine(dir, vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.ProcessBatch(engineTestStream(500, 10, 0.2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.Close(); err != nil { // writes the recovery checkpoint
-		t.Fatal(err)
-	}
-	recovered, err := vos.OpenEngine(dir, vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if _, err := recovered.QueryLocal(1, 2); !errors.Is(err, vos.ErrQueryUnavailable) {
-		t.Fatalf("QueryLocal on recovered engine: want ErrQueryUnavailable, got %v", err)
 	}
 }

@@ -27,11 +27,12 @@
 //
 // # Scaling out
 //
-// Sketch is single-threaded. ConcurrentSketch adds a read-write mutex for
-// one writer and many readers. Engine shards the stream across N private
+// There are two in-process shapes. Sketch is for one goroutine. Engine is
+// for everything concurrent: it shards the stream across N private
 // sketches with one ingest goroutine each and answers queries from an
 // exactly merged snapshot — because VOS merging is exact for any partition
-// of the stream, sharded ingest costs no accuracy. See examples/sharded.
+// of the stream, sharded ingest costs no accuracy, and one shard is the
+// plain thread-safe sketch. See examples/sharded.
 //
 // # Sliding windows
 //
@@ -44,8 +45,8 @@
 // # Serving
 //
 // SimilarityService is the context-aware serving interface all deployment
-// shapes satisfy: NewSketchService, NewConcurrentService, and
-// NewEngineService adapt the in-process types, package server exposes any
+// shapes satisfy: NewSketchService (one array behind a read-write mutex)
+// and NewEngineService adapt the in-process types, package server exposes any
 // SimilarityService over a versioned HTTP API, package client implements
 // it over the wire, and cmd/vosd is the runnable daemon. Optional
 // capabilities (Checkpointer, Windowed) are probed at runtime. See the
@@ -92,8 +93,8 @@ type Edge = stream.Edge
 
 // Sketch is the VOS sketch. See the package documentation for the model
 // and core.VOS for implementation details. Not safe for concurrent use;
-// see NewConcurrent for a locked wrapper and NewEngine for sharded,
-// multicore ingestion.
+// see NewEngine for the concurrent shape (sharded, multicore ingestion) and
+// NewSketchService for one sketch behind a lock.
 type Sketch = core.VOS
 
 // Config parameterises a Sketch: total shared memory m in bits, virtual
@@ -115,8 +116,9 @@ const (
 	// FamilyFast fills a position table from one strong hash of the user
 	// key expanded by a counter-based generator — O(1) amortized hash work
 	// per slot, in the spirit of Dahlgaard–Knudsen–Thorup fast similarity
-	// sketching. Estimates keep the same accuracy (the experiment suite
-	// parity-gates them); only the positions differ from FamilyClassic.
+	// sketching. Estimates keep the same accuracy (TestFastFamilyAccuracy
+	// in internal/core holds them to the classic family's error budget);
+	// only the positions differ from FamilyClassic.
 	FamilyFast = hashing.KindFast
 )
 

@@ -112,22 +112,34 @@ func TestSerializationFacade(t *testing.T) {
 	}
 }
 
+// The four TestConcurrent* tests (two here, two in concurrent_test.go) were
+// written against the mutex-wrapped sketch this module used to export; they
+// now run against a 1-shard Engine, its replacement, with every assertion
+// kept.
 func TestConcurrentSketch(t *testing.T) {
-	c, err := vos.NewConcurrent(vos.Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 3})
+	c, err := vos.NewEngine(vos.EngineConfig{
+		Sketch: vos.Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 3},
+		Shards: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.Process(vos.Edge{
+				err := c.Process(vos.Edge{
 					User: vos.User(w),
 					Item: vos.Item(w*1000 + i),
 					Op:   vos.Insert,
 				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -137,15 +149,16 @@ func TestConcurrentSketch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = c.Query(0, 1)
-				_ = c.Beta()
+				_ = c.Stats().Beta
 			}
 		}()
 	}
 	wg.Wait()
+	c.Flush()
 	if c.Cardinality(0) != 500 {
 		t.Errorf("cardinality %d after concurrent writes", c.Cardinality(0))
 	}
-	snap, err := c.Snapshot()
+	snap, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,22 +173,33 @@ func TestConcurrentSketch(t *testing.T) {
 
 func TestConcurrentMergeShards(t *testing.T) {
 	cfg := vos.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 7}
-	main, err := vos.NewConcurrent(cfg)
+	main, err := vos.NewEngine(vos.EngineConfig{Sketch: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer main.Close()
 	shard := vos.MustNew(cfg)
 	shard.Process(vos.Edge{User: 1, Item: 2, Op: vos.Insert})
-	if err := main.Merge(shard); err != nil {
+	if err := main.ImportSketch(marshalSketch(t, shard)); err != nil {
 		t.Fatal(err)
 	}
 	if main.Cardinality(1) != 1 {
 		t.Error("merge lost state")
 	}
 	bad := vos.MustNew(vos.Config{MemoryBits: 1 << 14, SketchBits: 128, Seed: 7})
-	if err := main.Merge(bad); err == nil {
+	if err := main.ImportSketch(marshalSketch(t, bad)); err == nil {
 		t.Error("mismatched merge accepted")
 	}
+}
+
+// marshalSketch serializes a sketch for Engine.ImportSketch.
+func marshalSketch(t *testing.T, sk *vos.Sketch) []byte {
+	t.Helper()
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestStreamIOFacade(t *testing.T) {
