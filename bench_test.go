@@ -24,6 +24,7 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/cluster"
 	"github.com/vossketch/vos/internal/experiments"
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/poscache"
@@ -509,6 +510,108 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 		b.Fatal("last fresh Query diverges from the single-sketch estimate")
 	}
 	b.ReportMetric(float64(after.ReplayedEdges-before.ReplayedEdges)/float64(b.N), "replayed-edges/op")
+}
+
+// BenchmarkGatewayFreshQuery is BenchmarkEngineFreshQuery one tier up, at
+// the shape of the repository benchmark's cluster-gather workload: a
+// gateway over K = 2 one-shard loopback backends (m = 2^21, k = 6400, 20k
+// live users), one 256-edge Ingest, then a pair read. The read has to bring
+// the gateway's merged view current first; with resident views fed by the
+// backends' journal suffixes that is two small round trips and a replay of
+// the last two writes, not two full exports decoded and merged. After the
+// loop the gateway's export must be byte-identical to a single sketch fed
+// the same stream, and every timed refresh must have replayed.
+func BenchmarkGatewayFreshQuery(b *testing.B) {
+	const users, batch, backends = 20_000, 256, 2
+	ctx := context.Background()
+	cfg := vos.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 1}
+	urls := make([]string, backends)
+	for i := range urls {
+		eng, err := vos.NewEngine(vos.EngineConfig{Sketch: cfg, Shards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{}))
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	gw, err := cluster.New(&cluster.Ring{Version: 1, RouteSeed: 7, Shards: urls},
+		cluster.Options{Client: client.Options{BatchSize: 8192, MaxRetries: -1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gw.Close()
+	ref := vos.MustNew(cfg)
+
+	preload := make([]vos.Edge, 0, 5*users)
+	for i := 0; i < 5*users; i++ {
+		preload = append(preload, vos.Edge{User: vos.User(i % users), Item: vos.Item(i), Op: vos.Insert})
+	}
+	// As in BenchmarkEngineFreshQuery: write i subscribes 256 users to a
+	// fresh item each and cancels the subscriptions write i-1 made.
+	write := func(i int) []vos.Edge {
+		out := make([]vos.Edge, 0, batch)
+		for j := 0; j < batch/2; j++ {
+			u := vos.User((i*batch/2 + j) * 7919 % users)
+			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			if i > 0 {
+				prev := vos.User(((i-1)*batch/2 + j) * 7919 % users)
+				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+			}
+		}
+		return out
+	}
+	step := func(i int) {
+		if err := gw.Ingest(ctx, write(i)); err != nil {
+			b.Fatal(err)
+		}
+		est, err := gw.Similarity(ctx, vos.User(i%users), vos.User((i+1)%users))
+		if err != nil {
+			b.Fatal(err)
+		}
+		estimateSink = est
+	}
+	for at := 0; at < len(preload); at += 8192 {
+		if err := gw.Ingest(ctx, preload[at:min(at+8192, len(preload))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const warm = 2 // one full gather per resident view
+	for i := 0; i < warm; i++ {
+		step(i)
+	}
+	before := gw.SnapshotStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + i)
+	}
+	b.StopTimer()
+
+	after := gw.SnapshotStats()
+	if replays := after.Replays - before.Replays; replays != uint64(b.N) || after.Rebuilds() != before.Rebuilds() {
+		b.Fatalf("%d timed reads after writes took %d replays and %d full gathers", b.N, replays, after.Rebuilds()-before.Rebuilds())
+	}
+	b.ReportMetric(float64(after.GatheredBytes-before.GatheredBytes)/float64(b.N), "gathered-B/op")
+	for _, ed := range preload {
+		ref.Process(ed)
+	}
+	for i := 0; i < warm+b.N; i++ {
+		for _, ed := range write(i) {
+			ref.Process(ed)
+		}
+	}
+	got, err := gw.ExportSketch(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		b.Fatal("gateway export diverges from a single sketch over the same stream")
+	}
 }
 
 // BenchmarkQueryCost measures the O(k) pair-query cost of VOS at the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/server"
 )
 
@@ -28,6 +31,55 @@ func (c *Client) ExportSketch(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	return data, nil
+}
+
+// ExportSince is ExportSketch for a caller that keeps its own merged view of
+// the remote state (the cluster gateway): GET /v1/cluster/sketch?since=, the
+// wire form of vos.DeltaExporter. The answer is the edges applied since the
+// cursor, or the full state — when since is empty, when the remote cannot
+// serve the cursor (Fallback says why), or, with an empty Cursor, when the
+// remote does not offer the delta export at all and will answer in full
+// every time. n is the size of the response body. The remote changes
+// nothing to answer, so like every read this retries per the RetryPolicy.
+func (c *Client) ExportSince(ctx context.Context, since string) (d vos.SketchDelta, n int, err error) {
+	path := server.RouteClusterSketch
+	if since != "" {
+		path += "?since=" + url.QueryEscape(since)
+	}
+	err = c.retry(ctx, func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+		if err != nil {
+			return err
+		}
+		body, hdr, err := c.doRaw(req)
+		if err != nil {
+			return err
+		}
+		n = len(body)
+		d, err = decodeSketchDelta(body, hdr.Get(server.HeaderSketchCursor), hdr.Get(server.HeaderSketchFallback))
+		return err
+	})
+	return d, n, err
+}
+
+// decodeSketchDelta reads a GET /v1/cluster/sketch response. The body is a
+// serialized sketch or, in answer to a cursor, binary stream edges; its
+// magic says which. A sketch is passed on undecoded, as ExportSketch does.
+func decodeSketchDelta(body []byte, cursor, fallback string) (vos.SketchDelta, error) {
+	d := vos.SketchDelta{Cursor: cursor, Fallback: fallback}
+	if !stream.IsBinary(body) {
+		d.Full = body
+		return d, nil
+	}
+	if cursor == "" {
+		return vos.SketchDelta{}, fmt.Errorf("client: %s sent a delta without the %s header", server.RouteClusterSketch, server.HeaderSketchCursor)
+	}
+	edges, err := stream.ReadBinary(bytes.NewReader(body))
+	if err != nil {
+		return vos.SketchDelta{}, fmt.Errorf("client: decode %s delta: %w", server.RouteClusterSketch, err)
+	}
+	d.Edges = edges
+	return d, nil
 }
 
 // ImportSketch implements vos.StateImporter over POST /v1/cluster/import.

@@ -1,9 +1,10 @@
 // Command vosgw is the VOS cluster gateway: a routing tier that serves
 // the same versioned /v1/ HTTP API as a single vosd, backed by a ring of
 // per-shard vosd nodes (internal/cluster). Ingest fans out to each user's
-// owning backend by the ring's shard hash; reads scatter-gather every
-// backend's serialized sketch and answer from the XOR-merge — so a K-node
-// cluster answers bit-identical to a single engine over the same stream.
+// owning backend by the ring's shard hash; reads answer from the XOR-merge
+// of every backend's sketch, held resident and kept current from the edges
+// each backend applied since the last read — so a K-node cluster answers
+// bit-identical to a single engine over the same stream.
 //
 // Typical invocations:
 //

@@ -71,10 +71,28 @@ type ANNConfig = engine.ANNConfig
 // dirty backlog, maintenance counters), from Engine.ANNStats.
 type ANNStats = engine.ANNStats
 
-// SnapshotStats counts how the engine's merged query snapshot has been
-// kept current (journal replays against full re-merges by cause), from
-// Engine.SnapshotStats — whether reads after writes take the cheap path.
+// SnapshotStats counts how a merged query snapshot has been kept current
+// (journal replays against full rebuilds by cause) — whether reads after
+// writes take the cheap path. Engine.SnapshotStats reports the engine's
+// own; the cluster gateway reports the same object for its merged views.
 type SnapshotStats = engine.SnapshotStats
+
+// SketchDelta is Engine.ExportSince's answer: the edges applied since a
+// cursor, or the whole serialized sketch, with the cursor to send next.
+type SketchDelta = engine.Delta
+
+// Why a SketchDelta answered a cursor with the full sketch (its Fallback
+// field): the cursor is older than the engine's bounded journals reach, or
+// from another epoch — the engine restarted, imported state or rotated its
+// window since.
+const (
+	SketchFallbackJournal = engine.FallbackJournal
+	SketchFallbackEpoch   = engine.FallbackEpoch
+)
+
+// ErrBadCursor is returned by Engine.ExportSince (and the DeltaExporter
+// service extension) for a cursor no engine ever issued.
+var ErrBadCursor = engine.ErrBadCursor
 
 // ErrNoANN is returned by Engine.TopKApprox (and the ApproxTopK service
 // extension) when the backing engine was built without EngineConfig.ANN.

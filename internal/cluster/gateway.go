@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,8 +10,8 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
-	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/poscache"
+	"github.com/vossketch/vos/internal/resident"
 	"github.com/vossketch/vos/server"
 )
 
@@ -35,8 +34,8 @@ type Options struct {
 
 // Gateway is the vosgw routing tier: one instance fans ingest to the
 // ring's backends by user shard and answers every read from the XOR-merge
-// of their exported sketches. It implements vos.SimilarityService (plus
-// the Checkpointer, StateExporter, and PartialTopK extensions), so
+// of their sketches. It implements vos.SimilarityService (plus the
+// Checkpointer, StateExporter, PartialTopK and SnapshotReporter extensions), so
 // server.New serves it exactly as it serves an engine — the cluster
 // speaks the same /v1/ API as a single node.
 //
@@ -50,8 +49,8 @@ type Options struct {
 type Gateway struct {
 	opt Options
 
-	// mu guards ring and backends. The ring pointer is replaced, never
-	// mutated, so readers copy it out under RLock and use it lock-free.
+	// mu guards ring and backends. The ring is replaced, never mutated, so
+	// readers take the pointer under RLock (ringRef) and use it lock-free.
 	mu       sync.RWMutex
 	ring     *Ring
 	backends map[string]*client.Client
@@ -65,17 +64,19 @@ type Gateway struct {
 
 	// ingests counts ingest calls that were fanned out, acknowledged or
 	// not (a failed forward may have applied); with the ring version it
-	// keys the snapshot cache. Counting BEFORE the gather makes a stale
-	// hit impossible: a racing ingest bumps the counter and the next
-	// query re-gathers.
+	// says whether the published merged view is current. Reading it BEFORE
+	// the gather makes a stale hit impossible: a racing ingest bumps the
+	// counter and the next query refreshes.
 	ingests atomic.Uint64
 
-	snapMu  sync.Mutex
-	snap    *core.VOS
-	snapSeq uint64
-	snapVer uint64
+	// views is the merged query snapshot (see snapshot.go): two resident
+	// merged views, kept current from the backends' journal suffixes. src
+	// drives it; gathered counts the bytes the backends sent for it.
+	views    resident.Pair[gatherStamp]
+	src      *gatherSource
+	gathered atomic.Uint64
 
-	// pcache is shared across every merged snapshot, same as the engine's:
+	// pcache is shared across every merged view, same as the engine's:
 	// position tables depend only on user and config.
 	pcache *poscache.Cache
 
@@ -90,13 +91,15 @@ func New(ring *Ring, opt Options) (*Gateway, error) {
 	// Synchronous shipping: a batching linger would let the gateway ack
 	// edges no backend has logged yet (see Options.Client).
 	opt.Client.Linger = -1
-	return &Gateway{
+	g := &Gateway{
 		opt:      opt,
 		ring:     ring.Clone(),
 		backends: make(map[string]*client.Client),
 		gates:    make([]sync.RWMutex, ring.NumShards()),
 		pcache:   poscache.New(4096),
-	}, nil
+	}
+	g.src = &gatherSource{g}
+	return g, nil
 }
 
 // Open is New from an on-disk ring document; membership changes are
@@ -116,13 +119,17 @@ var (
 	_ vos.Checkpointer      = (*Gateway)(nil)
 	_ vos.StateExporter     = (*Gateway)(nil)
 	_ vos.PartialTopK       = (*Gateway)(nil)
+	_ vos.SnapshotReporter  = (*Gateway)(nil)
 )
 
 // Ring returns a copy of the live membership table.
-func (g *Gateway) Ring() *Ring {
+func (g *Gateway) Ring() *Ring { return g.ringRef().Clone() }
+
+// ringRef returns the live membership table itself, for reading only.
+func (g *Gateway) ringRef() *Ring {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.ring.Clone()
+	return g.ring
 }
 
 // Close shuts down every backend client. It does not touch the backends
@@ -144,21 +151,26 @@ func (g *Gateway) Close() error {
 }
 
 // backend returns (building lazily) the client for a backend base URL.
-func (g *Gateway) backend(url string) *client.Client {
+// Closed is checked under the lock Close empties the map under, so a call
+// racing Close cannot leave behind a client nobody will close.
+func (g *Gateway) backend(url string) (*client.Client, error) {
 	g.mu.RLock()
 	c := g.backends[url]
 	g.mu.RUnlock()
 	if c != nil {
-		return c
+		return c, nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.closed.Load() {
+		return nil, vos.ErrClosed
+	}
 	if c := g.backends[url]; c != nil {
-		return c
+		return c, nil
 	}
 	c = client.New(url, g.opt.Client)
 	g.backends[url] = c
-	return c
+	return c, nil
 }
 
 // --- ingest ---
@@ -180,7 +192,7 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	ring := g.Ring()
+	ring := g.ringRef()
 	groups := make(map[int][]vos.Edge)
 	for _, e := range edges {
 		s := ring.ShardOf(e.User)
@@ -215,148 +227,68 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 func (g *Gateway) forward(ctx context.Context, shard int, edges []vos.Edge) error {
 	g.gates[shard].RLock()
 	defer g.gates[shard].RUnlock()
-	g.mu.RLock()
-	url := g.ring.Shards[shard]
-	g.mu.RUnlock()
-	c := g.backend(url)
+	c, err := g.backend(g.ringRef().Shards[shard])
+	if err != nil {
+		return err
+	}
 	if err := c.Ingest(ctx, edges); err != nil {
 		return err
 	}
 	return c.Flush(ctx)
 }
 
-// --- scatter-gather reads ---
-
-// errNoBackends reports a gather that reached zero nodes.
-var errNoBackends = fmt.Errorf("%w: no cluster backend reachable", vos.ErrQueryUnavailable)
-
-// snapshot gathers every backend's serialized sketch and returns their
-// XOR-merge — the cluster-wide sketch a single engine would hold. This is
-// the gateway's only read primitive: pair similarity, top-K, and stats
-// all query the merge, because the estimator's β and collision-noise
-// terms are properties of the GLOBAL array — per-node answers cannot be
-// combined after the fact, but per-node STATE can, exactly.
-//
-// With allowPartial, unreachable backends are skipped and complete=false
-// reports the gap; otherwise any failure fails the gather. Complete
-// merges are cached, keyed by (forwarded-ingest count, ring version):
-// the count is captured BEFORE the gather, so a racing ingest can only
-// make a cached snapshot re-gather early, never serve late.
-func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, bool, error) {
-	seq := g.ingests.Load()
-	ring := g.Ring()
-	g.snapMu.Lock()
-	if g.snap != nil && g.snapSeq == seq && g.snapVer == ring.Version {
-		snap := g.snap
-		g.snapMu.Unlock()
-		return snap, true, nil
-	}
-	g.snapMu.Unlock()
-
-	type part struct {
-		sk  *core.VOS
-		err error
-	}
-	parts := make([]part, ring.NumShards())
-	var wg sync.WaitGroup
-	for i, url := range ring.Shards {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			data, err := g.backend(url).ExportSketch(ctx)
-			if err != nil {
-				parts[i] = part{err: fmt.Errorf("backend %s: %w", url, err)}
-				return
-			}
-			sk, err := core.UnmarshalVOS(data)
-			if err != nil {
-				parts[i] = part{err: fmt.Errorf("backend %s: %w", url, err)}
-				return
-			}
-			parts[i] = part{sk: sk}
-		}(i, url)
-	}
-	wg.Wait()
-
-	var merged *core.VOS
-	complete := true
-	for _, p := range parts {
-		if p.err != nil {
-			if !allowPartial {
-				return nil, false, p.err
-			}
-			complete = false
-			continue
-		}
-		if merged == nil {
-			merged = core.MustNew(p.sk.Config())
-			merged.SetPositionCache(g.pcache)
-		}
-		if err := merged.Merge(p.sk); err != nil {
-			// A backend serving a different sketch config is misconfigured,
-			// not unreachable: never paper over it with a partial answer.
-			return nil, false, err
-		}
-	}
-	if merged == nil {
-		return nil, false, errNoBackends
-	}
-	if complete {
-		g.snapMu.Lock()
-		g.snap = merged
-		g.snapSeq = seq
-		g.snapVer = ring.Version
-		g.snapMu.Unlock()
-	}
-	return merged, complete, nil
-}
+// --- merged reads (the views themselves are in snapshot.go) ---
 
 // Similarity implements vos.SimilarityService from the full cluster merge
 // (strict: every backend must answer — a pair estimate over partial state
 // would be silently wrong, exactly what the typed service contract
 // forbids).
 func (g *Gateway) Similarity(ctx context.Context, u, v vos.User) (vos.Estimate, error) {
-	if g.closed.Load() {
-		return vos.Estimate{}, vos.ErrClosed
-	}
-	snap, _, err := g.snapshot(ctx, false)
+	snap, err := g.acquire(ctx)
 	if err != nil {
 		return vos.Estimate{}, err
 	}
-	return snap.Query(u, v), nil
+	defer snap.Release()
+	return snap.Sk.Query(u, v), nil
 }
 
 // TopK implements vos.SimilarityService from the full cluster merge,
 // ranked with the same core.RankBefore total order the engine's parallel
 // fan-out uses — so the ranking is bit-identical to a single engine's.
 func (g *Gateway) TopK(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, error) {
-	if g.closed.Load() {
-		return nil, vos.ErrClosed
-	}
-	snap, _, err := g.snapshot(ctx, false)
+	snap, err := g.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return snap.TopKRecoveredContext(ctx, snap.RecoverSketch(u), candidates, n)
+	defer snap.Release()
+	return snap.Sk.TopKRecoveredContext(ctx, snap.Sk.RecoverSketch(u), candidates, n)
 }
 
 // TopKPartial implements vos.PartialTopK: like TopK, but unreachable
 // backends degrade the answer (complete=false) instead of failing it —
 // the ranking then covers the reachable portion of the cluster. The
-// server surfaces the flag as the X-Vos-Partial header.
+// server surfaces the flag as the X-Vos-Partial header. A degraded answer
+// comes from a one-off merge of the reachable backends' full exports that
+// is never published: the resident views only ever hold complete state.
 func (g *Gateway) TopKPartial(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, bool, error) {
-	if g.closed.Load() {
-		return nil, false, vos.ErrClosed
+	snap, err := g.acquire(ctx)
+	if err == nil {
+		defer snap.Release()
+		top, err := snap.Sk.TopKRecoveredContext(ctx, snap.Sk.RecoverSketch(u), candidates, n)
+		return top, err == nil, err
 	}
-	snap, complete, err := g.snapshot(ctx, true)
+	if errors.Is(err, vos.ErrClosed) || ctx.Err() != nil {
+		return nil, false, err
+	}
+	ring := g.ringRef()
+	parts := make([]part, ring.NumShards())
+	g.gather(ctx, ring, parts, nil)
+	sk, complete, err := g.merge(parts, true)
 	if err != nil {
 		return nil, false, err
 	}
-	top, err := snap.TopKRecoveredContext(ctx, snap.RecoverSketch(u), candidates, n)
-	if err != nil {
-		return nil, false, err
-	}
-	return top, complete, nil
+	top, err := sk.TopKRecoveredContext(ctx, sk.RecoverSketch(u), candidates, n)
+	return top, complete && err == nil, err
 }
 
 // Cardinality implements vos.SimilarityService by routing to the owning
@@ -366,8 +298,12 @@ func (g *Gateway) Cardinality(ctx context.Context, u vos.User) (int64, error) {
 	if g.closed.Load() {
 		return 0, vos.ErrClosed
 	}
-	ring := g.Ring()
-	return g.backend(ring.Shards[ring.ShardOf(u)]).Cardinality(ctx, u)
+	ring := g.ringRef()
+	c, err := g.backend(ring.Shards[ring.ShardOf(u)])
+	if err != nil {
+		return 0, err
+	}
+	return c.Cardinality(ctx, u)
 }
 
 // Stats implements vos.SimilarityService from the full cluster merge.
@@ -375,28 +311,24 @@ func (g *Gateway) Cardinality(ctx context.Context, u vos.User) (int64, error) {
 // the merged array's ones-fraction, not a sum), so stats pay for a gather
 // like the other merged reads.
 func (g *Gateway) Stats(ctx context.Context) (vos.Stats, error) {
-	if g.closed.Load() {
-		return vos.Stats{}, vos.ErrClosed
-	}
-	snap, _, err := g.snapshot(ctx, false)
+	snap, err := g.acquire(ctx)
 	if err != nil {
 		return vos.Stats{}, err
 	}
-	return snap.Stats(), nil
+	defer snap.Release()
+	return snap.Sk.Stats(), nil
 }
 
 // ExportSketch implements vos.StateExporter: the serialized cluster-wide
 // merge. A cluster's export is bit-identical to the export of a single
 // engine over the same stream — the property the parity tests compare.
 func (g *Gateway) ExportSketch(ctx context.Context) ([]byte, error) {
-	if g.closed.Load() {
-		return nil, vos.ErrClosed
-	}
-	snap, _, err := g.snapshot(ctx, false)
+	snap, err := g.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return snap.MarshalBinary()
+	defer snap.Release()
+	return snap.Sk.MarshalBinary()
 }
 
 // --- handoff ---
@@ -431,7 +363,7 @@ func (g *Gateway) Handoff(ctx context.Context, shard int, to string) (uint64, er
 	g.gates[shard].Lock()
 	defer g.gates[shard].Unlock()
 
-	ring := g.Ring()
+	ring := g.ringRef()
 	for i, node := range ring.Shards {
 		if node == to {
 			return 0, fmt.Errorf("%w: handoff target %s already owns shard %d (targets must be fresh: a second import would XOR-cancel its state)", ErrBadRing, to, i)
@@ -439,11 +371,19 @@ func (g *Gateway) Handoff(ctx context.Context, shard int, to string) (uint64, er
 	}
 	from := ring.Shards[shard]
 
-	state, err := g.backend(from).ExportSketch(ctx)
+	src, err := g.backend(from)
+	if err != nil {
+		return 0, err
+	}
+	dst, err := g.backend(to)
+	if err != nil {
+		return 0, err
+	}
+	state, err := src.ExportSketch(ctx)
 	if err != nil {
 		return 0, fmt.Errorf("handoff shard %d: export from %s: %w", shard, from, err)
 	}
-	if err := g.backend(to).ImportSketch(ctx, state); err != nil {
+	if err := dst.ImportSketch(ctx, state); err != nil {
 		return 0, fmt.Errorf("handoff shard %d: import into %s: %w", shard, to, err)
 	}
 
@@ -488,10 +428,14 @@ func (g *Gateway) CheckpointCluster(ctx context.Context) (*Manifest, error) {
 		g.gates[i].Lock()
 		defer g.gates[i].Unlock()
 	}
-	ring := g.Ring()
+	ring := g.ringRef()
 	m := &Manifest{RingVersion: ring.Version, RouteSeed: ring.RouteSeed, Shards: make([]ManifestShard, ring.NumShards())}
 	for i, url := range ring.Shards {
-		pos, err := g.backend(url).Checkpoint(ctx)
+		c, err := g.backend(url)
+		if err != nil {
+			return nil, err
+		}
+		pos, err := c.Checkpoint(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("cluster checkpoint: shard %d (%s): %w", i, url, err)
 		}
@@ -535,7 +479,7 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterRing+" requires GET")
 			return
 		}
-		ring := g.Ring()
+		ring := g.ringRef()
 		server.WriteJSON(w, http.StatusOK, server.RingResponse{Version: ring.Version, RouteSeed: ring.RouteSeed, Shards: ring.Shards})
 	})
 	mux.HandleFunc(server.RouteClusterHandoff, func(w http.ResponseWriter, r *http.Request) {
@@ -545,7 +489,7 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 			return
 		}
 		var req server.HandoffRequest
-		if err := decodeJSONBody(r, &req); err != nil {
+		if err := server.DecodeJSONBody(r, MaxRingBytes, &req); err != nil {
 			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 			return
 		}
@@ -596,19 +540,4 @@ func (g *Gateway) gwServiceError(w http.ResponseWriter, err error) {
 		}
 		server.WriteError(w, status, code, err.Error())
 	}
-}
-
-// decodeJSONBody strictly decodes one JSON value into out (unknown
-// fields refused, trailing data refused, body capped at the ring
-// document limit — gateway control-plane bodies are tiny).
-func decodeJSONBody(r *http.Request, out any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxRingBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return fmt.Errorf("bad JSON body: %v", err)
-	}
-	if dec.More() {
-		return errors.New("bad JSON body: trailing data")
-	}
-	return nil
 }

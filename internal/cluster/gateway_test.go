@@ -577,6 +577,11 @@ func TestGatewayClosed(t *testing.T) {
 	if _, err := gw.CheckpointCluster(ctx); !errors.Is(err, vos.ErrClosed) {
 		t.Fatalf("CheckpointCluster after Close: %v", err)
 	}
+	// A call that passed its closed check before Close and reaches for a
+	// backend after it must not be handed a fresh client nobody will close.
+	if c, err := gw.backend(gw.ringRef().Shards[0]); !errors.Is(err, vos.ErrClosed) || c != nil || len(gw.backends) != 0 {
+		t.Fatalf("backend after Close: client %v, err %v, %d cached", c, err, len(gw.backends))
+	}
 }
 
 // TestGatewayHandler drives the gateway-only HTTP routes end to end:

@@ -230,9 +230,9 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	// the two, the index is reconciled against the older stamp and the
 	// next probe re-marks it — conservative, never the reverse.
 	rot := e.winRot.Load()
-	view := e.acquire(e.cfg.SnapshotMaxLag)
-	defer view.release() // held through maintenance and the scoring fan-out
-	snap := view.sk
+	view := e.acquire(e.lagged)
+	defer view.Release() // held through maintenance and the scoring fan-out
+	snap := view.Sk
 
 	a.mu.Lock()
 	if err := e.annMaintain(a, snap, rot); err != nil {
@@ -242,7 +242,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	stamp := a.rebands + a.removals + a.rotations
 	var r *core.Recovered
 	var cands []stream.User
-	if a.haveLast && a.lastUser == u && a.lastGen == view.gen && a.lastStamp == stamp {
+	if a.haveLast && a.lastUser == u && a.lastGen == view.Gen() && a.lastStamp == stamp {
 		// Repeated probe of the same user against unchanged state: serve
 		// the packed recovered sketch and candidate set from the last call.
 		r, cands = a.lastRec, a.lastCands
@@ -256,7 +256,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 			a.mu.Unlock()
 			return nil, err
 		}
-		a.lastUser, a.lastGen, a.lastStamp = u, view.gen, stamp
+		a.lastUser, a.lastGen, a.lastStamp = u, view.Gen(), stamp
 		a.lastRec, a.lastCands = r, cands
 		a.haveLast = true
 	}

@@ -145,7 +145,9 @@ func Open(cfg Config) (*Engine, error) {
 		log.Close()
 		return nil, err
 	}
-	e.base.Store(base)
+	if base != nil {
+		e.base.Store(&baseSketch{sk: base})
+	}
 	if winBase != nil {
 		// Re-align the fresh shard rings to the persisted bucket boundaries
 		// so the recovered base and the shards rotate in lockstep. The swap
@@ -241,10 +243,10 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, err
 		}
 	} else {
-		snap := e.acquire(0)
+		snap := e.acquire(e.exact)
 		var err error
-		data, err = snap.sk.MarshalBinary()
-		snap.release()
+		data, err = snap.Sk.MarshalBinary()
+		snap.Release()
 		if err != nil {
 			return 0, err
 		}

@@ -32,6 +32,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,6 +43,7 @@ import (
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/metrics"
 	"github.com/vossketch/vos/internal/poscache"
+	"github.com/vossketch/vos/internal/resident"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/internal/wal"
 )
@@ -189,16 +191,15 @@ type shard struct {
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
 
-	// journal is the suffix of applied batches the resident merged views
-	// may still have to replay (see snapshot.go): contiguous, oldest first,
-	// covering processed counts (jFrom, last end]. jOn is false until the
-	// first re-merge starts the journal and again after it outgrows
-	// Engine.journalMax. jMu guards all three; the worker appends inside
-	// its skMu critical section, and jMu is never held across other locks.
+	// journal is the ring of the newest applied batches, which the resident
+	// merged views and remote readers replay from (see snapshot.go):
+	// contiguous, oldest first, covering processed counts (jFrom, processed],
+	// at most Engine.journalMax edges of them. jMu guards both; the worker
+	// appends and evicts inside its skMu critical section, and jMu is never
+	// held across other locks.
 	jMu     sync.Mutex
 	journal []journalEntry
 	jFrom   uint64
-	jOn     bool
 
 	// annDirty collects users this shard has written since an ANN probe
 	// last stole the set (nil on engines without Config.ANN). The worker
@@ -228,22 +229,14 @@ type Engine struct {
 	stop   chan struct{} // stops the linger ticker
 	start  time.Time
 
-	// snapMu guards the merged query snapshot (see snapshot.go): cur is the
-	// published view, spare the other resident one, which the next refresh
-	// brings forward and publishes in turn. A view is never written while a
-	// reader can hold it — readers register on cur under snapMu, and a
-	// refresh writes spare only once its readers have drained — so a reader
-	// may keep using a superseded view safely until it releases it. Each
-	// view carries the per-shard processed counts, rotation stamp and base
-	// it reflects. snapGen numbers the published states, and rcache is the one
-	// recovered-sketch cache all views share (stamped by generation), so two
-	// resident views do not pin two sets of recovered sketches.
-	snapMu     sync.Mutex
-	cur, spare *view
-	snapGen    uint64
-	rcache     *poscache.Cache
-	journalMax uint64 // per-shard journal bound in edges, fixed by the array size
-	snapCount  snapshotCounters
+	// views is the merged query snapshot (see snapshot.go): two resident
+	// merged views, each carrying the per-shard processed counts, rotation
+	// stamp and base it reflects. lagged and exact drive it for the two
+	// staleness budgets reads come with.
+	views          resident.Pair[stamp]
+	lagged, exact  *viewSource
+	journalMax     uint64 // per-shard journal bound in edges, fixed by the array size
+	journalEvicted atomic.Uint64
 
 	// pcache is the shared position-table cache (nil when disabled):
 	// position tables depend only on user and sketch Config, so one cache
@@ -262,10 +255,17 @@ type Engine struct {
 	// post-checkpoint deltas and query paths merge the base back in. Each
 	// published base sketch is immutable; ImportSketch swaps in a freshly
 	// merged one, which is why the pointer is atomic — Cardinality reads it
-	// without any lock.
-	log   *wal.Log
-	walMu sync.RWMutex
-	base  atomic.Pointer[core.VOS]
+	// without any lock. importMu serializes the read-merge-publish of
+	// concurrent imports.
+	log      *wal.Log
+	walMu    sync.RWMutex
+	base     atomic.Pointer[baseSketch]
+	importMu sync.Mutex
+
+	// boot is drawn once per engine and opens every export cursor (see
+	// delta.go): processed counts restart with the process, so a cursor
+	// from another life must never compare equal.
+	boot uint64
 
 	// Sliding-window state (zero on unwindowed engines — see window.go).
 	// winMu orders rotation against multi-shard reads: AdvanceWindowTo
@@ -275,7 +275,7 @@ type Engine struct {
 	// winEnd mirrors the shards' current bucket end (unix ns) for the
 	// lock-free has-anything-expired check; winRot counts rotations and
 	// stamps query snapshot views, so a rotation retires both resident
-	// views without touching snapMu (avoiding a winMu/snapMu cycle).
+	// views without touching their mutex (avoiding a lock cycle with winMu).
 	// winBase is the rotating window recovered from a windowed checkpoint
 	// — unlike base it is NOT frozen: its buckets retire in lockstep with
 	// the shards', guarded by winMu.
@@ -311,9 +311,11 @@ func newEngine(cfg Config) (*Engine, error) {
 		shards:     make([]*shard, cfg.Shards),
 		stop:       make(chan struct{}),
 		start:      time.Now(),
-		rcache:     poscache.New(core.DefaultRecoveredCacheEntries),
 		journalMax: cfg.Sketch.MemoryBits / 64 / journalWordsPerEdge,
+		boot:       rand.Uint64(),
 	}
+	e.lagged = &viewSource{e: e, maxLag: cfg.SnapshotMaxLag}
+	e.exact = &viewSource{e: e}
 	if cfg.ANN != nil {
 		// Resolve into a private copy so the caller's struct is never
 		// mutated, and validate the band structure against the sketch
@@ -646,9 +648,9 @@ func (e *Engine) Close() error {
 // vos.Sketch that consumed the whole stream with the same Config.
 func (e *Engine) Query(u, v stream.User) core.Estimate {
 	e.maybeAdvance()
-	snap := e.acquire(e.cfg.SnapshotMaxLag)
-	defer snap.release()
-	return snap.sk.Query(u, v)
+	snap := e.acquire(e.lagged)
+	defer snap.Release()
+	return snap.Sk.Query(u, v)
 }
 
 // TopK returns the n candidates most similar to u from the merged global
@@ -688,9 +690,9 @@ func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []st
 // topK is the shared body of TopK and TopKContext: snapshot, fan out, merge.
 func (e *Engine) topK(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	e.maybeAdvance()
-	snap := e.acquire(e.cfg.SnapshotMaxLag)
-	defer snap.release() // held through the whole fan-out
-	return e.rankCandidates(ctx, snap.sk, snap.sk.RecoverSketch(u), candidates, n)
+	snap := e.acquire(e.lagged)
+	defer snap.Release() // held through the whole fan-out
+	return e.rankCandidates(ctx, snap.Sk, snap.Sk.RecoverSketch(u), candidates, n)
 }
 
 // rankCandidates scores the candidates against a recovered probe and
@@ -803,7 +805,7 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 	c := s.sk.Cardinality(u)
 	s.skMu.RUnlock()
 	if base := e.base.Load(); base != nil {
-		c += base.Cardinality(u)
+		c += base.sk.Cardinality(u)
 	}
 	if e.winBase != nil {
 		c += e.winBase.Cardinality(u)
@@ -820,9 +822,9 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 // not just one array.
 func (e *Engine) Stats() core.Stats {
 	e.maybeAdvance()
-	snap := e.acquire(e.cfg.SnapshotMaxLag)
-	st := snap.sk.Stats()
-	snap.release()
+	snap := e.acquire(e.lagged)
+	st := snap.Sk.Stats()
+	snap.Release()
 	if w := e.cfg.Window; w != nil {
 		st.WindowSeconds = (time.Duration(w.Buckets) * w.BucketDuration).Seconds()
 		st.WindowBuckets = w.Buckets
@@ -852,9 +854,9 @@ func (e *Engine) Stats() core.Stats {
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.maybeAdvance()
 	e.Flush()
-	snap := e.acquire(0)
-	defer snap.release()
-	return snap.sk.MarshalBinary()
+	snap := e.acquire(e.exact)
+	defer snap.Release()
+	return snap.Sk.MarshalBinary()
 }
 
 // ShardStats reports one health snapshot per shard: ingest counters,

@@ -47,26 +47,26 @@ func (e *Engine) ImportSketch(data []byte) error {
 		return fmt.Errorf("engine: imported sketch config %+v does not match engine config %+v",
 			imported.Config(), e.cfg.Sketch)
 	}
-	// snapMu serializes concurrent imports (the read-merge-publish below
-	// must not interleave). Publishing the new base is also what retires
-	// both resident query views: each is stamped with the base it was
-	// merged from, acquire compares that stamp under this same mutex, and a
-	// view of another base is never replayed, only re-merged — so no reader
-	// can pair a stale snapshot decision with the new state.
-	e.snapMu.Lock()
-	merged := core.MustNew(e.cfg.Sketch)
+	// Publishing the new base is also what retires both resident query
+	// views and every remote reader's cursor: each names the base it was
+	// merged from, and a view or cursor of another base is never replayed,
+	// only rebuilt — so no reader can pair a stale snapshot decision with
+	// the new state.
+	e.importMu.Lock()
+	next := &baseSketch{sk: core.MustNew(e.cfg.Sketch), gen: 1}
 	if old := e.base.Load(); old != nil {
-		if err := merged.Merge(old); err != nil {
-			e.snapMu.Unlock()
+		next.gen = old.gen + 1
+		if err := next.sk.Merge(old.sk); err != nil {
+			e.importMu.Unlock()
 			panic(fmt.Sprintf("engine: base merge failed: %v", err))
 		}
 	}
-	if err := merged.Merge(imported); err != nil {
-		e.snapMu.Unlock()
+	if err := next.sk.Merge(imported); err != nil {
+		e.importMu.Unlock()
 		return err
 	}
-	e.base.Store(merged)
-	e.snapMu.Unlock()
+	e.base.Store(next)
+	e.importMu.Unlock()
 
 	if e.log != nil {
 		// Make the import durable before acknowledging it: the imported

@@ -1,0 +1,226 @@
+// Package resident keeps a merged query sketch current by delta, once, for
+// every tier that answers reads from a merge.
+//
+// Merging is linear: the merged sketch at t₂ is the merged sketch at t₁
+// with the edges applied in between folded in. So instead of re-merging
+// every part whenever something has been written, a Pair keeps two resident
+// merged views and brings one forward by replaying what its parts applied
+// since that view was last current. A refresh then costs the churn, with no
+// term in the array size or the number of users. What the parts are is the
+// driver's business (Source): the engine's are its shards, replayed from
+// their journals in memory and re-merged from their sketches; the gateway's
+// are its backends, replayed from the journal suffixes they ship and
+// re-merged from their full exports.
+//
+// Two views, because readers can be long (an exact top-K over 100k
+// candidates) and everything downstream relies on a published sketch never
+// changing under a reader. Readers register on the published view for the
+// duration of the read (Acquire/Release); a refresh only ever writes the
+// OTHER view, and only when its readers — registered two generations ago —
+// have drained. The refreshed view is then published and the previously
+// published one becomes the spare. A spare that is still busy is left to
+// its reader and the garbage collector, and the refresh builds a fresh view
+// instead: a long read never blocks a refresh, a write, or another read.
+//
+// Building a fresh view is the one fallback, taken when replay is
+// impossible — never wrong, only slow. Its causes are the Stats counters.
+package resident
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+
+	"github.com/vossketch/vos/internal/core"
+	"github.com/vossketch/vos/internal/poscache"
+)
+
+// View is one resident merged sketch together with the driver's stamp: the
+// exact state of the parts the sketch equals. The holder of an acquired
+// View reads Sk and Stamp and writes neither.
+type View[S any] struct {
+	Sk    *core.VOS
+	Stamp S
+
+	// gen is unique among all states the pair ever publishes. It stamps the
+	// shared recovered-sketch cache (so entries of different views, or of
+	// one view before and after a replay, never answer for each other).
+	gen uint64
+
+	// readers counts reads in flight on this view. It only ever rises under
+	// Pair.mu on the published view, so a refresh (which holds the mutex)
+	// that finds the spare at zero owns it exclusively.
+	readers atomic.Int64
+}
+
+// Gen identifies the published state v holds, for callers that memoize
+// work against it.
+func (v *View[S]) Gen() uint64 { return v.gen }
+
+// Release ends the read Acquire began; the caller must not touch the view
+// afterwards.
+func (v *View[S]) Release() { v.readers.Add(-1) }
+
+// Cause says why a refresh built a fresh view instead of replaying.
+type Cause int
+
+const (
+	// Replayed is the non-cause: the spare was brought forward.
+	Replayed Cause = iota - 1
+	First          // no second view yet: the pair's first two refreshes
+	Busy           // the spare still has readers
+	Overflow       // a part's journal no longer reaches back to the view
+	Rotation       // engine: the window rotated since the view was merged
+	Import         // engine: ImportSketch published a new base
+	Epoch          // gateway: a backend restarted, imported or rotated
+	Ring           // gateway: the ring version changed
+	NoDelta        // gateway: a backend that offers no delta export
+	numCauses
+)
+
+// Source is the driver of a Pair: it knows what the parts are.
+type Source[S any] interface {
+	// Current reports whether a view with stamp s may be served as it is.
+	// It runs on every read, under the pair's mutex.
+	Current(s *S) bool
+	// Refresh returns a view that is current as of the call. Given a spare
+	// it may bring it forward — folding into spare.Sk what the parts applied
+	// since spare.Stamp, and moving the stamp only together with what it
+	// folds in — and return it with Replayed and the number of edges folded
+	// in; or it builds a fresh view (Sk and Stamp set) and says why the
+	// spare would not do. spare is nil when there is nothing to bring
+	// forward, which the pair counts under its own causes (First, Busy).
+	// On error nothing is published and the spare stays what its stamp says.
+	Refresh(ctx context.Context, spare *View[S]) (v *View[S], cause Cause, edges int, err error)
+}
+
+// Pair is the left-right pair of resident views. The zero value is ready.
+type Pair[S any] struct {
+	// mu guards cur, spare and gen, and is held across a refresh: readers
+	// that arrive while one runs wait for it rather than each starting
+	// their own.
+	mu         sync.Mutex
+	cur, spare *View[S]
+	gen        uint64
+	// rcache is the one recovered-sketch cache both views share (stamped by
+	// generation), so two resident views do not pin two sets of recovered
+	// sketches.
+	rcache *poscache.Cache
+
+	replays       atomic.Uint64
+	replayedEdges atomic.Uint64
+	rebuilds      [numCauses]atomic.Uint64
+}
+
+// Acquire returns the published view with the caller registered as a
+// reader, bringing it current first unless src vouches for it; the caller
+// must Release it when the read is done. Registration happens under the
+// mutex, so a view that is no longer published gains no new readers. Only
+// a refresh can fail, and only if src's can.
+func (p *Pair[S]) Acquire(ctx context.Context, src Source[S]) (*View[S], error) {
+	p.mu.Lock()
+	v := p.cur
+	if v == nil || !src.Current(&v.Stamp) {
+		var err error
+		if v, err = p.refresh(ctx, src); err != nil {
+			p.mu.Unlock()
+			return nil, err
+		}
+	}
+	v.readers.Add(1)
+	p.mu.Unlock()
+	return v, nil
+}
+
+// refresh publishes a view that is current as of the call and retires the
+// previously published one to spare. Caller holds mu.
+func (p *Pair[S]) refresh(ctx context.Context, src Source[S]) (*View[S], error) {
+	spare, cause := p.spare, Replayed
+	switch {
+	case spare == nil:
+		cause = First
+	case spare.readers.Load() != 0:
+		spare, cause = nil, Busy
+	}
+	v, why, edges, err := src.Refresh(ctx, spare)
+	if err != nil {
+		return nil, err
+	}
+	if spare != nil {
+		cause = why
+	}
+	if cause == Replayed {
+		p.replays.Add(1)
+		p.replayedEdges.Add(uint64(edges))
+	} else {
+		p.rebuilds[cause].Add(1)
+	}
+	if p.rcache == nil {
+		p.rcache = poscache.New(core.DefaultRecoveredCacheEntries)
+	}
+	p.gen++
+	v.gen = p.gen
+	v.Sk.ShareRecoveredCache(p.rcache, v.gen)
+	p.cur, p.spare = v, p.cur
+	return v, nil
+}
+
+// Stats counts how a merged query snapshot has been kept current since its
+// owner started — the operator's view of whether reads after writes take
+// the replay path. An engine and a gateway report the same object; each
+// leaves the other's fields zero.
+type Stats struct {
+	// Replays counts refreshes served by replay, and ReplayedEdges the
+	// edges those replays folded in.
+	Replays       uint64
+	ReplayedEdges uint64
+	// The Rebuilds* fields count fresh views (a full re-merge in the engine,
+	// a gather of full exports in the gateway) by cause. Both tiers: no
+	// second view yet (the first two refreshes), a journal that no longer
+	// reached back to the view, a spare view still held by a reader. Engine:
+	// a window rotation, an ImportSketch. Gateway: a backend whose epoch
+	// changed (it restarted, imported or rotated), a new ring version, a
+	// backend without the delta export. After every cause but Busy and
+	// NoDelta the next refresh rebuilds for the same reason once more, to
+	// bring the other view back; a backend without the delta export costs a
+	// rebuild on every refresh.
+	RebuildsFirst    uint64
+	RebuildsOverflow uint64
+	RebuildsRotation uint64
+	RebuildsImport   uint64
+	RebuildsBusy     uint64
+	RebuildsEpoch    uint64
+	RebuildsRing     uint64
+	RebuildsNoDelta  uint64
+	// JournalOverflows (engine) counts applied batches evicted from a shard
+	// journal to keep it within its bound. Evictions are routine under
+	// sustained writes; only a reader whose cursor lies before an evicted
+	// batch falls back, and that shows as RebuildsOverflow.
+	JournalOverflows uint64
+	// GatheredBytes (gateway) counts response bytes of backend exports,
+	// deltas and full sketches alike.
+	GatheredBytes uint64
+}
+
+// Rebuilds is the total number of fresh views built.
+func (s Stats) Rebuilds() uint64 {
+	return s.RebuildsFirst + s.RebuildsOverflow + s.RebuildsRotation + s.RebuildsImport +
+		s.RebuildsBusy + s.RebuildsEpoch + s.RebuildsRing + s.RebuildsNoDelta
+}
+
+// Stats reports the pair's counters; the owner adds the fields only it can
+// count.
+func (p *Pair[S]) Stats() Stats {
+	return Stats{
+		Replays:          p.replays.Load(),
+		ReplayedEdges:    p.replayedEdges.Load(),
+		RebuildsFirst:    p.rebuilds[First].Load(),
+		RebuildsOverflow: p.rebuilds[Overflow].Load(),
+		RebuildsRotation: p.rebuilds[Rotation].Load(),
+		RebuildsImport:   p.rebuilds[Import].Load(),
+		RebuildsBusy:     p.rebuilds[Busy].Load(),
+		RebuildsEpoch:    p.rebuilds[Epoch].Load(),
+		RebuildsRing:     p.rebuilds[Ring].Load(),
+		RebuildsNoDelta:  p.rebuilds[NoDelta].Load(),
+	}
+}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,6 +74,11 @@ func ReadText(r io.Reader) ([]Edge, error) {
 }
 
 var binaryMagic = [8]byte{'V', 'O', 'S', 'S', 'T', 'R', 'M', '1'}
+
+// IsBinary reports whether data opens with the binary format's magic — how
+// a reader tells a binary stream from the other payloads that share its
+// content type.
+func IsBinary(data []byte) bool { return bytes.HasPrefix(data, binaryMagic[:]) }
 
 // ErrBadFormat reports a malformed binary stream file.
 var ErrBadFormat = errors.New("stream: bad binary format")

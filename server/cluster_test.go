@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"testing"
 
@@ -86,6 +87,124 @@ func TestClusterSketchRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("receiver's export differs from the whole-stream engine after import")
+	}
+}
+
+// TestClusterSketchSince pins ?since= on the wire. Without it the body is
+// the engine's exact export, as before, now with the cursor of that state
+// in a header; a cursor the engine issued is answered with the edges
+// applied since, in the binary stream format, or — too old, or from before
+// an import — with the full export and the reason; a string that is not a
+// cursor is the caller's error.
+func TestClusterSketchSince(t *testing.T) {
+	eng, _, url := newWired(t, server.Options{}, client.Options{MaxRetries: -1})
+	get := func(since string) (int, []byte, http.Header) {
+		t.Helper()
+		target := url + server.RouteClusterSketch
+		if since != "" {
+			target += "?since=" + neturl.QueryEscape(since)
+		}
+		resp, err := http.Get(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body, resp.Header
+	}
+	export := func() []byte {
+		t.Helper()
+		data, err := eng.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	edges := feasibleStream(1_000, 80, 0.25, 43)
+	if err := eng.ProcessBatch(edges[:400]); err != nil {
+		t.Fatal(err)
+	}
+
+	status, body, hdr := get("")
+	cursor := hdr.Get(server.HeaderSketchCursor)
+	if status != http.StatusOK || !bytes.Equal(body, export()) || cursor == "" || hdr.Get(server.HeaderSketchFallback) != "" {
+		t.Fatalf("no since: status %d, body equals export: %v, cursor %q, fallback %q",
+			status, bytes.Equal(body, export()), cursor, hdr.Get(server.HeaderSketchFallback))
+	}
+
+	// Current: an empty delta under the same cursor, as often as asked.
+	for i := 0; i < 2; i++ {
+		status, body, hdr = get(cursor)
+		got, err := vos.ReadStreamBinary(bytes.NewReader(body))
+		if status != http.StatusOK || err != nil || len(got) != 0 || hdr.Get(server.HeaderSketchCursor) != cursor {
+			t.Fatalf("current cursor: status %d, %d edges (%v), cursor %q want %q", status, len(got), err, hdr.Get(server.HeaderSketchCursor), cursor)
+		}
+	}
+
+	// Behind by 100 edges: exactly those, and a receiver that applies them
+	// to the state the cursor named holds the engine's state.
+	mirror, err := vos.Unmarshal(export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ProcessBatch(edges[400:500]); err != nil {
+		t.Fatal(err)
+	}
+	status, body, hdr = get(cursor)
+	delta, err := vos.ReadStreamBinary(bytes.NewReader(body))
+	if status != http.StatusOK || err != nil || len(delta) != 100 || hdr.Get(server.HeaderSketchFallback) != "" {
+		t.Fatalf("cursor 100 behind: status %d, %d edges (%v), fallback %q", status, len(delta), err, hdr.Get(server.HeaderSketchFallback))
+	}
+	mirror.ProcessBatch(delta)
+	if got, err := mirror.MarshalBinary(); err != nil || !bytes.Equal(got, export()) {
+		t.Fatalf("export at the cursor plus the delta differs from the engine's export (%v)", err)
+	}
+	if ct := hdr.Get("Content-Type"); ct != server.ContentTypeBinary {
+		t.Fatalf("delta content type %q", ct)
+	}
+	next := hdr.Get(server.HeaderSketchCursor)
+
+	// Too old: 3 shards × 256-edge journals, 500 more edges per shard.
+	if err := eng.ProcessBatch(feasibleStream(1_500, 80, 0, 44)); err != nil {
+		t.Fatal(err)
+	}
+	status, body, hdr = get(next)
+	if status != http.StatusOK || !bytes.Equal(body, export()) || hdr.Get(server.HeaderSketchFallback) != vos.SketchFallbackJournal || hdr.Get(server.HeaderSketchCursor) == next {
+		t.Fatalf("cursor behind the journal: status %d, body equals export: %v, fallback %q", status, bytes.Equal(body, export()), hdr.Get(server.HeaderSketchFallback))
+	}
+	next = hdr.Get(server.HeaderSketchCursor)
+
+	// Stale epoch: state arrived that no journal records.
+	other := vos.MustNew(testEngineConfig().Sketch)
+	other.ProcessBatch(feasibleStream(50, 80, 0, 45))
+	state, err := other.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ImportSketch(state); err != nil {
+		t.Fatal(err)
+	}
+	status, body, hdr = get(next)
+	if status != http.StatusOK || !bytes.Equal(body, export()) || hdr.Get(server.HeaderSketchFallback) != vos.SketchFallbackEpoch {
+		t.Fatalf("cursor from before an import: status %d, body equals export: %v, fallback %q", status, bytes.Equal(body, export()), hdr.Get(server.HeaderSketchFallback))
+	}
+
+	for _, bad := range []string{"nonsense", "1.2.3", "0.0.0:1,x"} {
+		resp, err := http.Get(url + server.RouteClusterSketch + "?since=" + neturl.QueryEscape(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env server.ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != server.CodeBadRequest {
+			t.Fatalf("since=%q: status %d code %q, want 400 %s", bad, resp.StatusCode, env.Error.Code, server.CodeBadRequest)
+		}
 	}
 }
 

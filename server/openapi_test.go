@@ -99,6 +99,10 @@ func TestOpenAPIStructure(t *testing.T) {
 		"enum: [exact, ann]", // the top-K candidate-generation mode
 		`"501"`,              // ann/checkpoint capability degradation
 		HeaderPartial,        // degraded scatter-gather marker on /v1/topk
+		"name: since",        // the delta export's cursor parameter
+		HeaderSketchCursor,   // ... and the cursor it is answered with
+		HeaderSketchFallback, // ... or the reason it was answered in full
+		"gathered_bytes",     // the gateway's share of the snapshot object
 	} {
 		if !strings.Contains(spec, anchor) {
 			t.Errorf("spec is missing required anchor %q", anchor)

@@ -38,7 +38,7 @@ const (
 	// service implements vos.StateExporter / vos.StateImporter (an
 	// engine-backed vosd does; 501 otherwise). The gateway uses them for
 	// scatter-gather queries and shard handoff.
-	RouteClusterSketch = "/v1/cluster/sketch" // GET: serialized engine state (binary)
+	RouteClusterSketch = "/v1/cluster/sketch" // GET [?since=cursor]: serialized engine state, or the edges since the cursor (binary)
 	RouteClusterImport = "/v1/cluster/import" // POST: merge serialized state (handoff target)
 )
 
@@ -56,6 +56,20 @@ const (
 // part of the cluster state was unreachable and the body covers only the
 // reachable portion (see vos.PartialTopK). Absent on complete answers.
 const HeaderPartial = "X-Vos-Partial"
+
+// HeaderSketchCursor, on a GET /v1/cluster/sketch response from a backend
+// that offers the delta export (vos.DeltaExporter), names the state the
+// caller holds once it has applied the body: send it back as ?since= to
+// get only what was applied in between. Its absence tells a gateway the
+// backend can only ever answer in full. HeaderSketchFallback is set when a
+// ?since= cursor was answered with the full sketch, and says why:
+// "journal" (the cursor is older than the backend's bounded journal
+// reaches) or "epoch" (the backend restarted, imported state or rotated its
+// window since).
+const (
+	HeaderSketchCursor   = "X-Vos-Sketch-Cursor"
+	HeaderSketchFallback = "X-Vos-Sketch-Fallback"
+)
 
 // HeaderBatchTs optionally carries a whole ingest batch's event time as
 // fractional Unix seconds — the header equivalent of the per-edge "ts"
@@ -724,15 +738,36 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // ingest admission budget).
 const maxImportBytes = 1 << 30
 
+// handleClusterSketch serves the backing service's state: in full, or —
+// to a ?since= cursor, from a service that keeps a journal — as the edges
+// applied since, in the binary stream format POST /v1/edges reads. The two
+// bodies tell themselves apart by their magic. A service without the delta
+// export ignores since, as a vosd that predates it does.
 func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.svc.(vos.StateExporter)
-	if !ok {
+	var data []byte
+	if de, ok := s.svc.(vos.DeltaExporter); ok {
+		d, err := de.ExportSince(r.Context(), r.URL.Query().Get("since"))
+		if err != nil {
+			s.writeServiceError(w, err)
+			return
+		}
+		w.Header().Set(HeaderSketchCursor, d.Cursor)
+		if d.Fallback != "" {
+			w.Header().Set(HeaderSketchFallback, d.Fallback)
+		}
+		if data = d.Full; data == nil {
+			var buf bytes.Buffer
+			_ = stream.WriteBinary(&buf, d.Edges) // a bytes.Buffer does not fail
+			data = buf.Bytes()
+		}
+	} else if exp, ok := s.svc.(vos.StateExporter); ok {
+		var err error
+		if data, err = exp.ExportSketch(r.Context()); err != nil {
+			s.writeServiceError(w, err)
+			return
+		}
+	} else {
 		WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not export sketch state")
-		return
-	}
-	data, err := exp.ExportSketch(r.Context())
-	if err != nil {
-		s.writeServiceError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeBinary)
@@ -859,7 +894,7 @@ func StatusFor(err error) (int, string) {
 		// Well-formed but unanswerable: the requested instant's edges have
 		// been retired from the sliding window.
 		return http.StatusUnprocessableEntity, CodeOutsideWindow
-	case errors.Is(err, vos.ErrNoWindow):
+	case errors.Is(err, vos.ErrNoWindow), errors.Is(err, vos.ErrBadCursor):
 		return http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, vos.ErrCorruptSketch), errors.Is(err, vos.ErrFamilyMismatch):
 		// Cluster import of undecodable or cross-family state: the request
@@ -882,6 +917,22 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes the typed error envelope.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
+}
+
+// DecodeJSONBody strictly decodes a request body of at most limit bytes as
+// one JSON value into out: unknown fields refused, trailing data refused.
+// For control-plane bodies, where a misspelt field must not be a silent
+// default.
+func DecodeJSONBody(r *http.Request, limit int64, out any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(out); err != nil {
+		return fmt.Errorf("bad JSON body: %v", err)
+	}
+	if err := expectExhausted(dec); err != nil {
+		return fmt.Errorf("bad JSON body: %v", err)
+	}
+	return nil
 }
 
 func parseID(s string) (uint64, bool) {

@@ -155,15 +155,17 @@ type StatsResponse struct {
 	// UDP is the UDP ingest plane's counter snapshot, present only when
 	// the serving process runs a datagram listener (vosd -udp-listen).
 	UDP *UDPStatsJSON `json:"udp,omitempty"`
-	// Snapshot reports how the engine's merged query snapshot has been
+	// Snapshot reports how the service's merged query snapshot has been
 	// kept current, present when the backing service is a
-	// vos.SnapshotReporter (an in-process Engine).
+	// vos.SnapshotReporter (an in-process Engine, or the cluster gateway).
 	Snapshot *SnapshotStatsJSON `json:"snapshot,omitempty"`
 }
 
 // SnapshotStatsJSON is vos.SnapshotStats on the wire: refreshes of the
-// merged query snapshot by path. A serving engine shows replays growing
-// with its reads-after-writes and the rebuild counters standing still.
+// merged query snapshot by path. A serving engine or gateway shows replays
+// growing with its reads-after-writes and the rebuild counters standing
+// still. vosd and vosgw send the same object; the fields only the other
+// tier counts stay zero.
 type SnapshotStatsJSON struct {
 	Replays          uint64 `json:"replays"`
 	ReplayedEdges    uint64 `json:"replayed_edges"`
@@ -172,10 +174,14 @@ type SnapshotStatsJSON struct {
 	RebuildsRotation uint64 `json:"rebuilds_rotation"`
 	RebuildsImport   uint64 `json:"rebuilds_import"`
 	RebuildsBusy     uint64 `json:"rebuilds_busy"`
+	RebuildsEpoch    uint64 `json:"rebuilds_epoch"`
+	RebuildsRing     uint64 `json:"rebuilds_ring"`
+	RebuildsNoDelta  uint64 `json:"rebuilds_no_delta"`
 	JournalOverflows uint64 `json:"journal_overflows"`
+	GatheredBytes    uint64 `json:"gathered_bytes"`
 }
 
-// SnapshotStatsToWire converts the engine counters to their wire form.
+// SnapshotStatsToWire converts the counters to their wire form.
 func SnapshotStatsToWire(s vos.SnapshotStats) SnapshotStatsJSON {
 	return SnapshotStatsJSON{
 		Replays:          s.Replays,
@@ -185,7 +191,11 @@ func SnapshotStatsToWire(s vos.SnapshotStats) SnapshotStatsJSON {
 		RebuildsRotation: s.RebuildsRotation,
 		RebuildsImport:   s.RebuildsImport,
 		RebuildsBusy:     s.RebuildsBusy,
+		RebuildsEpoch:    s.RebuildsEpoch,
+		RebuildsRing:     s.RebuildsRing,
+		RebuildsNoDelta:  s.RebuildsNoDelta,
 		JournalOverflows: s.JournalOverflows,
+		GatheredBytes:    s.GatheredBytes,
 	}
 }
 

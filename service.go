@@ -102,14 +102,30 @@ type ApproxTopK interface {
 // StateExporter is the optional state-transfer extension of
 // SimilarityService: implementations can serialize their complete sketch
 // state (the core.VOS wire format, as Unmarshal reads). It is the source
-// half of a cluster shard handoff and the gateway's scatter-gather unit —
-// pair estimates depend on the merged array's global fill, so a cluster
-// query gathers each backend's exported state and queries the XOR-merge.
-// GET /v1/cluster/sketch probes for it.
+// half of a cluster shard handoff and what the gateway merges — pair
+// estimates depend on the merged array's global fill, so a cluster query
+// is answered from the XOR-merge of every backend's state (kept current by
+// DeltaExporter where the backend offers it, gathered in full through this
+// interface where it does not). GET /v1/cluster/sketch probes for it.
 type StateExporter interface {
 	// ExportSketch returns the serialized state covering every edge
 	// acknowledged before the call.
 	ExportSketch(ctx context.Context) ([]byte, error)
+}
+
+// DeltaExporter is the incremental form of StateExporter, for readers that
+// keep their own merged view of the state (the cluster gateway): they hold
+// a cursor from the last answer and fetch the change, not the state.
+// GET /v1/cluster/sketch probes for it; a service without it is served by
+// ExportSketch every time — never wrong, only slow.
+type DeltaExporter interface {
+	// ExportSince returns the edges applied since the state the cursor
+	// names — or the full serialized state when since is empty or no journal
+	// connects it to the present — covering every edge acknowledged before
+	// the call, with the cursor naming the state the caller then holds. The
+	// call changes nothing in the service, so it is safe to repeat.
+	// ErrBadCursor for a since that is not a cursor.
+	ExportSince(ctx context.Context, since string) (SketchDelta, error)
 }
 
 // StateImporter is the receiving half of a shard handoff: ImportSketch
@@ -135,9 +151,10 @@ type PartialTopK interface {
 }
 
 // SnapshotReporter is the optional read-path observability extension of
-// SimilarityService: services backed by an Engine report how its merged
-// query snapshot has been kept current. GET /v1/stats probes for it and
-// carries the counters as its `snapshot` object.
+// SimilarityService: services that answer reads from a resident merged
+// snapshot (an Engine over its shards, the cluster gateway over its
+// backends) report how it has been kept current. GET /v1/stats probes for
+// it and carries the counters as its `snapshot` object.
 type SnapshotReporter interface {
 	SnapshotStats() SnapshotStats
 }
@@ -241,6 +258,14 @@ func (s *engineService) ExportSketch(ctx context.Context) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	return s.e.MarshalBinary()
+}
+
+// ExportSince implements DeltaExporter (see Engine.ExportSince).
+func (s *engineService) ExportSince(ctx context.Context, since string) (SketchDelta, error) {
+	if err := ctx.Err(); err != nil {
+		return SketchDelta{}, err
+	}
+	return s.e.ExportSince(since)
 }
 
 // ImportSketch implements StateImporter (see Engine.ImportSketch for the
