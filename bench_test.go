@@ -512,6 +512,119 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 	b.ReportMetric(float64(after.ReplayedEdges-before.ReplayedEdges)/float64(b.N), "replayed-edges/op")
 }
 
+// BenchmarkANNFreshProbe measures the approximate top-K read that follows
+// writes, at the shape of the repository benchmark's udp-window-ann
+// workload (windowed 2-shard engine, m = 2^20, k = 1600, fast family,
+// 50 bands of 32 rows, 368 users, position cache off): two 256-edge
+// ProcessBatches, Flush, then one TopKApprox. The probe has to bring the
+// band index up to the view first; as a reader of the shard journals that
+// is one band re-keyed per distinct (user, band) the 512 edges touched —
+// so the benchmark fails if a timed probe re-banded a user whole or fell
+// back to the spill set, and unless the last answer is the one an index
+// built from scratch on the same stream gives.
+func BenchmarkANNFreshProbe(b *testing.B) {
+	const users, mates, common, private, light, batch, topN = 368, 12, 392, 8, 16, 256, 10
+	newEngine := func() *vos.Engine {
+		eng, err := vos.NewEngine(vos.EngineConfig{
+			Sketch: vos.Config{MemoryBits: 1 << 20, SketchBits: 1600, Seed: 1, Family: vos.FamilyFast},
+			Shards: 2, PositionCacheUsers: -1,
+			// A pinned clock: no rotation, and both engines bucket alike.
+			Window: &vos.WindowConfig{Buckets: 4, BucketDuration: time.Hour, Now: func() time.Time { return time.Unix(1_000_000, 0) }},
+			ANN:    &vos.ANNConfig{Bands: 50, Rows: 32},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	eng := newEngine()
+	defer eng.Close()
+
+	// Users 0..11 are one cluster (392 common items, 8 private: J = 0.96)
+	// and the probes; everyone else holds 16 items of their own. The array
+	// stays sparse (β ≈ 0.01), so that the mates collide whichever way the
+	// index was built and the two answers can be required to be equal.
+	var preload []vos.Edge
+	for u := 0; u < users; u++ {
+		n := light
+		if u < mates {
+			n = common + private
+		}
+		for j := 0; j < n; j++ {
+			item := vos.Item(u<<16 + j)
+			if u < mates && j < common {
+				item = vos.Item(1<<32 + j)
+			}
+			preload = append(preload, vos.Edge{User: vos.User(u), Item: item, Op: vos.Insert})
+		}
+	}
+	// write i subscribes 128 users to a fresh item each and cancels the
+	// subscriptions write i-1 made, so the live set stays put and no user
+	// joins or leaves the index.
+	write := func(i int) []vos.Edge {
+		out := make([]vos.Edge, 0, batch)
+		for j := 0; j < batch/2; j++ {
+			out = append(out, vos.Edge{User: vos.User((i*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			if i > 0 {
+				out = append(out, vos.Edge{User: vos.User(((i-1)*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+			}
+		}
+		return out
+	}
+	var last []vos.TopKResult
+	step := func(e *vos.Engine, i int) {
+		for _, w := range []int{2 * i, 2*i + 1} {
+			if err := e.ProcessBatch(write(w)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e.Flush()
+		var err error
+		if last, err = e.TopKApprox(vos.User(i%mates), topN); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.ProcessBatch(preload); err != nil {
+		b.Fatal(err)
+	}
+	const warm = 2 // the initial build, and one re-merge per resident view
+	for i := 0; i < warm; i++ {
+		step(eng, i)
+	}
+	before, _ := eng.ANNStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(eng, warm+i)
+	}
+	b.StopTimer()
+
+	after, _ := eng.ANNStats()
+	rekeys := after.BandRekeys - before.BandRekeys
+	if rekeys == 0 || after.Rebands != before.Rebands || after.Removals != before.Removals || after.Rotations != before.Rotations ||
+		after.JournalFallbacks != before.JournalFallbacks || after.SpilledUsers != before.SpilledUsers || after.DirtyBacklog != 0 {
+		b.Fatalf("%d timed probes were not served by band re-keys alone: %+v, then %+v", b.N, before, after)
+	}
+	fresh := newEngine()
+	defer fresh.Close()
+	if err := fresh.ProcessBatch(preload); err != nil {
+		b.Fatal(err)
+	}
+	for w := 0; w < 2*(warm+b.N); w++ {
+		if err := fresh.ProcessBatch(write(w)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh.Flush()
+	want, err := fresh.TopKApprox(vos.User((warm+b.N-1)%mates), topN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(last) != topN || fmt.Sprint(last) != fmt.Sprint(want) {
+		b.Fatalf("maintained index answers %v, an index built from scratch %v", last, want)
+	}
+	b.ReportMetric(float64(rekeys)/float64(b.N), "band-rekeys/op")
+}
+
 // BenchmarkGatewayFreshQuery is BenchmarkEngineFreshQuery one tier up, at
 // the shape of the repository benchmark's cluster-gather workload: a
 // gateway over K = 2 one-shard loopback backends (m = 2^21, k = 6400, 20k

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/vossketch/vos/internal/core"
@@ -20,15 +23,37 @@ import (
 //
 // The index is a lsh.BandIndex keyed on bit-bands of the packed sketches
 // core.VOS.RecoverSketch produces from the merged snapshot. Maintenance is
-// lazy and piggybacks on the same write-versioning the recovered-sketch
-// cache uses: shard workers record which users they wrote (inside the same
-// skMu critical section that advances the shard's processed stamp, so a
-// post-Flush probe always observes the full dirty set), and each probe
-// re-bands up to ANNConfig.RebandBudget of those users against the current
-// snapshot before answering — stale entries are re-banded on the next
-// probe, and a full rebuild (after a window rotation, which changes every
-// recovered sketch at once) amortises across queries instead of stalling
-// one of them.
+// lazy, happens on probes, and costs the churn: the index is the third reader
+// of the shard journals (after the engine's own views and ExportSince). It
+// keeps the engine state it was last reconciled to — base, rotation and a
+// per-shard cursor, the same stamp a view carries — and a probe brings it to
+// the acquired view's stamp by reading each shard's journal range
+// (index cursor, view cursor]. The paper's update rule is that an element
+// (u, i, ±) flips exactly bit ψ(i) of u's virtual sketch, hence exactly band
+// ⌊ψ(i)/Rows⌋ of u's banded signature, so every edge maps to one
+// (user, band) pair, and per distinct pair the probe recovers only that
+// band's Rows bits from the view (core.VOS.RecoverRange) and re-keys that one
+// band (lsh.BandIndex.PutBand). Reading exactly up to the view's cursor is
+// what makes a lagged view safe: a write the view does not hold yet stays in
+// the journal for the probe whose view does.
+//
+// Bits that other users' writes flip under a member (noise: the array is
+// shared) are not tracked, and need not be. They are as likely before a key
+// was taken as after it, so a key that predates one collides with a fresh
+// probe exactly as often as a key that follows it — a maintained index and
+// one rebuilt from scratch have the same recall (TestANNIncrementalRecall).
+//
+// A whole user is re-banded — all k bits recovered, every band re-keyed —
+// only where no journal range says which bands changed: a user the index
+// does not hold yet; every user after a window rotation (a retired bucket
+// flips bits under everyone) or a new recovery base (ImportSketch brings
+// users no shard ever wrote); and users whose writes were evicted from a
+// journal before a probe read them. For the last, the worker spills the
+// users of each batch it evicts while the index's cursor is still behind it
+// (shard.annSpill), so a burst past the journal bound re-bands the users the
+// burst wrote, never the membership. ANNConfig.RebandBudget spreads any of it
+// over the probes that follow; what is still owed is kept per user
+// (annIndex.dirty).
 //
 // The correctness contract is deliberately asymmetric: band membership may
 // lag the stream (that only costs recall — a recently rewritten user might
@@ -63,8 +88,8 @@ type ANNConfig struct {
 	Seed uint64
 	// RebandBudget bounds how many stale users one probe re-bands before
 	// answering, amortising bulk invalidations (initial build excepted —
-	// the first probe indexes every user). Negative is unbounded.
-	// Default: 16384.
+	// the first probe indexes every user); re-keying single bands spends it
+	// at Bands re-keys a user. Negative is unbounded. Default: 16384.
 	RebandBudget int
 }
 
@@ -89,41 +114,64 @@ func (c ANNConfig) withDefaults(sketchSeed uint64) ANNConfig {
 type ANNStats struct {
 	// Indexed is the number of users currently banded.
 	Indexed int
-	// DirtyBacklog is the number of users awaiting (re-)banding; it
-	// drains by up to RebandBudget per probe.
+	// DirtyBacklog is the maintenance still owed: users awaiting a whole
+	// (re-)banding, spilled users no probe has taken yet, and single band
+	// keys awaiting a re-key. It drains by up to RebandBudget per probe.
 	DirtyBacklog int
 	// Entries is the index's total bucket entries, stale included.
 	Entries int
 	// Rebands, Removals, Probes and Rotations count maintenance work
-	// since the engine started: users (re-)banded, deleted users dropped,
-	// TopKApprox calls, and window rotations that marked the whole index
-	// stale.
+	// since the engine started: users (re-)banded whole, deleted users
+	// dropped, TopKApprox calls, and window rotations that marked the whole
+	// index stale.
 	Rebands   uint64
 	Removals  uint64
 	Probes    uint64
 	Rotations uint64
+	// BandRekeys counts single bands re-keyed from a journal range — the
+	// path a write takes when the index follows it within a journal bound.
+	BandRekeys uint64
+	// JournalFallbacks counts shard reads that found the journal evicted
+	// past the index's cursor and took the spilled users instead, and
+	// SpilledUsers the users marked for a whole re-banding that way.
+	JournalFallbacks uint64
+	SpilledUsers     uint64
 	// ProbeReuses counts probes answered from the last probe's recovered
 	// sketch and candidate set (same user, same snapshot, no index change
 	// in between) — the repeated-probe fast path.
 	ProbeReuses uint64
 }
 
-// annIndex is the engine's ANN state: the band index plus the lazy
-// invalidation bookkeeping. mu serialises maintenance and probing (the
-// BandIndex compacts buckets in place during probes); candidate scoring
-// happens outside mu on the snapshot view the probe holds.
+// annIndex is the engine's ANN state: the band index, the engine state it
+// has been reconciled to, and what it still owes. mu serialises maintenance
+// and probing (the BandIndex compacts buckets in place during probes);
+// candidate scoring happens outside mu on the snapshot view the probe holds.
 type annIndex struct {
-	mu    sync.Mutex
-	cfg   ANNConfig
-	ix    *lsh.BandIndex
-	built bool
-	rot   uint64 // winRot the index was last reconciled against
-	dirty map[stream.User]struct{}
+	mu  sync.Mutex
+	cfg ANNConfig
+	ix  *lsh.BandIndex
+
+	// The engine state read so far, in a view stamp's coordinates: everything
+	// up to it is either in the band index or in dirty. built is false until
+	// the first probe. at[i] is also published as shard i's annAt.
+	built   bool
+	baseGen uint64
+	rot     uint64
+	at      []uint64
+
+	// dirty is the work owed per user: a nil value for a whole re-banding,
+	// else the set of bands to re-key (bit b for band b; bit Bands for a write
+	// outside the banded bits, which can only have changed membership).
+	dirty map[stream.User][]uint64
+	band  []uint64 // one band's recovered bits
 
 	rebands   uint64
 	removals  uint64
 	probes    uint64
 	rotations uint64
+	rekeys    uint64
+	fallbacks uint64
+	spilled   uint64
 
 	// Probe reuse: a top-K poll loop ("who is similar to u right now?")
 	// probes the same user against the same quiescent state over and over,
@@ -133,10 +181,10 @@ type annIndex struct {
 	// coordinates hold: same user, same merged snapshot state (its publish
 	// generation — unique across both resident views and across refreshes
 	// of one, where a pointer would not be), and same index-mutation stamp (the
-	// monotone sum rebands+removals+rotations: any Put, Remove, or
-	// rotation invalidation advances it, so a probe never reuses across an
-	// index change). lastCands is read-only once cached — the liveness
-	// filter copies instead of compacting in place.
+	// monotone sum rebands+rekeys+removals+rotations: any Put, PutBand,
+	// Remove, or rotation invalidation advances it, so a probe never reuses
+	// across an index change). lastCands is read-only once cached — the
+	// liveness filter copies instead of compacting in place.
 	lastUser  stream.User
 	lastGen   uint64
 	lastStamp uint64
@@ -147,13 +195,19 @@ type annIndex struct {
 }
 
 // newANNIndex validates and builds the engine's ANN state.
-func newANNIndex(cfg ANNConfig, sketch core.Config) (*annIndex, error) {
+func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, error) {
 	params := lsh.Params{Bands: cfg.Bands, Rows: cfg.Rows, Seed: cfg.Seed}
 	ix, err := lsh.NewBandIndex(params, sketch.SketchBits)
 	if err != nil {
 		return nil, fmt.Errorf("engine: ANN config: %w", err)
 	}
-	return &annIndex{cfg: cfg, ix: ix, dirty: make(map[stream.User]struct{})}, nil
+	return &annIndex{
+		cfg:   cfg,
+		ix:    ix,
+		at:    make([]uint64, shards),
+		dirty: make(map[stream.User][]uint64),
+		band:  make([]uint64, lsh.BandWords(cfg.Rows)),
+	}, nil
 }
 
 // ANNEnabled reports whether the engine maintains an approximate top-K
@@ -170,20 +224,29 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st = ANNStats{
-		Indexed:      a.ix.Len(),
-		DirtyBacklog: len(a.dirty),
-		Entries:      a.ix.Stats().Entries,
-		Rebands:      a.rebands,
-		Removals:     a.removals,
-		Probes:       a.probes,
-		Rotations:    a.rotations,
-		ProbeReuses:  a.reuses,
+		Indexed:          a.ix.Len(),
+		Entries:          a.ix.Stats().Entries,
+		Rebands:          a.rebands,
+		Removals:         a.removals,
+		Probes:           a.probes,
+		Rotations:        a.rotations,
+		BandRekeys:       a.rekeys,
+		JournalFallbacks: a.fallbacks,
+		SpilledUsers:     a.spilled,
+		ProbeReuses:      a.reuses,
 	}
-	// The per-shard dirty sets not yet stolen by a probe are backlog too.
+	for _, mask := range a.dirty {
+		if mask == nil {
+			st.DirtyBacklog++
+		}
+		for _, w := range mask {
+			st.DirtyBacklog += bits.OnesCount64(w)
+		}
+	}
 	for _, s := range e.shards {
-		s.annMu.Lock()
-		st.DirtyBacklog += len(s.annDirty)
-		s.annMu.Unlock()
+		s.jMu.Lock()
+		st.DirtyBacklog += len(s.annSpill)
+		s.jMu.Unlock()
 	}
 	return st, true
 }
@@ -226,20 +289,16 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 		return nil, ErrNoANN
 	}
 	e.maybeAdvance()
-	// Read the rotation stamp before merging: if a rotation lands between
-	// the two, the index is reconciled against the older stamp and the
-	// next probe re-marks it — conservative, never the reverse.
-	rot := e.winRot.Load()
 	view := e.acquire(e.lagged)
 	defer view.Release() // held through maintenance and the scoring fan-out
 	snap := view.Sk
 
 	a.mu.Lock()
-	if err := e.annMaintain(a, snap, rot); err != nil {
+	if err := e.annMaintain(a, view); err != nil {
 		a.mu.Unlock()
 		return nil, err
 	}
-	stamp := a.rebands + a.removals + a.rotations
+	stamp := a.rebands + a.rekeys + a.removals + a.rotations
 	var r *core.Recovered
 	var cands []stream.User
 	if a.haveLast && a.lastUser == u && a.lastGen == view.Gen() && a.lastStamp == stamp {
@@ -277,63 +336,170 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	return e.rankCandidates(ctx, snap, r, live, n)
 }
 
-// annMaintain reconciles the band index with the snapshot under a.mu:
-// steal the shards' dirty sets, seed the initial build, mark everything
-// stale after a rotation, then re-band up to the budget.
-func (e *Engine) annMaintain(a *annIndex, snap *core.VOS, rot uint64) error {
-	for _, s := range e.shards {
-		s.annMu.Lock()
-		if len(s.annDirty) > 0 {
-			for u := range s.annDirty {
-				a.dirty[u] = struct{}{}
-			}
-			clear(s.annDirty)
-		}
-		s.annMu.Unlock()
+// annMaintain reconciles the band index with the view under a.mu: read what
+// the view holds beyond the index's cursor into dirty, then work dirty off
+// against the view, up to the budget.
+func (e *Engine) annMaintain(a *annIndex, v *view) error {
+	st := &v.Stamp
+	baseGen := st.base.generation()
+	// Published views are totally ordered, and the cursor is the stamp of
+	// one of them. A probe that lost the race for a.mu to one holding a
+	// newer view must not work dirty off either: its view does not hold the
+	// writes dirty was read from.
+	if baseGen < a.baseGen || st.rot < a.rot {
+		return nil
 	}
+	for i, at := range st.at {
+		if at < a.at[i] {
+			return nil
+		}
+	}
+
 	budget := a.cfg.RebandBudget
-	if !a.built {
-		// First probe: index every user the snapshot knows. The build is
-		// deliberately not budgeted — a budgeted first probe would answer
-		// from a sliver of the population.
-		snap.ForEachUser(func(u stream.User, _ int64) bool {
-			a.dirty[u] = struct{}{}
+	whole := !a.built || baseGen != a.baseGen || st.rot != a.rot
+	if whole {
+		// No journal range tells what changed: nothing has been read yet, a
+		// new base brought users no shard wrote, or a rotation retired a
+		// bucket from under every user's recovered sketch. Owe every user of
+		// the view a re-banding, and every member (it may be gone from the
+		// view) a look.
+		if !a.built {
+			// The first probe indexes everyone, whatever the budget: a
+			// budgeted one would answer from a sliver of the population.
+			a.built, budget = true, -1
+		}
+		if st.rot != a.rot {
+			a.rotations++
+		}
+		a.baseGen, a.rot = baseGen, st.rot
+		v.Sk.ForEachUser(func(u stream.User, _ int64) bool {
+			a.dirty[u] = nil
 			return true
 		})
-		a.built = true
-		budget = -1
-	}
-	if rot != a.rot {
-		// A rotation retires a whole bucket from the shared array, which
-		// can flip bits under every user's recovered sketch: mark the
-		// entire membership for re-banding and let the budget spread the
-		// rebuild across the following probes.
-		a.rot = rot
-		a.rotations++
 		a.ix.ForEachMember(func(u stream.User) bool {
-			a.dirty[u] = struct{}{}
+			a.dirty[u] = nil
 			return true
 		})
 	}
-	for u := range a.dirty {
-		if budget == 0 {
-			break
+	for i, s := range e.shards {
+		if from, to := a.at[i], st.at[i]; to > from || whole {
+			e.annRead(a, s, v.Sk, from, to, whole)
+			a.at[i] = to
+			s.annAt.Store(to)
 		}
-		if budget > 0 {
-			budget--
-		}
-		delete(a.dirty, u)
-		if snap.Cardinality(u) == 0 {
-			// All subscriptions cancelled (or retired out of the window):
-			// the user holds no sketch state and must not be banded.
-			a.ix.Remove(u)
-			a.removals++
+	}
+	return e.annDrain(a, v.Sk, budget)
+}
+
+// annRead moves the index's cursor on shard s from from to to: every edge of
+// the journal range (from, to] goes to dirty as its (user, band) pair. Where
+// the journal no longer reaches back to from, the users of the evicted part
+// are in the spill set, each under the processed count of its last evicted
+// batch, and those the view holds in full (count ≤ to) are owed a whole
+// re-banding; the rest wait for a view that does. whole is set when every
+// user is owed one anyway and only the spill set needs settling.
+func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, whole bool) {
+	s.jMu.Lock()
+	for u, end := range s.annSpill {
+		if end > to {
 			continue
 		}
-		if err := a.ix.Put(u, snap.RecoverSketch(u).Words()); err != nil {
-			return err // impossible by construction: sized from the same config
+		if end > from && !whole { // else read already, or marked already
+			a.dirty[u] = nil
+			a.spilled++
 		}
-		a.rebands++
+		delete(s.annSpill, u)
+	}
+	var cut []journalEntry
+	if !whole {
+		if s.jFrom > from {
+			a.fallbacks++
+		}
+		// A copy: the worker evicts underneath any reader.
+		cut = append(cut, s.journal[journalAfter(s.journal, from):journalAfter(s.journal, to)]...)
+	}
+	s.jMu.Unlock()
+
+	rows, banded := a.cfg.Rows, a.cfg.Bands*a.cfg.Rows
+	for _, en := range cut {
+		for _, ed := range en.batch {
+			mask, owed := a.dirty[ed.User]
+			if owed && mask == nil {
+				continue // already owed a whole re-banding
+			}
+			if !owed {
+				mask = make([]uint64, a.cfg.Bands/64+1) // Bands+1 bits
+				a.dirty[ed.User] = mask
+			}
+			band := a.cfg.Bands // outside the banded bits
+			if j := sk.Slot(ed.Item); j < banded {
+				band = j / rows
+			}
+			mask[band>>6] |= 1 << (band & 63)
+		}
+	}
+}
+
+// annDrain works dirty off against the snapshot, spending the budget (in
+// users; Bands single-band re-keys spend one).
+func (e *Engine) annDrain(a *annIndex, snap *core.VOS, budget int) error {
+	if len(a.dirty) == 0 {
+		return nil
+	}
+	bands, rows := a.cfg.Bands, a.cfg.Rows
+	credit := -1 // band re-keys left; negative is unbounded
+	if budget >= 0 {
+		credit = math.MaxInt
+		if budget < math.MaxInt/bands {
+			credit = budget * bands
+		}
+	}
+	spend := func(n int) {
+		if credit >= 0 {
+			credit = max(credit-n, 0)
+		}
+	}
+	for u, mask := range a.dirty {
+		if credit == 0 {
+			break
+		}
+		member := a.ix.Has(u)
+		switch {
+		case snap.Cardinality(u) == 0:
+			// All subscriptions cancelled (or retired out of the window):
+			// the user holds no sketch state and must not be banded.
+			if member {
+				a.ix.Remove(u)
+				a.removals++
+			}
+			spend(1)
+		case mask == nil || !member:
+			if err := a.ix.Put(u, snap.RecoverSketch(u).Words()); err != nil {
+				return err // impossible by construction: sized from the same config
+			}
+			a.rebands++
+			spend(bands)
+		default:
+			for w := range mask {
+				for mask[w] != 0 && credit != 0 {
+					band := w<<6 + bits.TrailingZeros64(mask[w])
+					mask[w] &= mask[w] - 1
+					if band == bands {
+						continue // membership only, and u is a member
+					}
+					snap.RecoverRange(a.band, u, band*rows, rows)
+					if err := a.ix.PutBand(u, band, a.band); err != nil {
+						return err // impossible by construction, as above
+					}
+					a.rekeys++
+					spend(1)
+				}
+			}
+			if slices.ContainsFunc(mask, func(w uint64) bool { return w != 0 }) {
+				continue // the budget ran out inside this user's bands
+			}
+		}
+		delete(a.dirty, u)
 	}
 	return nil
 }

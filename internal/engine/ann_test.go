@@ -318,3 +318,169 @@ func TestTopKApproxDuringIngest(t *testing.T) {
 		t.Fatalf("TopKApproxContext after Close = %v, want ErrClosed", err)
 	}
 }
+
+// mateCount is how many of users [lo, hi) a probe of u surfaces when asked
+// for every candidate.
+func mateCount(t *testing.T, e *Engine, u, lo, hi stream.User) int {
+	t.Helper()
+	all, err := e.TopKApprox(u, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, r := range all {
+		if r.User >= lo && r.User < hi {
+			found++
+		}
+	}
+	return found
+}
+
+// TestTopKApproxFindsImportedUsers pins that users arriving by ImportSketch
+// after the index was built are banded: a handoff target must find the
+// imported cluster mates on its next probe, not only once somebody writes
+// to them again.
+func TestTopKApproxFindsImportedUsers(t *testing.T) {
+	const mates = 8
+	edges, _ := plantedClusterEdges(mates, 200, 180, 40, 4)
+	var local, moved []stream.Edge
+	for _, ed := range edges {
+		if ed.User >= 2 && ed.User < mates {
+			moved = append(moved, ed)
+		} else {
+			local = append(local, ed)
+		}
+	}
+	e, err := New(annConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ProcessBatch(local); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if got := mateCount(t, e, 0, 1, mates); got != 1 {
+		t.Fatalf("before the import: %d mates found, want 1", got)
+	}
+
+	source := core.MustNew(testConfig())
+	source.ProcessBatch(moved)
+	blob, err := source.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ImportSketch(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := mateCount(t, e, 0, 1, mates); got != mates-1 {
+		t.Fatalf("after the import: %d of %d cluster mates found", got, mates-1)
+	}
+}
+
+// TestTopKApproxLaggedViewKeepsWrites pins that a write is banded from a
+// view that holds it. With SnapshotMaxLag > 0 a probe can run against a view
+// that predates a user's writes; the index must still pick that user up
+// once the view catches up, not consider it dealt with on the stale one.
+func TestTopKApproxLaggedViewKeepsWrites(t *testing.T) {
+	edges, _ := plantedClusterEdges(2, 200, 180, 40, 4)
+	var first, mate []stream.Edge
+	for _, ed := range edges {
+		if ed.User == 1 {
+			mate = append(mate, ed)
+		} else {
+			first = append(first, ed)
+		}
+	}
+	cfg := annConfig(2)
+	cfg.SnapshotMaxLag = 1000
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ProcessBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if got := mateCount(t, e, 0, 1, 2); got != 0 {
+		t.Fatalf("mate found before it was written")
+	}
+	// The mate's 200 edges stay inside the lag budget: this probe answers
+	// from the view without them.
+	if err := e.ProcessBatch(mate); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if got := mateCount(t, e, 0, 1, 2); got != 0 {
+		t.Fatalf("lagged view already holds the mate: the test no longer exercises the lag")
+	}
+	// Unrelated writes push the lag past the budget; the next view holds
+	// the mate (exact J = 0.82), and so must the index.
+	var push []stream.Edge
+	for j := 0; j < 900; j++ {
+		push = append(push, stream.Edge{User: stream.User(1000 + j%30), Item: stream.Item(1<<41 + uint64(j)), Op: stream.Insert})
+	}
+	if err := e.ProcessBatch(push); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if c := e.Query(0, 1).CardinalityV; c != 200 {
+		t.Fatalf("view still lags: mate cardinality %d", c)
+	}
+	if got := mateCount(t, e, 0, 1, 2); got != 1 {
+		t.Fatal("mate written under a lagged view is never banded")
+	}
+}
+
+// TestTopKApproxBurstPastJournal guards the journal reader against a cliff
+// its fallback could have: a burst of several journal bounds over 50 of
+// 5,000 users between two probes re-bands those 50, not the membership.
+func TestTopKApproxBurstPastJournal(t *testing.T) {
+	const users, hot = 5000, 50
+	e, err := New(annConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var edges []stream.Edge
+	for u := 0; u < users; u++ {
+		for j := 0; j < 2; j++ {
+			edges = append(edges, stream.Edge{User: stream.User(u), Item: stream.Item(u*2 + j), Op: stream.Insert})
+		}
+	}
+	if err := e.ProcessBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if _, err := e.TopKApprox(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := e.ANNStats()
+	if before.Indexed != users {
+		t.Fatalf("built %d of %d users", before.Indexed, users)
+	}
+	var burst []stream.Edge
+	for j := 0; j < 60; j++ {
+		for u := 0; u < hot; u++ {
+			burst = append(burst, stream.Edge{User: stream.User(u * 97), Item: stream.Item(1<<41 + uint64(j)), Op: stream.Insert})
+		}
+	}
+	if bound := int(e.journalMax) * len(e.shards); len(burst) < 4*bound {
+		t.Fatalf("burst of %d edges is not several journal bounds (%d)", len(burst), bound)
+	}
+	if err := e.ProcessBatch(burst); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if _, err := e.TopKApprox(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := e.ANNStats()
+	if got := after.Rebands - before.Rebands; got == 0 || got > hot {
+		t.Fatalf("burst over %d users re-banded %d", hot, got)
+	}
+	if after.DirtyBacklog != 0 {
+		t.Fatalf("backlog after an unbudgeted-size burst: %+v", after)
+	}
+}

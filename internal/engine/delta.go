@@ -34,6 +34,14 @@ type baseSketch struct {
 	gen uint64
 }
 
+// generation is gen, with no base at all as generation 0.
+func (b *baseSketch) generation() uint64 {
+	if b == nil {
+		return 0
+	}
+	return b.gen
+}
+
 // ErrBadCursor reports an ExportSince cursor that no engine ever issued.
 var ErrBadCursor = errors.New("engine: malformed export cursor")
 
@@ -141,11 +149,7 @@ func (e *Engine) ExportSince(since string) (Delta, error) {
 }
 
 func (e *Engine) cursorAt(base *baseSketch, rot uint64, at []uint64) cursor {
-	c := cursor{boot: e.boot, rot: rot, at: at}
-	if base != nil {
-		c.base = base.gen
-	}
-	return c
+	return cursor{boot: e.boot, base: base.generation(), rot: rot, at: at}
 }
 
 // suffixSince cuts every shard's journal at the present and returns what

@@ -192,23 +192,23 @@ type shard struct {
 	processed atomic.Uint64
 
 	// journal is the ring of the newest applied batches, which the resident
-	// merged views and remote readers replay from (see snapshot.go):
-	// contiguous, oldest first, covering processed counts (jFrom, processed],
-	// at most Engine.journalMax edges of them. jMu guards both; the worker
-	// appends and evicts inside its skMu critical section, and jMu is never
-	// held across other locks.
+	// merged views, remote readers and the approximate top-K index replay
+	// from (see snapshot.go): contiguous, oldest first, covering processed
+	// counts (jFrom, processed], at most Engine.journalMax edges of them. jMu
+	// guards it, jFrom and annSpill; the worker appends and evicts inside its
+	// skMu critical section, and jMu is never held across other locks (lock
+	// order: skMu (worker) / ann.mu (probe) before jMu).
 	jMu     sync.Mutex
 	journal []journalEntry
 	jFrom   uint64
 
-	// annDirty collects users this shard has written since an ANN probe
-	// last stole the set (nil on engines without Config.ANN). The worker
-	// fills it inside the skMu critical section that advances processed,
-	// so any snapshot that includes a write also finds its user dirty.
-	// annMu guards it; lock order is skMu (worker) / ann.mu (probe)
-	// before annMu, and annMu is never held across other locks.
-	annMu    sync.Mutex
-	annDirty map[stream.User]struct{}
+	// annAt is the processed count up to which the approximate top-K index
+	// has read this shard's journal, published by the probe that read it;
+	// annSpill holds the users of batches evicted from the journal while the
+	// index was still behind them, each with the processed count its last
+	// such batch reached (nil on engines without Config.ANN — see ann.go).
+	annAt    atomic.Uint64
+	annSpill map[stream.User]uint64
 }
 
 // Engine is the sharded ingestion engine. All methods are safe for
@@ -322,7 +322,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		// before any shard exists.
 		resolved := cfg.ANN.withDefaults(cfg.Sketch.Seed)
 		e.cfg.ANN = &resolved
-		ann, err := newANNIndex(resolved, cfg.Sketch)
+		ann, err := newANNIndex(resolved, cfg.Sketch, cfg.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +340,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		s := &shard{ch: make(chan []stream.Edge, batches)}
 		if e.ann != nil {
-			s.annDirty = make(map[stream.User]struct{})
+			s.annSpill = make(map[stream.User]uint64)
 		}
 		if cfg.Window != nil {
 			win, err := core.NewWindow(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, winStart)
@@ -405,16 +405,6 @@ func (e *Engine) worker(s *shard) {
 			s.win.ProcessBatch(batch) // current bucket + live merged view
 		} else {
 			s.sk.ProcessBatch(batch)
-		}
-		if s.annDirty != nil {
-			// Record the written users before the processed counter (and
-			// skMu) publishes this batch: any snapshot that can see these
-			// edges finds their users in a dirty set — see ann.go.
-			s.annMu.Lock()
-			for _, ed := range batch {
-				s.annDirty[ed.User] = struct{}{}
-			}
-			s.annMu.Unlock()
 		}
 		end := s.processed.Load() + uint64(len(batch))
 		e.record(s, batch, end)

@@ -75,13 +75,23 @@ func journalAfter(j []journalEntry, at uint64) int {
 // The journal is a ring of the newest batches: what no longer fits the
 // bound is evicted oldest first and jFrom moves up behind it, whoever may
 // still have wanted it — any number of readers replay from any cursor at
-// or past jFrom, and the rest fall back.
+// or past jFrom, and the rest fall back. The one reader whose fallback would
+// cost more than the write did, the approximate top-K index, is left the
+// users of what it missed.
 func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 	s.jMu.Lock()
 	s.journal = append(s.journal, journalEntry{batch: batch, end: end})
 	drop := 0
 	for drop < len(s.journal) && end-s.jFrom > e.journalMax {
-		s.jFrom = s.journal[drop].end
+		evicted := s.journal[drop]
+		s.jFrom = evicted.end
+		if s.annSpill != nil && s.annAt.Load() < evicted.end {
+			// The approximate top-K index has not read this batch yet and
+			// now never will: keep at least who it wrote (see ann.go).
+			for _, ed := range evicted.batch {
+				s.annSpill[ed.User] = evicted.end
+			}
+		}
 		drop++
 	}
 	if drop > 0 {

@@ -16,17 +16,22 @@ import (
 // replacement and removal, so a serving engine can keep it in sync with a
 // stream that rewrites users in place.
 //
-// Mutation is generational: each member carries a generation counter, bucket
-// entries are stamped with the generation they were banded under, and a
-// Put or Remove simply advances the counter — the superseded entries stay
-// in their buckets and are dropped lazily when a probe walks the bucket
-// (or by a full sweep once stale entries outnumber live ones). That keeps
-// Put at O(b) hash-and-append with no backward pointers from members to
-// buckets, at the cost of bounded transient garbage.
+// Mutation is by key: each member remembers the bucket key it currently
+// holds in every band, and a bucket entry is live iff its member's key for
+// that band is the bucket's key. Put re-keys only the bands whose bits
+// changed and PutBand re-keys one band from that band's bits alone, so a
+// write that flips one bit of a signature costs one key hash and at most one
+// bucket append, and an unchanged band costs nothing and leaves nothing
+// behind. A superseded entry stays in its old bucket and is dropped lazily
+// when a probe walks the bucket (or by a full sweep once stale entries
+// outnumber live ones); Remove retires all of a member's entries the same
+// way. A member that moves back to a key it held before finds its old entry
+// still there and revives it rather than appending a second one, so every
+// (member, band) has exactly one live entry.
 //
-// Memory: a member costs one map entry plus Bands bucket entries
-// (~16 bytes each before map/slice overhead), so sizing Bands is a memory
-// knob as much as a recall knob.
+// Memory: a member costs one map entry plus, per band, its remembered key
+// and one bucket entry (8 bytes each before map/slice overhead), so sizing
+// Bands is a memory knob as much as a recall knob.
 //
 // BandIndex is not safe for concurrent use — probes compact buckets in
 // place. Callers serialise access (internal/engine holds one mutex across
@@ -35,17 +40,10 @@ type BandIndex struct {
 	params  Params
 	sigBits int
 	words   int // minimum signature length in words
-	buckets []map[uint64][]bandEntry
-	members map[stream.User]uint32
-	entries int // bucket entries, stale included
+	buckets []map[uint64][]stream.User
+	members map[stream.User][]uint64 // member → its current key in every band
+	entries int                      // bucket entries, stale included
 	sweeps  uint64
-}
-
-// bandEntry stamps a bucket occupant with the generation it was banded
-// under; an entry whose generation trails its member's is stale.
-type bandEntry struct {
-	u   stream.User
-	gen uint32
 }
 
 // BandIndexStats counts the index's occupancy and maintenance work.
@@ -67,16 +65,16 @@ func NewBandIndex(params Params, sigBits int) (*BandIndex, error) {
 	if err := validateBandParams(params, sigBits); err != nil {
 		return nil, err
 	}
-	buckets := make([]map[uint64][]bandEntry, params.Bands)
+	buckets := make([]map[uint64][]stream.User, params.Bands)
 	for i := range buckets {
-		buckets[i] = make(map[uint64][]bandEntry)
+		buckets[i] = make(map[uint64][]stream.User)
 	}
 	return &BandIndex{
 		params:  params,
 		sigBits: sigBits,
 		words:   (sigBits + 63) / 64,
 		buckets: buckets,
-		members: make(map[stream.User]uint32),
+		members: make(map[stream.User][]uint64),
 	}, nil
 }
 
@@ -116,17 +114,37 @@ func BandKeys(p Params, words []uint64, sigBits int) ([]uint64, error) {
 	}
 	keys := make([]uint64, p.Bands)
 	for band := range keys {
-		keys[band] = packedBandKey(p, band, words)
+		keys[band] = packedBandKey(p, band, words, band*p.Rows)
 	}
 	return keys, nil
 }
 
-// packedBandKey hashes one band's bit range into a bucket key, folding the
-// band's bits in ≤64-bit chunks. Callers have validated that the band's
-// bits lie inside the slice.
-func packedBandKey(p Params, band int, words []uint64) uint64 {
+// BandKey returns the bucket key of one band from that band's bits alone:
+// bits holds the band's Rows bits packed from bit 0, and the result equals
+// BandKeys(...)[band] of any signature carrying those bits at
+// [band·Rows, (band+1)·Rows). It is what lets a caller that knows which band
+// a write touched re-key it without materialising the rest of the signature.
+func BandKey(p Params, band int, bits []uint64) (uint64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	if band < 0 || band >= p.Bands {
+		return 0, fmt.Errorf("lsh: band %d outside [0, %d)", band, p.Bands)
+	}
+	if need := BandWords(p.Rows); len(bits) < need {
+		return 0, fmt.Errorf("lsh: band has %d words, %d rows need %d", len(bits), p.Rows, need)
+	}
+	return packedBandKey(p, band, bits, 0), nil
+}
+
+// BandWords is the number of 64-bit words one band's rows pack into.
+func BandWords(rows int) int { return (rows + 63) / 64 }
+
+// packedBandKey hashes the band's Rows bits, found at bit offset off of
+// words, into a bucket key, folding them in ≤64-bit chunks. Callers have
+// validated that the bits lie inside the slice.
+func packedBandKey(p Params, band int, words []uint64, off int) uint64 {
 	h := hashing.Hash64(uint64(band), p.Seed)
-	off := band * p.Rows
 	for rem := p.Rows; rem > 0; {
 		n := rem
 		if n > 64 {
@@ -170,6 +188,11 @@ func (ix *BandIndex) Has(u stream.User) bool {
 	return ok
 }
 
+// Keys returns the bucket key member u currently holds in every band (nil
+// when u is not indexed). The slice is the index's own: read-only, and
+// valid until the next mutation.
+func (ix *BandIndex) Keys(u stream.User) []uint64 { return ix.members[u] }
+
 // ForEachMember calls fn for every live member in unspecified order,
 // stopping early when fn returns false. fn must not mutate the index.
 func (ix *BandIndex) ForEachMember(fn func(u stream.User) bool) {
@@ -185,22 +208,70 @@ func (ix *BandIndex) Stats() BandIndexStats {
 	return BandIndexStats{Members: len(ix.members), Entries: ix.entries, Sweeps: ix.sweeps}
 }
 
-// Put indexes (or re-indexes) user u under the packed signature. A
-// previous banding of u, if any, is superseded in place: its bucket
-// entries become stale and are compacted lazily.
+// Put indexes (or re-indexes) user u under the packed signature. Of a
+// previous banding of u only the bands whose bits changed are re-keyed:
+// their old bucket entries become stale and are compacted lazily, and an
+// identical signature changes nothing.
 func (ix *BandIndex) Put(u stream.User, words []uint64) error {
 	if len(words) < ix.words {
 		return fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
-	gen := ix.members[u] + 1
-	ix.members[u] = gen
-	for band := range ix.buckets {
-		key := packedBandKey(ix.params, band, words)
-		ix.buckets[band][key] = append(ix.buckets[band][key], bandEntry{u: u, gen: gen})
+	keys, member := ix.members[u]
+	if !member {
+		keys = make([]uint64, ix.params.Bands)
+		ix.members[u] = keys
 	}
-	ix.entries += ix.params.Bands
+	for band := range ix.buckets {
+		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
+		if !member || keys[band] != key {
+			keys[band] = key
+			ix.place(band, key, u)
+		}
+	}
 	ix.maybeSweep()
 	return nil
+}
+
+// PutBand re-keys one band of member u from that band's bits alone (packed
+// from bit 0, as BandKey reads them), leaving its other bands as they are.
+// u must be indexed: a new member needs a key in every band, which only Put
+// can give it.
+func (ix *BandIndex) PutBand(u stream.User, band int, bits []uint64) error {
+	key, err := BandKey(ix.params, band, bits)
+	if err != nil {
+		return err
+	}
+	keys, member := ix.members[u]
+	if !member {
+		return fmt.Errorf("lsh: user %d is not indexed", u)
+	}
+	if keys[band] != key {
+		keys[band] = key
+		ix.place(band, key, u)
+		ix.maybeSweep()
+	}
+	return nil
+}
+
+// place makes the band's bucket for key hold u. An entry u left there under
+// an earlier banding is live again the moment u's key matches, so it is
+// kept in place of a second one.
+func (ix *BandIndex) place(band int, key uint64, u stream.User) {
+	bucket := ix.buckets[band][key]
+	for _, w := range bucket {
+		if w == u {
+			return
+		}
+	}
+	ix.buckets[band][key] = append(bucket, u)
+	ix.entries++
+}
+
+// live reports whether the entry for u in the band's bucket for key is
+// current: u is a member and that is the key it holds there.
+func (ix *BandIndex) live(u stream.User, band int, key uint64) bool {
+	keys, ok := ix.members[u]
+	return ok && keys[band] == key
 }
 
 // Remove drops user u from the index. Its bucket entries become stale and
@@ -213,35 +284,31 @@ func (ix *BandIndex) Remove(u stream.User) {
 // Candidates returns the distinct live users sharing at least one band
 // bucket with the packed signature, excluding self, sorted for
 // determinism. Stale entries met along the way are compacted out of their
-// buckets as a side effect.
+// buckets as a side effect. self's own entries are passed over unexamined:
+// it is in every bucket a probe with its own signature walks, and whether
+// that entry is current changes nothing about the answer.
 func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User, error) {
 	if len(words) < ix.words {
 		return nil, fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
 	seen := make(map[stream.User]struct{})
 	for band := range ix.buckets {
-		key := packedBandKey(ix.params, band, words)
+		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
 		entries, ok := ix.buckets[band][key]
 		if !ok {
 			continue
 		}
 		live := entries[:0]
-		for _, e := range entries {
-			if ix.members[e.u] != e.gen {
-				continue // superseded or removed
+		for _, u := range entries {
+			if u != self {
+				if !ix.live(u, band, key) {
+					continue
+				}
+				seen[u] = struct{}{}
 			}
-			live = append(live, e)
-			if e.u != self {
-				seen[e.u] = struct{}{}
-			}
+			live = append(live, u)
 		}
-		switch {
-		case len(live) == 0:
-			delete(ix.buckets[band], key)
-		case len(live) != len(entries):
-			ix.buckets[band][key] = live
-		}
-		ix.entries -= len(entries) - len(live)
+		ix.settle(band, key, entries, live)
 	}
 	out := make([]stream.User, 0, len(seen))
 	for u := range seen {
@@ -249,6 +316,18 @@ func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
+}
+
+// settle stores a bucket compacted in place from was to kept, deleting it
+// when nothing was kept.
+func (ix *BandIndex) settle(band int, key uint64, was, kept []stream.User) {
+	switch {
+	case len(kept) == 0:
+		delete(ix.buckets[band], key)
+	case len(kept) != len(was):
+		ix.buckets[band][key] = kept
+	}
+	ix.entries -= len(was) - len(kept)
 }
 
 // maybeSweep compacts every bucket when stale entries outnumber live ones
@@ -263,18 +342,13 @@ func (ix *BandIndex) maybeSweep() {
 	for band := range ix.buckets {
 		for key, entries := range ix.buckets[band] {
 			live := entries[:0]
-			for _, e := range entries {
-				if ix.members[e.u] == e.gen {
-					live = append(live, e)
+			for _, u := range entries {
+				if ix.live(u, band, key) {
+					live = append(live, u)
 				}
 			}
-			if len(live) == 0 {
-				delete(ix.buckets[band], key)
-			} else {
-				ix.buckets[band][key] = live
-			}
+			ix.settle(band, key, entries, live)
 		}
 	}
-	ix.entries = liveTarget
 	ix.sweeps++
 }

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"github.com/vossketch/vos/internal/core"
@@ -156,59 +157,204 @@ func TestBandIndexPutRemoveCandidates(t *testing.T) {
 	}
 }
 
-// TestBandIndexCompaction pins that probing compacts stale entries in
-// place and that churn without probes triggers the sweep backstop, so the
-// entry count stays bounded by a constant factor of the live membership.
-func TestBandIndexCompaction(t *testing.T) {
-	p := Params{Bands: 2, Rows: 4, Seed: 5}
-	ix, err := NewBandIndex(p, 8)
+// bandBits is the scalar reference for a band's bits: bit j of band `band`
+// of the packed signature, read one at a time, packed from bit 0.
+func bandBits(words []uint64, band, rows int) []uint64 {
+	out := make([]uint64, BandWords(rows))
+	for j := 0; j < rows; j++ {
+		i := band*rows + j
+		out[j/64] |= (words[i/64] >> (i % 64) & 1) << (j % 64)
+	}
+	return out
+}
+
+// checkOneLiveEntryEach walks every bucket: the entry count must be the one
+// Stats reports, no bucket may hold a user twice, and every (member, band)
+// must have exactly one live entry — in the bucket of the key it holds.
+func checkOneLiveEntryEach(t *testing.T, ix *BandIndex) {
+	t.Helper()
+	total, live := 0, 0
+	for band, buckets := range ix.buckets {
+		for key, entries := range buckets {
+			total += len(entries)
+			in := map[stream.User]bool{}
+			for _, u := range entries {
+				if in[u] {
+					t.Fatalf("band %d bucket %x holds user %d twice", band, key, u)
+				}
+				in[u] = true
+				if ix.live(u, band, key) {
+					live++
+				}
+			}
+		}
+	}
+	if total != ix.Stats().Entries {
+		t.Fatalf("buckets hold %d entries, Stats says %d", total, ix.Stats().Entries)
+	}
+	if want := ix.Len() * ix.Params().Bands; live != want {
+		t.Fatalf("%d live entries for %d members x %d bands", live, ix.Len(), ix.Params().Bands)
+	}
+}
+
+// TestBandIndexRekey pins mutation by key: an identical re-Put leaves
+// nothing behind, a changed band is the only one re-keyed, a member that
+// returns to a key it held before (A→B→A) or is removed and re-added
+// revives its old entry instead of appending a second one, and PutBand
+// agrees with Put — also where Rows exceeds a word and bands straddle one.
+func TestBandIndexRekey(t *testing.T) {
+	p := Params{Bands: 3, Rows: 70, Seed: 11} // bands at bits 0, 70, 140
+	const sigBits = 210
+	a := []uint64{0x0123456789abcdef, 0xfedcba9876543210, 0xdeadbeefcafef00d, 0x1f}
+	b := append([]uint64(nil), a...)
+	b[1] ^= 1 << 10 // bit 74: band 1 only
+	ix, err := NewBandIndex(p, sigBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := []uint64{0xa5}
-	// Churn one user far past the sweep threshold while indexing enough
-	// members that the small-index exemption does not apply.
-	for u := stream.User(0); u < 200; u++ {
-		if err := ix.Put(u, []uint64{uint64(u)}); err != nil {
+	put := func(u stream.User, words []uint64) {
+		t.Helper()
+		if err := ix.Put(u, words); err != nil {
+			t.Fatal(err)
+		}
+		checkOneLiveEntryEach(t, ix)
+	}
+	wantKeys := func(u stream.User, words []uint64) {
+		t.Helper()
+		want, err := BandKeys(p, words, sigBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ix.Keys(u)
+		for band := range want {
+			if got[band] != want[band] {
+				t.Fatalf("user %d band %d holds key %x, signature says %x", u, band, got[band], want[band])
+			}
+			if one, err := BandKey(p, band, bandBits(words, band, p.Rows)); err != nil || one != want[band] {
+				t.Fatalf("band %d: key from its bits %x (%v), from the signature %x", band, one, err, want[band])
+			}
+		}
+	}
+	put(1, a)
+	put(2, a)
+	put(1, a) // identical: no garbage
+	if got := ix.Stats().Entries; got != 2*p.Bands {
+		t.Fatalf("identical re-Put left %d entries, want %d", got, 2*p.Bands)
+	}
+	put(1, b) // one band moved: one stale entry
+	wantKeys(1, b)
+	if got := ix.Stats().Entries; got != 2*p.Bands+1 {
+		t.Fatalf("one-band change left %d entries, want %d", got, 2*p.Bands+1)
+	}
+	put(1, a) // back again: the old entry is live again, none added
+	wantKeys(1, a)
+	if got := ix.Stats().Entries; got != 2*p.Bands+1 {
+		t.Fatalf("A-B-A left %d entries, want %d", got, 2*p.Bands+1)
+	}
+	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
+		t.Fatalf("after A-B-A, Candidates = %v, want [1]", cands)
+	}
+
+	// The same moves through PutBand.
+	if err := ix.PutBand(1, 1, bandBits(b, 1, p.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	checkOneLiveEntryEach(t, ix)
+	wantKeys(1, b)
+	if err := ix.PutBand(1, 1, bandBits(a, 1, p.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	checkOneLiveEntryEach(t, ix)
+	wantKeys(1, a)
+	if err := ix.PutBand(9, 1, bandBits(a, 1, p.Rows)); err == nil || ix.Has(9) {
+		t.Fatalf("PutBand of a non-member = %v (indexed: %v)", err, ix.Has(9))
+	}
+	if err := ix.PutBand(1, p.Bands, bandBits(a, 1, p.Rows)); err == nil {
+		t.Error("band out of range accepted")
+	}
+	if err := ix.PutBand(1, 0, []uint64{1}); err == nil {
+		t.Error("70 rows accepted in one word")
+	}
+
+	// Remove, then re-add under the same signature: one entry a band.
+	ix.Remove(1)
+	if ix.Keys(1) != nil {
+		t.Fatal("removed user still has keys")
+	}
+	put(1, a)
+	wantKeys(1, a)
+	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
+		t.Fatalf("after remove and re-add, Candidates = %v, want [1]", cands)
+	}
+}
+
+// TestBandIndexCompaction pins that probing compacts stale entries in
+// place and that churn without probes triggers the sweep backstop, so the
+// entry count stays bounded by a constant factor of the live membership —
+// whether the churn is whole signatures or single bands.
+func TestBandIndexCompaction(t *testing.T) {
+	p := Params{Bands: 2, Rows: 32, Seed: 5}
+	ix, err := NewBandIndex(p, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough members that the small-index exemption does not apply, then
+	// churn far past the sweep threshold without a single probe.
+	const members = 200
+	rng := rand.New(rand.NewPCG(1, 2))
+	for u := stream.User(0); u < members; u++ {
+		if err := ix.Put(u, []uint64{rng.Uint64()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2000; i++ {
-		if err := ix.Put(1, sig); err != nil {
+	bound := 2 * members * p.Bands
+	for i := 0; i < 4000; i++ {
+		u := stream.User(rng.IntN(members))
+		if i%2 == 0 {
+			err = ix.Put(u, []uint64{rng.Uint64()})
+		} else {
+			err = ix.PutBand(u, rng.IntN(p.Bands), []uint64{rng.Uint64()})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got := ix.Stats().Entries; got > bound {
+			t.Fatalf("step %d: entries %d exceed sweep bound %d", i, got, bound)
+		}
 	}
-	st := ix.Stats()
-	if st.Sweeps == 0 {
+	if st := ix.Stats(); st.Sweeps == 0 {
 		t.Fatalf("churn never swept: %+v", st)
 	}
-	if max := 2 * ix.Len() * p.Bands; st.Entries > max {
-		t.Fatalf("entries %d exceed sweep bound %d", st.Entries, max)
-	}
+	checkOneLiveEntryEach(t, ix)
+
 	// Probe-side compaction: superseded entries met on a probe are dropped
 	// from their buckets. A fresh index below the sweep backstop's
 	// small-index exemption keeps the sweep out of the way, so the probe is
 	// the only thing that can reclaim them.
-	ix2, err := NewBandIndex(p, 8)
+	ix2, err := NewBandIndex(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := ix2.Put(1, sig); err != nil {
+	sig, elsewhere := []uint64{0xa5a5a5a55a5a5a5a}, []uint64{0x0123456789abcdef}
+	for u := stream.User(1); u <= 3; u++ {
+		if err := ix2.Put(u, sig); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ix2.Put(2, sig); err != nil {
-		t.Fatal(err)
+	for _, u := range []stream.User{1, 3} { // move away: their entries under sig go stale
+		if err := ix2.Put(u, elsewhere); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := ix2.Stats().Entries
-	if _, err := ix2.Candidates(2, sig); err != nil {
-		t.Fatal(err)
+	if cands, err := ix2.Candidates(2, sig); err != nil || len(cands) != 0 {
+		t.Fatalf("Candidates = %v, %v; want none", cands, err)
 	}
 	after := ix2.Stats().Entries
-	if want := 2 * p.Bands; after != want || after >= before {
+	if want := 3 * p.Bands; after != want || after >= before {
 		t.Fatalf("probe did not compact to live entries: %d -> %d (want %d)", before, after, want)
 	}
+	checkOneLiveEntryEach(t, ix2)
 }
 
 // TestBandIndexCollisionProbabilityBound is the S-curve property test over

@@ -11,8 +11,9 @@ import (
 // shapes at the banding surface: BandKeys, and an index fed through
 // Put/Candidates with the same material. Invalid shapes and short slices
 // must error; nothing may panic or read out of bounds. Accepted inputs
-// must band deterministically, and colliding with yourself is the one
-// collision banding can never miss.
+// must band deterministically, a band's key must be the same whether it is
+// taken from the whole signature or from that band's bits alone, and
+// colliding with yourself is the one collision banding can never miss.
 func FuzzBandExtraction(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint16(64), uint64(1), []byte{})
 	f.Add(uint8(8), uint8(16), uint16(128), uint64(7), bytesOf(0xdeadbeefcafef00d, 0x0123456789abcdef))
@@ -48,6 +49,9 @@ func FuzzBandExtraction(f *testing.F) {
 		for i := range keys {
 			if keys[i] != again[i] {
 				t.Fatalf("band %d key not deterministic", i)
+			}
+			if one, err := BandKey(p, i, bandBits(words, i, p.Rows)); err != nil || one != keys[i] {
+				t.Fatalf("band %d: key from its bits %x (%v), from the signature %x", i, one, err, keys[i])
 			}
 		}
 

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -117,5 +118,69 @@ func TestTopKModeErrors(t *testing.T) {
 	var apiErr *client.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeUnsupported {
 		t.Fatalf("client error = %v, want *client.Error with code %s", err, server.CodeUnsupported)
+	}
+}
+
+// TestStatsANNOnWire: /v1/stats carries the approximate top-K index's
+// counters as its `ann` object — a small write between two probes shows up
+// as band re-keys with no further whole-user re-banding — and leaves the
+// object out when the engine keeps no index.
+func TestStatsANNOnWire(t *testing.T) {
+	ctx := context.Background()
+	stats := func(eng *vos.Engine) *server.ANNStatsJSON {
+		t.Helper()
+		ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{}))
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + server.RouteStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var wire server.StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		return wire.ANN
+	}
+
+	eng, err := vos.NewEngine(annEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	svc := vos.NewEngineService(eng).(vos.ApproxTopK)
+	edges := feasibleStream(4_000, 80, 0, 5)
+	if err := eng.ProcessBatch(edges[:3_900]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.TopKApprox(ctx, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	built := stats(eng)
+	if built == nil {
+		t.Fatal("ANN engine's /v1/stats has no ann object")
+	}
+	if err := eng.ProcessBatch(edges[3_900:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.TopKApprox(ctx, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	got := stats(eng)
+	if st, _ := eng.ANNStats(); *got != server.ANNStatsToWire(st) {
+		t.Fatalf("ann on the wire %+v, in-process %+v", *got, st)
+	}
+	if got.Indexed != 80 || got.Probes != 2 || got.BandRekeys == 0 || got.Rebands != built.Rebands ||
+		got.JournalFallbacks != 0 || got.SpilledUsers != 0 || got.DirtyBacklog != 0 {
+		t.Fatalf("a 100-edge write between two probes should be band re-keys only: built %+v, then %+v", *built, *got)
+	}
+
+	plain, err := vos.NewEngine(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if ann := stats(plain); ann != nil {
+		t.Fatalf("/v1/stats of an engine without an index carries an ann object: %+v", *ann)
 	}
 }

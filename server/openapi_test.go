@@ -103,6 +103,9 @@ func TestOpenAPIStructure(t *testing.T) {
 		HeaderSketchCursor,   // ... and the cursor it is answered with
 		HeaderSketchFallback, // ... or the reason it was answered in full
 		"gathered_bytes",     // the gateway's share of the snapshot object
+		"band_rekeys",        // the ann object: how the index followed the stream
+		"journal_fallbacks",  // ... and when it could not
+		"spilled_users",
 	} {
 		if !strings.Contains(spec, anchor) {
 			t.Errorf("spec is missing required anchor %q", anchor)

@@ -726,6 +726,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap := SnapshotStatsToWire(sr.SnapshotStats())
 		resp.Snapshot = &snap
 	}
+	if ar, ok := s.svc.(vos.ANNReporter); ok {
+		if st, ok := ar.ANNStats(); ok {
+			ann := ANNStatsToWire(st)
+			resp.ANN = &ann
+		}
+	}
 	WriteJSON(w, http.StatusOK, resp)
 }
 

@@ -159,6 +159,47 @@ type StatsResponse struct {
 	// kept current, present when the backing service is a
 	// vos.SnapshotReporter (an in-process Engine, or the cluster gateway).
 	Snapshot *SnapshotStatsJSON `json:"snapshot,omitempty"`
+	// ANN reports the approximate top-K index's occupancy and maintenance,
+	// present when the backing service is a vos.ANNReporter with an index
+	// configured (vosd -ann).
+	ANN *ANNStatsJSON `json:"ann,omitempty"`
+}
+
+// ANNStatsJSON is vos.ANNStats on the wire. A serving index that follows
+// its writes shows band_rekeys growing with them while rebands grows only
+// with new users, rotations and imports; journal_fallbacks and
+// spilled_users growing means probes come further apart than a shard
+// journal holds, and dirty_backlog not returning to zero that the reband
+// budget is too small for the churn.
+type ANNStatsJSON struct {
+	Indexed          int    `json:"indexed"`
+	DirtyBacklog     int    `json:"dirty_backlog"`
+	Entries          int    `json:"entries"`
+	Rebands          uint64 `json:"rebands"`
+	Removals         uint64 `json:"removals"`
+	Probes           uint64 `json:"probes"`
+	Rotations        uint64 `json:"rotations"`
+	BandRekeys       uint64 `json:"band_rekeys"`
+	JournalFallbacks uint64 `json:"journal_fallbacks"`
+	SpilledUsers     uint64 `json:"spilled_users"`
+	ProbeReuses      uint64 `json:"probe_reuses"`
+}
+
+// ANNStatsToWire converts the counters to their wire form.
+func ANNStatsToWire(s vos.ANNStats) ANNStatsJSON {
+	return ANNStatsJSON{
+		Indexed:          s.Indexed,
+		DirtyBacklog:     s.DirtyBacklog,
+		Entries:          s.Entries,
+		Rebands:          s.Rebands,
+		Removals:         s.Removals,
+		Probes:           s.Probes,
+		Rotations:        s.Rotations,
+		BandRekeys:       s.BandRekeys,
+		JournalFallbacks: s.JournalFallbacks,
+		SpilledUsers:     s.SpilledUsers,
+		ProbeReuses:      s.ProbeReuses,
+	}
 }
 
 // SnapshotStatsJSON is vos.SnapshotStats on the wire: refreshes of the

@@ -159,6 +159,16 @@ type SnapshotReporter interface {
 	SnapshotStats() SnapshotStats
 }
 
+// ANNReporter is the optional observability extension of services that
+// maintain an approximate top-K index (an Engine with EngineConfig.ANN):
+// how the index has followed the stream — single bands re-keyed from the
+// shard journals against whole users re-banded, and what is still owed.
+// ok is false when no index is configured. GET /v1/stats probes for it and
+// carries the counters as its `ann` object.
+type ANNReporter interface {
+	ANNStats() (st ANNStats, ok bool)
+}
+
 // ErrQueryUnavailable is returned by query paths that cannot answer in the
 // serving state behind them — today the cluster gateway with no backend
 // reachable, and package client for the server's "unavailable" and
@@ -238,6 +248,9 @@ func (s *engineService) Stats(ctx context.Context) (Stats, error) {
 
 // SnapshotStats implements SnapshotReporter.
 func (s *engineService) SnapshotStats() SnapshotStats { return s.e.SnapshotStats() }
+
+// ANNStats implements ANNReporter.
+func (s *engineService) ANNStats() (ANNStats, bool) { return s.e.ANNStats() }
 
 // Checkpoint implements Checkpointer; ErrEngineNoDurability on a
 // memory-only engine.
