@@ -35,6 +35,12 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("vos server: %s (%s, HTTP %d)", e.Message, e.Code, e.Status)
 }
 
+// HTTPStatus is the status and envelope code the server answered with. A
+// server that serves through this client (the cluster gateway) answers its
+// own caller with them: server.StatusFor lets an error that carries its own
+// HTTPStatus win, so a backend's refusal passes through unchanged.
+func (e *Error) HTTPStatus() (status int, code string) { return e.Status, e.Code }
+
 // Is maps envelope codes back onto the service-layer sentinels:
 // unavailable matches vos.ErrClosed and vos.ErrQueryUnavailable, canceled
 // and timeout match the context errors, outside_window matches
@@ -112,6 +118,12 @@ type Client struct {
 	base string
 	opt  Options
 
+	// flushMu is held across take-and-ship (and, in the linger goroutine,
+	// parking the ship's error), so a Flush that finds the buffer empty
+	// because the linger goroutine has just taken it waits for that ship and
+	// sees its outcome, instead of promising a write still on the wire.
+	flushMu sync.Mutex
+
 	mu      sync.Mutex
 	pend    []vos.Edge
 	pendErr error // first error from a background linger flush
@@ -155,13 +167,15 @@ func (c *Client) linger() {
 		case <-c.stop:
 			return
 		case <-t.C:
-			if err := c.Flush(context.Background()); err != nil {
+			c.flushMu.Lock()
+			if err := c.flushLocked(context.Background()); err != nil {
 				c.mu.Lock()
 				if c.pendErr == nil {
 					c.pendErr = err
 				}
 				c.mu.Unlock()
 			}
+			c.flushMu.Unlock()
 		}
 	}
 }
@@ -204,6 +218,26 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 	return nil
 }
 
+// Send ships edges now, BatchSize to a request, past the pending buffer,
+// and returns how many the server acknowledged: all of them with a nil
+// error, otherwise those in the batches before the one that failed. That
+// batch is in the ambiguous state of any failed ship (see ship) unless the
+// error is a 4xx *Error — the server's word that it applied none of it —
+// and nothing is left behind in the client. It is for a caller whose own
+// acknowledgement must mean "applied" and whose own error must say how much
+// was (the cluster gateway, whose concurrent requests must not ship each
+// other's edges); a stream wants Ingest's buffering.
+func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, err error) {
+	for acked < len(edges) {
+		batch := edges[acked:min(acked+c.opt.BatchSize, len(edges))]
+		if err := c.ship(ctx, batch); err != nil {
+			return acked, err
+		}
+		acked += len(batch)
+	}
+	return acked, nil
+}
+
 // requeue puts never-attempted batches back at the head of the pending
 // buffer (ahead of anything buffered since — original order preserved).
 func (c *Client) requeue(batches [][]vos.Edge) {
@@ -224,13 +258,22 @@ func (c *Client) requeue(batches [][]vos.Edge) {
 }
 
 // Flush ships the pending partial batch, giving read-your-writes to a
-// subsequent query. A parked background-flush error is surfaced first,
-// WITHOUT consuming the buffer: edges buffered since that failure were
-// never put on the wire, and dropping them alongside the error would
+// subsequent query: when it returns nil, every edge buffered before the
+// call has been acknowledged, including a batch the linger goroutine was
+// shipping when it was called. A parked background-flush error is surfaced
+// first, WITHOUT consuming the buffer: edges buffered since that failure
+// were never put on the wire, and dropping them alongside the error would
 // silently diverge the remote sketch — the caller retries Flush after
 // handling the error. (Edges inside a failed attempted ship are
 // ambiguous — possibly applied — and are never resent; see ship.)
 func (c *Client) Flush(ctx context.Context) error {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
+	return c.flushLocked(ctx)
+}
+
+// flushLocked is Flush's body; the caller holds flushMu.
+func (c *Client) flushLocked(ctx context.Context) error {
 	c.mu.Lock()
 	if err := c.pendErr; err != nil {
 		c.pendErr = nil
@@ -270,13 +313,8 @@ func (c *Client) ship(ctx context.Context, edges []vos.Edge) error {
 	if err := stream.WriteBinary(&buf, edges); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteEdges, &buf)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", server.ContentTypeBinary)
 	var ack server.IngestResponse
-	if err := c.do(req, &ack); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.RouteEdges, server.ContentTypeBinary, buf.Bytes(), &ack); err != nil {
 		return err
 	}
 	if ack.Accepted != len(edges) {
@@ -338,7 +376,8 @@ func (c *Client) AdvanceWindow(ctx context.Context, t time.Time) error {
 	}
 	req.Header.Set("Content-Type", server.ContentTypeBinary)
 	req.Header.Set(server.HeaderBatchTs, formatUnixSeconds(t))
-	return c.do(req, nil)
+	_, _, err = c.doRaw(req)
+	return err
 }
 
 // formatUnixSeconds renders t as the fractional-unix-seconds form the
@@ -376,11 +415,7 @@ func (c *Client) TopKApprox(ctx context.Context, u vos.User, n int) ([]vos.TopKR
 // topK is the shared body of TopK and TopKAt; at == 0 means no instant
 // assertion.
 func (c *Client) topK(ctx context.Context, u vos.User, candidates []vos.User, n int, at float64) ([]vos.TopKResult, error) {
-	req := server.TopKRequest{User: uint64(u), N: n, At: at, Candidates: make([]uint64, len(candidates))}
-	for i, cand := range candidates {
-		req.Candidates[i] = uint64(cand)
-	}
-	return c.postTopK(ctx, req)
+	return c.postTopK(ctx, server.TopKRequest{User: uint64(u), N: n, At: at, Candidates: usersToWire(candidates)})
 }
 
 // postTopK posts a /v1/topk request body and decodes the ranked results.
@@ -392,21 +427,21 @@ func (c *Client) postTopK(ctx context.Context, req server.TopKRequest) ([]vos.To
 	}
 	var wire []server.TopKResultJSON
 	err = c.retry(ctx, func() error {
-		r, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteTopK, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		r.Header.Set("Content-Type", server.ContentTypeJSON)
-		return c.do(r, &wire)
+		return c.do(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body, &wire)
 	})
 	if err != nil {
 		return nil, err
 	}
+	return topKFromWire(wire), nil
+}
+
+// topKFromWire converts ranked results from their wire form.
+func topKFromWire(wire []server.TopKResultJSON) []vos.TopKResult {
 	out := make([]vos.TopKResult, len(wire))
 	for i, w := range wire {
 		out[i] = vos.TopKResult{User: vos.User(w.User), Estimate: w.Estimate.Estimate()}
 	}
-	return out, nil
+	return out
 }
 
 // Cardinality implements vos.SimilarityService.
@@ -431,37 +466,20 @@ func (c *Client) Stats(ctx context.Context) (vos.Stats, error) {
 // persist a checkpoint and returns the covered WAL position. Not retried
 // (not idempotent in cost), though re-running one is safe.
 func (c *Client) Checkpoint(ctx context.Context) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteCheckpoint, nil)
-	if err != nil {
-		return 0, err
-	}
 	var resp server.CheckpointResponse
-	if err := c.do(req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Position, nil
+	err := c.do(ctx, http.MethodPost, server.RouteCheckpoint, "", nil, &resp)
+	return resp.Position, err
 }
 
 // Ready reports whether the server is in rotation (GET /v1/readyz == 200).
 func (c *Client) Ready(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+server.RouteReadyz, nil)
-	if err != nil {
-		return false
-	}
-	var h server.HealthResponse
-	return c.do(req, &h) == nil
+	return c.do(ctx, http.MethodGet, server.RouteReadyz, "", nil, nil) == nil
 }
 
 // getRetry GETs path and decodes the JSON response into out, retrying per
 // the retry policy.
 func (c *Client) getRetry(ctx context.Context, path string, out any) error {
-	return c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return err
-		}
-		return c.do(req, out)
-	})
+	return c.retry(ctx, func() error { return c.do(ctx, http.MethodGet, path, "", nil, out) })
 }
 
 // retry applies the client's RetryPolicy (see retry.go) to attempt.
@@ -476,26 +494,40 @@ func (c *Client) Retry() RetryPolicy {
 	return RetryPolicy{MaxRetries: c.opt.MaxRetries, Backoff: c.opt.RetryBackoff}
 }
 
-// do executes the request and decodes a 2xx JSON body into out (out may be
-// nil to discard), or decodes the error envelope into *Error.
-func (c *Client) do(req *http.Request, out any) error {
-	body, _, err := c.doRaw(req)
-	if err != nil {
+// do is call for JSON answers: a 2xx body is decoded into out (out may be
+// nil to discard).
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	raw, _, err := c.call(ctx, method, path, contentType, body)
+	if err != nil || out == nil {
 		return err
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("client: decode %s response: %w", req.URL.Path, err)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("client: decode %s response: %w", path, err)
 	}
 	return nil
 }
 
+// call builds and executes one request to path (route plus query); a
+// non-nil body travels as contentType. It returns what doRaw does.
+func (c *Client) call(ctx context.Context, method, path, contentType string, body []byte) ([]byte, http.Header, error) {
+	var r io.Reader // stays a nil interface when there is no body
+	if body != nil {
+		r = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return c.doRaw(req)
+}
+
 // doRaw executes the request and returns a 2xx response's raw body and
 // headers, or decodes the error envelope into *Error. It is the transport
-// floor under do, split out for responses that are not JSON (the binary
-// cluster sketch) or whose headers carry protocol state (X-Vos-Partial).
+// floor under call and do, which every request but the one that sets a
+// header of its own (AdvanceWindow) goes through.
 func (c *Client) doRaw(req *http.Request) ([]byte, http.Header, error) {
 	resp, err := c.opt.HTTPClient.Do(req)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -523,5 +524,90 @@ func TestFlushKeepsBufferOnParkedError(t *testing.T) {
 			t.Logf("flush during recovery: %v", err)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestFlushWaitsForInFlightShip pins read-your-writes against the linger
+// goroutine: once it has taken the pending batch and is mid-ship, the
+// buffer is empty, but a Flush that returned now would promise a write the
+// server has not applied yet. Flush must not return before that ship does.
+func TestFlushWaitsForInFlightShip(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var applied atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		edges, err := stream.ReadBinary(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		close(entered) // the only batch: a second request would panic here
+		<-release
+		applied.Store(true)
+		json.NewEncoder(w).Encode(server.IngestResponse{Accepted: len(edges)})
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Linger: time.Millisecond})
+	defer cl.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before Close, which waits for the parked ship
+
+	ctx := context.Background()
+	if err := cl.Ingest(ctx, []vos.Edge{edge(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the linger goroutine took the batch and is on the wire
+	flushed := make(chan error, 1)
+	go func() { flushed <- cl.Flush(ctx) }()
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) with the only batch still on the wire", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	unpark()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if !applied.Load() {
+		t.Fatal("Flush returned before the server applied the batch")
+	}
+}
+
+// TestSendShipsNowAndReportsAcked: Send goes past the pending buffer in
+// BatchSize requests, says how many edges were acknowledged when a batch
+// fails, and leaves nothing behind for a later Flush to ship.
+func TestSendShipsNowAndReportsAcked(t *testing.T) {
+	b := &countingBackend{}
+	var refuseFrom atomic.Int64 // refuse every ingest once this many were served; 0 = never
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n := refuseFrom.Load(); n > 0 && b.ingests.Load() >= n {
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(server.ErrorEnvelope{Error: server.ErrorBody{
+				Code: server.CodeBackpressure, Message: "scripted refusal"}})
+			return
+		}
+		b.handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL, client.Options{BatchSize: 2, Linger: -1})
+	defer cl.Close()
+	ctx := context.Background()
+	five := []vos.Edge{edge(1, 1), edge(1, 2), edge(2, 1), edge(2, 2), edge(3, 1)}
+
+	if acked, err := cl.Send(ctx, five); err != nil || acked != 5 {
+		t.Fatalf("Send = %d, %v; want 5, nil", acked, err)
+	}
+	if b.ingests.Load() != 3 || b.edges.Load() != 5 {
+		t.Fatalf("5 edges at batch size 2 took %d requests carrying %d edges, want 3 and 5", b.ingests.Load(), b.edges.Load())
+	}
+
+	refuseFrom.Store(4) // one more batch, then refusals
+	acked, err := cl.Send(ctx, five)
+	var apiErr *client.Error
+	if acked != 2 || !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+		t.Fatalf("Send = %d, %v; want 2 acknowledged and the server's 429", acked, err)
+	}
+	refuseFrom.Store(0)
+	if err := cl.Flush(ctx); err != nil || b.ingests.Load() != 4 {
+		t.Fatalf("Flush after a failed Send: %v, %d requests served; Send must leave nothing buffered", err, b.ingests.Load())
 	}
 }

@@ -19,18 +19,11 @@ import (
 // RetryPolicy.
 func (c *Client) ExportSketch(ctx context.Context) ([]byte, error) {
 	var data []byte
-	err := c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+server.RouteClusterSketch, nil)
-		if err != nil {
-			return err
-		}
-		data, _, err = c.doRaw(req)
+	err := c.retry(ctx, func() (err error) {
+		data, _, err = c.call(ctx, http.MethodGet, server.RouteClusterSketch, "", nil)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
+	return data, err
 }
 
 // ExportSince is ExportSketch for a caller that keeps its own merged view of
@@ -47,11 +40,7 @@ func (c *Client) ExportSince(ctx context.Context, since string) (d vos.SketchDel
 		path += "?since=" + url.QueryEscape(since)
 	}
 	err = c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return err
-		}
-		body, hdr, err := c.doRaw(req)
+		body, hdr, err := c.call(ctx, http.MethodGet, path, "", nil)
 		if err != nil {
 			return err
 		}
@@ -87,12 +76,7 @@ func decodeSketchDelta(body []byte, cursor, fallback string) (vos.SketchDelta, e
 // duplicate import XOR-cancels the first — an ambiguous outcome must be
 // resolved by the handoff coordinator (fresh target), not by resending.
 func (c *Client) ImportSketch(ctx context.Context, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteClusterImport, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", server.ContentTypeBinary)
-	return c.do(req, nil)
+	return c.do(ctx, http.MethodPost, server.RouteClusterImport, server.ContentTypeBinary, data, nil)
 }
 
 // Compile-time checks: the HTTP client is a full state-transfer peer.
@@ -131,12 +115,7 @@ func (c *ClusterClient) TopKPartial(ctx context.Context, u vos.User, candidates 
 	var wire []server.TopKResultJSON
 	complete := true
 	err = c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteTopK, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", server.ContentTypeJSON)
-		raw, hdr, err := c.doRaw(req)
+		raw, hdr, err := c.call(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body)
 		if err != nil {
 			return err
 		}
@@ -146,20 +125,14 @@ func (c *ClusterClient) TopKPartial(ctx context.Context, u vos.User, candidates 
 	if err != nil {
 		return nil, false, err
 	}
-	out := make([]vos.TopKResult, len(wire))
-	for i, w := range wire {
-		out[i] = vos.TopKResult{User: vos.User(w.User), Estimate: w.Estimate.Estimate()}
-	}
-	return out, complete, nil
+	return topKFromWire(wire), complete, nil
 }
 
 // Ring fetches the gateway's live shard→node table.
 func (c *ClusterClient) Ring(ctx context.Context) (server.RingResponse, error) {
 	var resp server.RingResponse
-	if err := c.getRetry(ctx, server.RouteClusterRing, &resp); err != nil {
-		return server.RingResponse{}, err
-	}
-	return resp, nil
+	err := c.getRetry(ctx, server.RouteClusterRing, &resp)
+	return resp, err
 }
 
 // Handoff moves cluster shard shard onto the fresh backend at to,
@@ -171,31 +144,18 @@ func (c *ClusterClient) Handoff(ctx context.Context, shard int, to string) (uint
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteClusterHandoff, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", server.ContentTypeJSON)
 	var resp server.HandoffResponse
-	if err := c.do(req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
+	err = c.do(ctx, http.MethodPost, server.RouteClusterHandoff, server.ContentTypeJSON, body, &resp)
+	return resp.Version, err
 }
 
 // CheckpointCluster quiesces the whole cluster's ingest and checkpoints
 // every backend, returning the manifest rows. Not retried (a checkpoint
 // is safe to re-run but not free).
 func (c *ClusterClient) CheckpointCluster(ctx context.Context) (server.ClusterCheckpointResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteClusterCheckpoint, nil)
-	if err != nil {
-		return server.ClusterCheckpointResponse{}, err
-	}
 	var resp server.ClusterCheckpointResponse
-	if err := c.do(req, &resp); err != nil {
-		return server.ClusterCheckpointResponse{}, err
-	}
-	return resp, nil
+	err := c.do(ctx, http.MethodPost, server.RouteClusterCheckpoint, "", nil, &resp)
+	return resp, err
 }
 
 // usersToWire converts a candidate list to its wire form.

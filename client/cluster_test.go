@@ -46,7 +46,9 @@ func newGatewayStack(t *testing.T, k int, gwOpt cluster.Options) *gatewayStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(gw.Handler(server.New(gw, server.Options{})))
+	front := server.New(gw, server.Options{})
+	gw.Register(front)
+	ts := httptest.NewServer(front)
 	t.Cleanup(func() {
 		ts.Close()
 		gw.Close()

@@ -34,31 +34,28 @@
 // silently corrupting the XOR sketch. Its address is printed on stdout
 // once bound ("vosd udp ingest on ...").
 //
-// On SIGINT/SIGTERM the daemon drains gracefully: readiness flips to 503,
-// in-flight requests finish (bounded by -drain-timeout), the listener
-// closes, and the engine shuts down — writing a final checkpoint when
-// durable, so the next start replays no WAL. The listen address is printed
-// on stdout once serving ("vosd listening on http://..."), which scripts
-// and the smoke test use with -listen 127.0.0.1:0.
+// This file is flags → build the engine → run the shell. Everything a
+// serving process does around its service — the listen, admission, timeout
+// and -verbose flags, the UDP plane, the drain order — is
+// cmd/internal/daemon, shared with vosgw. On SIGINT/SIGTERM the daemon
+// drains gracefully: readiness flips to 503, in-flight requests finish
+// (bounded by -drain-timeout), the listener closes, and the engine shuts
+// down — writing a final checkpoint when durable, so the next start replays
+// no WAL. The listen address is printed on stdout once serving ("vosd
+// listening on http://..."), which scripts and the smoke test use with
+// -listen 127.0.0.1:0.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/vossketch/vos"
-	"github.com/vossketch/vos/internal/admit"
-	"github.com/vossketch/vos/internal/netproto"
-	"github.com/vossketch/vos/server"
+	"github.com/vossketch/vos/cmd/internal/daemon"
 )
 
 func main() {
@@ -70,10 +67,9 @@ func main() {
 // run is main minus the exit code, so tests can drive the daemon.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vosd", flag.ExitOnError)
+	shell := daemon.AddFlags(fs, "127.0.0.1:8080")
 	var (
-		listen    = fs.String("listen", "127.0.0.1:8080", "TCP listen address (use port 0 for an ephemeral port)")
-		udpListen = fs.String("udp-listen", "", "UDP listen address for VOSSTRM1 datagram ingest (empty disables; use port 0 for an ephemeral port)")
-		dir       = fs.String("dir", "", "durability directory (WAL + checkpoints); empty runs memory-only")
+		dir = fs.String("dir", "", "durability directory (WAL + checkpoints); empty runs memory-only")
 
 		memoryBits = fs.Uint64("memory-bits", 1<<22, "m, shared array size in bits")
 		sketchBits = fs.Int("sketch-bits", 4096, "k, virtual sketch size in bits")
@@ -99,12 +95,6 @@ func run(args []string, stdout io.Writer) error {
 		syncEveryN = fs.Int("sync-every-n", 0, `edges between fsyncs under -sync interval (0 = default 4096)`)
 		segBytes   = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
 		ckptEvery  = fs.Duration("checkpoint-interval", 0, "automatic checkpoint period (0 disables; durable only)")
-
-		maxBatchBytes    = fs.Int64("max-batch-bytes", 0, "per-request ingest body cap (0 = default 8 MiB)")
-		maxInFlightBytes = fs.Int64("max-inflight-bytes", 0, "summed worst-case in-flight ingest memory (wire + decoded) before backpressure (0 = default 128 MiB)")
-		readTimeout      = fs.Duration("read-timeout", 30*time.Second, "max time to read a full request, headers and body (0 disables)")
-		drainTimeout     = fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
-		verbose          = fs.Bool("verbose", false, "log one line per request")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -164,123 +154,50 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// One admission controller for every ingest transport: the HTTP
-	// handlers and the UDP receiver draw on the same in-flight byte
-	// budget, so -max-inflight-bytes bounds the process, not a plane.
-	adm := admit.NewController(*maxBatchBytes, *maxInFlightBytes)
-	svc := vos.NewEngineService(eng)
-	opts := server.Options{Admission: adm}
-	if *verbose {
-		opts.Logger = log.New(os.Stderr, "vosd: ", log.LstdFlags)
+	// Periodic checkpoints bound restart replay time; each one truncates
+	// the covered WAL prefix.
+	stopCkpt := func() {}
+	if *ckptEvery > 0 && *dir != "" {
+		stopCkpt = checkpointEvery(eng, *ckptEvery, shell.Verbose)
 	}
-
-	var udpRecv *netproto.Receiver
-	udpRunErr := make(chan error, 1)
-	if *udpListen != "" {
-		pc, err := net.ListenPacket("udp", *udpListen)
-		if err != nil {
-			eng.Close()
-			return fmt.Errorf("vosd: -udp-listen: %w", err)
-		}
-		udpRecv = netproto.NewReceiver(pc, netproto.Config{
-			Sink:  func(edges []vos.Edge) error { return svc.Ingest(context.Background(), edges) },
-			Admit: adm,
-		})
-		go func() { udpRunErr <- udpRecv.Run() }()
-		opts.UDPStats = udpRecv.Stats
-	}
-	srv := server.New(svc, opts)
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		if udpRecv != nil {
-			udpRecv.Close()
-		}
-		eng.Close()
-		return err
-	}
-	// ReadTimeout matters for more than hygiene: handleEdges charges the
-	// in-flight ingest byte budget up front, so without a body deadline a
-	// handful of clients trickling bytes could hold the whole budget and
-	// starve ingest behind 429s. The timeout bounds how long any one
-	// request can sit on its slice of the budget.
-	httpSrv := &http.Server{
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTimeout,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
 	windowDesc := "off"
 	if *window > 0 {
 		windowDesc = fmt.Sprintf("%v/%d buckets", *window, *buckets)
 	}
-	fmt.Fprintf(stdout, "vosd listening on http://%s (shards=%d, durable=%v, window=%s, ann=%v)\n",
-		ln.Addr(), eng.Shards(), *dir != "", windowDesc, *ann)
-	if udpRecv != nil {
-		fmt.Fprintf(stdout, "vosd udp ingest on %s (VOSSTRM1 datagrams)\n", udpRecv.Addr())
-	}
+	return shell.Run(daemon.Daemon{
+		Name:    "vosd",
+		Service: vos.NewEngineService(eng),
+		Detail:  fmt.Sprintf("shards=%d, durable=%v, window=%s, ann=%v", eng.Shards(), *dir != "", windowDesc, *ann),
+		Close: func() error {
+			stopCkpt()
+			return eng.Close()
+		},
+	}, stdout)
+}
 
-	// Periodic checkpoints bound restart replay time; each one truncates
-	// the covered WAL prefix.
-	stopCkpt := make(chan struct{})
-	if *ckptEvery > 0 && *dir != "" {
-		go func() {
-			t := time.NewTicker(*ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-t.C:
-					if pos, err := eng.Checkpoint(); err != nil {
-						log.Printf("vosd: periodic checkpoint: %v", err)
-					} else if *verbose {
-						log.Printf("vosd: checkpoint at position %d", pos)
-					}
+// checkpointEvery checkpoints eng every period until the returned stop is
+// called; stop returns once no checkpoint is running.
+func checkpointEvery(eng *vos.Engine, period time.Duration, verbose bool) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				if pos, err := eng.Checkpoint(); err != nil {
+					log.Printf("vosd: periodic checkpoint: %v", err)
+				} else if verbose {
+					log.Printf("vosd: checkpoint at position %d", pos)
 				}
 			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		close(stopCkpt)
-		if udpRecv != nil {
-			udpRecv.Close()
 		}
-		eng.Close()
-		return err
-	case s := <-sig:
-		fmt.Fprintf(stdout, "vosd: %v — draining\n", s)
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
-
-	// Graceful shutdown: out of rotation, finish in-flight work, close the
-	// listener, then close the engine (final checkpoint when durable). The
-	// UDP plane closes first — Close waits for the frame being applied, so
-	// no datagram batch races the engine teardown.
-	close(stopCkpt)
-	if udpRecv != nil {
-		if err := udpRecv.Close(); err != nil {
-			log.Printf("vosd: udp close: %v", err)
-		}
-		if err := <-udpRunErr; err != nil {
-			log.Printf("vosd: udp receiver: %v", err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("vosd: drain: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("vosd: http shutdown: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		return fmt.Errorf("vosd: engine close: %w", err)
-	}
-	fmt.Fprintln(stdout, "vosd: stopped")
-	return nil
 }

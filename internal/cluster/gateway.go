@@ -26,9 +26,10 @@ type Options struct {
 	ManifestPath string
 	// Client tunes the per-backend HTTP clients (retry policy, transport,
 	// batch size). Linger is forced off: the gateway ships every ingest
-	// synchronously, because its own ack must mean "acked by the owning
-	// backend's WAL" — a gateway-side buffer would acknowledge edges a
-	// backend crash could lose.
+	// synchronously and past the clients' buffers (client.Send), because
+	// its own ack must mean "acked by the owning backend's WAL" — a
+	// gateway-side buffer would acknowledge edges a backend crash could
+	// lose.
 	Client client.Options
 }
 
@@ -88,8 +89,8 @@ func New(ring *Ring, opt Options) (*Gateway, error) {
 	if err := ring.Validate(); err != nil {
 		return nil, err
 	}
-	// Synchronous shipping: a batching linger would let the gateway ack
-	// edges no backend has logged yet (see Options.Client).
+	// Nothing is ever buffered (see Options.Client), so no client needs a
+	// linger goroutine.
 	opt.Client.Linger = -1
 	g := &Gateway{
 		opt:      opt,
@@ -182,6 +183,13 @@ func (g *Gateway) backend(url string) (*client.Client, error) {
 // shard count, both fixed for the cluster's life, so a user's shard never
 // changes; handoffs move whole shards between nodes without re-routing
 // anyone.
+//
+// A failed Ingest is retryable only when the backends say so themselves:
+// every group was refused whole (a 4xx, before anything was applied), and
+// then the backends' own status — 429 backpressure, 413 too_large — is the
+// error's. Otherwise the error is a partialIngest, which shows no backend's
+// status: XOR writes are not idempotent, and a batch that was, or may have
+// been, partly applied must never look retryable.
 func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if g.closed.Load() {
 		return vos.ErrClosed
@@ -200,41 +208,84 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 0, len(groups))
+	allRefused := true
 	var errMu sync.Mutex
 	for shard, group := range groups {
 		wg.Add(1)
 		go func(shard int, group []vos.Edge) {
 			defer wg.Done()
-			if err := g.forward(ctx, shard, group); err != nil {
-				errMu.Lock()
+			refused, err := g.forward(ctx, shard, group)
+			errMu.Lock()
+			allRefused = allRefused && refused
+			if err != nil {
 				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-				errMu.Unlock()
 			}
+			errMu.Unlock()
 		}(shard, group)
 	}
 	wg.Wait()
 	// Invalidate on failure too: a forward that errored or timed out may
 	// still have applied, and the shards that acked certainly did.
 	g.ingests.Add(1)
-	return errors.Join(errs...)
+	err := errors.Join(errs...)
+	if err != nil && !allRefused {
+		return partialIngest{err}
+	}
+	return err
 }
+
+// partialIngest is the error of a fan-out some of which was, or may have
+// been, applied. It answers errors.Is for the causes underneath (a
+// cancelled context is still one) but does not unwrap, so no backend's
+// HTTPStatus shows through it to server.StatusFor.
+type partialIngest struct{ err error }
+
+func (e partialIngest) Error() string        { return e.err.Error() }
+func (e partialIngest) Is(target error) bool { return errors.Is(e.err, target) }
 
 // forward ships one shard's edges to its owner under the shard's handoff
 // gate. The owner is resolved INSIDE the gate: a handoff completing just
 // before we enter has already moved the state, so the edges must go to
 // the new owner — resolving earlier could write to a node whose state was
-// already exported, losing the edges from every future merge.
-func (g *Gateway) forward(ctx context.Context, shard int, edges []vos.Edge) error {
+// already exported, losing the edges from every future merge. refused
+// reports a failure that is the backend turning the whole group away: its
+// first batch came back a 4xx, so none of the group was applied.
+func (g *Gateway) forward(ctx context.Context, shard int, edges []vos.Edge) (refused bool, err error) {
 	g.gates[shard].RLock()
 	defer g.gates[shard].RUnlock()
-	c, err := g.backend(g.ringRef().Shards[shard])
+	url := g.ringRef().Shards[shard]
+	c, err := g.backend(url)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if err := c.Ingest(ctx, edges); err != nil {
-		return err
+	acked, err := c.Send(ctx, edges)
+	if err == nil {
+		return false, nil
 	}
-	return c.Flush(ctx)
+	var apiErr *client.Error
+	refused = acked == 0 && errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError
+	return refused, &backendError{url, err}
+}
+
+// backendError is a failed call to the backend at url. Whatever
+// server.StatusFor can classify keeps its status and code — the backend's
+// own answer (*client.Error) first — and a failure nobody can classify (a
+// backend's own 500 included) is a 502 where a vosd would answer 500: behind
+// a gateway it came from a backend, not from this process.
+type backendError struct {
+	url string
+	err error
+}
+
+func (e *backendError) Error() string { return "backend " + e.url + ": " + e.err.Error() }
+func (e *backendError) Unwrap() error { return e.err }
+
+func (e *backendError) HTTPStatus() (status int, code string) {
+	status, code = server.StatusFor(e.err)
+	if status == http.StatusInternalServerError {
+		status = http.StatusBadGateway
+	}
+	return status, code
 }
 
 // --- merged reads (the views themselves are in snapshot.go) ---
@@ -299,11 +350,16 @@ func (g *Gateway) Cardinality(ctx context.Context, u vos.User) (int64, error) {
 		return 0, vos.ErrClosed
 	}
 	ring := g.ringRef()
-	c, err := g.backend(ring.Shards[ring.ShardOf(u)])
+	url := ring.Shards[ring.ShardOf(u)]
+	c, err := g.backend(url)
 	if err != nil {
 		return 0, err
 	}
-	return c.Cardinality(ctx, u)
+	n, err := c.Cardinality(ctx, u)
+	if err != nil {
+		return 0, &backendError{url, err}
+	}
+	return n, nil
 }
 
 // Stats implements vos.SimilarityService from the full cluster merge.
@@ -381,10 +437,10 @@ func (g *Gateway) Handoff(ctx context.Context, shard int, to string) (uint64, er
 	}
 	state, err := src.ExportSketch(ctx)
 	if err != nil {
-		return 0, fmt.Errorf("handoff shard %d: export from %s: %w", shard, from, err)
+		return 0, fmt.Errorf("handoff shard %d: export: %w", shard, &backendError{from, err})
 	}
 	if err := dst.ImportSketch(ctx, state); err != nil {
-		return 0, fmt.Errorf("handoff shard %d: import into %s: %w", shard, to, err)
+		return 0, fmt.Errorf("handoff shard %d: import: %w", shard, &backendError{to, err})
 	}
 
 	next := ring.Clone()
@@ -437,7 +493,7 @@ func (g *Gateway) CheckpointCluster(ctx context.Context) (*Manifest, error) {
 		}
 		pos, err := c.Checkpoint(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("cluster checkpoint: shard %d (%s): %w", i, url, err)
+			return nil, fmt.Errorf("cluster checkpoint: shard %d: %w", i, &backendError{url, err})
 		}
 		m.Shards[i] = ManifestShard{Shard: i, Node: url, Position: pos}
 	}
@@ -467,27 +523,17 @@ func (g *Gateway) Checkpoint(ctx context.Context) (uint64, error) {
 
 // --- gateway HTTP surface ---
 
-// Handler wraps the standard /v1/ API handler with the gateway-only
-// routes (ring, handoff, cluster checkpoint). vosgw serves
-// Handler(server.New(gw, opts)); the exact-path registrations win over
-// the api handler's catch-all.
-func (g *Gateway) Handler(api http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(server.RouteClusterRing, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterRing+" requires GET")
-			return
-		}
+// Register puts the gateway-only routes (ring, handoff, cluster checkpoint)
+// on srv — the server.New(g, ...) that serves the standard API over this
+// gateway — through the same Handle the standard routes go through, so they
+// drain, count in /v1/metrics and log like the rest: Drain waits for a
+// running handoff and refuses a new one.
+func (g *Gateway) Register(srv *server.Server) {
+	srv.Handle(server.RouteClusterRing, http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		ring := g.ringRef()
 		server.WriteJSON(w, http.StatusOK, server.RingResponse{Version: ring.Version, RouteSeed: ring.RouteSeed, Shards: ring.Shards})
 	})
-	mux.HandleFunc(server.RouteClusterHandoff, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterHandoff+" requires POST")
-			return
-		}
+	srv.Handle(server.RouteClusterHandoff, http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var req server.HandoffRequest
 		if err := server.DecodeJSONBody(r, MaxRingBytes, &req); err != nil {
 			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
@@ -495,49 +541,21 @@ func (g *Gateway) Handler(api http.Handler) http.Handler {
 		}
 		version, err := g.Handoff(r.Context(), req.Shard, req.To)
 		if err != nil {
-			g.gwServiceError(w, err)
+			server.WriteServiceError(w, err)
 			return
 		}
 		server.WriteJSON(w, http.StatusOK, server.HandoffResponse{Version: version})
 	})
-	mux.HandleFunc(server.RouteClusterCheckpoint, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, server.RouteClusterCheckpoint+" requires POST")
-			return
-		}
+	srv.Handle(server.RouteClusterCheckpoint, http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		m, err := g.CheckpointCluster(r.Context())
 		if err != nil {
-			g.gwServiceError(w, err)
+			server.WriteServiceError(w, err)
 			return
 		}
 		resp := server.ClusterCheckpointResponse{RingVersion: m.RingVersion, Shards: make([]server.ClusterNodeCheckpointJSON, len(m.Shards))}
 		for i, s := range m.Shards {
-			resp.Shards[i] = server.ClusterNodeCheckpointJSON{Shard: s.Shard, Node: s.Node, Position: s.Position}
+			resp.Shards[i] = server.ClusterNodeCheckpointJSON(s)
 		}
 		server.WriteJSON(w, http.StatusOK, resp)
 	})
-	mux.Handle("/", api)
-	return mux
-}
-
-// gwServiceError maps gateway errors onto the standard envelope: ring
-// violations are the caller's fault, a backend's *client.Error keeps its
-// own status, and everything else goes through the server's mapping —
-// except that a failure it cannot classify is a 502 here, because behind a
-// gateway it came from a backend.
-func (g *Gateway) gwServiceError(w http.ResponseWriter, err error) {
-	var apiErr *client.Error
-	switch {
-	case errors.Is(err, ErrBadRing):
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-	case errors.As(err, &apiErr):
-		server.WriteError(w, apiErr.Status, apiErr.Code, err.Error())
-	default:
-		status, code := server.StatusFor(err)
-		if status == http.StatusInternalServerError {
-			status = http.StatusBadGateway
-		}
-		server.WriteError(w, status, code, err.Error())
-	}
 }

@@ -12,7 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
@@ -588,9 +590,10 @@ func TestGatewayClosed(t *testing.T) {
 // ring fetch, handoff, method gates, malformed bodies, and the error
 // envelope shape.
 func TestGatewayHandler(t *testing.T) {
-	gw, _ := newTestCluster(t, 2, Options{})
+	gw, backends := newTestCluster(t, 2, Options{})
 	api := server.New(gw, server.Options{})
-	ts := httptest.NewServer(gw.Handler(api))
+	gw.Register(api)
+	ts := httptest.NewServer(api)
 	t.Cleanup(ts.Close)
 	ingestBatches(t, gw, clusterWorkload(5, 40, 400), 100)
 
@@ -690,14 +693,28 @@ func TestGatewayHandler(t *testing.T) {
 		t.Fatal("cluster checkpoint over memory-only backends must not return 200")
 	}
 
-	// The standard API is still served through the wrapper.
+	// The standard API is served beside them.
 	resp, err = http.Get(ts.URL + server.RouteStats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wrapped /v1/stats: status %d", resp.StatusCode)
+		t.Fatalf("/v1/stats: status %d", resp.StatusCode)
+	}
+
+	// A backend failure nothing can classify is a 502 on every route, the
+	// standard ones included: behind a gateway it is not this process's 500.
+	backends[1].ts.Close()
+	fresh2 := newBackend(t, "")
+	move, _ := json.Marshal(server.HandoffRequest{Shard: 1, To: fresh2.URL()})
+	for _, rt := range []struct{ method, path, body string }{
+		{http.MethodGet, fmt.Sprintf("%s?user=%d", server.RouteCardinality, userOn(gw.Ring(), 1)), ""},
+		{http.MethodPost, server.RouteClusterHandoff, string(move)},
+	} {
+		if status, code, _ := do(t, rt.method, ts.URL+rt.path, rt.body); status != http.StatusBadGateway || code != server.CodeInternal {
+			t.Fatalf("%s %s with its backend gone: %d %q, want 502 %q", rt.method, rt.path, status, code, server.CodeInternal)
+		}
 	}
 }
 
@@ -713,4 +730,222 @@ func TestGatewayIngestValidation(t *testing.T) {
 	if err := gw.Ingest(ctx, []vos.Edge{{User: 1, Item: 1, Op: vos.Insert}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ingest: %v", err)
 	}
+}
+
+// newFront serves gw's full HTTP surface — the standard API and the
+// gateway-only routes on one server — as vosgw does.
+func newFront(t *testing.T, gw *Gateway) (*server.Server, string) {
+	t.Helper()
+	api := server.New(gw, server.Options{})
+	gw.Register(api)
+	ts := httptest.NewServer(api)
+	t.Cleanup(ts.Close)
+	return api, ts.URL
+}
+
+// do sends one request and returns the status, the envelope code (empty on
+// 2xx) and the headers.
+func do(t *testing.T, method, url, body string) (int, string, http.Header) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", server.ContentTypeJSON)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env server.ErrorEnvelope
+	if resp.StatusCode >= 400 {
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s: status %d without an envelope: %v", method, url, resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, env.Error.Code, resp.Header
+}
+
+// TestGatewayRoutesDrain pins that the gateway-only routes sit behind the
+// same drain gate and in-flight tracking as the standard ones: Drain waits
+// for a running handoff, and a draining gateway answers all three routes
+// 503 draining — it must not start moving a shard on its way out.
+func TestGatewayRoutesDrain(t *testing.T) {
+	gw, _ := newTestCluster(t, 2, Options{})
+	api, front := newFront(t, gw)
+	ingestBatches(t, gw, clusterWorkload(5, 40, 400), 100)
+
+	// The handoff target parks its import until released.
+	fresh := newBackend(t, "")
+	importing, release := make(chan struct{}), make(chan struct{})
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == server.RouteClusterImport {
+			close(importing)
+			<-release
+		}
+		fresh.srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(target.Close)
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark) // before target.Close, which waits for the parked request
+
+	body, _ := json.Marshal(server.HandoffRequest{Shard: 0, To: target.URL})
+	handoff := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(front+server.RouteClusterHandoff, server.ContentTypeJSON, bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			handoff <- 0
+			return
+		}
+		resp.Body.Close()
+		handoff <- resp.StatusCode
+	}()
+	<-importing
+	drained := make(chan error, 1)
+	go func() { drained <- api.Drain(context.Background()) }()
+	for !api.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+
+	for _, rt := range []struct{ method, route string }{
+		{http.MethodGet, server.RouteClusterRing},
+		{http.MethodPost, server.RouteClusterHandoff},
+		{http.MethodPost, server.RouteClusterCheckpoint},
+	} {
+		status, code, _ := do(t, rt.method, front+rt.route, `{"shard":1,"to":"http://127.0.0.1:1"}`)
+		if status != http.StatusServiceUnavailable || code != server.CodeDraining {
+			t.Errorf("draining %s %s: %d %q, want 503 %q", rt.method, rt.route, status, code, server.CodeDraining)
+		}
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) with a handoff in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	unpark()
+	if status := <-handoff; status != http.StatusOK {
+		t.Fatalf("the handoff admitted before the drain: status %d", status)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if ring := gw.Ring(); ring.Version != 2 || ring.Shards[0] != target.URL {
+		t.Fatalf("ring after the drained handoff: %+v", ring)
+	}
+}
+
+// TestGatewayRoutesInMetrics pins that a gateway-only route is counted like
+// any other: one request to it is one request in /v1/metrics.
+func TestGatewayRoutesInMetrics(t *testing.T) {
+	gw, _ := newTestCluster(t, 2, Options{})
+	_, front := newFront(t, gw)
+	if status, _, _ := do(t, http.MethodGet, front+server.RouteClusterRing, ""); status != http.StatusOK {
+		t.Fatalf("ring: status %d", status)
+	}
+	resp, err := http.Get(front + server.RouteMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m server.MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{server.RouteClusterRing, server.RouteClusterHandoff, server.RouteClusterCheckpoint} {
+		if _, ok := m.Endpoints[route]; !ok {
+			t.Errorf("/v1/metrics has no row for %s", route)
+		}
+	}
+	if got := m.Endpoints[server.RouteClusterRing].Requests; got != 1 {
+		t.Fatalf("%s requests = %d after one request", server.RouteClusterRing, got)
+	}
+}
+
+// refusingBackend is a real, empty backend whose POST /v1/edges is answered
+// by refuse first; a false return hands the request to the backend.
+func refusingBackend(t *testing.T, refuse func(w http.ResponseWriter) bool) string {
+	t.Helper()
+	real := newBackend(t, "")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == server.RouteEdges && refuse(w) {
+			return
+		}
+		real.srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// userOn returns a user the ring routes to shard.
+func userOn(ring *Ring, shard int) vos.User {
+	for u := vos.User(0); ; u++ {
+		if ring.ShardOf(u) == shard {
+			return u
+		}
+	}
+}
+
+// TestGatewayBackendRefusal pins what a backend's own refusal of an ingest
+// looks like from outside the gateway. Refused whole — nothing applied
+// anywhere — it is the backend's answer, Retry-After included, because the
+// caller can act on it. The moment any part of the batch was applied it is
+// an opaque 5xx: XOR writes are not idempotent, so a partly applied batch
+// must never look retryable.
+func TestGatewayBackendRefusal(t *testing.T) {
+	backpressure := func(w http.ResponseWriter) bool {
+		w.Header().Set("Retry-After", "1")
+		server.WriteError(w, http.StatusTooManyRequests, server.CodeBackpressure, "injected backpressure")
+		return true
+	}
+	tooLarge := func(w http.ResponseWriter) bool {
+		server.WriteError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, "injected too_large")
+		return true
+	}
+	post := func(t *testing.T, shards []string, opt client.Options, users ...vos.User) (int, string, http.Header) {
+		t.Helper()
+		opt.MaxRetries = -1
+		gw, err := New(&Ring{Version: 1, RouteSeed: 9, Shards: shards}, Options{Client: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { gw.Close() })
+		_, front := newFront(t, gw)
+		batch := make([]server.EdgeJSON, len(users))
+		for i, u := range users {
+			batch[i] = server.EdgeJSON{User: uint64(u), Item: uint64(i)}
+		}
+		body, _ := json.Marshal(batch)
+		return do(t, http.MethodPost, front+server.RouteEdges, string(body))
+	}
+
+	t.Run("refused whole: 429 with Retry-After", func(t *testing.T) {
+		status, code, hdr := post(t, []string{refusingBackend(t, backpressure)}, client.Options{}, 1, 2, 3)
+		if status != http.StatusTooManyRequests || code != server.CodeBackpressure || hdr.Get("Retry-After") == "" {
+			t.Fatalf("got %d %q Retry-After=%q, want the backend's 429 backpressure with a Retry-After", status, code, hdr.Get("Retry-After"))
+		}
+	})
+	t.Run("refused whole: 413", func(t *testing.T) {
+		status, code, _ := post(t, []string{refusingBackend(t, tooLarge)}, client.Options{}, 1, 2, 3)
+		if status != http.StatusRequestEntityTooLarge || code != server.CodeTooLarge {
+			t.Fatalf("got %d %q, want the backend's 413 too_large", status, code)
+		}
+	})
+	t.Run("one shard acked, one refused: opaque", func(t *testing.T) {
+		shards := []string{newBackend(t, "").URL(), refusingBackend(t, backpressure)}
+		ring := &Ring{Version: 1, RouteSeed: 9, Shards: shards}
+		status, code, hdr := post(t, shards, client.Options{}, userOn(ring, 0), userOn(ring, 1))
+		if status < 500 || code != server.CodeInternal || hdr.Get("Retry-After") != "" {
+			t.Fatalf("got %d %q Retry-After=%q: a partly applied batch must not look retryable", status, code, hdr.Get("Retry-After"))
+		}
+	})
+	t.Run("first wire batch acked, second refused: opaque", func(t *testing.T) {
+		var calls atomic.Int32
+		secondRefused := func(w http.ResponseWriter) bool { return calls.Add(1) > 1 && backpressure(w) }
+		status, code, _ := post(t, []string{refusingBackend(t, secondRefused)}, client.Options{BatchSize: 2}, 1, 2, 3)
+		if status < 500 || code != server.CodeInternal {
+			t.Fatalf("got %d %q: a group whose first batch was applied must not look retryable", status, code)
+		}
+	})
 }

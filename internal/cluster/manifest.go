@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"strings"
+
+	"github.com/vossketch/vos/internal/wal"
+	"github.com/vossketch/vos/server"
 )
 
 // ErrBadManifest is wrapped by every DecodeManifest failure, the manifest
@@ -80,13 +83,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: document is %d bytes, cap %d", ErrBadManifest, len(data), MaxRingBytes)
 	}
 	var m Manifest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := server.DecodeStrictJSON(bytes.NewReader(data), &m); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after document", ErrBadManifest)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -113,5 +111,5 @@ func SaveManifest(path string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
+	return wal.WriteFileAtomic(path, data)
 }

@@ -16,18 +16,29 @@
 // one backend's — so the gateway's scatter-gather happens at the sketch
 // level: it gathers each backend's serialized state and queries the
 // merge, the network analogue of the engine's own shard-merge snapshot.
+//
+// The Gateway is a vos.SimilarityService, served by package server like
+// any other: server.New serves the standard API over it, and
+// Gateway.Register adds the three gateway-only routes through the same
+// Server.Handle. Its errors speak HTTP through server.StatusFor alone — a
+// failed backend call is a backendError, which keeps the backend's own
+// status and code and makes the unclassifiable a 502, and ErrBadRing
+// carries its 400.
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/vossketch/vos/internal/stream"
+	"github.com/vossketch/vos/internal/wal"
+	"github.com/vossketch/vos/server"
 )
 
 // Format limits for the ring and manifest JSON decoders. Inputs past them
@@ -42,8 +53,18 @@ const (
 
 // ErrBadRing is wrapped by every DecodeRing failure: corrupt JSON,
 // out-of-range shard counts, duplicate or unparseable node URLs. Callers
-// gate fallback handling on errors.Is(err, ErrBadRing).
-var ErrBadRing = errors.New("cluster: bad ring")
+// gate fallback handling on errors.Is(err, ErrBadRing). Over HTTP a ring
+// violation is the caller's fault, so the sentinel carries its own status
+// for server.StatusFor.
+var ErrBadRing error = badRing{}
+
+type badRing struct{}
+
+func (badRing) Error() string { return "cluster: bad ring" }
+
+func (badRing) HTTPStatus() (status int, code string) {
+	return http.StatusBadRequest, server.CodeBadRequest
+}
 
 // Ring is the versioned shard→node table — the cluster's membership
 // document, static-config-first: operators write it as JSON, the gateway
@@ -146,13 +167,8 @@ func DecodeRing(data []byte) (*Ring, error) {
 		return nil, fmt.Errorf("%w: document is %d bytes, cap %d", ErrBadRing, len(data), MaxRingBytes)
 	}
 	var r Ring
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
+	if err := server.DecodeStrictJSON(bytes.NewReader(data), &r); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRing, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after document", ErrBadRing)
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -173,36 +189,14 @@ func LoadRing(path string) (*Ring, error) {
 	return r, nil
 }
 
-// SaveRing writes the ring to path atomically (temp file + rename), so a
-// crash mid-write leaves either the old document or the new one, never a
-// torn half — membership must survive the same failures the WAL does.
+// SaveRing writes the ring to path atomically and durably
+// (wal.WriteFileAtomic): a crash mid-write leaves either the old document
+// or the new one, never a torn half — membership must survive the same
+// failures the WAL does.
 func SaveRing(path string, r *Ring) error {
 	data, err := EncodeRing(r)
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
-}
-
-// writeFileAtomic is the shared temp-then-rename writer for ring and
-// manifest documents.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return wal.WriteFileAtomic(path, data)
 }

@@ -176,7 +176,7 @@ func (g *Gateway) gather(ctx context.Context, ring *Ring, parts []part, since []
 				p.sk, err = core.UnmarshalVOS(p.d.Full)
 			}
 			if err != nil {
-				p.err = fmt.Errorf("backend %s: %w", url, err)
+				p.err = &backendError{url, err}
 			}
 		}()
 	}

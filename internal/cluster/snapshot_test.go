@@ -401,7 +401,7 @@ func TestGatewaySingleFlightRefresh(t *testing.T) {
 
 	// The same counters are what vosgw's /v1/stats carries, in the object
 	// vosd's carries its engine's in.
-	front := httptest.NewServer(gw.Handler(server.New(gw, server.Options{})))
+	front := httptest.NewServer(server.New(gw, server.Options{}))
 	defer front.Close()
 	resp, err := http.Get(front.URL + server.RouteStats)
 	if err != nil {

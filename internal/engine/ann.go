@@ -118,7 +118,8 @@ type ANNStats struct {
 	// (re-)banding, spilled users no probe has taken yet, and single band
 	// keys awaiting a re-key. It drains by up to RebandBudget per probe.
 	DirtyBacklog int
-	// Entries is the index's total bucket entries, stale included.
+	// Entries is the index's total bucket entries: one per indexed user
+	// and band.
 	Entries int
 	// Rebands, Removals, Probes and Rotations count maintenance work
 	// since the engine started: users (re-)banded whole, deleted users
@@ -144,7 +145,7 @@ type ANNStats struct {
 
 // annIndex is the engine's ANN state: the band index, the engine state it
 // has been reconciled to, and what it still owes. mu serialises maintenance
-// and probing (the BandIndex compacts buckets in place during probes);
+// and probing (the BandIndex is not safe for concurrent use);
 // candidate scoring happens outside mu on the snapshot view the probe holds.
 type annIndex struct {
 	mu  sync.Mutex
@@ -225,7 +226,7 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 	defer a.mu.Unlock()
 	st = ANNStats{
 		Indexed:          a.ix.Len(),
-		Entries:          a.ix.Stats().Entries,
+		Entries:          a.ix.Len() * a.ix.Params().Bands,
 		Rebands:          a.rebands,
 		Removals:         a.removals,
 		Probes:           a.probes,
@@ -322,8 +323,8 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	a.probes++
 	a.mu.Unlock()
 
-	// A band entry may outlive its user (removal is lazy, and the budget
-	// may not have reached it yet): filter zero-cardinality users so a
+	// A band entry may outlive its user (the reband budget may not have
+	// reached its removal yet): filter zero-cardinality users so a
 	// deleted user never surfaces, whatever the index's staleness. The
 	// filter copies rather than compacting cands in place — cands may be
 	// the cached slice a later probe will read again.

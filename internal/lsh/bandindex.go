@@ -2,7 +2,7 @@ package lsh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
@@ -17,44 +17,26 @@ import (
 // stream that rewrites users in place.
 //
 // Mutation is by key: each member remembers the bucket key it currently
-// holds in every band, and a bucket entry is live iff its member's key for
-// that band is the bucket's key. Put re-keys only the bands whose bits
-// changed and PutBand re-keys one band from that band's bits alone, so a
-// write that flips one bit of a signature costs one key hash and at most one
-// bucket append, and an unchanged band costs nothing and leaves nothing
-// behind. A superseded entry stays in its old bucket and is dropped lazily
-// when a probe walks the bucket (or by a full sweep once stale entries
-// outnumber live ones); Remove retires all of a member's entries the same
-// way. A member that moves back to a key it held before finds its old entry
-// still there and revives it rather than appending a second one, so every
-// (member, band) has exactly one live entry.
+// holds in every band, which is what lets a re-key take the member out of
+// the bucket it is leaving, so buckets hold exactly their members' current
+// keys — Len()·Bands entries, one per (member, band), no stale ones — and
+// probes only read. Put re-keys only the bands whose bits changed and
+// PutBand re-keys one band from that band's bits alone, so a write that
+// flips one bit of a signature costs one key hash, one bucket removal and
+// one bucket append, and an unchanged band costs nothing.
 //
 // Memory: a member costs one map entry plus, per band, its remembered key
 // and one bucket entry (8 bytes each before map/slice overhead), so sizing
 // Bands is a memory knob as much as a recall knob.
 //
-// BandIndex is not safe for concurrent use — probes compact buckets in
-// place. Callers serialise access (internal/engine holds one mutex across
-// maintenance and probing).
+// BandIndex is not safe for concurrent use. Callers serialise access
+// (internal/engine holds one mutex across maintenance and probing).
 type BandIndex struct {
 	params  Params
 	sigBits int
 	words   int // minimum signature length in words
 	buckets []map[uint64][]stream.User
 	members map[stream.User][]uint64 // member → its current key in every band
-	entries int                      // bucket entries, stale included
-	sweeps  uint64
-}
-
-// BandIndexStats counts the index's occupancy and maintenance work.
-type BandIndexStats struct {
-	// Members is the number of live indexed users.
-	Members int
-	// Entries is the total bucket entries, stale ones included; live
-	// entries are Members·Bands.
-	Entries int
-	// Sweeps counts full compactions triggered by stale-entry pressure.
-	Sweeps uint64
 }
 
 // NewBandIndex creates an empty index over packed signatures of sigBits
@@ -179,7 +161,7 @@ func (ix *BandIndex) Params() Params { return ix.params }
 // SignatureBits returns the packed signature width the index was built for.
 func (ix *BandIndex) SignatureBits() int { return ix.sigBits }
 
-// Len returns the number of live indexed users.
+// Len returns the number of indexed users.
 func (ix *BandIndex) Len() int { return len(ix.members) }
 
 // Has reports whether u is currently indexed.
@@ -193,7 +175,7 @@ func (ix *BandIndex) Has(u stream.User) bool {
 // valid until the next mutation.
 func (ix *BandIndex) Keys(u stream.User) []uint64 { return ix.members[u] }
 
-// ForEachMember calls fn for every live member in unspecified order,
+// ForEachMember calls fn for every member in unspecified order,
 // stopping early when fn returns false. fn must not mutate the index.
 func (ix *BandIndex) ForEachMember(fn func(u stream.User) bool) {
 	for u := range ix.members {
@@ -203,15 +185,9 @@ func (ix *BandIndex) ForEachMember(fn func(u stream.User) bool) {
 	}
 }
 
-// Stats returns occupancy and maintenance counters.
-func (ix *BandIndex) Stats() BandIndexStats {
-	return BandIndexStats{Members: len(ix.members), Entries: ix.entries, Sweeps: ix.sweeps}
-}
-
 // Put indexes (or re-indexes) user u under the packed signature. Of a
-// previous banding of u only the bands whose bits changed are re-keyed:
-// their old bucket entries become stale and are compacted lazily, and an
-// identical signature changes nothing.
+// previous banding of u only the bands whose bits changed are re-keyed, and
+// an identical signature changes nothing.
 func (ix *BandIndex) Put(u stream.User, words []uint64) error {
 	if len(words) < ix.words {
 		return fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
@@ -223,12 +199,15 @@ func (ix *BandIndex) Put(u stream.User, words []uint64) error {
 	}
 	for band := range ix.buckets {
 		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
-		if !member || keys[band] != key {
-			keys[band] = key
-			ix.place(band, key, u)
+		if member {
+			if keys[band] == key {
+				continue
+			}
+			ix.unplace(band, keys[band], u)
 		}
+		keys[band] = key
+		ix.buckets[band][key] = append(ix.buckets[band][key], u)
 	}
-	ix.maybeSweep()
 	return nil
 }
 
@@ -246,47 +225,37 @@ func (ix *BandIndex) PutBand(u stream.User, band int, bits []uint64) error {
 		return fmt.Errorf("lsh: user %d is not indexed", u)
 	}
 	if keys[band] != key {
+		ix.unplace(band, keys[band], u)
 		keys[band] = key
-		ix.place(band, key, u)
-		ix.maybeSweep()
+		ix.buckets[band][key] = append(ix.buckets[band][key], u)
 	}
 	return nil
 }
 
-// place makes the band's bucket for key hold u. An entry u left there under
-// an earlier banding is live again the moment u's key matches, so it is
-// kept in place of a second one.
-func (ix *BandIndex) place(band int, key uint64, u stream.User) {
+// unplace takes member u out of the band's bucket for key, the one its
+// remembered key says it is in, and deletes the bucket when u was alone.
+func (ix *BandIndex) unplace(band int, key uint64, u stream.User) {
 	bucket := ix.buckets[band][key]
-	for _, w := range bucket {
-		if w == u {
-			return
-		}
+	if len(bucket) == 1 {
+		delete(ix.buckets[band], key)
+		return
 	}
-	ix.buckets[band][key] = append(bucket, u)
-	ix.entries++
+	i, last := slices.Index(bucket, u), len(bucket)-1
+	bucket[i] = bucket[last]
+	ix.buckets[band][key] = bucket[:last]
 }
 
-// live reports whether the entry for u in the band's bucket for key is
-// current: u is a member and that is the key it holds there.
-func (ix *BandIndex) live(u stream.User, band int, key uint64) bool {
-	keys, ok := ix.members[u]
-	return ok && keys[band] == key
-}
-
-// Remove drops user u from the index. Its bucket entries become stale and
-// are compacted lazily; removing an absent user is a no-op.
+// Remove drops user u from the index and from every bucket it is in;
+// removing an absent user is a no-op.
 func (ix *BandIndex) Remove(u stream.User) {
+	for band, key := range ix.members[u] {
+		ix.unplace(band, key, u)
+	}
 	delete(ix.members, u)
-	ix.maybeSweep()
 }
 
-// Candidates returns the distinct live users sharing at least one band
-// bucket with the packed signature, excluding self, sorted for
-// determinism. Stale entries met along the way are compacted out of their
-// buckets as a side effect. self's own entries are passed over unexamined:
-// it is in every bucket a probe with its own signature walks, and whether
-// that entry is current changes nothing about the answer.
+// Candidates returns the distinct users sharing at least one band bucket
+// with the packed signature, excluding self, sorted for determinism.
 func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User, error) {
 	if len(words) < ix.words {
 		return nil, fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
@@ -294,61 +263,16 @@ func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User
 	seen := make(map[stream.User]struct{})
 	for band := range ix.buckets {
 		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
-		entries, ok := ix.buckets[band][key]
-		if !ok {
-			continue
-		}
-		live := entries[:0]
-		for _, u := range entries {
+		for _, u := range ix.buckets[band][key] {
 			if u != self {
-				if !ix.live(u, band, key) {
-					continue
-				}
 				seen[u] = struct{}{}
 			}
-			live = append(live, u)
 		}
-		ix.settle(band, key, entries, live)
 	}
 	out := make([]stream.User, 0, len(seen))
 	for u := range seen {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
-}
-
-// settle stores a bucket compacted in place from was to kept, deleting it
-// when nothing was kept.
-func (ix *BandIndex) settle(band int, key uint64, was, kept []stream.User) {
-	switch {
-	case len(kept) == 0:
-		delete(ix.buckets[band], key)
-	case len(kept) != len(was):
-		ix.buckets[band][key] = kept
-	}
-	ix.entries -= len(was) - len(kept)
-}
-
-// maybeSweep compacts every bucket when stale entries outnumber live ones
-// — the backstop that bounds garbage from members that churn without their
-// buckets ever being probed. Amortised O(1) per mutation: a sweep is O(n)
-// and at least n/2 mutations separate consecutive sweeps.
-func (ix *BandIndex) maybeSweep() {
-	liveTarget := len(ix.members) * ix.params.Bands
-	if ix.entries <= 2*liveTarget || ix.entries <= 64*ix.params.Bands {
-		return
-	}
-	for band := range ix.buckets {
-		for key, entries := range ix.buckets[band] {
-			live := entries[:0]
-			for _, u := range entries {
-				if ix.live(u, band, key) {
-					live = append(live, u)
-				}
-			}
-			ix.settle(band, key, entries, live)
-		}
-	}
-	ix.sweeps++
 }

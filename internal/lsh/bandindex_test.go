@@ -134,7 +134,7 @@ func TestBandIndexPutRemoveCandidates(t *testing.T) {
 	if len(cands) != 1 || cands[0] != 2 {
 		t.Fatalf("re-banded user not found: %v", cands)
 	}
-	// Removal: lazy, but never visible.
+	// Removal.
 	ix.Remove(2)
 	if ix.Has(2) || ix.Len() != 2 {
 		t.Fatalf("remove broken: len=%d", ix.Len())
@@ -168,14 +168,18 @@ func bandBits(words []uint64, band, rows int) []uint64 {
 	return out
 }
 
-// checkOneLiveEntryEach walks every bucket: the entry count must be the one
-// Stats reports, no bucket may hold a user twice, and every (member, band)
-// must have exactly one live entry — in the bucket of the key it holds.
-func checkOneLiveEntryEach(t *testing.T, ix *BandIndex) {
+// checkBucketsExact walks every bucket: no bucket may be empty or hold a
+// user twice, every entry must be a member sitting under the key it holds
+// for that band, and there must be exactly one entry per (member, band).
+// Together: bucket contents == members' keys.
+func checkBucketsExact(t *testing.T, ix *BandIndex) {
 	t.Helper()
-	total, live := 0, 0
+	total := 0
 	for band, buckets := range ix.buckets {
 		for key, entries := range buckets {
+			if len(entries) == 0 {
+				t.Fatalf("band %d keeps an empty bucket %x", band, key)
+			}
 			total += len(entries)
 			in := map[stream.User]bool{}
 			for _, u := range entries {
@@ -183,25 +187,23 @@ func checkOneLiveEntryEach(t *testing.T, ix *BandIndex) {
 					t.Fatalf("band %d bucket %x holds user %d twice", band, key, u)
 				}
 				in[u] = true
-				if ix.live(u, band, key) {
-					live++
+				if keys := ix.Keys(u); keys == nil || keys[band] != key {
+					t.Fatalf("band %d bucket %x holds user %d, whose keys are %x", band, key, u, keys)
 				}
 			}
 		}
 	}
-	if total != ix.Stats().Entries {
-		t.Fatalf("buckets hold %d entries, Stats says %d", total, ix.Stats().Entries)
-	}
-	if want := ix.Len() * ix.Params().Bands; live != want {
-		t.Fatalf("%d live entries for %d members x %d bands", live, ix.Len(), ix.Params().Bands)
+	if want := ix.Len() * ix.Params().Bands; total != want {
+		t.Fatalf("buckets hold %d entries, %d members x %d bands is %d", total, ix.Len(), ix.Params().Bands, want)
 	}
 }
 
-// TestBandIndexRekey pins mutation by key: an identical re-Put leaves
-// nothing behind, a changed band is the only one re-keyed, a member that
-// returns to a key it held before (A→B→A) or is removed and re-added
-// revives its old entry instead of appending a second one, and PutBand
-// agrees with Put — also where Rows exceeds a word and bands straddle one.
+// TestBandIndexRekey pins mutation by key: a changed band is the only one
+// re-keyed and its member leaves the old bucket as it joins the new one, so
+// after every step the buckets hold exactly the members' keys — an
+// identical re-Put, a return to a key held before (A→B→A) and a remove and
+// re-add all leave one entry a band — and PutBand agrees with Put, also
+// where Rows exceeds a word and bands straddle one.
 func TestBandIndexRekey(t *testing.T) {
 	p := Params{Bands: 3, Rows: 70, Seed: 11} // bands at bits 0, 70, 140
 	const sigBits = 210
@@ -217,7 +219,7 @@ func TestBandIndexRekey(t *testing.T) {
 		if err := ix.Put(u, words); err != nil {
 			t.Fatal(err)
 		}
-		checkOneLiveEntryEach(t, ix)
+		checkBucketsExact(t, ix)
 	}
 	wantKeys := func(u stream.User, words []uint64) {
 		t.Helper()
@@ -237,19 +239,16 @@ func TestBandIndexRekey(t *testing.T) {
 	}
 	put(1, a)
 	put(2, a)
-	put(1, a) // identical: no garbage
-	if got := ix.Stats().Entries; got != 2*p.Bands {
-		t.Fatalf("identical re-Put left %d entries, want %d", got, 2*p.Bands)
-	}
-	put(1, b) // one band moved: one stale entry
+	put(1, a) // identical: nothing moves
+	put(1, b) // one band moved: user 1 leaves the bucket it shared with 2
 	wantKeys(1, b)
-	if got := ix.Stats().Entries; got != 2*p.Bands+1 {
-		t.Fatalf("one-band change left %d entries, want %d", got, 2*p.Bands+1)
+	if old := ix.buckets[1][ix.Keys(2)[1]]; len(old) != 1 || old[0] != 2 {
+		t.Fatalf("after a one-band change the old bucket holds %v, want [2]", old)
 	}
-	put(1, a) // back again: the old entry is live again, none added
+	put(1, a) // back again: one entry, beside user 2
 	wantKeys(1, a)
-	if got := ix.Stats().Entries; got != 2*p.Bands+1 {
-		t.Fatalf("A-B-A left %d entries, want %d", got, 2*p.Bands+1)
+	if got := ix.buckets[1][ix.Keys(2)[1]]; len(got) != 2 {
+		t.Fatalf("after A-B-A the bucket holds %v, want users 1 and 2 once each", got)
 	}
 	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("after A-B-A, Candidates = %v, want [1]", cands)
@@ -259,12 +258,12 @@ func TestBandIndexRekey(t *testing.T) {
 	if err := ix.PutBand(1, 1, bandBits(b, 1, p.Rows)); err != nil {
 		t.Fatal(err)
 	}
-	checkOneLiveEntryEach(t, ix)
+	checkBucketsExact(t, ix)
 	wantKeys(1, b)
 	if err := ix.PutBand(1, 1, bandBits(a, 1, p.Rows)); err != nil {
 		t.Fatal(err)
 	}
-	checkOneLiveEntryEach(t, ix)
+	checkBucketsExact(t, ix)
 	wantKeys(1, a)
 	if err := ix.PutBand(9, 1, bandBits(a, 1, p.Rows)); err == nil || ix.Has(9) {
 		t.Fatalf("PutBand of a non-member = %v (indexed: %v)", err, ix.Has(9))
@@ -281,6 +280,7 @@ func TestBandIndexRekey(t *testing.T) {
 	if ix.Keys(1) != nil {
 		t.Fatal("removed user still has keys")
 	}
+	checkBucketsExact(t, ix)
 	put(1, a)
 	wantKeys(1, a)
 	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
@@ -288,18 +288,16 @@ func TestBandIndexRekey(t *testing.T) {
 	}
 }
 
-// TestBandIndexCompaction pins that probing compacts stale entries in
-// place and that churn without probes triggers the sweep backstop, so the
-// entry count stays bounded by a constant factor of the live membership —
-// whether the churn is whole signatures or single bands.
+// TestBandIndexCompaction pins that the index carries no garbage to
+// compact: under churn that is never probed — whole signatures, single
+// bands, removals and re-adds — the buckets hold exactly the members' keys
+// after every step, and a probe changes nothing.
 func TestBandIndexCompaction(t *testing.T) {
 	p := Params{Bands: 2, Rows: 32, Seed: 5}
 	ix, err := NewBandIndex(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough members that the small-index exemption does not apply, then
-	// churn far past the sweep threshold without a single probe.
 	const members = 200
 	rng := rand.New(rand.NewPCG(1, 2))
 	for u := stream.User(0); u < members; u++ {
@@ -307,30 +305,26 @@ func TestBandIndexCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bound := 2 * members * p.Bands
 	for i := 0; i < 4000; i++ {
 		u := stream.User(rng.IntN(members))
-		if i%2 == 0 {
-			err = ix.Put(u, []uint64{rng.Uint64()})
-		} else {
-			err = ix.PutBand(u, rng.IntN(p.Bands), []uint64{rng.Uint64()})
+		switch {
+		case !ix.Has(u) || i%3 == 0:
+			// Few distinct signatures, so buckets are shared and members
+			// leave from the middle of them.
+			err = ix.Put(u, []uint64{uint64(rng.IntN(8)) * 0x0101010101010101})
+		case i%3 == 1:
+			err = ix.PutBand(u, rng.IntN(p.Bands), []uint64{uint64(rng.IntN(8))})
+		default:
+			ix.Remove(u)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ix.Stats().Entries; got > bound {
-			t.Fatalf("step %d: entries %d exceed sweep bound %d", i, got, bound)
-		}
+		checkBucketsExact(t, ix)
 	}
-	if st := ix.Stats(); st.Sweeps == 0 {
-		t.Fatalf("churn never swept: %+v", st)
-	}
-	checkOneLiveEntryEach(t, ix)
 
-	// Probe-side compaction: superseded entries met on a probe are dropped
-	// from their buckets. A fresh index below the sweep backstop's
-	// small-index exemption keeps the sweep out of the way, so the probe is
-	// the only thing that can reclaim them.
+	// Probes are read-only: members that moved away are already gone from
+	// the bucket, and walking it leaves it as it was.
 	ix2, err := NewBandIndex(p, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -341,20 +335,19 @@ func TestBandIndexCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, u := range []stream.User{1, 3} { // move away: their entries under sig go stale
+	for _, u := range []stream.User{1, 3} {
 		if err := ix2.Put(u, elsewhere); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := ix2.Stats().Entries
+	checkBucketsExact(t, ix2)
 	if cands, err := ix2.Candidates(2, sig); err != nil || len(cands) != 0 {
 		t.Fatalf("Candidates = %v, %v; want none", cands, err)
 	}
-	after := ix2.Stats().Entries
-	if want := 3 * p.Bands; after != want || after >= before {
-		t.Fatalf("probe did not compact to live entries: %d -> %d (want %d)", before, after, want)
+	if cands, err := ix2.Candidates(1, elsewhere); err != nil || len(cands) != 1 || cands[0] != 3 {
+		t.Fatalf("Candidates = %v, %v; want [3]", cands, err)
 	}
-	checkOneLiveEntryEach(t, ix2)
+	checkBucketsExact(t, ix2)
 }
 
 // TestBandIndexCollisionProbabilityBound is the S-curve property test over

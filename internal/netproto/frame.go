@@ -191,18 +191,9 @@ func (f Frame) DecodeEdges() ([]stream.Edge, error) {
 	if f.Type != TypeData {
 		return nil, fmt.Errorf("%w: DecodeEdges on type-%d frame", ErrBadFrame, f.Type)
 	}
-	out := make([]stream.Edge, 0, f.Count)
-	rest := f.Payload
-	for i := uint32(0); i < f.Count; i++ {
-		e, n := stream.DecodeElement(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: element %d truncated", ErrBadFrame, i)
-		}
-		rest = rest[n:]
-		out = append(out, e)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing data after %d elements", ErrBadFrame, f.Count)
+	out, err := stream.DecodeElements(f.Payload, uint64(f.Count))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return out, nil
 }

@@ -120,6 +120,36 @@ func DecodeElement(data []byte) (Edge, int) {
 	return Edge{User: User(uo >> 1), Item: Item(it), Op: op}, n1 + n2
 }
 
+// DecodeElements decodes exactly count elements from data with nothing left
+// over — the body every element container shares (the stream file, the WAL
+// record payload, the VOSSTRM1 data frame); each wraps the error in its own
+// sentinel. Each element occupies at least two bytes (a one-byte uvarint
+// each for the user+op word and the item), so a count the bytes cannot
+// possibly hold is malformed. All three containers take untrusted input
+// (POST /v1/edges, datagrams, inspection tools reading non-CRC-validated
+// records), so the pre-allocation below must never trust count beyond what
+// data could actually encode — a forged 16-byte header must not reserve
+// gigabytes.
+func DecodeElements(data []byte, count uint64) ([]Edge, error) {
+	if count > uint64(len(data))/2 {
+		return nil, fmt.Errorf("count %d exceeds capacity of %d bytes", count, len(data))
+	}
+	out := make([]Edge, 0, count)
+	for idx := uint64(0); idx < count; idx++ {
+		e, n := DecodeElement(data)
+		if n <= 0 {
+			return nil, fmt.Errorf("element %d truncated", idx)
+		}
+		data = data[n:]
+		out = append(out, e)
+	}
+	// Trailing garbage means the bytes were not produced by AppendElement.
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after %d elements", len(data), count)
+	}
+	return out, nil
+}
+
 // WriteBinary writes edges in the binary format: magic, element count, then
 // each element per AppendElement.
 func WriteBinary(w io.Writer, edges []Edge) error {
@@ -162,27 +192,9 @@ func ReadBinary(r io.Reader) ([]Edge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	// Each element occupies at least two bytes (a one-byte uvarint each for
-	// the user+op word and the item), so a count the remaining bytes cannot
-	// possibly hold is malformed. ReadBinary is exposed to untrusted input
-	// (POST /v1/edges), so the pre-allocation below must never trust count
-	// beyond what the body could actually encode — a forged 16-byte header
-	// must not reserve gigabytes.
-	if count > uint64(len(rest))/2 {
-		return nil, fmt.Errorf("%w: count %d exceeds capacity of %d remaining bytes", ErrBadFormat, count, len(rest))
-	}
-	out := make([]Edge, 0, count)
-	for idx := uint64(0); idx < count; idx++ {
-		e, n := DecodeElement(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: element %d truncated", ErrBadFormat, idx)
-		}
-		rest = rest[n:]
-		out = append(out, e)
-	}
-	// Trailing garbage means the file was not produced by WriteBinary.
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing data after %d elements", ErrBadFormat, count)
+	out, err := DecodeElements(rest, count)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return out, nil
 }

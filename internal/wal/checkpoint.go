@@ -59,38 +59,14 @@ func DecodeCheckpoint(data []byte) (pos uint64, sketch []byte, err error) {
 	return pos, body[24:], nil
 }
 
-// WriteCheckpoint atomically persists a checkpoint covering [0, pos):
-// write to a temp file, fsync, rename into place, fsync the directory.
-// Older checkpoint files beyond the most recent two are removed.
+// WriteCheckpoint atomically persists a checkpoint covering [0, pos)
+// (WriteFileAtomic). Older checkpoint files beyond the most recent two are
+// removed.
 func WriteCheckpoint(dir string, pos uint64, sketch []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	data := EncodeCheckpoint(pos, sketch)
-	tmp, err := os.CreateTemp(dir, "tmp-ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, ckptName(pos))); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := syncDir(dir); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, ckptName(pos)), EncodeCheckpoint(pos, sketch)); err != nil {
 		return err
 	}
 	// Keep the newest two checkpoints: the one just written plus one

@@ -148,23 +148,9 @@ func DecodeEdges(payload []byte) ([]stream.Edge, error) {
 		return nil, fmt.Errorf("%w: bad record count", ErrCorrupt)
 	}
 	payload = payload[n:]
-	// Each edge takes at least two bytes, which bounds plausible counts —
-	// checked before allocating, since inspection tools hand this decoder
-	// non-CRC-validated input.
-	if count > uint64(len(payload))/2 {
-		return nil, fmt.Errorf("%w: implausible record count %d", ErrCorrupt, count)
-	}
-	out := make([]stream.Edge, 0, count)
-	for i := uint64(0); i < count; i++ {
-		e, n := stream.DecodeElement(payload)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: edge %d truncated", ErrCorrupt, i)
-		}
-		payload = payload[n:]
-		out = append(out, e)
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload))
+	out, err := stream.DecodeElements(payload, count)
+	if err != nil {
+		return nil, fmt.Errorf("%w: record: %v", ErrCorrupt, err)
 	}
 	return out, nil
 }
@@ -301,6 +287,36 @@ func (l *Log) startSegment(base uint64) error {
 	l.size = segHeaderLen
 	l.base = base
 	return nil
+}
+
+// WriteFileAtomic replaces the file at path with data so that a crash at
+// any point leaves either the old content or the new, never a torn half,
+// and the new content is durable once it returns: write a temp file beside
+// it, fsync, rename into place, fsync the directory. Checkpoints and the
+// cluster's ring and manifest documents all persist through it, so they
+// survive the same failures.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // a no-op once the rename has taken it
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames and file creations in it survive

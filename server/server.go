@@ -42,10 +42,10 @@ const (
 	RouteClusterImport = "/v1/cluster/import" // POST: merge serialized state (handoff target)
 )
 
-// Gateway-tier routes, registered by internal/cluster.Gateway.Handler on
-// vosgw, never by this package's New — a backend has no ring to serve.
-// They are declared here so the route table (and the CI route-harvest
-// check against docs/openapi.yaml) has one home.
+// Gateway-tier routes, put on a Server by internal/cluster.Gateway.Register
+// (through Handle) on vosgw, never by this package's New — a backend has no
+// ring to serve. They are declared here so the route table (and the CI
+// route-harvest check against docs/openapi.yaml) has one home.
 const (
 	RouteClusterRing       = "/v1/cluster/ring"       // GET: the live shard→node table
 	RouteClusterHandoff    = "/v1/cluster/handoff"    // POST HandoffRequest: move a shard
@@ -173,7 +173,8 @@ type Server struct {
 	inFlight sync.WaitGroup
 
 	start time.Time
-	// byRoute/routeList are filled in New and immutable afterwards; each
+	// byRoute/routeList are filled by Handle (New, then whatever routes the
+	// owner adds) before the first request and immutable afterwards; each
 	// endpointStats carries its own lock.
 	byRoute   map[string]*endpointStats
 	routeList []string
@@ -200,15 +201,15 @@ func New(svc vos.SimilarityService, opt Options) *Server {
 		start:   time.Now(),
 		byRoute: make(map[string]*endpointStats),
 	}
-	s.handle(RouteEdges, http.MethodPost, s.handleEdges)
-	s.handle(RouteSimilarity, http.MethodGet, s.handleSimilarity)
-	s.handle(RouteTopK, http.MethodPost, s.handleTopK)
-	s.handle(RouteCardinality, http.MethodGet, s.handleCardinality)
-	s.handle(RouteStats, http.MethodGet, s.handleStats)
-	s.handle(RouteCheckpoint, http.MethodPost, s.handleCheckpoint)
-	s.handle(RouteClusterSketch, http.MethodGet, s.handleClusterSketch)
-	s.handle(RouteClusterImport, http.MethodPost, s.handleClusterImport)
-	s.handle(RouteMetrics, http.MethodGet, s.handleMetrics)
+	s.Handle(RouteEdges, http.MethodPost, s.handleEdges)
+	s.Handle(RouteSimilarity, http.MethodGet, s.handleSimilarity)
+	s.Handle(RouteTopK, http.MethodPost, s.handleTopK)
+	s.Handle(RouteCardinality, http.MethodGet, s.handleCardinality)
+	s.Handle(RouteStats, http.MethodGet, s.handleStats)
+	s.Handle(RouteCheckpoint, http.MethodPost, s.handleCheckpoint)
+	s.Handle(RouteClusterSketch, http.MethodGet, s.handleClusterSketch)
+	s.Handle(RouteClusterImport, http.MethodPost, s.handleClusterImport)
+	s.Handle(RouteMetrics, http.MethodGet, s.handleMetrics)
 	// Health endpoints bypass the drain gate: a draining instance is still
 	// alive, and readiness must keep answering (with 503) so load
 	// balancers see the flip.
@@ -289,9 +290,13 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// handle registers an instrumented route: method gate, drain gate,
-// in-flight tracking, per-endpoint counters, optional request log.
-func (s *Server) handle(route, method string, h http.HandlerFunc) {
+// Handle registers an instrumented route: method gate, drain gate,
+// in-flight tracking (Drain waits for it), per-endpoint counters (it shows
+// in /v1/metrics), optional request log. New registers the standard API
+// through it; a service with routes of its own (the cluster gateway) adds
+// them the same way, so every route a daemon serves behaves alike. Call it
+// before the server takes its first request, not while it serves.
+func (s *Server) Handle(route, method string, h http.HandlerFunc) {
 	st := &endpointStats{}
 	s.byRoute[route] = st
 	s.routeList = append(s.routeList, route)
@@ -350,21 +355,9 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 		wire = s.opt.MaxBatchBytes
 	}
-	hold, admitErr := s.adm.Admit(wire, isBinary)
-	if admitErr != nil {
-		var tooLarge *admit.BatchTooLargeError
-		var overBudget *admit.BudgetExceededError
-		switch {
-		case errors.As(admitErr, &tooLarge), errors.As(admitErr, &overBudget):
-			// Retrying cannot help either way — tell the caller to split
-			// (the charge scales with the declared size, so splitting
-			// always helps).
-			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, admitErr.Error())
-		default: // admit.ErrBackpressure: transient, so a retry hint
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusTooManyRequests, CodeBackpressure,
-				"in-flight ingest byte budget exhausted; retry after a delay")
-		}
+	hold, err := s.adm.Admit(wire, isBinary)
+	if err != nil {
+		WriteServiceError(w, err) // 413 too_large, or 429 backpressure with a retry hint
 		return
 	}
 	defer hold.Close()
@@ -401,13 +394,13 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if maxTs > 0 {
 		if wsvc, ok := s.svc.(vos.Windowed); ok {
 			if err := wsvc.AdvanceWindow(r.Context(), unixSeconds(maxTs)); err != nil && !errors.Is(err, vos.ErrNoWindow) {
-				s.writeServiceError(w, err)
+				WriteServiceError(w, err)
 				return
 			}
 		}
 	}
 	if err := s.svc.Ingest(r.Context(), edges); err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, IngestResponse{Accepted: len(edges)})
@@ -473,32 +466,33 @@ func decodeJSONEdges(body io.Reader) ([]vos.Edge, float64, error) {
 	if len(trimmed) == 0 {
 		return nil, 0, errors.New("empty body")
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	if trimmed[0] == '[' {
 		var ws []EdgeJSON
-		if err := dec.Decode(&ws); err != nil {
-			return nil, 0, fmt.Errorf("bad JSON edge array: %w", err)
-		}
-		if err := expectExhausted(dec); err != nil {
+		if err := DecodeStrictJSON(bytes.NewReader(data), &ws); err != nil {
 			return nil, 0, fmt.Errorf("bad JSON edge array: %w", err)
 		}
 		return edgesFromWire(ws)
 	}
 	var one EdgeJSON
-	if err := dec.Decode(&one); err != nil {
-		return nil, 0, fmt.Errorf("bad JSON edge: %w", err)
-	}
-	if err := expectExhausted(dec); err != nil {
+	if err := DecodeStrictJSON(bytes.NewReader(data), &one); err != nil {
 		return nil, 0, fmt.Errorf("bad JSON edge: %w", err)
 	}
 	return edgesFromWire([]EdgeJSON{one})
 }
 
-// expectExhausted rejects input left over after a complete JSON value —
-// Decoder.Decode stops at the value's end, so without this check
-// concatenated or corrupted payloads would be silently half-ingested.
-func expectExhausted(dec *json.Decoder) error {
+// DecodeStrictJSON decodes exactly one JSON value from r into out: a
+// misspelt field is refused rather than taken as a silent default, and so
+// is input left over after the value — Decoder.Decode stops at the value's
+// end, so without that check concatenated or corrupted payloads would be
+// silently half-read. Every JSON document this module takes from outside
+// (ingest bodies, control-plane bodies, the cluster's ring and manifest)
+// is read through it.
+func DecodeStrictJSON(r io.Reader, out any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(out); err != nil {
+		return err
+	}
 	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON value")
 	}
@@ -520,13 +514,8 @@ func decodeNDJSON(body io.Reader) ([]vos.Edge, float64, error) {
 		// Same strictness as the JSON array path: a misspelled field must
 		// be rejected, not silently ingested as the zero user/item, and a
 		// line holding more than one value is corruption, not a batch.
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
 		var e EdgeJSON
-		if err := dec.Decode(&e); err != nil {
-			return nil, 0, fmt.Errorf("ndjson line %d: %w", line, err)
-		}
-		if err := expectExhausted(dec); err != nil {
+		if err := DecodeStrictJSON(bytes.NewReader(raw), &e); err != nil {
 			return nil, 0, fmt.Errorf("ndjson line %d: %w", line, err)
 		}
 		ws = append(ws, e)
@@ -573,18 +562,16 @@ func (s *Server) checkAt(w http.ResponseWriter, r *http.Request, at float64) boo
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "at must be positive unix seconds before year 2262")
 		return false
 	}
-	wsvc, ok := s.svc.(vos.Windowed)
-	if !ok {
+	var info vos.WindowInfo
+	err := vos.ErrNoWindow // what a service without the capability amounts to
+	if wsvc, ok := s.svc.(vos.Windowed); ok {
+		info, err = wsvc.WindowInfo(r.Context())
+	}
+	if errors.Is(err, vos.ErrNoWindow) {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
 		return false
-	}
-	info, err := wsvc.WindowInfo(r.Context())
-	if err != nil {
-		if errors.Is(err, vos.ErrNoWindow) {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "at requires a sliding-window service; this service retains the whole stream")
-		} else {
-			s.writeServiceError(w, err)
-		}
+	} else if err != nil {
+		WriteServiceError(w, err)
 		return false
 	}
 	if t := unixSeconds(at); t.Before(info.Start) {
@@ -615,7 +602,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	}
 	est, err := s.svc.Similarity(r.Context(), vos.User(u), vos.User(v))
 	if err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, EstimateToWire(est))
@@ -623,8 +610,8 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)).Decode(&req)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: "+err.Error())
 		return
 	}
@@ -646,22 +633,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			// Degraded-read capable backends (the cluster gateway) answer
 			// even with part of the state unreachable; incompleteness is
 			// surfaced as a header so the body shape stays identical.
-			results, complete, err := pt.TopKPartial(r.Context(), vos.User(req.User), candidates, req.N)
-			if err != nil {
-				s.writeServiceError(w, err)
-				return
-			}
-			if !complete {
+			var complete bool
+			top, complete, err = pt.TopKPartial(r.Context(), vos.User(req.User), candidates, req.N)
+			if err == nil && !complete {
 				w.Header().Set(HeaderPartial, "true")
 			}
-			top = results
 		} else {
-			var err error
 			top, err = s.svc.TopK(r.Context(), vos.User(req.User), candidates, req.N)
-			if err != nil {
-				s.writeServiceError(w, err)
-				return
-			}
 		}
 	case "ann":
 		if req.N <= 0 {
@@ -680,14 +658,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if !s.checkAt(w, r, req.At) {
 			return
 		}
-		var err error
 		top, err = ann.TopKApprox(r.Context(), vos.User(req.User), req.N)
-		if err != nil {
-			s.writeServiceError(w, err)
-			return
-		}
 	default:
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(`mode must be "exact" or "ann", got %q`, req.Mode))
+		return
+	}
+	if err != nil {
+		WriteServiceError(w, err)
 		return
 	}
 	out := make([]TopKResultJSON, len(top))
@@ -705,7 +682,7 @@ func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
 	}
 	card, err := s.svc.Cardinality(r.Context(), vos.User(u))
 	if err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, CardinalityResponse{User: u, Cardinality: card})
@@ -714,7 +691,7 @@ func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := s.svc.Stats(r.Context())
 	if err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	resp := StatsToWire(st)
@@ -754,7 +731,7 @@ func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 	if de, ok := s.svc.(vos.DeltaExporter); ok {
 		d, err := de.ExportSince(r.Context(), r.URL.Query().Get("since"))
 		if err != nil {
-			s.writeServiceError(w, err)
+			WriteServiceError(w, err)
 			return
 		}
 		w.Header().Set(HeaderSketchCursor, d.Cursor)
@@ -769,7 +746,7 @@ func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 	} else if exp, ok := s.svc.(vos.StateExporter); ok {
 		var err error
 		if data, err = exp.ExportSketch(r.Context()); err != nil {
-			s.writeServiceError(w, err)
+			WriteServiceError(w, err)
 			return
 		}
 	} else {
@@ -804,7 +781,7 @@ func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := imp.ImportSketch(r.Context(), data); err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, ImportResponse{Bytes: len(data)})
@@ -818,7 +795,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	pos, err := ck.Checkpoint(r.Context())
 	if err != nil {
-		s.writeServiceError(w, err)
+		WriteServiceError(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, CheckpointResponse{Position: pos})
@@ -868,9 +845,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- shared plumbing ---
 
-// writeServiceError maps a service error onto the typed envelope.
-func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
+// WriteServiceError maps a service error onto the typed envelope
+// (StatusFor); backpressure carries its Retry-After hint wherever it was
+// raised — by this server's admission or, behind a gateway, by a backend's.
+func WriteServiceError(w http.ResponseWriter, err error) {
 	status, code := StatusFor(err)
+	if code == CodeBackpressure {
+		w.Header().Set("Retry-After", "1")
+	}
 	WriteError(w, status, code, err.Error())
 }
 
@@ -879,11 +861,28 @@ func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
 // would page an operator for client behavior.
 const StatusClientClosedRequest = 499
 
-// StatusFor maps service-layer errors to HTTP status + envelope code.
-// Exported, with WriteJSON and WriteError, so the cluster gateway's own
-// routes answer in the same protocol as the routes it wraps.
+// StatusFor maps service-layer errors to HTTP status + envelope code. An
+// error in the chain that carries its own HTTPStatus wins over the table:
+// that is how a backend's answer (*client.Error) passes through a gateway
+// unchanged, and how a package this one cannot import (internal/cluster)
+// classifies its own sentinels.
 func StatusFor(err error) (int, string) {
+	var own interface {
+		HTTPStatus() (status int, code string)
+	}
+	var tooLarge *admit.BatchTooLargeError
+	var overBudget *admit.BudgetExceededError
 	switch {
+	case errors.As(err, &own):
+		return own.HTTPStatus()
+	case errors.As(err, &tooLarge), errors.As(err, &overBudget):
+		// Admission: retrying cannot help either way — the caller must
+		// split (the charge scales with the declared size, so splitting
+		// always helps).
+		return http.StatusRequestEntityTooLarge, CodeTooLarge
+	case errors.Is(err, admit.ErrBackpressure):
+		// Admission: transient, so WriteServiceError adds a retry hint.
+		return http.StatusTooManyRequests, CodeBackpressure
 	case errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest, CodeCanceled
 	case errors.Is(err, context.DeadlineExceeded):
@@ -925,17 +924,10 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 
-// DecodeJSONBody strictly decodes a request body of at most limit bytes as
-// one JSON value into out: unknown fields refused, trailing data refused.
-// For control-plane bodies, where a misspelt field must not be a silent
-// default.
+// DecodeJSONBody strictly decodes (DecodeStrictJSON) a request body of at
+// most limit bytes into out. For control-plane bodies.
 func DecodeJSONBody(r *http.Request, limit int64, out any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return fmt.Errorf("bad JSON body: %v", err)
-	}
-	if err := expectExhausted(dec); err != nil {
+	if err := DecodeStrictJSON(http.MaxBytesReader(nil, r.Body, limit), out); err != nil {
 		return fmt.Errorf("bad JSON body: %v", err)
 	}
 	return nil

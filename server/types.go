@@ -16,6 +16,11 @@ import (
 // shortest decimal that round-trips the exact float64, so a decoded
 // estimate is bit-identical to the one the engine produced — the property
 // the client↔server parity tests pin.
+//
+// EstimateJSON, ANNStatsJSON, SnapshotStatsJSON and UDPStatsJSON differ from
+// the types they carry only in their tags, so each converts by Go struct
+// conversion: a field added on one side only stops this package compiling
+// instead of travelling as a silent zero.
 
 // EdgeJSON is one stream element on the wire: {"user":u,"item":i,"op":"+"}.
 // Op is "+" (insert, the default when omitted) or "-" (delete).
@@ -77,32 +82,12 @@ type EstimateJSON struct {
 
 // Estimate converts back to the engine type.
 func (e EstimateJSON) Estimate() vos.Estimate {
-	return vos.Estimate{
-		Common:              e.Common,
-		CommonClamped:       e.CommonClamped,
-		Jaccard:             e.Jaccard,
-		SymmetricDifference: e.SymmetricDifference,
-		Alpha:               e.Alpha,
-		Beta:                e.Beta,
-		CardinalityU:        e.CardinalityU,
-		CardinalityV:        e.CardinalityV,
-		Saturated:           e.Saturated,
-	}
+	return vos.Estimate(e)
 }
 
 // EstimateToWire converts an engine estimate to its wire form.
 func EstimateToWire(e vos.Estimate) EstimateJSON {
-	return EstimateJSON{
-		Common:              e.Common,
-		CommonClamped:       e.CommonClamped,
-		Jaccard:             e.Jaccard,
-		SymmetricDifference: e.SymmetricDifference,
-		Alpha:               e.Alpha,
-		Beta:                e.Beta,
-		CardinalityU:        e.CardinalityU,
-		CardinalityV:        e.CardinalityV,
-		Saturated:           e.Saturated,
-	}
+	return EstimateJSON(e)
 }
 
 // TopKRequest is the POST /v1/topk body. At, when nonzero, asserts the
@@ -187,19 +172,7 @@ type ANNStatsJSON struct {
 
 // ANNStatsToWire converts the counters to their wire form.
 func ANNStatsToWire(s vos.ANNStats) ANNStatsJSON {
-	return ANNStatsJSON{
-		Indexed:          s.Indexed,
-		DirtyBacklog:     s.DirtyBacklog,
-		Entries:          s.Entries,
-		Rebands:          s.Rebands,
-		Removals:         s.Removals,
-		Probes:           s.Probes,
-		Rotations:        s.Rotations,
-		BandRekeys:       s.BandRekeys,
-		JournalFallbacks: s.JournalFallbacks,
-		SpilledUsers:     s.SpilledUsers,
-		ProbeReuses:      s.ProbeReuses,
-	}
+	return ANNStatsJSON(s)
 }
 
 // SnapshotStatsJSON is vos.SnapshotStats on the wire: refreshes of the
@@ -224,20 +197,7 @@ type SnapshotStatsJSON struct {
 
 // SnapshotStatsToWire converts the counters to their wire form.
 func SnapshotStatsToWire(s vos.SnapshotStats) SnapshotStatsJSON {
-	return SnapshotStatsJSON{
-		Replays:          s.Replays,
-		ReplayedEdges:    s.ReplayedEdges,
-		RebuildsFirst:    s.RebuildsFirst,
-		RebuildsOverflow: s.RebuildsOverflow,
-		RebuildsRotation: s.RebuildsRotation,
-		RebuildsImport:   s.RebuildsImport,
-		RebuildsBusy:     s.RebuildsBusy,
-		RebuildsEpoch:    s.RebuildsEpoch,
-		RebuildsRing:     s.RebuildsRing,
-		RebuildsNoDelta:  s.RebuildsNoDelta,
-		JournalOverflows: s.JournalOverflows,
-		GatheredBytes:    s.GatheredBytes,
-	}
+	return SnapshotStatsJSON(s)
 }
 
 // UDPStatsJSON is metrics.UDPStats on the wire: the datagram ingest
@@ -263,21 +223,7 @@ type UDPStatsJSON struct {
 
 // UDPStatsToWire converts the metrics snapshot to its wire form.
 func UDPStatsToWire(s metrics.UDPStats) UDPStatsJSON {
-	return UDPStatsJSON{
-		FramesReceived:  s.FramesReceived,
-		FramesApplied:   s.FramesApplied,
-		EdgesApplied:    s.EdgesApplied,
-		Malformed:       s.Malformed,
-		GapsDetected:    s.GapsDetected,
-		ReplaysDropped:  s.ReplaysDropped,
-		LateApplied:     s.LateApplied,
-		StaleDropped:    s.StaleDropped,
-		AdmitRejected:   s.AdmitRejected,
-		SinkErrors:      s.SinkErrors,
-		AcksSent:        s.AcksSent,
-		Sessions:        s.Sessions,
-		SessionsEvicted: s.SessionsEvicted,
-	}
+	return UDPStatsJSON(s)
 }
 
 // Stats converts back to the engine type. An unrecognised (or absent)
