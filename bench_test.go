@@ -344,6 +344,35 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFlushAfterWrite measures what a read-your-writes caller
+// waits for after a small write: a 256-edge ProcessBatch (untimed), then
+// Flush alone — two residues handed to two workers, about 10 µs of apply
+// work, and the wake-up when the second worker is done. Reports the mean
+// and the median of the timed Flush calls in µs.
+func BenchmarkEngineFlushAfterWrite(b *testing.B) {
+	edges := ingestStream(b)
+	const write = 256
+	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: ingestConfig(), Shards: 2})
+	defer eng.Close()
+	waits := make([]time.Duration, b.N)
+	for i := range waits {
+		at := i * write % (len(edges) - write)
+		if err := eng.ProcessBatch(edges[at : at+write]); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		eng.Flush()
+		waits[i] = time.Since(start)
+	}
+	var total time.Duration
+	for _, w := range waits {
+		total += w
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	b.ReportMetric(float64(total.Nanoseconds())/1e3/float64(b.N), "µs/op")
+	b.ReportMetric(float64(waits[b.N/2].Nanoseconds())/1e3, "p50-µs")
+}
+
 // BenchmarkEngineIngestDurable measures the WAL overhead per sync policy:
 // the same ProcessBatch workload as BenchmarkEngineIngest (2 shards)
 // flowing through a durable engine with the write-ahead log enabled. The

@@ -93,6 +93,27 @@ func (b *Bitset) Flip(i uint64) bool {
 	return false
 }
 
+// FlipAll toggles the bits at idx in order — the same final words and ones
+// count as calling Flip for each, so an index listed twice cancels — as one
+// tight loop with nothing between two toggles: the words are scattered over
+// an array far larger than the cache, and back to back their misses overlap
+// where a loop that does other work per toggle waits out each one. An
+// out-of-range index panics as Flip does, with exactly the indices before it
+// toggled.
+func (b *Bitset) FlipAll(idx []uint64) {
+	ones := b.ones
+	for _, i := range idx {
+		if i >= b.n {
+			b.ones = ones
+			b.check(i)
+		}
+		w := &b.words[i>>6]
+		ones += 1 - 2*(*w>>(i&63)&1) // +1 when the bit was 0, −1 (wrapping) when it was 1
+		*w ^= 1 << (i & 63)
+	}
+	b.ones = ones
+}
+
 // SetTo forces bit i to v.
 func (b *Bitset) SetTo(i uint64, v bool) {
 	if v {

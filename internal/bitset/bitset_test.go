@@ -371,3 +371,56 @@ func TestGatherOutOfRangePanics(t *testing.T) {
 	}()
 	b.Gather([]uint64{0, 100})
 }
+
+// TestFlipAllMatchesFlipLoop: FlipAll is Flip in a loop — same words, same
+// maintained count — on spread-out lists and on lists where most indices
+// repeat (an even number of toggles of one bit must cancel), at lengths
+// around a word and at a length that is not a multiple of 64 bits.
+func TestFlipAllMatchesFlipLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []uint64{1, 63, 64, 65, 1000, 1 << 14} {
+		for _, distinct := range []uint64{n, 3} { // random over the array, duplicate-heavy
+			for _, length := range []int{0, 1, 2, 255, 256, 257, 4096} {
+				got, want := New(n), New(n)
+				for round := 0; round < 3; round++ { // later rounds start from a populated array
+					idx := make([]uint64, length)
+					for i := range idx {
+						idx[i] = (rng.Uint64() % distinct) * (n / distinct) % n
+					}
+					got.FlipAll(idx)
+					for _, i := range idx {
+						want.Flip(i)
+					}
+					if !got.Equal(want) || got.Count() != want.Count() {
+						t.Fatalf("n=%d distinct=%d len=%d round %d: FlipAll count %d, Flip loop count %d, words equal %v",
+							n, distinct, length, round, got.Count(), want.Count(), got.Equal(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlipAllOutOfRangePanics: an index past the end panics with Flip's own
+// message, and exactly the indices before it have been toggled (and counted).
+func TestFlipAllOutOfRangePanics(t *testing.T) {
+	message := func(fn func()) (msg any) {
+		defer func() { msg = recover() }()
+		fn()
+		return nil
+	}
+	idx := []uint64{5, 70, 5, 99, 100, 7}
+	got, want := New(100), New(100)
+	wantMsg := message(func() {
+		for _, i := range idx {
+			want.Flip(i)
+		}
+	})
+	gotMsg := message(func() { got.FlipAll(idx) })
+	if wantMsg == nil || gotMsg != wantMsg {
+		t.Fatalf("FlipAll panicked with %v, Flip with %v", gotMsg, wantMsg)
+	}
+	if !got.Equal(want) || got.Count() != want.Count() || got.Count() != 2 {
+		t.Fatalf("after the panic FlipAll left count %d, the Flip loop %d (want 2: bits 70 and 99)", got.Count(), want.Count())
+	}
+}

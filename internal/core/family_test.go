@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -281,6 +282,84 @@ func TestWindowProcessBatchMatchesProcess(t *testing.T) {
 		bm, _ := bat.Merged().MarshalBinary()
 		if !bytes.Equal(am, bm) {
 			t.Errorf("family %v: Window.ProcessBatch merged view differs", cfg.Family)
+		}
+	}
+}
+
+// blockEdges builds n edges aimed at what a block step could get wrong:
+// six users, so every block repeats each many times; twenty items, so the
+// same (user, item) pair is toggled several times inside one block and its
+// bit must cancel; and user 0 on every third edge alternating delete and
+// insert, so its counter runs −1, 0, −1, … — pruned and re-created inside
+// a block.
+func blockEdges(n int, seed int64) []stream.Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]stream.Edge, n)
+	for i := range edges {
+		if i%3 == 0 {
+			edges[i] = stream.Edge{User: 0, Item: 7, Op: stream.Op(1 - i/3%2)}
+			continue
+		}
+		edges[i] = stream.Edge{
+			User: stream.User(1 + rng.Intn(5)),
+			Item: stream.Item(rng.Intn(20)),
+			Op:   stream.Op(rng.Intn(2)),
+		}
+	}
+	return edges
+}
+
+// blockLengths straddle the block length of ProcessBatch on both sides, one
+// and two blocks over, and many blocks.
+var blockLengths = []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 1, 4096}
+
+// TestProcessBatchBlockParity: at every length around the block boundary a
+// single ProcessBatch call leaves the serialized sketch byte-identical to
+// Process edge by edge — from an empty sketch and again from the populated
+// one — for both families.
+func TestProcessBatchBlockParity(t *testing.T) {
+	for _, cfg := range []Config{testConfig(), fastConfig()} {
+		for _, n := range blockLengths {
+			one, bat := MustNew(cfg), MustNew(cfg)
+			for round := int64(0); round < 2; round++ {
+				edges := blockEdges(n, 40+round)
+				for _, e := range edges {
+					one.Process(e)
+				}
+				bat.ProcessBatch(edges)
+				mustEqualSketchBytes(t, bat, one, fmt.Sprintf("family %v, %d edges, round %d", cfg.Family, n, round))
+			}
+		}
+	}
+}
+
+// TestWindowProcessBatchBlockParity is the same for the window: the merged
+// view and the current bucket each match per-edge Window.Process, across a
+// rotation.
+func TestWindowProcessBatchBlockParity(t *testing.T) {
+	for _, cfg := range []Config{testConfig(), fastConfig()} {
+		for _, n := range blockLengths {
+			start := time.Unix(100, 0)
+			one, err := NewWindowAt(cfg, 3, time.Second, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bat, err := NewWindowAt(cfg, 3, time.Second, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := int64(0); round < 2; round++ {
+				edges := blockEdges(n, 50+round)
+				for _, e := range edges {
+					one.Process(e)
+				}
+				bat.ProcessBatch(edges)
+				msg := fmt.Sprintf("family %v, %d edges, round %d", cfg.Family, n, round)
+				mustEqualSketchBytes(t, bat.Merged(), one.Merged(), msg+", merged view")
+				mustEqualSketchBytes(t, bat.Bucket(2), one.Bucket(2), msg+", current bucket")
+				one.Rotate()
+				bat.Rotate()
+			}
 		}
 	}
 }

@@ -107,10 +107,11 @@ type VOS struct {
 	// fastMemo caches per-user fast-family expansion states for the
 	// single-slot ingest path: real streams repeat users heavily, so the
 	// direct-mapped table turns the per-edge Hash64 into a multiply-indexed
-	// load on repeats. It is written by Process/ProcessBatch ONLY — the
-	// read paths (position, fillPositions) must not touch it, because
-	// read-only methods may run concurrently on a quiescent sketch and a
-	// memo write would race. nil when the family is classic (or in the
+	// load on repeats. It is written by Process/ProcessBatch (and the
+	// window's ProcessBatch, on its merged view) ONLY — the read paths
+	// (position, fillPositions) must not touch it, because read-only
+	// methods may run concurrently on a quiescent sketch and a memo write
+	// would race. nil when the family is classic (or in the
 	// no-memo benchmark baseline); positions are identical either way.
 	fastMemo []fastMemoEntry
 
@@ -292,27 +293,57 @@ func (v *VOS) Process(e stream.Edge) {
 	v.bump(e.User, opDelta(e.Op))
 }
 
+// blockLen is how many edges one step of ProcessBatch covers: long enough
+// that the array misses of a block's toggles are all in flight together
+// (bitset.FlipAll), short enough that its positions (2 KiB) stay on the stack
+// and its edges are still in L1 when the counters are bumped.
+const blockLen = 256
+
+// togglePositions writes to pos[i] the array position edges[i] toggles,
+// f_ψ(item)(user) — through the ingest memo where the family has one, so
+// like Process it belongs to the write paths only. len(pos) == len(edges).
+func (v *VOS) togglePositions(pos []uint64, edges []stream.Edge) {
+	m := v.cfg.MemoryBits
+	if v.fslots != nil {
+		for i, e := range edges {
+			pos[i] = hashing.PositionFromState(v.fastState(uint64(e.User)), v.slot(e.Item), m)
+		}
+		return
+	}
+	for i, e := range edges {
+		pos[i] = v.slots.HashRange(v.slot(e.Item), uint64(e.User), m)
+	}
+}
+
+// bumpAll adjusts the counters for every edge of a block.
+func (v *VOS) bumpAll(edges []stream.Edge) {
+	for _, e := range edges {
+		v.bump(e.User, opDelta(e.Op))
+	}
+}
+
 // ProcessBatch folds a slice of stream elements into the sketch — the same
-// state transition as calling Process per element, with the per-edge
-// overheads (write-version bump, method dispatch) hoisted out of the loop.
-// The engine's shard workers apply their queued batches through this.
+// state transition as calling Process per element, byte for byte — in blocks
+// of up to blockLen edges: hash the block's toggled positions into a stack
+// buffer, toggle them back to back, then adjust the counters. One write
+// version covers the whole slice. Process interleaves the three per edge, so
+// every array miss waits behind the previous edge's counter-map operation;
+// here a block's misses overlap. The slice is only read, and not kept. The
+// engine's shard workers apply their queued batches through this, and the
+// resident views replay journalled batches through it.
 func (v *VOS) ProcessBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
 	}
 	v.version++ // one write event: invalidates every cached recovered sketch
-	if v.fslots != nil {
-		for _, e := range edges {
-			j := v.slot(e.Item)
-			v.arr.Flip(hashing.PositionFromState(v.fastState(uint64(e.User)), j, v.cfg.MemoryBits))
-			v.bump(e.User, opDelta(e.Op))
-		}
-		return
-	}
-	for _, e := range edges {
-		j := v.slot(e.Item)
-		v.arr.Flip(v.slots.HashRange(j, uint64(e.User), v.cfg.MemoryBits))
-		v.bump(e.User, opDelta(e.Op))
+	var buf [blockLen]uint64
+	for len(edges) > 0 {
+		blk := edges[:min(len(edges), blockLen)]
+		edges = edges[len(blk):]
+		pos := buf[:len(blk)]
+		v.togglePositions(pos, blk)
+		v.arr.FlipAll(pos)
+		v.bumpAll(blk)
 	}
 }
 

@@ -156,8 +156,11 @@ func (w *Window) Process(e stream.Edge) {
 
 // ProcessBatch folds a slice of stream elements into the current bucket
 // and the merged view — the same state transition as calling Process per
-// element, with the write-version bumps hoisted to one per batch and each
-// edge's hashes still computed once for both arrays.
+// element, byte for byte in both — by the block step of VOS.ProcessBatch:
+// a block's positions are computed once (through the merged view's ingest
+// memo), toggled back to back in the merged array and then in the bucket's,
+// and the two counter maps adjusted last. One write version per sketch
+// covers the whole slice; the slice is only read, and not kept.
 func (w *Window) ProcessBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -165,14 +168,16 @@ func (w *Window) ProcessBatch(edges []stream.Edge) {
 	m, b := w.merged, w.buckets[w.cur]
 	m.version++ // one write event: invalidates cached recovered sketches
 	b.version++
-	for _, e := range edges {
-		j := m.slot(e.Item)
-		p := m.position(e.User, j)
-		d := opDelta(e.Op)
-		m.arr.Flip(p)
-		m.bump(e.User, d)
-		b.arr.Flip(p)
-		b.bump(e.User, d)
+	var buf [blockLen]uint64
+	for len(edges) > 0 {
+		blk := edges[:min(len(edges), blockLen)]
+		edges = edges[len(blk):]
+		pos := buf[:len(blk)]
+		m.togglePositions(pos, blk)
+		m.arr.FlipAll(pos)
+		b.arr.FlipAll(pos)
+		m.bumpAll(blk)
+		b.bumpAll(blk)
 	}
 }
 

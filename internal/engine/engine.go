@@ -78,9 +78,12 @@ type Config struct {
 	// from Sketch.Seed, so engines with equal sketch configs route alike.
 	RouteSeed uint64
 
-	// BatchSize is how many edges a producer buffers per shard before
-	// handing the batch to the shard worker, and the unit the worker
-	// applies under one lock acquisition. Default: 256.
+	// BatchSize is how many edges a shard's pending batch holds before it is
+	// handed to the shard worker, and the unit the worker applies under one
+	// lock acquisition (and journals as one entry). Every queued batch has
+	// exactly this many edges, whatever the size of the ProcessBatch calls;
+	// only Flush, Close and the FlushInterval ticker hand over a shorter
+	// residue. Default: 256.
 	BatchSize int
 
 	// QueueSize is the per-shard ingest queue capacity in edges (rounded
@@ -165,11 +168,15 @@ func (c Config) withDefaults() Config {
 // shard is one partition: a private sketch, its ingest queue, and the
 // producer-side pending batch.
 type shard struct {
-	// pendMu guards pend, the producer-side partial batch.
+	// pendMu guards pend, the producer-side partial batch. Its memory is the
+	// engine's — a copy of what callers passed, or a stretch of a partition
+	// buffer (see add) — and what lies before len(pend) is never written
+	// again, so a batch handed to ch needs no further copy.
 	pendMu sync.Mutex
 	pend   []stream.Edge
 
-	// ch carries full batches to the worker goroutine.
+	// ch carries batches to the worker goroutine: BatchSize edges each, or a
+	// shorter residue from Flush, Close or the linger ticker.
 	ch chan []stream.Edge
 
 	// skMu guards sk (and win): the worker writes under Lock, queries and
@@ -186,10 +193,22 @@ type shard struct {
 
 	// enqueued counts edges accepted by Process/ProcessBatch for this
 	// shard (including edges still pending or queued); processed counts
-	// edges applied to sk. processed is advanced inside skMu, so a reader
-	// holding RLock sees exactly the count reflected in sk.
+	// edges applied to sk. enqueued is advanced inside pendMu, together with
+	// the edges' arrival in pend, so whoever holds pendMu knows that every
+	// counted edge is in pend, in a full batch its producer is sending, on the
+	// queue, or applied — what lets Flush cut a target and take the residue
+	// in one step. processed is advanced inside skMu, so a reader holding
+	// RLock sees exactly the count reflected in sk.
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
+
+	// A Flush waiting for processed to reach its target parks on applied
+	// (under waitMu) after counting itself into waiters; the worker, having
+	// advanced processed, broadcasts only when that count is nonzero, so a
+	// batch applied while nobody waits costs one atomic load.
+	waitMu  sync.Mutex
+	applied sync.Cond // L is &waitMu
+	waiters atomic.Int32
 
 	// journal is the ring of the newest applied batches, which the resident
 	// merged views, remote readers and the approximate top-K index replay
@@ -339,6 +358,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	for i := range e.shards {
 		s := &shard{ch: make(chan []stream.Edge, batches)}
+		s.applied.L = &s.waitMu
 		if e.ann != nil {
 			s.annSpill = make(map[stream.User]uint64)
 		}
@@ -410,7 +430,29 @@ func (e *Engine) worker(s *shard) {
 		e.record(s, batch, end)
 		s.processed.Store(end)
 		s.skMu.Unlock()
+		if s.waiters.Load() > 0 {
+			// Taking waitMu orders the broadcast after a waiter's own check
+			// of processed: it is either parked by now or saw this batch.
+			s.waitMu.Lock()
+			s.applied.Broadcast()
+			s.waitMu.Unlock()
+		}
 	}
+}
+
+// await blocks until the worker has applied target edges. The caller has
+// made sure every one of them is on its way to the queue (see Flush).
+func (s *shard) await(target uint64) {
+	if s.processed.Load() >= target {
+		return
+	}
+	s.waitMu.Lock()
+	s.waiters.Add(1)
+	for s.processed.Load() < target {
+		s.applied.Wait()
+	}
+	s.waiters.Add(-1)
+	s.waitMu.Unlock()
 }
 
 // linger periodically hands partial producer batches to the workers so an
@@ -453,18 +495,41 @@ func (e *Engine) kickPending(s *shard) {
 	}
 }
 
-// add accepts a group of edges for one shard: it counts them, appends to
-// the pending batch, and hands full batches to the worker (blocking when
-// the queue is full — backpressure). Batches are carved to exactly
-// BatchSize edges so the queue's capacity in edges really is bounded by
-// Config.QueueSize (rounded up to whole batches) no matter how large the
-// slices passed to ProcessBatch are; the residue stays pending (always
-// shorter than one batch at rest).
-func (s *shard) add(edges []stream.Edge, batchSize int) {
-	s.enqueued.Add(uint64(len(edges)))
+// add accepts a group of edges for one shard, in order behind what is
+// pending, and hands full batches to the worker (blocking when the queue is
+// full — backpressure). Batches are carved to exactly BatchSize edges so the
+// queue's capacity in edges really is bounded by Config.QueueSize (rounded
+// up to whole batches) no matter how large the slices passed to ProcessBatch
+// are; the residue stays pending (always shorter than one batch at rest).
+//
+// owned says whose memory edges is. False: the caller's, which add must not
+// keep — the edges are copied onto the pending batch and the batches carved
+// from that copy. True: the engine's own, written for the last time (route's
+// partition buffer) — only the head that tops the pending batch up to
+// BatchSize is copied; the rest becomes the pending batch as it lies, so
+// its full batches and its residue alias the group. The group's capacity
+// ends with it, so a later append to the residue moves it out rather than
+// running on into the next shard's group.
+func (s *shard) add(edges []stream.Edge, batchSize int, owned bool) {
 	s.pendMu.Lock()
-	s.pend = append(s.pend, edges...)
-	var full [][]stream.Edge
+	s.enqueued.Add(uint64(len(edges)))
+	full := make([][]stream.Edge, 0, (len(s.pend)+len(edges))/batchSize)
+	if !owned {
+		s.pend = append(s.pend, edges...)
+	} else {
+		if len(s.pend) > 0 {
+			head := min(batchSize-len(s.pend), len(edges))
+			s.pend = append(s.pend, edges[:head]...)
+			edges = edges[head:]
+			if len(s.pend) == batchSize {
+				full = append(full, s.pend)
+				s.pend = nil
+			}
+		}
+		if len(s.pend) == 0 { // otherwise the top-up took the whole group
+			s.pend = edges[:len(edges):len(edges)]
+		}
+	}
 	for len(s.pend) >= batchSize {
 		full = append(full, s.pend[:batchSize:batchSize])
 		s.pend = s.pend[batchSize:]
@@ -503,7 +568,7 @@ func (e *Engine) Process(ed stream.Edge) error {
 			return err
 		}
 	}
-	e.shards[e.ShardOf(ed.User)].add(edges[:], e.cfg.BatchSize)
+	e.shards[e.ShardOf(ed.User)].add(edges[:], e.cfg.BatchSize, false)
 	return nil
 }
 
@@ -511,7 +576,9 @@ func (e *Engine) Process(ed stream.Edge) error {
 // shard first so each shard's lock is taken once per call rather than once
 // per edge. This is the high-throughput ingest path — on durable engines
 // also the efficient one, since the whole slice becomes one WAL record
-// (and, under SyncEveryBatch, one fsync).
+// (and, under SyncEveryBatch, one fsync). The slice stays the caller's: the
+// engine keeps no reference to it, and it may be reused as soon as
+// ProcessBatch returns.
 func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 	e.maybeAdvance() // see Process
 	e.lifeMu.RLock() // see Process
@@ -536,30 +603,58 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 	return nil
 }
 
-// route groups edges by owning shard and hands them over — ProcessBatch
-// minus lifecycle and durability, shared with WAL replay.
+// route groups edges by owning shard and hands the groups over —
+// ProcessBatch minus lifecycle and durability, shared with WAL replay. The
+// grouping is a counting partition: one pass finds every edge's owner and
+// the group sizes, one allocation of exactly len(edges) holds the groups back
+// to back, one pass scatters the edges into it in arrival order. That buffer
+// is the engine's and is not written again, so the shards carve their
+// batches out of it in place (see add): an edge is copied once on its way to
+// the worker, and the caller's slice is free the moment route returns. The
+// owners and offsets are scratch, garbage when route returns. With one shard
+// there is nothing to partition and add copies instead.
 func (e *Engine) route(edges []stream.Edge) {
 	n := len(e.shards)
 	if n == 1 {
-		e.shards[0].add(edges, e.cfg.BatchSize)
+		e.shards[0].add(edges, e.cfg.BatchSize, false)
 		return
 	}
-	groups := make([][]stream.Edge, n)
-	for _, ed := range edges {
-		i := e.ShardOf(ed.User)
-		groups[i] = append(groups[i], ed)
+	owner := make([]uint32, len(edges)) // wide enough: every shard owns an array and a goroutine
+	at := make([]int, n+1)              // at[i]: where shard i's next edge goes, once the sizes are summed
+	for k := range edges {
+		i := e.ShardOf(edges[k].User)
+		owner[k] = uint32(i)
+		at[i+1]++
 	}
-	for i, g := range groups {
-		if len(g) > 0 {
-			e.shards[i].add(g, e.cfg.BatchSize)
+	for i := 1; i < n; i++ {
+		at[i+1] += at[i]
+	}
+	buf := make([]stream.Edge, len(edges))
+	for k, ed := range edges {
+		i := owner[k]
+		buf[at[i]] = ed
+		at[i]++
+	}
+	// The scatter left at[i] at the end of group i, the start of group i+1.
+	lo := 0
+	for i, hi := range at[:n] {
+		if hi > lo {
+			e.shards[i].add(buf[lo:hi], e.cfg.BatchSize, true)
 		}
+		lo = hi
 	}
 }
 
 // Flush blocks until every edge accepted before the call has been applied
-// to its shard sketch. After Flush, Query reflects all of them exactly.
-// Flush racing Close is safe: once Close has begun, Flush returns
-// immediately (Close itself drains every buffered edge).
+// to its shard sketch. After Flush, Query reflects all of them exactly. It
+// is a hand-over and a wait: per shard, one pendMu section cuts the target
+// (see shard.enqueued) and takes the pending residue, which goes on the
+// shard's queue at once — every shard has its residue before Flush waits on
+// any — and then Flush parks until each worker's processed count reaches the
+// target, woken by the worker itself (shard.await): nothing polls, nothing
+// sleeps. Flush racing Close is safe: once Close has begun, Flush returns
+// immediately (Close itself drains every buffered edge), and a Flush
+// already waiting holds lifeMu, so Close stops no worker under it.
 func (e *Engine) Flush() {
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
@@ -568,26 +663,17 @@ func (e *Engine) Flush() {
 	}
 	targets := make([]uint64, len(e.shards))
 	for i, s := range e.shards {
+		s.pendMu.Lock()
 		targets[i] = s.enqueued.Load()
+		out := s.pend
+		s.pend = nil
+		s.pendMu.Unlock()
+		if len(out) > 0 {
+			s.ch <- out // blocks only while the queue is full
+		}
 	}
 	for i, s := range e.shards {
-		for s.processed.Load() < targets[i] {
-			// The shortfall can live in the pending batch (hand it over,
-			// blocking if the queue is full) or in the queue (yield until
-			// the worker drains it).
-			s.pendMu.Lock()
-			out := s.pend
-			s.pend = nil
-			s.pendMu.Unlock()
-			if len(out) > 0 {
-				s.ch <- out
-				continue
-			}
-			runtime.Gosched()
-			if s.processed.Load() < targets[i] {
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
+		s.await(targets[i])
 	}
 }
 

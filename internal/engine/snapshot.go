@@ -22,7 +22,10 @@ import (
 // processed count once the batch was in, so a reader's per-shard cursor is
 // at the same time the position in the journal it has replayed up to. The
 // batch slice is the engine-owned one the worker was handed: it is never
-// written again, so the journal holds it without copying.
+// written again, so the journal holds it without copying. It may be a
+// stretch of the partition buffer of the ProcessBatch call it came in
+// (shard.add), and then keeps that whole buffer — the other shards' groups
+// of the same call included — reachable until it is evicted.
 type journalEntry struct {
 	batch []stream.Edge
 	end   uint64
@@ -31,14 +34,19 @@ type journalEntry struct {
 // journalWordsPerEdge sizes the per-shard journal bound from the array:
 // a shard's journal holds at most words/16 edges (words = MemoryBits/64).
 // Replaying must stay cheaper than the re-merge it replaces. The re-merge
-// XORs the array at roughly 2.5 ns a word per shard (bitset.xor ≈ 3 GB/s)
-// and then rebuilds the counter map, which for any populated sketch costs
-// more than the XOR (20k users: 1.0 ms of a 1.15 ms re-merge at 2×32k
-// words); replay costs ~70 ns an edge (core.apply_ns_per_edge). A full
-// journal therefore replays in 70/16 ≈ 4.4 ns a word — level with the
-// re-merge once the counter map is counted — and anything shorter is a win.
-// The bound also caps what the journal pins: words/16 edges of 24 bytes is
-// under a fifth of the shard's array.
+// XORs the array at 1.2 to 2.7 ns a word per shard (bitset.xor_mb_per_s
+// reads 3 to 6.8 GB/s from run to run) and then rebuilds the counter map,
+// which for any populated sketch costs more than the XOR (20k users over two
+// shards: core.merge_ms 0.36 to 0.43 ms a 32k-word shard, 11 to 13 ns a word
+// all told). Replay costs about 25 ns an edge (core.apply_ns_per_edge: 70
+// when this bound was set, 34 before core.VOS.ProcessBatch applied edges in
+// blocks, 24 to 28 since), so a full journal replays in 25/16 ≈ 1.6 ns a
+// word — several times under the re-merge, no longer level with it — and
+// time alone would allow a journal a few times longer. The constant stays
+// for the other half of the bound, what the journal pins: words/16 edges of
+// 24 bytes is under a fifth of the shard's array, a batch can keep its
+// call's whole partition buffer alive (see journalEntry), and nothing
+// measured shows reads falling back for want of journal.
 const journalWordsPerEdge = 16
 
 // stamp is the exact engine state a view equals: the recovery base it was
