@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"sort"
 	"sync/atomic"
@@ -277,6 +278,72 @@ func BenchmarkSequentialIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.Process(edges[i%len(edges)])
+	}
+}
+
+// BenchmarkSketchProcessBatch measures the block kernel that the engine's
+// shard workers, the resident views and WAL replay run (what
+// BenchmarkSequentialIngest times is Process, the scalar reference):
+// 4,096-edge ProcessBatch calls on a sketch that already holds 20,000 users.
+// The stream is a Zipf churn shaped like the repository benchmark's — a drawn
+// user drops a live item 45 % of the time it has one and subscribes
+// otherwise, so the tail's counters keep crossing zero. A first stretch of it
+// is the preload; the timed stretch runs forwards and then backwards with
+// every action inverted, so that each pass over it returns the sketch to the
+// preloaded state. One op is one call; ns/edge is the figure. At m = 2^24
+// (ingestConfig) the 2 MiB array's misses own most of an edge; at m = 2^21,
+// the array of the repository benchmark's embed-churn, the hashes and the
+// counter do.
+func BenchmarkSketchProcessBatch(b *testing.B) {
+	const (
+		users = 20_000
+		call  = 4096
+		calls = 64
+	)
+	rng := rand.New(rand.NewSource(9))
+	zipf := rand.NewZipf(rng, 1.6, 8, users-1)
+	live := make([]uint32, users)
+	next := func() vos.Edge {
+		u := zipf.Uint64()
+		if live[u] > 0 && rng.Float64() < 0.45 {
+			live[u]--
+			return vos.Edge{User: vos.User(u), Item: vos.Item(live[u]), Op: vos.Delete}
+		}
+		live[u]++
+		return vos.Edge{User: vos.User(u), Item: vos.Item(live[u] - 1), Op: vos.Insert}
+	}
+	// The busy users arrive first, as they do in a stream; then every user
+	// the stretch left without a live item gets one.
+	preload := make([]vos.Edge, 0, call*calls+users)
+	for len(preload) < call*calls {
+		preload = append(preload, next())
+	}
+	for u := range live {
+		if live[u] == 0 {
+			preload, live[u] = append(preload, vos.Edge{User: vos.User(u), Op: vos.Insert}), 1
+		}
+	}
+	edges := make([]vos.Edge, call*calls)
+	for i := 0; i < len(edges)/2; i++ {
+		e := next()
+		edges[i], edges[len(edges)-1-i] = e, vos.Edge{User: e.User, Item: e.Item, Op: 1 - e.Op}
+	}
+	for _, logM := range []int{21, 24} {
+		b.Run(fmt.Sprintf("m=2^%d", logM), func(b *testing.B) {
+			cfg := ingestConfig()
+			cfg.MemoryBits = 1 << logM
+			sk := vos.MustNew(cfg)
+			sk.ProcessBatch(preload)
+			if sk.Users() != users {
+				b.Fatalf("preloaded sketch holds %d users, want %d", sk.Users(), users)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i % calls * call
+				sk.ProcessBatch(edges[off : off+call])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*call), "ns/edge")
+		})
 	}
 }
 

@@ -99,7 +99,7 @@ func (v *VOS) RecoverSketch(u stream.User) *Recovered {
 	return &Recovered{
 		user: u,
 		bits: v.recoverBits(u),
-		card: v.card[u],
+		card: v.card.get(u),
 		beta: v.Beta(),
 	}
 }
@@ -142,20 +142,20 @@ func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 		// Hot path: compare the packed snapshots word for word, straight
 		// off the cached slice — no gather, no allocation, no recount.
 		if ws, _, ok := v.rec.GetVersioned(w, v.version); ok {
-			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card[w], r.beta)
+			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card.get(w), r.beta)
 		}
 		// Miss: materialise w's bits (rather than fusing the XOR into the
 		// gather) so the cache warms and the next pass runs probe-free.
 		bits := v.gatherBits(w)
 		v.rec.PutVersioned(w, v.version, bits.UnsafeWords(), bits.Count())
-		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card[w], r.beta)
+		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card.get(w), r.beta)
 	}
 	pos, scratch := v.lookupPositions(w)
 	z := v.arr.GatherXorCount(pos, r.bits)
 	if scratch {
 		v.releasePositions(pos)
 	}
-	return v.estimateFrom(int(z), r.card, v.card[w], r.beta)
+	return v.estimateFrom(int(z), r.card, v.card.get(w), r.beta)
 }
 
 // QueryMany estimates u against every candidate in one pass, recovering u

@@ -364,6 +364,135 @@ func TestWindowProcessBatchBlockParity(t *testing.T) {
 	}
 }
 
+// A counterBlockCase is a prefix, applied edge by edge to both sides, and one
+// block of at most blockLen edges that one side applies with ProcessBatch.
+type counterBlockCase struct {
+	name          string
+	prefix, block []stream.Edge
+	atLoadLimit   bool // the prefix must leave every table one insertion short of growing
+	wantUsers     int
+}
+
+// counterBlockCases are single blocks aimed at the counter table's block step.
+func counterBlockCases() []counterBlockCase {
+	ins := func(u, i int) stream.Edge { return stream.Edge{User: stream.User(u), Item: stream.Item(i)} }
+	del := func(u, i int) stream.Edge {
+		return stream.Edge{User: stream.User(u), Item: stream.Item(i), Op: stream.Delete}
+	}
+
+	// A table one insertion short of growing: the block's 256 unseen users
+	// need the growth, and it has to come before the block's home slots are
+	// computed, not between them.
+	var full []stream.Edge
+	c := newCounters(counterTestSeed)
+	for u := 0; 3*(c.live+1) <= 2*len(c.slots) || c.live < 300; u++ {
+		c.bump(stream.User(u), 1)
+		full = append(full, ins(u, 1))
+	}
+	unseen := make([]stream.Edge, blockLen)
+	for i := range unseen {
+		unseen[i] = ins(1_000_000+i, i)
+	}
+
+	filled, emptying := make([]stream.Edge, 100), make([]stream.Edge, 100)
+	for u := range filled {
+		filled[u], emptying[u] = ins(u, 9), del(u, 9)
+	}
+	return []counterBlockCase{
+		{name: "a user goes +1, -1, +1 in one block", prefix: []stream.Edge{ins(1, 1), ins(2, 1)},
+			block: []stream.Edge{ins(7, 1), ins(1, 2), del(7, 1), ins(2, 2), ins(7, 3)}, wantUsers: 3},
+		{name: "a user goes -1, +1, -1 in one block", block: []stream.Edge{del(7, 1), ins(7, 1), del(7, 2)}, wantUsers: 1},
+		{name: "256 unseen users into a table at its load limit", prefix: full, block: unseen,
+			atLoadLimit: true, wantUsers: len(full) + blockLen},
+		{name: "a block that empties the table", prefix: filled, block: emptying, wantUsers: 0},
+	}
+}
+
+// TestProcessBatchCounterBlocks: the zero crossings, the growth and the
+// emptying leave ProcessBatch byte-identical to Process, on a sketch and on a
+// window's merged view and current bucket, for both families.
+func TestProcessBatchCounterBlocks(t *testing.T) {
+	atLimit := func(v *VOS) bool { return 3*(v.card.live+1) > 2*len(v.card.slots) }
+	for _, cfg := range []Config{testConfig(), fastConfig()} {
+		for _, tc := range counterBlockCases() {
+			msg := fmt.Sprintf("family %v, %s", cfg.Family, tc.name)
+			one, bat := MustNew(cfg), MustNew(cfg)
+			wone, err := NewWindowAt(cfg, 2, time.Second, time.Unix(100, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wbat, err := NewWindowAt(cfg, 2, time.Second, time.Unix(100, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range tc.prefix {
+				one.Process(e)
+				bat.Process(e)
+				wone.Process(e)
+				wbat.Process(e)
+			}
+			if tc.atLoadLimit && !(atLimit(bat) && atLimit(wbat.Merged()) && atLimit(wbat.Bucket(1))) {
+				t.Fatalf("%s: a table is not at its load limit before the block", msg)
+			}
+			for _, e := range tc.block {
+				one.Process(e)
+				wone.Process(e)
+			}
+			bat.ProcessBatch(tc.block)
+			wbat.ProcessBatch(tc.block)
+			mustEqualSketchBytes(t, bat, one, msg)
+			mustEqualSketchBytes(t, wbat.Merged(), wone.Merged(), msg+", merged view")
+			mustEqualSketchBytes(t, wbat.Bucket(1), wone.Bucket(1), msg+", current bucket")
+			if bat.Users() != tc.wantUsers || wbat.Merged().Users() != tc.wantUsers {
+				t.Errorf("%s: %d users (window %d), want %d", msg, bat.Users(), wbat.Merged().Users(), tc.wantUsers)
+			}
+		}
+	}
+}
+
+// TestMergeUnmergeCounters: with 20,000 users a side, Merge into an empty
+// sketch copies the source byte for byte, Merge into a populated one equals
+// the sketch of the two streams together, and Unmerge takes each back out to
+// byte-identity — down to the empty sketch.
+func TestMergeUnmergeCounters(t *testing.T) {
+	const users = 20_000
+	for _, cfg := range []Config{testConfig(), fastConfig()} {
+		a, b, both := MustNew(cfg), MustNew(cfg), MustNew(cfg)
+		for u := 0; u < users; u++ {
+			// a holds users [0, 20k) at +1, b holds [10k, 30k), two in three
+			// of them at −1: where those overlap a's, the merged counter
+			// cancels to zero and the entry goes.
+			ea := stream.Edge{User: stream.User(u), Item: stream.Item(u % 50)}
+			eb := stream.Edge{User: stream.User(u + users/2), Item: stream.Item(u % 50), Op: stream.Op(min(u%3, 1))}
+			a.Process(ea)
+			b.Process(eb)
+			both.Process(ea)
+			both.Process(eb)
+		}
+		msg := fmt.Sprintf("family %v", cfg.Family)
+		dst := MustNew(cfg)
+		if err := dst.Merge(a); err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSketchBytes(t, dst, a, msg+", merge into an empty sketch")
+		if err := dst.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSketchBytes(t, dst, both, msg+", merge into a populated sketch")
+		if dst.Users() >= a.Users()+b.Users() {
+			t.Errorf("%s: no counter cancelled in the merge (%d users)", msg, dst.Users())
+		}
+		if err := dst.Unmerge(b); err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSketchBytes(t, dst, a, msg+", unmerge of the second sketch")
+		if err := dst.Unmerge(a); err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSketchBytes(t, dst, MustNew(cfg), msg+", unmerge of the first sketch")
+	}
+}
+
 func TestStatsReportsFamily(t *testing.T) {
 	if got := MustNew(testConfig()).Stats().Family; got != hashing.KindClassic {
 		t.Errorf("classic Stats().Family = %v", got)

@@ -44,7 +44,7 @@ func TestFastMemoMatchesReadPath(t *testing.T) {
 	for _, e := range edges {
 		j := w.slot(e.Item)
 		w.arr.Flip(w.position(e.User, j))
-		w.bump(e.User, opDelta(e.Op))
+		w.card.bump(e.User, opDelta(e.Op))
 	}
 	w.version = v.version
 

@@ -42,6 +42,10 @@ func FuzzUnmarshalVOS(f *testing.F) {
 	badFam := append([]byte(nil), seed...)
 	badFam[19] = 0x07 // SketchBits high byte = family tag
 	f.Add(badFam)
+	// One user in two rows (corrupt) and the rows in descending order (fine).
+	_, dup, swapped := twoUserPayloads()
+	f.Add(dup)
+	f.Add(swapped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalVOS(data)
@@ -97,6 +101,11 @@ func FuzzUnmarshalWindow(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	// A bucket that names one user in two rows (corrupt) and one whose rows
+	// are in descending order (fine).
+	_, dup, swapped := twoUserPayloads()
+	f.Add(windowOf(dup))
+	f.Add(windowOf(swapped))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalWindow(data)

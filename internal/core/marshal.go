@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
@@ -38,38 +39,29 @@ const familyShift = 56
 
 // MarshalBinary encodes the full sketch state.
 func (v *VOS) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(vosMagic[:])
-
-	var scratch [8]byte
-	writeU64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], x)
-		buf.Write(scratch[:])
-	}
-	writeU64(v.cfg.MemoryBits)
-	writeU64(uint64(v.cfg.SketchBits) | uint64(v.cfg.Family)<<familyShift)
-	writeU64(v.cfg.Seed)
-
-	users := make([]stream.User, 0, len(v.card))
-	for u, c := range v.card {
-		if c != 0 {
-			users = append(users, u)
-		}
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	writeU64(uint64(len(users)))
-	for _, u := range users {
-		writeU64(uint64(u))
-		writeU64(uint64(v.card[u]))
-	}
-
 	arr, err := v.arr.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	writeU64(uint64(len(arr)))
-	buf.Write(arr)
-	return buf.Bytes(), nil
+	pairs := make([]counterSlot, 0, v.card.live)
+	for u, n := range v.card.all {
+		pairs = append(pairs, counterSlot{user: u, n: n})
+	}
+	slices.SortFunc(pairs, func(a, b counterSlot) int { return cmp.Compare(a.user, b.user) })
+
+	le := binary.LittleEndian
+	out := make([]byte, 0, len(vosMagic)+8*(5+2*len(pairs))+len(arr))
+	out = append(out, vosMagic[:]...)
+	out = le.AppendUint64(out, v.cfg.MemoryBits)
+	out = le.AppendUint64(out, uint64(v.cfg.SketchBits)|uint64(v.cfg.Family)<<familyShift)
+	out = le.AppendUint64(out, v.cfg.Seed)
+	out = le.AppendUint64(out, uint64(len(pairs)))
+	for _, p := range pairs {
+		out = le.AppendUint64(out, uint64(p.user))
+		out = le.AppendUint64(out, uint64(p.n))
+	}
+	out = le.AppendUint64(out, uint64(len(arr)))
+	return append(out, arr...), nil
 }
 
 // UnmarshalVOS decodes a sketch produced by MarshalBinary.
@@ -131,6 +123,7 @@ func UnmarshalVOS(data []byte) (*VOS, error) {
 	if nUsers > uint64(len(data))/16+1 {
 		return nil, fmt.Errorf("%w: implausible user count %d", ErrCorrupt, nUsers)
 	}
+	v.card.reserve(int(nUsers))
 	for i := uint64(0); i < nUsers; i++ {
 		u, err := readU64()
 		if err != nil {
@@ -141,14 +134,19 @@ func UnmarshalVOS(data []byte) (*VOS, error) {
 			return nil, err
 		}
 		// Process/Merge prune zero-cardinality entries, so Marshal never
-		// writes one — and Users() = len(card) depends on the map never
-		// holding a zero. Negative counters (stored as two's-complement
-		// uint64) ARE valid: delete-before-insert reordering passes through
-		// them, and a checkpoint can land in that window.
+		// writes one — and the counter table reads a zero as an empty slot.
+		// Negative counters (stored as two's-complement uint64) ARE valid:
+		// delete-before-insert reordering passes through them, and a
+		// checkpoint can land in that window.
 		if c == 0 {
 			return nil, fmt.Errorf("%w: user %d has zero cardinality", ErrCorrupt, u)
 		}
-		v.card[stream.User(u)] = int64(c)
+		// Marshal writes each user once; a payload that names one twice would
+		// decode to fewer users than its header counts and not re-marshal to
+		// the same bytes. Rows out of order are accepted.
+		if !v.card.insert(stream.User(u), int64(c)) {
+			return nil, fmt.Errorf("%w: user %d appears twice", ErrCorrupt, u)
+		}
 	}
 
 	arrLen, err := readU64()

@@ -9,7 +9,8 @@
 //     sketch slots an item toggles,
 //   - k user hashes f_1 … f_k : U → {1..m} placing each user's k virtual
 //     slots in A,
-//   - a per-user cardinality counter n_u,
+//   - a per-user cardinality counter n_u, in one flat open-addressed table
+//     (counters.go),
 //   - β, the fraction of 1-bits in A (maintained O(1) by the bitset).
 //
 // Processing an element (u, i, ±) flips the single bit A[f_ψ(i)(u)] and
@@ -93,7 +94,11 @@ func (c Config) validate() error {
 // mutex or shard by stream partition and Merge (see Merge). Read-only
 // methods (Query, QueryMany, TopK, Recover*, Cardinality, Beta, Stats) may
 // run concurrently with each other on a quiescent sketch — the engine's
-// merged snapshots and the parallel top-K path rely on this.
+// merged snapshots and the parallel top-K path rely on this. Nothing at run
+// time enforces the single writer: where a Go map aborts the process on a
+// concurrent read and write, the counter table, like the array, silently
+// yields a wrong state. The rule is checked by the race detector alone — run
+// the tests of any new caller under -race.
 type VOS struct {
 	cfg Config
 	arr *bitset.Bitset
@@ -102,7 +107,7 @@ type VOS struct {
 	// position computation keeps inlining into Process.
 	slots  *hashing.Family     // KindClassic: f_1 … f_k, one member per virtual slot
 	fslots *hashing.FastFamily // KindFast: one strong hash + splitmix64 expansion
-	card   map[stream.User]int64
+	card   counters            // n_u for every user with live state; holds no zero
 
 	// fastMemo caches per-user fast-family expansion states for the
 	// single-slot ingest path: real streams repeat users heavily, so the
@@ -150,7 +155,7 @@ func New(cfg Config) (*VOS, error) {
 	v := &VOS{
 		cfg:  cfg,
 		arr:  bitset.New(cfg.MemoryBits),
-		card: make(map[stream.User]int64),
+		card: newCounters(counterSeed),
 		rec:  poscache.New(DefaultRecoveredCacheEntries),
 	}
 	if cfg.Family == hashing.KindFast {
@@ -290,13 +295,14 @@ func (v *VOS) Process(e stream.Edge) {
 	} else {
 		v.arr.Flip(v.position(e.User, j))
 	}
-	v.bump(e.User, opDelta(e.Op))
+	v.card.bump(e.User, opDelta(e.Op))
 }
 
 // blockLen is how many edges one step of ProcessBatch covers: long enough
 // that the array misses of a block's toggles are all in flight together
-// (bitset.FlipAll), short enough that its positions (2 KiB) stay on the stack
-// and its edges are still in L1 when the counters are bumped.
+// (bitset.FlipAll), short enough that its positions and then its home slots
+// (2 KiB each) stay on the stack and its edges are still in L1 when the
+// counters are bumped.
 const blockLen = 256
 
 // togglePositions writes to pos[i] the array position edges[i] toggles,
@@ -315,22 +321,16 @@ func (v *VOS) togglePositions(pos []uint64, edges []stream.Edge) {
 	}
 }
 
-// bumpAll adjusts the counters for every edge of a block.
-func (v *VOS) bumpAll(edges []stream.Edge) {
-	for _, e := range edges {
-		v.bump(e.User, opDelta(e.Op))
-	}
-}
-
 // ProcessBatch folds a slice of stream elements into the sketch — the same
 // state transition as calling Process per element, byte for byte — in blocks
 // of up to blockLen edges: hash the block's toggled positions into a stack
-// buffer, toggle them back to back, then adjust the counters. One write
-// version covers the whole slice. Process interleaves the three per edge, so
-// every array miss waits behind the previous edge's counter-map operation;
-// here a block's misses overlap. The slice is only read, and not kept. The
-// engine's shard workers apply their queued batches through this, and the
-// resident views replay journalled batches through it.
+// buffer, toggle them back to back (bitset.FlipAll), then adjust the counters
+// as one block too (counters.bumpAll). One write version covers the whole
+// slice. Process interleaves the three per edge, so every array miss and every
+// counter-table miss waits behind the edge before it; here a block's misses
+// overlap, the array's and then the table's. The slice is only read, and not
+// kept. The engine's shard workers apply their queued batches through this,
+// and the resident views replay journalled batches through it.
 func (v *VOS) ProcessBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -343,7 +343,7 @@ func (v *VOS) ProcessBatch(edges []stream.Edge) {
 		pos := buf[:len(blk)]
 		v.togglePositions(pos, blk)
 		v.arr.FlipAll(pos)
-		v.bumpAll(blk)
+		v.card.bumpAll(blk)
 	}
 }
 
@@ -355,47 +355,24 @@ func opDelta(op stream.Op) int64 {
 	return -1
 }
 
-// bump adjusts n_u by d. A user whose subscriptions all cancelled out
-// holds no sketch state at all; dropping the counter entry keeps memory
-// proportional to active users on long-running streams. The prune fires on
-// both ops so sketch state is fully order-independent: under sharded
-// ingestion a user's delete may be applied before the matching insert
-// (counter goes -1 then back to 0), and the insert must erase the entry
-// too. One map lookup, then one store or delete — `v.card[u] += d`
-// followed by a zero check would traverse the map a second time on every
-// edge of the hot ingest loop.
-func (v *VOS) bump(u stream.User, d int64) {
-	if c := v.card[u] + d; c == 0 {
-		delete(v.card, u)
-	} else {
-		v.card[u] = c
-	}
-}
-
 // Cardinality returns n_u, the tracked number of items user u currently
 // subscribes to. For feasible streams this is exact.
-func (v *VOS) Cardinality(u stream.User) int64 { return v.card[u] }
+func (v *VOS) Cardinality(u stream.User) int64 { return v.card.get(u) }
 
 // ForEachUser calls fn for every user with live sketch state (a nonzero
 // cardinality counter — zero counters are pruned on every write) in
 // unspecified order, stopping early when fn returns false. fn must not
 // write the sketch. The engine's approximate top-K index enumerates a
 // merged snapshot through this to seed its initial build.
-func (v *VOS) ForEachUser(fn func(u stream.User, card int64) bool) {
-	for u, c := range v.card {
-		if !fn(u, c) {
-			return
-		}
-	}
-}
+func (v *VOS) ForEachUser(fn func(u stream.User, card int64) bool) { v.card.all(fn) }
 
 // Beta returns β, the current fraction of 1-bits in the shared array.
 func (v *VOS) Beta() float64 { return v.arr.OnesFraction() }
 
 // Users returns the number of users with a nonzero cardinality counter.
 // Process and Merge prune zero-cardinality entries on every operation, so
-// the map never holds a zero and its length is the answer in O(1).
-func (v *VOS) Users() int { return len(v.card) }
+// the table never holds a zero and its live count is the answer in O(1).
+func (v *VOS) Users() int { return v.card.live }
 
 // RecoverBit returns Ô_u[j] = A[f_j(u)], the rebuilt bit j of user u's
 // virtual odd sketch.
@@ -456,7 +433,7 @@ func (v *VOS) Query(u, w stream.User) Estimate {
 // since α is computed from the same recovered bits) and as the baseline
 // the query benchmarks compare against.
 func (v *VOS) QueryPerBit(u, w stream.User) Estimate {
-	return v.estimateFrom(v.xorOnes(u, w), v.card[u], v.card[w], v.Beta())
+	return v.estimateFrom(v.xorOnes(u, w), v.card.get(u), v.card.get(w), v.Beta())
 }
 
 // estimateFrom computes the full Estimate from the differing-slot count z,
@@ -540,8 +517,9 @@ func (v *VOS) EstimateSymmetricDifference(u, w stream.User) float64 {
 
 // Merge folds other into v. Merging is exact for any partition of a stream
 // across sketches with identical configurations: the shared arrays XOR
-// (parities add mod 2) and the cardinality counters add. After Merge, v
-// equals the sketch of the concatenated streams.
+// (parities add mod 2) and the cardinality counters add — one linear scan of
+// other's counter table, each entry bumped into v's. After Merge, v equals
+// the sketch of the concatenated streams.
 func (v *VOS) Merge(other *VOS) error {
 	if v.cfg.Family != other.cfg.Family {
 		return fmt.Errorf("%w: cannot merge %v-family sketch into %v-family sketch",
@@ -553,14 +531,14 @@ func (v *VOS) Merge(other *VOS) error {
 	}
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
-	if len(v.card) == 0 {
+	if v.card.live == 0 {
 		// Merging into an empty sketch (every snapshot rebuild, checkpoint
-		// load and import starts this way): size the map once instead of
+		// load and import starts this way): size the table once instead of
 		// growing it from nothing by doubling.
-		v.card = make(map[stream.User]int64, len(other.card))
+		v.card.reserve(other.card.live)
 	}
-	for u, c := range other.card {
-		v.bump(u, c)
+	for u, c := range other.card.all {
+		v.card.bump(u, c)
 	}
 	return nil
 }
@@ -583,19 +561,21 @@ func (v *VOS) Unmerge(other *VOS) error {
 	}
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
-	for u, c := range other.card {
-		v.bump(u, -c)
+	for u, c := range other.card.all {
+		v.card.bump(u, -c)
 	}
 	return nil
 }
 
 // Reset returns the sketch to its empty state in place, keeping the
-// configuration, the allocated array, and any attached caches (recovered-
-// sketch cache entries are version-stamped, so the reset invalidates them).
+// configuration, the allocated array, the counter table's capacity (cleared,
+// not reallocated: a window bucket refills to about the size it had), and any
+// attached caches (recovered-sketch cache entries are version-stamped, so the
+// reset invalidates them).
 func (v *VOS) Reset() {
 	v.version++
 	v.arr.Reset()
-	clear(v.card)
+	v.card.clear()
 }
 
 // BiasApprox returns the analytic approximation of E[ŝ] − s at symmetric
@@ -660,7 +640,7 @@ func (v *VOS) Stats() Stats {
 		OnesCount:   v.arr.Count(),
 		Beta:        v.Beta(),
 		Users:       v.Users(),
-		MemoryBytes: (v.cfg.MemoryBits+7)/8 + uint64(len(v.card))*16,
+		MemoryBytes: (v.cfg.MemoryBits+7)/8 + uint64(v.card.live)*16,
 		Family:      v.cfg.Family,
 	}
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/stream"
@@ -391,8 +395,8 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"bad magic":  append([]byte{'X'}, data[1:]...),
 		"truncated":  data[:20],
 		"short body": data[:len(data)-3],
-		// Process/Merge prune zeros, so Users() = len(card) relies on no
-		// zero-cardinality entry ever loading.
+		// Process/Merge prune zeros, and the counter table reads a zero as an
+		// empty slot: no zero-cardinality entry may load.
 		"zero cardinality": zeroCard,
 	}
 	for name, d := range cases {
@@ -400,6 +404,66 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
+}
+
+// userRowsOff is where the user table's rows start in a serialized sketch:
+// after magic(4) + config(24) + user count(8). A row is id(8) + count(8).
+const userRowsOff = 4 + 3*8 + 8
+
+// twoUserPayloads serializes a sketch of users 1 and 2 and derives the two
+// payloads no MarshalBinary writes: dup names user 1 in both rows, swapped
+// lists the rows in descending order.
+func twoUserPayloads() (sorted, dup, swapped []byte) {
+	v := MustNew(Config{MemoryBits: 1024, SketchBits: 64, Seed: 3})
+	v.Process(edgeFor(1, 2, true))
+	v.Process(edgeFor(2, 3, true))
+	v.Process(edgeFor(2, 4, true))
+	sorted, _ = v.MarshalBinary()
+	row0, row1 := userRowsOff, userRowsOff+16
+	dup = bytes.Clone(sorted)
+	copy(dup[row1:row1+8], sorted[row0:row0+8])
+	swapped = bytes.Clone(sorted)
+	copy(swapped[row0:row0+16], sorted[row1:row1+16])
+	copy(swapped[row1:row1+16], sorted[row0:row0+16])
+	return sorted, dup, swapped
+}
+
+// TestUnmarshalRejectsDuplicateUser: a payload that names one user in two
+// rows is corrupt — loaded, it would hold one user where its header counts
+// two, and would not re-marshal to itself. Rows out of order stay accepted
+// and re-marshal sorted. The same through a window bucket.
+func TestUnmarshalRejectsDuplicateUser(t *testing.T) {
+	sorted, dup, swapped := twoUserPayloads()
+	if _, err := UnmarshalVOS(dup); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("duplicate user: err = %v, want ErrCorrupt", err)
+	}
+	got, err := UnmarshalVOS(swapped)
+	if err != nil {
+		t.Fatalf("unsorted user table rejected: %v", err)
+	}
+	if got.Users() != 2 || got.Cardinality(1) != 1 || got.Cardinality(2) != 2 {
+		t.Errorf("unsorted user table: %d users, n_1 = %d, n_2 = %d", got.Users(), got.Cardinality(1), got.Cardinality(2))
+	}
+	if re, _ := got.MarshalBinary(); !bytes.Equal(re, sorted) {
+		t.Error("unsorted user table does not re-marshal to the sorted bytes")
+	}
+	if _, err := UnmarshalWindow(windowOf(dup)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("duplicate user in a window bucket: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := UnmarshalWindow(windowOf(swapped)); err != nil {
+		t.Errorf("unsorted user table in a window bucket rejected: %v", err)
+	}
+}
+
+// windowOf wraps one serialized sketch as a serialized one-bucket window.
+func windowOf(bucket []byte) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(nil), windowMagic[:]...)
+	out = le.AppendUint64(out, uint64(time.Second)) // bucket duration
+	out = le.AppendUint64(out, uint64(3*time.Second))
+	out = le.AppendUint64(out, 1) // buckets
+	out = le.AppendUint64(out, uint64(len(bucket)))
+	return append(out, bucket...)
 }
 
 // TestMarshalRoundTripsNegativeCardinality pins that the zero-cardinality
@@ -417,8 +481,8 @@ func TestMarshalRoundTripsNegativeCardinality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("negative-cardinality checkpoint rejected: %v", err)
 	}
-	if got.card[1] != -1 {
-		t.Fatalf("card[1] = %d, want -1", got.card[1])
+	if got.card.get(1) != -1 {
+		t.Fatalf("card[1] = %d, want -1", got.card.get(1))
 	}
 	// The matching insert must still cancel the entry after recovery.
 	got.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert})

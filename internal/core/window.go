@@ -148,10 +148,10 @@ func (w *Window) Process(e stream.Edge) {
 	d := opDelta(e.Op)
 	m.version++ // invalidates cached recovered sketches on the live view
 	m.arr.Flip(p)
-	m.bump(e.User, d)
+	m.card.bump(e.User, d)
 	b.version++
 	b.arr.Flip(p)
-	b.bump(e.User, d)
+	b.card.bump(e.User, d)
 }
 
 // ProcessBatch folds a slice of stream elements into the current bucket
@@ -159,8 +159,10 @@ func (w *Window) Process(e stream.Edge) {
 // element, byte for byte in both — by the block step of VOS.ProcessBatch:
 // a block's positions are computed once (through the merged view's ingest
 // memo), toggled back to back in the merged array and then in the bucket's,
-// and the two counter maps adjusted last. One write version per sketch
-// covers the whole slice; the slice is only read, and not kept.
+// and the two counter tables adjusted last, a block each (the tables differ
+// in size and content, so each computes its own home slots). One write
+// version per sketch covers the whole slice; the slice is only read, and not
+// kept.
 func (w *Window) ProcessBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
@@ -176,8 +178,8 @@ func (w *Window) ProcessBatch(edges []stream.Edge) {
 		m.togglePositions(pos, blk)
 		m.arr.FlipAll(pos)
 		b.arr.FlipAll(pos)
-		m.bumpAll(blk)
-		b.bumpAll(blk)
+		m.card.bumpAll(blk)
+		b.card.bumpAll(blk)
 	}
 }
 

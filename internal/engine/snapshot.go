@@ -34,19 +34,20 @@ type journalEntry struct {
 // journalWordsPerEdge sizes the per-shard journal bound from the array:
 // a shard's journal holds at most words/16 edges (words = MemoryBits/64).
 // Replaying must stay cheaper than the re-merge it replaces. The re-merge
-// XORs the array at 1.2 to 2.7 ns a word per shard (bitset.xor_mb_per_s
-// reads 3 to 6.8 GB/s from run to run) and then rebuilds the counter map,
-// which for any populated sketch costs more than the XOR (20k users over two
-// shards: core.merge_ms 0.36 to 0.43 ms a 32k-word shard, 11 to 13 ns a word
-// all told). Replay costs about 25 ns an edge (core.apply_ns_per_edge: 70
-// when this bound was set, 34 before core.VOS.ProcessBatch applied edges in
-// blocks, 24 to 28 since), so a full journal replays in 25/16 ≈ 1.6 ns a
-// word — several times under the re-merge, no longer level with it — and
-// time alone would allow a journal a few times longer. The constant stays
-// for the other half of the bound, what the journal pins: words/16 edges of
-// 24 bytes is under a fifth of the shard's array, a batch can keep its
-// call's whole partition buffer alive (see journalEntry), and nothing
-// measured shows reads falling back for want of journal.
+// XORs the array at 1.2 to 2.2 ns a word per shard (bitset.xor_mb_per_s
+// reads 3.7 to 6.6 GB/s from run to run) and then adds the shard's counters
+// into the view's table — a scan of the one, a bump into the other — which
+// for any populated sketch still costs more than the XOR (20k users over two
+// shards: core.merge_ms 0.38 to 0.53 ms a 32k-word shard, 12 to 16 ns a word
+// all told). Replay costs about 20 ns an edge (core.apply_ns_per_edge, one
+// pass over a sketch just decoded: 20 to 23 on embed-churn, 12 to 14 on the
+// other stacks; 17 warm, the root BenchmarkSketchProcessBatch), so a full
+// journal replays in 20/16 ≈ 1.3 ns a word, about ten times under the
+// re-merge, and time alone would allow a journal several times longer. The
+// constant stays for the other half of the bound, what the journal pins:
+// words/16 edges of 24 bytes is under a fifth of the shard's array, a batch
+// can keep its call's whole partition buffer alive (see journalEntry), and
+// nothing measured shows reads falling back for want of journal.
 const journalWordsPerEdge = 16
 
 // stamp is the exact engine state a view equals: the recovery base it was
