@@ -271,7 +271,9 @@ func (g *Gateway) forward(ctx context.Context, shard int, edges []vos.Edge) (ref
 // server.StatusFor can classify keeps its status and code — the backend's
 // own answer (*client.Error) first — and a failure nobody can classify (a
 // backend's own 500 included) is a 502 where a vosd would answer 500: behind
-// a gateway it came from a backend, not from this process.
+// a gateway it came from a backend, not from this process. So did an export
+// this process could not decode: StatusFor's 400 for those errors is for a
+// client's own import body.
 type backendError struct {
 	url string
 	err error
@@ -282,8 +284,8 @@ func (e *backendError) Unwrap() error { return e.err }
 
 func (e *backendError) HTTPStatus() (status int, code string) {
 	status, code = server.StatusFor(e.err)
-	if status == http.StatusInternalServerError {
-		status = http.StatusBadGateway
+	if status == http.StatusInternalServerError || errors.Is(e.err, vos.ErrCorruptSketch) || errors.Is(e.err, vos.ErrFamilyMismatch) {
+		return http.StatusBadGateway, server.CodeInternal
 	}
 	return status, code
 }

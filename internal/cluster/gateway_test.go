@@ -949,3 +949,45 @@ func TestGatewayBackendRefusal(t *testing.T) {
 		}
 	})
 }
+
+// TestGatewayBackendBadExport pins whose fault an undecodable export is. A
+// backend that serves garbage — or another hash family's state — on
+// GET /v1/cluster/sketch has failed behind the gateway: the caller's read
+// was well-formed, so it is a 502, not the 400 the same decode error earns
+// a client whose own POST /v1/cluster/import body is bad.
+func TestGatewayBackendBadExport(t *testing.T) {
+	fast, err := core.MustNew(core.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 5, Family: 1}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast[4+8+7] = 0x7f // the family tag: one no decoder knows
+	for name, export := range map[string][]byte{"garbage": []byte("not a sketch"), "unknown family": fast} {
+		t.Run(name, func(t *testing.T) {
+			real := newBackend(t, "")
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && r.URL.Path == server.RouteClusterSketch {
+					w.Header().Set("Content-Type", "application/octet-stream")
+					w.Write(export)
+					return
+				}
+				real.srv.ServeHTTP(w, r)
+			}))
+			t.Cleanup(bad.Close)
+			gw, err := New(&Ring{Version: 1, RouteSeed: 9, Shards: []string{newBackend(t, "").URL(), bad.URL}},
+				Options{Client: client.Options{MaxRetries: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { gw.Close() })
+			_, front := newFront(t, gw)
+			status, code, _ := do(t, http.MethodGet, front+server.RouteSimilarity+"?u=1&v=2", "")
+			if status != http.StatusBadGateway || code != server.CodeInternal {
+				t.Errorf("a read over a backend serving a bad export: %d %q, want 502 %q", status, code, server.CodeInternal)
+			}
+			// The same bytes as a client's own import body are the client's fault.
+			if status, code, _ := do(t, http.MethodPost, real.URL()+server.RouteClusterImport, string(export)); status != http.StatusBadRequest || code != server.CodeBadRequest {
+				t.Errorf("POST %s with a bad body: %d %q, want 400 %q", server.RouteClusterImport, status, code, server.CodeBadRequest)
+			}
+		})
+	}
+}

@@ -109,17 +109,6 @@ type VOS struct {
 	fslots *hashing.FastFamily // KindFast: one strong hash + splitmix64 expansion
 	card   counters            // n_u for every user with live state; holds no zero
 
-	// fastMemo caches per-user fast-family expansion states for the
-	// single-slot ingest path: real streams repeat users heavily, so the
-	// direct-mapped table turns the per-edge Hash64 into a multiply-indexed
-	// load on repeats. It is written by Process/ProcessBatch (and the
-	// window's ProcessBatch, on its merged view) ONLY — the read paths
-	// (position, fillPositions) must not touch it, because read-only
-	// methods may run concurrently on a quiescent sketch and a memo write
-	// would race. nil when the family is classic (or in the
-	// no-memo benchmark baseline); positions are identical either way.
-	fastMemo []fastMemoEntry
-
 	// pos optionally caches per-user position tables (see Positions).
 	// nil means positions are recomputed per call. The cache is
 	// thread-safe, so attaching one keeps the read paths race-clean.
@@ -160,41 +149,10 @@ func New(cfg Config) (*VOS, error) {
 	}
 	if cfg.Family == hashing.KindFast {
 		v.fslots = hashing.NewFastFamily(cfg.SketchBits, cfg.Seed)
-		v.fastMemo = make([]fastMemoEntry, 1<<fastMemoBits)
 	} else {
 		v.slots = hashing.NewFamily(cfg.SketchBits, cfg.Seed)
 	}
 	return v, nil
-}
-
-// fastMemoBits sizes the ingest-path state memo: 1024 direct-mapped
-// entries (24 KiB) — enough that a shard's working set of hot users mostly
-// sticks, small enough to live in L1/L2 next to the ingest loop.
-const fastMemoBits = 10
-
-// fastMemoEntry is one memoized (user key → expansion state) pair. live
-// distinguishes an empty slot from user 0.
-type fastMemoEntry struct {
-	key   uint64
-	state uint64
-	live  bool
-}
-
-// fastState returns the fast-family expansion state for key through the
-// ingest-path memo (mutating it — callers are the write paths, which are
-// single-threaded by contract). A direct-mapped table keeps the lookup one
-// multiply and one load; collisions simply overwrite.
-func (v *VOS) fastState(key uint64) uint64 {
-	if v.fastMemo == nil {
-		return v.fslots.State(key)
-	}
-	e := &v.fastMemo[(key*0x9e3779b97f4a7c15)>>(64-fastMemoBits)]
-	if e.live && e.key == key {
-		return e.state
-	}
-	st := v.fslots.State(key)
-	*e = fastMemoEntry{key: key, state: st, live: true}
-	return st
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -289,12 +247,7 @@ func (v *VOS) fillPositions(dst []uint64, u stream.User) {
 // ψ, one for f_j, one bit flip, one counter update.
 func (v *VOS) Process(e stream.Edge) {
 	v.version++ // invalidates every cached recovered sketch
-	j := v.slot(e.Item)
-	if v.fslots != nil {
-		v.arr.Flip(hashing.PositionFromState(v.fastState(uint64(e.User)), j, v.cfg.MemoryBits))
-	} else {
-		v.arr.Flip(v.position(e.User, j))
-	}
+	v.arr.Flip(v.position(e.User, v.slot(e.Item)))
 	v.card.bump(e.User, opDelta(e.Op))
 }
 
@@ -306,18 +259,10 @@ func (v *VOS) Process(e stream.Edge) {
 const blockLen = 256
 
 // togglePositions writes to pos[i] the array position edges[i] toggles,
-// f_ψ(item)(user) — through the ingest memo where the family has one, so
-// like Process it belongs to the write paths only. len(pos) == len(edges).
+// f_ψ(item)(user). len(pos) == len(edges).
 func (v *VOS) togglePositions(pos []uint64, edges []stream.Edge) {
-	m := v.cfg.MemoryBits
-	if v.fslots != nil {
-		for i, e := range edges {
-			pos[i] = hashing.PositionFromState(v.fastState(uint64(e.User)), v.slot(e.Item), m)
-		}
-		return
-	}
 	for i, e := range edges {
-		pos[i] = v.slots.HashRange(v.slot(e.Item), uint64(e.User), m)
+		pos[i] = v.position(e.User, v.slot(e.Item))
 	}
 }
 
@@ -532,15 +477,35 @@ func (v *VOS) Merge(other *VOS) error {
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
 	if v.card.live == 0 {
-		// Merging into an empty sketch (every snapshot rebuild, checkpoint
-		// load and import starts this way): size the table once instead of
-		// growing it from nothing by doubling.
+		// Merging into an empty sketch (every snapshot rebuild starts this
+		// way): size the table once instead of growing it from nothing by
+		// doubling.
 		v.card.reserve(other.card.live)
 	}
 	for u, c := range other.card.all {
 		v.card.bump(u, c)
 	}
 	return nil
+}
+
+// Partition is Merge read backwards: it splits v into n sketches of v's
+// config whose merge, in any order, is v again. Parity state is linear, so
+// any split will do, and the whole array may lie in one part; the split made
+// here is the one a sharded owner of v needs. Part 0 takes the array, parts
+// 1… an empty one, and each user's counter goes, whole, to part
+// stream.ShardOf(u, n, seed) — so an engine that routes with (n, seed) can
+// merge part i into shard i and still answer a user's cardinality from the
+// user's own shard alone. v is only read.
+func (v *VOS) Partition(n int, seed uint64) []*VOS {
+	parts := make([]*VOS, n)
+	for i := range parts {
+		parts[i] = MustNew(v.cfg)
+	}
+	parts[0].arr.Xor(v.arr)
+	for u, c := range v.card.all {
+		parts[stream.ShardOf(u, n, seed)].card.bump(u, c)
+	}
+	return parts
 }
 
 // Unmerge removes other's contribution from v — the inverse of Merge. XOR

@@ -273,6 +273,51 @@ func TestMergeEqualsSequential(t *testing.T) {
 	}
 }
 
+// TestPartition: the parts merge back to the sketch byte for byte, every
+// user's counter lies whole in the part stream.ShardOf names and in no other,
+// and only part 0 carries array bits.
+func TestPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	full := MustNew(testConfig())
+	for i := 0; i < 3000; i++ {
+		// Deletes of items never inserted included: negative counters split too.
+		full.Process(stream.Edge{User: stream.User(rng.Intn(200)), Item: stream.Item(rng.Intn(500)), Op: stream.Op(rng.Intn(2))})
+	}
+	want, err := full.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 77
+	for _, n := range []int{1, 2, 5} {
+		parts := full.Partition(n, seed)
+		if len(parts) != n {
+			t.Fatalf("n=%d: %d parts", n, len(parts))
+		}
+		merged := MustNew(testConfig())
+		for i := n - 1; i >= 0; i-- { // any order
+			if i > 0 && parts[i].Beta() != 0 {
+				t.Errorf("n=%d: part %d holds array bits", n, i)
+			}
+			if err := merged.Merge(parts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, _ := merged.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Errorf("n=%d: merge of the parts is not the sketch", n)
+		}
+		for u, c := range full.card.all {
+			for i, p := range parts {
+				if got, owner := p.Cardinality(u), i == stream.ShardOf(u, n, seed); owner && got != c || !owner && got != 0 {
+					t.Errorf("n=%d: user %d (n_u=%d, owner %d) reads %d in part %d", n, u, c, stream.ShardOf(u, n, seed), got, i)
+				}
+			}
+		}
+	}
+	if got, _ := full.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Error("Partition wrote the sketch it split")
+	}
+}
+
 func TestMergeRejectsMismatchedConfig(t *testing.T) {
 	a := MustNew(testConfig())
 	b := MustNew(Config{MemoryBits: 1 << 16, SketchBits: 128, Seed: 42})

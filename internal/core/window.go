@@ -157,8 +157,8 @@ func (w *Window) Process(e stream.Edge) {
 // ProcessBatch folds a slice of stream elements into the current bucket
 // and the merged view — the same state transition as calling Process per
 // element, byte for byte in both — by the block step of VOS.ProcessBatch:
-// a block's positions are computed once (through the merged view's ingest
-// memo), toggled back to back in the merged array and then in the bucket's,
+// a block's positions are computed once, toggled back to back in the merged
+// array and then in the bucket's,
 // and the two counter tables adjusted last, a block each (the tables differ
 // in size and content, so each computes its own home slots). One write
 // version per sketch covers the whole slice; the slice is only read, and not

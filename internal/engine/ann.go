@@ -25,17 +25,16 @@ import (
 // core.VOS.RecoverSketch produces from the merged snapshot. Maintenance is
 // lazy, happens on probes, and costs the churn: the index is the third reader
 // of the shard journals (after the engine's own views and ExportSince). It
-// keeps the engine state it was last reconciled to — base, rotation and a
-// per-shard cursor, the same stamp a view carries — and a probe brings it to
-// the acquired view's stamp by reading each shard's journal range
-// (index cursor, view cursor]. The paper's update rule is that an element
-// (u, i, ±) flips exactly bit ψ(i) of u's virtual sketch, hence exactly band
-// ⌊ψ(i)/Rows⌋ of u's banded signature, so every edge maps to one
-// (user, band) pair, and per distinct pair the probe recovers only that
-// band's Rows bits from the view (core.VOS.RecoverRange) and re-keys that one
-// band (lsh.BandIndex.PutBand). Reading exactly up to the view's cursor is
-// what makes a lagged view safe: a write the view does not hold yet stays in
-// the journal for the probe whose view does.
+// keeps the engine state it was last reconciled to — the same stamp a view
+// carries — and a probe brings it to the acquired view's stamp by reading each
+// shard's journal range (index cursor, view cursor] (shard.journalRange). The
+// paper's update rule is that an element (u, i, ±) flips exactly bit ψ(i) of
+// u's virtual sketch, hence exactly band ⌊ψ(i)/Rows⌋ of u's banded signature,
+// so every edge maps to one (user, band) pair, and per distinct pair the probe
+// recovers only that band's Rows bits from the view (core.VOS.RecoverRange)
+// and re-keys that one band (lsh.BandIndex.PutBand). Reading exactly up to the
+// view's cursor is what makes a lagged view safe: a write the view does not
+// hold yet stays in the journal for the probe whose view does.
 //
 // Bits that other users' writes flip under a member (noise: the array is
 // shared) are not tracked, and need not be. They are as likely before a key
@@ -46,8 +45,8 @@ import (
 // A whole user is re-banded — all k bits recovered, every band re-keyed —
 // only where no journal range says which bands changed: a user the index
 // does not hold yet; every user after a window rotation (a retired bucket
-// flips bits under everyone) or a new recovery base (ImportSketch brings
-// users no shard ever wrote); and users whose writes were evicted from a
+// flips bits under everyone) or a new import generation (ImportSketch brings
+// users no journal ever named); and users whose writes were evicted from a
 // journal before a probe read them. For the last, the worker spills the
 // users of each batch it evicts while the index's cursor is still behind it
 // (shard.annSpill), so a burst past the journal bound re-bands the users the
@@ -152,13 +151,11 @@ type annIndex struct {
 	cfg ANNConfig
 	ix  *lsh.BandIndex
 
-	// The engine state read so far, in a view stamp's coordinates: everything
-	// up to it is either in the band index or in dirty. built is false until
-	// the first probe. at[i] is also published as shard i's annAt.
-	built   bool
-	baseGen uint64
-	rot     uint64
-	at      []uint64
+	// The engine state read so far: everything up to it is either in the band
+	// index or in dirty. built is false until the first probe. read.at[i] is
+	// also published as shard i's annAt.
+	built bool
+	read  stamp
 
 	// dirty is the work owed per user: a nil value for a whole re-banding,
 	// else the set of bands to re-key (bit b for band b; bit Bands for a write
@@ -205,7 +202,7 @@ func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, erro
 	return &annIndex{
 		cfg:   cfg,
 		ix:    ix,
-		at:    make([]uint64, shards),
+		read:  stamp{at: make([]uint64, shards)},
 		dirty: make(map[stream.User][]uint64),
 		band:  make([]uint64, lsh.BandWords(cfg.Rows)),
 	}, nil
@@ -342,25 +339,24 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 // against the view, up to the budget.
 func (e *Engine) annMaintain(a *annIndex, v *view) error {
 	st := &v.Stamp
-	baseGen := st.base.generation()
 	// Published views are totally ordered, and the cursor is the stamp of
 	// one of them. A probe that lost the race for a.mu to one holding a
 	// newer view must not work dirty off either: its view does not hold the
 	// writes dirty was read from.
-	if baseGen < a.baseGen || st.rot < a.rot {
+	if st.gen < a.read.gen || st.rot < a.read.rot {
 		return nil
 	}
 	for i, at := range st.at {
-		if at < a.at[i] {
+		if at < a.read.at[i] {
 			return nil
 		}
 	}
 
 	budget := a.cfg.RebandBudget
-	whole := !a.built || baseGen != a.baseGen || st.rot != a.rot
+	whole := !a.built || st.gen != a.read.gen || st.rot != a.read.rot
 	if whole {
-		// No journal range tells what changed: nothing has been read yet, a
-		// new base brought users no shard wrote, or a rotation retired a
+		// No journal range tells what changed: nothing has been read yet, an
+		// import brought users no journal named, or a rotation retired a
 		// bucket from under every user's recovered sketch. Owe every user of
 		// the view a re-banding, and every member (it may be gone from the
 		// view) a look.
@@ -369,10 +365,10 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 			// budgeted one would answer from a sliver of the population.
 			a.built, budget = true, -1
 		}
-		if st.rot != a.rot {
+		if st.rot != a.read.rot {
 			a.rotations++
 		}
-		a.baseGen, a.rot = baseGen, st.rot
+		a.read.gen, a.read.rot = st.gen, st.rot
 		v.Sk.ForEachUser(func(u stream.User, _ int64) bool {
 			a.dirty[u] = nil
 			return true
@@ -383,9 +379,9 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 		})
 	}
 	for i, s := range e.shards {
-		if from, to := a.at[i], st.at[i]; to > from || whole {
+		if from, to := a.read.at[i], st.at[i]; to > from || whole {
 			e.annRead(a, s, v.Sk, from, to, whole)
-			a.at[i] = to
+			a.read.at[i] = to
 			s.annAt.Store(to)
 		}
 	}
@@ -398,8 +394,17 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 // are in the spill set, each under the processed count of its last evicted
 // batch, and those the view holds in full (count ≤ to) are owed a whole
 // re-banding; the rest wait for a view that does. whole is set when every
-// user is owed one anyway and only the spill set needs settling.
+// user is owed one anyway and only the spill set needs settling. The range is
+// cut before the spill set is settled: a batch the worker evicts in between is
+// then in both, where the other order would find it in neither.
 func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, whole bool) {
+	var cut []journalEntry
+	if !whole {
+		var ok bool
+		if cut, _, ok = s.journalRange(from, to); !ok {
+			a.fallbacks++
+		}
+	}
 	s.jMu.Lock()
 	for u, end := range s.annSpill {
 		if end > to {
@@ -410,14 +415,6 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 			a.spilled++
 		}
 		delete(s.annSpill, u)
-	}
-	var cut []journalEntry
-	if !whole {
-		if s.jFrom > from {
-			a.fallbacks++
-		}
-		// A copy: the worker evicts underneath any reader.
-		cut = append(cut, s.journal[journalAfter(s.journal, from):journalAfter(s.journal, to)]...)
 	}
 	s.jMu.Unlock()
 

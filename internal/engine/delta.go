@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/vossketch/vos/internal/core"
+	"github.com/vossketch/vos/internal/resident"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -18,36 +18,20 @@ import (
 // journal connects the cursor to the present, the whole merged sketch.
 // Either way it comes with the cursor of the state the reader then holds.
 //
-// A cursor is "<epoch>:<positions>". The epoch is boot.base.rot — the
-// engine's boot draw, its recovery base's generation and its window
-// rotation count — and changes exactly when state changes without a journal
-// entry: a restart (processed counts start over), an ImportSketch, a
-// rotation. The positions are the per-shard processed counts. Readers treat
-// the whole string as opaque; any number of them may hold cursors, and
-// serving one changes nothing here.
-
-// baseSketch is one published recovery base. gen numbers the bases of one
-// boot (each ImportSketch publishes the next), which is what lets a cursor
-// name a base over the wire.
-type baseSketch struct {
-	sk  *core.VOS
-	gen uint64
-}
-
-// generation is gen, with no base at all as generation 0.
-func (b *baseSketch) generation() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.gen
-}
+// A cursor is "<epoch>:<positions>". The epoch is boot.gen.rot — the
+// engine's boot draw, its import generation and its window rotation count —
+// and changes exactly when state changes without a journal entry: a restart
+// (processed counts start over), an ImportSketch, a rotation. The positions
+// are the per-shard processed counts. Readers treat the whole string as
+// opaque; any number of them may hold cursors, and serving one changes
+// nothing here.
 
 // ErrBadCursor reports an ExportSince cursor that no engine ever issued.
 var ErrBadCursor = errors.New("engine: malformed export cursor")
 
 // Fallback reasons a Delta carries when a cursor was answered in full.
 const (
-	FallbackEpoch   = "epoch"   // the cursor is from another boot, base or rotation
+	FallbackEpoch   = "epoch"   // the cursor is from another boot, import generation or rotation
 	FallbackJournal = "journal" // a shard's journal no longer reaches back to the cursor
 )
 
@@ -67,14 +51,16 @@ type Delta struct {
 	Fallback string
 }
 
+// cursor is a stamp on the wire: what a view carries, plus the boot draw
+// that tells this life's processed counts from another's.
 type cursor struct {
-	boot, base, rot uint64
-	at              []uint64
+	boot uint64
+	stamp
 }
 
 func (c cursor) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%x.%d.%d:", c.boot, c.base, c.rot)
+	fmt.Fprintf(&b, "%x.%d.%d:", c.boot, c.gen, c.rot)
 	for i, at := range c.at {
 		if i > 0 {
 			b.WriteByte(',')
@@ -98,7 +84,7 @@ func parseCursor(s string) (cursor, error) {
 	var c cursor
 	var err [3]error
 	c.boot, err[0] = strconv.ParseUint(parts[0], 16, 64)
-	c.base, err[1] = strconv.ParseUint(parts[1], 10, 64)
+	c.gen, err[1] = strconv.ParseUint(parts[1], 10, 64)
 	c.rot, err[2] = strconv.ParseUint(parts[2], 10, 64)
 	if err[0] != nil || err[1] != nil || err[2] != nil {
 		return bad()
@@ -144,37 +130,26 @@ func (e *Engine) ExportSince(since string) (Delta, error) {
 	if err != nil {
 		return Delta{}, err
 	}
-	st := &snap.Stamp
-	return Delta{Cursor: e.cursorAt(st.base, st.rot, st.at).String(), Full: data, Fallback: fallback}, nil
-}
-
-func (e *Engine) cursorAt(base *baseSketch, rot uint64, at []uint64) cursor {
-	return cursor{boot: e.boot, base: base.generation(), rot: rot, at: at}
+	return Delta{Cursor: cursor{boot: e.boot, stamp: snap.Stamp}.String(), Full: data, Fallback: fallback}, nil
 }
 
 // suffixSince cuts every shard's journal at the present and returns what
-// lies past c, or the reason it cannot.
+// lies past c, or the reason it cannot. As in a view refresh, the state
+// read-lock keeps a rotation or an import from landing between the epoch
+// check and the last shard's cut.
 func (e *Engine) suffixSince(c cursor) (Delta, string) {
-	// As in a view refresh, the window read-lock keeps a rotation from
-	// landing between the epoch check and the last shard's cut.
-	if e.cfg.Window != nil {
-		e.winMu.RLock()
-		defer e.winMu.RUnlock()
-	}
-	now := e.cursorAt(e.base.Load(), e.winRot.Load(), make([]uint64, len(e.shards)))
-	if c.boot != now.boot || c.base != now.base || c.rot != now.rot || len(c.at) != len(e.shards) {
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	if c.boot != e.boot || len(c.at) != len(e.shards) {
 		return Delta{}, FallbackEpoch
 	}
 	var edges []stream.Edge
-	for i, s := range e.shards {
-		cut, end, ok := s.suffix(c.at[i])
-		if !ok {
-			return Delta{}, FallbackJournal
-		}
-		for _, en := range cut {
-			edges = append(edges, en.batch...)
-		}
-		now.at[i] = end
+	switch e.since(&c.stamp, func(batch []stream.Edge) { edges = append(edges, batch...) }) {
+	case resident.Replayed:
+		return Delta{Cursor: c.String(), Edges: edges}, ""
+	case resident.Overflow:
+		return Delta{}, FallbackJournal
+	default:
+		return Delta{}, FallbackEpoch
 	}
-	return Delta{Cursor: now.String(), Edges: edges}, ""
 }

@@ -21,10 +21,12 @@ package engine
 // (or dropping one) would corrupt parity, so exact positioning is the
 // whole game.
 //
-// The recovered checkpoint is kept as a frozen base sketch rather than
-// being split back into shards (a merged sketch cannot be un-merged).
-// Query paths merge it in: snapshots start from the base, and Cardinality
-// adds the base counter.
+// The recovered checkpoint is folded into the shards (fold): parity state is
+// linear, so a merged sketch splits into per-shard parts whose merge is the
+// sketch again (core.VOS.Partition) — the array to shard 0, each user's
+// counter to the shard that owns the user. After Open the shards hold all
+// there is, whatever shard count wrote the checkpoint, and every read path
+// is the one a memory-only engine has.
 
 import (
 	"errors"
@@ -82,49 +84,37 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	// A checkpoint is either a plain merged sketch (unwindowed engines) or
 	// a serialized bucket ring (windowed engines, which must keep rotating
-	// after recovery — a pre-merged sketch cannot be un-merged per bucket).
+	// after recovery — a flat sketch carries no bucket attribution to retire).
 	// The two modes must not open each other's state: silently flattening
 	// a window would stop edges from ever expiring, and silently windowing
 	// a flat sketch would expire edges that were never bucketed.
-	var base *core.VOS
-	var winBase *core.Window
+	var flat *core.VOS
+	var ring *core.Window
 	if found {
+		var got core.Config
 		switch {
 		case core.IsWindowData(skBytes):
 			if cfg.Window == nil {
 				return nil, fmt.Errorf("engine: directory holds a windowed checkpoint but Config.Window is nil")
 			}
-			winBase, err = core.UnmarshalWindow(skBytes)
-			if err != nil {
+			if ring, err = core.UnmarshalWindow(skBytes); err != nil {
 				return nil, fmt.Errorf("engine: load windowed checkpoint: %w", err)
 			}
-			if winBase.Config().Family != cfg.Sketch.Family {
-				return nil, fmt.Errorf("%w: checkpoint was written with the %v hash family, engine is configured for %v",
-					core.ErrFamilyMismatch, winBase.Config().Family, cfg.Sketch.Family)
-			}
-			if winBase.Config() != cfg.Sketch {
-				return nil, fmt.Errorf("engine: checkpoint sketch config %+v does not match engine config %+v",
-					winBase.Config(), cfg.Sketch)
-			}
-			if winBase.Buckets() != cfg.Window.Buckets || winBase.BucketDuration() != cfg.Window.BucketDuration {
+			if ring.Buckets() != cfg.Window.Buckets || ring.BucketDuration() != cfg.Window.BucketDuration {
 				return nil, fmt.Errorf("engine: checkpoint window (B=%d, bucket=%v) does not match engine config (B=%d, bucket=%v)",
-					winBase.Buckets(), winBase.BucketDuration(), cfg.Window.Buckets, cfg.Window.BucketDuration)
+					ring.Buckets(), ring.BucketDuration(), cfg.Window.Buckets, cfg.Window.BucketDuration)
 			}
+			got = ring.Config()
 		case cfg.Window != nil:
 			return nil, fmt.Errorf("engine: directory holds an unwindowed checkpoint but Config.Window is set")
 		default:
-			base, err = core.UnmarshalVOS(skBytes)
-			if err != nil {
+			if flat, err = core.UnmarshalVOS(skBytes); err != nil {
 				return nil, fmt.Errorf("engine: load checkpoint: %w", err)
 			}
-			if base.Config().Family != cfg.Sketch.Family {
-				return nil, fmt.Errorf("%w: checkpoint was written with the %v hash family, engine is configured for %v",
-					core.ErrFamilyMismatch, base.Config().Family, cfg.Sketch.Family)
-			}
-			if base.Config() != cfg.Sketch {
-				return nil, fmt.Errorf("engine: checkpoint sketch config %+v does not match engine config %+v",
-					base.Config(), cfg.Sketch)
-			}
+			got = flat.Config()
+		}
+		if err := foldable("checkpoint", got, cfg.Sketch); err != nil {
+			return nil, err
 		}
 	}
 	log, err := wal.Open(d.Dir, d.walOptions())
@@ -140,34 +130,12 @@ func Open(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e, err := newEngine(cfg)
+	e, err := newEngine(cfg, flat, ring)
 	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	if base != nil {
-		e.base.Store(&baseSketch{sk: base})
-	}
-	if winBase != nil {
-		// Re-align the fresh shard rings to the persisted bucket boundaries
-		// so the recovered base and the shards rotate in lockstep. The swap
-		// happens before any producer exists; skMu is held for the race
-		// detector's benefit only.
-		end := winBase.End()
-		for _, s := range e.shards {
-			win, werr := core.NewWindowAt(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, end)
-			if werr != nil {
-				e.Close()
-				log.Close()
-				return nil, werr
-			}
-			s.skMu.Lock()
-			s.win = win
-			s.sk = win.Merged()
-			s.skMu.Unlock()
-		}
-		e.winEnd.Store(end.UnixNano())
-		e.winBase = winBase
+	if ring != nil {
 		// Rotation events are not WAL-logged, so the exact bucket each
 		// post-checkpoint edge landed in is unrecoverable. Catch the rings
 		// up to the present BEFORE replay, so the replayed suffix lands in
@@ -193,6 +161,43 @@ func Open(cfg Config) (*Engine, error) {
 	e.Flush()
 	e.log = log
 	return e, nil
+}
+
+// foldable reports whether a sketch that arrived from outside the workers —
+// what names it — may be folded into an engine of config want: merged across
+// hash families or array shapes, XOR state desynchronizes silently.
+func foldable(what string, got, want core.Config) error {
+	if got.Family != want.Family {
+		return fmt.Errorf("%w: %s uses the %v hash family, engine is configured for %v",
+			core.ErrFamilyMismatch, what, got.Family, want.Family)
+	}
+	if got != want {
+		return fmt.Errorf("engine: %s sketch config %+v does not match engine config %+v", what, got, want)
+	}
+	return nil
+}
+
+// fold merges sk, a sketch foldable has passed, into the shards: part i of
+// core.VOS.Partition under the engine's own routing into shard i — into
+// bucket k of its ring, on a windowed engine. The merged state gains exactly
+// sk, and each user's counter lands in the shard that owns the user. No
+// journal records it: callers that fold into a serving engine hold stateMu
+// and move the epoch (ImportSketch).
+func (e *Engine) fold(sk *core.VOS, k int) {
+	for i, part := range sk.Partition(len(e.shards), e.cfg.RouteSeed) {
+		s := e.shards[i]
+		s.skMu.Lock()
+		var err error
+		if s.win != nil {
+			err = s.win.MergeBucket(k, part)
+		} else {
+			err = s.sk.Merge(part)
+		}
+		s.skMu.Unlock()
+		if err != nil {
+			panic(fmt.Sprintf("engine: fold failed: %v", err)) // impossible: foldable
+		}
+	}
 }
 
 // MustOpen is Open for static configurations; it panics on error.

@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
@@ -465,5 +467,85 @@ func appendBytes(t *testing.T, path string, b []byte) {
 	defer f.Close()
 	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenUnderDifferentShardCount: a checkpoint is merged state and the
+// WAL is the logical stream, so neither remembers how many shards wrote
+// them. Open folds the checkpoint into whatever shards it is given — the
+// array into shard 0, each user's counter into the shard that now owns the
+// user — and routes the suffix the same way, so an engine reopened under
+// another Shards exports the single sketch's bytes, answers every
+// cardinality from the owning shard alone, and carries on as an engine.
+func TestReopenUnderDifferentShardCount(t *testing.T) {
+	const users = 50
+	for _, windowed := range []bool{false, true} {
+		for _, shards := range [][2]int{{3, 1}, {1, 4}, {2, 5}} {
+			t.Run(fmt.Sprintf("windowed=%v/%d→%d", windowed, shards[0], shards[1]), func(t *testing.T) {
+				dir := t.TempDir()
+				start := time.Unix(5000, 0)
+				clk := newFakeClock(start.Add(time.Millisecond)) // pinned: only AdvanceWindowTo rotates
+				config := func(n int) Config {
+					cfg := durableConfig(dir, n)
+					if windowed {
+						cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
+					}
+					return cfg
+				}
+				ref := &diffRef{sk: core.MustNew(testConfig())}
+				if windowed {
+					win, err := core.NewWindow(testConfig(), 3, time.Second, clk.Now())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref = &diffRef{win: win}
+				}
+				gen := &diffEdges{rng: rand.New(rand.NewSource(int64(shards[0]*10 + shards[1]))), users: users}
+				write := func(e *Engine, n int) {
+					t.Helper()
+					edges := gen.next(n)
+					if err := e.ProcessBatch(edges); err != nil {
+						t.Fatal(err)
+					}
+					ref.apply(edges)
+				}
+				rotate := func(e *Engine, to time.Duration) {
+					if windowed {
+						e.Flush() // what was written goes into the bucket it was written under
+						e.AdvanceWindowTo(start.Add(to))
+						ref.win.AdvanceTo(start.Add(to))
+					}
+				}
+				check := func(e *Engine, at string) {
+					t.Helper()
+					assertExport(t, e, ref, at)
+					for u := stream.User(0); u < users; u++ {
+						if got, want := e.Cardinality(u), ref.live().Cardinality(u); got != want {
+							t.Fatalf("%s: Cardinality(%d) = %d, oracle %d", at, u, got, want)
+						}
+					}
+				}
+
+				wrote := MustOpen(config(shards[0]))
+				write(wrote, 1500)
+				rotate(wrote, time.Second)
+				write(wrote, 400)
+				if _, err := wrote.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				// The WAL suffix, in the bucket the checkpoint left current (a
+				// rotation is in no WAL record); then the engine is abandoned,
+				// not closed.
+				write(wrote, 700)
+
+				e := MustOpen(config(shards[1]))
+				defer e.Close()
+				check(e, "reopened")
+				write(e, 300)
+				rotate(e, 3*time.Second) // retires the first bucket, recovered state only
+				write(e, 300)
+				check(e, "reopened, written and rotated")
+			})
+		}
 	}
 }

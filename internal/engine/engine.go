@@ -25,8 +25,14 @@
 // replayed onto it, which costs the churn rather than a re-merge of every
 // shard (see snapshot.go; the full re-merge remains as the fallback). That
 // is the only pair read path: acquire the merged view, query it, release
-// it. Nothing queries a shard sketch on its own — a shard alone holds
-// neither the recovery base's parity nor the global fill β.
+// it. Nothing queries a shard sketch on its own — a shard alone holds its
+// users' counters and its part of the array's parity, not the global fill β.
+//
+// The shards are the one home of engine state. A checkpoint recovered by
+// Open and a sketch handed to ImportSketch are folded into them (fold,
+// durability.go) — parity is linear, so a merged sketch splits back into
+// per-shard parts exactly (core.VOS.Partition) — and nothing is kept beside
+// them to be merged in at read time.
 package engine
 
 import (
@@ -180,8 +186,8 @@ type shard struct {
 	ch chan []stream.Edge
 
 	// skMu guards sk (and win): the worker writes under Lock, queries and
-	// merges read under RLock, and window rotation mutates under Lock
-	// (always acquired after the engine's winMu — see window.go).
+	// merges read under RLock, and a window rotation or a fold mutates under
+	// Lock (always acquired after the engine's stateMu).
 	skMu sync.RWMutex
 	sk   *core.VOS
 
@@ -249,9 +255,9 @@ type Engine struct {
 	start  time.Time
 
 	// views is the merged query snapshot (see snapshot.go): two resident
-	// merged views, each carrying the per-shard processed counts, rotation
-	// stamp and base it reflects. lagged and exact drive it for the two
-	// staleness budgets reads come with.
+	// merged views, each carrying the stamp — import generation, rotation
+	// count, per-shard processed counts — of the state it equals. lagged and
+	// exact drive it for the two staleness budgets reads come with.
 	views          resident.Pair[stamp]
 	lagged, exact  *viewSource
 	journalMax     uint64 // per-shard journal bound in edges, fixed by the array size
@@ -261,47 +267,40 @@ type Engine struct {
 	// position tables depend only on user and sketch Config, so one cache
 	// serves every merged view for the engine's lifetime, surviving
 	// snapshot re-merges. Only the views are wired to it — nothing queries
-	// a shard sketch or the recovery base on its own. It is internally
-	// locked, so sharing it keeps concurrent query paths race-clean.
+	// a shard sketch on its own. It is internally locked, so sharing it
+	// keeps concurrent query paths race-clean.
 	pcache *poscache.Cache
 
 	// Durability state (nil/zero on memory-only engines — see
 	// durability.go). log is the write-ahead log; walMu gates appends
 	// against checkpoints: producers hold RLock across append-then-route,
 	// Checkpoint holds Lock, so no batch ever straddles a checkpoint
-	// position. base is the sketch recovered from the newest checkpoint
-	// (plus any ImportSketch merges — see transfer.go): shards hold only
-	// post-checkpoint deltas and query paths merge the base back in. Each
-	// published base sketch is immutable; ImportSketch swaps in a freshly
-	// merged one, which is why the pointer is atomic — Cardinality reads it
-	// without any lock. importMu serializes the read-merge-publish of
-	// concurrent imports.
-	log      *wal.Log
-	walMu    sync.RWMutex
-	base     atomic.Pointer[baseSketch]
-	importMu sync.Mutex
+	// position.
+	log   *wal.Log
+	walMu sync.RWMutex
 
 	// boot is drawn once per engine and opens every export cursor (see
 	// delta.go): processed counts restart with the process, so a cursor
 	// from another life must never compare equal.
 	boot uint64
 
-	// Sliding-window state (zero on unwindowed engines — see window.go).
-	// winMu orders rotation against multi-shard reads: AdvanceWindowTo
-	// holds Lock while it rotates every shard, snapshot and checkpoint
-	// building hold RLock across their whole merge loop, so neither ever
-	// straddles a rotation. Lock order: winMu before any shard's skMu.
-	// winEnd mirrors the shards' current bucket end (unix ns) for the
-	// lock-free has-anything-expired check; winRot counts rotations and
-	// stamps query snapshot views, so a rotation retires both resident
-	// views without touching their mutex (avoiding a lock cycle with winMu).
-	// winBase is the rotating window recovered from a windowed checkpoint
-	// — unlike base it is NOT frozen: its buckets retire in lockstep with
-	// the shards', guarded by winMu.
-	winMu   sync.RWMutex
-	winEnd  atomic.Int64
+	// stateMu orders the two events that change shard state without a
+	// journal entry — a window rotation (window.go) and an ImportSketch
+	// (transfer.go) — against multi-shard reads: AdvanceWindowTo and
+	// ImportSketch hold Lock while they write every shard, and view
+	// refreshes, delta exports and checkpoint building hold RLock from their
+	// first shard to their last, so none ever sees shard A before the event
+	// and shard B after it. Lock order: stateMu before any shard's skMu.
+	// imports and winRot count the two events and stamp every reader's
+	// coordinates (stamp, snapshot.go), so either retires both resident
+	// views, every export cursor and the ANN index's cursor without touching
+	// the views' mutex (avoiding a lock cycle with stateMu). winEnd mirrors
+	// the shards' current bucket end (unix ns) for the lock-free
+	// has-anything-expired check (zero on unwindowed engines).
+	stateMu sync.RWMutex
+	imports atomic.Uint64
 	winRot  atomic.Uint64
-	winBase *core.Window
+	winEnd  atomic.Int64
 
 	// ann is the approximate top-K state (nil without Config.ANN — see
 	// ann.go).
@@ -315,12 +314,14 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Durability != nil && cfg.Durability.Dir != "" {
 		return Open(cfg)
 	}
-	return newEngine(cfg.withDefaults())
+	return newEngine(cfg.withDefaults(), nil, nil)
 }
 
-// newEngine builds a memory-only engine from a resolved config; Open
-// attaches the durability state afterwards.
-func newEngine(cfg Config) (*Engine, error) {
+// newEngine builds a memory-only engine from a resolved config. Open passes
+// the checkpoint it recovered — a flat sketch or, windowed, a bucket ring,
+// either one checked against cfg (foldable) — for the shards to start from,
+// and attaches the durability state afterwards.
+func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 	if err := validateWindow(cfg.Window); err != nil {
 		return nil, err
 	}
@@ -350,11 +351,12 @@ func newEngine(cfg Config) (*Engine, error) {
 	if cfg.PositionCacheUsers > 0 {
 		e.pcache = poscache.New(cfg.PositionCacheUsers)
 	}
-	// In window mode every shard ring is created from the same instant, so
-	// the epoch-aligned boundaries agree and rotation stays in lockstep.
-	var winStart time.Time
-	if cfg.Window != nil {
-		winStart = e.winNow()
+	// In window mode every shard ring gets the same boundaries, so rotation
+	// stays in lockstep: those of the epoch-aligned bucket covering now, or
+	// the recovered ring's, verbatim.
+	newRing, ringAt := core.NewWindow, e.winNow()
+	if ring != nil {
+		newRing, ringAt = core.NewWindowAt, ring.End()
 	}
 	for i := range e.shards {
 		s := &shard{ch: make(chan []stream.Edge, batches)}
@@ -363,7 +365,7 @@ func newEngine(cfg Config) (*Engine, error) {
 			s.annSpill = make(map[stream.User]uint64)
 		}
 		if cfg.Window != nil {
-			win, err := core.NewWindow(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, winStart)
+			win, err := newRing(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, ringAt)
 			if err != nil {
 				return nil, err
 			}
@@ -382,6 +384,15 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.Window != nil {
 		e.winEnd.Store(e.shards[0].win.End().UnixNano())
+	}
+	// The recovered state goes in before the linger ticker can rotate: the
+	// ring bucket by bucket, so recovered edges keep retiring on the schedule
+	// they were written under.
+	if flat != nil {
+		e.fold(flat, 0)
+	}
+	for k := 0; ring != nil && k < ring.Buckets(); k++ {
+		e.fold(ring.Bucket(k), k)
 	}
 	if cfg.FlushInterval > 0 {
 		e.wg.Add(1)
@@ -467,7 +478,7 @@ func (e *Engine) linger() {
 			return
 		case <-t.C:
 			// Rotate first so an idle stream still retires buckets on wall
-			// time (no lifeMu needed: rotation is winMu/skMu territory).
+			// time (no lifeMu needed: rotation is stateMu/skMu territory).
 			e.maybeAdvance()
 			e.lifeMu.RLock()
 			if !e.closed.Load() {
@@ -865,28 +876,15 @@ func (e *Engine) StatsContext(ctx context.Context) (core.Stats, error) {
 }
 
 // Cardinality returns n_u over applied edges (over the live window, in
-// window mode). A user's post-checkpoint state lives only in its owning
-// shard, so this reads one shard (plus the recovery base, when present)
-// and is exact without a merge.
+// window mode). A user's counter lives whole in its owning shard — edges
+// route there, and recovered and imported state is folded there — so this
+// reads one shard under one lock and is exact without a merge.
 func (e *Engine) Cardinality(u stream.User) int64 {
 	e.maybeAdvance()
-	if e.cfg.Window != nil {
-		// Shard + rotating base must be read on the same side of any
-		// rotation; the read-lock holds rotation out (winMu before skMu).
-		e.winMu.RLock()
-		defer e.winMu.RUnlock()
-	}
 	s := e.shards[e.ShardOf(u)]
 	s.skMu.RLock()
-	c := s.sk.Cardinality(u)
-	s.skMu.RUnlock()
-	if base := e.base.Load(); base != nil {
-		c += base.sk.Cardinality(u)
-	}
-	if e.winBase != nil {
-		c += e.winBase.Cardinality(u)
-	}
-	return c
+	defer s.skMu.RUnlock()
+	return s.sk.Cardinality(u)
 }
 
 // Stats summarises the merged global sketch (see core.VOS.Stats). In
@@ -904,16 +902,13 @@ func (e *Engine) Stats() core.Stats {
 	if w := e.cfg.Window; w != nil {
 		st.WindowSeconds = (time.Duration(w.Buckets) * w.BucketDuration).Seconds()
 		st.WindowBuckets = w.Buckets
-		e.winMu.RLock()
+		e.stateMu.RLock()
 		for _, s := range e.shards {
 			s.skMu.RLock()
 			st.MemoryBytes += s.win.Stats().MemoryBytes
 			s.skMu.RUnlock()
 		}
-		if e.winBase != nil {
-			st.MemoryBytes += e.winBase.Stats().MemoryBytes
-		}
-		e.winMu.RUnlock()
+		e.stateMu.RUnlock()
 	}
 	return st
 }
@@ -936,7 +931,10 @@ func (e *Engine) MarshalBinary() ([]byte, error) {
 }
 
 // ShardStats reports one health snapshot per shard: ingest counters,
-// backlog, and the shard array's load β.
+// backlog, and the shard array's load β — for shard 0 including the parity
+// of every recovered checkpoint and imported sketch, which is folded there
+// whole. A shard's β is a share of the merged array's, never an estimator
+// input.
 func (e *Engine) ShardStats() []metrics.ShardStat {
 	elapsed := time.Since(e.start).Seconds()
 	out := make([]metrics.ShardStat, len(e.shards))

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/vossketch/vos/internal/core"
@@ -50,13 +51,15 @@ type journalEntry struct {
 // nothing measured shows reads falling back for want of journal.
 const journalWordsPerEdge = 16
 
-// stamp is the exact engine state a view equals: the recovery base it was
-// merged from, the window rotation it was merged under, and, per shard, the
-// prefix of applied batches it holds.
+// stamp names one exact engine state, in the one coordinate type every
+// reader of the stream holds: a resident view, an export cursor (delta.go),
+// the approximate top-K index (ann.go). gen and rot are the epoch — they count
+// the events that change shard state without a journal entry, and a reader
+// from another epoch is never brought forward, only rebuilt.
 type stamp struct {
-	base *baseSketch // e.base at merge time; an import publishes a new one
-	rot  uint64      // winRot at merge time; a rotation changes shard state without a journal entry
-	at   []uint64    // per-shard processed counts: every batch up to at[i], none after
+	gen uint64   // Engine.imports: an ImportSketch folds state into the shards
+	rot uint64   // Engine.winRot: a rotation retires a bucket from under every shard
+	at  []uint64 // per-shard processed counts: every batch up to at[i], none after
 }
 
 type view = resident.View[stamp]
@@ -111,21 +114,50 @@ func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 	s.jMu.Unlock()
 }
 
-// suffix returns the journal entries past the processed count at, with the
-// count they reach — the shard's processed count, cut inside its critical
-// section. ok is false when the journal no longer reaches back to at (or at
-// is not a count this shard has been at). The entries are copies, valid
-// after the locks are gone: the worker evicts underneath any reader.
-func (s *shard) suffix(at uint64) (cut []journalEntry, end uint64, ok bool) {
+// journalRange is the one journal read there is: the entries in (from, to],
+// to clipped to the shard's processed count inside its critical section, and
+// the count the cut reaches. ok is false when the journal no longer reaches
+// back to from (or from is not a count this shard has been at); cut is then
+// what is left of the range. The entries are copies, valid after the locks
+// are gone: the worker evicts underneath any reader.
+func (s *shard) journalRange(from, to uint64) (cut []journalEntry, end uint64, ok bool) {
 	s.skMu.RLock()
 	s.jMu.Lock()
-	end = s.processed.Load()
-	if ok = s.jFrom <= at && at <= end; ok {
-		cut = append(cut, s.journal[journalAfter(s.journal, at):]...)
+	end = min(to, s.processed.Load())
+	if from <= end {
+		cut = append(cut, s.journal[journalAfter(s.journal, from):journalAfter(s.journal, end)]...)
+		ok = s.jFrom <= from
 	}
 	s.jMu.Unlock()
 	s.skMu.RUnlock()
 	return cut, end, ok
+}
+
+// since brings a reader at st to the present: every batch the shards applied
+// past st.at goes to apply, shard by shard, and st.at moves up behind it. Any
+// answer but resident.Replayed is why it cannot: Import or Rotation for a
+// stamp of another epoch, Overflow for a shard whose journal no longer reaches
+// back (st, partly brought forward, is then still an exact per-shard prefix).
+// The caller holds stateMu, so the epoch cannot move under the cuts, and has
+// made sure len(st.at) is the shard count.
+func (e *Engine) since(st *stamp, apply func([]stream.Edge)) resident.Cause {
+	switch {
+	case st.gen != e.imports.Load():
+		return resident.Import
+	case st.rot != e.winRot.Load():
+		return resident.Rotation
+	}
+	for i, s := range e.shards {
+		cut, end, ok := s.journalRange(st.at[i], math.MaxUint64)
+		if !ok {
+			return resident.Overflow
+		}
+		for _, en := range cut {
+			apply(en.batch)
+		}
+		st.at[i] = end
+	}
+	return resident.Replayed
 }
 
 // viewSource drives the engine's view pair for one staleness budget: the
@@ -146,11 +178,11 @@ func (e *Engine) acquire(src *viewSource) *view {
 }
 
 // Current implements resident.Source. A rotation or an import changes state
-// without advancing any processed counter, which is why those stamps are
-// checked before the lag can vouch for the view.
+// without advancing any processed counter, which is why the epoch is checked
+// before the lag can vouch for the view.
 func (s *viewSource) Current(st *stamp) bool {
 	e := s.e
-	if st.rot != e.winRot.Load() || st.base != e.base.Load() {
+	if st.rot != e.winRot.Load() || st.gen != e.imports.Load() {
 		return false
 	}
 	lag := uint64(0)
@@ -162,75 +194,32 @@ func (s *viewSource) Current(st *stamp) bool {
 
 // Refresh implements resident.Source: the spare brought forward by journal
 // replay when that is possible, a full re-merge into a fresh view otherwise.
+// The state read-lock is held across the whole refresh, so the view never
+// observes shard A before a rotation or an import and shard B after it.
 func (s *viewSource) Refresh(_ context.Context, spare *view) (*view, resident.Cause, int, error) {
 	e := s.e
-	// In window mode, hold the window read-lock across the whole refresh so
-	// the view never observes shard A pre-rotation and shard B
-	// post-rotation (winMu before skMu — see window.go).
-	if e.cfg.Window != nil {
-		e.winMu.RLock()
-		defer e.winMu.RUnlock()
-	}
-	base, rot := e.base.Load(), e.winRot.Load()
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
 	cause := resident.First // without a spare the pair counts its own cause
 	if spare != nil {
-		var edges int
-		if cause, edges = e.replay(spare, base, rot); cause == resident.Replayed {
+		edges := 0
+		cause = e.since(&spare.Stamp, func(batch []stream.Edge) {
+			spare.Sk.ProcessBatch(batch)
+			edges += len(batch)
+		})
+		if cause == resident.Replayed {
 			return spare, cause, edges, nil
 		}
 	}
-	return e.rebuild(base, rot), cause, 0, nil
+	return e.rebuild(), cause, 0, nil
 }
 
-// replay brings v forward to the present by folding in the batches each
-// shard has applied since v's cursor, or reports why it cannot.
-func (e *Engine) replay(v *view, base *baseSketch, rot uint64) (resident.Cause, int) {
-	st := &v.Stamp
-	switch {
-	case st.base != base:
-		return resident.Import, 0
-	case st.rot != rot:
-		return resident.Rotation, 0
-	}
-	// Shard by shard. A shard whose journal no longer reaches back to the
-	// view's cursor sends the refresh to the fallback; the view, by then
-	// partly brought forward, is still an exact per-shard prefix and is
-	// dropped by the re-merge anyway.
-	edges := 0
-	for i, s := range e.shards {
-		cut, end, ok := s.suffix(st.at[i])
-		if !ok {
-			return resident.Overflow, 0
-		}
-		for _, en := range cut {
-			v.Sk.ProcessBatch(en.batch)
-			edges += len(en.batch)
-		}
-		st.at[i] = end
-	}
-	return resident.Replayed, edges
-}
-
-// rebuild merges the base and every shard into a fresh view — the fallback
-// path.
-func (e *Engine) rebuild(base *baseSketch, rot uint64) *view {
+// rebuild merges every shard into a fresh view — the fallback path. The
+// caller holds stateMu.
+func (e *Engine) rebuild() *view {
 	merged := core.MustNew(e.cfg.Sketch)
 	merged.SetPositionCache(e.pcache) // tables survive snapshot rebuilds
-	v := &view{Sk: merged, Stamp: stamp{base: base, rot: rot, at: make([]uint64, len(e.shards))}}
-	if base != nil {
-		// The recovered checkpoint (possibly extended by ImportSketch);
-		// immutable once published, identical config by Open's and
-		// ImportSketch's validation, so the merge cannot fail.
-		if err := merged.Merge(base.sk); err != nil {
-			panic(fmt.Sprintf("engine: base merge failed: %v", err))
-		}
-	}
-	if e.winBase != nil {
-		// The recovered window base rotates under winMu, which Refresh holds.
-		if err := merged.Merge(e.winBase.Merged()); err != nil {
-			panic(fmt.Sprintf("engine: window base merge failed: %v", err))
-		}
-	}
+	v := &view{Sk: merged, Stamp: stamp{gen: e.imports.Load(), rot: e.winRot.Load(), at: make([]uint64, len(e.shards))}}
 	for i, s := range e.shards {
 		s.skMu.RLock()
 		v.Stamp.at[i] = s.processed.Load()

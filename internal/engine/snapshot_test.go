@@ -124,7 +124,7 @@ func TestSnapshotDifferential(t *testing.T) {
 					ref = &diffRef{win: win}
 				case "recovered":
 					// Ingest, close (which checkpoints), reopen: the prefix now
-					// lives in the recovery base, not in any shard.
+					// lies folded in the shards, with no journal entry behind it.
 					cfg.Durability = durableConfig(t.TempDir(), shards).Durability
 					pre := MustOpen(cfg)
 					prefix := gen.next(2000)
@@ -143,8 +143,8 @@ func TestSnapshotDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				if shape == "recovered" && e.base.Load() == nil {
-					t.Fatal("reopened engine has no recovery base")
+				if st := e.ShardStats()[0]; shape == "recovered" && (st.Beta == 0 || st.Processed != 0) {
+					t.Fatalf("reopened engine's shard 0 does not hold the folded checkpoint: %+v", st)
 				}
 
 				cands := make([]stream.User, users)

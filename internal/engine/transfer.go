@@ -13,12 +13,16 @@ import (
 // is pure parity the target's merged sketch afterwards equals a single
 // engine that consumed both streams.
 //
-// The imported state lands in the engine's recovery base — the same slot
-// a checkpoint restores into — so shards keep holding only their own
-// deltas and every query path picks it up through the existing
-// base-merge. Each import publishes a fresh immutable base sketch (old
-// base XOR import), so concurrent readers are never exposed to a
-// half-merged array.
+// The imported state is folded into the live shards (fold, durability.go),
+// as a recovered checkpoint is: the array into shard 0, each user's counter
+// into the shard that owns the user. Like a window rotation that is shard
+// state changing without a journal entry, so it runs under the lock that
+// orders rotations against multi-shard reads (stateMu) and moves the epoch:
+// the import generation it bumps retires both resident query views, every
+// remote reader's cursor and the ANN index's cursor — each names the
+// generation it was read under, and a reader of another generation is never
+// brought forward, only rebuilt. A read racing an import therefore answers
+// from the state before it or the state after it, never from between.
 //
 // On a durable engine the import is immediately checkpointed: the
 // imported edges exist in no local WAL record, so without a covering
@@ -39,39 +43,18 @@ func (e *Engine) ImportSketch(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if imported.Config().Family != e.cfg.Sketch.Family {
-		return fmt.Errorf("%w: imported sketch uses the %v hash family, engine is configured for %v",
-			core.ErrFamilyMismatch, imported.Config().Family, e.cfg.Sketch.Family)
-	}
-	if imported.Config() != e.cfg.Sketch {
-		return fmt.Errorf("engine: imported sketch config %+v does not match engine config %+v",
-			imported.Config(), e.cfg.Sketch)
-	}
-	// Publishing the new base is also what retires both resident query
-	// views and every remote reader's cursor: each names the base it was
-	// merged from, and a view or cursor of another base is never replayed,
-	// only rebuilt — so no reader can pair a stale snapshot decision with
-	// the new state.
-	e.importMu.Lock()
-	next := &baseSketch{sk: core.MustNew(e.cfg.Sketch), gen: 1}
-	if old := e.base.Load(); old != nil {
-		next.gen = old.gen + 1
-		if err := next.sk.Merge(old.sk); err != nil {
-			e.importMu.Unlock()
-			panic(fmt.Sprintf("engine: base merge failed: %v", err))
-		}
-	}
-	if err := next.sk.Merge(imported); err != nil {
-		e.importMu.Unlock()
+	if err := foldable("imported sketch", imported.Config(), e.cfg.Sketch); err != nil {
 		return err
 	}
-	e.base.Store(next)
-	e.importMu.Unlock()
+	e.stateMu.Lock()
+	e.fold(imported, 0)
+	e.imports.Add(1)
+	e.stateMu.Unlock()
 
 	if e.log != nil {
 		// Make the import durable before acknowledging it: the imported
 		// edges are in no WAL record here, so only a checkpoint covering
-		// the new base survives a crash.
+		// them survives a crash.
 		if _, err := e.Checkpoint(); err != nil {
 			return fmt.Errorf("engine: checkpoint after import: %w", err)
 		}

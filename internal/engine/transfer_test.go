@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,5 +242,92 @@ func TestImportSketchDoubleCancels(t *testing.T) {
 		if got, want := recv.Cardinality(u), 2*donor.Cardinality(u); got != want {
 			t.Fatalf("Cardinality(%d) after double import = %d, want double-counted %d", u, got, want)
 		}
+	}
+}
+
+// TestImportSketchRacingReaders: an import writes every shard from outside
+// the workers, and a read racing it must answer from the state before it or
+// the state after it, never from a mix — not a view merged from shard 0
+// after the import and shard 1 before it, not a counter read beside a
+// half-folded array. A sketch of the same elements with every op inverted is
+// the imported sketch's inverse (the same parity, the negated counters), so
+// importing the two in turn flips the engine between exactly two states, and
+// every answer a reader can get belongs to one of them.
+func TestImportSketchRacingReaders(t *testing.T) {
+	const users = 24
+	cfg := testConfig()
+	local, remote := feasibleStream(3000, users, 0.2, 5), feasibleStream(3000, users, 0.2, 6)
+	e := MustNew(Config{Sketch: cfg, Shards: 3, FlushInterval: -1})
+	defer e.Close()
+	if err := e.ProcessBatch(local); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	var states [2]*core.VOS // before an odd import, after it
+	for i := range states {
+		states[i] = core.MustNew(cfg)
+		states[i].ProcessBatch(local)
+	}
+	imported := core.MustNew(cfg)
+	imported.ProcessBatch(remote)
+	if err := states[1].Merge(imported); err != nil {
+		t.Fatal(err)
+	}
+	inverse := core.MustNew(cfg)
+	for _, ed := range remote {
+		inverse.Process(stream.Edge{User: ed.User, Item: ed.Item, Op: 1 - ed.Op})
+	}
+	var data [2][]byte
+	for i, sk := range []*core.VOS{imported, inverse} {
+		var err error
+		if data[i], err = sk.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var card [2][users]int64
+	var est [2][users][users]core.Estimate
+	for i, sk := range states {
+		for u := stream.User(0); u < users; u++ {
+			card[i][u] = sk.Cardinality(u)
+			for v := stream.User(0); v < users; v++ {
+				est[i][u][v] = sk.Query(u, v)
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				u, v := stream.User(i%users), stream.User(i/users%users)
+				if got := e.Cardinality(u); got != card[0][u] && got != card[1][u] {
+					t.Errorf("Cardinality(%d) = %d: neither the pre-import %d nor the post-import %d", u, got, card[0][u], card[1][u])
+					return
+				}
+				if got := e.Query(u, v); got != est[0][u][v] && got != est[1][u][v] {
+					t.Errorf("Query(%d,%d) = %+v: neither the pre-import %+v nor the post-import %+v", u, v, got, est[0][u][v], est[1][u][v])
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 40; i++ {
+		if err := e.ImportSketch(data[i%2]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if e.SnapshotStats().RebuildsImport == 0 {
+		t.Error("no read rebuilt its view for an import: the readers never raced one")
 	}
 }

@@ -12,11 +12,11 @@ package engine
 //
 // Rotation is coordinated: every shard window is created with the same
 // epoch-aligned boundaries and only ever advances under the engine's
-// window lock (winMu), which snapshot refreshes and checkpointing hold in
+// state lock (stateMu), which snapshot refreshes and checkpointing hold in
 // read mode from their first shard to their last — so no snapshot or
 // checkpoint can observe shard A pre-rotation and shard B post-rotation,
 // and a snapshot refresh never replays a journal across a rotation. The
-// lock order is winMu before any shard's skMu; the ingest workers take
+// lock order is stateMu before any shard's skMu; the ingest workers take
 // only skMu and are blocked per shard exactly for that shard's O(sketch)
 // retire pass.
 //
@@ -143,9 +143,9 @@ func (e *Engine) maybeAdvance() {
 	e.AdvanceWindowTo(now)
 }
 
-// AdvanceWindowTo rotates every shard's window (and the recovery base, if
-// present) forward through all bucket boundaries up to t, in lockstep
-// under the window lock, and returns the number of boundaries crossed.
+// AdvanceWindowTo rotates every shard's window forward through all bucket
+// boundaries up to t, in lockstep under the state lock, and returns the
+// number of boundaries crossed.
 // Instants at or before the current boundary are a no-op — the window
 // never moves backwards, so clock-skewed or late timestamps cannot unwind
 // retired state. On an unwindowed engine it returns 0.
@@ -153,8 +153,8 @@ func (e *Engine) AdvanceWindowTo(t time.Time) int {
 	if e.cfg.Window == nil {
 		return 0
 	}
-	e.winMu.Lock()
-	defer e.winMu.Unlock()
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
 	if t.UnixNano() < e.winEnd.Load() {
 		return 0 // another caller advanced past t while we waited
 	}
@@ -167,12 +167,9 @@ func (e *Engine) AdvanceWindowTo(t time.Time) int {
 			steps = n
 		} else if n != steps {
 			// Impossible: every window shares the same boundaries and only
-			// advances here, under winMu.
+			// advances here, under stateMu.
 			panic("engine: shard windows rotated out of lockstep")
 		}
-	}
-	if e.winBase != nil {
-		e.winBase.AdvanceTo(t)
 	}
 	if steps > 0 {
 		e.winRot.Add(uint64(steps))
@@ -183,33 +180,22 @@ func (e *Engine) AdvanceWindowTo(t time.Time) int {
 
 // windowSnapshot builds the cross-shard window state for a checkpoint:
 // bucket k of the result is the exact merge of bucket k of every shard
-// window plus bucket k of the recovery base. Callers hold walMu (no
-// producers) and must have flushed; the window read-lock keeps rotation
-// out for the duration, so the buckets of different shards are aligned.
+// window. Callers hold walMu (no producers) and must have flushed; the state
+// read-lock keeps rotation out for the duration, so the buckets of different
+// shards are aligned.
 func (e *Engine) windowSnapshot() (*core.Window, error) {
-	e.winMu.RLock()
-	defer e.winMu.RUnlock()
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
 	w := e.cfg.Window
 	out, err := core.NewWindowAt(e.cfg.Sketch, w.Buckets, w.BucketDuration, time.Unix(0, e.winEnd.Load()))
 	if err != nil {
 		return nil, err
 	}
-	merge := func(src *core.Window) error {
-		for k := 0; k < w.Buckets; k++ {
-			if err := out.MergeBucket(k, src.Bucket(k)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if e.winBase != nil {
-		if err := merge(e.winBase); err != nil {
-			return nil, err
-		}
-	}
 	for _, s := range e.shards {
 		s.skMu.RLock()
-		err := merge(s.win)
+		for k := 0; k < w.Buckets && err == nil; k++ {
+			err = out.MergeBucket(k, s.win.Bucket(k))
+		}
 		s.skMu.RUnlock()
 		if err != nil {
 			return nil, err

@@ -104,18 +104,12 @@ func NewFastFamily(k int, seed uint64) *FastFamily {
 // K returns the number of positions in the family.
 func (f *FastFamily) K() int { return f.k }
 
-// state derives the per-key splitmix64 state — the one strong hash the
-// whole table is expanded from.
-func (f *FastFamily) state(key uint64) uint64 {
-	return Hash64(key, f.seed^fastSeedTag)
-}
-
-// State returns the per-key expansion state, the value PositionFromState
-// consumes. It is the family's only per-key hash work: callers making many
-// single-position lookups for recurring keys (the sketch's per-edge ingest
-// loop) can memoize it and skip the Hash64 on repeats. The state is
-// seed-dependent — never reuse one across families.
-func (f *FastFamily) State(key uint64) uint64 { return f.state(key) }
+// State derives the per-key splitmix64 state — the one strong hash the whole
+// table is expanded from, and the value PositionFromState consumes. It is the
+// family's only per-key hash work: a caller reading several positions of one
+// key (core.VOS.RecoverRange) derives it once. The state is seed-dependent —
+// never reuse one across families.
+func (f *FastFamily) State(key uint64) uint64 { return Hash64(key, f.seed^fastSeedTag) }
 
 // PositionFromState is HashRange with the key's hash work already done:
 // PositionFromState(f.State(key), j, n) == f.HashRange(j, key, n) for
@@ -141,7 +135,7 @@ func PositionFromState(x uint64, j int, n uint64) uint64 {
 // random access into the same sequence HashRangeInto streams, in O(1):
 // counter-based generation has no sequential dependency.
 func (f *FastFamily) HashRange(j int, key, n uint64) uint64 {
-	return PositionFromState(f.state(key), j, n)
+	return PositionFromState(f.State(key), j, n)
 }
 
 // HashRangeInto fills dst[j] with member j's position for key, reduced
@@ -151,7 +145,7 @@ func (f *FastFamily) HashRange(j int, key, n uint64) uint64 {
 // hash work per position, no seed-table traffic, and every iteration
 // independent so the multiplies pipeline. dst must not be longer than K().
 func (f *FastFamily) HashRangeInto(dst []uint64, key, n uint64) {
-	x := f.state(key)
+	x := f.State(key)
 	if n <= 1<<32 {
 		// Four outputs (eight positions) per iteration through a fixed-size
 		// array pointer (bounds-checked once per block): the finalizer
