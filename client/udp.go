@@ -4,6 +4,7 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -199,6 +200,12 @@ func (c *UDPClient) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opt.AckTimeout)
 	defer cancel()
 	flushErr := c.Flush(ctx)
+	if errors.Is(flushErr, context.DeadlineExceeded) {
+		// The deadline is Close's own, and every wait under it is a wait
+		// for an ack; which of the two AckTimeout clocks fired first is
+		// scheduling, not something the caller can act on.
+		flushErr = fmt.Errorf("client: no ack within %v of Close: %w", c.opt.AckTimeout, flushErr)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

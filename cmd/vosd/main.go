@@ -92,9 +92,9 @@ func run(args []string, stdout io.Writer) error {
 		annRebandBudget = fs.Int("ann-reband-budget", 0, "stale users re-banded per ANN probe (0 = default 16384, negative unbounded; requires -ann)")
 
 		syncMode   = fs.String("sync", "batch", `WAL fsync policy: "batch", "interval", or "off"`)
-		syncEveryN = fs.Int("sync-every-n", 0, `edges between fsyncs under -sync interval (0 = default 4096)`)
-		segBytes   = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
-		ckptEvery  = fs.Duration("checkpoint-interval", 0, "automatic checkpoint period (0 disables; durable only)")
+		syncEveryN = fs.Int("sync-every-n", 0, `edges between fsyncs under -sync interval (0 = default 4096; requires -dir)`)
+		segBytes   = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB; requires -dir)")
+		ckptEvery  = fs.Duration("checkpoint-interval", 0, "automatic checkpoint period (0 disables; requires -dir)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -147,6 +147,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		cfg.Durability = &d
 		eng, err = vos.OpenEngine(*dir, cfg)
+	} else if *syncEveryN != 0 || *segBytes != 0 || *ckptEvery != 0 {
+		return fmt.Errorf("vosd: -sync-every-n/-segment-bytes/-checkpoint-interval require -dir")
 	} else {
 		eng, err = vos.NewEngine(cfg)
 	}
@@ -157,7 +159,7 @@ func run(args []string, stdout io.Writer) error {
 	// Periodic checkpoints bound restart replay time; each one truncates
 	// the covered WAL prefix.
 	stopCkpt := func() {}
-	if *ckptEvery > 0 && *dir != "" {
+	if *ckptEvery > 0 {
 		stopCkpt = checkpointEvery(eng, *ckptEvery, shell.Verbose)
 	}
 	windowDesc := "off"

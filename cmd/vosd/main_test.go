@@ -305,20 +305,26 @@ func TestVosdSmoke(t *testing.T) {
 	stop2()
 }
 
-// TestVosdBadFlags: a bad -sync value fails fast instead of starting a
-// daemon with silent defaults.
+// TestVosdBadFlags: a flag value the daemon cannot honour fails fast
+// instead of starting a daemon with silent defaults — a durability or index
+// knob without the flag that turns the feature on included.
 func TestVosdBadFlags(t *testing.T) {
-	if err := run([]string{"-dir", t.TempDir(), "-sync", "sometimes"}, &strings.Builder{}); err == nil {
-		t.Fatal("bad -sync value accepted")
-	}
-	if err := run([]string{"-window", "-1s"}, &strings.Builder{}); err == nil {
-		t.Fatal("negative -window accepted")
-	}
-	if err := run([]string{"-window", "1m", "-buckets", "0"}, &strings.Builder{}); err == nil {
-		t.Fatal("-buckets 0 accepted with -window")
-	}
-	if err := run([]string{"-window", "1s", "-buckets", "7"}, &strings.Builder{}); err == nil {
-		t.Fatal("-window not divisible by -buckets accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"bad -sync value", []string{"-dir", t.TempDir(), "-sync", "sometimes"}},
+		{"negative -window", []string{"-window", "-1s"}},
+		{"-buckets 0 with -window", []string{"-window", "1m", "-buckets", "0"}},
+		{"-window not divisible by -buckets", []string{"-window", "1s", "-buckets", "7"}},
+		{"-ann-bands without -ann", []string{"-ann-bands", "32"}},
+		{"-checkpoint-interval without -dir", []string{"-checkpoint-interval", "30s"}},
+		{"-sync-every-n without -dir", []string{"-sync", "interval", "-sync-every-n", "100"}},
+		{"-segment-bytes without -dir", []string{"-segment-bytes", "1048576"}},
+	} {
+		if err := run(tc.args, &strings.Builder{}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -91,31 +91,6 @@ func ExampleSketch_Merge() {
 	// merged equals sequential: true
 }
 
-// The pair monitor keeps a live ranking of the most similar watched
-// pairs over the stream.
-func ExampleNewPairMonitor() {
-	est := vos.NewExact() // any Estimator works; exact keeps the example crisp
-	mon, err := vos.NewPairMonitor(est, []vos.User{1, 2, 3}, 0)
-	if err != nil {
-		panic(err)
-	}
-	// Users 1 and 2 share two items; 3 is disjoint.
-	for _, e := range []vos.Edge{
-		{User: 1, Item: 7, Op: vos.Insert},
-		{User: 2, Item: 7, Op: vos.Insert},
-		{User: 1, Item: 8, Op: vos.Insert},
-		{User: 2, Item: 8, Op: vos.Insert},
-		{User: 3, Item: 9, Op: vos.Insert},
-	} {
-		mon.Process(e)
-	}
-	top := mon.Top(1)[0]
-	fmt.Printf("most similar: (%d, %d) with %d common items\n",
-		top.U, top.V, int(top.Common))
-	// Output:
-	// most similar: (1, 2) with 2 common items
-}
-
 // Sliding-window similarity: edges land in the current time bucket,
 // queries cover only the live window, and rotating retires the oldest
 // bucket in O(sketch) — here a tumbling two-bucket window forgets the

@@ -1,6 +1,6 @@
 // Package bitset implements a fixed-length bit array with O(1) maintained
 // popcount, the storage substrate for both the shared array A of VOS and the
-// per-set odd sketches.
+// packed recovered sketches of its users.
 //
 // The VOS update rule needs two operations to be constant time: flipping one
 // bit, and reading the global fraction of 1-bits (the paper's β counter).
@@ -114,15 +114,6 @@ func (b *Bitset) FlipAll(idx []uint64) {
 	b.ones = ones
 }
 
-// SetTo forces bit i to v.
-func (b *Bitset) SetTo(i uint64, v bool) {
-	if v {
-		b.Set(i)
-	} else {
-		b.Clear(i)
-	}
-}
-
 // Reset zeroes every bit.
 func (b *Bitset) Reset() {
 	for i := range b.words {
@@ -206,26 +197,16 @@ func (b *Bitset) XorCountWordsRef(ws []uint64) uint64 {
 // XorCountWords.
 func (b *Bitset) UnsafeWords() []uint64 { return b.words }
 
-// FromWordsUnsafe wraps an UnsafeWords-style slice as an n-bit Bitset
-// WITHOUT copying: the bitset and the slice share storage, so neither may
-// be mutated afterwards (read-only views over cached packed sketches). The
-// slice must hold exactly (n+63)/64 words with zero tail bits, as
-// UnsafeWords produces.
-func FromWordsUnsafe(ws []uint64, n uint64) *Bitset {
-	ones := uint64(0)
-	for _, w := range ws {
-		ones += uint64(bits.OnesCount64(w))
-	}
-	return FromWordsCountedUnsafe(ws, n, ones)
-}
-
-// FromWordsCountedUnsafe is FromWordsUnsafe with a caller-supplied ones
-// count, skipping the recount — for cache hits where Count was recorded
-// when the words were first materialised. ones must equal the popcount of
-// ws; the same aliasing contract applies.
+// FromWordsCountedUnsafe wraps an UnsafeWords-style slice as an n-bit
+// Bitset WITHOUT copying: the bitset and the slice share storage, so
+// neither may be mutated afterwards (read-only views over cached packed
+// sketches). The slice must hold exactly (n+63)/64 words with zero tail
+// bits, as UnsafeWords produces, and ones must equal its popcount — the
+// caller recorded Count when the words were first materialised, so a cache
+// hit skips the recount.
 func FromWordsCountedUnsafe(ws []uint64, n, ones uint64) *Bitset {
 	if n == 0 || len(ws) != int((n+63)/64) {
-		panic(fmt.Sprintf("bitset: FromWords*Unsafe: %d words cannot back %d bits", len(ws), n))
+		panic(fmt.Sprintf("bitset: FromWordsCountedUnsafe: %d words cannot back %d bits", len(ws), n))
 	}
 	return &Bitset{words: ws, n: n, ones: ones}
 }

@@ -319,7 +319,10 @@ func TestImportSketchRacingReaders(t *testing.T) {
 			}
 		}(r)
 	}
-	for i := 0; i < 40; i++ {
+	// At least 40 imports, and then as many more (bounded) as it takes for
+	// a reader to be scheduled between two of them: on a busy two-core
+	// host 40 imports can finish before any reader has run.
+	for i := 0; i < 40 || (i < 40000 && e.SnapshotStats().RebuildsImport == 0); i++ {
 		if err := e.ImportSketch(data[i%2]); err != nil {
 			t.Error(err)
 			break

@@ -76,9 +76,6 @@ func (t *PairTracker) MustApply(e stream.Edge) {
 	}
 }
 
-// Store exposes the underlying exact store (cardinalities, item sets).
-func (t *PairTracker) Store() *Store { return t.store }
-
 // Pairs returns the tracked pairs in registration order.
 func (t *PairTracker) Pairs() []Pair { return t.pairs }
 

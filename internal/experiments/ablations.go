@@ -185,8 +185,8 @@ func AblDense(opts Options) (*Table, error) {
 // insertion to refill from. (A churn model that re-inserts every deleted
 // edge provably restores MinHash registers by end of stream — the deleted
 // minimum itself comes back and retakes its register — so it cannot
-// exhibit the bias at final time; gen.Churn remains available for workload
-// generation, but this ablation uses the mass-deletion form.)
+// exhibit the bias at final time, which is why this ablation uses the
+// mass-deletion form.)
 func AblDelBias(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	scaled := opts.profile().Scaled(opts.Scale / 2)

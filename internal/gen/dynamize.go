@@ -148,8 +148,6 @@ func (s *edgeSet) remove(u stream.User, i stream.Item) {
 	delete(s.idx, k)
 }
 
-func (s *edgeSet) size() int { return len(s.list) }
-
 // sample returns each live edge independently with probability frac, in
 // random order.
 func (s *edgeSet) sample(rng *rand.Rand, frac float64) []edgeKey {
@@ -163,47 +161,5 @@ func (s *edgeSet) sample(rng *rand.Rand, frac float64) []edgeKey {
 		}
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// Churn produces a smoother alternative dynamic model for ablations:
-// after the base stream's warm-up prefix, each subsequent element is
-// followed with probability churnProb by the deletion of one uniformly
-// random live edge, whose re-insertion is queued like in Dynamize. Used by
-// the abl-delbias experiment to dial deletion pressure continuously.
-func Churn(base []stream.Edge, churnProb float64, seed int64) []stream.Edge {
-	// churnProb must stay clear of 1: each event re-queues one insertion,
-	// so at probability 1 the pending queue would never drain.
-	if churnProb < 0 || churnProb >= 0.95 {
-		panic(fmt.Sprintf("gen: churn probability %v out of [0, 0.95)", churnProb))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pending := make([]stream.Edge, len(base))
-	for i, e := range base {
-		if e.Op != stream.Insert {
-			panic(fmt.Sprintf("gen: Churn input must be insert-only, got %s at %d", e, i))
-		}
-		pending[len(base)-1-i] = e
-	}
-	live := newEdgeSet(len(base))
-	out := make([]stream.Edge, 0, len(base)*2)
-	warmup := len(base) / 10
-
-	for len(pending) > 0 {
-		e := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		live.add(e.User, e.Item)
-		out = append(out, e)
-
-		if len(out) > warmup && live.size() > 1 && rng.Float64() < churnProb {
-			k := live.list[rng.Intn(live.size())]
-			live.remove(k.User, k.Item)
-			out = append(out, stream.Edge{User: k.User, Item: k.Item, Op: stream.Delete})
-			pending = append(pending, stream.Edge{User: k.User, Item: k.Item, Op: stream.Insert})
-			j := rng.Intn(len(pending))
-			last := len(pending) - 1
-			pending[j], pending[last] = pending[last], pending[j]
-		}
-	}
 	return out
 }

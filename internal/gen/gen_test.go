@@ -252,34 +252,6 @@ func TestPaperDynamizeParameters(t *testing.T) {
 	}
 }
 
-func TestChurnFeasible(t *testing.T) {
-	base := Bipartite(tinyProfile(), 5)
-	out := Churn(base, 0.3, 7)
-	if err := stream.Validate(out); err != nil {
-		t.Fatalf("churn stream infeasible: %v", err)
-	}
-	st := stream.NewStats()
-	for _, e := range out {
-		st.Observe(e)
-	}
-	if st.Deletes == 0 {
-		t.Error("churn produced no deletions")
-	}
-	// Reinsertion makes the final graph equal the base graph.
-	if st.LiveEdges() != int64(len(base)) {
-		t.Errorf("live %d != base %d", st.LiveEdges(), len(base))
-	}
-}
-
-func TestChurnPanicsNearOne(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic at churn=0.99")
-		}
-	}()
-	Churn(nil, 0.99, 1)
-}
-
 func TestPlantedPair(t *testing.T) {
 	edges := PlantedPair(1, 2, 100, 80, 30, 5)
 	if err := stream.Validate(edges); err != nil {
@@ -333,19 +305,6 @@ func TestPlantedJaccard(t *testing.T) {
 	}
 }
 
-func TestDeleteSome(t *testing.T) {
-	items := []stream.Item{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	dels := DeleteSome(1, items, 0.5, 3)
-	if len(dels) == 0 || len(dels) == len(items) {
-		t.Skipf("degenerate draw (len=%d); acceptable for fixed seed", len(dels))
-	}
-	for _, e := range dels {
-		if e.Op != stream.Delete || e.User != 1 {
-			t.Fatalf("bad deletion %s", e)
-		}
-	}
-}
-
 func TestEdgeSetSampleAll(t *testing.T) {
 	s := newEdgeSet(4)
 	s.add(1, 1)
@@ -353,8 +312,8 @@ func TestEdgeSetSampleAll(t *testing.T) {
 	s.add(2, 1)
 	s.remove(1, 1)
 	s.remove(9, 9) // absent: no-op
-	if s.size() != 2 {
-		t.Fatalf("size = %d", s.size())
+	if len(s.list) != 2 {
+		t.Fatalf("size = %d", len(s.list))
 	}
 	victims := s.sample(randSource(1), 1)
 	if len(victims) != 2 {

@@ -57,17 +57,3 @@ func PlantedJaccard(size int, jaccard float64) (common int) {
 	}
 	return c
 }
-
-// DeleteSome returns deletion elements for a uniformly random fraction frac
-// of the given user's currently subscribed items (as recorded in items),
-// for building hand-crafted dynamic scenarios in tests.
-func DeleteSome(u stream.User, items []stream.Item, frac float64, seed int64) []stream.Edge {
-	rng := rand.New(rand.NewSource(seed))
-	var out []stream.Edge
-	for _, it := range items {
-		if rng.Float64() < frac {
-			out = append(out, stream.Edge{User: u, Item: it, Op: stream.Delete})
-		}
-	}
-	return out
-}

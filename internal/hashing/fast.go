@@ -101,9 +101,6 @@ func NewFastFamily(k int, seed uint64) *FastFamily {
 	return &FastFamily{k: k, seed: seed}
 }
 
-// K returns the number of positions in the family.
-func (f *FastFamily) K() int { return f.k }
-
 // State derives the per-key splitmix64 state — the one strong hash the whole
 // table is expanded from, and the value PositionFromState consumes. It is the
 // family's only per-key hash work: a caller reading several positions of one

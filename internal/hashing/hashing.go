@@ -1,7 +1,6 @@
 // Package hashing provides the deterministic, seeded hash primitives that
 // every sketch in this repository is built on: 64-bit mixers, families of k
-// independent hash functions, 2-universal hashing over a prime field, and
-// exact random permutations (Feistel networks with cycle walking).
+// independent hash functions, and 2-universal hashing over a prime field.
 //
 // Everything here is pure computation: no global state, no math/rand
 // dependence at query time, and identical results across runs and
@@ -57,20 +56,6 @@ func HashString(s string, seed uint64) uint64 {
 	h := uint64(offset) ^ seed
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime
-	}
-	return Hash64(h, seed)
-}
-
-// HashBytes is HashString for byte slices, avoiding a copy.
-func HashBytes(b []byte, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ seed
-	for _, c := range b {
-		h ^= uint64(c)
 		h *= prime
 	}
 	return Hash64(h, seed)
@@ -146,10 +131,6 @@ func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
 		dst[j] = Reduce(Hash64(key, seed), n)
 	}
 }
-
-// Seed returns the derived seed of member j, for diagnostics and
-// serialization.
-func (f *Family) Seed(j int) uint64 { return f.seeds[j] }
 
 // MersennePrime61 is 2^61 - 1, the modulus of the 2-universal family below.
 const MersennePrime61 = (1 << 61) - 1

@@ -88,15 +88,6 @@ func popcount(x uint64) int {
 	return n
 }
 
-func TestHashStringMatchesBytes(t *testing.T) {
-	cases := []string{"", "a", "hello world", "user:42", "\x00\xff"}
-	for _, s := range cases {
-		if HashString(s, 7) != HashBytes([]byte(s), 7) {
-			t.Errorf("HashString(%q) != HashBytes(%q)", s, s)
-		}
-	}
-}
-
 func TestHashStringDistinct(t *testing.T) {
 	if HashString("abc", 1) == HashString("abd", 1) {
 		t.Error("trivially distinct strings collided")

@@ -10,11 +10,10 @@ import (
 
 // BandIndex is a mutable banded LSH index over packed bit signatures — in
 // this module, the packed recovered virtual sketches that
-// core.VOS.RecoverSketch produces. Where Index bands a []uint64 MinHash
-// signature value-by-value and is insert-only, BandIndex bands the raw bits
-// of a packed signature (band j covers bits [j·r, (j+1)·r)) and supports
-// replacement and removal, so a serving engine can keep it in sync with a
-// stream that rewrites users in place.
+// core.VOS.RecoverSketch produces. It bands the raw bits of a packed
+// signature (band j covers bits [j·r, (j+1)·r)) and supports replacement
+// and removal, so a serving engine can keep it in sync with a stream that
+// rewrites users in place.
 //
 // Mutation is by key: each member remembers the bucket key it currently
 // holds in every band, which is what lets a re-key take the member out of

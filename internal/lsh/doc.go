@@ -1,4 +1,4 @@
-// Package lsh implements banded locality-sensitive hashing over MinHash
+// Package lsh implements banded locality-sensitive hashing over
 // signatures — the standard candidate-generation structure for Jaccard
 // near-neighbor search, and the application context of the densification
 // line of work the paper cites (Shrivastava & Li ICML'14/UAI'14, ICML'17:
@@ -12,6 +12,6 @@
 // probability, pairs far below are filtered out without any pairwise work.
 //
 // Pipelines that need similarity *values*, not just candidates, verify the
-// LSH candidates against a sketch estimator (e.g. VOS via the similarity
-// package) — see Index.Near and the lsh tests for the composition.
+// LSH candidates against a sketch estimator — internal/engine scores
+// BandIndex candidates with VOS's recovered-sketch estimator.
 package lsh

@@ -1,12 +1,6 @@
 package lsh
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/vossketch/vos/internal/hashing"
-	"github.com/vossketch/vos/internal/stream"
-)
+import "fmt"
 
 // Params configure the band structure.
 type Params struct {
@@ -68,122 +62,4 @@ func (p Params) Threshold() float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// Index is a banded LSH index over user signatures. Insert-only: rebuild
-// (cheap, signatures are in the MinHash structure) after heavy deletions,
-// or pair it with a dynamic sketch for the verification stage.
-type Index struct {
-	params  Params
-	buckets []map[uint64][]stream.User // per band: bucket hash -> users
-	members map[stream.User]struct{}
-}
-
-// NewIndex creates an empty index.
-func NewIndex(params Params) (*Index, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	buckets := make([]map[uint64][]stream.User, params.Bands)
-	for i := range buckets {
-		buckets[i] = make(map[uint64][]stream.User)
-	}
-	return &Index{
-		params:  params,
-		buckets: buckets,
-		members: make(map[stream.User]struct{}),
-	}, nil
-}
-
-// Params returns the index parameters.
-func (ix *Index) Params() Params { return ix.params }
-
-// Len returns the number of indexed users.
-func (ix *Index) Len() int { return len(ix.members) }
-
-// bandHash hashes one band of the signature into a bucket key.
-func (ix *Index) bandHash(band int, sig []uint64) uint64 {
-	h := hashing.Hash64(uint64(band), ix.params.Seed)
-	for _, v := range sig[band*ix.params.Rows : (band+1)*ix.params.Rows] {
-		h = hashing.Hash64(h^v, ix.params.Seed)
-	}
-	return h
-}
-
-// Add indexes a user's signature. The signature length must equal
-// Bands·Rows; it is the caller's MinHash signature (minhash.Signature).
-// Adding the same user twice is rejected — rebuild instead.
-func (ix *Index) Add(u stream.User, sig []uint64) error {
-	if len(sig) != ix.params.SignatureLen() {
-		return fmt.Errorf("lsh: signature length %d, want %d", len(sig), ix.params.SignatureLen())
-	}
-	if _, dup := ix.members[u]; dup {
-		return fmt.Errorf("lsh: user %d already indexed", u)
-	}
-	ix.members[u] = struct{}{}
-	for band := 0; band < ix.params.Bands; band++ {
-		key := ix.bandHash(band, sig)
-		ix.buckets[band][key] = append(ix.buckets[band][key], u)
-	}
-	return nil
-}
-
-// Candidates returns the distinct users sharing at least one band bucket
-// with the given signature, excluding self (sorted for determinism).
-func (ix *Index) Candidates(self stream.User, sig []uint64) ([]stream.User, error) {
-	if len(sig) != ix.params.SignatureLen() {
-		return nil, fmt.Errorf("lsh: signature length %d, want %d", len(sig), ix.params.SignatureLen())
-	}
-	seen := make(map[stream.User]struct{})
-	for band := 0; band < ix.params.Bands; band++ {
-		key := ix.bandHash(band, sig)
-		for _, u := range ix.buckets[band][key] {
-			if u != self {
-				seen[u] = struct{}{}
-			}
-		}
-	}
-	out := make([]stream.User, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// Scorer estimates the similarity of a candidate pair during
-// verification; the similarity package's Estimator satisfies it.
-type Scorer interface {
-	EstimateJaccard(u, v stream.User) float64
-}
-
-// Near runs the full candidate-generation + verification pipeline: LSH
-// candidates for the signature, scored by the estimator, filtered at
-// minJaccard, sorted by descending score (ties by user ID).
-func (ix *Index) Near(self stream.User, sig []uint64, score Scorer, minJaccard float64) ([]stream.User, error) {
-	cands, err := ix.Candidates(self, sig)
-	if err != nil {
-		return nil, err
-	}
-	type scored struct {
-		u stream.User
-		j float64
-	}
-	kept := make([]scored, 0, len(cands))
-	for _, c := range cands {
-		if j := score.EstimateJaccard(self, c); j >= minJaccard {
-			kept = append(kept, scored{c, j})
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].j != kept[j].j {
-			return kept[i].j > kept[j].j
-		}
-		return kept[i].u < kept[j].u
-	})
-	out := make([]stream.User, len(kept))
-	for i, s := range kept {
-		out[i] = s.u
-	}
-	return out, nil
 }

@@ -3,10 +3,6 @@ package lsh
 import (
 	"math"
 	"testing"
-
-	"github.com/vossketch/vos/internal/gen"
-	"github.com/vossketch/vos/internal/minhash"
-	"github.com/vossketch/vos/internal/stream"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -56,126 +52,4 @@ func TestThreshold(t *testing.T) {
 	if c < 0.3 || c > 0.9 {
 		t.Errorf("collision at threshold = %v", c)
 	}
-}
-
-// buildCorpus creates a MinHash sketch with one clear near-duplicate pair
-// and unrelated background users.
-func buildCorpus(t *testing.T, k int) (*minhash.Sketch, stream.User, stream.User) {
-	t.Helper()
-	mh := minhash.New(k, 7)
-	// Users 1 and 2: J ≈ 0.8.
-	common := gen.PlantedJaccard(200, 0.8)
-	for _, e := range gen.PlantedPair(1, 2, 200, 200, common, 3) {
-		mh.Process(e)
-	}
-	// Background users with disjoint item ranges.
-	for u := stream.User(10); u < 110; u++ {
-		for i := 0; i < 150; i++ {
-			mh.Process(stream.Edge{
-				User: u,
-				Item: stream.Item(uint64(u)*100000 + uint64(i)),
-				Op:   stream.Insert,
-			})
-		}
-	}
-	return mh, 1, 2
-}
-
-func TestIndexFindsNearDuplicates(t *testing.T) {
-	params := Params{Bands: 16, Rows: 4, Seed: 5}
-	mh, a, b := buildCorpus(t, params.SignatureLen())
-
-	ix, err := NewIndex(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := append([]stream.User{a, b}, usersRange(10, 110)...)
-	for _, u := range users {
-		if err := ix.Add(u, mh.Signature(u)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ix.Len() != len(users) {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-
-	cands, err := ix.Candidates(a, mh.Signature(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range cands {
-		if c == b {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("near-duplicate %d not among candidates %v", b, cands)
-	}
-	// The filter should prune the bulk of the 100 unrelated users.
-	if len(cands) > 20 {
-		t.Errorf("candidate set too large: %d of 101 possible", len(cands))
-	}
-}
-
-func TestNearPipelineWithVerification(t *testing.T) {
-	params := Params{Bands: 16, Rows: 4, Seed: 5}
-	mh, a, b := buildCorpus(t, params.SignatureLen())
-	ix, _ := NewIndex(params)
-	for _, u := range append([]stream.User{a, b}, usersRange(10, 110)...) {
-		if err := ix.Add(u, mh.Signature(u)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The MinHash sketch itself is the verification scorer here; any
-	// similarity.Estimator (e.g. VOS) plugs in identically.
-	near, err := ix.Near(a, mh.Signature(a), mh, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(near) == 0 || near[0] != b {
-		t.Errorf("Near = %v, want [%d …]", near, b)
-	}
-}
-
-func TestIndexRejectsBadInput(t *testing.T) {
-	ix, _ := NewIndex(Params{Bands: 4, Rows: 4, Seed: 1})
-	if err := ix.Add(1, make([]uint64, 15)); err == nil {
-		t.Error("short signature accepted")
-	}
-	if err := ix.Add(1, make([]uint64, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add(1, make([]uint64, 16)); err == nil {
-		t.Error("duplicate user accepted")
-	}
-	if _, err := ix.Candidates(1, make([]uint64, 3)); err == nil {
-		t.Error("short query signature accepted")
-	}
-	if _, err := NewIndex(Params{}); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
-func TestCandidatesExcludeSelf(t *testing.T) {
-	ix, _ := NewIndex(Params{Bands: 2, Rows: 2, Seed: 1})
-	sig := []uint64{1, 2, 3, 4}
-	if err := ix.Add(7, sig); err != nil {
-		t.Fatal(err)
-	}
-	cands, err := ix.Candidates(7, sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 0 {
-		t.Errorf("self returned as candidate: %v", cands)
-	}
-}
-
-func usersRange(from, to stream.User) []stream.User {
-	out := make([]stream.User, 0, to-from)
-	for u := from; u < to; u++ {
-		out = append(out, u)
-	}
-	return out
 }

@@ -45,22 +45,6 @@ func ARMSE(truth, estimate []float64) float64 {
 	return math.Sqrt(sum / float64(len(truth)))
 }
 
-// MAE returns the mean absolute error, an auxiliary metric used by the
-// ablations.
-func MAE(truth, estimate []float64) float64 {
-	if len(truth) != len(estimate) {
-		panic(fmt.Sprintf("metrics: MAE length mismatch %d vs %d", len(truth), len(estimate)))
-	}
-	if len(truth) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range truth {
-		sum += math.Abs(truth[i] - estimate[i])
-	}
-	return sum / float64(len(truth))
-}
-
 // MeanBias returns the mean signed error (ŝ − s), separating systematic
 // bias from noise in the ablation experiments.
 func MeanBias(truth, estimate []float64) float64 {

@@ -37,17 +37,14 @@ func TestARMSE(t *testing.T) {
 	}
 }
 
-func TestMAEAndBias(t *testing.T) {
+func TestMeanBias(t *testing.T) {
 	truth := []float64{10, 20}
 	est := []float64{12, 16}
-	if got := MAE(truth, est); got != 3 {
-		t.Errorf("MAE = %v", got)
-	}
 	if got := MeanBias(truth, est); got != -1 {
 		t.Errorf("MeanBias = %v", got)
 	}
-	if !math.IsNaN(MAE(nil, nil)) || !math.IsNaN(MeanBias(nil, nil)) {
-		t.Error("empty inputs should be NaN")
+	if !math.IsNaN(MeanBias(nil, nil)) {
+		t.Error("empty input should be NaN")
 	}
 }
 
@@ -55,7 +52,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"aape":  func() { AAPE([]float64{1}, nil) },
 		"armse": func() { ARMSE([]float64{1}, nil) },
-		"mae":   func() { MAE([]float64{1}, nil) },
 		"bias":  func() { MeanBias([]float64{1}, nil) },
 	} {
 		func() {

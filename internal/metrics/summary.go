@@ -61,18 +61,6 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// AbsoluteErrors returns |truth − estimate| pairwise.
-func AbsoluteErrors(truth, estimate []float64) []float64 {
-	if len(truth) != len(estimate) {
-		panic(fmt.Sprintf("metrics: AbsoluteErrors length mismatch %d vs %d", len(truth), len(estimate)))
-	}
-	out := make([]float64, len(truth))
-	for i := range truth {
-		out[i] = math.Abs(truth[i] - estimate[i])
-	}
-	return out
-}
-
 // RelativeErrors returns |truth − estimate| / |truth| for pairs with
 // nonzero truth, in input order (zero-truth pairs are skipped, matching
 // the AAPE convention).

@@ -69,13 +69,9 @@ func TestQuantileOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestAbsoluteAndRelativeErrors(t *testing.T) {
+func TestRelativeErrors(t *testing.T) {
 	truth := []float64{10, 0, 20}
 	est := []float64{12, 5, 15}
-	abs := AbsoluteErrors(truth, est)
-	if abs[0] != 2 || abs[1] != 5 || abs[2] != 5 {
-		t.Errorf("abs = %v", abs)
-	}
 	rel := RelativeErrors(truth, est)
 	if len(rel) != 2 || rel[0] != 0.2 || rel[1] != 0.25 {
 		t.Errorf("rel = %v (zero-truth pair must be skipped)", rel)
@@ -84,7 +80,6 @@ func TestAbsoluteAndRelativeErrors(t *testing.T) {
 
 func TestErrorsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"abs": func() { AbsoluteErrors([]float64{1}, nil) },
 		"rel": func() { RelativeErrors([]float64{1}, nil) },
 	} {
 		func() {

@@ -1,6 +1,5 @@
 // Package minhash implements the MinHash baseline (Broder et al.) together
-// with the fully-dynamic extension described in the paper's §III, and the
-// b-bit minwise signature compaction of Li & König (WWW'10).
+// with the fully-dynamic extension described in the paper's §III.
 //
 // MinHash keeps, per user, k registers holding the minimum hash value of
 // the user's items under k independent hash functions; the fraction of
@@ -14,7 +13,6 @@
 package minhash
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/vossketch/vos/internal/hashing"
@@ -115,7 +113,7 @@ func (s *Sketch) EstimateCommonItems(u, v stream.User) float64 {
 }
 
 // FromSet builds the static MinHash signature of an item set, the classic
-// (insertion-only) use of the method; used by tests and by BBitSignature.
+// (insertion-only) use of the method; used by tests.
 func FromSet(items []stream.Item, k int, seed uint64) *Sketch {
 	s := New(k, seed)
 	for _, it := range items {
@@ -125,8 +123,8 @@ func FromSet(items []stream.Item, k int, seed uint64) *Sketch {
 }
 
 // Signature returns the k register hash values of user u; empty registers
-// yield MaxUint64. Exposed for compaction layers (b-bit, odd-sketch-over-
-// MinHash) and diagnostics.
+// yield MaxUint64. Exposed for diagnostics: it is how the tests observe
+// the deletion bias.
 func (s *Sketch) Signature(u stream.User) []uint64 {
 	regs := s.regs[u]
 	out := make([]uint64, s.k)
@@ -138,56 +136,4 @@ func (s *Sketch) Signature(u stream.User) []uint64 {
 		}
 	}
 	return out
-}
-
-// BBitSignature is the b-bit minwise compaction: only the lowest b bits of
-// every register are stored. Collisions of truncated values inflate the
-// match count; Jaccard converts back with the Li–König correction.
-type BBitSignature struct {
-	b    uint
-	k    int
-	bits []uint64 // packed b-bit values
-}
-
-// NewBBit compacts a user's signature to b bits per register (1 ≤ b ≤ 32).
-func NewBBit(s *Sketch, u stream.User, b uint) *BBitSignature {
-	if b < 1 || b > 32 {
-		panic(fmt.Sprintf("minhash: b = %d out of [1, 32]", b))
-	}
-	sig := s.Signature(u)
-	mask := uint64(1)<<b - 1
-	out := &BBitSignature{b: b, k: s.k, bits: make([]uint64, s.k)}
-	for j, h := range sig {
-		out.bits[j] = h & mask
-	}
-	return out
-}
-
-// BitsTotal returns the storage cost in bits, the quantity b-bit hashing
-// optimises.
-func (g *BBitSignature) BitsTotal() uint64 { return uint64(g.k) * uint64(g.b) }
-
-// EstimateJaccard applies the collision correction
-// Ĵ = (m − c)/(1 − c) with m the match fraction and c = 2^−b the accidental
-// collision rate of truncated values.
-func (g *BBitSignature) EstimateJaccard(o *BBitSignature) float64 {
-	if g.b != o.b || g.k != o.k {
-		panic("minhash: incompatible b-bit signatures")
-	}
-	matches := 0
-	for j := 0; j < g.k; j++ {
-		if g.bits[j] == o.bits[j] {
-			matches++
-		}
-	}
-	m := float64(matches) / float64(g.k)
-	c := 1 / float64(uint64(1)<<g.b)
-	j := (m - c) / (1 - c)
-	if j < 0 {
-		return 0
-	}
-	if j > 1 {
-		return 1
-	}
-	return j
 }

@@ -142,6 +142,9 @@ func TestFromSet(t *testing.T) {
 	if a.EstimateJaccard(0, 0) != 1 {
 		t.Error("self Jaccard should be 1")
 	}
+	if a.BitsPerUser() != 32*64 {
+		t.Errorf("BitsPerUser = %d", a.BitsPerUser())
+	}
 }
 
 func TestNewPanicsOnBadK(t *testing.T) {
@@ -151,69 +154,6 @@ func TestNewPanicsOnBadK(t *testing.T) {
 		}
 	}()
 	New(0, 1)
-}
-
-func TestBBitAccuracy(t *testing.T) {
-	const (
-		trials = 20
-		k      = 512
-		size   = 300
-	)
-	for _, b := range []uint{1, 2, 8} {
-		for _, wantJ := range []float64{0.2, 0.8} {
-			common := gen.PlantedJaccard(size, wantJ)
-			trueJ := float64(common) / float64(2*size-common)
-			sum := 0.0
-			for trial := 0; trial < trials; trial++ {
-				s := New(k, uint64(trial))
-				process(s, gen.PlantedPair(1, 2, size, size, common, int64(trial)))
-				ga := NewBBit(s, 1, b)
-				gb := NewBBit(s, 2, b)
-				sum += ga.EstimateJaccard(gb)
-			}
-			avg := sum / trials
-			tol := 0.05
-			if b == 1 {
-				tol = 0.10 // 1-bit estimates are noisier
-			}
-			if math.Abs(avg-trueJ) > tol {
-				t.Errorf("b=%d J=%.2f: mean estimate %.3f", b, trueJ, avg)
-			}
-		}
-	}
-}
-
-func TestBBitStorage(t *testing.T) {
-	s := FromSet([]stream.Item{1, 2, 3}, 100, 1)
-	g := NewBBit(s, 0, 4)
-	if g.BitsTotal() != 400 {
-		t.Errorf("BitsTotal = %d", g.BitsTotal())
-	}
-	if s.BitsPerUser() != 3200 {
-		t.Errorf("BitsPerUser = %d", s.BitsPerUser())
-	}
-}
-
-func TestBBitPanics(t *testing.T) {
-	s := FromSet([]stream.Item{1}, 8, 1)
-	for name, fn := range map[string]func(){
-		"b too small": func() { NewBBit(s, 0, 0) },
-		"b too large": func() { NewBBit(s, 0, 33) },
-		"mismatched": func() {
-			a := NewBBit(s, 0, 2)
-			c := NewBBit(s, 0, 3)
-			a.EstimateJaccard(c)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 func BenchmarkProcessK100(b *testing.B) {

@@ -133,6 +133,9 @@ func TestReceiverAppliesAndAcks(t *testing.T) {
 	}
 	sink.mu.Unlock()
 
+	// The receiver counts an ack after writing it, so the ack can be read
+	// here before it is counted.
+	waitFor(t, "the ack to be counted", func() bool { return r.Stats().AcksSent == 1 })
 	st := r.Stats()
 	if st.FramesReceived != 3 || st.FramesApplied != 3 || st.EdgesApplied != 30 || st.AcksSent != 1 || st.Sessions != 1 {
 		t.Fatalf("stats: %+v", st)

@@ -48,9 +48,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Cap returns the maximum number of cached users.
-func (c *Cache) Cap() int { return c.cap }
-
 // Len returns the number of cached users.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -142,9 +142,6 @@ func (a *vosAdapter) EstimateJaccard(u, v stream.User) float64 {
 }
 func (a *vosAdapter) Cardinality(u stream.User) int64 { return a.v.Cardinality(u) }
 
-// VOS unwraps the underlying core sketch (for diagnostics such as β).
-func (a *vosAdapter) VOS() *core.VOS { return a.v }
-
 // Exact is the ground-truth oracle behind the Estimator interface. Its
 // "estimates" are exact values; it exists so harness code can treat truth
 // and sketches uniformly and so examples can sanity-check sketch output.

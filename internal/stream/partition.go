@@ -55,17 +55,3 @@ func RoundRobin(edges []Edge, n int) [][]Edge {
 	}
 	return shards
 }
-
-// Concat joins shards back into one stream, in shard order. Together with
-// PartitionByUser it is a (reordered) permutation of the original stream.
-func Concat(shards [][]Edge) []Edge {
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	out := make([]Edge, 0, total)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out
-}

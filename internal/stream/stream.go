@@ -2,7 +2,7 @@
 // the paper: a sequence of elements (u, i, a) where u is a user, i an item,
 // and a ∈ {insert, delete} a subscription or unsubscription.
 //
-// The package provides the element and source types shared by every sketch
+// The package provides the element types shared by every sketch
 // and every experiment, a feasibility validator (the paper restricts
 // attention to feasible streams: no duplicate subscriptions, no deletion of
 // absent edges), stream statistics, and text/binary codecs so generated
@@ -54,85 +54,6 @@ type Edge struct {
 // String renders the element in the paper's (u, i, ±) notation.
 func (e Edge) String() string {
 	return fmt.Sprintf("(%d, %d, %s)", e.User, e.Item, e.Op)
-}
-
-// Source is a pull-based stream of edges. Next returns the next element and
-// true, or a zero Edge and false when the stream is exhausted. Sources are
-// single-pass unless documented otherwise.
-type Source interface {
-	Next() (Edge, bool)
-}
-
-// SliceSource replays a fixed slice of edges. It is resettable, making it
-// suitable for multi-method comparisons that must consume the identical
-// stream.
-type SliceSource struct {
-	edges []Edge
-	pos   int
-}
-
-// NewSliceSource wraps edges in a Source. The slice is not copied.
-func NewSliceSource(edges []Edge) *SliceSource {
-	return &SliceSource{edges: edges}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Edge, bool) {
-	if s.pos >= len(s.edges) {
-		return Edge{}, false
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of elements.
-func (s *SliceSource) Len() int { return len(s.edges) }
-
-// FuncSource adapts a closure to the Source interface.
-type FuncSource func() (Edge, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (Edge, bool) { return f() }
-
-// Collect drains a source into a slice. Useful for tests and for staging
-// generated streams before persisting them.
-func Collect(s Source) []Edge {
-	var out []Edge
-	for {
-		e, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
-	}
-}
-
-// CollectN drains at most n elements from a source.
-func CollectN(s Source, n int) []Edge {
-	out := make([]Edge, 0, n)
-	for len(out) < n {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// ForEach applies fn to every element of the source.
-func ForEach(s Source, fn func(Edge)) {
-	for {
-		e, ok := s.Next()
-		if !ok {
-			return
-		}
-		fn(e)
-	}
 }
 
 // Stats accumulates summary statistics of a stream: element counts by

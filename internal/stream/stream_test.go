@@ -28,63 +28,6 @@ func TestEdgeString(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	edges := []Edge{
-		{1, 10, Insert},
-		{2, 20, Insert},
-		{1, 10, Delete},
-	}
-	s := NewSliceSource(edges)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got := Collect(s)
-	if len(got) != 3 || got[2] != edges[2] {
-		t.Fatalf("collect mismatch: %v", got)
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted source yielded an element")
-	}
-	s.Reset()
-	if e, ok := s.Next(); !ok || e != edges[0] {
-		t.Error("reset did not rewind")
-	}
-}
-
-func TestCollectN(t *testing.T) {
-	s := NewSliceSource([]Edge{{1, 1, Insert}, {2, 2, Insert}, {3, 3, Insert}})
-	if got := CollectN(s, 2); len(got) != 2 {
-		t.Errorf("CollectN(2) returned %d", len(got))
-	}
-	if got := CollectN(s, 10); len(got) != 1 {
-		t.Errorf("CollectN past end returned %d", len(got))
-	}
-}
-
-func TestFuncSource(t *testing.T) {
-	n := 0
-	src := FuncSource(func() (Edge, bool) {
-		if n >= 3 {
-			return Edge{}, false
-		}
-		n++
-		return Edge{User: User(n), Item: 1, Op: Insert}, true
-	})
-	if got := len(Collect(src)); got != 3 {
-		t.Errorf("FuncSource yielded %d", got)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var seen []Edge
-	ForEach(NewSliceSource([]Edge{{1, 2, Insert}, {3, 4, Delete}}), func(e Edge) {
-		seen = append(seen, e)
-	})
-	if len(seen) != 2 || seen[1].Op != Delete {
-		t.Errorf("ForEach saw %v", seen)
-	}
-}
-
 func TestStats(t *testing.T) {
 	st := NewStats()
 	st.Observe(Edge{1, 10, Insert})
@@ -166,25 +109,6 @@ func TestValidatorContinuesAfterViolation(t *testing.T) {
 	}
 	if v.LiveEdges() != 0 {
 		t.Errorf("live = %d", v.LiveEdges())
-	}
-}
-
-func TestValidatingSourcePanics(t *testing.T) {
-	src := NewValidatingSource(NewSliceSource([]Edge{{1, 1, Delete}}))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on infeasible element")
-		}
-	}()
-	src.Next()
-}
-
-func TestValidatingSourcePassesThrough(t *testing.T) {
-	edges := []Edge{{1, 1, Insert}, {1, 1, Delete}}
-	src := NewValidatingSource(NewSliceSource(edges))
-	got := Collect(src)
-	if len(got) != 2 {
-		t.Errorf("passed %d elements", len(got))
 	}
 }
 

@@ -76,28 +76,3 @@ func Validate(edges []Edge) error {
 	}
 	return nil
 }
-
-// ValidatingSource wraps a Source and panics on the first infeasible
-// element. It is meant for tests and generators, where an infeasible stream
-// is a bug rather than an input condition.
-type ValidatingSource struct {
-	src Source
-	v   *Validator
-}
-
-// NewValidatingSource wraps src.
-func NewValidatingSource(src Source) *ValidatingSource {
-	return &ValidatingSource{src: src, v: NewValidator()}
-}
-
-// Next implements Source.
-func (s *ValidatingSource) Next() (Edge, bool) {
-	e, ok := s.src.Next()
-	if !ok {
-		return e, false
-	}
-	if err := s.v.Observe(e); err != nil {
-		panic(err)
-	}
-	return e, true
-}

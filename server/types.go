@@ -51,15 +51,6 @@ func (e EdgeJSON) Edge() (vos.Edge, error) {
 	return vos.Edge{User: vos.User(e.User), Item: vos.Item(e.Item), Op: op}, nil
 }
 
-// EdgeToWire converts a stream element to its wire form.
-func EdgeToWire(e vos.Edge) EdgeJSON {
-	w := EdgeJSON{User: uint64(e.User), Item: uint64(e.Item), Op: "+"}
-	if e.Op == vos.Delete {
-		w.Op = "-"
-	}
-	return w
-}
-
 // IngestResponse acknowledges POST /v1/edges.
 type IngestResponse struct {
 	// Accepted is the number of edges folded into the service.

@@ -235,34 +235,3 @@ func TestPaperConfigFacade(t *testing.T) {
 		t.Errorf("PaperConfig = %+v", cfg)
 	}
 }
-
-func TestNeighborSketchFacade(t *testing.T) {
-	sk, err := vos.NewNeighborSketch(vos.Config{MemoryBits: 1 << 18, SketchBits: 1024, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Users 1 and 2 both befriend users 10-29; then 1 unfriends half.
-	for v := vos.User(10); v < 30; v++ {
-		sk.MustProcess(vos.GraphEdge{U: 1, V: v, Op: vos.Insert})
-		sk.MustProcess(vos.GraphEdge{U: 2, V: v, Op: vos.Insert})
-	}
-	for v := vos.User(10); v < 20; v++ {
-		sk.MustProcess(vos.GraphEdge{U: 1, V: v, Op: vos.Delete})
-	}
-	if sk.Degree(1) != 10 || sk.Degree(2) != 20 {
-		t.Errorf("degrees %d/%d", sk.Degree(1), sk.Degree(2))
-	}
-	est := sk.Query(1, 2)
-	// True common neighbors: 10 (IDs 20-29). Tolerate sketch noise.
-	if est.Common < 2 || est.Common > 18 {
-		t.Errorf("common neighbors ≈ %.1f, want ~10", est.Common)
-	}
-	dir, err := vos.NewDirectedNeighborSketch(vos.Config{MemoryBits: 4096, SketchBits: 128, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir.MustProcess(vos.GraphEdge{U: 5, V: 6, Op: vos.Insert})
-	if dir.Degree(6) != 0 {
-		t.Error("directed sketch should not add reverse edge")
-	}
-}
