@@ -325,14 +325,7 @@ func (c *Client) ship(ctx context.Context, edges []vos.Edge) error {
 
 // Similarity implements vos.SimilarityService.
 func (c *Client) Similarity(ctx context.Context, u, v vos.User) (vos.Estimate, error) {
-	q := url.Values{}
-	q.Set("u", strconv.FormatUint(uint64(u), 10))
-	q.Set("v", strconv.FormatUint(uint64(v), 10))
-	var est server.EstimateJSON
-	if err := c.getRetry(ctx, server.RouteSimilarity+"?"+q.Encode(), &est); err != nil {
-		return vos.Estimate{}, err
-	}
-	return est.Estimate(), nil
+	return c.similarity(ctx, u, v, "")
 }
 
 // SimilarityAt is Similarity asserting the query is about the instant at:
@@ -342,15 +335,20 @@ func (c *Client) Similarity(ctx context.Context, u, v vos.User) (vos.Estimate, e
 // call fails with a bad_request *Error — there is no retained-time notion
 // to check.
 func (c *Client) SimilarityAt(ctx context.Context, u, v vos.User, at time.Time) (vos.Estimate, error) {
+	return c.similarity(ctx, u, v, formatUnixSeconds(at))
+}
+
+// similarity is the shared body of Similarity and SimilarityAt; an empty at
+// means no instant assertion.
+func (c *Client) similarity(ctx context.Context, u, v vos.User, at string) (est vos.Estimate, err error) {
 	q := url.Values{}
 	q.Set("u", strconv.FormatUint(uint64(u), 10))
 	q.Set("v", strconv.FormatUint(uint64(v), 10))
-	q.Set("at", formatUnixSeconds(at))
-	var est server.EstimateJSON
-	if err := c.getRetry(ctx, server.RouteSimilarity+"?"+q.Encode(), &est); err != nil {
-		return vos.Estimate{}, err
+	if at != "" {
+		q.Set("at", at)
 	}
-	return est.Estimate(), nil
+	err = c.getRetry(ctx, server.RouteSimilarity+"?"+q.Encode(), &est)
+	return est, err
 }
 
 // AdvanceWindow drives the remote sliding window's event time forward to
@@ -386,10 +384,13 @@ func formatUnixSeconds(t time.Time) string {
 	return strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', -1, 64)
 }
 
-// TopK implements vos.SimilarityService. Top-K is a read, so it is retried
-// like the GETs despite travelling as a POST.
+// TopK implements vos.SimilarityService. A ranking the server marks as
+// covering only part of the state (a gateway with a backend unreachable) is
+// an error matching vos.ErrQueryUnavailable, as it is from the in-process
+// gateway: the service contract has no silent partial answer.
+// ClusterClient.TopKPartial is the opt-in that accepts one.
 func (c *Client) TopK(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, error) {
-	return c.topK(ctx, u, candidates, n, 0)
+	return c.completeTopK(ctx, server.TopKRequest{User: u, Candidates: candidates, N: n})
 }
 
 // TopKAt is TopK asserting the query is about the instant at — the top-K
@@ -399,7 +400,7 @@ func (c *Client) TopK(ctx context.Context, u vos.User, candidates []vos.User, n 
 // instant whose edges have been retired, and an unwindowed server
 // rejects the assertion with a bad_request *Error.
 func (c *Client) TopKAt(ctx context.Context, u vos.User, candidates []vos.User, n int, at time.Time) ([]vos.TopKResult, error) {
-	return c.topK(ctx, u, candidates, n, float64(at.UnixNano())/1e9)
+	return c.completeTopK(ctx, server.TopKRequest{User: u, Candidates: candidates, N: n, At: float64(at.UnixNano()) / 1e9})
 }
 
 // TopKApprox implements vos.ApproxTopK: candidates-free top-K answered
@@ -409,39 +410,41 @@ func (c *Client) TopKAt(ctx context.Context, u vos.User, candidates []vos.User, 
 // branching is not possible over the wire, so check the *Error code
 // ("unsupported") instead.
 func (c *Client) TopKApprox(ctx context.Context, u vos.User, n int) ([]vos.TopKResult, error) {
-	return c.postTopK(ctx, server.TopKRequest{User: uint64(u), N: n, Mode: "ann"})
+	return c.completeTopK(ctx, server.TopKRequest{User: u, N: n, Mode: "ann"})
 }
 
-// topK is the shared body of TopK and TopKAt; at == 0 means no instant
-// assertion.
-func (c *Client) topK(ctx context.Context, u vos.User, candidates []vos.User, n int, at float64) ([]vos.TopKResult, error) {
-	return c.postTopK(ctx, server.TopKRequest{User: uint64(u), N: n, At: at, Candidates: usersToWire(candidates)})
+// completeTopK is postTopK for the callers that promise a ranking over the
+// whole state: a partial one is refused.
+func (c *Client) completeTopK(ctx context.Context, req server.TopKRequest) ([]vos.TopKResult, error) {
+	top, complete, err := c.postTopK(ctx, req)
+	if err == nil && !complete {
+		return nil, fmt.Errorf("client: %s answered from part of the cluster state (%s): %w",
+			server.RouteTopK, server.HeaderPartial, vos.ErrQueryUnavailable)
+	}
+	return top, err
 }
 
-// postTopK posts a /v1/topk request body and decodes the ranked results.
-// Top-K is a read however it is parameterised, so it retries like the GETs.
-func (c *Client) postTopK(ctx context.Context, req server.TopKRequest) ([]vos.TopKResult, error) {
+// postTopK is the one sender of /v1/topk: it posts req and returns the
+// ranking and whether it covers the whole state (no X-Vos-Partial header).
+// Top-K is a read however it is parameterised, so it retries like the GETs
+// despite travelling as a POST.
+func (c *Client) postTopK(ctx context.Context, req server.TopKRequest) (top []vos.TopKResult, complete bool, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	var wire []server.TopKResultJSON
 	err = c.retry(ctx, func() error {
-		return c.do(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body, &wire)
+		raw, hdr, err := c.call(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body)
+		if err != nil {
+			return err
+		}
+		complete = hdr.Get(server.HeaderPartial) != "true"
+		return decodeJSON(server.RouteTopK, raw, &top)
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return topKFromWire(wire), nil
-}
-
-// topKFromWire converts ranked results from their wire form.
-func topKFromWire(wire []server.TopKResultJSON) []vos.TopKResult {
-	out := make([]vos.TopKResult, len(wire))
-	for i, w := range wire {
-		out[i] = vos.TopKResult{User: vos.User(w.User), Estimate: w.Estimate.Estimate()}
-	}
-	return out
+	return top, complete, nil
 }
 
 // Cardinality implements vos.SimilarityService.
@@ -453,13 +456,13 @@ func (c *Client) Cardinality(ctx context.Context, u vos.User) (int64, error) {
 	return resp.Cardinality, nil
 }
 
-// Stats implements vos.SimilarityService.
+// Stats implements vos.SimilarityService. A server predating hash_family
+// omits it, which decodes to the classic family — all such a server can run;
+// a name this build does not know is a decode error, not a wrong answer.
 func (c *Client) Stats(ctx context.Context) (vos.Stats, error) {
 	var resp server.StatsResponse
-	if err := c.getRetry(ctx, server.RouteStats, &resp); err != nil {
-		return vos.Stats{}, err
-	}
-	return resp.Stats(), nil
+	err := c.getRetry(ctx, server.RouteStats, &resp)
+	return resp.Stats, err
 }
 
 // Checkpoint implements vos.Checkpointer: it asks the remote engine to
@@ -501,6 +504,11 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	if err != nil || out == nil {
 		return err
 	}
+	return decodeJSON(path, raw, out)
+}
+
+// decodeJSON decodes a 2xx body of path into out.
+func decodeJSON(path string, raw []byte, out any) error {
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("client: decode %s response: %w", path, err)
 	}

@@ -47,7 +47,7 @@ func (b *countingBackend) handler() http.Handler {
 				Code: server.CodeInternal, Message: "scripted failure"}})
 			return
 		}
-		json.NewEncoder(w).Encode(server.EstimateToWire(vos.Estimate{Jaccard: 0.5}))
+		json.NewEncoder(w).Encode(vos.Estimate{Jaccard: 0.5})
 	})
 	mux.HandleFunc(server.RouteCardinality, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(400)

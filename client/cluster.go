@@ -106,26 +106,7 @@ func NewCluster(gatewayURL string, opt Options) *ClusterClient {
 // retried per the client's RetryPolicy before the degraded answer is
 // accepted.
 func (c *ClusterClient) TopKPartial(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, bool, error) {
-	body, err := json.Marshal(server.TopKRequest{
-		User: uint64(u), N: n, Candidates: usersToWire(candidates),
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	var wire []server.TopKResultJSON
-	complete := true
-	err = c.retry(ctx, func() error {
-		raw, hdr, err := c.call(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body)
-		if err != nil {
-			return err
-		}
-		complete = hdr.Get(server.HeaderPartial) != "true"
-		return json.Unmarshal(raw, &wire)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return topKFromWire(wire), complete, nil
+	return c.postTopK(ctx, server.TopKRequest{User: u, Candidates: candidates, N: n})
 }
 
 // Ring fetches the gateway's live shard→node table.
@@ -156,13 +137,4 @@ func (c *ClusterClient) CheckpointCluster(ctx context.Context) (server.ClusterCh
 	var resp server.ClusterCheckpointResponse
 	err := c.do(ctx, http.MethodPost, server.RouteClusterCheckpoint, "", nil, &resp)
 	return resp, err
-}
-
-// usersToWire converts a candidate list to its wire form.
-func usersToWire(users []vos.User) []uint64 {
-	out := make([]uint64, len(users))
-	for i, u := range users {
-		out[i] = uint64(u)
-	}
-	return out
 }

@@ -207,7 +207,12 @@ func TestClusterClientPartialTopK(t *testing.T) {
 		t.Fatal("degraded top-K returned nothing")
 	}
 
-	// The strict read path does fail — partial tolerance is opt-in.
+	// The strict read path does fail — partial tolerance is opt-in, and the
+	// SimilarityService top-K never passes a ranking over part of the state
+	// for the whole (in-process, Gateway.TopK fails the same way).
+	if got, err := cl.TopK(ctx, 1, candidates, 5); !errors.Is(err, vos.ErrQueryUnavailable) {
+		t.Fatalf("plain TopK with a backend draining = %d results, err %v; want vos.ErrQueryUnavailable", len(got), err)
+	}
 	if _, err := cl.Similarity(ctx, 1, 2); err == nil {
 		t.Fatal("strict similarity should fail with a backend draining")
 	}

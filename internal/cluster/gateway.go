@@ -538,7 +538,7 @@ func (g *Gateway) Register(srv *server.Server) {
 	srv.Handle(server.RouteClusterHandoff, http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var req server.HandoffRequest
 		if err := server.DecodeJSONBody(r, MaxRingBytes, &req); err != nil {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+			server.WriteBodyError(w, err)
 			return
 		}
 		version, err := g.Handoff(r.Context(), req.Shard, req.To)

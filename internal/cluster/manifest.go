@@ -1,14 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-
-	"github.com/vossketch/vos/internal/wal"
-	"github.com/vossketch/vos/server"
 )
 
 // ErrBadManifest is wrapped by every DecodeManifest failure, the manifest
@@ -64,52 +58,18 @@ func (m *Manifest) Validate() error {
 }
 
 // EncodeManifest serializes a validated manifest as indented JSON.
-func EncodeManifest(m *Manifest) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
+func EncodeManifest(m *Manifest) ([]byte, error) { return encodeDocument(m) }
 
 // DecodeManifest parses and validates a manifest document under the same
-// guards as DecodeRing: size cap before any allocation, unknown fields
-// refused, every failure wrapping ErrBadManifest.
+// guards as DecodeRing; every failure wraps ErrBadManifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) > MaxRingBytes {
-		return nil, fmt.Errorf("%w: document is %d bytes, cap %d", ErrBadManifest, len(data), MaxRingBytes)
-	}
-	var m Manifest
-	if err := server.DecodeStrictJSON(bytes.NewReader(data), &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return decodeDocument(data, new(Manifest), ErrBadManifest)
 }
 
 // LoadManifest reads and decodes the manifest at path.
 func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := DecodeManifest(data)
-	if err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", path, err)
-	}
-	return m, nil
+	return loadDocument("manifest", path, new(Manifest), ErrBadManifest)
 }
 
 // SaveManifest writes the manifest to path atomically.
-func SaveManifest(path string, m *Manifest) error {
-	data, err := EncodeManifest(m)
-	if err != nil {
-		return err
-	}
-	return wal.WriteFileAtomic(path, data)
-}
+func SaveManifest(path string, m *Manifest) error { return saveDocument(path, m) }

@@ -103,9 +103,7 @@ func (r *Ring) Clone() *Ring {
 	return &Ring{Version: r.Version, RouteSeed: r.RouteSeed, Shards: append([]string(nil), r.Shards...)}
 }
 
-// Validate checks the structural invariants a usable ring must hold. It
-// is called by DecodeRing and EncodeRing, so neither a corrupt document
-// nor a buggy caller can put an invalid ring on disk or on the wire.
+// Validate checks the structural invariants a usable ring must hold.
 func (r *Ring) Validate() error {
 	if r.Version < 1 {
 		return fmt.Errorf("%w: version must be ≥ 1, got %d", ErrBadRing, r.Version)
@@ -145,58 +143,78 @@ func validateNodeURL(node string) error {
 	return nil
 }
 
-// EncodeRing serializes a validated ring as indented JSON (the on-disk
-// and /v1/cluster/ring format).
-func EncodeRing(r *Ring) ([]byte, error) {
-	if err := r.Validate(); err != nil {
+// document is what the ring and the manifest share: a JSON document of at
+// most MaxRingBytes whose invariants Validate checks. One codec serves both,
+// so neither a corrupt file nor a buggy caller can put an invalid one on
+// disk or on the wire, under either name.
+type document interface{ Validate() error }
+
+// encodeDocument serializes a validated document as indented JSON.
+func encodeDocument(d document) ([]byte, error) {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
 }
 
-// DecodeRing parses and validates a ring document. Every failure wraps
-// ErrBadRing; the decoder never allocates proportionally to anything a
-// corrupt input declares (the byte cap bounds the document, the shard cap
-// bounds the table).
-func DecodeRing(data []byte) (*Ring, error) {
+// decodeDocument parses and validates data into d (a pointer to the zero
+// document). Every failure wraps bad; the decoder never allocates
+// proportionally to anything a corrupt input declares (the byte cap bounds
+// the document, Validate's shard cap bounds the table), and unknown fields
+// and trailing data are refused.
+func decodeDocument[D document](data []byte, d D, bad error) (D, error) {
+	var none D
 	if len(data) > MaxRingBytes {
-		return nil, fmt.Errorf("%w: document is %d bytes, cap %d", ErrBadRing, len(data), MaxRingBytes)
+		return none, fmt.Errorf("%w: document is %d bytes, cap %d", bad, len(data), MaxRingBytes)
 	}
-	var r Ring
-	if err := server.DecodeStrictJSON(bytes.NewReader(data), &r); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRing, err)
+	if err := server.DecodeStrictJSON(bytes.NewReader(data), d); err != nil {
+		return none, fmt.Errorf("%w: %v", bad, err)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
+	if err := d.Validate(); err != nil {
+		return none, err
 	}
-	return &r, nil
+	return d, nil
 }
 
-// LoadRing reads and decodes the ring at path.
-func LoadRing(path string) (*Ring, error) {
+// loadDocument reads and decodes the document at path; what names it in the
+// error.
+func loadDocument[D document](what, path string, d D, bad error) (out D, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	r, err := DecodeRing(data)
-	if err != nil {
-		return nil, fmt.Errorf("ring %s: %w", path, err)
+	if out, err = decodeDocument(data, d, bad); err != nil {
+		err = fmt.Errorf("%s %s: %w", what, path, err)
 	}
-	return r, nil
+	return out, err
 }
 
-// SaveRing writes the ring to path atomically and durably
+// saveDocument writes the document to path atomically and durably
 // (wal.WriteFileAtomic): a crash mid-write leaves either the old document
 // or the new one, never a torn half — membership must survive the same
 // failures the WAL does.
-func SaveRing(path string, r *Ring) error {
-	data, err := EncodeRing(r)
+func saveDocument(path string, d document) error {
+	data, err := encodeDocument(d)
 	if err != nil {
 		return err
 	}
 	return wal.WriteFileAtomic(path, data)
 }
+
+// EncodeRing serializes a validated ring as indented JSON (the on-disk
+// and /v1/cluster/ring format).
+func EncodeRing(r *Ring) ([]byte, error) { return encodeDocument(r) }
+
+// DecodeRing parses and validates a ring document; every failure wraps
+// ErrBadRing.
+func DecodeRing(data []byte) (*Ring, error) { return decodeDocument(data, new(Ring), ErrBadRing) }
+
+// LoadRing reads and decodes the ring at path.
+func LoadRing(path string) (*Ring, error) { return loadDocument("ring", path, new(Ring), ErrBadRing) }
+
+// SaveRing writes the ring to path atomically.
+func SaveRing(path string, r *Ring) error { return saveDocument(path, r) }

@@ -10,8 +10,8 @@ import (
 // TopKResult pairs a candidate user with its similarity estimate, the unit
 // a top-K similarity search returns.
 type TopKResult struct {
-	User     stream.User
-	Estimate Estimate
+	User     stream.User `json:"user"`
+	Estimate Estimate    `json:"estimate"`
 }
 
 // RankBefore reports whether a outranks b in a top-K result: higher

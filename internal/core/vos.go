@@ -342,23 +342,24 @@ type Estimate struct {
 	// Common is ŝ_uv, the estimated number of common items (paper eq. for
 	// ŝ; may be negative or exceed min(n_u, n_v) in the tails — see
 	// CommonClamped).
-	Common float64
+	Common float64 `json:"common"`
 	// CommonClamped is Common restricted to the feasible range
 	// [0, min(n_u, n_v)], the value the Jaccard estimate is derived from.
-	CommonClamped float64
+	CommonClamped float64 `json:"common_clamped"`
 	// Jaccard is Ĵ = ŝ/(n_u + n_v − ŝ) using the clamped ŝ, in [0, 1].
-	Jaccard float64
+	Jaccard float64 `json:"jaccard"`
 	// SymmetricDifference is n̂Δ.
-	SymmetricDifference float64
+	SymmetricDifference float64 `json:"symmetric_difference"`
 	// Alpha is the observed fraction of differing recovered bits.
-	Alpha float64
+	Alpha float64 `json:"alpha"`
 	// Beta is the array load at query time.
-	Beta float64
+	Beta float64 `json:"beta"`
 	// CardinalityU and CardinalityV are the tracked n_u, n_v.
-	CardinalityU, CardinalityV int64
+	CardinalityU int64 `json:"cardinality_u"`
+	CardinalityV int64 `json:"cardinality_v"`
 	// Saturated reports that α or β was clamped away from 1/2, i.e. the
 	// sketch is overloaded for this pair and the estimate is a floor.
-	Saturated bool
+	Saturated bool `json:"saturated,omitempty"`
 }
 
 // Query estimates the similarity of users u and w in O(k). It runs on the
@@ -579,22 +580,23 @@ func (v *VOS) VarianceApprox(nDelta float64) float64 {
 
 // Stats summarises sketch state for diagnostics.
 type Stats struct {
-	MemoryBits  uint64
-	SketchBits  int
-	OnesCount   uint64
-	Beta        float64
-	Users       int
-	MemoryBytes uint64
-
-	// Family is the active position-generation backend (Config.Family).
-	Family hashing.Kind
+	MemoryBits  uint64  `json:"memory_bits"`
+	SketchBits  int     `json:"sketch_bits"`
+	OnesCount   uint64  `json:"ones_count"`
+	Beta        float64 `json:"beta"`
+	Users       int     `json:"users"`
+	MemoryBytes uint64  `json:"memory_bytes"`
 
 	// WindowSeconds and WindowBuckets describe the sliding window when the
 	// state comes from a windowed sketch or engine: the window span
-	// B·bucketDuration in seconds and the bucket count B. Both are zero on
-	// an unwindowed (append-forever) sketch.
-	WindowSeconds float64
-	WindowBuckets int
+	// B·bucketDuration in seconds and the bucket count B. Both are zero
+	// (and absent on the wire) on an unwindowed (append-forever) sketch.
+	WindowSeconds float64 `json:"window_seconds,omitempty"`
+	WindowBuckets int     `json:"window_buckets,omitempty"`
+
+	// Family is the active position-generation backend (Config.Family),
+	// "classic" or "fast" on the wire.
+	Family hashing.Kind `json:"hash_family"`
 }
 
 // Stats returns a snapshot of the sketch's state.

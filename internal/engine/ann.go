@@ -112,34 +112,34 @@ func (c ANNConfig) withDefaults(sketchSeed uint64) ANNConfig {
 // ANNStats is a health snapshot of the approximate top-K index.
 type ANNStats struct {
 	// Indexed is the number of users currently banded.
-	Indexed int
+	Indexed int `json:"indexed"`
 	// DirtyBacklog is the maintenance still owed: users awaiting a whole
 	// (re-)banding, spilled users no probe has taken yet, and single band
 	// keys awaiting a re-key. It drains by up to RebandBudget per probe.
-	DirtyBacklog int
+	DirtyBacklog int `json:"dirty_backlog"`
 	// Entries is the index's total bucket entries: one per indexed user
 	// and band.
-	Entries int
+	Entries int `json:"entries"`
 	// Rebands, Removals, Probes and Rotations count maintenance work
 	// since the engine started: users (re-)banded whole, deleted users
 	// dropped, TopKApprox calls, and window rotations that marked the whole
 	// index stale.
-	Rebands   uint64
-	Removals  uint64
-	Probes    uint64
-	Rotations uint64
+	Rebands   uint64 `json:"rebands"`
+	Removals  uint64 `json:"removals"`
+	Probes    uint64 `json:"probes"`
+	Rotations uint64 `json:"rotations"`
 	// BandRekeys counts single bands re-keyed from a journal range — the
 	// path a write takes when the index follows it within a journal bound.
-	BandRekeys uint64
+	BandRekeys uint64 `json:"band_rekeys"`
 	// JournalFallbacks counts shard reads that found the journal evicted
 	// past the index's cursor and took the spilled users instead, and
 	// SpilledUsers the users marked for a whole re-banding that way.
-	JournalFallbacks uint64
-	SpilledUsers     uint64
+	JournalFallbacks uint64 `json:"journal_fallbacks"`
+	SpilledUsers     uint64 `json:"spilled_users"`
 	// ProbeReuses counts probes answered from the last probe's recovered
 	// sketch and candidate set (same user, same snapshot, no index change
 	// in between) — the repeated-probe fast path.
-	ProbeReuses uint64
+	ProbeReuses uint64 `json:"probe_reuses"`
 }
 
 // annIndex is the engine's ANN state: the band index, the engine state it

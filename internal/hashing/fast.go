@@ -76,6 +76,16 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
+// MarshalText and UnmarshalText put a Kind on JSON surfaces under its
+// canonical name (the hash_family of /v1/stats is the field itself); an
+// unknown name is a decode error, never a silent default.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseKind(string(text))
+	return err
+}
+
 // golden is the splitmix64 increment (2^64/φ, forced odd) — the same γ
 // SplitMix64 uses, so the counter sequence state + t·γ is equidistributed
 // over the full 64-bit period.

@@ -17,6 +17,15 @@ func TestKindStringParseRoundTrip(t *testing.T) {
 		if got != k {
 			t.Fatalf("ParseKind(%q) = %v, want %v", k.String(), got, k)
 		}
+		// The text form (what JSON surfaces carry) is the same name.
+		text, _ := k.MarshalText()
+		var back Kind
+		if err := back.UnmarshalText(text); err != nil || back != k || string(text) != k.String() {
+			t.Fatalf("text round trip of %v: %q → %v, %v", k, text, back, err)
+		}
+	}
+	if err := new(Kind).UnmarshalText([]byte("md5")); err == nil {
+		t.Fatal("UnmarshalText accepted an unknown family name")
 	}
 	if _, err := ParseKind("md5"); err == nil {
 		t.Fatal("ParseKind accepted an unknown family name")

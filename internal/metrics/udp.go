@@ -17,37 +17,37 @@ import "fmt"
 type UDPStats struct {
 	// FramesReceived counts datagrams read off the socket, well-formed or
 	// not.
-	FramesReceived uint64
+	FramesReceived uint64 `json:"frames_received"`
 	// FramesApplied counts data frames folded into the sketch;
 	// EdgesApplied is their summed edge count.
-	FramesApplied uint64
-	EdgesApplied  uint64
+	FramesApplied uint64 `json:"frames_applied"`
+	EdgesApplied  uint64 `json:"edges_applied"`
 	// Malformed counts datagrams rejected by the frame decoder (bad
 	// magic, version, type, truncated or forged payloads).
-	Malformed uint64
+	Malformed uint64 `json:"malformed"`
 	// GapsDetected counts frames confirmed lost across all sessions.
-	GapsDetected uint64
+	GapsDetected uint64 `json:"gaps_detected"`
 	// ReplaysDropped counts duplicate frames dropped; LateApplied counts
 	// reordered frames that still arrived inside the window and were
 	// applied out of order; StaleDropped counts frames older than the
 	// window, dropped because a late original and a replay are no longer
 	// distinguishable.
-	ReplaysDropped uint64
-	LateApplied    uint64
-	StaleDropped   uint64
+	ReplaysDropped uint64 `json:"replays_dropped"`
+	LateApplied    uint64 `json:"late_applied"`
+	StaleDropped   uint64 `json:"stale_dropped"`
 	// AdmitRejected counts frames dropped by the shared ingest admission
 	// budget (the datagram plane's form of backpressure: the frame is
 	// shed and later surfaces as a gap to its sender).
-	AdmitRejected uint64
+	AdmitRejected uint64 `json:"admit_rejected"`
 	// SinkErrors counts frames whose batch the engine refused (e.g.
 	// mid-shutdown); their edges were not applied.
-	SinkErrors uint64
+	SinkErrors uint64 `json:"sink_errors"`
 	// AcksSent counts ack frames answered to FlagAckRequest senders.
-	AcksSent uint64
+	AcksSent uint64 `json:"acks_sent"`
 	// Sessions is the number of live sender sessions; SessionsEvicted
 	// counts sessions dropped because the bounded session table was full.
-	Sessions        int
-	SessionsEvicted uint64
+	Sessions        int    `json:"sessions"`
+	SessionsEvicted uint64 `json:"sessions_evicted"`
 }
 
 // String renders the stats compactly for logs.

@@ -172,8 +172,8 @@ func (p *Pair[S]) refresh(ctx context.Context, src Source[S]) (*View[S], error) 
 type Stats struct {
 	// Replays counts refreshes served by replay, and ReplayedEdges the
 	// edges those replays folded in.
-	Replays       uint64
-	ReplayedEdges uint64
+	Replays       uint64 `json:"replays"`
+	ReplayedEdges uint64 `json:"replayed_edges"`
 	// The Rebuilds* fields count fresh views (a full re-merge in the engine,
 	// a gather of full exports in the gateway) by cause. Both tiers: no
 	// second view yet (the first two refreshes), a journal that no longer
@@ -184,22 +184,22 @@ type Stats struct {
 	// NoDelta the next refresh rebuilds for the same reason once more, to
 	// bring the other view back; a backend without the delta export costs a
 	// rebuild on every refresh.
-	RebuildsFirst    uint64
-	RebuildsOverflow uint64
-	RebuildsRotation uint64
-	RebuildsImport   uint64
-	RebuildsBusy     uint64
-	RebuildsEpoch    uint64
-	RebuildsRing     uint64
-	RebuildsNoDelta  uint64
+	RebuildsFirst    uint64 `json:"rebuilds_first"`
+	RebuildsOverflow uint64 `json:"rebuilds_overflow"`
+	RebuildsRotation uint64 `json:"rebuilds_rotation"`
+	RebuildsImport   uint64 `json:"rebuilds_import"`
+	RebuildsBusy     uint64 `json:"rebuilds_busy"`
+	RebuildsEpoch    uint64 `json:"rebuilds_epoch"`
+	RebuildsRing     uint64 `json:"rebuilds_ring"`
+	RebuildsNoDelta  uint64 `json:"rebuilds_no_delta"`
 	// JournalOverflows (engine) counts applied batches evicted from a shard
 	// journal to keep it within its bound. Evictions are routine under
 	// sustained writes; only a reader whose cursor lies before an evicted
 	// batch falls back, and that shows as RebuildsOverflow.
-	JournalOverflows uint64
+	JournalOverflows uint64 `json:"journal_overflows"`
 	// GatheredBytes (gateway) counts response bytes of backend exports,
 	// deltas and full sketches alike.
-	GatheredBytes uint64
+	GatheredBytes uint64 `json:"gathered_bytes"`
 }
 
 // Rebuilds is the total number of fresh views built.

@@ -127,7 +127,7 @@ func TestTopKModeErrors(t *testing.T) {
 // object out when the engine keeps no index.
 func TestStatsANNOnWire(t *testing.T) {
 	ctx := context.Background()
-	stats := func(eng *vos.Engine) *server.ANNStatsJSON {
+	stats := func(eng *vos.Engine) *vos.ANNStats {
 		t.Helper()
 		ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{}))
 		defer ts.Close()
@@ -167,7 +167,7 @@ func TestStatsANNOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := stats(eng)
-	if st, _ := eng.ANNStats(); *got != server.ANNStatsToWire(st) {
+	if st, _ := eng.ANNStats(); *got != st {
 		t.Fatalf("ann on the wire %+v, in-process %+v", *got, st)
 	}
 	if got.Indexed != 80 || got.Probes != 2 || got.BandRekeys == 0 || got.Rebands != built.Rebands ||

@@ -308,7 +308,7 @@ func TestTopKPartialHeader(t *testing.T) {
 	}
 	eng.Flush()
 
-	body, err := json.Marshal(server.TopKRequest{User: 1, Candidates: []uint64{2, 3, 4}, N: 2})
+	body, err := json.Marshal(server.TopKRequest{User: 1, Candidates: []vos.User{2, 3, 4}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

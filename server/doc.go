@@ -28,10 +28,13 @@
 //     counts, latency, and windowed request rates via metrics.RateMeter)
 //     and optional request logging.
 //
-// The wire types in types.go are the canonical protocol description, and
-// docs/openapi.yaml is the same contract as an OpenAPI 3.1 document (kept
-// honest by openapi_test.go: every registered route and envelope code
-// must appear in the spec). The matching Go client is package client;
+// An answer is declared once: the types that compute it (vos.Estimate,
+// vos.TopKResult, vos.Stats and the stats sections) carry their wire names
+// as json tags and are what the handlers encode; types.go adds the request
+// bodies and envelopes. docs/openapi.yaml is the same contract as an
+// OpenAPI 3.1 document (kept honest by openapi_test.go: every registered
+// route, envelope code and json field must appear in the spec, and
+// TestWireGolden pins the response bytes). The matching Go client is package client;
 // cmd/vosd wires this server to a durable engine behind flags.
 //
 // A Server is an http.Handler; all methods are safe for concurrent use.

@@ -4,15 +4,19 @@ package server
 // registered in this package must appear in the spec, and the spec must
 // hold the structural anchors the wire contract promises. The routes and
 // codes are harvested from the SOURCE (string literals in server.go and
-// types.go), not from hand-maintained lists, so adding an endpoint or an
-// error code without documenting it fails this test — the same contract
-// CI's grep step enforces outside the test binary.
+// types.go) and the field names from the json tags of the types the
+// handlers encode, not from hand-maintained lists, so adding an endpoint,
+// an error code or a field without documenting it fails this test.
 
 import (
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/metrics"
 )
 
 func readRepoFile(t *testing.T, path string) string {
@@ -102,13 +106,99 @@ func TestOpenAPIStructure(t *testing.T) {
 		"name: since",        // the delta export's cursor parameter
 		HeaderSketchCursor,   // ... and the cursor it is answered with
 		HeaderSketchFallback, // ... or the reason it was answered in full
-		"gathered_bytes",     // the gateway's share of the snapshot object
-		"band_rekeys",        // the ann object: how the index followed the stream
-		"journal_fallbacks",  // ... and when it could not
-		"spilled_users",
 	} {
 		if !strings.Contains(spec, anchor) {
 			t.Errorf("spec is missing required anchor %q", anchor)
 		}
+	}
+}
+
+// schemaTypes pairs every components/schemas entry that describes a JSON
+// body with the Go type the handlers encode or decode for it.
+var schemaTypes = map[string]any{
+	"Edge":                      EdgeJSON{},
+	"IngestResponse":            IngestResponse{},
+	"Estimate":                  vos.Estimate{},
+	"TopKRequest":               TopKRequest{},
+	"TopKResult":                vos.TopKResult{},
+	"CardinalityResponse":       CardinalityResponse{},
+	"Stats":                     StatsResponse{},
+	"ANNStats":                  vos.ANNStats{},
+	"SnapshotStats":             vos.SnapshotStats{},
+	"UDPStats":                  metrics.UDPStats{},
+	"CheckpointResponse":        CheckpointResponse{},
+	"ImportResponse":            ImportResponse{},
+	"RingResponse":              RingResponse{},
+	"HandoffRequest":            HandoffRequest{},
+	"HandoffResponse":           HandoffResponse{},
+	"ClusterNodeCheckpoint":     ClusterNodeCheckpointJSON{},
+	"ClusterCheckpointResponse": ClusterCheckpointResponse{},
+	"Health":                    HealthResponse{},
+	"Metrics":                   MetricsResponse{},
+	"ErrorEnvelope":             ErrorEnvelope{},
+}
+
+// jsonFields lists the wire names t's json tags declare: embedded structs
+// are flattened as encoding/json flattens them, and a struct-valued field
+// without a schema of its own contributes its fields too — the spec
+// describes it inline.
+func jsonFields(t reflect.Type, own map[reflect.Type]bool) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		elem := f.Type
+		for k := elem.Kind(); k == reflect.Pointer || k == reflect.Slice || k == reflect.Map; k = elem.Kind() {
+			elem = elem.Elem()
+		}
+		if !f.Anonymous {
+			out = append(out, name)
+		}
+		if elem.Kind() == reflect.Struct && !own[elem] {
+			out = append(out, jsonFields(elem, own)...)
+		}
+	}
+	return out
+}
+
+// TestOpenAPICoversEveryField: every field a /v1/ body carries is a property
+// of its schema in the spec. The types are the ones the handlers encode, so
+// a field added to vos.Estimate or a stats struct is on the wire at once and
+// fails here until the spec names it.
+func TestOpenAPICoversEveryField(t *testing.T) {
+	spec := readRepoFile(t, "../docs/openapi.yaml")
+	_, schemas, ok := strings.Cut(spec, "\n  schemas:\n")
+	if !ok {
+		t.Fatal("spec has no components/schemas section")
+	}
+	own := map[reflect.Type]bool{}
+	missing := map[string]bool{}
+	for name, v := range schemaTypes {
+		own[reflect.TypeOf(v)] = true
+		missing[name] = true
+	}
+	blocks := regexp.MustCompile(`(?m)^    [A-Za-z]+:$`).FindAllStringIndex(schemas, -1)
+	for i, loc := range blocks {
+		name := strings.TrimSuffix(strings.TrimSpace(schemas[loc[0]:loc[1]]), ":")
+		block := schemas[loc[1]:]
+		if i+1 < len(blocks) {
+			block = schemas[loc[1]:blocks[i+1][0]]
+		}
+		v, ok := schemaTypes[name]
+		if !ok {
+			t.Errorf("schema %s in docs/openapi.yaml has no Go type in schemaTypes", name)
+			continue
+		}
+		for _, field := range jsonFields(reflect.TypeOf(v), own) {
+			if field == "" {
+				t.Errorf("a field of %T has no json tag", v)
+			} else if !regexp.MustCompile(`(?m)^ +` + field + `:$`).MatchString(block) {
+				t.Errorf("%T carries %q but schema %s in docs/openapi.yaml has no such property", v, field, name)
+			}
+		}
+		delete(missing, name)
+	}
+	for name := range missing {
+		t.Errorf("docs/openapi.yaml has no schema %s", name)
 	}
 }

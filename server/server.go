@@ -44,8 +44,8 @@ const (
 
 // Gateway-tier routes, put on a Server by internal/cluster.Gateway.Register
 // (through Handle) on vosgw, never by this package's New — a backend has no
-// ring to serve. They are declared here so the route table (and the CI
-// route-harvest check against docs/openapi.yaml) has one home.
+// ring to serve. They are declared here so the route table (and
+// TestOpenAPICoversEveryRoute's harvest against docs/openapi.yaml) has one home.
 const (
 	RouteClusterRing       = "/v1/cluster/ring"       // GET: the live shard→node table
 	RouteClusterHandoff    = "/v1/cluster/handoff"    // POST HandoffRequest: move a shard
@@ -365,12 +365,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)
 	edges, maxTs, err := decodeEdges(r.Header.Get("Content-Type"), body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
-			return
-		}
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteBodyError(w, err)
 		return
 	}
 	if hdr := r.Header.Get(HeaderBatchTs); hdr != "" {
@@ -485,7 +480,7 @@ func decodeJSONEdges(body io.Reader) ([]vos.Edge, float64, error) {
 // is input left over after the value — Decoder.Decode stops at the value's
 // end, so without that check concatenated or corrupted payloads would be
 // silently half-read. Every JSON document this module takes from outside
-// (ingest bodies, control-plane bodies, the cluster's ring and manifest)
+// (ingest, query and control-plane bodies, the cluster's ring and manifest)
 // is read through it.
 func DecodeStrictJSON(r io.Reader, out any) error {
 	dec := json.NewDecoder(r)
@@ -605,14 +600,14 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		WriteServiceError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, EstimateToWire(est))
+	WriteJSON(w, http.StatusOK, est)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)).Decode(&req)
+	err := DecodeJSONBody(r, s.opt.MaxBatchBytes, &req)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: "+err.Error())
+		WriteBodyError(w, err)
 		return
 	}
 	var top []vos.TopKResult
@@ -625,21 +620,17 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if !s.checkAt(w, r, req.At) {
 			return
 		}
-		candidates := make([]vos.User, len(req.Candidates))
-		for i, c := range req.Candidates {
-			candidates[i] = vos.User(c)
-		}
 		if pt, ok := s.svc.(vos.PartialTopK); ok {
 			// Degraded-read capable backends (the cluster gateway) answer
 			// even with part of the state unreachable; incompleteness is
 			// surfaced as a header so the body shape stays identical.
 			var complete bool
-			top, complete, err = pt.TopKPartial(r.Context(), vos.User(req.User), candidates, req.N)
+			top, complete, err = pt.TopKPartial(r.Context(), req.User, req.Candidates, req.N)
 			if err == nil && !complete {
 				w.Header().Set(HeaderPartial, "true")
 			}
 		} else {
-			top, err = s.svc.TopK(r.Context(), vos.User(req.User), candidates, req.N)
+			top, err = s.svc.TopK(r.Context(), req.User, req.Candidates, req.N)
 		}
 	case "ann":
 		if req.N <= 0 {
@@ -658,7 +649,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if !s.checkAt(w, r, req.At) {
 			return
 		}
-		top, err = ann.TopKApprox(r.Context(), vos.User(req.User), req.N)
+		top, err = ann.TopKApprox(r.Context(), req.User, req.N)
 	default:
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(`mode must be "exact" or "ann", got %q`, req.Mode))
 		return
@@ -667,11 +658,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		WriteServiceError(w, err)
 		return
 	}
-	out := make([]TopKResultJSON, len(top))
-	for i, res := range top {
-		out[i] = TopKResultJSON{User: uint64(res.User), Estimate: EstimateToWire(res.Estimate)}
+	if top == nil {
+		top = []vos.TopKResult{} // an empty ranking travels as [], not null
 	}
-	WriteJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, top)
 }
 
 func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
@@ -694,18 +684,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WriteServiceError(w, err)
 		return
 	}
-	resp := StatsToWire(st)
+	resp := StatsResponse{Stats: st}
 	if s.opt.UDPStats != nil {
-		udp := UDPStatsToWire(s.opt.UDPStats())
+		udp := s.opt.UDPStats()
 		resp.UDP = &udp
 	}
 	if sr, ok := s.svc.(vos.SnapshotReporter); ok {
-		snap := SnapshotStatsToWire(sr.SnapshotStats())
+		snap := sr.SnapshotStats()
 		resp.Snapshot = &snap
 	}
 	if ar, ok := s.svc.(vos.ANNReporter); ok {
-		if st, ok := ar.ANNStats(); ok {
-			ann := ANNStatsToWire(st)
+		if ann, ok := ar.ANNStats(); ok {
 			resp.ANN = &ann
 		}
 	}
@@ -772,12 +761,7 @@ func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
-			return
-		}
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteBodyError(w, err)
 		return
 	}
 	if err := imp.ImportSketch(r.Context(), data); err != nil {
@@ -925,12 +909,23 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // DecodeJSONBody strictly decodes (DecodeStrictJSON) a request body of at
-// most limit bytes into out. For control-plane bodies.
+// most limit bytes into out; answer its error with WriteBodyError.
 func DecodeJSONBody(r *http.Request, limit int64, out any) error {
 	if err := DecodeStrictJSON(http.MaxBytesReader(nil, r.Body, limit), out); err != nil {
-		return fmt.Errorf("bad JSON body: %v", err)
+		return fmt.Errorf("bad JSON body: %w", err)
 	}
 	return nil
+}
+
+// WriteBodyError answers a request body that could not be read or decoded:
+// 413 too_large when it ran past its byte cap, 400 bad_request otherwise.
+func WriteBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err.Error())
+		return
+	}
+	WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 }
 
 func parseID(s string) (uint64, bool) {

@@ -166,7 +166,9 @@ func TestStatsHashFamilyOnWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wire server.StatsResponse
+		var wire struct {
+			HashFamily string `json:"hash_family"`
+		}
 		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
 			t.Fatal(err)
 		}
@@ -186,13 +188,17 @@ func TestStatsHashFamilyOnWire(t *testing.T) {
 		eng.Close()
 	}
 	// An absent hash_family (a server predating the field) decodes to the
-	// classic family rather than an error.
+	// classic family rather than an error; a name this build does not know
+	// is an error rather than a wrong family.
 	var old server.StatsResponse
 	if err := json.Unmarshal([]byte(`{"memory_bits":1024,"sketch_bits":64}`), &old); err != nil {
 		t.Fatal(err)
 	}
-	if got := old.Stats().Family; got != vos.FamilyClassic {
+	if got := old.Family; got != vos.FamilyClassic {
 		t.Errorf("absent hash_family decodes to %v, want classic", got)
+	}
+	if err := json.Unmarshal([]byte(`{"memory_bits":1024,"hash_family":"murmur"}`), &old); err == nil {
+		t.Errorf("unknown hash_family decoded to %v, want an error", old.Family)
 	}
 }
 
@@ -240,7 +246,7 @@ func TestStatsSnapshotOnWire(t *testing.T) {
 	if got == nil {
 		t.Fatal("engine-backed /v1/stats has no snapshot object")
 	}
-	if want := server.SnapshotStatsToWire(eng.SnapshotStats()); *got != want {
+	if want := eng.SnapshotStats(); *got != want {
 		t.Fatalf("snapshot on the wire %+v, in-process %+v", *got, want)
 	}
 	if got.RebuildsFirst != 2 || got.Replays != 1 || got.ReplayedEdges != 80 {
@@ -375,6 +381,37 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestTopKBodyIsStrict: POST /v1/topk reads its body as strictly as every
+// other route — a misspelt field (an "at" assertion that would otherwise be
+// dropped in silence) and data after the object are refused, and a body over
+// MaxBatchBytes is 413 too_large as it is on POST /v1/edges.
+func TestTopKBodyIsStrict(t *testing.T) {
+	eng, err := vos.NewEngine(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{MaxBatchBytes: 1 << 10}))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"misspelt field", `{"user":1,"candidates":[2,3],"n":1,"att":12345}`, 400, server.CodeBadRequest},
+		{"trailing data", `{"user":1,"candidates":[2,3],"n":1} {"user":9}`, 400, server.CodeBadRequest},
+		{"oversized", `{"user":1,"candidates":[2` + strings.Repeat(",3", 1<<10) + `],"n":1}`, 413, server.CodeTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, code := errorCode(t, http.MethodPost, ts.URL+server.RouteTopK, server.ContentTypeJSON, tc.body)
+			if status != tc.status || code != tc.code {
+				t.Fatalf("got %d/%s, want %d/%s", status, code, tc.status, tc.code)
+			}
+		})
+	}
+}
+
 // TestBinaryWorstCaseTooLarge: a binary batch whose worst-case decoded
 // footprint (~13x wire bytes) exceeds the whole in-flight budget can never
 // be admitted, so it must get a deterministic 413 telling the caller to
@@ -462,7 +499,7 @@ func TestCancelledContext(t *testing.T) {
 		}
 	}
 
-	body, _ := json.Marshal(server.TopKRequest{User: 1, Candidates: []uint64{2, 3}, N: 1})
+	body, _ := json.Marshal(server.TopKRequest{User: 1, Candidates: []vos.User{2, 3}, N: 1})
 	req := httptest.NewRequest(http.MethodPost, server.RouteTopK, bytes.NewReader(body)).WithContext(ctx)
 	req.Header.Set("Content-Type", server.ContentTypeJSON)
 	rec := httptest.NewRecorder()

@@ -7,20 +7,19 @@ import (
 	"github.com/vossketch/vos/internal/metrics"
 )
 
-// Wire types of the /v1/ API. They are defined here — in the server
-// package — as the single canonical description of the protocol; package
-// client imports them rather than maintaining a parallel copy, so the two
-// ends of the wire cannot drift.
+// Wire types of the /v1/ API, declared once. The answers — vos.Estimate,
+// vos.TopKResult, vos.Stats, vos.SnapshotStats, vos.ANNStats,
+// metrics.UDPStats — carry their wire names as json tags on the types that
+// compute them; the handlers encode, and package client decodes, those
+// types themselves. This file holds what has no such home — request
+// bodies, acknowledgement envelopes, and EdgeJSON, whose op and ts are wire
+// forms — and package client imports it rather than keeping a copy, so the
+// two ends of the wire cannot drift.
 //
 // Estimates travel as full float64 JSON numbers. encoding/json emits the
 // shortest decimal that round-trips the exact float64, so a decoded
 // estimate is bit-identical to the one the engine produced — the property
 // the client↔server parity tests pin.
-//
-// EstimateJSON, ANNStatsJSON, SnapshotStatsJSON and UDPStatsJSON differ from
-// the types they carry only in their tags, so each converts by Go struct
-// conversion: a field added on one side only stops this package compiling
-// instead of travelling as a silent zero.
 
 // EdgeJSON is one stream element on the wire: {"user":u,"item":i,"op":"+"}.
 // Op is "+" (insert, the default when omitted) or "-" (delete).
@@ -57,30 +56,6 @@ type IngestResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// EstimateJSON is vos.Estimate on the wire, every field included so a
-// remote caller sees exactly what an in-process caller would.
-type EstimateJSON struct {
-	Common              float64 `json:"common"`
-	CommonClamped       float64 `json:"common_clamped"`
-	Jaccard             float64 `json:"jaccard"`
-	SymmetricDifference float64 `json:"symmetric_difference"`
-	Alpha               float64 `json:"alpha"`
-	Beta                float64 `json:"beta"`
-	CardinalityU        int64   `json:"cardinality_u"`
-	CardinalityV        int64   `json:"cardinality_v"`
-	Saturated           bool    `json:"saturated,omitempty"`
-}
-
-// Estimate converts back to the engine type.
-func (e EstimateJSON) Estimate() vos.Estimate {
-	return vos.Estimate(e)
-}
-
-// EstimateToWire converts an engine estimate to its wire form.
-func EstimateToWire(e vos.Estimate) EstimateJSON {
-	return EstimateJSON(e)
-}
-
 // TopKRequest is the POST /v1/topk body. At, when nonzero, asserts the
 // query is about that instant (fractional Unix seconds): a windowed
 // service answers from the live window only if At is inside it and
@@ -93,17 +68,11 @@ func EstimateToWire(e vos.Estimate) EstimateJSON {
 // empty ("bad_request" otherwise). A service without the index answers
 // mode "ann" with 501 "unsupported"; any other mode is "bad_request".
 type TopKRequest struct {
-	User       uint64   `json:"user"`
-	Candidates []uint64 `json:"candidates"`
-	N          int      `json:"n"`
-	At         float64  `json:"at,omitempty"`
-	Mode       string   `json:"mode,omitempty"`
-}
-
-// TopKResultJSON is one ranked candidate of the /v1/topk response.
-type TopKResultJSON struct {
-	User     uint64       `json:"user"`
-	Estimate EstimateJSON `json:"estimate"`
+	User       vos.User   `json:"user"`
+	Candidates []vos.User `json:"candidates"`
+	N          int        `json:"n"`
+	At         float64    `json:"at,omitempty"`
+	Mode       string     `json:"mode,omitempty"`
 }
 
 // CardinalityResponse is the GET /v1/cardinality answer.
@@ -112,144 +81,25 @@ type CardinalityResponse struct {
 	Cardinality int64  `json:"cardinality"`
 }
 
-// StatsResponse is the GET /v1/stats answer, vos.Stats on the wire.
-// WindowSeconds and WindowBuckets are present (nonzero) only when the
-// backing service runs in sliding-window mode; the stats then describe
-// the live window's state, not the whole stream's.
+// StatsResponse is the GET /v1/stats answer: vos.Stats (window_seconds and
+// window_buckets present only in sliding-window mode, where the stats
+// describe the live window's state, not the whole stream's) with the
+// serving process's optional sections hung off it.
 type StatsResponse struct {
-	MemoryBits    uint64  `json:"memory_bits"`
-	SketchBits    int     `json:"sketch_bits"`
-	OnesCount     uint64  `json:"ones_count"`
-	Beta          float64 `json:"beta"`
-	Users         int     `json:"users"`
-	MemoryBytes   uint64  `json:"memory_bytes"`
-	WindowSeconds float64 `json:"window_seconds,omitempty"`
-	WindowBuckets int     `json:"window_buckets,omitempty"`
-	// HashFamily is the sketch's position-generation backend ("classic" or
-	// "fast"); see vos.HashFamily.
-	HashFamily string `json:"hash_family"`
-	// UDP is the UDP ingest plane's counter snapshot, present only when
-	// the serving process runs a datagram listener (vosd -udp-listen).
-	UDP *UDPStatsJSON `json:"udp,omitempty"`
+	vos.Stats
+	// UDP is the UDP ingest plane's delivery ledger, present only when the
+	// serving process runs a datagram listener (vosd -udp-listen).
+	UDP *metrics.UDPStats `json:"udp,omitempty"`
 	// Snapshot reports how the service's merged query snapshot has been
 	// kept current, present when the backing service is a
-	// vos.SnapshotReporter (an in-process Engine, or the cluster gateway).
-	Snapshot *SnapshotStatsJSON `json:"snapshot,omitempty"`
+	// vos.SnapshotReporter (an in-process Engine, or the cluster gateway —
+	// both send the same object; the fields only the other tier counts stay
+	// zero).
+	Snapshot *vos.SnapshotStats `json:"snapshot,omitempty"`
 	// ANN reports the approximate top-K index's occupancy and maintenance,
 	// present when the backing service is a vos.ANNReporter with an index
 	// configured (vosd -ann).
-	ANN *ANNStatsJSON `json:"ann,omitempty"`
-}
-
-// ANNStatsJSON is vos.ANNStats on the wire. A serving index that follows
-// its writes shows band_rekeys growing with them while rebands grows only
-// with new users, rotations and imports; journal_fallbacks and
-// spilled_users growing means probes come further apart than a shard
-// journal holds, and dirty_backlog not returning to zero that the reband
-// budget is too small for the churn.
-type ANNStatsJSON struct {
-	Indexed          int    `json:"indexed"`
-	DirtyBacklog     int    `json:"dirty_backlog"`
-	Entries          int    `json:"entries"`
-	Rebands          uint64 `json:"rebands"`
-	Removals         uint64 `json:"removals"`
-	Probes           uint64 `json:"probes"`
-	Rotations        uint64 `json:"rotations"`
-	BandRekeys       uint64 `json:"band_rekeys"`
-	JournalFallbacks uint64 `json:"journal_fallbacks"`
-	SpilledUsers     uint64 `json:"spilled_users"`
-	ProbeReuses      uint64 `json:"probe_reuses"`
-}
-
-// ANNStatsToWire converts the counters to their wire form.
-func ANNStatsToWire(s vos.ANNStats) ANNStatsJSON {
-	return ANNStatsJSON(s)
-}
-
-// SnapshotStatsJSON is vos.SnapshotStats on the wire: refreshes of the
-// merged query snapshot by path. A serving engine or gateway shows replays
-// growing with its reads-after-writes and the rebuild counters standing
-// still. vosd and vosgw send the same object; the fields only the other
-// tier counts stay zero.
-type SnapshotStatsJSON struct {
-	Replays          uint64 `json:"replays"`
-	ReplayedEdges    uint64 `json:"replayed_edges"`
-	RebuildsFirst    uint64 `json:"rebuilds_first"`
-	RebuildsOverflow uint64 `json:"rebuilds_overflow"`
-	RebuildsRotation uint64 `json:"rebuilds_rotation"`
-	RebuildsImport   uint64 `json:"rebuilds_import"`
-	RebuildsBusy     uint64 `json:"rebuilds_busy"`
-	RebuildsEpoch    uint64 `json:"rebuilds_epoch"`
-	RebuildsRing     uint64 `json:"rebuilds_ring"`
-	RebuildsNoDelta  uint64 `json:"rebuilds_no_delta"`
-	JournalOverflows uint64 `json:"journal_overflows"`
-	GatheredBytes    uint64 `json:"gathered_bytes"`
-}
-
-// SnapshotStatsToWire converts the counters to their wire form.
-func SnapshotStatsToWire(s vos.SnapshotStats) SnapshotStatsJSON {
-	return SnapshotStatsJSON(s)
-}
-
-// UDPStatsJSON is metrics.UDPStats on the wire: the datagram ingest
-// plane's delivery ledger. gaps_detected, replays_dropped, stale_dropped,
-// admit_rejected, and sink_errors all zero means every frame the plane
-// received has been applied exactly once — the sketch has not diverged
-// from what the senders sent.
-type UDPStatsJSON struct {
-	FramesReceived  uint64 `json:"frames_received"`
-	FramesApplied   uint64 `json:"frames_applied"`
-	EdgesApplied    uint64 `json:"edges_applied"`
-	Malformed       uint64 `json:"malformed"`
-	GapsDetected    uint64 `json:"gaps_detected"`
-	ReplaysDropped  uint64 `json:"replays_dropped"`
-	LateApplied     uint64 `json:"late_applied"`
-	StaleDropped    uint64 `json:"stale_dropped"`
-	AdmitRejected   uint64 `json:"admit_rejected"`
-	SinkErrors      uint64 `json:"sink_errors"`
-	AcksSent        uint64 `json:"acks_sent"`
-	Sessions        int    `json:"sessions"`
-	SessionsEvicted uint64 `json:"sessions_evicted"`
-}
-
-// UDPStatsToWire converts the metrics snapshot to its wire form.
-func UDPStatsToWire(s metrics.UDPStats) UDPStatsJSON {
-	return UDPStatsJSON(s)
-}
-
-// Stats converts back to the engine type. An unrecognised (or absent)
-// hash_family maps to the classic family — the only possibility for
-// servers predating the field.
-func (s StatsResponse) Stats() vos.Stats {
-	st := vos.Stats{
-		MemoryBits:    s.MemoryBits,
-		SketchBits:    s.SketchBits,
-		OnesCount:     s.OnesCount,
-		Beta:          s.Beta,
-		Users:         s.Users,
-		MemoryBytes:   s.MemoryBytes,
-		WindowSeconds: s.WindowSeconds,
-		WindowBuckets: s.WindowBuckets,
-	}
-	if f, err := vos.ParseHashFamily(s.HashFamily); err == nil {
-		st.Family = f
-	}
-	return st
-}
-
-// StatsToWire converts engine stats to their wire form.
-func StatsToWire(s vos.Stats) StatsResponse {
-	return StatsResponse{
-		MemoryBits:    s.MemoryBits,
-		SketchBits:    s.SketchBits,
-		OnesCount:     s.OnesCount,
-		Beta:          s.Beta,
-		Users:         s.Users,
-		MemoryBytes:   s.MemoryBytes,
-		WindowSeconds: s.WindowSeconds,
-		WindowBuckets: s.WindowBuckets,
-		HashFamily:    s.Family.String(),
-	}
+	ANN *vos.ANNStats `json:"ann,omitempty"`
 }
 
 // CheckpointResponse is the POST /v1/checkpoint answer.
