@@ -180,15 +180,26 @@ func (c *Client) linger() {
 	}
 }
 
-// Ingest implements vos.SimilarityService: edges join the pending buffer
-// and every full BatchSize chunk is shipped synchronously. A nil return
-// means shipped batches were accepted by the server; a trailing partial
-// batch may still be buffered (the linger ticker or Flush ships it). On a
-// ship failure, only the batch that was actually attempted is in an
-// ambiguous state (and is not resent — see ship); every batch not yet
+// Ingest implements vos.SimilarityService: every full BatchSize chunk is
+// shipped synchronously and the residue waits in the pending buffer. A nil
+// return means shipped batches were accepted by the server; a trailing
+// partial batch may still be buffered (the linger ticker or Flush ships
+// it). On a ship failure, only the batch that was actually attempted is in
+// an ambiguous state (and is not resent — see ship); every batch not yet
 // attempted goes back into the pending buffer, so one transport failure
 // never silently discards edges that were never put on the wire.
+//
+// The slice stays the caller's. With nothing pending its whole batches are
+// encoded where they lie; what is copied is the head that tops a pending
+// buffer up to a batch, the residue, and — should a ship fail — what
+// requeue keeps, all of which outlive the call. A user id the binary
+// encoding cannot carry (stream.ErrUserRange) refuses the slice whole:
+// nothing of it is buffered or sent.
 func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
+	if err := stream.CheckUsers(edges); err != nil {
+		return err
+	}
+	size := c.opt.BatchSize
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -199,21 +210,30 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 		c.mu.Unlock()
 		return err
 	}
-	c.pend = append(c.pend, edges...)
-	var full [][]vos.Edge
-	for len(c.pend) >= c.opt.BatchSize {
-		full = append(full, c.pend[:c.opt.BatchSize:c.opt.BatchSize])
-		c.pend = c.pend[c.opt.BatchSize:]
+	// Pending edges go first: top them up to whole batches (more than one
+	// after a requeue) and take those; if the slice runs out on the way,
+	// all of it is pending now.
+	var own []vos.Edge
+	if len(c.pend) > 0 {
+		head := min((size-len(c.pend)%size)%size, len(edges))
+		c.pend = append(c.pend, edges[:head]...)
+		edges = edges[head:]
+		whole := len(c.pend) - len(c.pend)%size
+		own, c.pend = c.pend[:whole:whole], c.pend[whole:]
 	}
+	direct := edges[:len(edges)-len(edges)%size]
+	c.pend = append(c.pend, edges[len(direct):]...)
 	if len(c.pend) == 0 {
 		c.pend = nil
 	}
 	c.mu.Unlock()
-	for bi, batch := range full {
-		if err := c.ship(ctx, batch); err != nil {
-			c.requeue(full[bi+1:])
-			return err
-		}
+	if acked, err := c.send(ctx, own); err != nil {
+		c.requeue(own[min(acked+size, len(own)):], direct)
+		return err
+	}
+	if acked, err := c.send(ctx, direct); err != nil {
+		c.requeue(direct[min(acked+size, len(direct)):])
+		return err
 	}
 	return nil
 }
@@ -226,8 +246,18 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 // and nothing is left behind in the client. It is for a caller whose own
 // acknowledgement must mean "applied" and whose own error must say how much
 // was (the cluster gateway, whose concurrent requests must not ship each
-// other's edges); a stream wants Ingest's buffering.
+// other's edges); a stream wants Ingest's buffering. The slice stays the
+// caller's; a user id the encoding cannot carry (stream.ErrUserRange)
+// refuses it whole, before the first request.
 func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, err error) {
+	if err := stream.CheckUsers(edges); err != nil {
+		return 0, err
+	}
+	return c.send(ctx, edges)
+}
+
+// send is Send for edges whose users the caller has checked.
+func (c *Client) send(ctx context.Context, edges []vos.Edge) (acked int, err error) {
 	for acked < len(edges) {
 		batch := edges[acked:min(acked+c.opt.BatchSize, len(edges))]
 		if err := c.ship(ctx, batch); err != nil {
@@ -238,20 +268,22 @@ func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, err err
 	return acked, nil
 }
 
-// requeue puts never-attempted batches back at the head of the pending
-// buffer (ahead of anything buffered since — original order preserved).
-func (c *Client) requeue(batches [][]vos.Edge) {
+// requeue puts never-attempted runs of edges back at the head of the
+// pending buffer (ahead of anything buffered since — original order
+// preserved). It copies: the runs may be the caller's memory, and what is
+// kept outlives the call.
+func (c *Client) requeue(runs ...[]vos.Edge) {
 	n := 0
-	for _, b := range batches {
-		n += len(b)
+	for _, r := range runs {
+		n += len(r)
 	}
 	if n == 0 {
 		return
 	}
 	c.mu.Lock()
 	restored := make([]vos.Edge, 0, n+len(c.pend))
-	for _, b := range batches {
-		restored = append(restored, b...)
+	for _, r := range runs {
+		restored = append(restored, r...)
 	}
 	c.pend = append(restored, c.pend...)
 	c.mu.Unlock()
@@ -309,12 +341,14 @@ func (c *Client) Close() error {
 // applied) would corrupt parity. Callers that need exactly-once on top of
 // an unreliable link should run the server durable and re-checkpoint.
 func (c *Client) ship(ctx context.Context, edges []vos.Edge) error {
-	var buf bytes.Buffer
-	if err := stream.WriteBinary(&buf, edges); err != nil {
+	// One buffer of the batch's exact size, not pooled: the transport may
+	// still be reading a request body after the response has arrived.
+	body, err := stream.AppendBinary(nil, edges)
+	if err != nil {
 		return err
 	}
 	var ack server.IngestResponse
-	if err := c.do(ctx, http.MethodPost, server.RouteEdges, server.ContentTypeBinary, buf.Bytes(), &ack); err != nil {
+	if err := c.do(ctx, http.MethodPost, server.RouteEdges, server.ContentTypeBinary, body, &ack); err != nil {
 		return err
 	}
 	if ack.Accepted != len(edges) {
@@ -364,11 +398,8 @@ func (c *Client) AdvanceWindow(ctx context.Context, t time.Time) error {
 	if err := c.Flush(ctx); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := stream.WriteBinary(&buf, nil); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteEdges, &buf)
+	body, _ := stream.AppendBinary(nil, nil) // no edge, no user to refuse
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+server.RouteEdges, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

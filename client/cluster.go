@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -63,7 +62,7 @@ func decodeSketchDelta(body []byte, cursor, fallback string) (vos.SketchDelta, e
 	if cursor == "" {
 		return vos.SketchDelta{}, fmt.Errorf("client: %s sent a delta without the %s header", server.RouteClusterSketch, server.HeaderSketchCursor)
 	}
-	edges, err := stream.ReadBinary(bytes.NewReader(body))
+	edges, err := stream.DecodeBinary(body)
 	if err != nil {
 		return vos.SketchDelta{}, fmt.Errorf("client: decode %s delta: %w", server.RouteClusterSketch, err)
 	}

@@ -5,15 +5,25 @@
 //
 // # Writes
 //
-// Writes batch like the engine's producer path: Ingest appends to a
-// pending buffer, full batches of Options.BatchSize edges are shipped
-// synchronously in the compact VOSSTRM1 binary format, and a background
+// Writes batch like the engine's producer path: full batches of
+// Options.BatchSize edges are shipped synchronously in the compact VOSSTRM1
+// binary format, the residue waits in a pending buffer, and a background
 // linger ticker ships partial batches so an idle stream's tail never sits
 // unsent (Flush forces the residue out, Close flushes and stops the
 // ticker). Writes are NEVER retried: ingest is an XOR toggle, and
 // replaying a batch after an ambiguous failure (request possibly applied)
 // would corrupt parity. A failed ship leaves only the attempted batch
 // ambiguous; batches never put on the wire return to the pending buffer.
+//
+// The caller's slice is only read, and only until Ingest returns. A whole
+// batch is encoded where it lies, into one buffer of the body's exact size
+// (not pooled: the transport may still be reading a body after the
+// response); edges are copied only when they must outlive the call — the
+// residue, the head that tops an earlier residue up to a batch, and what a
+// failed ship sends back to the pending buffer. Send, the gateway's entry,
+// copies none. UDPClient.Ingest copies every edge once, into its frame
+// buffer. All of them refuse a slice naming a user id above vos.MaxUser
+// (vos.ErrUserRange) whole: the encoding has no room for the id's top bit.
 //
 // # Reads
 //

@@ -12,6 +12,7 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/internal/netproto"
+	"github.com/vossketch/vos/internal/stream"
 )
 
 // UDPOptions tunes a UDPClient. The zero value selects the defaults.
@@ -140,8 +141,13 @@ func (c *UDPClient) Session() uint64 { return c.opt.Session }
 // Ingest buffers edges and ships every full BatchSize chunk as one data
 // frame. Frames are never retried (an XOR batch must not risk double
 // application); a send error reports the frame that failed, with
-// everything not yet framed still buffered.
+// everything not yet framed still buffered. The slice stays the caller's
+// (it is copied into the frame buffer); a user id the element encoding
+// cannot carry (stream.ErrUserRange) refuses it whole, nothing buffered.
 func (c *UDPClient) Ingest(ctx context.Context, edges []vos.Edge) error {
+	if err := stream.CheckUsers(edges); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

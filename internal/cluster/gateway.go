@@ -12,6 +12,7 @@ import (
 	"github.com/vossketch/vos/client"
 	"github.com/vossketch/vos/internal/poscache"
 	"github.com/vossketch/vos/internal/resident"
+	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/server"
 )
 
@@ -190,6 +191,9 @@ func (g *Gateway) backend(url string) (*client.Client, error) {
 // error's. Otherwise the error is a partialIngest, which shows no backend's
 // status: XOR writes are not idempotent, and a batch that was, or may have
 // been, partly applied must never look retryable.
+//
+// The slice stays the caller's: the groups are one copy of it
+// (stream.PartitionByUser), which the backends' clients encode where it lies.
 func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if g.closed.Load() {
 		return vos.ErrClosed
@@ -200,19 +204,22 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	ring := g.ringRef()
-	groups := make(map[int][]vos.Edge)
-	for _, e := range edges {
-		s := ring.ShardOf(e.User)
-		groups[s] = append(groups[s], e)
+	// Refused here the slice is refused whole; left to the backends' clients
+	// it would be one group's failure beside other groups' writes.
+	if err := stream.CheckUsers(edges); err != nil {
+		return err
 	}
+	ring := g.ringRef()
 	var wg sync.WaitGroup
-	errs := make([]error, 0, len(groups))
+	var errs []error
 	allRefused := true
 	var errMu sync.Mutex
-	for shard, group := range groups {
+	for shard, group := range stream.PartitionByUser(edges, ring.NumShards(), ring.RouteSeed) {
+		if len(group) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(shard int, group []vos.Edge) {
+		go func() {
 			defer wg.Done()
 			refused, err := g.forward(ctx, shard, group)
 			errMu.Lock()
@@ -221,7 +228,7 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
 			}
 			errMu.Unlock()
-		}(shard, group)
+		}()
 	}
 	wg.Wait()
 	// Invalidate on failure too: a forward that errored or timed out may

@@ -991,3 +991,63 @@ func TestGatewayBackendBadExport(t *testing.T) {
 		})
 	}
 }
+
+// TestIngestDoesNotKeepTheSlice holds Gateway.Ingest to
+// SimilarityService.Ingest's rule — the slice is the caller's again when the
+// call returns — as the root package's test of the same name holds the
+// in-process services: calls of uneven length, each slice filled with
+// garbage the moment Ingest returns, and the merged export compared with
+// the single-sketch oracle over the logical stream. The gateway's groups
+// are one copy of the slice and its clients encode them where they lie, so
+// a group that outlived the call would show here.
+func TestIngestDoesNotKeepTheSlice(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("nodes=%d", k), func(t *testing.T) {
+			gw, _ := newTestCluster(t, k, Options{Client: client.Options{BatchSize: 64}})
+			edges := clusterWorkload(int64(40+k), 200, 8000)
+			ctx := context.Background()
+			scratch := make([]vos.Edge, 0, 1500)
+			for off, step := 0, 1; off < len(edges); step = step*3%1499 + 1 {
+				call := append(scratch[:0], edges[off:min(off+step, len(edges))]...)
+				off += len(call)
+				if err := gw.Ingest(ctx, call); err != nil {
+					t.Fatal(err)
+				}
+				for i := range call {
+					call[i] = vos.Edge{User: 0xdead0000 + vos.User(i), Item: 0xbeef, Op: vos.Delete}
+				}
+			}
+			got, err := gw.ExportSketch(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleFor(edges).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the cluster's state is not the stream's: the slice was read after Ingest returned")
+			}
+		})
+	}
+}
+
+// TestGatewayIngestUserRange: a user id the wire cannot carry refuses the
+// slice whole, before any backend is written to — not one group's failure
+// beside the other groups' writes.
+func TestGatewayIngestUserRange(t *testing.T) {
+	gw, _ := newTestCluster(t, 3, Options{})
+	ctx := context.Background()
+	edges := clusterWorkload(7, 50, 300)
+	edges = append(edges, vos.Edge{User: 1<<63 | 5, Item: 7, Op: vos.Insert})
+	if err := gw.Ingest(ctx, edges); !errors.Is(err, vos.ErrUserRange) {
+		t.Fatalf("Ingest: error %v, want vos.ErrUserRange", err)
+	}
+	st, err := gw.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.OnesCount != 0 || st.Users != 0 {
+		t.Fatalf("a refused slice reached the backends: %+v", st)
+	}
+}

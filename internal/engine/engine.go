@@ -524,7 +524,8 @@ func (e *Engine) kickPending(s *shard) {
 func (s *shard) add(edges []stream.Edge, batchSize int, owned bool) {
 	s.pendMu.Lock()
 	s.enqueued.Add(uint64(len(edges)))
-	full := make([][]stream.Edge, 0, (len(s.pend)+len(edges))/batchSize)
+	var few [4][]stream.Edge // a request's share of a shard is a few batches: none allocated to list them
+	full := few[:0]
 	if !owned {
 		s.pend = append(s.pend, edges...)
 	} else {
@@ -558,7 +559,8 @@ func (s *shard) add(edges []stream.Edge, batchSize int, owned bool) {
 // when that shard's queue is full (or, on durable engines, while a
 // checkpoint is in progress). It must not be called after Close. On a
 // durable engine the edge is WAL-appended — durable per the sync policy —
-// before Process returns; an append error means the edge was not accepted.
+// before Process returns; an append error means the edge was not accepted —
+// among them stream.ErrUserRange, a user id the log's encoding cannot carry.
 func (e *Engine) Process(ed stream.Edge) error {
 	// Retire expired buckets before accepting new work (one atomic load on
 	// the fast path; no-op unwindowed). Done before the locks below so the
@@ -587,9 +589,10 @@ func (e *Engine) Process(ed stream.Edge) error {
 // shard first so each shard's lock is taken once per call rather than once
 // per edge. This is the high-throughput ingest path — on durable engines
 // also the efficient one, since the whole slice becomes one WAL record
-// (and, under SyncEveryBatch, one fsync). The slice stays the caller's: the
-// engine keeps no reference to it, and it may be reused as soon as
-// ProcessBatch returns.
+// (and, under SyncEveryBatch, one fsync), which refuses the slice whole
+// (stream.ErrUserRange) if it names a user id the log's encoding cannot
+// carry. The slice stays the caller's: the engine keeps no reference to it,
+// and it may be reused as soon as ProcessBatch returns.
 func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 	e.maybeAdvance() // see Process
 	e.lifeMu.RLock() // see Process
@@ -616,43 +619,21 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 
 // route groups edges by owning shard and hands the groups over —
 // ProcessBatch minus lifecycle and durability, shared with WAL replay. The
-// grouping is a counting partition: one pass finds every edge's owner and
-// the group sizes, one allocation of exactly len(edges) holds the groups back
-// to back, one pass scatters the edges into it in arrival order. That buffer
-// is the engine's and is not written again, so the shards carve their
-// batches out of it in place (see add): an edge is copied once on its way to
-// the worker, and the caller's slice is free the moment route returns. The
-// owners and offsets are scratch, garbage when route returns. With one shard
-// there is nothing to partition and add copies instead.
+// grouping is stream.PartitionByUser's counting partition: its buffer is the
+// engine's and is not written again, so the shards carve their batches out
+// of it in place (see add) — an edge is copied once on its way to the
+// worker, and the caller's slice is free the moment route returns. With one
+// shard there is nothing to partition and add copies instead.
 func (e *Engine) route(edges []stream.Edge) {
 	n := len(e.shards)
 	if n == 1 {
 		e.shards[0].add(edges, e.cfg.BatchSize, false)
 		return
 	}
-	owner := make([]uint32, len(edges)) // wide enough: every shard owns an array and a goroutine
-	at := make([]int, n+1)              // at[i]: where shard i's next edge goes, once the sizes are summed
-	for k := range edges {
-		i := e.ShardOf(edges[k].User)
-		owner[k] = uint32(i)
-		at[i+1]++
-	}
-	for i := 1; i < n; i++ {
-		at[i+1] += at[i]
-	}
-	buf := make([]stream.Edge, len(edges))
-	for k, ed := range edges {
-		i := owner[k]
-		buf[at[i]] = ed
-		at[i]++
-	}
-	// The scatter left at[i] at the end of group i, the start of group i+1.
-	lo := 0
-	for i, hi := range at[:n] {
-		if hi > lo {
-			e.shards[i].add(buf[lo:hi], e.cfg.BatchSize, true)
+	for i, group := range stream.PartitionByUser(edges, n, e.cfg.RouteSeed) {
+		if len(group) > 0 {
+			e.shards[i].add(group, e.cfg.BatchSize, true)
 		}
-		lo = hi
 	}
 }
 

@@ -26,7 +26,7 @@
 //	32     ...  payload
 //
 // A data payload is exactly count elements in the VOSSTRM1 element
-// encoding (stream.AppendElement): uvarint(user<<1|op), uvarint(item). An
+// encoding (stream.AppendElements): uvarint(user<<1|op), uvarint(item). An
 // ack payload is four fixed uint64s: highest sequence seen, frames
 // applied, frames confirmed lost, replays dropped.
 package netproto
@@ -120,12 +120,15 @@ func appendHeader(buf []byte, typ uint8, flags uint16, session, seq uint64, coun
 
 // AppendDataFrame appends one data frame carrying edges to buf. The
 // caller sizes batches to taste (the Go client defaults well under a
-// common MTU); frames that would exceed MaxFrameSize are refused.
+// common MTU); frames that would exceed MaxFrameSize are refused, and so
+// is a batch naming a user id the element encoding cannot carry
+// (stream.ErrUserRange).
 func AppendDataFrame(buf []byte, session, seq uint64, flags uint16, edges []stream.Edge) ([]byte, error) {
 	start := len(buf)
 	buf = appendHeader(buf, TypeData, flags, session, seq, uint32(len(edges)))
-	for _, e := range edges {
-		buf = stream.AppendElement(buf, e)
+	buf, err := stream.AppendElements(buf, edges)
+	if err != nil {
+		return nil, fmt.Errorf("netproto: %w", err)
 	}
 	if len(buf)-start > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d-edge frame is %d bytes (max %d); split the batch",
@@ -187,11 +190,16 @@ func DecodeFrame(data []byte) (Frame, error) {
 
 // DecodeEdges decodes a data frame's payload: exactly Count elements with
 // nothing left over.
-func (f Frame) DecodeEdges() ([]stream.Edge, error) {
+func (f Frame) DecodeEdges() ([]stream.Edge, error) { return f.DecodeEdgesInto(nil) }
+
+// DecodeEdgesInto is DecodeEdges into the caller's memory
+// (stream.DecodeElementsInto): a read loop passes the previous result back
+// and decodes without allocating.
+func (f Frame) DecodeEdgesInto(dst []stream.Edge) ([]stream.Edge, error) {
 	if f.Type != TypeData {
 		return nil, fmt.Errorf("%w: DecodeEdges on type-%d frame", ErrBadFrame, f.Type)
 	}
-	out, err := stream.DecodeElements(f.Payload, uint64(f.Count))
+	out, err := stream.DecodeElementsInto(dst, f.Payload, uint64(f.Count))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}

@@ -15,7 +15,10 @@ type Config struct {
 	// Sink receives each applied batch, in arrival order. It is called
 	// from the receive loop, one batch at a time — a sharded engine's
 	// ProcessBatch hands off to per-shard queues quickly, so the loop
-	// stays ahead of the socket for realistic loads.
+	// stays ahead of the socket for realistic loads. The slice is the
+	// receiver's again when Sink returns — the next frame is decoded into
+	// the same memory — so Sink must not keep it
+	// (vos.SimilarityService.Ingest's rule, which is what vosd plugs in).
 	Sink func(edges []stream.Edge) error
 	// Admit, when non-nil, charges each frame's worst-case decoded
 	// footprint against the shared ingest budget before decoding —
@@ -39,6 +42,12 @@ type Receiver struct {
 	mu  sync.Mutex
 	trk *Tracker
 	st  metrics.UDPStats // transport-level counters; seq counters live in trk
+
+	// Run's goroutine alone touches these: the memory each frame is decoded
+	// into and each ack encoded into, reused from one datagram to the next
+	// (a frame is at most MaxFrameSize, so neither outgrows ~1 MiB).
+	edges  []stream.Edge
+	ackBuf []byte
 
 	closeOnce sync.Once
 	closeErr  error
@@ -67,7 +76,6 @@ func (r *Receiver) Addr() net.Addr { return r.pc.LocalAddr() }
 func (r *Receiver) Run() error {
 	defer close(r.done)
 	buf := make([]byte, MaxFrameSize+1)
-	var ackBuf []byte
 	for {
 		n, from, err := r.pc.ReadFrom(buf)
 		if err != nil {
@@ -76,7 +84,7 @@ func (r *Receiver) Run() error {
 			}
 			return err
 		}
-		ackBuf = r.handle(buf[:n], from, ackBuf)
+		r.handle(buf[:n], from)
 	}
 }
 
@@ -106,10 +114,9 @@ func (r *Receiver) Stats() metrics.UDPStats {
 	return st
 }
 
-// handle processes one datagram, reusing (and returning) ackBuf for ack
-// replies. Counter writes happen under mu so Stats can be polled from
-// other goroutines; the sink itself runs unlocked.
-func (r *Receiver) handle(data []byte, from net.Addr, ackBuf []byte) []byte {
+// handle processes one datagram. Counter writes happen under mu so Stats
+// can be polled from other goroutines; the sink itself runs unlocked.
+func (r *Receiver) handle(data []byte, from net.Addr) {
 	r.mu.Lock()
 	r.st.FramesReceived++
 	r.mu.Unlock()
@@ -119,7 +126,7 @@ func (r *Receiver) handle(data []byte, from net.Addr, ackBuf []byte) []byte {
 		// Acks (or future types) arriving at a receiver are as wrong as a
 		// truncated frame; neither is silently ignored.
 		r.count(func(st *metrics.UDPStats) { st.Malformed++ })
-		return ackBuf
+		return
 	}
 
 	// Admission before decoding: the worst-case charge bounds the decoded
@@ -131,17 +138,18 @@ func (r *Receiver) handle(data []byte, from net.Addr, ackBuf []byte) []byte {
 		h, err := r.cfg.Admit.Admit(int64(len(f.Payload)), true)
 		if err != nil {
 			r.count(func(st *metrics.UDPStats) { st.AdmitRejected++ })
-			return ackBuf
+			return
 		}
 		hold = h
 		defer hold.Close()
 	}
 
-	edges, err := f.DecodeEdges()
+	edges, err := f.DecodeEdgesInto(r.edges)
 	if err != nil {
 		r.count(func(st *metrics.UDPStats) { st.Malformed++ })
-		return ackBuf
+		return
 	}
+	r.edges = edges
 	if hold != nil {
 		hold.Trim(len(edges))
 	}
@@ -165,12 +173,11 @@ func (r *Receiver) handle(data []byte, from net.Addr, ackBuf []byte) []byte {
 		r.mu.Lock()
 		ack := r.trk.AckFor(f.Session, f.Seq)
 		r.mu.Unlock()
-		ackBuf = AppendAckFrame(ackBuf[:0], ack)
-		if _, err := r.pc.WriteTo(ackBuf, from); err == nil {
+		r.ackBuf = AppendAckFrame(r.ackBuf[:0], ack)
+		if _, err := r.pc.WriteTo(r.ackBuf, from); err == nil {
 			r.count(func(st *metrics.UDPStats) { st.AcksSent++ })
 		}
 	}
-	return ackBuf
 }
 
 // count applies one counter mutation under the stats lock.

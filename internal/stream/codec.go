@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,41 +85,97 @@ func IsBinary(data []byte) bool { return bytes.HasPrefix(data, binaryMagic[:]) }
 // ErrBadFormat reports a malformed binary stream file.
 var ErrBadFormat = errors.New("stream: bad binary format")
 
+// MaxUser is the largest user id the binary element encoding carries: the
+// op bit shares the user's 64-bit varint, which leaves the id 63 bits.
+const MaxUser User = 1<<63 - 1
+
+// ErrUserRange reports a user id above MaxUser handed to an encoder. The
+// format cannot carry the id's top bit — encoding it anyway would turn the
+// user into another one on the far side — so every encoder built on
+// AppendElements refuses the whole slice and writes nothing.
+var ErrUserRange = errors.New("stream: user id does not fit the binary element encoding (limit 2^63-1)")
+
+// CheckUsers returns an ErrUserRange error naming the first edge whose user
+// the binary encoding cannot carry, nil when every edge fits. A sender that
+// buffers (package client) calls it on the way in, so that what it refuses
+// is refused whole and never sits in a buffer it can no longer drain.
+func CheckUsers(edges []Edge) error {
+	for i := range edges {
+		if edges[i].User > MaxUser {
+			return userRangeError(i, edges[i].User)
+		}
+	}
+	return nil
+}
+
+func userRangeError(i int, u User) error {
+	return fmt.Errorf("%w: element %d has user %d", ErrUserRange, i, uint64(u))
+}
+
 // AppendElement appends the binary encoding of one element — uvarint
 // (user<<1 | opBit), then uvarint item — to buf. This is the single
 // definition of the per-element wire shape, shared by the stream file
-// format (WriteBinary/ReadBinary) and the WAL record payload
-// (internal/wal): the two formats are byte-compatible at the element
-// level by construction, not by parallel maintenance.
+// format, the WAL record payload (internal/wal) and the VOSSTRM1 data
+// frame (internal/netproto): the formats are byte-compatible at the
+// element level by construction, not by parallel maintenance. It cannot
+// fail, so it does not look at the user's range; AppendElements does.
 func AppendElement(buf []byte, e Edge) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	opBit := uint64(0)
+	uo := uint64(e.User) << 1
 	if e.Op == Delete {
-		opBit = 1
+		uo |= 1
 	}
-	n := binary.PutUvarint(scratch[:], uint64(e.User)<<1|opBit)
-	buf = append(buf, scratch[:n]...)
-	n = binary.PutUvarint(scratch[:], uint64(e.Item))
-	return append(buf, scratch[:n]...)
+	return binary.AppendUvarint(binary.AppendUvarint(buf, uo), uint64(e.Item))
 }
 
-// DecodeElement decodes one element from the front of data, returning it
-// and the number of bytes consumed; n <= 0 reports truncated or invalid
-// input. The inverse of AppendElement.
-func DecodeElement(data []byte) (Edge, int) {
-	uo, n1 := binary.Uvarint(data)
-	if n1 <= 0 {
-		return Edge{}, 0
+// AppendElements appends every edge per AppendElement — the body all the
+// element containers share — growing buf at most once, to the exact size. A
+// user above MaxUser anywhere in edges is an ErrUserRange error and buf
+// comes back as it was.
+func AppendElements(buf []byte, edges []Edge) ([]byte, error) {
+	size, err := elementsLen(edges)
+	if err != nil {
+		return buf, err
 	}
-	it, n2 := binary.Uvarint(data[n1:])
-	if n2 <= 0 {
-		return Edge{}, 0
+	return appendAll(slices.Grow(buf, size), edges), nil
+}
+
+// appendAll is AppendElements' loop; the caller has checked the users.
+func appendAll(buf []byte, edges []Edge) []byte {
+	for i := range edges {
+		buf = AppendElement(buf, edges[i])
 	}
-	op := Insert
-	if uo&1 == 1 {
-		op = Delete
+	return buf
+}
+
+// elementsLen returns how many bytes AppendElements appends for edges, or
+// the error CheckUsers would.
+func elementsLen(edges []Edge) (int, error) {
+	size := 0
+	for i := range edges {
+		if edges[i].User > MaxUser {
+			return 0, userRangeError(i, edges[i].User)
+		}
+		size += uvarintLen(uint64(edges[i].User)<<1) + uvarintLen(uint64(edges[i].Item))
 	}
-	return Edge{User: User(uo >> 1), Item: Item(it), Op: op}, n1 + n2
+	return size, nil
+}
+
+// uvarintLen is the length of x's uvarint encoding: seven bits to a byte,
+// one byte for zero.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// uvarint is binary.Uvarint with the one- and two-byte encodings — ids
+// below 2^14, most of a dense id space — decided before the general loop.
+func uvarint(data []byte) (uint64, int) {
+	if len(data) >= 2 {
+		if data[0] < 0x80 {
+			return uint64(data[0]), 1
+		}
+		if data[1] < 0x80 {
+			return uint64(data[0]&0x7f) | uint64(data[1])<<7, 2
+		}
+	}
+	return binary.Uvarint(data)
 }
 
 // DecodeElements decodes exactly count elements from data with nothing left
@@ -127,74 +185,120 @@ func DecodeElement(data []byte) (Edge, int) {
 // each for the user+op word and the item), so a count the bytes cannot
 // possibly hold is malformed. All three containers take untrusted input
 // (POST /v1/edges, datagrams, inspection tools reading non-CRC-validated
-// records), so the pre-allocation below must never trust count beyond what
+// records), so the allocation below must never trust count beyond what
 // data could actually encode — a forged 16-byte header must not reserve
 // gigabytes.
 func DecodeElements(data []byte, count uint64) ([]Edge, error) {
+	return DecodeElementsInto(nil, data, count)
+}
+
+// DecodeElementsInto is DecodeElements into the caller's memory: the result
+// occupies dst's backing array when that holds count elements (dst's own
+// length and contents are ignored) and a fresh one otherwise, so a read
+// loop that hands each result back as the next dst decodes without
+// allocating.
+func DecodeElementsInto(dst []Edge, data []byte, count uint64) ([]Edge, error) {
 	if count > uint64(len(data))/2 {
 		return nil, fmt.Errorf("count %d exceeds capacity of %d bytes", count, len(data))
 	}
-	out := make([]Edge, 0, count)
-	for idx := uint64(0); idx < count; idx++ {
-		e, n := DecodeElement(data)
+	if uint64(cap(dst)) < count {
+		dst = make([]Edge, count)
+	}
+	dst = dst[:count]
+	for idx := range dst {
+		uo, n := uvarint(data)
 		if n <= 0 {
 			return nil, fmt.Errorf("element %d truncated", idx)
 		}
 		data = data[n:]
-		out = append(out, e)
+		it, n := uvarint(data)
+		if n <= 0 {
+			return nil, fmt.Errorf("element %d truncated", idx)
+		}
+		data = data[n:]
+		dst[idx] = Edge{User: User(uo >> 1), Item: Item(it), Op: Op(uo & 1)}
 	}
 	// Trailing garbage means the bytes were not produced by AppendElement.
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after %d elements", len(data), count)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// WriteBinary writes edges in the binary format: magic, element count, then
-// each element per AppendElement.
-func WriteBinary(w io.Writer, edges []Edge) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
+// AppendBinary appends edges in the binary format — magic, element count,
+// then each element per AppendElement — to buf, growing it at most once.
+// See AppendElements for the one error.
+func AppendBinary(buf []byte, edges []Edge) ([]byte, error) {
+	size, err := elementsLen(edges)
+	if err != nil {
+		return buf, err
 	}
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(edges)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	for _, e := range edges {
-		if _, err := bw.Write(AppendElement(buf[:0], e)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	buf = slices.Grow(buf, len(binaryMagic)+binary.MaxVarintLen64+size)
+	buf = append(buf, binaryMagic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	return appendAll(buf, edges), nil
 }
 
-// ReadBinary parses the binary format.
-func ReadBinary(r io.Reader) ([]Edge, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+// DecodeBinary parses the binary format: data must be exactly one encoded
+// stream. Every rejection wraps ErrBadFormat.
+func DecodeBinary(data []byte) ([]Edge, error) { return DecodeBinaryInto(nil, data) }
+
+// DecodeBinaryInto is DecodeBinary into the caller's memory, as
+// DecodeElementsInto.
+func DecodeBinaryInto(dst []Edge, data []byte) ([]Edge, error) {
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the magic", ErrBadFormat, len(data))
 	}
-	if magic != binaryMagic {
+	if !IsBinary(data) {
 		return nil, fmt.Errorf("%w: wrong magic", ErrBadFormat)
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrBadFormat, err)
+	count, n := binary.Uvarint(data[len(binaryMagic):])
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: bad element count", ErrBadFormat)
 	}
 	const sanityCap = 1 << 31
 	if count > sanityCap {
 		return nil, fmt.Errorf("%w: implausible element count %d", ErrBadFormat, count)
 	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	out, err := DecodeElements(rest, count)
+	out, err := DecodeElementsInto(dst, data[len(binaryMagic)+n:], count)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return out, nil
+}
+
+// writeChunk is how many elements WriteBinary encodes between writes: the
+// encode buffer stays a few hundred KiB however long the stream is.
+const writeChunk = 1 << 14
+
+// WriteBinary writes edges in the binary format (AppendBinary) to w, a
+// chunk of elements to a Write. A user above MaxUser is an ErrUserRange
+// error and nothing is written.
+func WriteBinary(w io.Writer, edges []Edge) error {
+	if err := CheckUsers(edges); err != nil {
+		return err
+	}
+	buf := append([]byte(nil), binaryMagic[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(edges)))
+	for {
+		n := min(len(edges), writeChunk)
+		buf, _ = AppendElements(buf, edges[:n]) // every user was checked above
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if edges = edges[n:]; len(edges) == 0 {
+			return nil
+		}
+		buf = buf[:0]
+	}
+}
+
+// ReadBinary parses the binary format from r, read to its end
+// (DecodeBinary).
+func ReadBinary(r io.Reader) ([]Edge, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	return DecodeBinary(data)
 }

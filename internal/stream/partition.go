@@ -29,14 +29,44 @@ func ShardOf(u User, n int, seed uint64) int {
 // For VOS specifically any partition works — its merge is XOR-exact
 // regardless of how edges are split (see core.VOS.Merge) — but user
 // partitioning is the safe default for every method in this module.
+//
+// It is the one by-user split there is — the engine routes a batch to its
+// shards with it and the gateway fans a request out to its backends — and a
+// counting partition: one pass finds every edge's owner (ShardOf) and the
+// shard sizes, one allocation of exactly len(edges) holds the shards back to
+// back, one pass scatters the edges into it in arrival order. An edge is
+// copied once and the shards share no memory with edges; a shard's capacity
+// ends with it, so an append to one moves it out rather than running on
+// into the next, and a shard no user hashes to is nil. The owners are
+// scratch, garbage on return.
 func PartitionByUser(edges []Edge, n int, seed uint64) [][]Edge {
 	if n <= 0 {
 		panic(fmt.Sprintf("stream: shard count %d must be positive", n))
 	}
+	owner := make([]uint32, len(edges)) // wide enough: a shard is an array and a goroutine, or a node
+	at := make([]int, n+1)              // at[i]: where shard i's next edge goes, once the sizes are summed
+	for k := range edges {
+		i := ShardOf(edges[k].User, n, seed)
+		owner[k] = uint32(i)
+		at[i+1]++
+	}
+	for i := 1; i < n; i++ {
+		at[i+1] += at[i]
+	}
+	buf := make([]Edge, len(edges))
+	for k := range edges {
+		i := owner[k]
+		buf[at[i]] = edges[k]
+		at[i]++
+	}
+	// The scatter left at[i] at the end of shard i, the start of shard i+1.
 	shards := make([][]Edge, n)
-	for _, e := range edges {
-		s := ShardOf(e.User, n, seed)
-		shards[s] = append(shards[s], e)
+	lo := 0
+	for i, hi := range at[:n] {
+		if hi > lo {
+			shards[i] = buf[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return shards
 }

@@ -7,6 +7,14 @@
 // attention to feasible streams: no duplicate subscriptions, no deletion of
 // absent edges), stream statistics, and text/binary codecs so generated
 // workloads can be persisted and replayed.
+//
+// The binary element encoding (codec.go: AppendElements, DecodeElements)
+// is also what the write-ahead log records, the HTTP client posts and the
+// datagram frame carries. It folds the op bit into the user's 64-bit
+// varint, so it carries user ids up to MaxUser = 2^63-1 and every encoder
+// refuses a larger one with ErrUserRange rather than deliver the edge to
+// another user; the text format and the in-memory sketches take all 64
+// bits.
 package stream
 
 import (

@@ -16,8 +16,8 @@ import (
 // not required — the decoder tolerates non-minimal varints, which the
 // writer never produces and the record CRC keeps out of real logs.)
 func FuzzDecodeEdges(f *testing.F) {
-	f.Add(appendEdges(nil, testEdges(0, 3)))
-	f.Add(appendEdges(nil, nil))
+	f.Add(mustAppendEdges(f, nil, testEdges(0, 3)))
+	f.Add(mustAppendEdges(f, nil, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
@@ -29,7 +29,7 @@ func FuzzDecodeEdges(f *testing.F) {
 			}
 			return
 		}
-		again, err := DecodeEdges(appendEdges(nil, edges))
+		again, err := DecodeEdges(mustAppendEdges(t, nil, edges))
 		if err != nil {
 			t.Fatalf("re-decode of accepted payload failed: %v", err)
 		}

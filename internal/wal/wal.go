@@ -128,16 +128,11 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 }
 
 // appendEdges encodes edges in the record payload shape: a uvarint count
-// followed by stream.AppendElement for each edge — the same element
-// encoding as the binary stream file format.
-func appendEdges(buf []byte, edges []stream.Edge) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(edges)))
-	buf = append(buf, scratch[:n]...)
-	for _, e := range edges {
-		buf = stream.AppendElement(buf, e)
-	}
-	return buf
+// followed by stream.AppendElements — the same element encoding as the
+// binary stream file format, and the same refusal (stream.ErrUserRange) of a
+// user id the encoding cannot carry.
+func appendEdges(buf []byte, edges []stream.Edge) ([]byte, error) {
+	return stream.AppendElements(binary.AppendUvarint(buf, uint64(len(edges))), edges)
 }
 
 // DecodeEdges decodes one record payload. It is the inverse of the payload
@@ -359,7 +354,8 @@ func (l *Log) rotate() error {
 
 // Append writes one record holding the batch and advances the position by
 // len(edges). Whether the record is durable when Append returns depends on
-// the sync policy. Empty batches are a no-op.
+// the sync policy. Empty batches are a no-op; a batch naming a user id the
+// element encoding cannot carry is refused whole with stream.ErrUserRange.
 //
 // A failed write is rolled back: the segment is truncated to the last
 // record boundary so a partial frame cannot sit mid-file masquerading as a
@@ -386,15 +382,17 @@ func (l *Log) Append(edges []stream.Edge) error {
 	if l.failed != nil {
 		return l.failed
 	}
+	// One buffer, one Write call: frame header and payload land together
+	// or are rolled back together.
+	rec, err := appendEdges(append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), edges)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err) // refused before the log was touched
+	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	// One buffer, one Write call: frame header and payload land together
-	// or are rolled back together.
-	rec := append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	rec = appendEdges(rec, edges)
 	payload := rec[8:]
 	binary.LittleEndian.PutUint32(rec[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))

@@ -11,6 +11,16 @@ import (
 	"github.com/vossketch/vos/internal/stream"
 )
 
+// mustAppendEdges is appendEdges for batches the encoding can carry.
+func mustAppendEdges(tb testing.TB, buf []byte, edges []stream.Edge) []byte {
+	tb.Helper()
+	out, err := appendEdges(buf, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // testEdges builds a deterministic batch of n edges starting at seq.
 func testEdges(seq, n int) []stream.Edge {
 	out := make([]stream.Edge, n)
@@ -405,7 +415,7 @@ func TestDecodeEdgesErrors(t *testing.T) {
 		}
 	}
 	// Trailing bytes after the declared count are corruption, not slack.
-	payload := appendEdges(nil, testEdges(0, 2))
+	payload := mustAppendEdges(t, nil, testEdges(0, 2))
 	if _, err := DecodeEdges(append(payload, 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("trailing payload byte accepted")
 	}
@@ -683,5 +693,51 @@ func TestSyncPolicies(t *testing.T) {
 	}
 	if (SyncPolicy(99)).String() == "" {
 		t.Fatal("unknown policy must still print")
+	}
+}
+
+// TestAppendRefusesUserOutOfRange: a batch naming a user id the element
+// encoding cannot carry is refused whole with stream.ErrUserRange — no
+// byte written, no segment rotated to, the position where it was — and the
+// log goes on taking batches; recorded as it stood, that user would replay
+// as another one.
+func TestAppendRefusesUserOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 64}) // every append is due a rotation
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	before := testEdges(0, 20)
+	if err := l.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(testEdges(20, 3), stream.Edge{User: stream.MaxUser + 1, Item: 7})
+	if err := l.Append(bad); !errors.Is(err, stream.ErrUserRange) {
+		t.Fatalf("Append = %v, want stream.ErrUserRange", err)
+	}
+	if after, err := ListSegments(dir); err != nil || len(after) != len(segs) {
+		t.Fatalf("the refused append left segments %v (%v), there were %v", after, err, segs)
+	}
+	if got := l.Pos(); got != 20 {
+		t.Fatalf("Pos = %d after the refusal, want 20", got)
+	}
+	after := []stream.Edge{{User: stream.MaxUser, Item: 9, Op: stream.Delete}}
+	if err := l.Append(after); err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, l, 0)
+	want := append(append([]stream.Edge(nil), before...), after...)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d edges, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

@@ -16,6 +16,15 @@
 //     reports window_seconds/window_buckets, and a query whose "at"
 //     instant predates the live window answers the typed 422
 //     outside_window envelope instead of silently serving partial state,
+//   - a binary ingest request's memory kept off the heap's books: the body
+//     is read into a pooled buffer of the Content-Length the format must
+//     declare and decoded into a pooled edge slice, both handed back when
+//     svc.Ingest returns (vos.SimilarityService.Ingest: the service does
+//     not keep the slice), so between the socket and the service an edge is
+//     written twice — the body's bytes, the decoded struct — and nothing is
+//     allocated; the one copy after that is the engine's own partition into
+//     its shard queues. JSON and NDJSON bodies are decoded into fresh
+//     memory. A user id above vos.MaxUser is refused (400) in any format,
 //   - request contexts plumbed into the service, so a disconnected or
 //     timed-out caller actually aborts its in-flight top-K fan-out,
 //   - health (/v1/healthz) and readiness (/v1/readyz) probes plus

@@ -363,7 +363,18 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	defer hold.Close()
 
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)
-	edges, maxTs, err := decodeEdges(r.Header.Get("Content-Type"), body)
+	var edges []vos.Edge
+	var maxTs float64 // the binary format carries no timestamps; HeaderBatchTs is its clock
+	if isBinary {
+		// Read and decoded in pooled memory, handed back once svc.Ingest
+		// has returned: the service does not keep the slice
+		// (vos.SimilarityService.Ingest).
+		buf := ingestBufs.Get().(*ingestBuf)
+		defer buf.release()
+		edges, err = buf.decodeBinary(body, wire)
+	} else {
+		edges, maxTs, err = decodeEdges(r.Header.Get("Content-Type"), body)
+	}
 	if err != nil {
 		WriteBodyError(w, err)
 		return
@@ -428,18 +439,65 @@ func normalizeCT(contentType string) string {
 	return strings.TrimSpace(strings.ToLower(contentType))
 }
 
-// decodeEdges parses an ingest body in any of the three accepted formats.
-// The second return is the largest per-edge event timestamp seen
-// (fractional Unix seconds; 0 when none) — the binary format carries no
-// timestamps, so its batches are timestamped with HeaderBatchTs instead.
+// ingestBuf is the memory one binary POST /v1/edges is read and decoded
+// in: the body, then the edges the service is handed. Requests take one from
+// ingestBufs and give it back when the service has returned, so steady
+// ingest allocates neither.
+type ingestBuf struct {
+	body  []byte
+	edges []vos.Edge
+}
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// maxPooledBytes bounds what release keeps of each of the two buffers: a
+// rare huge batch (bodies run to MaxBatchBytes, their edges to 12x that) is
+// allocated for the request and collected after it, as every batch was
+// before the pool, instead of sitting in it for the process's life.
+const maxPooledBytes = 1 << 20
+
+// decodeBinary reads a binary body of wire bytes — the Content-Length the
+// handler demands of the format — and decodes it, both in b's memory. A body
+// shorter or longer than it promised is refused.
+func (b *ingestBuf) decodeBinary(body io.Reader, wire int64) ([]vos.Edge, error) {
+	// Room for one byte past the promise, so that a longer body shows.
+	if int64(cap(b.body)) <= wire {
+		b.body = make([]byte, wire+1)
+	}
+	n, err := io.ReadFull(body, b.body[:wire+1])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("binary body: %w", err)
+	}
+	switch {
+	case int64(n) < wire:
+		return nil, fmt.Errorf("binary body: ends after %d of the %d bytes Content-Length promised", n, wire)
+	case int64(n) > wire:
+		return nil, fmt.Errorf("binary body: runs past the %d bytes Content-Length promised", wire)
+	}
+	edges, err := stream.DecodeBinaryInto(b.edges, b.body[:n])
+	if err != nil {
+		return nil, fmt.Errorf("binary body: %w", err)
+	}
+	b.edges = edges
+	return edges, nil
+}
+
+// release returns b to the pool, less any buffer past maxPooledBytes.
+func (b *ingestBuf) release() {
+	if cap(b.body) > maxPooledBytes {
+		b.body = nil
+	}
+	if int64(cap(b.edges))*admit.EdgeMemBytes > maxPooledBytes {
+		b.edges = nil
+	}
+	ingestBufs.Put(b)
+}
+
+// decodeEdges parses an ingest body in either of the two text formats (the
+// binary one is decodeBinary's). The second return is the largest per-edge
+// event timestamp seen (fractional Unix seconds; 0 when none).
 func decodeEdges(contentType string, body io.Reader) ([]vos.Edge, float64, error) {
 	switch normalizeCT(contentType) {
-	case ContentTypeBinary:
-		edges, err := stream.ReadBinary(body)
-		if err != nil {
-			return nil, 0, fmt.Errorf("binary body: %w", err)
-		}
-		return edges, 0, nil
 	case ContentTypeNDJSON:
 		return decodeNDJSON(body)
 	case ContentTypeJSON, "", "text/json":
@@ -728,9 +786,12 @@ func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(HeaderSketchFallback, d.Fallback)
 		}
 		if data = d.Full; data == nil {
-			var buf bytes.Buffer
-			_ = stream.WriteBinary(&buf, d.Edges) // a bytes.Buffer does not fail
-			data = buf.Bytes()
+			// Edges put into a memory-only service in process may name users
+			// the encoding cannot carry; the delta is refused, not bent.
+			if data, err = stream.AppendBinary(nil, d.Edges); err != nil {
+				WriteServiceError(w, err)
+				return
+			}
 		}
 	} else if exp, ok := s.svc.(vos.StateExporter); ok {
 		var err error
@@ -883,7 +944,7 @@ func StatusFor(err error) (int, string) {
 		// Well-formed but unanswerable: the requested instant's edges have
 		// been retired from the sliding window.
 		return http.StatusUnprocessableEntity, CodeOutsideWindow
-	case errors.Is(err, vos.ErrNoWindow), errors.Is(err, vos.ErrBadCursor):
+	case errors.Is(err, vos.ErrNoWindow), errors.Is(err, vos.ErrBadCursor), errors.Is(err, vos.ErrUserRange):
 		return http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, vos.ErrCorruptSketch), errors.Is(err, vos.ErrFamilyMismatch):
 		// Cluster import of undecodable or cross-family state: the request

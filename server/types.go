@@ -37,8 +37,14 @@ type EdgeJSON struct {
 	Ts   float64 `json:"ts,omitempty"`
 }
 
-// Edge converts to the stream element type. It rejects unknown ops.
+// Edge converts to the stream element type. It rejects unknown ops, and a
+// user id the binary encoding could not carry further (vos.ErrUserRange): a
+// durable service would refuse it at its log, and a memory-only one must
+// answer alike.
 func (e EdgeJSON) Edge() (vos.Edge, error) {
+	if e.User > uint64(vos.MaxUser) {
+		return vos.Edge{}, fmt.Errorf("user %d: %w", e.User, vos.ErrUserRange)
+	}
 	op := vos.Insert
 	switch e.Op {
 	case "+", "":

@@ -36,6 +36,12 @@ type SimilarityService interface {
 	// backpressure (full shard queues) therefore blocks past cancellation;
 	// bound it with queue sizing, not ctx. Returns ErrClosed once the
 	// backing engine has shut down — the edges were NOT accepted.
+	//
+	// The slice is the caller's again when the call returns: implementations
+	// must not keep it — what they buffer past the call they copy — so a
+	// caller may decode the next batch into the same memory (package server
+	// and the UDP receiver do). TestIngestDoesNotKeepTheSlice holds every
+	// implementation in the module to it.
 	Ingest(ctx context.Context, edges []Edge) error
 	// Similarity estimates the similarity of users u and v. Returns
 	// ErrClosed once the backing engine has shut down and

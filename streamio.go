@@ -23,7 +23,22 @@ func ReadStreamText(r io.Reader) ([]Edge, error) {
 	return stream.ReadText(r)
 }
 
-// WriteStreamBinary writes edges in the binary format.
+// MaxUser is the largest user id that survives an encoded hop. The binary
+// element encoding — the stream file, a durable Engine's write-ahead log,
+// the HTTP client's request body, the UDP frame — folds the op bit into the
+// user's 64-bit varint, which leaves the id 63 bits.
+const MaxUser = stream.MaxUser
+
+// ErrUserRange is what every one of those hops answers (errors.Is) to a
+// user id above MaxUser: WriteStreamBinary, Process and ProcessBatch on a
+// durable Engine, client.Client and client.UDPClient; the server answers
+// the same ids in a JSON body with 400 bad_request. The call is refused
+// whole and nothing is written, logged or sent. An in-process, memory-only
+// Sketch or Engine encodes nothing and takes the full 64-bit range.
+var ErrUserRange = stream.ErrUserRange
+
+// WriteStreamBinary writes edges in the binary format; ErrUserRange for a
+// user id above MaxUser.
 func WriteStreamBinary(w io.Writer, edges []Edge) error {
 	return stream.WriteBinary(w, edges)
 }

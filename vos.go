@@ -177,6 +177,9 @@ func Unmarshal(data []byte) (*Sketch, error) { return core.UnmarshalVOS(data) }
 // UserFromString maps an external string identifier (a username, URL, …)
 // into the User key space with a fixed hash, so string-keyed applications
 // can use the sketches directly. The mapping is stable across processes.
+// It spans all 64 bits, so half of its results are above MaxUser, which no
+// encoded hop carries (ErrUserRange): clear the top bit (& MaxUser) of ids
+// bound for a server, a stream file or a durable Engine.
 func UserFromString(s string) User {
 	return User(hashing.HashString(s, 0x75736572734b6579))
 }
