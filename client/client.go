@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -117,6 +117,9 @@ func (o Options) withDefaults() Options {
 type Client struct {
 	base string
 	opt  Options
+	// maxResponse caps a response body: server.MaxSketchBytes, the largest
+	// export a server may send (a field so that a test can lower it).
+	maxResponse int64
 
 	// flushMu is held across take-and-ship (and, in the linger goroutine,
 	// parking the ship's error), so a Flush that finds the buffer empty
@@ -144,9 +147,10 @@ var (
 // any trailing slash is trimmed.
 func New(baseURL string, opt Options) *Client {
 	c := &Client{
-		base: strings.TrimRight(baseURL, "/"),
-		opt:  opt.withDefaults(),
-		stop: make(chan struct{}),
+		base:        strings.TrimRight(baseURL, "/"),
+		opt:         opt.withDefaults(),
+		maxResponse: server.MaxSketchBytes,
+		stop:        make(chan struct{}),
 	}
 	if c.opt.Linger > 0 {
 		c.wg.Add(1)
@@ -375,14 +379,32 @@ func (c *Client) SimilarityAt(ctx context.Context, u, v vos.User, at time.Time) 
 // similarity is the shared body of Similarity and SimilarityAt; an empty at
 // means no instant assertion.
 func (c *Client) similarity(ctx context.Context, u, v vos.User, at string) (est vos.Estimate, err error) {
-	q := url.Values{}
-	q.Set("u", strconv.FormatUint(uint64(u), 10))
-	q.Set("v", strconv.FormatUint(uint64(v), 10))
-	if at != "" {
-		q.Set("at", at)
-	}
-	err = c.getRetry(ctx, server.RouteSimilarity+"?"+q.Encode(), &est)
+	path := similarityPath(u, v, at)
+	err = c.retry(ctx, func() error {
+		raw, _, err := c.call(ctx, http.MethodGet, path, "", nil)
+		if err != nil {
+			return err
+		}
+		var ok bool
+		if est, ok = server.ScanEstimate(raw); !ok {
+			return decodeJSON(path, raw, &est) // not this module's bytes: any valid JSON will do
+		}
+		return nil
+	})
 	return est, err
+}
+
+// similarityPath is the route and query of a pair read, the bytes
+// url.Values.Encode writes for these keys (sorted: at, u, v) without the map.
+func similarityPath(u, v vos.User, at string) string {
+	b := make([]byte, 0, 80)
+	b = append(b, server.RouteSimilarity+"?"...)
+	if at != "" {
+		b = append(append(append(b, "at="...), at...), '&')
+	}
+	b = strconv.AppendUint(append(b, "u="...), uint64(u), 10)
+	b = strconv.AppendUint(append(b, "&v="...), uint64(v), 10)
+	return string(b)
 }
 
 // AdvanceWindow drives the remote sliding window's event time forward to
@@ -460,9 +482,11 @@ func (c *Client) completeTopK(ctx context.Context, req server.TopKRequest) ([]vo
 // Top-K is a read however it is parameterised, so it retries like the GETs
 // despite travelling as a POST.
 func (c *Client) postTopK(ctx context.Context, req server.TopKRequest) (top []vos.TopKResult, complete bool, err error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
+	body, ok := server.AppendTopKRequest(nil, req)
+	if !ok {
+		if body, err = json.Marshal(req); err != nil {
+			return nil, false, err
+		}
 	}
 	err = c.retry(ctx, func() error {
 		raw, hdr, err := c.call(ctx, http.MethodPost, server.RouteTopK, server.ContentTypeJSON, body)
@@ -470,7 +494,10 @@ func (c *Client) postTopK(ctx context.Context, req server.TopKRequest) (top []vo
 			return err
 		}
 		complete = hdr.Get(server.HeaderPartial) != "true"
-		return decodeJSON(server.RouteTopK, raw, &top)
+		if top, ok = server.ScanTopK(raw); !ok {
+			return decodeJSON(server.RouteTopK, raw, &top)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -563,6 +590,10 @@ func (c *Client) call(ctx context.Context, method, path, contentType string, bod
 	return c.doRaw(req)
 }
 
+// errResponseTooLarge is a response longer than Client.maxResponse: the same
+// answer would come back again, so it is not retried (Retryable).
+var errResponseTooLarge = errors.New("response exceeds the limit")
+
 // doRaw executes the request and returns a 2xx response's raw body and
 // headers, or decodes the error envelope into *Error. It is the transport
 // floor under call and do, which every request but the one that sets a
@@ -578,10 +609,20 @@ func (c *Client) doRaw(req *http.Request) ([]byte, http.Header, error) {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	// Sized from Content-Length when the server sent one (plus the room
+	// ReadFrom wants before it will stop growing), read one byte past the
+	// cap so that a longer body is an error and not a prefix.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= c.maxResponse {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.maxResponse+1)); err != nil {
 		return nil, nil, err
 	}
+	if int64(buf.Len()) > c.maxResponse {
+		return nil, nil, fmt.Errorf("client: %s %s: %w of %d bytes", req.Method, req.URL.Path, errResponseTooLarge, c.maxResponse)
+	}
+	body := buf.Bytes()
 	if resp.StatusCode >= 400 {
 		var env server.ErrorEnvelope
 		if json.Unmarshal(body, &env) == nil && env.Error.Code != "" {

@@ -49,14 +49,15 @@ func (p RetryPolicy) Do(ctx context.Context, attempt func() error) error {
 }
 
 // Retryable reports whether err is worth a retry: transport-level
-// failures and server-side 5xx, but never context cancellation and never
+// failures and server-side 5xx, but never context cancellation, never a
+// response past the client's size limit (it would be as long again) and never
 // 4xx (the request itself is wrong; resending it cannot help). 501 is the
 // 5xx exception — "capability not implemented" is as permanent as a 4xx.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errResponseTooLarge) {
 		return false
 	}
 	var apiErr *Error

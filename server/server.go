@@ -637,13 +637,14 @@ func (s *Server) checkAt(w http.ResponseWriter, r *http.Request, at float64) boo
 }
 
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
-	u, okU := parseID(r.URL.Query().Get("u"))
-	v, okV := parseID(r.URL.Query().Get("v"))
+	q := r.URL.Query()
+	u, okU := parseID(q.Get("u"))
+	v, okV := parseID(q.Get("v"))
 	if !okU || !okV {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "u and v must be unsigned integers")
 		return
 	}
-	if atStr := r.URL.Query().Get("at"); atStr != "" {
+	if atStr := q.Get("at"); atStr != "" {
 		at, err := strconv.ParseFloat(atStr, 64)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest, "at must be fractional unix seconds")
@@ -658,14 +659,28 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		WriteServiceError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, est)
+	buf := answerBufs.Get().(*answerBuf)
+	defer buf.release()
+	var ok bool
+	if buf.b, ok = AppendEstimate(buf.b[:0], est); !ok {
+		WriteJSON(w, http.StatusOK, est)
+		return
+	}
+	writeJSONBytes(w, buf.b)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+	// The body is read and the answer appended in the same pooled bytes: the
+	// request is a value of its own by the time there is a ranking to write.
+	buf := answerBufs.Get().(*answerBuf)
+	defer buf.release()
 	var req TopKRequest
-	err := DecodeJSONBody(r, s.opt.MaxBatchBytes, &req)
+	var err error
+	if buf.b, err = readInto(buf.b[:0], http.MaxBytesReader(nil, r.Body, s.opt.MaxBatchBytes)); err == nil {
+		req, err = decodeTopKRequest(buf.b)
+	}
 	if err != nil {
-		WriteBodyError(w, err)
+		WriteBodyError(w, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	var top []vos.TopKResult
@@ -719,7 +734,55 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if top == nil {
 		top = []vos.TopKResult{} // an empty ranking travels as [], not null
 	}
-	WriteJSON(w, http.StatusOK, top)
+	var ok bool
+	if buf.b, ok = AppendTopK(buf.b[:0], top); !ok {
+		WriteJSON(w, http.StatusOK, top)
+		return
+	}
+	writeJSONBytes(w, buf.b)
+}
+
+// decodeTopKRequest reads a POST /v1/topk body: by the kernel when it is in
+// the canonical form, strictly by encoding/json when it is anything else.
+func decodeTopKRequest(body []byte) (TopKRequest, error) {
+	req, ok := ScanTopKRequest(body)
+	if ok {
+		return req, nil
+	}
+	err := DecodeStrictJSON(bytes.NewReader(body), &req)
+	return req, err
+}
+
+// answerBuf is the memory a query handler reads its request body into and
+// appends its answer to (answerjson.go); w.Write has copied the bytes when it
+// returns, so the next request may have them.
+type answerBuf struct{ b []byte }
+
+var answerBufs = sync.Pool{New: func() any { return new(answerBuf) }}
+
+// release returns a to the pool unless one huge request grew it past what
+// the pool keeps (maxPooledBytes).
+func (a *answerBuf) release() {
+	if cap(a.b) <= maxPooledBytes {
+		answerBufs.Put(a)
+	}
+}
+
+// readInto appends r to b until EOF: io.ReadAll into memory the caller owns.
+func readInto(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
@@ -761,12 +824,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // --- cluster state transfer ---
 
-// maxImportBytes caps a POST /v1/cluster/import body. A serialized sketch
-// is array + cardinality map — far under this for any real config — but
-// the cap keeps a malicious body from buffering without bound (imports
-// are rare control-plane transfers, deliberately not charged against the
-// ingest admission budget).
-const maxImportBytes = 1 << 30
+// MaxSketchBytes caps a POST /v1/cluster/import body, and with it what
+// package client reads of any response: a GET /v1/cluster/sketch answer is
+// the next import's body, so both ends take what the other may send. A
+// serialized sketch is array + cardinality map — far under this for any
+// real config — but the cap keeps a malicious body from buffering without
+// bound (imports are rare control-plane transfers, deliberately not charged
+// against the ingest admission budget).
+const MaxSketchBytes = 1 << 30
 
 // handleClusterSketch serves the backing service's state: in full, or —
 // to a ?since= cursor, from a service that keeps a journal — as the edges
@@ -820,7 +885,7 @@ func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("cluster import takes %s, got %q", ContentTypeBinary, ct))
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSketchBytes))
 	if err != nil {
 		WriteBodyError(w, err)
 		return
@@ -962,6 +1027,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeJSONBytes writes a 200 whose JSON body is already encoded, under its
+// length: net/http works that out by itself only up to 2 KiB — a top 10 is
+// past it — and the client sizes its read from it.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", ContentTypeJSON)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // WriteError writes the typed error envelope.

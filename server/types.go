@@ -16,10 +16,15 @@ import (
 // forms — and package client imports it rather than keeping a copy, so the
 // two ends of the wire cannot drift.
 //
-// Estimates travel as full float64 JSON numbers. encoding/json emits the
-// shortest decimal that round-trips the exact float64, so a decoded
-// estimate is bit-identical to the one the engine produced — the property
-// the client↔server parity tests pin.
+// Estimates travel as full float64 JSON numbers: the shortest decimal that
+// round-trips the exact float64, so a decoded estimate is bit-identical to
+// the one the engine produced — the property the client↔server parity tests
+// pin. For the pair estimate, the top-K ranking and the top-K request the
+// kernel in answerjson.go emits and reads it (strconv's shortest digits under
+// encoding/json's format rule), for every other body and for whatever the
+// kernel declines encoding/json does; FuzzAnswerJSON and
+// TestAnswerJSONDifferential hold the two equal byte for byte, and
+// TestWireGolden pins the bytes themselves.
 
 // EdgeJSON is one stream element on the wire: {"user":u,"item":i,"op":"+"}.
 // Op is "+" (insert, the default when omitted) or "-" (delete).
