@@ -125,14 +125,12 @@ func accuracyBench(b *testing.B, p gen.Profile, metric string) {
 		}
 		last = r
 	}
+	final, armse := last.Final()
+	if metric != "AAPE" {
+		final = armse
+	}
 	for _, m := range similarity.Methods {
-		var v float64
-		if metric == "AAPE" {
-			v = last.AAPE.Get(m).Last()
-		} else {
-			v = last.ARMSE.Get(m).Last()
-		}
-		b.ReportMetric(v, metric+"_"+m)
+		b.ReportMetric(final[m], metric+"_"+m)
 	}
 }
 

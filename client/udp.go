@@ -156,7 +156,7 @@ func (c *UDPClient) Ingest(ctx context.Context, edges []vos.Edge) error {
 	c.pend = append(c.pend, edges...)
 	for len(c.pend) >= c.opt.BatchSize {
 		batch := c.pend[:c.opt.BatchSize]
-		if err := c.shipLocked(ctx, batch, false); err != nil {
+		if _, err := c.shipLocked(ctx, batch, false); err != nil {
 			return err
 		}
 		c.pend = c.pend[c.opt.BatchSize:]
@@ -179,9 +179,16 @@ func (c *UDPClient) Flush(ctx context.Context) error {
 		return vos.ErrClosed
 	}
 	if len(c.pend) > 0 {
+		// Out of the buffer while shipLocked may drop mu to wait for an ack
+		// slot: a concurrent Ingest must not frame these edges as well.
 		batch := c.pend
 		c.pend = nil
-		if err := c.shipLocked(ctx, batch, c.opt.AckEvery > 0); err != nil {
+		if wrote, err := c.shipLocked(ctx, batch, c.opt.AckEvery > 0); err != nil {
+			if !wrote {
+				// Never sent: still buffered, as after a failed Ingest, ahead
+				// of whatever arrived meanwhile.
+				c.pend = append(batch, c.pend...)
+			}
 			return err
 		}
 	}
@@ -192,7 +199,7 @@ func (c *UDPClient) Flush(ctx context.Context) error {
 	// asked: the receiver observes its sequence and answers the ledger.
 	last := c.seq - 1
 	if _, outstanding := c.pending[last]; !outstanding {
-		if err := c.shipLocked(ctx, nil, true); err != nil {
+		if _, err := c.shipLocked(ctx, nil, true); err != nil {
 			return err
 		}
 		last = c.seq - 1
@@ -245,12 +252,14 @@ func (c *UDPClient) TakeRTTs() []time.Duration {
 }
 
 // shipLocked frames and sends one batch under mu. forceAck requests an
-// ack regardless of the AckEvery cadence.
-func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck bool) error {
+// ack regardless of the AckEvery cadence. wrote reports whether the frame
+// reached the socket: an error before that (no ack slot before ctx ended, an
+// encode refusal) has sent nothing.
+func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck bool) (wrote bool, err error) {
 	ackReq := forceAck || (c.opt.AckEvery > 0 && c.st.FramesSent%uint64(c.opt.AckEvery) == 0)
 	if ackReq {
 		if err := c.reserveAckSlotLocked(ctx); err != nil {
-			return err
+			return false, err
 		}
 	}
 	var flags uint16
@@ -259,11 +268,11 @@ func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck b
 	}
 	frame, err := netproto.AppendDataFrame(c.buf[:0], c.opt.Session, c.seq, flags, edges)
 	if err != nil {
-		return err
+		return false, err
 	}
 	c.buf = frame
 	if _, err := c.conn.Write(frame); err != nil {
-		return err
+		return true, err
 	}
 	if ackReq {
 		c.pending[c.seq] = time.Now()
@@ -272,7 +281,7 @@ func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck b
 	c.seq++
 	c.st.FramesSent++
 	c.st.EdgesSent += uint64(len(edges))
-	return nil
+	return true, nil
 }
 
 // reserveAckSlotLocked blocks (dropping mu while waiting) until the

@@ -156,6 +156,49 @@ func TestUDPClientAckWindowOverflow(t *testing.T) {
 	}
 }
 
+// TestUDPFlushKeepsEdgesItNeverSent: a Flush that fails before its frame
+// reaches the socket — here a cancelled ctx while the ack window is full —
+// leaves the residue buffered, as Ingest does on the same failure, and the
+// next Flush ships it.
+func TestUDPFlushKeepsEdgesItNeverSent(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0") // sends succeed, acks never come
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	c, err := NewUDP(pc.LocalAddr().String(), UDPOptions{
+		BatchSize:  2,
+		AckEvery:   1,
+		AckWindow:  1,
+		AckTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One full frame takes the only ack slot; the third edge stays buffered.
+	three := []vos.Edge{{User: 1, Item: 1, Op: vos.Insert}, {User: 1, Item: 2, Op: vos.Insert}, {User: 1, Item: 3, Op: vos.Insert}}
+	if err := c.Ingest(context.Background(), three); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Flush(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Flush under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	if st := c.Stats(); st.EdgesSent != 2 {
+		t.Fatalf("EdgesSent = %d after the refused Flush, want 2", st.EdgesSent)
+	}
+	// The silent receiver still fails the confirmation, but only after the
+	// abandoned slot let the residue out.
+	if err := c.Flush(context.Background()); err == nil || !strings.Contains(err.Error(), "no ack") {
+		t.Fatalf("Flush against a silent receiver = %v, want unconfirmed-delivery error", err)
+	}
+	if st := c.Stats(); st.EdgesSent != 3 {
+		t.Fatalf("EdgesSent = %d: the refused Flush dropped the edge it never sent", st.EdgesSent)
+	}
+}
+
 // TestUDPClientAcksDisabled: AckEvery < 0 turns the client into pure
 // fire-and-forget — no ack goroutine, Flush returns without waiting, and
 // edges still arrive.

@@ -34,37 +34,29 @@ import (
 )
 
 func main() {
+	// The flags' defaults are the harness's own: what a flag does not set,
+	// and a zero a flag does set, is experiments.Defaults().
+	opts := experiments.Defaults()
 	var (
 		experiment = flag.String("experiment", "all", "experiment id ("+strings.Join(experimentIDs(), " ")+" all)")
-		scale      = flag.Float64("scale", 0.01, "dataset profile scale factor (paper scale = 1.0)")
-		seed       = flag.Int64("seed", 2, "workload seed")
-		k32        = flag.Int("k", 100, "registers per user for the baselines (paper: 100)")
-		lambda     = flag.Int("lambda", 2, "VOS virtual-sketch multiplier (paper: 2)")
-		topUsers   = flag.Int("topusers", 100, "highest-cardinality users seeding tracked pairs")
-		maxPairs   = flag.Int("maxpairs", 500, "cap on tracked pairs")
-		checks     = flag.Int("checkpoints", 12, "measurement points for over-time panels")
-		runtimeKs  = flag.String("runtime-ks", "1,10,100,1000,10000", "comma-separated k sweep for fig2")
-		dataset    = flag.String("dataset", "YouTube", "profile for single-dataset experiments (YouTube, Flickr, Orkut, LiveJournal)")
+		runtimeKs  = flag.String("runtime-ks", formatIntList(opts.RuntimeKs), "comma-separated k sweep for fig2")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of aligned text")
 		outdir     = flag.String("outdir", "", "also write each table as <outdir>/<id>.csv")
 	)
+	flag.Float64Var(&opts.Scale, "scale", opts.Scale, "dataset profile scale factor (paper scale = 1.0)")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "workload seed")
+	flag.IntVar(&opts.K32, "k", opts.K32, "registers per user for the baselines (paper: 100)")
+	flag.IntVar(&opts.Lambda, "lambda", opts.Lambda, "VOS virtual-sketch multiplier (paper: 2)")
+	flag.IntVar(&opts.TopUsers, "topusers", opts.TopUsers, "highest-cardinality users seeding tracked pairs")
+	flag.IntVar(&opts.MaxPairs, "maxpairs", opts.MaxPairs, "cap on tracked pairs")
+	flag.IntVar(&opts.Checkpoints, "checkpoints", opts.Checkpoints, "measurement points for over-time panels")
+	flag.StringVar(&opts.Dataset, "dataset", opts.Dataset, "profile for single-dataset experiments (YouTube, Flickr, Orkut, LiveJournal)")
 	flag.Parse()
 
-	ks, err := parseIntList(*runtimeKs, "-runtime-ks")
-	if err != nil {
+	var err error
+	if opts.RuntimeKs, err = parseIntList(*runtimeKs, "-runtime-ks"); err != nil {
 		fatal(err)
-	}
-	opts := experiments.Options{
-		Scale:       *scale,
-		Seed:        *seed,
-		K32:         *k32,
-		Lambda:      *lambda,
-		TopUsers:    *topUsers,
-		MaxPairs:    *maxPairs,
-		Checkpoints: *checks,
-		Dataset:     *dataset,
-		RuntimeKs:   ks,
 	}
 
 	tables, err := run(*experiment, opts)
@@ -185,6 +177,15 @@ func two(fn func(experiments.Options) (a, b *experiments.Table, err error)) runn
 		}
 		return []*experiments.Table{a, b}, nil
 	}
+}
+
+// formatIntList writes ks the way parseIntList reads them.
+func formatIntList(ks []int) string {
+	parts := make([]string, len(ks))
+	for i, k := range ks {
+		parts[i] = strconv.Itoa(k)
+	}
+	return strings.Join(parts, ",")
 }
 
 // parseIntList parses a comma-separated list of positive integers, naming

@@ -80,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		batchSize  = fs.Int("batch-size", 0, "edges per shard batch (0 = default 256)")
 		queueSize  = fs.Int("queue-size", 0, "per-shard queue capacity in edges (0 = default 8192)")
 		linger     = fs.Duration("flush-interval", 0, "partial-batch linger interval (0 = default 50ms)")
-		maxLag     = fs.Uint64("snapshot-max-lag", 0, "let a read answer from a merged view up to this many applied edges behind (0 = exact); it still waits on Flush first")
 		cacheUsers = fs.Int("position-cache-users", 0, "position-table cache entries (0 = default 512, negative disables)")
 
 		window  = fs.Duration("window", 0, "sliding-window span: queries cover only the last this-much stream time (0 = retain everything)")
@@ -110,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 		BatchSize:          *batchSize,
 		QueueSize:          *queueSize,
 		FlushInterval:      *linger,
-		SnapshotMaxLag:     *maxLag,
 		PositionCacheUsers: *cacheUsers,
 	}
 	if *window > 0 {

@@ -29,10 +29,9 @@ import (
 type Engine = engine.Engine
 
 // EngineConfig parameterises an Engine: the per-shard sketch Config plus
-// shard count, batch size, queue capacity, linger interval, the query
-// snapshot staleness budget, and the position-cache size. Zero values
-// select defaults (Shards = GOMAXPROCS, BatchSize = 256, QueueSize = 8192
-// edges, FlushInterval = 50ms, SnapshotMaxLag = 0 i.e. exact queries,
+// shard count, batch size, queue capacity, linger interval, and the
+// position-cache size. Zero values select defaults (Shards = GOMAXPROCS,
+// BatchSize = 256, QueueSize = 8192 edges, FlushInterval = 50ms,
 // PositionCacheUsers = 512; set PositionCacheUsers negative to disable
 // position caching). Setting Window puts the engine in sliding-window
 // mode (see WindowConfig); setting Durability makes it durable (see

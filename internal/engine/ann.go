@@ -33,8 +33,9 @@ import (
 // so every edge maps to one (user, band) pair, and per distinct pair the probe
 // recovers only that band's Rows bits from the view (core.VOS.RecoverRange)
 // and re-keys that one band (lsh.BandIndex.PutBand). Reading exactly up to the
-// view's cursor is what makes a lagged view safe: a write the view does not
-// hold yet stays in the journal for the probe whose view does.
+// view's cursor is what makes a view the workers have moved past safe: a
+// write the view does not hold yet stays in the journal for the probe whose
+// view does.
 //
 // Bits that other users' writes flip under a member (noise: the array is
 // shared) are not tracked, and need not be. They are as likely before a key
@@ -82,9 +83,6 @@ type ANNConfig struct {
 	// threshold (1/b)^(1/r) of per-bit agreement). Bands·Rows must not
 	// exceed Sketch.SketchBits. Default: 16.
 	Rows int
-	// Seed drives band bucket hashing. Default: derived from the sketch
-	// seed, so engines with equal configs band alike.
-	Seed uint64
 	// RebandBudget bounds how many stale users one probe re-bands before
 	// answering, amortising bulk invalidations (initial build excepted —
 	// the first probe indexes every user); re-keying single bands spends it
@@ -92,16 +90,13 @@ type ANNConfig struct {
 	RebandBudget int
 }
 
-// withDefaults resolves zero fields against the sketch seed.
-func (c ANNConfig) withDefaults(sketchSeed uint64) ANNConfig {
+// withDefaults resolves zero fields.
+func (c ANNConfig) withDefaults() ANNConfig {
 	if c.Bands == 0 {
 		c.Bands = 64
 	}
 	if c.Rows == 0 {
 		c.Rows = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = hashing.Hash64(sketchSeed, 0x616e6e42616e64) // "annBand"
 	}
 	if c.RebandBudget == 0 {
 		c.RebandBudget = 16384
@@ -194,7 +189,9 @@ type annIndex struct {
 
 // newANNIndex validates and builds the engine's ANN state.
 func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, error) {
-	params := lsh.Params{Bands: cfg.Bands, Rows: cfg.Rows, Seed: cfg.Seed}
+	// Band buckets hash under a seed derived from the sketch's, so engines
+	// with equal configs band alike.
+	params := lsh.Params{Bands: cfg.Bands, Rows: cfg.Rows, Seed: hashing.Hash64(sketch.Seed, 0x616e6e42616e64)} // "annBand"
 	ix, err := lsh.NewBandIndex(params, sketch.SketchBits)
 	if err != nil {
 		return nil, fmt.Errorf("engine: ANN config: %w", err)
@@ -287,10 +284,15 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 		return nil, ErrNoANN
 	}
 	e.maybeAdvance()
-	view := e.acquire(e.lagged)
+	view := e.acquire()
 	defer view.Release() // held through maintenance and the scoring fan-out
-	snap := view.Sk
+	return e.topKApproxOn(ctx, a, view, u, n)
+}
 
+// topKApproxOn answers the probe from view, which the caller holds: by the
+// time a probe has a.mu another may have moved the index past its view.
+func (e *Engine) topKApproxOn(ctx context.Context, a *annIndex, view *view, u stream.User, n int) ([]core.TopKResult, error) {
+	snap := view.Sk
 	a.mu.Lock()
 	if err := e.annMaintain(a, view); err != nil {
 		a.mu.Unlock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -68,13 +69,11 @@ func annMembers(e *Engine) map[stream.User]bool {
 }
 
 // assertANNEqualsView requires the band index to be exactly the banding of
-// the published view: its members the users of nonzero cardinality, and
-// every member's stored keys the keys of its full recovery.
-func assertANNEqualsView(t *testing.T, e *Engine, at string) {
+// sk, the view the last probe ran on: its members the users of nonzero
+// cardinality, and every member's stored keys the keys of its full recovery.
+func assertANNEqualsView(t *testing.T, e *Engine, sk *core.VOS, at string) {
 	t.Helper()
-	sk := e.snapshot()
-	c := e.cfg.ANN
-	p := lsh.Params{Bands: c.Bands, Rows: c.Rows, Seed: c.Seed}
+	p := e.ann.ix.Params()
 	users := 0
 	sk.ForEachUser(func(u stream.User, _ int64) bool {
 		users++
@@ -124,10 +123,6 @@ func TestANNDifferential(t *testing.T) {
 					}
 					now := time.Unix(1000, 0)
 					switch shape {
-					case "lagged":
-						// More than a journal bound a shard: a view can lag behind
-						// evicted batches.
-						cfg.SnapshotMaxLag = 1500 * uint64(shards)
 					case "windowed":
 						clk := newFakeClock(now) // pinned: only AdvanceWindowTo rotates
 						cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
@@ -138,6 +133,41 @@ func TestANNDifferential(t *testing.T) {
 					}
 					defer e.Close()
 					a := e.ann
+					// On the lagged shape probes stay on the view they hold until
+					// the shards are more than a journal bound each past it, so
+					// a view can lag behind evicted batches; on the others a
+					// probe's view is the present.
+					var held *view
+					defer func() {
+						if held != nil {
+							held.Release()
+						}
+					}()
+					dropHeld := func() {
+						if held != nil {
+							held.Release()
+							held = nil
+						}
+					}
+					probeView := func() *view {
+						if held != nil {
+							lag := uint64(0)
+							for i, s := range e.shards {
+								lag += s.processed.Load() - held.Stamp.at[i]
+							}
+							if held.Stamp.gen == e.imports.Load() && lag <= 1500*uint64(shards) {
+								return held
+							}
+							dropHeld()
+						}
+						v := e.acquire()
+						if shape == "lagged" {
+							held = v
+						} else {
+							v.Release() // unwritten while the writers are quiet: only its stamp and sketch are read
+						}
+						return v
+					}
 					write := func(edges []stream.Edge) {
 						t.Helper()
 						if err := e.ProcessBatch(edges); err != nil {
@@ -161,18 +191,25 @@ func TestANNDifferential(t *testing.T) {
 						a.mu.Lock()
 						a.cfg.RebandBudget = budget
 						a.mu.Unlock()
+						var probed *core.VOS
 						if flushed { // then this is the view the probe is about to get
-							v := e.acquire(e.lagged)
+							v := probeView()
+							probed = v.Sk
 							for i, s := range e.shards {
 								s.jMu.Lock()
 								sawLaggedView = sawLaggedView || v.Stamp.at[i] < s.jFrom
 								s.jMu.Unlock()
 							}
-							v.Release()
 						}
 						before, _ := e.ANNStats()
 						was := annMembers(e)
-						if _, err := e.TopKApprox(stream.User(rng.Intn(users)), 5); err != nil {
+						var err error
+						if u := stream.User(rng.Intn(users)); shape == "lagged" {
+							_, err = e.topKApproxOn(context.Background(), a, probeView(), u, 5)
+						} else {
+							_, err = e.TopKApprox(u, 5)
+						}
+						if err != nil {
 							t.Fatal(err)
 						}
 						after, _ := e.ANNStats()
@@ -207,7 +244,7 @@ func TestANNDifferential(t *testing.T) {
 						if drained = after.DirtyBacklog == 0; drained {
 							wholeCause = false
 							if flushed { // else the workers are moving the view on already
-								assertANNEqualsView(t, e, at)
+								assertANNEqualsView(t, e, probed, at)
 							}
 						}
 					}
@@ -217,9 +254,7 @@ func TestANNDifferential(t *testing.T) {
 					current := func(at string) {
 						t.Helper()
 						e.Flush()
-						if _, err := e.MarshalBinary(); err != nil {
-							t.Fatal(err)
-						}
+						dropHeld()
 						for i := 0; i < 5; i++ {
 							probe(at, -1, true)
 						}

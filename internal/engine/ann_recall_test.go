@@ -93,7 +93,7 @@ func TestANNIncrementalRecall(t *testing.T) {
 		for u := range all {
 			all[u] = stream.User(u)
 		}
-		fresh, err := lsh.NewBandIndex(lsh.Params{Bands: e.cfg.ANN.Bands, Rows: e.cfg.ANN.Rows, Seed: e.cfg.ANN.Seed}, snap.K())
+		fresh, err := lsh.NewBandIndex(e.ann.ix.Params(), snap.K())
 		if err != nil {
 			t.Fatal(err)
 		}

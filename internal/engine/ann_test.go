@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -327,6 +328,10 @@ func mateCount(t *testing.T, e *Engine, u, lo, hi stream.User) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return matesIn(all, lo, hi)
+}
+
+func matesIn(all []core.TopKResult, lo, hi stream.User) int {
 	found := 0
 	for _, r := range all {
 		if r.User >= lo && r.User < hi {
@@ -379,9 +384,11 @@ func TestTopKApproxFindsImportedUsers(t *testing.T) {
 }
 
 // TestTopKApproxLaggedViewKeepsWrites pins that a write is banded from a
-// view that holds it. With SnapshotMaxLag > 0 a probe can run against a view
-// that predates a user's writes; the index must still pick that user up
-// once the view catches up, not consider it dealt with on the stale one.
+// view that holds it. A probe can run against a view that predates a user's
+// writes — it acquired the view and the workers, or another probe, moved on;
+// the index must still pick that user up from a view that holds them, not
+// consider it dealt with on the stale one, and a probe whose view is older
+// than the index's cursor must leave the index alone.
 func TestTopKApproxLaggedViewKeepsWrites(t *testing.T) {
 	edges, _ := plantedClusterEdges(2, 200, 180, 40, 4)
 	var first, mate []stream.Edge
@@ -392,9 +399,7 @@ func TestTopKApproxLaggedViewKeepsWrites(t *testing.T) {
 			first = append(first, ed)
 		}
 	}
-	cfg := annConfig(2)
-	cfg.SnapshotMaxLag = 1000
-	e, err := New(cfg)
+	e, err := New(annConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,30 +411,37 @@ func TestTopKApproxLaggedViewKeepsWrites(t *testing.T) {
 	if got := mateCount(t, e, 0, 1, 2); got != 0 {
 		t.Fatalf("mate found before it was written")
 	}
-	// The mate's 200 edges stay inside the lag budget: this probe answers
-	// from the view without them.
+	stale := e.acquire() // the view that probe ran on, held across the mate's writes
+	defer stale.Release()
+	onStale := func() int {
+		t.Helper()
+		all, err := e.topKApproxOn(context.Background(), e.ann, stale, 0, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matesIn(all, 1, 2)
+	}
 	if err := e.ProcessBatch(mate); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
-	if got := mateCount(t, e, 0, 1, 2); got != 0 {
-		t.Fatalf("lagged view already holds the mate: the test no longer exercises the lag")
+	if got := onStale(); got != 0 {
+		t.Fatalf("the stale view already holds the mate: the test no longer exercises the lag")
 	}
-	// Unrelated writes push the lag past the budget; the next view holds
-	// the mate (exact J = 0.82), and so must the index.
-	var push []stream.Edge
-	for j := 0; j < 900; j++ {
-		push = append(push, stream.Edge{User: stream.User(1000 + j%30), Item: stream.Item(1<<41 + uint64(j)), Op: stream.Insert})
-	}
-	if err := e.ProcessBatch(push); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
+	// The next view holds the mate (exact J = 0.82), and so must the index.
 	if c := e.Query(0, 1).CardinalityV; c != 200 {
 		t.Fatalf("view still lags: mate cardinality %d", c)
 	}
 	if got := mateCount(t, e, 0, 1, 2); got != 1 {
 		t.Fatal("mate written under a lagged view is never banded")
+	}
+	// The index is now past the stale view: a probe still on it answers from
+	// its own view and unbands nothing.
+	if got := onStale(); got != 0 {
+		t.Fatalf("a probe on a view without the mate found it")
+	}
+	if got := mateCount(t, e, 0, 1, 2); got != 1 {
+		t.Fatal("a probe on an older view took the mate out of the index")
 	}
 }
 

@@ -124,7 +124,7 @@ func (e *Engine) ExportSince(since string) (Delta, error) {
 			return d, nil
 		}
 	}
-	snap := e.acquire(e.exact)
+	snap := e.acquire()
 	defer snap.Release()
 	data, err := snap.Sk.MarshalBinary()
 	if err != nil {

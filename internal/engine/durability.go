@@ -184,7 +184,7 @@ func foldable(what string, got, want core.Config) error {
 // journal records it: callers that fold into a serving engine hold stateMu
 // and move the epoch (ImportSketch).
 func (e *Engine) fold(sk *core.VOS, k int) {
-	for i, part := range sk.Partition(len(e.shards), e.cfg.RouteSeed) {
+	for i, part := range sk.Partition(len(e.shards), e.routeSeed) {
 		s := e.shards[i]
 		s.skMu.Lock()
 		var err error
@@ -222,6 +222,10 @@ func (e *Engine) Checkpoint() (uint64, error) {
 	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
+	if e.closed.Load() {
+		// Close wrote the final checkpoint and is closing the log.
+		return 0, ErrClosed
+	}
 	return e.checkpointLocked()
 }
 
@@ -248,7 +252,7 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, err
 		}
 	} else {
-		snap := e.acquire(e.exact)
+		snap := e.acquire()
 		var err error
 		data, err = snap.Sk.MarshalBinary()
 		snap.Release()

@@ -336,12 +336,12 @@ func TestCheckpointConcurrentWithProducers(t *testing.T) {
 	assertParity(t, recovered, single, 30)
 }
 
-// TestMarshalBinaryNeverStale pins the flush-then-merge contract: even
-// with a huge SnapshotMaxLag (under which Query may legitimately answer
-// stale), MarshalBinary covers every acknowledged write.
+// TestMarshalBinaryNeverStale pins the flush-then-merge contract: with a
+// reader still on the view that predates them, MarshalBinary covers every
+// acknowledged write, and the reader's view stays what it was.
 func TestMarshalBinaryNeverStale(t *testing.T) {
 	cfg := testConfig()
-	e := MustNew(Config{Sketch: cfg, Shards: 2, SnapshotMaxLag: 1 << 62})
+	e := MustNew(Config{Sketch: cfg, Shards: 2})
 	defer e.Close()
 	edges := feasibleStream(2_000, 40, 0.2, 41)
 	half := len(edges) / 2
@@ -350,7 +350,9 @@ func TestMarshalBinaryNeverStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Flush()
-	_ = e.Query(1, 2) // build a snapshot that SnapshotMaxLag will pin stale
+	stale := e.acquire() // a reader that stays on the view of the first half
+	defer stale.Release()
+	before := stale.Sk.Stats()
 
 	if err := e.ProcessBatch(edges[half:]); err != nil {
 		t.Fatal(err)
@@ -370,6 +372,9 @@ func TestMarshalBinaryNeverStale(t *testing.T) {
 	}
 	if restored.Stats() != single.Stats() {
 		t.Fatalf("marshal is behind acknowledged writes: %+v vs %+v", restored.Stats(), single.Stats())
+	}
+	if stale.Sk.Stats() != before {
+		t.Fatal("the view moved under its reader")
 	}
 	if got, want := restored.Query(3, 9), single.Query(3, 9); got != want {
 		t.Fatalf("restored Query = %+v, want %+v", got, want)

@@ -20,10 +20,10 @@
 // Queries answer from a merged global snapshot — merging is exact, so a
 // post-Flush Query returns bit-identical estimates to a single Sketch that
 // consumed the whole stream. The snapshot is resident and kept current by
-// delta: once the applied-edge count has advanced past
-// Config.SnapshotMaxLag, the batches the shard workers applied since are
-// replayed onto it, which costs the churn rather than a re-merge of every
-// shard (see snapshot.go; the full re-merge remains as the fallback). That
+// delta: a read that finds edges applied since the view was current
+// replays the batches the shard workers applied onto it, which costs the
+// churn rather than a re-merge of every shard (see snapshot.go; the full
+// re-merge remains as the fallback). That
 // is the only pair read path: acquire the merged view, query it, release
 // it. Nothing queries a shard sketch on its own — a shard alone holds its
 // users' counters and its part of the array's parity, not the global fill β.
@@ -79,11 +79,6 @@ type Config struct {
 	// goroutines. Default: runtime.GOMAXPROCS(0).
 	Shards int
 
-	// RouteSeed seeds the user→shard hash. Edges route exactly like
-	// stream.PartitionByUser(edges, Shards, RouteSeed). Default: derived
-	// from Sketch.Seed, so engines with equal sketch configs route alike.
-	RouteSeed uint64
-
 	// BatchSize is how many edges a shard's pending batch holds before it is
 	// handed to the shard worker, and the unit the worker applies under one
 	// lock acquisition (and journals as one entry). Every queued batch has
@@ -103,15 +98,6 @@ type Config struct {
 	// (then only full batches, Flush, and Close drain the buffers).
 	// Default: 50ms.
 	FlushInterval time.Duration
-
-	// SnapshotMaxLag is the query-path staleness budget, in applied edges:
-	// Query brings the merged global snapshot current when more than this
-	// many edges have been applied since it last was. 0 (the default)
-	// refreshes whenever anything new has been applied, so every Query is
-	// exact with respect to the applied stream. It bounds staleness only:
-	// a refresh replays the applied delta, so exact reads are not the
-	// expensive setting they were when every refresh re-merged the shards.
-	SnapshotMaxLag uint64
 
 	// PositionCacheUsers bounds the engine's shared position-table cache:
 	// the materialized query path caches each user's k array positions
@@ -150,11 +136,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.RouteSeed == 0 {
-		// Any fixed derivation works; keep it distinct from the seeds the
-		// sketch itself consumes so routing and hashing stay independent.
-		c.RouteSeed = hashing.Hash64(c.Sketch.Seed, 0x73686172644b6579)
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
@@ -256,10 +237,8 @@ type Engine struct {
 
 	// views is the merged query snapshot (see snapshot.go): two resident
 	// merged views, each carrying the stamp — import generation, rotation
-	// count, per-shard processed counts — of the state it equals. lagged and
-	// exact drive it for the two staleness budgets reads come with.
+	// count, per-shard processed counts — of the state it equals.
 	views          resident.Pair[stamp]
-	lagged, exact  *viewSource
 	journalMax     uint64 // per-shard journal bound in edges, fixed by the array size
 	journalEvicted atomic.Uint64
 
@@ -283,6 +262,9 @@ type Engine struct {
 	// delta.go): processed counts restart with the process, so a cursor
 	// from another life must never compare equal.
 	boot uint64
+
+	// routeSeed seeds the user→shard hash (ShardOf).
+	routeSeed uint64
 
 	// stateMu orders the two events that change shard state without a
 	// journal entry — a window rotation (window.go) and an ImportSketch
@@ -333,14 +315,16 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 		start:      time.Now(),
 		journalMax: cfg.Sketch.MemoryBits / 64 / journalWordsPerEdge,
 		boot:       rand.Uint64(),
+		// Derived from the sketch seed, so engines with equal sketch configs
+		// route alike, and kept distinct from the seeds the sketch itself
+		// consumes so routing and hashing stay independent.
+		routeSeed: hashing.Hash64(cfg.Sketch.Seed, 0x73686172644b6579),
 	}
-	e.lagged = &viewSource{e: e, maxLag: cfg.SnapshotMaxLag}
-	e.exact = &viewSource{e: e}
 	if cfg.ANN != nil {
 		// Resolve into a private copy so the caller's struct is never
 		// mutated, and validate the band structure against the sketch
 		// before any shard exists.
-		resolved := cfg.ANN.withDefaults(cfg.Sketch.Seed)
+		resolved := cfg.ANN.withDefaults()
 		e.cfg.ANN = &resolved
 		ann, err := newANNIndex(resolved, cfg.Sketch, cfg.Shards)
 		if err != nil {
@@ -420,10 +404,10 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // Shards returns N, the number of sketch shards.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// ShardOf returns the shard in [0, N) that owns user u. It agrees with
-// stream.PartitionByUser(edges, N, Config.RouteSeed).
+// ShardOf returns the shard in [0, N) that owns user u: edges route exactly
+// like stream.PartitionByUser under a seed derived from Sketch.Seed.
 func (e *Engine) ShardOf(u stream.User) int {
-	return stream.ShardOf(u, len(e.shards), e.cfg.RouteSeed)
+	return stream.ShardOf(u, len(e.shards), e.routeSeed)
 }
 
 // worker is the shard's ingest goroutine: it applies batches under the
@@ -630,7 +614,7 @@ func (e *Engine) route(edges []stream.Edge) {
 		e.shards[0].add(edges, e.cfg.BatchSize, false)
 		return
 	}
-	for i, group := range stream.PartitionByUser(edges, n, e.cfg.RouteSeed) {
+	for i, group := range stream.PartitionByUser(edges, n, e.routeSeed) {
 		if len(group) > 0 {
 			e.shards[i].add(group, e.cfg.BatchSize, true)
 		}
@@ -710,13 +694,13 @@ func (e *Engine) Close() error {
 }
 
 // Query estimates the similarity of users u and v from the merged global
-// snapshot. With the default SnapshotMaxLag of 0, the answer is exact for
-// every applied edge; call Flush first for read-your-writes over edges
+// snapshot. The answer is exact for every applied edge; call Flush first
+// for read-your-writes over edges
 // still in flight. A post-Flush Query is bit-identical to a single
 // vos.Sketch that consumed the whole stream with the same Config.
 func (e *Engine) Query(u, v stream.User) core.Estimate {
 	e.maybeAdvance()
-	snap := e.acquire(e.lagged)
+	snap := e.acquire()
 	defer snap.Release()
 	return snap.Sk.Query(u, v)
 }
@@ -758,7 +742,7 @@ func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []st
 // topK is the shared body of TopK and TopKContext: snapshot, fan out, merge.
 func (e *Engine) topK(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	e.maybeAdvance()
-	snap := e.acquire(e.lagged)
+	snap := e.acquire()
 	defer snap.Release() // held through the whole fan-out
 	return e.rankCandidates(ctx, snap.Sk, snap.Sk.RecoverSketch(u), candidates, n)
 }
@@ -877,7 +861,7 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 // not just one array.
 func (e *Engine) Stats() core.Stats {
 	e.maybeAdvance()
-	snap := e.acquire(e.lagged)
+	snap := e.acquire()
 	st := snap.Sk.Stats()
 	snap.Release()
 	if w := e.cfg.Window; w != nil {
@@ -896,17 +880,16 @@ func (e *Engine) Stats() core.Stats {
 
 // MarshalBinary serializes the engine's merged state; the result restores
 // with core.UnmarshalVOS (or vos.Unmarshal) as a plain single sketch. It
-// flushes first and then merges with a zero staleness budget, so the bytes
-// cover every edge acknowledged before the call even when
-// Config.SnapshotMaxLag allows stale Query answers — a serialized engine
-// is never behind its acknowledged writes. In window mode the bytes are
+// flushes first, so the bytes cover every edge acknowledged before the
+// call — a serialized engine is never behind its acknowledged writes. In
+// window mode the bytes are
 // the live window view (in-window edges only), without bucket structure —
 // checkpoints, which must keep rotating after recovery, persist per-bucket
 // state instead (see durability.go).
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.maybeAdvance()
 	e.Flush()
-	snap := e.acquire(e.exact)
+	snap := e.acquire()
 	defer snap.Release()
 	return snap.Sk.MarshalBinary()
 }

@@ -15,6 +15,16 @@ func testConfig() core.Config {
 	return core.Config{MemoryBits: 1 << 18, SketchBits: 512, Seed: 7}
 }
 
+// partitionByShard splits edges by the shard that owns each user, in order.
+func partitionByShard(e *Engine, edges []stream.Edge) [][]stream.Edge {
+	parts := make([][]stream.Edge, e.Shards())
+	for _, ed := range edges {
+		i := e.ShardOf(ed.User)
+		parts[i] = append(parts[i], ed)
+	}
+	return parts
+}
+
 // feasibleStream generates n edges over the given user count with delFrac
 // unsubscriptions of live edges, so every prefix is feasible.
 func feasibleStream(n, users int, delFrac float64, seed int64) []stream.Edge {
@@ -103,8 +113,7 @@ func TestShardingMatchesPartitionByUser(t *testing.T) {
 	}
 	e.Flush()
 
-	parts := stream.PartitionByUser(edges, shards, e.Config().RouteSeed)
-	for i, part := range parts {
+	for i, part := range partitionByShard(e, edges) {
 		want := core.MustNew(cfg)
 		for _, ed := range part {
 			want.Process(ed)
@@ -226,46 +235,6 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	if total != 100 {
 		t.Fatalf("processed %d edges, want 100", total)
-	}
-}
-
-// TestSnapshotStaleness: with a lag budget the snapshot is reused, and a
-// zero budget re-merges as soon as new edges apply.
-func TestSnapshotStaleness(t *testing.T) {
-	e := MustNew(Config{
-		Sketch: testConfig(), Shards: 2, BatchSize: 1,
-		SnapshotMaxLag: 1 << 62,
-	})
-	defer e.Close()
-	if err := e.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	first := e.snapshot()
-	if err := e.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	if e.snapshot() != first {
-		t.Fatal("snapshot rebuilt despite a huge staleness budget")
-	}
-
-	e2 := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 1})
-	defer e2.Close()
-	if err := e2.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e2.Flush()
-	a := e2.snapshot()
-	if err := e2.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e2.Flush()
-	if e2.snapshot() == a {
-		t.Fatal("zero-lag snapshot not rebuilt after new edges")
-	}
-	if e2.Cardinality(1) != 2 {
-		t.Fatalf("cardinality = %d, want 2", e2.Cardinality(1))
 	}
 }
 

@@ -126,7 +126,7 @@ func testRouteOwnership(t *testing.T, shards, batch int) {
 		t.Fatal("export differs from one sketch over the logical stream")
 	}
 
-	for i, part := range stream.PartitionByUser(logical, shards, e.Config().RouteSeed) {
+	for i, part := range partitionByShard(e, logical) {
 		s := e.shards[i]
 		s.jMu.Lock()
 		if s.jFrom != 0 {

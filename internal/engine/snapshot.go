@@ -160,43 +160,40 @@ func (e *Engine) since(st *stamp, apply func([]stream.Edge)) resident.Cause {
 	return resident.Replayed
 }
 
-// viewSource drives the engine's view pair for one staleness budget: the
-// view is brought current when more than maxLag edges have been applied
-// since it was. The engine keeps two, built once: Config.SnapshotMaxLag for
-// queries, and 0 — exactness over every applied edge — for Checkpoint,
-// MarshalBinary and ExportSince.
-type viewSource struct {
-	e      *Engine
-	maxLag uint64
-}
+// viewSource drives the engine's view pair: every read, a query as much as
+// Checkpoint, MarshalBinary and ExportSince, is exact over every applied
+// edge, and the view is brought current as soon as one has been applied
+// since it was.
+type viewSource struct{ e *Engine }
 
 // acquire returns the published merged view with the caller registered as
 // a reader; the caller must Release it when the read is done.
-func (e *Engine) acquire(src *viewSource) *view {
-	v, _ := e.views.Acquire(context.Background(), src) // viewSource.Refresh cannot fail
+func (e *Engine) acquire() *view {
+	v, _ := e.views.Acquire(context.Background(), viewSource{e}) // viewSource.Refresh cannot fail
 	return v
 }
 
 // Current implements resident.Source. A rotation or an import changes state
 // without advancing any processed counter, which is why the epoch is checked
-// before the lag can vouch for the view.
-func (s *viewSource) Current(st *stamp) bool {
+// before the counts can vouch for the view.
+func (s viewSource) Current(st *stamp) bool {
 	e := s.e
 	if st.rot != e.winRot.Load() || st.gen != e.imports.Load() {
 		return false
 	}
-	lag := uint64(0)
 	for i, sh := range e.shards {
-		lag += sh.processed.Load() - st.at[i]
+		if sh.processed.Load() != st.at[i] {
+			return false
+		}
 	}
-	return lag <= s.maxLag
+	return true
 }
 
 // Refresh implements resident.Source: the spare brought forward by journal
 // replay when that is possible, a full re-merge into a fresh view otherwise.
 // The state read-lock is held across the whole refresh, so the view never
 // observes shard A before a rotation or an import and shard B after it.
-func (s *viewSource) Refresh(_ context.Context, spare *view) (*view, resident.Cause, int, error) {
+func (s viewSource) Refresh(_ context.Context, spare *view) (*view, resident.Cause, int, error) {
 	e := s.e
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()

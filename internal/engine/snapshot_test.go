@@ -16,7 +16,7 @@ import (
 // snapshot returns the published merged sketch without staying registered
 // as a reader — for white-box tests on engines no writer is racing.
 func (e *Engine) snapshot() *core.VOS {
-	v := e.acquire(e.lagged)
+	v := e.acquire()
 	defer v.Release()
 	return v.Sk
 }

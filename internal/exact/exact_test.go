@@ -167,12 +167,14 @@ func TestPairTrackerMatchesBruteForce(t *testing.T) {
 		e := stream.Edge{User: u, Item: i, Op: op}
 		live[key] = !live[key]
 
-		tr.MustApply(e)
+		if err := tr.Apply(e); err != nil {
+			t.Fatal(err)
+		}
 		ref.MustApply(e)
 
 		// Spot-check a few pairs every step, all pairs occasionally.
 		if step%500 == 0 {
-			for idx, p := range tr.Pairs() {
+			for idx, p := range pairs {
 				if got, want := tr.CommonItems(idx), ref.CommonItems(p.U, p.V); got != want {
 					t.Fatalf("step %d pair %v: tracked %d, exact %d", step, p, got, want)
 				}
@@ -197,10 +199,12 @@ func TestPairTrackerOnGeneratedStream(t *testing.T) {
 	}
 	ref := NewStore()
 	for _, e := range edges {
-		tr.MustApply(e)
+		if err := tr.Apply(e); err != nil {
+			t.Fatal(err)
+		}
 		ref.MustApply(e)
 	}
-	for idx, pr := range tr.Pairs() {
+	for idx, pr := range pairs {
 		if got, want := tr.CommonItems(idx), ref.CommonItems(pr.U, pr.V); got != want {
 			t.Errorf("pair %v: %d vs %d", pr, got, want)
 		}
@@ -215,8 +219,12 @@ func TestPairTrackerRejectsDuplicates(t *testing.T) {
 
 func TestPairTrackerInfeasibleLeavesCountsAlone(t *testing.T) {
 	tr, _ := NewPairTracker([]Pair{MakePair(1, 2)})
-	tr.MustApply(stream.Edge{User: 1, Item: 5, Op: stream.Insert})
-	tr.MustApply(stream.Edge{User: 2, Item: 5, Op: stream.Insert})
+	if err := tr.Apply(stream.Edge{User: 1, Item: 5, Op: stream.Insert}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Apply(stream.Edge{User: 2, Item: 5, Op: stream.Insert}); err != nil {
+		t.Fatal(err)
+	}
 	if tr.CommonItems(0) != 1 {
 		t.Fatalf("setup: common = %d", tr.CommonItems(0))
 	}

@@ -69,16 +69,6 @@ func (t *PairTracker) Apply(e stream.Edge) error {
 	return nil
 }
 
-// MustApply panics on infeasible elements.
-func (t *PairTracker) MustApply(e stream.Edge) {
-	if err := t.Apply(e); err != nil {
-		panic(err)
-	}
-}
-
-// Pairs returns the tracked pairs in registration order.
-func (t *PairTracker) Pairs() []Pair { return t.pairs }
-
 // CommonItems returns the maintained s_uv of tracked pair idx.
 func (t *PairTracker) CommonItems(idx int) int { return t.counts[idx] }
 

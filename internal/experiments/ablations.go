@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/exact"
 	"github.com/vossketch/vos/internal/gen"
-	"github.com/vossketch/vos/internal/metrics"
-	"github.com/vossketch/vos/internal/oph"
 	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -26,33 +25,26 @@ import (
 //   - abl-delbias: estimator bias as a function of deletion pressure, the
 //     mechanism behind Figure 3's gaps.
 
-// vosVariantRun processes the dataset through one VOS configuration and
-// returns final AAPE (ŝ), ARMSE (Ĵ) and β over the tracked pairs.
-func vosVariantRun(ds Dataset, pairs []exact.Pair, cfg core.Config) (aape, armse, beta float64, err error) {
+// vosRow runs the dataset through one VOS configuration and appends its
+// row: the label, the swept size in bits, β, and the final AAPE (ŝ) and
+// ARMSE (Ĵ) over the tracked pairs.
+func vosRow(t *Table, ds Dataset, pairs []exact.Pair, cfg core.Config, label string, bits uint64) error {
 	v, err := core.New(cfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return err
 	}
-	tracker, err := exact.NewPairTracker(pairs)
+	c, err := measureFinal(ds.Edges, []similarity.Estimator{similarity.FromVOS(v)}, pairs)
 	if err != nil {
-		return 0, 0, 0, err
+		return err
 	}
-	for _, e := range ds.Edges {
-		v.Process(e)
-		tracker.MustApply(e)
-	}
-	truthS := make([]float64, len(pairs))
-	truthJ := make([]float64, len(pairs))
-	estS := make([]float64, len(pairs))
-	estJ := make([]float64, len(pairs))
-	for i, p := range pairs {
-		truthS[i] = float64(tracker.CommonItems(i))
-		truthJ[i] = tracker.Jaccard(i)
-		q := v.Query(p.U, p.V)
-		estS[i] = q.Common
-		estJ[i] = q.Jaccard
-	}
-	return metrics.AAPE(truthS, estS), metrics.ARMSE(truthJ, estJ), v.Beta(), nil
+	t.AddRow(
+		label,
+		fmt.Sprintf("%d", bits),
+		fmt.Sprintf("%.4f", v.Beta()),
+		fmt.Sprintf("%.4f", AAPE(c.TruthS, c.EstS[0])),
+		fmt.Sprintf("%.4f", ARMSE(c.TruthJ, c.EstJ[0])),
+	)
+	return nil
 }
 
 // AblLambda regenerates the λ-sensitivity table on the YouTube workload.
@@ -78,17 +70,9 @@ func AblLambda(opts Options) (*Table, error) {
 			SketchBits: lambda * 32 * opts.K32,
 			Seed:       uint64(opts.Seed),
 		}
-		aape, armse, beta, err := vosVariantRun(ds, pairs, cfg)
-		if err != nil {
+		if err := vosRow(t, ds, pairs, cfg, fmt.Sprintf("%d", lambda), uint64(cfg.SketchBits)); err != nil {
 			return nil, err
 		}
-		t.AddRow(
-			fmt.Sprintf("%d", lambda),
-			fmt.Sprintf("%d", cfg.SketchBits),
-			fmt.Sprintf("%.4f", beta),
-			fmt.Sprintf("%.4f", aape),
-			fmt.Sprintf("%.4f", armse),
-		)
 	}
 	return t, nil
 }
@@ -118,17 +102,9 @@ func AblLoad(opts Options) (*Table, error) {
 			mem = uint64(kv)
 		}
 		cfg := core.Config{MemoryBits: mem, SketchBits: kv, Seed: uint64(opts.Seed)}
-		aape, armse, beta, err := vosVariantRun(ds, pairs, cfg)
-		if err != nil {
+		if err := vosRow(t, ds, pairs, cfg, fmt.Sprintf("1/%d", div), mem); err != nil {
 			return nil, err
 		}
-		t.AddRow(
-			fmt.Sprintf("1/%d", div),
-			fmt.Sprintf("%d", mem),
-			fmt.Sprintf("%.4f", beta),
-			fmt.Sprintf("%.4f", aape),
-			fmt.Sprintf("%.4f", armse),
-		)
 	}
 	return t, nil
 }
@@ -155,14 +131,14 @@ func AblDense(opts Options) (*Table, error) {
 		trueJ := float64(common) / float64(2*size-common)
 		var errSparse, errRot, errImp, errOpt float64
 		for trial := 0; trial < trials; trial++ {
-			s := oph.New(k, uint64(opts.Seed)+uint64(trial))
+			s := similarity.NewOPH(k, uint64(opts.Seed)+uint64(trial))
 			for _, e := range gen.PlantedPair(1, 2, size, size, common, opts.Seed+int64(trial)) {
 				s.Process(e)
 			}
-			errSparse += absf(s.EstimateJaccard(1, 2) - trueJ)
-			errRot += absf(s.DensifyRotation(1).EstimateJaccard(s.DensifyRotation(2)) - trueJ)
-			errImp += absf(s.DensifyImproved(1).EstimateJaccard(s.DensifyImproved(2)) - trueJ)
-			errOpt += absf(s.DensifyOptimal(1).EstimateJaccard(s.DensifyOptimal(2)) - trueJ)
+			errSparse += math.Abs(s.EstimateJaccard(1, 2) - trueJ)
+			errRot += math.Abs(s.DensifyRotation(1).EstimateJaccard(s.DensifyRotation(2)) - trueJ)
+			errImp += math.Abs(s.DensifyImproved(1).EstimateJaccard(s.DensifyImproved(2)) - trueJ)
+			errOpt += math.Abs(s.DensifyOptimal(1).EstimateJaccard(s.DensifyOptimal(2)) - trueJ)
 		}
 		t.AddRow(
 			fmt.Sprintf("%.2f", trueJ),
@@ -203,37 +179,24 @@ func AblDelBias(opts Options) (*Table, error) {
 
 	for _, churn := range []float64{0, 0.2, 0.5, 0.8} {
 		edges := withTerminalDeletion(base, churn, opts.Seed+11)
-		store := exact.NewStore()
-		for _, e := range edges {
-			store.MustApply(e)
+		pairs, _, err := TrackedPairs(Dataset{Edges: edges}, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%w (deleted fraction %.1f)", err, churn)
 		}
-		top := store.TopUsers(opts.TopUsers)
-		pairs := store.PairsWithCommonItems(top, opts.MinCommon, opts.MaxPairs)
-		if len(pairs) == 0 {
-			return nil, fmt.Errorf("experiments: no tracked pairs at deleted fraction %.1f", churn)
-		}
-		budget := similarity.Budget{K32: opts.K32, Users: int(scaled.Users), Lambda: opts.Lambda}
-		ests, err := similarity.NewAll(budget, uint64(opts.Seed))
+		ests, err := similarity.NewAll(opts.budget(scaled), uint64(opts.Seed))
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range edges {
-			for _, est := range ests {
-				est.Process(e)
-			}
+		c, err := measureFinal(edges, ests, pairs)
+		if err != nil {
+			return nil, err
 		}
-		truthS := make([]float64, len(pairs))
-		estS := make([]float64, len(pairs))
-		for _, est := range ests {
-			for i, p := range pairs {
-				truthS[i] = float64(store.CommonItems(p.U, p.V))
-				estS[i] = est.EstimateCommonItems(p.U, p.V)
-			}
+		for m, est := range ests {
 			t.AddRow(
 				fmt.Sprintf("%.1f", churn),
 				est.Name(),
-				fmt.Sprintf("%+.2f", metrics.MeanBias(truthS, estS)),
-				fmt.Sprintf("%.4f", metrics.AAPE(truthS, estS)),
+				fmt.Sprintf("%+.2f", MeanBias(c.TruthS, c.EstS[m])),
+				fmt.Sprintf("%.4f", AAPE(c.TruthS, c.EstS[m])),
 			)
 		}
 	}
@@ -251,54 +214,4 @@ func withTerminalDeletion(base []stream.Edge, frac float64, seed int64) []stream
 		}
 	}
 	return out
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Exact-oracle assisted deep-dive used by tests and the inspector: run a
-// dataset and return side-by-side per-pair numbers for one method.
-type PairReport struct {
-	Pair      exact.Pair
-	TrueS     int
-	EstS      float64
-	TrueJ     float64
-	EstJ      float64
-	TrueCardU int
-	TrueCardV int
-}
-
-// ComparePairs runs the dataset through one method and reports per-pair
-// truth vs estimate at end of stream.
-func ComparePairs(ds Dataset, pairs []exact.Pair, method string, opts Options) ([]PairReport, error) {
-	opts = opts.normalized()
-	budget := similarity.Budget{K32: opts.K32, Users: int(ds.Profile.Users), Lambda: opts.Lambda}
-	est, err := similarity.New(method, budget, uint64(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-	store := exact.NewStore()
-	for _, e := range ds.Edges {
-		est.Process(e)
-		if err := store.Apply(e); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]PairReport, len(pairs))
-	for i, p := range pairs {
-		out[i] = PairReport{
-			Pair:      p,
-			TrueS:     store.CommonItems(p.U, p.V),
-			EstS:      est.EstimateCommonItems(p.U, p.V),
-			TrueJ:     store.Jaccard(p.U, p.V),
-			EstJ:      est.EstimateJaccard(p.U, p.V),
-			TrueCardU: store.Cardinality(p.U),
-			TrueCardV: store.Cardinality(p.V),
-		}
-	}
-	return out, nil
 }

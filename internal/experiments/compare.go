@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/vossketch/vos/internal/metrics"
 	"github.com/vossketch/vos/internal/similarity"
 )
 
@@ -26,24 +25,21 @@ func Compare(opts Options) (*Table, error) {
 	t.AddNote("dataset %s: %d elements (%d deletions), %d tracked pairs (median s = %d); seed %d",
 		ds.Profile.Name, len(ds.Edges), ds.Deletes, len(pairs), median, opts.Seed)
 
-	for _, method := range similarity.Methods {
-		reports, err := ComparePairs(ds, pairs, method, opts)
+	ests, err := similarity.NewAll(opts.budget(ds.Profile), uint64(opts.Seed))
+	if err != nil {
+		return nil, err
+	}
+	c, err := measureFinal(ds.Edges, ests, pairs)
+	if err != nil {
+		return nil, err
+	}
+	for m, est := range ests {
+		sum, err := Summarize(RelativeErrors(c.TruthS, c.EstS[m]))
 		if err != nil {
-			return nil, err
-		}
-		truth := make([]float64, len(reports))
-		est := make([]float64, len(reports))
-		for i, r := range reports {
-			truth[i] = float64(r.TrueS)
-			est[i] = r.EstS
-		}
-		rel := metrics.RelativeErrors(truth, est)
-		sum, err := metrics.Summarize(rel)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", method, err)
+			return nil, fmt.Errorf("experiments: %s: %w", est.Name(), err)
 		}
 		t.AddRow(
-			method,
+			est.Name(),
 			fmt.Sprintf("%.4f", sum.Mean),
 			fmt.Sprintf("%.4f", sum.P50),
 			fmt.Sprintf("%.4f", sum.P90),

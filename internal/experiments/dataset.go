@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/vossketch/vos/internal/exact"
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -68,43 +71,27 @@ func Defaults() Options {
 // normalized fills zero fields from Defaults.
 func (o Options) normalized() Options {
 	d := Defaults()
-	if o.Scale == 0 {
-		o.Scale = d.Scale
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	if o.K32 == 0 {
-		o.K32 = d.K32
-	}
-	if o.Lambda == 0 {
-		o.Lambda = d.Lambda
-	}
-	if o.TopUsers == 0 {
-		o.TopUsers = d.TopUsers
-	}
-	if o.MinCommon == 0 {
-		o.MinCommon = d.MinCommon
-	}
-	if o.MaxPairs == 0 {
-		o.MaxPairs = d.MaxPairs
-	}
-	if o.Checkpoints == 0 {
-		o.Checkpoints = d.Checkpoints
-	}
-	if o.Dataset == "" {
-		o.Dataset = d.Dataset
-	}
-	if o.RuntimeUsers == 0 {
-		o.RuntimeUsers = d.RuntimeUsers
-	}
-	if o.RuntimeEdges == 0 {
-		o.RuntimeEdges = d.RuntimeEdges
-	}
+	o.Scale = cmp.Or(o.Scale, d.Scale)
+	o.Seed = cmp.Or(o.Seed, d.Seed)
+	o.K32 = cmp.Or(o.K32, d.K32)
+	o.Lambda = cmp.Or(o.Lambda, d.Lambda)
+	o.TopUsers = cmp.Or(o.TopUsers, d.TopUsers)
+	o.MinCommon = cmp.Or(o.MinCommon, d.MinCommon)
+	o.MaxPairs = cmp.Or(o.MaxPairs, d.MaxPairs)
+	o.Checkpoints = cmp.Or(o.Checkpoints, d.Checkpoints)
+	o.Dataset = cmp.Or(o.Dataset, d.Dataset)
+	o.RuntimeUsers = cmp.Or(o.RuntimeUsers, d.RuntimeUsers)
+	o.RuntimeEdges = cmp.Or(o.RuntimeEdges, d.RuntimeEdges)
 	if len(o.RuntimeKs) == 0 {
 		o.RuntimeKs = d.RuntimeKs
 	}
 	return o
+}
+
+// budget is the §V memory model for a profile under the options: every
+// method gets 32·K32 bits for each of the profile's users.
+func (o Options) budget(p gen.Profile) similarity.Budget {
+	return similarity.Budget{K32: o.K32, Users: int(p.Users), Lambda: o.Lambda}
 }
 
 // Dataset is a fully dynamic workload ready for the runners.
@@ -165,14 +152,8 @@ func medianInt(xs []int) int {
 	if len(xs) == 0 {
 		return 0
 	}
-	// Selection by copy+sort is fine at harness sizes.
-	cp := append([]int(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	return cp[len(cp)/2]
+	sorted := slices.Sorted(slices.Values(xs))
+	return sorted[len(sorted)/2]
 }
 
 // profile resolves the options' Dataset name, panicking on unknown names

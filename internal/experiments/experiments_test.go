@@ -107,24 +107,24 @@ func TestRunAccuracyProducesAllSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range similarity.Methods {
-		s := r.AAPE.Get(m)
-		if s == nil || len(s.Points) < opts.Checkpoints {
+		s := r.AAPE[m]
+		if len(s) < opts.Checkpoints || len(s) != len(r.T) {
 			t.Fatalf("%s AAPE series incomplete", m)
 		}
-		if r.ARMSE.Get(m) == nil {
+		if len(r.ARMSE[m]) != len(r.T) {
 			t.Fatalf("%s ARMSE series missing", m)
 		}
-		for _, p := range s.Points {
-			if p.Value < 0 {
-				t.Errorf("%s negative AAPE %v", m, p.Value)
+		for _, v := range s {
+			if v < 0 {
+				t.Errorf("%s negative AAPE %v", m, v)
 			}
 		}
 	}
 	// ARMSE is bounded by 1 (both Ĵ and J live in [0, 1]).
 	for _, m := range similarity.Methods {
-		for _, p := range r.ARMSE.Get(m).Points {
-			if p.Value < 0 || p.Value > 1 {
-				t.Errorf("%s ARMSE %v out of [0, 1]", m, p.Value)
+		for _, v := range r.ARMSE[m] {
+			if v < 0 || v > 1 {
+				t.Errorf("%s ARMSE %v out of [0, 1]", m, v)
 			}
 		}
 	}
@@ -176,19 +176,23 @@ func TestComparePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := ComparePairs(ds, pairs[:5], similarity.MethodVOS, opts)
+	est, err := similarity.New(similarity.MethodVOS, opts.normalized().budget(ds.Profile), uint64(opts.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 5 {
-		t.Fatalf("%d reports", len(reports))
+	c, err := measureFinal(ds.Edges, []similarity.Estimator{est}, pairs[:5])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range reports {
-		if r.TrueS < 0 || r.TrueJ < 0 || r.TrueJ > 1 {
-			t.Errorf("implausible truth in %+v", r)
+	if len(c.TruthS) != 5 || len(c.EstS[0]) != 5 || c.T != uint64(len(ds.Edges)) {
+		t.Fatalf("%d truths, %d estimates at t = %d", len(c.TruthS), len(c.EstS[0]), c.T)
+	}
+	for i := range c.TruthS {
+		if c.TruthS[i] < 0 || c.TruthJ[i] < 0 || c.TruthJ[i] > 1 {
+			t.Errorf("implausible truth for pair %d: s = %v, J = %v", i, c.TruthS[i], c.TruthJ[i])
 		}
 	}
-	if _, err := ComparePairs(ds, pairs, "bogus", opts); err == nil {
+	if _, err := similarity.New("bogus", opts.normalized().budget(ds.Profile), uint64(opts.Seed)); err == nil {
 		t.Error("bogus method accepted")
 	}
 }

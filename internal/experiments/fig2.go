@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/gen"
-	"github.com/vossketch/vos/internal/minhash"
-	"github.com/vossketch/vos/internal/oph"
-	"github.com/vossketch/vos/internal/rp"
 	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -49,44 +45,44 @@ func runtimeWorkload(p gen.Profile, opts Options) []stream.Edge {
 	return gen.Dynamize(base, cfg)
 }
 
-// updater is the minimal surface the runtime harness needs.
-type updater interface {
-	Process(e stream.Edge)
-}
-
 // buildForRuntime constructs one method at register count k for the
-// runtime workload, applying the memory caps described above.
-func buildForRuntime(method string, k int, users uint64, seed uint64) updater {
-	switch method {
-	case similarity.MethodVOS:
-		mem := 32 * uint64(k) * users
-		if mem > fig2MaxMemoryBits {
-			mem = fig2MaxMemoryBits
-		}
-		kv := 2 * 32 * k // λ = 2, irrelevant for update cost
-		if uint64(kv) > mem {
-			kv = int(mem)
-		}
-		return core.MustNew(core.Config{MemoryBits: mem, SketchBits: kv, Seed: seed})
-	case similarity.MethodMinHash:
-		return minhash.New(k, seed)
-	case similarity.MethodOPH:
-		return oph.New(k, seed)
-	case similarity.MethodRP:
-		return rp.New(k, seed)
-	default:
-		panic(fmt.Sprintf("experiments: unknown runtime method %q", method))
-	}
+// runtime workload. The budget provisions for no more users than keep VOS's
+// shared array under the cap described above; the baselines' layout is per
+// user and does not read it.
+func buildForRuntime(method string, k int, users uint64, seed uint64) (similarity.Estimator, error) {
+	users = min(users, fig2MaxMemoryBits/(32*uint64(k)))
+	return similarity.New(method, similarity.Budget{K32: k, Users: int(users), Lambda: 2}, seed)
 }
 
-// MeasureUpdateTime processes the whole stream through the updater and
-// returns the wall-clock duration.
-func MeasureUpdateTime(u updater, edges []stream.Edge) time.Duration {
+// timeUpdates is how Figure 2 times a method: the whole stream through
+// Process, by the wall clock. It is a variable so that the golden test can
+// pin the tables' labels and notes without paying for the O(k) loops behind
+// their timing cells.
+var timeUpdates = func(est similarity.Estimator, edges []stream.Edge) time.Duration {
 	start := time.Now()
 	for _, e := range edges {
-		u.Process(e)
+		est.Process(e)
 	}
 	return time.Since(start)
+}
+
+// runtimeRows times every method at register count k over edges and appends
+// one row a method under label.
+func runtimeRows(t *Table, label string, k int, opts Options, edges []stream.Edge) error {
+	for _, method := range similarity.Methods {
+		est, err := buildForRuntime(method, k, opts.RuntimeUsers, uint64(opts.Seed))
+		if err != nil {
+			return err
+		}
+		d := timeUpdates(est, edges)
+		t.AddRow(
+			label,
+			method,
+			fmt.Sprintf("%.4f", d.Seconds()),
+			fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(len(edges))),
+		)
+	}
+	return nil
 }
 
 // Fig2a regenerates Figure 2(a): update runtime on the YouTube workload
@@ -105,15 +101,8 @@ func Fig2a(opts Options) (*Table, error) {
 	t.AddNote("expected shape: VOS and OPH flat in k (O(1)); MinHash and RP linear in k (O(k))")
 
 	for _, k := range opts.RuntimeKs {
-		for _, method := range similarity.Methods {
-			u := buildForRuntime(method, k, opts.RuntimeUsers, uint64(opts.Seed))
-			d := MeasureUpdateTime(u, edges)
-			t.AddRow(
-				fmt.Sprintf("%d", k),
-				method,
-				fmt.Sprintf("%.4f", d.Seconds()),
-				fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(len(edges))),
-			)
+		if err := runtimeRows(t, fmt.Sprintf("%d", k), k, opts, edges); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
@@ -134,16 +123,8 @@ func Fig2b(opts Options) (*Table, error) {
 		opts.RuntimeUsers, opts.RuntimeEdges, opts.Seed)
 
 	for _, p := range gen.Profiles {
-		edges := runtimeWorkload(p, opts)
-		for _, method := range similarity.Methods {
-			u := buildForRuntime(method, k, opts.RuntimeUsers, uint64(opts.Seed))
-			d := MeasureUpdateTime(u, edges)
-			t.AddRow(
-				p.Name,
-				method,
-				fmt.Sprintf("%.4f", d.Seconds()),
-				fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(len(edges))),
-			)
+		if err := runtimeRows(t, p.Name, k, opts, runtimeWorkload(p, opts)); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/vossketch/vos/internal/exact"
 	"github.com/vossketch/vos/internal/gen"
-	"github.com/vossketch/vos/internal/metrics"
 	"github.com/vossketch/vos/internal/similarity"
 )
 
@@ -27,8 +25,20 @@ type AccuracyResult struct {
 	Deletes      int
 	Pairs        int
 	MedianCommon int
-	AAPE         *metrics.Collector // per-method series over stream time
-	ARMSE        *metrics.Collector
+	// T is the stream position of each checkpoint; AAPE and ARMSE hold one
+	// value a checkpoint for every method of similarity.Methods.
+	T           []uint64
+	AAPE, ARMSE map[string][]float64
+}
+
+// Final returns every method's AAPE and ARMSE at the end of the stream.
+func (r *AccuracyResult) Final() (aape, armse map[string]float64) {
+	aape, armse = map[string]float64{}, map[string]float64{}
+	for _, m := range similarity.Methods {
+		aape[m] = r.AAPE[m][len(r.T)-1]
+		armse[m] = r.ARMSE[m][len(r.T)-1]
+	}
+	return aape, armse
 }
 
 // RunAccuracy executes the §V accuracy protocol on one dataset profile.
@@ -39,12 +49,21 @@ func RunAccuracy(p gen.Profile, opts Options) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := exact.NewPairTracker(pairs)
+	ests, err := similarity.NewAll(opts.budget(ds.Profile), uint64(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	budget := similarity.Budget{K32: opts.K32, Users: int(ds.Profile.Users), Lambda: opts.Lambda}
-	ests, err := similarity.NewAll(budget, uint64(opts.Seed))
+	// opts.Checkpoints evenly spaced positions, and the end of the stream
+	// when it is not one of them.
+	every := max(len(ds.Edges)/opts.Checkpoints, 1)
+	var at []int
+	for t := every; t <= len(ds.Edges); t += every {
+		at = append(at, t)
+	}
+	if len(ds.Edges)%every != 0 {
+		at = append(at, len(ds.Edges))
+	}
+	checkpoints, err := measure(ds.Edges, ests, pairs, at)
 	if err != nil {
 		return nil, err
 	}
@@ -55,38 +74,14 @@ func RunAccuracy(p gen.Profile, opts Options) (*AccuracyResult, error) {
 		Deletes:      ds.Deletes,
 		Pairs:        len(pairs),
 		MedianCommon: median,
-		AAPE:         metrics.NewCollector(),
-		ARMSE:        metrics.NewCollector(),
+		AAPE:         map[string][]float64{},
+		ARMSE:        map[string][]float64{},
 	}
-
-	every := len(ds.Edges) / opts.Checkpoints
-	if every == 0 {
-		every = 1
-	}
-	truthS := make([]float64, len(pairs))
-	truthJ := make([]float64, len(pairs))
-	estS := make([]float64, len(pairs))
-	estJ := make([]float64, len(pairs))
-
-	for idx, e := range ds.Edges {
-		tracker.MustApply(e)
-		for _, est := range ests {
-			est.Process(e)
-		}
-		t := uint64(idx + 1)
-		if (idx+1)%every == 0 || idx == len(ds.Edges)-1 {
-			for i := range pairs {
-				truthS[i] = float64(tracker.CommonItems(i))
-				truthJ[i] = tracker.Jaccard(i)
-			}
-			for _, est := range ests {
-				for i, pr := range pairs {
-					estS[i] = est.EstimateCommonItems(pr.U, pr.V)
-					estJ[i] = est.EstimateJaccard(pr.U, pr.V)
-				}
-				res.AAPE.Record(est.Name(), t, metrics.AAPE(truthS, estS))
-				res.ARMSE.Record(est.Name(), t, metrics.ARMSE(truthJ, estJ))
-			}
+	for _, c := range checkpoints {
+		res.T = append(res.T, c.T)
+		for m, est := range ests {
+			res.AAPE[est.Name()] = append(res.AAPE[est.Name()], AAPE(c.TruthS, c.EstS[m]))
+			res.ARMSE[est.Name()] = append(res.ARMSE[est.Name()], ARMSE(c.TruthJ, c.EstJ[m]))
 		}
 	}
 	return res, nil
@@ -99,36 +94,22 @@ func (r *AccuracyResult) annotate(t *Table, opts Options) {
 		opts.K32, opts.Lambda, opts.Seed)
 }
 
-// seriesTable renders one collector as a t-by-method table.
-func seriesTable(id, title, metric string, r *AccuracyResult, opts Options) *Table {
+// seriesTable renders one metric's trajectories as a t-by-method table.
+func seriesTable(id, title string, series map[string][]float64, r *AccuracyResult, opts Options) *Table {
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: append([]string{"t"}, similarity.Methods...),
 	}
 	r.annotate(t, opts)
-	series := make(map[string]*metrics.Series, len(similarity.Methods))
-	var nPoints int
-	for _, m := range similarity.Methods {
-		s := r.get(metric).Get(m)
-		series[m] = s
-		nPoints = len(s.Points)
-	}
-	for i := 0; i < nPoints; i++ {
-		row := []string{fmt.Sprintf("%d", series[similarity.Methods[0]].Points[i].T)}
+	for i, at := range r.T {
+		row := []string{fmt.Sprintf("%d", at)}
 		for _, m := range similarity.Methods {
-			row = append(row, fmt.Sprintf("%.4f", series[m].Points[i].Value))
+			row = append(row, fmt.Sprintf("%.4f", series[m][i]))
 		}
 		t.AddRow(row...)
 	}
 	return t
-}
-
-func (r *AccuracyResult) get(metric string) *metrics.Collector {
-	if metric == "AAPE" {
-		return r.AAPE
-	}
-	return r.ARMSE
 }
 
 // Fig3TimeSeries regenerates Figures 3(a) and 3(c): AAPE and ARMSE over
@@ -140,9 +121,9 @@ func Fig3TimeSeries(opts Options) (aape, armse *Table, err error) {
 		return nil, nil, err
 	}
 	aape = seriesTable("fig3a", fmt.Sprintf("AAPE of ŝ over time (%s, k = %d)", opts.Dataset, opts.K32),
-		"AAPE", r, opts)
+		r.AAPE, r, opts)
 	armse = seriesTable("fig3c", fmt.Sprintf("ARMSE of Ĵ over time (%s, k = %d)", opts.Dataset, opts.K32),
-		"ARMSE", r, opts)
+		r.ARMSE, r, opts)
 	return aape, armse, nil
 }
 
@@ -167,11 +148,12 @@ func Fig3Final(opts Options) (aape, armse *Table, err error) {
 		}
 		r.annotate(aape, opts)
 		r.annotate(armse, opts)
+		finalA, finalR := r.Final()
 		rowA := []string{p.Name}
 		rowR := []string{p.Name}
 		for _, m := range similarity.Methods {
-			rowA = append(rowA, fmt.Sprintf("%.4f", r.AAPE.Get(m).Last()))
-			rowR = append(rowR, fmt.Sprintf("%.4f", r.ARMSE.Get(m).Last()))
+			rowA = append(rowA, fmt.Sprintf("%.4f", finalA[m]))
+			rowR = append(rowR, fmt.Sprintf("%.4f", finalR[m]))
 		}
 		aape.AddRow(rowA...)
 		armse.AddRow(rowR...)

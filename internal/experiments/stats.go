@@ -1,10 +1,70 @@
-package metrics
+package experiments
 
 import (
 	"fmt"
 	"math"
 	"sort"
 )
+
+// The paper's §V error metrics and the per-pair error distribution behind
+// them: what the experiment tables print, computed from the truth and
+// estimate vectors measure fills.
+
+// AAPE returns (1/|P|)·Σ |s − ŝ|/|s| over pairs, the paper's metric for
+// ŝ. Pairs with true value 0 are skipped (the paper tracks only pairs with
+// at least one common item, so s > 0 by construction; the guard keeps the
+// metric total and finite on arbitrary inputs). It returns NaN when no
+// pair qualifies.
+func AAPE(truth, estimate []float64) float64 {
+	if len(truth) != len(estimate) {
+		panic(fmt.Sprintf("experiments: AAPE length mismatch %d vs %d", len(truth), len(estimate)))
+	}
+	sum, n := 0.0, 0
+	for i, s := range truth {
+		if s == 0 {
+			continue
+		}
+		sum += math.Abs(s-estimate[i]) / math.Abs(s)
+		n++
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
+
+// ARMSE returns sqrt((1/|P|)·Σ (Ĵ − J)²), the paper's metric for Ĵ.
+// It returns NaN for empty input.
+func ARMSE(truth, estimate []float64) float64 {
+	if len(truth) != len(estimate) {
+		panic(fmt.Sprintf("experiments: ARMSE length mismatch %d vs %d", len(truth), len(estimate)))
+	}
+	if len(truth) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for i, j := range truth {
+		d := estimate[i] - j
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(truth)))
+}
+
+// MeanBias returns the mean signed error (ŝ − s), separating systematic
+// bias from noise in the ablation experiments.
+func MeanBias(truth, estimate []float64) float64 {
+	if len(truth) != len(estimate) {
+		panic(fmt.Sprintf("experiments: MeanBias length mismatch %d vs %d", len(truth), len(estimate)))
+	}
+	if len(truth) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for i := range truth {
+		sum += estimate[i] - truth[i]
+	}
+	return sum / float64(len(truth))
+}
 
 // Summary is a distributional view of per-pair errors: beyond the paper's
 // single-number AAPE/ARMSE, the ablation write-ups and the inspector
@@ -21,12 +81,12 @@ type Summary struct {
 // indicate an upstream bug, not a data property).
 func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, fmt.Errorf("metrics: empty sample")
+		return Summary{}, fmt.Errorf("experiments: empty sample")
 	}
 	sorted := append([]float64(nil), xs...)
 	for _, x := range sorted {
 		if math.IsNaN(x) {
-			return Summary{}, fmt.Errorf("metrics: NaN in sample")
+			return Summary{}, fmt.Errorf("experiments: NaN in sample")
 		}
 	}
 	sort.Float64s(sorted)
@@ -66,7 +126,7 @@ func quantile(sorted []float64, q float64) float64 {
 // the AAPE convention).
 func RelativeErrors(truth, estimate []float64) []float64 {
 	if len(truth) != len(estimate) {
-		panic(fmt.Sprintf("metrics: RelativeErrors length mismatch %d vs %d", len(truth), len(estimate)))
+		panic(fmt.Sprintf("experiments: RelativeErrors length mismatch %d vs %d", len(truth), len(estimate)))
 	}
 	out := make([]float64, 0, len(truth))
 	for i := range truth {

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -124,24 +125,9 @@ func (t *Table) RenderCSV(w io.Writer) error {
 			return err
 		}
 	}
-	writeRow := func(cells []string) error {
-		escaped := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			escaped[i] = c
-		}
-		_, err := fmt.Fprintln(w, strings.Join(escaped, ","))
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
 		return err
 	}
-	if err := writeRow(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows) // flushes
 }

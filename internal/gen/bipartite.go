@@ -77,13 +77,7 @@ func sampleDegrees(rng *rand.Rand, p Profile) []uint64 {
 	scale := float64(p.Edges) / float64(total)
 	var sum uint64
 	for u := range raw {
-		d := uint64(float64(raw[u])*scale + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		if d > p.Items {
-			d = p.Items
-		}
+		d := min(max(uint64(float64(raw[u])*scale+0.5), 1), p.Items)
 		raw[u] = d
 		sum += d
 	}

@@ -76,13 +76,11 @@ func (p Profile) Scaled(f float64) Profile {
 		panic(fmt.Sprintf("gen: scale factor %v out of (0, 1]", f))
 	}
 	s := p
-	s.Users = maxU64(uint64(float64(p.Users)*f), 100)
-	s.Items = maxU64(uint64(float64(p.Items)*f), 100)
-	s.Edges = maxU64(uint64(float64(p.Edges)*f), 1000)
+	s.Users = max(uint64(float64(p.Users)*f), 100)
+	s.Items = max(uint64(float64(p.Items)*f), 100)
+	s.Edges = max(uint64(float64(p.Edges)*f), 1000)
 	// Average degree cannot exceed the item universe.
-	if s.Edges > s.Users*s.Items {
-		s.Edges = s.Users * s.Items
-	}
+	s.Edges = min(s.Edges, s.Users*s.Items)
 	return s
 }
 
@@ -94,11 +92,4 @@ func (p Profile) AvgDegree() float64 {
 func (p Profile) String() string {
 	return fmt.Sprintf("%s{|U|=%d |I|=%d |E|=%d deg=%.1f}",
 		p.Name, p.Users, p.Items, p.Edges, p.AvgDegree())
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

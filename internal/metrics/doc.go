@@ -1,15 +1,9 @@
-// Package metrics implements the measurement vocabulary of the module,
-// in two halves.
-//
-// The accuracy half is the paper's §V error metrics — AAPE (average
-// absolute percentage error) for the common-item estimate ŝ and ARMSE
-// (average root mean square error) for the Jaccard estimate Ĵ — plus
-// MeanBias for the ablations, and the Series/Collector time-series types
-// the over-time figures are built from.
-//
-// The operations half serves running deployments: ShardStat is the
-// per-shard health snapshot reported by the sharded ingestion engine
-// (internal/engine) — accepted/applied counters, queue backlog, per-shard
-// array load β — and RateMeter turns monotone counters into windowed
-// edges-per-second rates for throughput harnesses and dashboards.
+// Package metrics is the operational measurement vocabulary of running
+// deployments: ShardStat is the per-shard health snapshot reported by the
+// sharded ingestion engine (internal/engine) — accepted/applied counters,
+// queue backlog, per-shard array load β — RateMeter turns monotone counters
+// into windowed edges-per-second rates for throughput harnesses and
+// dashboards, and UDPStats is the datagram listener's ledger. (The paper's
+// accuracy metrics, AAPE and ARMSE, live with the experiments that print
+// them, internal/experiments.)
 package metrics

@@ -1,4 +1,4 @@
-package metrics
+package metrics_test
 
 import (
 	"math"
@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/vossketch/vos/internal/experiments"
 )
 
 func TestSummarizeBasics(t *testing.T) {
-	s, err := Summarize([]float64{4, 1, 3, 2, 5})
+	s, err := experiments.Summarize([]float64{4, 1, 3, 2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,16 +27,16 @@ func TestSummarizeBasics(t *testing.T) {
 }
 
 func TestSummarizeRejectsBadInput(t *testing.T) {
-	if _, err := Summarize(nil); err == nil {
+	if _, err := experiments.Summarize(nil); err == nil {
 		t.Error("empty accepted")
 	}
-	if _, err := Summarize([]float64{1, math.NaN()}); err == nil {
+	if _, err := experiments.Summarize([]float64{1, math.NaN()}); err == nil {
 		t.Error("NaN accepted")
 	}
 }
 
 func TestSummarizeSingleElement(t *testing.T) {
-	s, err := Summarize([]float64{7})
+	s, err := experiments.Summarize([]float64{7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestQuantileOrderingProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s, err := Summarize(xs)
+		s, err := experiments.Summarize(xs)
 		if err != nil {
 			return false
 		}
@@ -72,7 +74,7 @@ func TestQuantileOrderingProperty(t *testing.T) {
 func TestRelativeErrors(t *testing.T) {
 	truth := []float64{10, 0, 20}
 	est := []float64{12, 5, 15}
-	rel := RelativeErrors(truth, est)
+	rel := experiments.RelativeErrors(truth, est)
 	if len(rel) != 2 || rel[0] != 0.2 || rel[1] != 0.25 {
 		t.Errorf("rel = %v (zero-truth pair must be skipped)", rel)
 	}
@@ -80,7 +82,7 @@ func TestRelativeErrors(t *testing.T) {
 
 func TestErrorsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"rel": func() { RelativeErrors([]float64{1}, nil) },
+		"rel": func() { experiments.RelativeErrors([]float64{1}, nil) },
 	} {
 		func() {
 			defer func() {

@@ -1,14 +1,17 @@
-package minhash
+// Package minhash_test holds the MinHash baseline's tests at the import path
+// they have always had; the type lives in internal/similarity.
+package minhash_test
 
 import (
 	"math"
 	"testing"
 
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
 
-func process(s *Sketch, edges []stream.Edge) {
+func process(s *similarity.MinHash, edges []stream.Edge) {
 	for _, e := range edges {
 		s.Process(e)
 	}
@@ -26,7 +29,7 @@ func TestStaticJaccardAccuracy(t *testing.T) {
 		trueJ := float64(common) / float64(2*size-common)
 		sum := 0.0
 		for trial := 0; trial < trials; trial++ {
-			s := New(k, uint64(trial))
+			s := similarity.NewMinHash(k, uint64(trial))
 			process(s, gen.PlantedPair(1, 2, size, size, common, int64(trial)))
 			sum += s.EstimateJaccard(1, 2)
 		}
@@ -39,7 +42,7 @@ func TestStaticJaccardAccuracy(t *testing.T) {
 
 func TestCommonItemsIdentity(t *testing.T) {
 	const size, common = 300, 150
-	s := New(512, 3)
+	s := similarity.NewMinHash(512, 3)
 	process(s, gen.PlantedPair(1, 2, size, size, common, 5))
 	est := s.EstimateCommonItems(1, 2)
 	if math.Abs(est-common)/common > 0.25 {
@@ -51,13 +54,13 @@ func TestCommonItemsIdentity(t *testing.T) {
 }
 
 func TestDeletionEmptiesRegister(t *testing.T) {
-	s := New(16, 1)
+	s := similarity.NewMinHash(16, 1)
 	s.Process(stream.Edge{User: 1, Item: 77, Op: stream.Insert})
 	// Every register now holds item 77; deleting it empties all.
 	s.Process(stream.Edge{User: 1, Item: 77, Op: stream.Delete})
-	sig := s.Signature(1)
+	sig, occ := s.Signature(1)
 	for j, h := range sig {
-		if h != math.MaxUint64 {
+		if occ[j] {
 			t.Errorf("register %d not emptied: %x", j, h)
 		}
 	}
@@ -67,21 +70,21 @@ func TestDeletionEmptiesRegister(t *testing.T) {
 }
 
 func TestDeletionOfNonMinimumKeepsRegister(t *testing.T) {
-	s := New(8, 2)
+	s := similarity.NewMinHash(8, 2)
 	s.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert})
 	s.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert})
-	before := s.Signature(1)
+	before, _ := s.Signature(1)
 	// For each register, deleting the item that is NOT the minimum must
 	// leave the register unchanged. Delete both items from a clone-like
 	// second user to find which one is the min per register; simpler:
 	// delete item 2, then registers whose min was item 1 are unchanged.
 	s.Process(stream.Edge{User: 1, Item: 2, Op: stream.Delete})
-	after := s.Signature(1)
+	after, occ := s.Signature(1)
 	changed := 0
 	for j := range before {
 		if before[j] != after[j] {
 			changed++
-			if after[j] != math.MaxUint64 {
+			if occ[j] {
 				t.Errorf("register %d changed to a non-empty value", j)
 			}
 		}
@@ -101,7 +104,7 @@ func TestDeletionBiasExists(t *testing.T) {
 	sumJ := 0.0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		s := New(k, uint64(trial))
+		s := similarity.NewMinHash(k, uint64(trial))
 		for i := 0; i < 200; i++ {
 			s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 			s.Process(stream.Edge{User: 2, Item: stream.Item(i), Op: stream.Insert})
@@ -120,30 +123,35 @@ func TestDeletionBiasExists(t *testing.T) {
 }
 
 func TestEstimateUnknownUsers(t *testing.T) {
-	s := New(8, 1)
+	s := similarity.NewMinHash(8, 1)
 	if s.EstimateJaccard(5, 6) != 0 {
 		t.Error("unknown users should estimate 0")
 	}
 }
 
+// TestFromSet: the static signature of an item set, the classic
+// (insertion-only) use of the method.
 func TestFromSet(t *testing.T) {
-	items := []stream.Item{10, 20, 30}
-	a := FromSet(items, 64, 9)
-	b := FromSet(items, 64, 9)
-	sa, sb := a.Signature(0), b.Signature(0)
+	fromSet := func() *similarity.MinHash {
+		s := similarity.NewMinHash(64, 9)
+		for _, it := range []stream.Item{10, 20, 30} {
+			s.Process(stream.Edge{User: 0, Item: it, Op: stream.Insert})
+		}
+		return s
+	}
+	a, b := fromSet(), fromSet()
+	sa, occ := a.Signature(0)
+	sb, _ := b.Signature(0)
 	for j := range sa {
 		if sa[j] != sb[j] {
-			t.Fatal("FromSet not deterministic")
+			t.Fatal("signature of a set not deterministic")
 		}
-		if sa[j] == math.MaxUint64 {
+		if !occ[j] {
 			t.Fatal("register empty after inserts")
 		}
 	}
 	if a.EstimateJaccard(0, 0) != 1 {
 		t.Error("self Jaccard should be 1")
-	}
-	if a.BitsPerUser() != 32*64 {
-		t.Errorf("BitsPerUser = %d", a.BitsPerUser())
 	}
 }
 
@@ -153,11 +161,11 @@ func TestNewPanicsOnBadK(t *testing.T) {
 			t.Error("k=0 should panic")
 		}
 	}()
-	New(0, 1)
+	similarity.NewMinHash(0, 1)
 }
 
 func BenchmarkProcessK100(b *testing.B) {
-	s := New(100, 1)
+	s := similarity.NewMinHash(100, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})

@@ -1,14 +1,17 @@
-package oph
+// Package oph_test holds the OPH baseline's tests at the import path they
+// have always had; the type lives in internal/similarity.
+package oph_test
 
 import (
 	"math"
 	"testing"
 
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
 
-func process(s *Sketch, edges []stream.Edge) {
+func process(s *similarity.OPH, edges []stream.Edge) {
 	for _, e := range edges {
 		s.Process(e)
 	}
@@ -25,7 +28,7 @@ func TestStaticJaccardAccuracy(t *testing.T) {
 		trueJ := float64(common) / float64(2*size-common)
 		sum := 0.0
 		for trial := 0; trial < trials; trial++ {
-			s := New(k, uint64(trial))
+			s := similarity.NewOPH(k, uint64(trial))
 			process(s, gen.PlantedPair(1, 2, size, size, common, int64(trial)))
 			sum += s.EstimateJaccard(1, 2)
 		}
@@ -40,7 +43,7 @@ func TestSparseSetsUseNonEmptyDenominator(t *testing.T) {
 	// Few items, many bins: the NIPS'12 estimator must divide by the
 	// non-empty bin count, not k, or sparse sets would be crushed to ~0.
 	const k = 512
-	s := New(k, 7)
+	s := similarity.NewOPH(k, 7)
 	items := []stream.Item{1, 2, 3, 4, 5}
 	for _, it := range items {
 		s.Process(stream.Edge{User: 1, Item: it, Op: stream.Insert})
@@ -53,7 +56,7 @@ func TestSparseSetsUseNonEmptyDenominator(t *testing.T) {
 
 func TestProcessTouchesOneBin(t *testing.T) {
 	// O(1) semantics: an insert may change at most one register.
-	s := New(64, 3)
+	s := similarity.NewOPH(64, 3)
 	s.Process(stream.Edge{User: 1, Item: 100, Op: stream.Insert})
 	before, occBefore := s.Signature(1)
 	s.Process(stream.Edge{User: 1, Item: 200, Op: stream.Insert})
@@ -70,7 +73,7 @@ func TestProcessTouchesOneBin(t *testing.T) {
 }
 
 func TestDeletionEmptiesOnlyOwningBin(t *testing.T) {
-	s := New(32, 5)
+	s := similarity.NewOPH(32, 5)
 	s.Process(stream.Edge{User: 1, Item: 42, Op: stream.Insert})
 	_, occ := s.Signature(1)
 	occupied := 0
@@ -102,7 +105,7 @@ func TestDeletionBiasExists(t *testing.T) {
 	sum := 0.0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		s := New(k, uint64(trial))
+		s := similarity.NewOPH(k, uint64(trial))
 		for i := 100; i < 400; i++ {
 			s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 		}
@@ -122,7 +125,7 @@ func TestDeletionBiasExists(t *testing.T) {
 }
 
 func TestEstimateUnknownUsers(t *testing.T) {
-	s := New(8, 1)
+	s := similarity.NewOPH(8, 1)
 	if s.EstimateJaccard(5, 6) != 0 {
 		t.Error("unknown users should estimate 0")
 	}
@@ -133,7 +136,7 @@ func TestEstimateUnknownUsers(t *testing.T) {
 
 func TestCommonItemsIdentity(t *testing.T) {
 	const size, common = 600, 300
-	s := New(256, 3)
+	s := similarity.NewOPH(256, 3)
 	process(s, gen.PlantedPair(1, 2, size, size, common, 5))
 	est := s.EstimateCommonItems(1, 2)
 	if math.Abs(est-common)/common > 0.25 {
@@ -147,7 +150,7 @@ func TestNewPanicsOnBadK(t *testing.T) {
 			t.Error("k=0 should panic")
 		}
 	}()
-	New(0, 1)
+	similarity.NewOPH(0, 1)
 }
 
 func TestDensifiedAccuracySparse(t *testing.T) {
@@ -157,10 +160,10 @@ func TestDensifiedAccuracySparse(t *testing.T) {
 		k      = 256
 		size   = 60
 	)
-	schemes := map[string]func(*Sketch, stream.User) *Densified{
-		"rotation": (*Sketch).DensifyRotation,
-		"improved": (*Sketch).DensifyImproved,
-		"optimal":  (*Sketch).DensifyOptimal,
+	schemes := map[string]func(*similarity.OPH, stream.User) *similarity.Densified{
+		"rotation": (*similarity.OPH).DensifyRotation,
+		"improved": (*similarity.OPH).DensifyImproved,
+		"optimal":  (*similarity.OPH).DensifyOptimal,
 	}
 	for name, densify := range schemes {
 		for _, wantJ := range []float64{0.3, 0.7} {
@@ -168,7 +171,7 @@ func TestDensifiedAccuracySparse(t *testing.T) {
 			trueJ := float64(common) / float64(2*size-common)
 			sum := 0.0
 			for trial := 0; trial < trials; trial++ {
-				s := New(k, uint64(trial))
+				s := similarity.NewOPH(k, uint64(trial))
 				process(s, gen.PlantedPair(1, 2, size, size, common, int64(trial)))
 				da := densify(s, 1)
 				db := densify(s, 2)
@@ -186,15 +189,15 @@ func TestDensifyIdenticalSetsPerfect(t *testing.T) {
 	// Identical sets must densify to identical signatures (J = 1) under
 	// every scheme — the shared-donor property.
 	items := []stream.Item{10, 20, 30}
-	s := New(64, 9)
+	s := similarity.NewOPH(64, 9)
 	for _, it := range items {
 		s.Process(stream.Edge{User: 1, Item: it, Op: stream.Insert})
 		s.Process(stream.Edge{User: 2, Item: it, Op: stream.Insert})
 	}
-	for name, densify := range map[string]func(*Sketch, stream.User) *Densified{
-		"rotation": (*Sketch).DensifyRotation,
-		"improved": (*Sketch).DensifyImproved,
-		"optimal":  (*Sketch).DensifyOptimal,
+	for name, densify := range map[string]func(*similarity.OPH, stream.User) *similarity.Densified{
+		"rotation": (*similarity.OPH).DensifyRotation,
+		"improved": (*similarity.OPH).DensifyImproved,
+		"optimal":  (*similarity.OPH).DensifyOptimal,
 	} {
 		if got := densify(s, 1).EstimateJaccard(densify(s, 2)); got != 1 {
 			t.Errorf("%s: identical sets densified to Ĵ = %v", name, got)
@@ -203,12 +206,12 @@ func TestDensifyIdenticalSetsPerfect(t *testing.T) {
 }
 
 func TestDensifyPanics(t *testing.T) {
-	s := New(16, 1)
+	s := similarity.NewOPH(16, 1)
 	s.Process(stream.Edge{User: 1, Item: 5, Op: stream.Insert})
 	for name, fn := range map[string]func(){
 		"all empty": func() { s.DensifyRotation(99) },
 		"mismatched k": func() {
-			other := New(8, 1)
+			other := similarity.NewOPH(8, 1)
 			other.Process(stream.Edge{User: 1, Item: 5, Op: stream.Insert})
 			s.DensifyRotation(1).EstimateJaccard(other.DensifyRotation(1))
 		},
@@ -225,7 +228,7 @@ func TestDensifyPanics(t *testing.T) {
 }
 
 func BenchmarkProcessK100(b *testing.B) {
-	s := New(100, 1)
+	s := similarity.NewOPH(100, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})

@@ -1,14 +1,17 @@
-package rp
+// Package rp_test holds the Random Pairing baseline's tests at the import
+// path they have always had; the type lives in internal/similarity.
+package rp_test
 
 import (
 	"math"
 	"testing"
 
+	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
 
 func TestCardinalityTracking(t *testing.T) {
-	s := New(4, 1)
+	s := similarity.NewRP(4, 1)
 	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Insert})
 	s.Process(stream.Edge{User: 1, Item: 11, Op: stream.Insert})
 	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Delete})
@@ -21,7 +24,7 @@ func TestCardinalityTracking(t *testing.T) {
 }
 
 func TestSamplerHoldsAnItem(t *testing.T) {
-	s := New(8, 2)
+	s := similarity.NewRP(8, 2)
 	for i := 0; i < 20; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 	}
@@ -40,7 +43,7 @@ func TestUniformityInsertOnly(t *testing.T) {
 	// Chi-square of the sampled item over many independent samplers.
 	const n = 8
 	const k = 4000
-	s := New(k, 3)
+	s := similarity.NewRP(k, 3)
 	for i := 0; i < n; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 	}
@@ -59,7 +62,7 @@ func TestUniformityAfterDeletions(t *testing.T) {
 	// The property MinHash/OPH lack: insert [0, 16), delete the even
 	// items; samples must be uniform over the surviving odd items.
 	const k = 4000
-	s := New(k, 5)
+	s := similarity.NewRP(k, 5)
 	for i := 0; i < 16; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 	}
@@ -92,7 +95,7 @@ func TestUniformityAfterDeleteThenReinsert(t *testing.T) {
 	// Delete everything, reinsert a fresh set: samples must be uniform
 	// over the new set and never reference the old one.
 	const k = 3000
-	s := New(k, 7)
+	s := similarity.NewRP(k, 7)
 	for i := 0; i < 10; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 	}
@@ -132,7 +135,7 @@ func TestEstimateCommonItems(t *testing.T) {
 		n      = 40
 		common = 20
 	)
-	s := New(k, 11)
+	s := similarity.NewRP(k, 11)
 	// User 1: items [0, 40). User 2: items [20, 60). Common: [20, 40).
 	for i := 0; i < n; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
@@ -157,7 +160,7 @@ func TestEstimateUnbiasedAfterDeletions(t *testing.T) {
 		k      = 20000
 		common = 20
 	)
-	s := New(k, 13)
+	s := similarity.NewRP(k, 13)
 	// Both users first subscribe [1000, 1100) then fully unsubscribe it.
 	for i := 1000; i < 1100; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
@@ -180,7 +183,7 @@ func TestEstimateUnbiasedAfterDeletions(t *testing.T) {
 }
 
 func TestEstimateUnknownUsers(t *testing.T) {
-	s := New(4, 1)
+	s := similarity.NewRP(4, 1)
 	if s.EstimateCommonItems(5, 6) != 0 || s.EstimateJaccard(5, 6) != 0 {
 		t.Error("unknown users should estimate 0")
 	}
@@ -189,7 +192,7 @@ func TestEstimateUnknownUsers(t *testing.T) {
 func TestJaccardClamped(t *testing.T) {
 	// Tiny k: a single collision makes raw ŝ = n_u·n_v/k ≫ n; Jaccard
 	// must stay in [0, 1].
-	s := New(1, 17)
+	s := similarity.NewRP(1, 17)
 	for i := 0; i < 50; i++ {
 		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
 		s.Process(stream.Edge{User: 2, Item: stream.Item(i), Op: stream.Insert})
@@ -201,8 +204,8 @@ func TestJaccardClamped(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	build := func() *Sketch {
-		s := New(32, 9)
+	build := func() *similarity.RP {
+		s := similarity.NewRP(32, 9)
 		for i := 0; i < 100; i++ {
 			s.Process(stream.Edge{User: stream.User(i % 3), Item: stream.Item(i), Op: stream.Insert})
 		}
@@ -229,7 +232,7 @@ func TestNewPanicsOnBadK(t *testing.T) {
 			t.Error("k=0 should panic")
 		}
 	}()
-	New(0, 1)
+	similarity.NewRP(0, 1)
 }
 
 // checkChiSquare verifies counts are consistent with a uniform draw of
@@ -250,7 +253,7 @@ func checkChiSquare(t *testing.T, counts []int, total int) {
 }
 
 func BenchmarkProcessK100(b *testing.B) {
-	s := New(100, 1)
+	s := similarity.NewRP(100, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})

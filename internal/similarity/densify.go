@@ -1,6 +1,8 @@
-package oph
+package similarity
 
 import (
+	"slices"
+
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -32,111 +34,71 @@ import (
 // NIPS'12 estimator, and densification appears in the abl-dense ablation.
 
 // Densified is a filled signature ready for register-wise comparison.
-type Densified struct {
-	vals []uint64
-	k    int
-}
+type Densified struct{ vals []uint64 }
 
 // offsetC separates borrowed values by distance: a value borrowed from
 // distance d is offset by d·offsetC, so equal registers imply equal donors
 // at equal distances (the ICML'14 construction's C constant).
 const offsetC = 0x9e3779b97f4a7c15
 
-// DensifyRotation applies the ICML'14 rotation scheme to user u's bins.
+// densify fills every empty bin of user u from the first occupied bin its
+// scheme's probe sequence donor(bin, attempt) reaches, attempt = 1, 2, …,
+// offset by the attempt. The sequence must depend only on the bin index and
+// the sketch seed, never on the user, so both sides of a comparison agree.
 // It panics if every bin is empty (an empty set has no signature).
-func (s *Sketch) DensifyRotation(u stream.User) *Densified {
+func (s *OPH) densify(u stream.User, donor func(bin, attempt int) int) *Densified {
 	vals, occ := s.Signature(u)
-	requireNonEmpty(occ)
-	out := make([]uint64, s.k)
-	for j := 0; j < s.k; j++ {
+	if !slices.Contains(occ, true) {
+		panic("similarity: cannot densify an all-empty signature")
+	}
+	for j := range vals {
 		if occ[j] {
-			out[j] = vals[j]
 			continue
 		}
-		for d := 1; ; d++ {
-			src := (j + d) % s.k
-			if occ[src] {
-				out[j] = vals[src] + uint64(d)*offsetC
+		for attempt := 1; ; attempt++ {
+			if src := donor(j, attempt); occ[src] {
+				vals[j] = vals[src] + uint64(attempt)*offsetC
 				break
 			}
 		}
 	}
-	return &Densified{vals: out, k: s.k}
+	return &Densified{vals: vals}
+}
+
+// DensifyRotation applies the ICML'14 rotation scheme to user u's bins.
+func (s *OPH) DensifyRotation(u stream.User) *Densified {
+	return s.densify(u, func(j, d int) int { return (j + d) % s.k })
 }
 
 // DensifyImproved applies the UAI'14 scheme: per-bin random direction.
-func (s *Sketch) DensifyImproved(u stream.User) *Densified {
-	vals, occ := s.Signature(u)
-	requireNonEmpty(occ)
-	out := make([]uint64, s.k)
-	for j := 0; j < s.k; j++ {
-		if occ[j] {
-			out[j] = vals[j]
-			continue
+func (s *OPH) DensifyImproved(u stream.User) *Densified {
+	return s.densify(u, func(j, d int) int {
+		if hashing.Hash64(uint64(j), s.seed^0xd1b54a32d192ed03)&1 == 1 {
+			return (j + d) % s.k
 		}
-		// The direction bit must depend only on the bin index (and the
-		// sketch seed), not on the user, so both sides agree.
-		goRight := hashing.Hash64(uint64(j), s.seed^0xd1b54a32d192ed03)&1 == 1
-		for d := 1; ; d++ {
-			var src int
-			if goRight {
-				src = (j + d) % s.k
-			} else {
-				src = (j - d%s.k + s.k) % s.k
-			}
-			if occ[src] {
-				out[j] = vals[src] + uint64(d)*offsetC
-				break
-			}
-		}
-	}
-	return &Densified{vals: out, k: s.k}
+		return (j - d%s.k + s.k) % s.k
+	})
 }
 
 // DensifyOptimal applies the ICML'17 scheme: 2-universal probing.
-func (s *Sketch) DensifyOptimal(u stream.User) *Densified {
-	vals, occ := s.Signature(u)
-	requireNonEmpty(occ)
+func (s *OPH) DensifyOptimal(u stream.User) *Densified {
 	tu := hashing.NewTwoUniversal(s.seed ^ 0x2545f4914f6cdd1d)
-	out := make([]uint64, s.k)
-	for j := 0; j < s.k; j++ {
-		if occ[j] {
-			out[j] = vals[j]
-			continue
-		}
-		for attempt := uint64(1); ; attempt++ {
-			// Probe sequence is a function of (bin, attempt) shared by
-			// both parties.
-			src := int(tu.HashRange(uint64(j)<<20|attempt, uint64(s.k)))
-			if occ[src] {
-				out[j] = vals[src] + attempt*offsetC
-				break
-			}
-		}
-	}
-	return &Densified{vals: out, k: s.k}
+	return s.densify(u, func(j, attempt int) int {
+		return int(tu.HashRange(uint64(j)<<20|uint64(attempt), uint64(s.k)))
+	})
 }
 
 // EstimateJaccard compares two densified signatures register-wise over the
 // full k denominator.
 func (d *Densified) EstimateJaccard(o *Densified) float64 {
-	if d.k != o.k {
-		panic("oph: incompatible densified signatures")
+	if len(d.vals) != len(o.vals) {
+		panic("similarity: incompatible densified signatures")
 	}
 	matches := 0
-	for j := 0; j < d.k; j++ {
-		if d.vals[j] == o.vals[j] {
+	for j, v := range d.vals {
+		if v == o.vals[j] {
 			matches++
 		}
 	}
-	return float64(matches) / float64(d.k)
-}
-
-func requireNonEmpty(occ []bool) {
-	for _, o := range occ {
-		if o {
-			return
-		}
-	}
-	panic("oph: cannot densify an all-empty signature")
+	return float64(matches) / float64(len(d.vals))
 }

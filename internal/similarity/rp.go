@@ -1,9 +1,24 @@
-package rp
+package similarity
 
 import (
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
+
+// Random Pairing (Gemulla, Lehner & Haas, VLDB Journal 2008) is the
+// bounded-memory uniform sampling scheme for evolving sets, extended per the
+// paper's §III to similarity estimation: each user runs k independent
+// capacity-1 RP samplers, and two users' samples match with probability
+// s_uv/(n_u·n_v), giving the estimator
+//
+//	ŝ_uv = n_u·n_v · (1/k)·Σ_j 1(φ_j(S_u) = φ_j(S_v)).
+//
+// Unlike MinHash/OPH, RP samples remain exactly uniform under deletions
+// (that is the whole point of the algorithm), so RP is the unbiased
+// competitor in the paper's comparison — its weakness is variance: two
+// independent uniform samples rarely collide, so at practical k the
+// estimate is dominated by noise, which is what the paper's Figure 3
+// shows.
 
 // sampler is one capacity-1 Random Pairing sampler.
 //
@@ -28,30 +43,24 @@ type userState struct {
 	rng      uint64 // splitmix64 state
 }
 
-// Sketch runs k RP samplers per user over a fully dynamic stream.
-type Sketch struct {
+// RP runs k RP samplers per user over a fully dynamic stream.
+type RP struct {
 	k    int
 	seed uint64
 	st   map[stream.User]*userState
 }
 
-// New creates an RP sketch with k samplers per user.
-func New(k int, seed uint64) *Sketch {
+// NewRP creates an RP sketch with k samplers per user. The §V accounting
+// charges it k registers of 32 bits a user (the deletion-debt counters are
+// shared bookkeeping the paper's equalisation ignores for all methods alike).
+func NewRP(k int, seed uint64) *RP {
 	if k <= 0 {
-		panic("rp: k must be positive")
+		panic("similarity: k must be positive")
 	}
-	return &Sketch{k: k, seed: seed, st: make(map[stream.User]*userState)}
+	return &RP{k: k, seed: seed, st: make(map[stream.User]*userState)}
 }
 
-// K returns the number of samplers per user.
-func (s *Sketch) K() int { return s.k }
-
-// BitsPerUser returns the §V accounting: k registers of 32 bits (the
-// deletion-debt counters are shared bookkeeping the paper's equalisation
-// ignores for all methods alike).
-func (s *Sketch) BitsPerUser() uint64 { return 32 * uint64(s.k) }
-
-func (s *Sketch) state(u stream.User) *userState {
+func (s *RP) state(u stream.User) *userState {
 	st := s.st[u]
 	if st == nil {
 		st = &userState{
@@ -69,11 +78,11 @@ func (st *userState) coin() float64 {
 }
 
 // Name identifies the method in the evaluation's tables and figures.
-func (s *Sketch) Name() string { return "RP" }
+func (s *RP) Name() string { return MethodRP }
 
 // Process folds one element into the sketch in O(k): every sampler of the
 // touched user takes an independent RP step.
-func (s *Sketch) Process(e stream.Edge) {
+func (s *RP) Process(e stream.Edge) {
 	st := s.state(e.User)
 	switch e.Op {
 	case stream.Insert:
@@ -113,7 +122,7 @@ func (s *Sketch) Process(e stream.Edge) {
 }
 
 // Cardinality returns the tracked n_u.
-func (s *Sketch) Cardinality(u stream.User) int64 {
+func (s *RP) Cardinality(u stream.User) int64 {
 	if st := s.st[u]; st != nil {
 		return st.n
 	}
@@ -122,7 +131,7 @@ func (s *Sketch) Cardinality(u stream.User) int64 {
 
 // Sample returns sampler j's current item for user u, with ok=false when
 // the sampler is empty. Exposed for the uniformity tests.
-func (s *Sketch) Sample(u stream.User, j int) (stream.Item, bool) {
+func (s *RP) Sample(u stream.User, j int) (stream.Item, bool) {
 	st := s.st[u]
 	if st == nil || !st.samplers[j].filled {
 		return 0, false
@@ -137,7 +146,7 @@ func (s *Sketch) Sample(u stream.User, j int) (stream.Item, bool) {
 // sampler pairs where both sides hold a sample — each such pair is an
 // unbiased Bernoulli(s/(n_u·n_v)) trial, and filled status is independent
 // of which item is held, so the conditioning preserves unbiasedness.
-func (s *Sketch) EstimateCommonItems(u, v stream.User) float64 {
+func (s *RP) EstimateCommonItems(u, v stream.User) float64 {
 	su, sv := s.st[u], s.st[v]
 	if su == nil || sv == nil {
 		return 0
@@ -161,7 +170,7 @@ func (s *Sketch) EstimateCommonItems(u, v stream.User) float64 {
 // EstimateJaccard converts ŝ through J = s/(n_u + n_v − s), clamped to
 // [0, 1] (the raw ŝ can exceed the feasible range on a lucky collision
 // because n_u·n_v/k ≫ 1 at practical k).
-func (s *Sketch) EstimateJaccard(u, v stream.User) float64 {
+func (s *RP) EstimateJaccard(u, v stream.User) float64 {
 	est := s.EstimateCommonItems(u, v)
 	nu, nv := s.Cardinality(u), s.Cardinality(v)
 	maxCommon := float64(nu)

@@ -1,8 +1,10 @@
-// Package similarity defines the common interface every similarity
-// estimation method in this repository implements, the paper's §V
-// memory-equalisation model, and a factory that builds all four competing
-// methods (VOS, MinHash, OPH, RP) plus the exact oracle with the same
-// memory budget, exactly as the evaluation requires.
+// Package similarity holds everything the paper's evaluation compares VOS
+// with, behind one interface: the Estimator every method implements, the §V
+// memory-equalisation model, the three baselines — MinHash and OPH on one
+// register table (registers.go, densify.go), Random Pairing (rp.go) — the
+// adapters that put the VOS sketch and the exact oracle behind the same
+// interface, and the factory that builds any of them under the same memory
+// budget, exactly as the evaluation requires.
 package similarity
 
 import (
@@ -12,9 +14,6 @@ import (
 
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/exact"
-	"github.com/vossketch/vos/internal/minhash"
-	"github.com/vossketch/vos/internal/oph"
-	"github.com/vossketch/vos/internal/rp"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -92,13 +91,13 @@ func New(method string, b Budget, seed uint64) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &vosAdapter{v}, nil
+		return FromVOS(v), nil
 	case "minhash":
-		return minhash.New(b.K32, seed), nil
+		return NewMinHash(b.K32, seed), nil
 	case "oph":
-		return oph.New(b.K32, seed), nil
+		return NewOPH(b.K32, seed), nil
 	case "rp":
-		return rp.New(b.K32, seed), nil
+		return NewRP(b.K32, seed), nil
 	case "exact":
 		return NewExact(), nil
 	default:
@@ -130,17 +129,15 @@ func NewAll(b Budget, seed uint64) ([]Estimator, error) {
 	return out, nil
 }
 
-type vosAdapter struct{ v *core.VOS }
+// vosAdapter is a sketch behind the interface: the sketch's own Process,
+// estimates and Cardinality, plus the name.
+type vosAdapter struct{ *core.VOS }
 
-func (a *vosAdapter) Name() string          { return MethodVOS }
-func (a *vosAdapter) Process(e stream.Edge) { a.v.Process(e) }
-func (a *vosAdapter) EstimateCommonItems(u, v stream.User) float64 {
-	return a.v.EstimateCommonItems(u, v)
-}
-func (a *vosAdapter) EstimateJaccard(u, v stream.User) float64 {
-	return a.v.EstimateJaccard(u, v)
-}
-func (a *vosAdapter) Cardinality(u stream.User) int64 { return a.v.Cardinality(u) }
+func (vosAdapter) Name() string { return MethodVOS }
+
+// FromVOS puts a sketch of any configuration behind the Estimator interface;
+// New builds the one the §V budget prescribes.
+func FromVOS(v *core.VOS) Estimator { return vosAdapter{v} }
 
 // Exact is the ground-truth oracle behind the Estimator interface. Its
 // "estimates" are exact values; it exists so harness code can treat truth
@@ -172,37 +169,20 @@ func (x *Exact) Cardinality(u stream.User) int64 {
 	return int64(x.store.Cardinality(u))
 }
 
-// Store exposes the underlying exact store.
-func (x *Exact) Store() *exact.Store { return x.store }
-
-// TopKer is the optional native top-K fast path: estimators that can rank
-// candidates without materialising every score (VOS recovers the probe
-// user's packed sketch once and keeps a bounded min-heap) implement it,
-// and TopSimilar uses it automatically. The returned ranking must equal
-// sorting per-pair EstimateJaccard results descending with ties broken by
-// user ID, u excluded.
-type TopKer interface {
-	TopSimilarUsers(u stream.User, candidates []stream.User, n int) []stream.User
-}
-
-// TopSimilarUsers implements TopKer on the VOS adapter via the core
-// materialized top-K path.
-func (a *vosAdapter) TopSimilarUsers(u stream.User, candidates []stream.User, n int) []stream.User {
-	top := a.v.TopK(u, candidates, n)
-	out := make([]stream.User, len(top))
-	for i, r := range top {
-		out[i] = r.User
-	}
-	return out
-}
-
 // TopSimilar returns, for an estimator and a candidate user set, the n
 // users most similar to u by estimated Jaccard, descending (ties broken by
-// user ID). The building block of the "similar users" examples. Estimators
-// implementing TopKer rank through the native heap path.
+// user ID), u excluded. The building block of the "similar users" examples.
+// The VOS adapter ranks through its sketch's native top-K — the probe user's
+// packed sketch recovered once, a bounded min-heap instead of every score
+// materialised — whose ranking equals the generic one below.
 func TopSimilar(est Estimator, u stream.User, candidates []stream.User, n int) []stream.User {
-	if tk, ok := est.(TopKer); ok {
-		return tk.TopSimilarUsers(u, candidates, n)
+	if v, ok := est.(vosAdapter); ok {
+		top := v.TopK(u, candidates, n)
+		out := make([]stream.User, len(top))
+		for i, r := range top {
+			out[i] = r.User
+		}
+		return out
 	}
 	type scored struct {
 		user stream.User

@@ -138,8 +138,8 @@ func TestExactOracle(t *testing.T) {
 	if x.EstimateJaccard(1, 2) != wantJ {
 		t.Errorf("exact J = %v", x.EstimateJaccard(1, 2))
 	}
-	if x.Store().Cardinality(1) != 30 {
-		t.Error("store not exposed correctly")
+	if x.Cardinality(1) != 30 {
+		t.Errorf("exact n = %d", x.Cardinality(1))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestTopSimilar(t *testing.T) {
 }
 
 func TestTopSimilarBatchPathMatchesLoop(t *testing.T) {
-	// The VOS adapter implements TopKer; its TopSimilar result must equal
-	// the generic per-pair path.
+	// TopSimilar ranks a VOS adapter through the sketch's native top-K; the
+	// result must equal the generic per-pair path.
 	b := Budget{K32: 100, Users: 50, Lambda: 2}
 	est := MustNew(MethodVOS, b, 3)
 	for _, e := range gen.PlantedPair(1, 2, 100, 100, 60, 4) {
@@ -186,13 +186,12 @@ func TestTopSimilarBatchPathMatchesLoop(t *testing.T) {
 		candidates = append(candidates, u)
 	}
 
-	if _, ok := est.(TopKer); !ok {
-		t.Fatal("VOS adapter should implement TopKer")
+	if _, ok := est.(vosAdapter); !ok {
+		t.Fatal("New(MethodVOS) should build the VOS adapter")
 	}
 	gotBatch := TopSimilar(est, 1, candidates, 5)
 
-	// Force the generic path through a wrapper that hides the batch
-	// interface.
+	// Force the generic path through a wrapper that hides the adapter.
 	generic := plainEstimator{est}
 	gotLoop := TopSimilar(generic, 1, candidates, 5)
 
@@ -209,7 +208,7 @@ func TestTopSimilarBatchPathMatchesLoop(t *testing.T) {
 	}
 }
 
-// plainEstimator hides any optional interfaces of the wrapped estimator.
+// plainEstimator hides the concrete type of the wrapped estimator.
 type plainEstimator struct{ e Estimator }
 
 func (p plainEstimator) Name() string          { return p.e.Name() }

@@ -7,7 +7,6 @@ import (
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/internal/experiments"
 	"github.com/vossketch/vos/internal/gen"
-	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -43,12 +42,7 @@ func TestReproduction_AccuracyOrdering(t *testing.T) {
 	if r.Deletes == 0 {
 		t.Fatal("workload has no deletions; the regression would be vacuous")
 	}
-	aape := map[string]float64{}
-	armse := map[string]float64{}
-	for _, m := range similarity.Methods {
-		aape[m] = r.AAPE.Get(m).Last()
-		armse[m] = r.ARMSE.Get(m).Last()
-	}
+	aape, armse := r.Final()
 	t.Logf("final AAPE: %v", aape)
 	t.Logf("final ARMSE: %v", armse)
 

@@ -17,6 +17,8 @@ import (
 // the API knows; a reordered, indented or misspelt body) and its caller goes
 // to encoding/json, which stays the path for every other valid input and the
 // reference FuzzAnswerJSON and TestAnswerJSONDifferential hold the kernel to.
+// The exception is an answer the server cannot append: only a non-finite
+// estimate is, encoding/json has no body for it either, and it is a 500.
 
 // AppendEstimate appends est as GET /v1/similarity answers it (the line
 // json.Encoder.Encode writes); false when a field is not finite.

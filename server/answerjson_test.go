@@ -475,9 +475,9 @@ func TestAnswerHandlersEitherPath(t *testing.T) {
 		t.Errorf("%d bodies went through the kernel and %d through encoding/json, want 7 and 15", taken, declined)
 	}
 
-	// The append side declining: what encoding/json cannot encode is still its
-	// to refuse, and the answer is what WriteJSON has always made of that — the
-	// status line already sent, no body.
+	// The append side declining: JSON has no NaN, encoding/json refuses the
+	// same value, so there is no body to fall back to — the client is told
+	// in the typed envelope, not handed a 200 with zero bytes.
 	nan := server.New(nanService{}, server.Options{})
 	for _, req := range []*http.Request{
 		httptest.NewRequest(http.MethodGet, server.RouteSimilarity+"?u=1&v=2", nil),
@@ -485,8 +485,9 @@ func TestAnswerHandlersEitherPath(t *testing.T) {
 	} {
 		rec := httptest.NewRecorder()
 		nan.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get("Content-Type") != server.ContentTypeJSON {
-			t.Errorf("%s of a non-finite estimate: %d %q %q", req.URL.Path, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+		var env server.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError || env.Error.Code != server.CodeInternal {
+			t.Errorf("%s of a non-finite estimate: %d %q, want 500/%s", req.URL.Path, rec.Code, rec.Body, server.CodeInternal)
 		}
 	}
 }

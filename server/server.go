@@ -636,6 +636,10 @@ func (s *Server) checkAt(w http.ResponseWriter, r *http.Request, at float64) boo
 	return true
 }
 
+// nonFiniteAnswer is the 500 for the one estimate the answer kernel declines:
+// JSON has no NaN or Inf, and encoding/json refuses the same value.
+const nonFiniteAnswer = "service returned a non-finite estimate"
+
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	u, okU := parseID(q.Get("u"))
@@ -663,7 +667,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	defer buf.release()
 	var ok bool
 	if buf.b, ok = AppendEstimate(buf.b[:0], est); !ok {
-		WriteJSON(w, http.StatusOK, est)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, nonFiniteAnswer)
 		return
 	}
 	writeJSONBytes(w, buf.b)
@@ -736,7 +740,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	var ok bool
 	if buf.b, ok = AppendTopK(buf.b[:0], top); !ok {
-		WriteJSON(w, http.StatusOK, top)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, nonFiniteAnswer)
 		return
 	}
 	writeJSONBytes(w, buf.b)

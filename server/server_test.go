@@ -652,7 +652,7 @@ func TestHealthAndDrain(t *testing.T) {
 // 503/unavailable — the typed replacement for racing Close into a panic or
 // a zero estimate.
 func TestClosedEngine(t *testing.T) {
-	eng, err := vos.NewEngine(testEngineConfig())
+	eng, err := vos.OpenEngine(t.TempDir(), testEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,6 +666,9 @@ func TestClosedEngine(t *testing.T) {
 	}
 	if status, code := errorCode(t, http.MethodPost, ts.URL+server.RouteEdges, server.ContentTypeJSON, `{"user":1,"item":2}`); status != 503 || code != server.CodeUnavailable {
 		t.Fatalf("ingest on closed engine: %d/%s, want 503/%s", status, code, server.CodeUnavailable)
+	}
+	if status, code := errorCode(t, http.MethodPost, ts.URL+server.RouteCheckpoint, "", ""); status != 503 || code != server.CodeUnavailable {
+		t.Fatalf("checkpoint on closed engine: %d/%s, want 503/%s", status, code, server.CodeUnavailable)
 	}
 }
 

@@ -191,11 +191,6 @@ var ErrClosed = engine.ErrClosed
 // shard queue, and the engine's merged snapshot only covers applied edges,
 // so querying without the flush could silently miss acknowledged writes
 // (the exact silent-zero the typed service contract exists to remove).
-// Write-heavy deployments that prefer bounded staleness over
-// read-your-writes should query the Engine directly with
-// EngineConfig.SnapshotMaxLag set — a staleness choice only: the engine
-// brings its snapshot current by replaying the applied delta, so the exact
-// reads this adapter makes are not the expensive setting.
 type engineService struct {
 	e *Engine
 }

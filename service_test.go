@@ -282,11 +282,17 @@ func TestEngineTopKCancellationAborts(t *testing.T) {
 // TestEngineServiceClosed: after Close, every service method returns the
 // ErrClosed sentinel — typed lifecycle errors instead of stale answers.
 func TestEngineServiceClosed(t *testing.T) {
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig()})
+	eng, err := vos.OpenEngine(t.TempDir(), vos.EngineConfig{Sketch: serviceSketchConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc := vos.NewEngineService(eng)
 	ctx := context.Background()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := svc.(vos.Checkpointer).Checkpoint(ctx); !errors.Is(err, vos.ErrClosed) {
+		t.Fatalf("Checkpoint after Close: %v", err)
 	}
 	if err := svc.Ingest(ctx, []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}); !errors.Is(err, vos.ErrClosed) {
 		t.Fatalf("Ingest after Close: %v", err)
