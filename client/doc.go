@@ -21,8 +21,10 @@
 // response); edges are copied only when they must outlive the call — the
 // residue, the head that tops an earlier residue up to a batch, and what a
 // failed ship sends back to the pending buffer. Send, the gateway's entry,
-// copies none. UDPClient.Ingest copies every edge once, into its frame
-// buffer. All of them refuse a slice naming a user id above vos.MaxUser
+// copies none. UDPClient.Ingest follows the same rule, a whole batch framed
+// where it lies into the one frame buffer the client keeps, and a frame whose
+// socket write failed is dropped, never sent again, its sequence number spent.
+// All of them refuse a slice naming a user id above vos.MaxUser
 // (vos.ErrUserRange) whole: the encoding has no room for the id's top bit.
 //
 // # Reads

@@ -195,6 +195,35 @@ func TestIngestRequestAllocBudget(t *testing.T) {
 				len(three)/batch, res.AllocedBytesPerOp(), sliceBytes)
 		}
 	})
+
+	// The datagram client under the same rule: whole batches are framed where
+	// they lie, into the one frame buffer the client keeps.
+	t.Run("udp client copies no edges", func(t *testing.T) {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0") // nobody reads: sends succeed
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		uc, err := client.NewUDP(pc.LocalAddr().String(), client.UDPOptions{BatchSize: 256, AckEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer uc.Close()
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := uc.Ingest(ctx, edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		sliceBytes := int64(len(edges)) * 24
+		t.Logf("%d calls of %d edges: %d B a call (the slice is %d B)", res.N, len(edges), res.AllocedBytesPerOp(), sliceBytes)
+		if res.AllocedBytesPerOp() >= sliceBytes {
+			t.Errorf("Ingest of %d whole batches allocates %d B a call, as much as the %d B slice: it copied the edges",
+				len(edges)/256, res.AllocedBytesPerOp(), sliceBytes)
+		}
+	})
 }
 
 // TestTopKRoundTripAllocBudget is the read path's allocation budget, beside

@@ -138,12 +138,15 @@ func NewUDP(addr string, opt UDPOptions) (*UDPClient, error) {
 // Session returns the session id frames are stamped with.
 func (c *UDPClient) Session() uint64 { return c.opt.Session }
 
-// Ingest buffers edges and ships every full BatchSize chunk as one data
-// frame. Frames are never retried (an XOR batch must not risk double
-// application); a send error reports the frame that failed, with
-// everything not yet framed still buffered. The slice stays the caller's
-// (it is copied into the frame buffer); a user id the element encoding
-// cannot carry (stream.ErrUserRange) refuses it whole, nothing buffered.
+// Ingest ships every full BatchSize chunk as one data frame and buffers the
+// residue. Frames are never retried (an XOR batch must not risk double
+// application): a send error reports the frame that failed, which is not sent
+// again if it reached the socket, with everything not yet framed still
+// buffered. The slice stays the caller's. With nothing pending its whole
+// batches are framed where they lie; what is copied is the head that tops a
+// pending batch up, the residue and, after an error, the rest of the call. A
+// user id the element encoding cannot carry (stream.ErrUserRange) refuses it
+// whole, nothing buffered.
 func (c *UDPClient) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if err := stream.CheckUsers(edges); err != nil {
 		return err
@@ -153,18 +156,41 @@ func (c *UDPClient) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if c.closed {
 		return vos.ErrClosed
 	}
-	c.pend = append(c.pend, edges...)
-	for len(c.pend) >= c.opt.BatchSize {
-		batch := c.pend[:c.opt.BatchSize]
-		if _, err := c.shipLocked(ctx, batch, false); err != nil {
-			return err
+	// What is pending goes first, topped up to whole batches (more than one
+	// after an error kept the rest of its call), and out of the buffer, as in
+	// Flush: a concurrent call must not frame it while shipLocked waits.
+	var own []vos.Edge
+	if len(c.pend) > 0 {
+		size := c.opt.BatchSize
+		head := min((size-len(c.pend)%size)%size, len(edges))
+		own, c.pend = append(c.pend, edges[:head]...), nil
+		edges = edges[head:]
+	}
+	own, err := c.framesLocked(ctx, own)
+	if err == nil {
+		edges, err = c.framesLocked(ctx, edges)
+	}
+	// Kept, oldest first: the rest of what was pending, the rest of this call,
+	// what a concurrent call buffered meanwhile.
+	if len(own)+len(edges) > 0 {
+		c.pend = append(append(own, edges...), c.pend...)
+	}
+	return err
+}
+
+// framesLocked ships edges' whole batches, a frame each, and returns what it
+// did not: the residue shorter than a batch or, with an error, everything from
+// the failed frame on — after it, if that frame reached the socket.
+func (c *UDPClient) framesLocked(ctx context.Context, edges []vos.Edge) ([]vos.Edge, error) {
+	for size := c.opt.BatchSize; len(edges) >= size; edges = edges[size:] {
+		if wrote, err := c.shipLocked(ctx, edges[:size], false); err != nil {
+			if wrote {
+				edges = edges[size:]
+			}
+			return edges, err
 		}
-		c.pend = c.pend[c.opt.BatchSize:]
 	}
-	if len(c.pend) == 0 {
-		c.pend = nil
-	}
-	return nil
+	return edges, nil
 }
 
 // Flush ships the buffered partial batch and — when acks are enabled —
@@ -272,6 +298,10 @@ func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck b
 	}
 	c.buf = frame
 	if _, err := c.conn.Write(frame); err != nil {
+		// The frame may be on its way: its sequence number is spent, so that
+		// the next frame is not dropped as a replay of it, and shows as a gap
+		// if it is not.
+		c.seq++
 		return true, err
 	}
 	if ackReq {

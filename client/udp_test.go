@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -18,13 +19,21 @@ import (
 // applied edge, and returns its address.
 func startReceiver(t *testing.T) (addr string, edges func() []stream.Edge) {
 	t.Helper()
+	recv, edges := startCountingReceiver(t)
+	return recv.Addr().String(), edges
+}
+
+// startCountingReceiver is startReceiver with the receiver itself, for its
+// ledger.
+func startCountingReceiver(t *testing.T) (recv *netproto.Receiver, edges func() []stream.Edge) {
+	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	var got []stream.Edge
-	recv := netproto.NewReceiver(pc, netproto.Config{
+	recv = netproto.NewReceiver(pc, netproto.Config{
 		Sink: func(batch []stream.Edge) error {
 			mu.Lock()
 			got = append(got, batch...)
@@ -42,7 +51,7 @@ func startReceiver(t *testing.T) (addr string, edges func() []stream.Edge) {
 			t.Errorf("receiver run: %v", err)
 		}
 	})
-	return recv.Addr().String(), func() []stream.Edge {
+	return recv, func() []stream.Edge {
 		mu.Lock()
 		defer mu.Unlock()
 		return append([]stream.Edge(nil), got...)
@@ -231,5 +240,105 @@ func TestUDPClientAcksDisabled(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failingConn fails its n-th Write (counting from 1): with deliver the
+// datagram goes out first, as a UDP socket reports an earlier datagram's ICMP
+// error on a later send; without, it is lost.
+type failingConn struct {
+	net.Conn
+	n       int
+	deliver bool
+	writes  int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (f *failingConn) Write(p []byte) (int, error) {
+	if f.writes++; f.writes != f.n {
+		return f.Conn.Write(p)
+	}
+	if f.deliver {
+		if _, err := f.Conn.Write(p); err != nil {
+			return 0, err
+		}
+	}
+	return 0, errWriteFailed
+}
+
+// TestUDPFailedWriteIsNeverSentAgain: a frame whose socket write was
+// attempted and failed is in the ambiguous state of any failed send — it may
+// have arrived — so neither Ingest nor Flush ships it again, and its sequence
+// number is spent: the receiver applies every other edge exactly once, the
+// failed frame's once if it did arrive, and drops nothing as a replay.
+func TestUDPFailedWriteIsNeverSentAgain(t *testing.T) {
+	const batch, n = 4, 30 // seven whole frames and a residue of two
+	sent := make([]vos.Edge, n)
+	for i := range sent {
+		sent[i] = vos.Edge{User: vos.User(i % 3), Item: vos.Item(i), Op: vos.Insert}
+	}
+	for _, tc := range []struct {
+		name     string
+		failAt   int // which socket write fails
+		lostFrom int // the failed frame's first edge
+		lostTo   int
+	}{
+		{"Ingest, first frame of a call", 1, 0, 4},
+		{"Ingest, a pending batch topped up", 4, 12, 16}, // the second call's first frame: three pending, one new
+		{"Ingest, mid-call", 6, 20, 24},
+		{"Flush, the residue", 8, 28, 30},
+	} {
+		for _, deliver := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/delivered=%v", tc.name, deliver), func(t *testing.T) {
+				recv, edges := startCountingReceiver(t)
+				c, err := NewUDP(recv.Addr().String(), UDPOptions{BatchSize: batch, AckEvery: -1}) // no ack reader: conn is ours to wrap
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.conn = &failingConn{Conn: c.conn, n: tc.failAt, deliver: deliver}
+				ctx := context.Background()
+				failures := 0
+				for _, call := range [][]vos.Edge{sent[:15], sent[15:]} {
+					if err := c.Ingest(ctx, call); errors.Is(err, errWriteFailed) {
+						failures++
+					} else if err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 2; i++ { // the second finds nothing the first left behind
+					if err := c.Flush(ctx); errors.Is(err, errWriteFailed) {
+						failures++
+					} else if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if failures != 1 {
+					t.Fatalf("%d calls reported the failed write, want 1", failures)
+				}
+				want := append([]vos.Edge(nil), sent...)
+				if !deliver {
+					want = append(want[:tc.lostFrom], want[tc.lostTo:]...)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for len(edges()) < len(want) && time.Now().Before(deadline) {
+					time.Sleep(2 * time.Millisecond)
+				}
+				time.Sleep(20 * time.Millisecond) // a frame sent twice would still be on its way
+				got := edges()
+				if len(got) != len(want) {
+					t.Fatalf("receiver applied %d edges, want %d (the failed frame is %v)", len(got), len(want), sent[tc.lostFrom:tc.lostTo])
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("edge %d: receiver applied %+v, want %+v", i, got[i], want[i])
+					}
+				}
+				if st := recv.Stats(); st.ReplaysDropped != 0 || st.StaleDropped != 0 {
+					t.Fatalf("the receiver dropped a frame it had seen the sequence number of: %+v", st)
+				}
+			})
+		}
 	}
 }

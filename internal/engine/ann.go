@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/hashing"
@@ -51,9 +52,13 @@ import (
 // journal before a probe read them. For the last, the worker spills the
 // users of each batch it evicts while the index's cursor is still behind it
 // (shard.annSpill), so a burst past the journal bound re-bands the users the
-// burst wrote, never the membership. ANNConfig.RebandBudget spreads any of it
-// over the probes that follow; what is still owed is kept per user
-// (annIndex.dirty).
+// burst wrote, never the membership. While the next read is going to owe
+// everyone anyway — nothing read yet, or a rotation since the last read — the
+// worker spills nobody and notes only how far its evictions reach
+// (shard.annSkip); a read whose cursor is behind that mark is a whole one, so
+// a view that does not reach the mark leaves the read after it whole as well.
+// ANNConfig.RebandBudget spreads any of it over the probes that follow; what
+// is still owed is kept per user (annIndex.dirty).
 //
 // The correctness contract is deliberately asymmetric: band membership may
 // lag the stream (that only costs recall — a recently rewritten user might
@@ -109,8 +114,10 @@ type ANNStats struct {
 	// Indexed is the number of users currently banded.
 	Indexed int `json:"indexed"`
 	// DirtyBacklog is the maintenance still owed: users awaiting a whole
-	// (re-)banding, spilled users no probe has taken yet, and single band
-	// keys awaiting a re-key. It drains by up to RebandBudget per probe.
+	// (re-)banding, spilled users no probe has taken yet, single band keys
+	// awaiting a re-key, and one for each shard whose journal has dropped
+	// writes the next probe answers by re-banding everyone. It drains by up
+	// to RebandBudget per probe.
 	DirtyBacklog int `json:"dirty_backlog"`
 	// Entries is the index's total bucket entries: one per indexed user
 	// and band.
@@ -148,9 +155,12 @@ type annIndex struct {
 
 	// The engine state read so far: everything up to it is either in the band
 	// index or in dirty. built is false until the first probe. read.at[i] is
-	// also published as shard i's annAt.
-	built bool
-	read  stamp
+	// also published as shard i's annAt, and read.rot as readRot (noRot until
+	// built): while Engine.winRot differs from it the next read is a whole one,
+	// which is what the workers ask before they spill (Engine.record).
+	built   bool
+	read    stamp
+	readRot atomic.Uint64
 
 	// dirty is the work owed per user: a nil value for a whole re-banding,
 	// else the set of bands to re-key (bit b for band b; bit Bands for a write
@@ -196,14 +206,19 @@ func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, erro
 	if err != nil {
 		return nil, fmt.Errorf("engine: ANN config: %w", err)
 	}
-	return &annIndex{
+	a := &annIndex{
 		cfg:   cfg,
 		ix:    ix,
 		read:  stamp{at: make([]uint64, shards)},
 		dirty: make(map[stream.User][]uint64),
 		band:  make([]uint64, lsh.BandWords(cfg.Rows)),
-	}, nil
+	}
+	a.readRot.Store(noRot)
+	return a, nil
 }
+
+// noRot is annIndex.readRot before the first read: no rotation count.
+const noRot = math.MaxUint64
 
 // ANNEnabled reports whether the engine maintains an approximate top-K
 // index (Config.ANN was set).
@@ -238,9 +253,12 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 			st.DirtyBacklog += bits.OnesCount64(w)
 		}
 	}
-	for _, s := range e.shards {
+	for i, s := range e.shards {
 		s.jMu.Lock()
 		st.DirtyBacklog += len(s.annSpill)
+		if s.annSkip > a.read.at[i] {
+			st.DirtyBacklog++
+		}
 		s.jMu.Unlock()
 	}
 	return st, true
@@ -355,22 +373,31 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 	}
 
 	budget := a.cfg.RebandBudget
+	// Without a journal range to tell what changed — nothing has been read yet,
+	// an import brought users no journal named, a rotation retired a bucket from
+	// under every user's recovered sketch — every user is owed a re-banding.
 	whole := !a.built || st.gen != a.read.gen || st.rot != a.read.rot
+	if !a.built {
+		// The first probe indexes everyone, whatever the budget: a budgeted
+		// one would answer from a sliver of the population.
+		a.built, budget = true, -1
+	}
+	if st.rot != a.read.rot {
+		a.rotations++
+	}
+	a.read.gen, a.read.rot = st.gen, st.rot
+	a.readRot.Store(st.rot)
+	for i, s := range e.shards {
+		if from, to := a.read.at[i], st.at[i]; to > from || whole {
+			// annRead says so too, of a range the worker dropped part of unspilled.
+			whole = e.annRead(a, s, v.Sk, from, to, whole) || whole
+			a.read.at[i] = to
+			s.annAt.Store(to)
+		}
+	}
 	if whole {
-		// No journal range tells what changed: nothing has been read yet, an
-		// import brought users no journal named, or a rotation retired a
-		// bucket from under every user's recovered sketch. Owe every user of
-		// the view a re-banding, and every member (it may be gone from the
-		// view) a look.
-		if !a.built {
-			// The first probe indexes everyone, whatever the budget: a
-			// budgeted one would answer from a sliver of the population.
-			a.built, budget = true, -1
-		}
-		if st.rot != a.read.rot {
-			a.rotations++
-		}
-		a.read.gen, a.read.rot = st.gen, st.rot
+		// Every user of the view, and every member (it may be gone from the
+		// view) for a look.
 		v.Sk.ForEachUser(func(u stream.User, _ int64) bool {
 			a.dirty[u] = nil
 			return true
@@ -379,13 +406,6 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 			a.dirty[u] = nil
 			return true
 		})
-	}
-	for i, s := range e.shards {
-		if from, to := a.read.at[i], st.at[i]; to > from || whole {
-			e.annRead(a, s, v.Sk, from, to, whole)
-			a.read.at[i] = to
-			s.annAt.Store(to)
-		}
 	}
 	return e.annDrain(a, v.Sk, budget)
 }
@@ -396,18 +416,19 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 // are in the spill set, each under the processed count of its last evicted
 // batch, and those the view holds in full (count ≤ to) are owed a whole
 // re-banding; the rest wait for a view that does. whole is set when every
-// user is owed one anyway and only the spill set needs settling. The range is
-// cut before the spill set is settled: a batch the worker evicts in between is
-// then in both, where the other order would find it in neither.
-func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, whole bool) {
+// user is owed one anyway and only the spill set needs settling; it is
+// returned set when the range holds a batch the worker evicted without
+// spilling (shard.annSkip). The range is cut before the spill set is settled: a
+// batch the worker evicts in between is then in both, where the other order
+// would find it in neither.
+func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, whole bool) bool {
 	var cut []journalEntry
+	reaches := true
 	if !whole {
-		var ok bool
-		if cut, _, ok = s.journalRange(from, to); !ok {
-			a.fallbacks++
-		}
+		cut, _, reaches = s.journalRange(from, to)
 	}
 	s.jMu.Lock()
+	whole = whole || s.annSkip > from
 	for u, end := range s.annSpill {
 		if end > to {
 			continue
@@ -419,6 +440,12 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 		delete(s.annSpill, u)
 	}
 	s.jMu.Unlock()
+	if whole {
+		return true
+	}
+	if !reaches {
+		a.fallbacks++
+	}
 
 	rows, banded := a.cfg.Rows, a.cfg.Bands*a.cfg.Rows
 	for _, en := range cut {
@@ -438,6 +465,7 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 			mask[band>>6] |= 1 << (band & 63)
 		}
 	}
+	return false
 }
 
 // annDrain works dirty off against the snapshot, spending the budget (in

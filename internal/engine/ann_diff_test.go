@@ -315,6 +315,81 @@ func TestANNDifferential(t *testing.T) {
 					write([]stream.Edge{{User: users - 1, Item: 1, Op: stream.Insert}, {User: users - 1, Item: 2, Op: stream.Insert}})
 					current("tail: a new user")
 
+					if cfg.Window != nil {
+						// Rotated, unread: several journal bounds land after a
+						// rotation with no probe between. The probe that follows
+						// owes everyone a re-banding whatever it finds, so the
+						// workers spill nobody — and it still leaves exactly the
+						// index a build from scratch would.
+						rotate := func() {
+							t.Helper()
+							now = now.Add(time.Second)
+							e.Flush()
+							if e.AdvanceWindowTo(now) == 0 {
+								t.Fatal("no rotation")
+							}
+							wholeCause = true
+						}
+						unspilled := func(at string, before ANNStats, unread bool) {
+							t.Helper()
+							for i, s := range e.shards {
+								s.jMu.Lock()
+								spilled, evicted := len(s.annSpill), s.jFrom
+								s.jMu.Unlock()
+								if spilled != 0 || unread != (evicted > a.read.at[i]) {
+									t.Fatalf("%s: shard %d evicted up to %d, the index read up to %d, %d users spilled", at, i, evicted, a.read.at[i], spilled)
+								}
+							}
+							if st, _ := e.ANNStats(); st.SpilledUsers != before.SpilledUsers || st.JournalFallbacks != before.JournalFallbacks {
+								t.Fatalf("%s: spill counters moved: %+v -> %+v", at, before, st)
+							}
+						}
+						burst := func() { write(gen.next(3 * int(e.journalMax) * shards)) }
+						before, _ := e.ANNStats()
+						rotate()
+						burst()
+						burst()
+						e.Flush()
+						unspilled("rotated, unread", before, true)
+						probe("rotated, unread", -1, true)
+						if !drained {
+							t.Fatal("rotated, unread: the probe left a backlog")
+						}
+						unspilled("rotated, unread: after the probe", before, false)
+
+						// Lagged: the view that probes after the rotation was cut
+						// before a burst the workers evicted unspilled, so it cannot
+						// settle what the burst wrote; the probe after it is whole too.
+						rotate()
+						write(gen.next(10))
+						e.Flush()
+						lagged := e.acquire()
+						burst()
+						e.Flush()
+						unspilled("lagged", before, true)
+						if _, err := e.topKApproxOn(context.Background(), a, lagged, 0, 5); err != nil {
+							t.Fatal(err)
+						}
+						assertANNEqualsView(t, e, lagged.Sk, "lagged")
+						lagged.Release()
+						mid, _ := e.ANNStats()
+						if mid.DirtyBacklog == 0 {
+							t.Fatalf("lagged: nothing owed after a probe on a view behind unspilled evictions: %+v", mid)
+						}
+						probe("lagged: the following probe", -1, true)
+						live := 0
+						for u := range annMembers(e) {
+							if e.Cardinality(u) != 0 {
+								live++
+							}
+						}
+						after, _ := e.ANNStats()
+						if got := int(after.Rebands - mid.Rebands); got != live || !drained {
+							t.Fatalf("lagged: the following probe re-banded %d of %d users (backlog %d)", got, live, after.DirtyBacklog)
+						}
+						unspilled("lagged: after the following probe", before, false)
+					}
+
 					st, _ := e.ANNStats()
 					t.Logf("%+v", st)
 					if !sawRekeyOnly || st.BandRekeys == 0 {

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,9 +202,9 @@ type shard struct {
 	// merged views, remote readers and the approximate top-K index replay
 	// from (see snapshot.go): contiguous, oldest first, covering processed
 	// counts (jFrom, processed], at most Engine.journalMax edges of them. jMu
-	// guards it, jFrom and annSpill; the worker appends and evicts inside its
-	// skMu critical section, and jMu is never held across other locks (lock
-	// order: skMu (worker) / ann.mu (probe) before jMu).
+	// guards it, jFrom, annSpill and annSkip; the worker appends and evicts
+	// inside its skMu critical section, and jMu is never held across other
+	// locks (lock order: skMu (worker) / ann.mu (probe) before jMu).
 	jMu     sync.Mutex
 	journal []journalEntry
 	jFrom   uint64
@@ -213,8 +214,12 @@ type shard struct {
 	// annSpill holds the users of batches evicted from the journal while the
 	// index was still behind them, each with the processed count its last
 	// such batch reached (nil on engines without Config.ANN — see ann.go).
+	// annSkip is the processed count of the last batch evicted without
+	// spilling, because the index owed every user a re-banding anyway: a read
+	// from a cursor behind it is a whole one.
 	annAt    atomic.Uint64
 	annSpill map[stream.User]uint64
+	annSkip  uint64
 }
 
 // Engine is the sharded ingestion engine. All methods are safe for
@@ -484,10 +489,21 @@ func (e *Engine) kickPending(s *shard) {
 		return
 	}
 	select {
-	case s.ch <- s.pend:
+	case s.ch <- trimmed(s.pend):
 		s.pend = nil
 	default:
 	}
+}
+
+// trimmed is a residue about to be handed over short of a batch. The journal
+// keeps what the worker is handed, so one that fills under half of a pending
+// batch's capacity goes in memory of its own size: a trickle of flushed edges
+// must not pin a batch's worth each.
+func trimmed(residue []stream.Edge) []stream.Edge {
+	if 2*len(residue) < cap(residue) {
+		return slices.Clone(residue)
+	}
+	return residue
 }
 
 // add accepts a group of edges for one shard, in order behind what is
@@ -497,34 +513,42 @@ func (e *Engine) kickPending(s *shard) {
 // up to whole batches) no matter how large the slices passed to ProcessBatch
 // are; the residue stays pending (always shorter than one batch at rest).
 //
-// owned says whose memory edges is. False: the caller's, which add must not
-// keep — the edges are copied onto the pending batch and the batches carved
-// from that copy. True: the engine's own, written for the last time (route's
-// partition buffer) — only the head that tops the pending batch up to
-// BatchSize is copied; the rest becomes the pending batch as it lies, so
-// its full batches and its residue alias the group. The group's capacity
-// ends with it, so a later append to the residue moves it out rather than
-// running on into the next shard's group.
+// A group shorter than a batch has no whole batch to carve: it is copied onto
+// the pending batch, which is made at full capacity and so never regrown. For
+// a longer one owned says whose memory it is. False: the caller's, which add
+// must not keep — the edges are copied onto the pending batch and the batches
+// carved from that copy. True: the engine's own, written for the last time
+// (route's partition buffer) — only the head that tops the pending batch up to
+// BatchSize is copied; the rest becomes the pending batch as it lies, so its
+// full batches and its residue alias the group. The group's capacity ends with
+// it, so a later append to the residue moves it out rather than running on
+// into the next shard's group.
 func (s *shard) add(edges []stream.Edge, batchSize int, owned bool) {
 	s.pendMu.Lock()
 	s.enqueued.Add(uint64(len(edges)))
 	var few [4][]stream.Edge // a request's share of a shard is a few batches: none allocated to list them
 	full := few[:0]
-	if !owned {
+	switch {
+	case len(edges) < batchSize:
+		if cap(s.pend) < batchSize { // nothing pending, or a residue that aliases its group
+			s.pend = append(make([]stream.Edge, 0, batchSize), s.pend...)
+		}
+		head := min(batchSize-len(s.pend), len(edges))
+		s.pend = append(s.pend, edges[:head]...)
+		if rest := edges[head:]; len(rest) > 0 { // the pending batch is full: the rest starts the next
+			full = append(full, s.pend)
+			s.pend = append(make([]stream.Edge, 0, batchSize), rest...)
+		}
+	case !owned:
 		s.pend = append(s.pend, edges...)
-	} else {
+	default:
 		if len(s.pend) > 0 {
-			head := min(batchSize-len(s.pend), len(edges))
+			head := batchSize - len(s.pend)
 			s.pend = append(s.pend, edges[:head]...)
 			edges = edges[head:]
-			if len(s.pend) == batchSize {
-				full = append(full, s.pend)
-				s.pend = nil
-			}
+			full = append(full, s.pend)
 		}
-		if len(s.pend) == 0 { // otherwise the top-up took the whole group
-			s.pend = edges[:len(edges):len(edges)]
-		}
+		s.pend = edges[:len(edges):len(edges)]
 	}
 	for len(s.pend) >= batchSize {
 		full = append(full, s.pend[:batchSize:batchSize])
@@ -645,7 +669,7 @@ func (e *Engine) Flush() {
 		s.pend = nil
 		s.pendMu.Unlock()
 		if len(out) > 0 {
-			s.ch <- out // blocks only while the queue is full
+			s.ch <- trimmed(out) // blocks only while the queue is full
 		}
 	}
 	for i, s := range e.shards {
@@ -675,7 +699,7 @@ func (e *Engine) Close() error {
 		s.pend = nil
 		s.pendMu.Unlock()
 		if len(out) > 0 {
-			s.ch <- out
+			s.ch <- trimmed(out)
 		}
 		close(s.ch)
 	}

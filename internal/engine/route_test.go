@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,6 +111,13 @@ func testRouteOwnership(t *testing.T, shards, batch int) {
 	write(batch-1, false)         // tops the residue up exactly
 	write(1, true)
 	flush()
+	for i := 0; i < 5; i++ { // half a batch a shard, as datagram frames come: copied onto a pending batch, two to a batch
+		write(batch/2, false)
+	}
+	write(batch-1, false) // fills the pending batch and starts the next
+	write(batch+1, false) // leaves a residue that aliases its group,
+	write(batch/2, false) // which a short group moves onto a pending batch of full size
+	flush()
 
 	single := core.MustNew(routeConfig())
 	for _, ed := range logical {
@@ -160,6 +169,13 @@ func testRouteOwnership(t *testing.T, shards, batch int) {
 // 4.4 times the edges' own bytes; the counting partition needs the owners,
 // the offsets, the buffer, a batch list per shard, Flush's targets and a
 // journal regrowth now and then.
+//
+// The second case is calls shorter than a batch, as a datagram receiver makes
+// them: 256 edges over 2 shards, about half a batch a shard. Such a group is
+// copied onto a pending batch made at full capacity, so an edge costs its
+// place in the partition (24 bytes and 4 for the owner) and in a pending batch
+// (24 more); regrowing an aliased part of a batch, once or twice on the way
+// to a whole one, cost 74 bytes an edge.
 func TestRouteAllocations(t *testing.T) {
 	e := MustNew(Config{Sketch: core.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 7}, Shards: 2, FlushInterval: -1})
 	defer e.Close()
@@ -172,6 +188,97 @@ func TestRouteAllocations(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Fatalf("a 4,096-edge 2-shard ProcessBatch+Flush made %.0f allocations, ceiling 16", allocs)
+	}
+
+	t.Run("256-edge calls", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("measures with testing.Benchmark")
+		}
+		old := runtime.MemProfileRate
+		runtime.MemProfileRate = 1 // every allocation in the profile, for oddAllocs
+		defer func() { runtime.MemProfileRate = old }()
+		const batchBytes = 256 * 24
+		before := oddAllocs("engine.(*shard).add", batchBytes)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := e.ProcessBatch(edges[i%16*256:][:256]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			e.Flush()
+		})
+		perEdge := float64(res.AllocedBytesPerOp()) / 256
+		t.Logf("%d calls: %d B in %d objects a call, %.1f B an edge", res.N, res.AllocedBytesPerOp(), res.AllocsPerOp(), perEdge)
+		if ceiling := 2.25 * 24; perEdge > ceiling {
+			t.Errorf("a 256-edge 2-shard ProcessBatch allocates %.1f B an edge, ceiling %.1f", perEdge, ceiling)
+		}
+		// (A blocked send's sudog is charged to add too, once or twice a run;
+		// regrowing the pending batch happened every other call.)
+		if n := oddAllocs("engine.(*shard).add", batchBytes) - before; n > int64(res.N)/100 {
+			t.Errorf("shard.add made %d allocations in %d calls that are not a pending batch at full capacity: a slice was regrown", n, res.N)
+		}
+	})
+}
+
+// oddAllocs counts the allocations the memory profile has seen under the
+// function whose name ends in fn that are not of the given size. (The profile
+// leaves runtime.growslice out of most stacks; a regrown slice shows by its
+// size.)
+func oddAllocs(fn string, size int64) (n int64) {
+	runtime.GC() // a profile holds what was allocated up to the last collection but one
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for have, ok := runtime.MemProfile(nil, true); !ok; have, ok = runtime.MemProfile(recs, true) {
+		recs = make([]runtime.MemProfileRecord, have+64)
+	}
+	for _, r := range recs {
+		if r.AllocObjects == 0 || r.AllocBytes/r.AllocObjects == size {
+			continue
+		}
+		frames := runtime.CallersFrames(r.Stack())
+		for more := len(r.Stack()) > 0; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); strings.HasSuffix(f.Function, fn) {
+				n += r.AllocObjects
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestRouteShortResidueLeavesItsBatchBehind: the journal keeps what the worker is
+// handed, and a pending batch is made at full capacity, so a residue handed
+// over at under half of it — an edge and a Flush, over and over — goes in
+// memory of its own size; one past half goes as it is.
+func TestRouteShortResidueLeavesItsBatchBehind(t *testing.T) {
+	e := MustNew(Config{Sketch: routeConfig(), Shards: 1, FlushInterval: -1})
+	defer e.Close()
+	batch := e.cfg.BatchSize
+	for i := 0; i < 8; i++ {
+		if err := e.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert}); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+	}
+	if err := e.ProcessBatch(feasibleStream(batch*3/4, 50, 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	s := e.shards[0]
+	s.jMu.Lock()
+	defer s.jMu.Unlock()
+	if len(s.journal) != 9 {
+		t.Fatalf("%d journal entries, want 9", len(s.journal))
+	}
+	for i, en := range s.journal[:8] {
+		if len(en.batch) != 1 || cap(en.batch) >= batch/2 {
+			t.Fatalf("entry %d: %d edges in a slice of capacity %d", i, len(en.batch), cap(en.batch))
+		}
+	}
+	if last := s.journal[8].batch; len(last) != batch*3/4 || cap(last) != batch {
+		t.Fatalf("last entry: %d edges in a slice of capacity %d, want %d in %d", len(last), cap(last), batch*3/4, batch)
 	}
 }
 

@@ -89,7 +89,9 @@ func journalAfter(j []journalEntry, at uint64) int {
 // still have wanted it — any number of readers replay from any cursor at
 // or past jFrom, and the rest fall back. The one reader whose fallback would
 // cost more than the write did, the approximate top-K index, is left the
-// users of what it missed.
+// users of what it missed — or, while its next read owes every user a
+// re-banding whatever it finds (nothing read yet, or a rotation since), only
+// how far what it missed goes (see ann.go).
 func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 	s.jMu.Lock()
 	s.journal = append(s.journal, journalEntry{batch: batch, end: end})
@@ -97,9 +99,13 @@ func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 	for drop < len(s.journal) && end-s.jFrom > e.journalMax {
 		evicted := s.journal[drop]
 		s.jFrom = evicted.end
-		if s.annSpill != nil && s.annAt.Load() < evicted.end {
-			// The approximate top-K index has not read this batch yet and
-			// now never will: keep at least who it wrote (see ann.go).
+		switch a := e.ann; {
+		case a == nil:
+		case a.readRot.Load() != e.winRot.Load():
+			s.annSkip = evicted.end
+		case s.annAt.Load() < evicted.end:
+			// The index has not read this batch yet and now never will: keep
+			// at least who it wrote.
 			for _, ed := range evicted.batch {
 				s.annSpill[ed.User] = evicted.end
 			}

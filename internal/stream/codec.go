@@ -112,25 +112,14 @@ func userRangeError(i int, u User) error {
 	return fmt.Errorf("%w: element %d has user %d", ErrUserRange, i, uint64(u))
 }
 
-// AppendElement appends the binary encoding of one element — uvarint
-// (user<<1 | opBit), then uvarint item — to buf. This is the single
-// definition of the per-element wire shape, shared by the stream file
-// format, the WAL record payload (internal/wal) and the VOSSTRM1 data
-// frame (internal/netproto): the formats are byte-compatible at the
-// element level by construction, not by parallel maintenance. It cannot
-// fail, so it does not look at the user's range; AppendElements does.
-func AppendElement(buf []byte, e Edge) []byte {
-	uo := uint64(e.User) << 1
-	if e.Op == Delete {
-		uo |= 1
-	}
-	return binary.AppendUvarint(binary.AppendUvarint(buf, uo), uint64(e.Item))
-}
-
-// AppendElements appends every edge per AppendElement — the body all the
-// element containers share — growing buf at most once, to the exact size. A
-// user above MaxUser anywhere in edges is an ErrUserRange error and buf
-// comes back as it was.
+// AppendElements appends the binary encoding of every edge — uvarint
+// (user<<1 | opBit), then uvarint item — to buf, growing it at most once, to
+// the exact size. This is the single definition of the per-element wire shape,
+// the body all the element containers share — the stream file format, the WAL
+// record payload (internal/wal) and the VOSSTRM1 data frame
+// (internal/netproto): the formats are byte-compatible at the element level by
+// construction, not by parallel maintenance. A user above MaxUser anywhere in
+// edges is an ErrUserRange error and buf comes back as it was.
 func AppendElements(buf []byte, edges []Edge) ([]byte, error) {
 	size, err := elementsLen(edges)
 	if err != nil {
@@ -139,12 +128,31 @@ func AppendElements(buf []byte, edges []Edge) ([]byte, error) {
 	return appendAll(slices.Grow(buf, size), edges), nil
 }
 
-// appendAll is AppendElements' loop; the caller has checked the users.
+// appendAll is AppendElements' loop. The caller has checked the users and
+// grown buf to hold every element (elementsLen), so the bytes are stored by
+// index behind len(buf) and not appended one at a time.
 func appendAll(buf []byte, edges []Edge) []byte {
+	n := len(buf)
+	buf = buf[:cap(buf)]
 	for i := range edges {
-		buf = AppendElement(buf, edges[i])
+		uo := uint64(edges[i].User) << 1
+		if edges[i].Op == Delete {
+			uo |= 1
+		}
+		n = putUvarint(buf, putUvarint(buf, n, uo), uint64(edges[i].Item))
 	}
-	return buf
+	return buf[:n]
+}
+
+// putUvarint stores x's uvarint encoding at buf[n:] and returns the index
+// behind it.
+func putUvarint(buf []byte, n int, x uint64) int {
+	for ; x >= 0x80; n++ {
+		buf[n] = byte(x) | 0x80
+		x >>= 7
+	}
+	buf[n] = byte(x)
+	return n + 1
 }
 
 // elementsLen returns how many bytes AppendElements appends for edges, or
@@ -164,18 +172,43 @@ func elementsLen(edges []Edge) (int, error) {
 // one byte for zero.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// uvarint is binary.Uvarint with the one- and two-byte encodings — ids
-// below 2^14, most of a dense id space — decided before the general loop.
-func uvarint(data []byte) (uint64, int) {
-	if len(data) >= 2 {
-		if data[0] < 0x80 {
-			return uint64(data[0]), 1
-		}
-		if data[1] < 0x80 {
-			return uint64(data[0]&0x7f) | uint64(data[1])<<7, 2
-		}
+// uvarintIn is binary.Uvarint where a varint's most, ten bytes, are in reach,
+// so that nothing has to look at a length. The one- to three-byte encodings
+// are written out. For a longer one the first eight bytes are one load: the
+// lowest byte without a continuation bit ends the varint, the bytes behind it
+// are masked off and the seven payload bits of each byte closed up in three
+// steps; a ninth and a tenth byte carry bits 56 to 63. As in binary.Uvarint,
+// n is not positive for an encoding that overflows 64 bits or runs past ten
+// bytes.
+func uvarintIn(d *[binary.MaxVarintLen64]byte) (x uint64, n int) {
+	switch {
+	case d[0] < 0x80:
+		return uint64(d[0]), 1
+	case d[1] < 0x80:
+		return uint64(d[0]&0x7f) | uint64(d[1])<<7, 2
+	case d[2] < 0x80:
+		return uint64(d[0]&0x7f) | uint64(d[1]&0x7f)<<7 | uint64(d[2])<<14, 3
 	}
-	return binary.Uvarint(data)
+	const high = 0x8080808080808080
+	w := binary.LittleEndian.Uint64(d[:8])
+	n = 8
+	if ends := ^w & high; ends != 0 {
+		n = bits.TrailingZeros64(ends)/8 + 1
+		w &= 1<<(8*n) - 1 // at n = 8 the shift comes to zero and the mask to all ones
+	}
+	w &^= high
+	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+	switch {
+	case n < 8 || d[7] < 0x80:
+		return w, n
+	case d[8] < 0x80:
+		return w | uint64(d[8])<<56, 9
+	case d[9] <= 1:
+		return w | uint64(d[8]&0x7f)<<56 | uint64(d[9])<<63, 10
+	}
+	return 0, -1
 }
 
 // DecodeElements decodes exactly count elements from data with nothing left
@@ -205,20 +238,33 @@ func DecodeElementsInto(dst []Edge, data []byte, count uint64) ([]Edge, error) {
 		dst = make([]Edge, count)
 	}
 	dst = dst[:count]
-	for idx := range dst {
-		uo, n := uvarint(data)
+	// While two varints of the greatest length are in reach nothing can run off
+	// the end of data; the few elements behind that point take the loop that looks.
+	idx, at := 0, 0
+	for ; idx < len(dst) && len(data)-at >= 2*binary.MaxVarintLen64; idx++ {
+		uo, n := uvarintIn((*[binary.MaxVarintLen64]byte)(data[at:]))
+		it, m := uvarintIn((*[binary.MaxVarintLen64]byte)(data[at+max(n, 0):]))
+		if n <= 0 || m <= 0 {
+			return nil, fmt.Errorf("element %d truncated", idx)
+		}
+		at += n + m
+		dst[idx] = Edge{User: User(uo >> 1), Item: Item(it), Op: Op(uo & 1)}
+	}
+	data = data[at:]
+	for ; idx < len(dst); idx++ {
+		uo, n := binary.Uvarint(data)
 		if n <= 0 {
 			return nil, fmt.Errorf("element %d truncated", idx)
 		}
 		data = data[n:]
-		it, n := uvarint(data)
+		it, n := binary.Uvarint(data)
 		if n <= 0 {
 			return nil, fmt.Errorf("element %d truncated", idx)
 		}
 		data = data[n:]
 		dst[idx] = Edge{User: User(uo >> 1), Item: Item(it), Op: Op(uo & 1)}
 	}
-	// Trailing garbage means the bytes were not produced by AppendElement.
+	// Trailing garbage means the bytes were not produced by AppendElements.
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after %d elements", len(data), count)
 	}
@@ -226,7 +272,7 @@ func DecodeElementsInto(dst []Edge, data []byte, count uint64) ([]Edge, error) {
 }
 
 // AppendBinary appends edges in the binary format — magic, element count,
-// then each element per AppendElement — to buf, growing it at most once.
+// then each element per AppendElements — to buf, growing it at most once.
 // See AppendElements for the one error.
 func AppendBinary(buf []byte, edges []Edge) ([]byte, error) {
 	size, err := elementsLen(edges)

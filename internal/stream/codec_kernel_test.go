@@ -94,6 +94,25 @@ func FuzzElementCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x80}, 11), uint64(1))                    // never terminates
 	f.Add([]byte{0x80}, uint64(0))
 	f.Add([]byte{}, uint64(0))
+	// The decoder stops looking at lengths while twenty bytes, two varints of
+	// the greatest length, are in reach: elements of every width on both sides
+	// of that point, and the malformed ones right at it.
+	one := func(e Edge) []byte { return refAppendElement(nil, e) }
+	short, mid := one(Edge{5, 6, Insert}), one(Edge{1 << 13, 1 << 20, Delete}) // 1+1 bytes, 3+4
+	nine, ten := one(Edge{1 << 55, 1 << 62, Insert}), one(Edge{MaxUser, 1<<64 - 1, Delete})
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02, 0x07) // binary.Uvarint answers n < 0
+	for _, last := range [][]byte{short, mid, nine, ten} {
+		for pad := 0; pad <= 10; pad++ { // the last element starts 20+len-2*pad bytes from the end, on either side of 20
+			body := append(bytes.Repeat(short, pad), ten...)
+			body = append(append(body, bytes.Repeat(short, 10-pad)...), last...)
+			f.Add(body, uint64(12))
+			f.Add(body[:len(body)-1], uint64(12)) // the final element truncated
+		}
+		f.Add(append(append(append([]byte(nil), last...), overflow...), bytes.Repeat(short, 10)...), uint64(12)) // overflow with twenty bytes in reach
+		f.Add(append(append(append([]byte(nil), last...), bytes.Repeat(short, 4)...), overflow...), uint64(6))   // and without
+	}
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), bytes.Repeat(short, 10)...), uint64(11)) // eleven bytes of continuation, in reach
+	f.Add(append(bytes.Repeat([]byte{0xff}, 8), bytes.Repeat(short, 10)...), uint64(10))  // eight, then a terminator
 
 	f.Fuzz(func(t *testing.T, data []byte, count uint64) {
 		want, wantErr := refDecodeElements(data, count)
@@ -111,17 +130,16 @@ func FuzzElementCodec(f *testing.F) {
 		if !equalEdges(got, want) || !equalEdges(into, want) {
 			t.Fatalf("decoded edges differ:\nkernel    %v\ninto      %v\nreference %v", got, into, want)
 		}
-		var ref, one []byte
+		var ref []byte
 		for _, e := range want {
 			ref = refAppendElement(ref, e)
-			one = AppendElement(one, e)
 		}
 		all, err := AppendElements([]byte("prefix"), want)
 		if err != nil {
 			t.Fatalf("AppendElements refused decoded edges: %v", err)
 		}
-		if !bytes.Equal(one, ref) || !bytes.Equal(all, append([]byte("prefix"), ref...)) {
-			t.Fatalf("encodings differ:\nelement   %x\nelements  %x\nreference %x", one, all, ref)
+		if !bytes.Equal(all, append([]byte("prefix"), ref...)) {
+			t.Fatalf("encodings differ:\nelements  %x\nreference %x", all, ref)
 		}
 		if size, _ := elementsLen(want); size != len(ref) {
 			t.Fatalf("elementsLen = %d, encoding is %d bytes", size, len(ref))
