@@ -8,11 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/cluster"
 	"github.com/vossketch/vos/internal/netproto"
 	"github.com/vossketch/vos/internal/wal"
 	"github.com/vossketch/vos/server"
@@ -130,10 +132,11 @@ func TestIngestDoesNotKeepTheSlice(t *testing.T) {
 // TestIngestRequestAllocBudget is the request path's allocation budget, so
 // that a copy put back into it fails a test instead of a benchmark. One
 // request of 1,024 edges, client.Client → server.New → NewEngineService over
-// a durable 2-shard engine, costs 61 KB in 118 objects with the edge slice
-// written into fresh memory once along the way (the engine's partition, which
-// the shard queues keep); with the client's pending copy, a fresh decoded
-// slice and a body read by doubling it was 143 KB in 137.
+// a durable 2-shard engine, costs 15.7 KB in 112 objects, none of them a copy
+// of the edge slice (the engine partitions in pooled scratch onto batch
+// buffers that cycle); with a partition buffer a request it was 61 KB in 118,
+// and with the client's pending copy, a fresh decoded slice and a body read
+// by doubling 143 KB in 137.
 func TestIngestRequestAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("measures with testing.Benchmark; the race detector's own allocations would be counted")
@@ -162,7 +165,7 @@ func TestIngestRequestAllocBudget(t *testing.T) {
 			}
 		})
 		t.Logf("%d requests: %d B and %d objects a request", res.N, res.AllocedBytesPerOp(), res.AllocsPerOp())
-		const maxBytes, maxObjects = 72 << 10, 125
+		const maxBytes, maxObjects = 24 << 10, 120
 		if res.AllocedBytesPerOp() > maxBytes || res.AllocsPerOp() > maxObjects {
 			t.Errorf("a %d-edge request allocates %d B in %d objects; the budget is %d B and %d",
 				batch, res.AllocedBytesPerOp(), res.AllocsPerOp(), maxBytes, maxObjects)
@@ -224,6 +227,48 @@ func TestIngestRequestAllocBudget(t *testing.T) {
 				len(edges)/256, res.AllocedBytesPerOp(), sliceBytes)
 		}
 	})
+}
+
+// TestGatewayIngestAllocBudget is the gateway's own share of a write: one
+// Ingest of 1,024 edges fanned out to 2 backends whose transport is a stub,
+// so what is counted is the partition, the fan-out and the two clients'
+// encoded bodies and requests. With the partition in pooled scratch and the
+// last group sent on the caller's goroutine it is 12.2 KB in 60 objects; with a
+// partition buffer made for every call and a goroutine a group it was 41.0 KB
+// in 64.
+func TestGatewayIngestAllocBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("measures with testing.Benchmark; the race detector's own allocations would be counted")
+	}
+	edges := sliceTestStream(1024)
+	ring := &cluster.Ring{Version: 1, RouteSeed: 7, Shards: []string{"http://b0", "http://b1"}}
+	acks := map[string]string{}
+	for i, group := range vos.PartitionByUser(edges, 2, ring.RouteSeed) {
+		acks[ring.Shards[i][len("http://"):]] = `{"accepted":` + strconv.Itoa(len(group)) + `}`
+	}
+	gw, err := cluster.New(ring, cluster.Options{Client: client.Options{BatchSize: 1024, MaxRetries: -1,
+		HTTPClient: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(acks[r.URL.Host]))}, nil
+		})}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ctx := context.Background()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := gw.Ingest(ctx, edges); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%d calls: %d B and %d objects a call", res.N, res.AllocedBytesPerOp(), res.AllocsPerOp())
+	const maxBytes, maxObjects = 16 << 10, 62
+	if res.AllocedBytesPerOp() > maxBytes || res.AllocsPerOp() > maxObjects {
+		t.Errorf("a 1,024-edge 2-backend Gateway.Ingest allocates %d B in %d objects; the budget is %d B and %d",
+			res.AllocedBytesPerOp(), res.AllocsPerOp(), maxBytes, maxObjects)
+	}
 }
 
 // TestTopKRoundTripAllocBudget is the read path's allocation budget, beside

@@ -192,8 +192,10 @@ func (g *Gateway) backend(url string) (*client.Client, error) {
 // status: XOR writes are not idempotent, and a batch that was, or may have
 // been, partly applied must never look retryable.
 //
-// The slice stays the caller's: the groups are one copy of it
-// (stream.PartitionByUser), which the backends' clients encode where it lies.
+// The slice stays the caller's: the groups are one copy of it, in pooled
+// scratch (stream.Partitioner) that the backends' clients encode where it
+// lies and that goes back when the last of them has returned. The last group
+// is sent on the caller's goroutine: a fan-out one backend wide starts none.
 func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	if g.closed.Load() {
 		return vos.ErrClosed
@@ -214,23 +216,33 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	var errs []error
 	allRefused := true
 	var errMu sync.Mutex
-	for shard, group := range stream.PartitionByUser(edges, ring.NumShards(), ring.RouteSeed) {
-		if len(group) == 0 {
-			continue
+	send := func(shard int, group []vos.Edge) {
+		refused, err := g.forward(ctx, shard, group)
+		errMu.Lock()
+		allRefused = allRefused && refused
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			refused, err := g.forward(ctx, shard, group)
-			errMu.Lock()
-			allRefused = allRefused && refused
-			if err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-			}
-			errMu.Unlock()
-		}()
+		errMu.Unlock()
 	}
+	p := partitioners.Get().(*stream.Partitioner)
+	groups := p.Partition(edges, ring.NumShards(), ring.RouteSeed)
+	last := len(groups) - 1
+	for last > 0 && len(groups[last]) == 0 {
+		last--
+	}
+	for shard, group := range groups[:last] {
+		if len(group) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				send(shard, group)
+			}()
+		}
+	}
+	send(last, groups[last])
 	wg.Wait()
+	partitioners.Put(p)
 	// Invalidate on failure too: a forward that errored or timed out may
 	// still have applied, and the shards that acked certainly did.
 	g.ingests.Add(1)
@@ -240,6 +252,8 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	}
 	return err
 }
+
+var partitioners = sync.Pool{New: func() any { return new(stream.Partitioner) }}
 
 // partialIngest is the error of a fan-out some of which was, or may have
 // been, applied. It answers errors.Is for the causes underneath (a

@@ -426,6 +426,7 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 	reaches := true
 	if !whole {
 		cut, _, reaches = s.journalRange(from, to)
+		defer s.journalDone() // after the last batch of cut below
 	}
 	s.jMu.Lock()
 	whole = whole || s.annSkip > from

@@ -156,12 +156,17 @@ func (c Config) withDefaults() Config {
 // shard is one partition: a private sketch, its ingest queue, and the
 // producer-side pending batch.
 type shard struct {
-	// pendMu guards pend, the producer-side partial batch. Its memory is the
-	// engine's — a copy of what callers passed, or a stretch of a partition
-	// buffer (see add) — and what lies before len(pend) is never written
-	// again, so a batch handed to ch needs no further copy.
+	// pendMu guards pend, the producer-side partial batch: nil, or a batch
+	// buffer (capacity BatchSize, always) that add copies callers' edges onto.
+	// Batch buffers cycle: pend, full, goes to ch, the worker and the journal,
+	// whose eviction (record) puts it on free, where add finds its next pend
+	// and makes one only when there is none. free has room for what a full
+	// queue, the pending batch and the one at the worker evict as they drain
+	// with no producer taking, so a shard at rest pins its journal and at most
+	// what its queue could hold.
 	pendMu sync.Mutex
 	pend   []stream.Edge
+	free   chan []stream.Edge
 
 	// ch carries batches to the worker goroutine: BatchSize edges each, or a
 	// shorter residue from Flush, Close or the linger ticker.
@@ -201,13 +206,18 @@ type shard struct {
 	// journal is the ring of the newest applied batches, which the resident
 	// merged views, remote readers and the approximate top-K index replay
 	// from (see snapshot.go): contiguous, oldest first, covering processed
-	// counts (jFrom, processed], at most Engine.journalMax edges of them. jMu
-	// guards it, jFrom, annSpill and annSkip; the worker appends and evicts
+	// counts (jFrom, processed], at most Engine.journalMax edges of them — a
+	// window sliding along jRing, moved back to the front at its end (record)
+	// and so never regrown by full batches. jReaders counts the readers
+	// between their cut and their last batch (journalRange, journalDone).
+	// jMu guards all four, annSpill and annSkip; the worker appends and evicts
 	// inside its skMu critical section, and jMu is never held across other
 	// locks (lock order: skMu (worker) / ann.mu (probe) before jMu).
-	jMu     sync.Mutex
-	journal []journalEntry
-	jFrom   uint64
+	jMu      sync.Mutex
+	journal  []journalEntry
+	jRing    []journalEntry
+	jFrom    uint64
+	jReaders int
 
 	// annAt is the processed count up to which the approximate top-K index
 	// has read this shard's journal, published by the probe that read it;
@@ -348,7 +358,7 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 		newRing, ringAt = core.NewWindowAt, ring.End()
 	}
 	for i := range e.shards {
-		s := &shard{ch: make(chan []stream.Edge, batches)}
+		s := &shard{ch: make(chan []stream.Edge, batches), free: make(chan []stream.Edge, batches+2)}
 		s.applied.L = &s.waitMu
 		if e.ann != nil {
 			s.annSpill = make(map[stream.User]uint64)
@@ -472,7 +482,9 @@ func (e *Engine) linger() {
 			e.lifeMu.RLock()
 			if !e.closed.Load() {
 				for _, s := range e.shards {
-					e.kickPending(s)
+					if len(s.ch) < cap(s.ch) { // else the residue stays pending for next time
+						s.handOver()
+					}
 				}
 			}
 			e.lifeMu.RUnlock()
@@ -480,86 +492,56 @@ func (e *Engine) linger() {
 	}
 }
 
-// kickPending hands the shard's partial batch to the worker without
-// blocking; if the queue is full the batch stays pending for next time.
-func (e *Engine) kickPending(s *shard) {
+// handOver puts the shard's pending residue, if any, on the queue (blocking
+// while that is full) and returns the enqueued count it cut in the same
+// pendMu section (see shard.enqueued). The journal keeps what the worker is
+// handed, so a residue under half a batch goes in memory of its own size — a
+// trickle of flushed edges must not pin a batch's worth each — and its buffer
+// stays the pending batch.
+func (s *shard) handOver() (target uint64) {
 	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	if len(s.pend) == 0 {
-		return
+	target = s.enqueued.Load()
+	out := s.pend
+	s.pend = nil
+	if 2*len(out) < cap(out) {
+		out, s.pend = slices.Clone(out), out[:0]
 	}
-	select {
-	case s.ch <- trimmed(s.pend):
-		s.pend = nil
-	default:
+	s.pendMu.Unlock()
+	if len(out) > 0 {
+		s.ch <- out
 	}
-}
-
-// trimmed is a residue about to be handed over short of a batch. The journal
-// keeps what the worker is handed, so one that fills under half of a pending
-// batch's capacity goes in memory of its own size: a trickle of flushed edges
-// must not pin a batch's worth each.
-func trimmed(residue []stream.Edge) []stream.Edge {
-	if 2*len(residue) < cap(residue) {
-		return slices.Clone(residue)
-	}
-	return residue
+	return target
 }
 
 // add accepts a group of edges for one shard, in order behind what is
-// pending, and hands full batches to the worker (blocking when the queue is
-// full — backpressure). Batches are carved to exactly BatchSize edges so the
-// queue's capacity in edges really is bounded by Config.QueueSize (rounded
-// up to whole batches) no matter how large the slices passed to ProcessBatch
-// are; the residue stays pending (always shorter than one batch at rest).
-//
-// A group shorter than a batch has no whole batch to carve: it is copied onto
-// the pending batch, which is made at full capacity and so never regrown. For
-// a longer one owned says whose memory it is. False: the caller's, which add
-// must not keep — the edges are copied onto the pending batch and the batches
-// carved from that copy. True: the engine's own, written for the last time
-// (route's partition buffer) — only the head that tops the pending batch up to
-// BatchSize is copied; the rest becomes the pending batch as it lies, so its
-// full batches and its residue alias the group. The group's capacity ends with
-// it, so a later append to the residue moves it out rather than running on
-// into the next shard's group.
-func (s *shard) add(edges []stream.Edge, batchSize int, owned bool) {
-	s.pendMu.Lock()
-	s.enqueued.Add(uint64(len(edges)))
-	var few [4][]stream.Edge // a request's share of a shard is a few batches: none allocated to list them
-	full := few[:0]
-	switch {
-	case len(edges) < batchSize:
-		if cap(s.pend) < batchSize { // nothing pending, or a residue that aliases its group
-			s.pend = append(make([]stream.Edge, 0, batchSize), s.pend...)
+// pending: they are copied onto the pending batch — the group's memory is not
+// kept — and each batch they fill goes to the worker at once (blocking when
+// the queue is full: backpressure), outside pendMu. Every batch is exactly
+// BatchSize edges, so the queue's capacity in edges really is bounded by
+// Config.QueueSize (rounded up to whole batches) however large the slices
+// passed to ProcessBatch are; the residue stays pending (always shorter than
+// one batch at rest).
+func (s *shard) add(edges []stream.Edge, batchSize int) {
+	for len(edges) > 0 {
+		s.pendMu.Lock()
+		if s.pend == nil {
+			select {
+			case s.pend = <-s.free:
+			default:
+				s.pend = make([]stream.Edge, 0, batchSize)
+			}
 		}
-		head := min(batchSize-len(s.pend), len(edges))
-		s.pend = append(s.pend, edges[:head]...)
-		if rest := edges[head:]; len(rest) > 0 { // the pending batch is full: the rest starts the next
-			full = append(full, s.pend)
-			s.pend = append(make([]stream.Edge, 0, batchSize), rest...)
+		n := copy(s.pend[len(s.pend):batchSize], edges)
+		s.enqueued.Add(uint64(n))
+		edges = edges[n:]
+		var full []stream.Edge
+		if s.pend = s.pend[:len(s.pend)+n]; len(s.pend) == batchSize {
+			full, s.pend = s.pend, nil
 		}
-	case !owned:
-		s.pend = append(s.pend, edges...)
-	default:
-		if len(s.pend) > 0 {
-			head := batchSize - len(s.pend)
-			s.pend = append(s.pend, edges[:head]...)
-			edges = edges[head:]
-			full = append(full, s.pend)
+		s.pendMu.Unlock()
+		if full != nil {
+			s.ch <- full
 		}
-		s.pend = edges[:len(edges):len(edges)]
-	}
-	for len(s.pend) >= batchSize {
-		full = append(full, s.pend[:batchSize:batchSize])
-		s.pend = s.pend[batchSize:]
-	}
-	if len(s.pend) == 0 {
-		s.pend = nil
-	}
-	s.pendMu.Unlock()
-	for _, out := range full {
-		s.ch <- out
 	}
 }
 
@@ -589,7 +571,7 @@ func (e *Engine) Process(ed stream.Edge) error {
 			return err
 		}
 	}
-	e.shards[e.ShardOf(ed.User)].add(edges[:], e.cfg.BatchSize, false)
+	e.shards[e.ShardOf(ed.User)].add(edges[:], e.cfg.BatchSize)
 	return nil
 }
 
@@ -627,28 +609,30 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 
 // route groups edges by owning shard and hands the groups over —
 // ProcessBatch minus lifecycle and durability, shared with WAL replay. The
-// grouping is stream.PartitionByUser's counting partition: its buffer is the
-// engine's and is not written again, so the shards carve their batches out
-// of it in place (see add) — an edge is copied once on its way to the
-// worker, and the caller's slice is free the moment route returns. With one
-// shard there is nothing to partition and add copies instead.
+// grouping is the counting partition in pooled scratch (no group outlives the
+// call), and add copies each group onto the shard's batches: an edge is copied
+// twice on its way to the worker, into memory that is warm and never zeroed,
+// and the caller's slice is free the moment route returns. With one shard
+// there is nothing to partition.
 func (e *Engine) route(edges []stream.Edge) {
 	n := len(e.shards)
 	if n == 1 {
-		e.shards[0].add(edges, e.cfg.BatchSize, false)
+		e.shards[0].add(edges, e.cfg.BatchSize)
 		return
 	}
-	for i, group := range stream.PartitionByUser(edges, n, e.routeSeed) {
-		if len(group) > 0 {
-			e.shards[i].add(group, e.cfg.BatchSize, true)
-		}
+	p := partitioners.Get().(*stream.Partitioner)
+	defer partitioners.Put(p)
+	for i, group := range p.Partition(edges, n, e.routeSeed) {
+		e.shards[i].add(group, e.cfg.BatchSize)
 	}
 }
+
+var partitioners = sync.Pool{New: func() any { return new(stream.Partitioner) }}
 
 // Flush blocks until every edge accepted before the call has been applied
 // to its shard sketch. After Flush, Query reflects all of them exactly. It
 // is a hand-over and a wait: per shard, one pendMu section cuts the target
-// (see shard.enqueued) and takes the pending residue, which goes on the
+// and takes the pending residue (shard.handOver), which goes on the
 // shard's queue at once — every shard has its residue before Flush waits on
 // any — and then Flush parks until each worker's processed count reaches the
 // target, woken by the worker itself (shard.await): nothing polls, nothing
@@ -663,14 +647,7 @@ func (e *Engine) Flush() {
 	}
 	targets := make([]uint64, len(e.shards))
 	for i, s := range e.shards {
-		s.pendMu.Lock()
-		targets[i] = s.enqueued.Load()
-		out := s.pend
-		s.pend = nil
-		s.pendMu.Unlock()
-		if len(out) > 0 {
-			s.ch <- trimmed(out) // blocks only while the queue is full
-		}
+		targets[i] = s.handOver()
 	}
 	for i, s := range e.shards {
 		s.await(targets[i])
@@ -694,13 +671,7 @@ func (e *Engine) Close() error {
 	// the workers have already drained everything by then).
 	e.lifeMu.Lock()
 	for _, s := range e.shards {
-		s.pendMu.Lock()
-		out := s.pend
-		s.pend = nil
-		s.pendMu.Unlock()
-		if len(out) > 0 {
-			s.ch <- trimmed(out)
-		}
+		s.handOver()
 		close(s.ch)
 	}
 	e.lifeMu.Unlock()

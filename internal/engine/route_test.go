@@ -163,20 +163,22 @@ func testRouteOwnership(t *testing.T, shards, batch int) {
 }
 
 // TestRouteAllocations is the ceiling on what one partitioned call may
-// allocate: 4,096 edges over 2 shards, ProcessBatch then Flush, workers
-// included (AllocsPerRun counts every goroutine's). Growing the groups by
-// append and copying them onto the pending batch cost 41 allocations and
-// 4.4 times the edges' own bytes; the counting partition needs the owners,
-// the offsets, the buffer, a batch list per shard, Flush's targets and a
-// journal regrowth now and then.
+// allocate once the engine is warm: 4,096 edges over 2 shards, ProcessBatch
+// then Flush, workers included (AllocsPerRun counts every goroutine's, and
+// its own first run is the warm-up). The partition runs in pooled scratch,
+// the batch buffers cycle and the journal slides along its ring, which
+// leaves Flush's targets, and a scratch the pool let go of now and then; the
+// same call made 9 when each of those was made anew.
 //
 // The second case is calls shorter than a batch, as a datagram receiver makes
-// them: 256 edges over 2 shards, about half a batch a shard. Such a group is
-// copied onto a pending batch made at full capacity, so an edge costs its
-// place in the partition (24 bytes and 4 for the owner) and in a pending batch
-// (24 more); regrowing an aliased part of a batch, once or twice on the way
-// to a whole one, cost 74 bytes an edge.
+// them: 256 edges over 2 shards, about half a batch a shard. An edge then
+// cost its place in a partition buffer (24 bytes and 4 for the owner) and in
+// a pending batch (24 more); in steady state it costs nothing, and shard.add
+// allocates nothing at all.
 func TestRouteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector, which also empties sync.Pool at random")
+	}
 	e := MustNew(Config{Sketch: core.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 7}, Shards: 2, FlushInterval: -1})
 	defer e.Close()
 	edges := feasibleStream(4096, 2000, 0.25, 3)
@@ -186,8 +188,9 @@ func TestRouteAllocations(t *testing.T) {
 		}
 		e.Flush()
 	})
-	if allocs > 16 {
-		t.Fatalf("a 4,096-edge 2-shard ProcessBatch+Flush made %.0f allocations, ceiling 16", allocs)
+	t.Logf("a 4,096-edge 2-shard ProcessBatch+Flush: %.0f allocations", allocs)
+	if allocs > 3 {
+		t.Fatalf("a 4,096-edge 2-shard ProcessBatch+Flush made %.0f allocations, ceiling 3", allocs)
 	}
 
 	t.Run("256-edge calls", func(t *testing.T) {
@@ -197,8 +200,13 @@ func TestRouteAllocations(t *testing.T) {
 		old := runtime.MemProfileRate
 		runtime.MemProfileRate = 1 // every allocation in the profile, for oddAllocs
 		defer func() { runtime.MemProfileRate = old }()
-		const batchBytes = 256 * 24
-		before := oddAllocs("engine.(*shard).add", batchBytes)
+		for i := 0; i < 2000; i++ { // warm-up: a full queue's worth of batch buffers comes into being
+			if err := e.ProcessBatch(edges[i%16*256:][:256]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+		before := oddAllocs("engine.(*shard).add", 0)
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -210,21 +218,21 @@ func TestRouteAllocations(t *testing.T) {
 		})
 		perEdge := float64(res.AllocedBytesPerOp()) / 256
 		t.Logf("%d calls: %d B in %d objects a call, %.1f B an edge", res.N, res.AllocedBytesPerOp(), res.AllocsPerOp(), perEdge)
-		if ceiling := 2.25 * 24; perEdge > ceiling {
-			t.Errorf("a 256-edge 2-shard ProcessBatch allocates %.1f B an edge, ceiling %.1f", perEdge, ceiling)
+		if perEdge > 2 {
+			t.Errorf("a 256-edge 2-shard ProcessBatch allocates %.1f B an edge, ceiling 2", perEdge)
 		}
-		// (A blocked send's sudog is charged to add too, once or twice a run;
-		// regrowing the pending batch happened every other call.)
-		if n := oddAllocs("engine.(*shard).add", batchBytes) - before; n > int64(res.N)/100 {
-			t.Errorf("shard.add made %d allocations in %d calls that are not a pending batch at full capacity: a slice was regrown", n, res.N)
+		// (A blocked send's sudog is charged to add too, once or twice a run.)
+		n := oddAllocs("engine.(*shard).add", 0) - before
+		t.Logf("%d allocations under shard.add", n)
+		if n > 4 {
+			t.Errorf("shard.add made %d allocations in %d calls: the batch buffers do not cycle", n, res.N)
 		}
 	})
 }
 
 // oddAllocs counts the allocations the memory profile has seen under the
-// function whose name ends in fn that are not of the given size. (The profile
-// leaves runtime.growslice out of most stacks; a regrown slice shows by its
-// size.)
+// function whose name ends in fn that are not of the given size (0: all of
+// them).
 func oddAllocs(fn string, size int64) (n int64) {
 	runtime.GC() // a profile holds what was allocated up to the last collection but one
 	runtime.GC()
@@ -251,16 +259,24 @@ func oddAllocs(fn string, size int64) (n int64) {
 // TestRouteShortResidueLeavesItsBatchBehind: the journal keeps what the worker is
 // handed, and a pending batch is made at full capacity, so a residue handed
 // over at under half of it — an edge and a Flush, over and over — goes in
-// memory of its own size; one past half goes as it is.
+// memory of its own size, and the batch buffer it leaves behind is the next
+// pending batch, not garbage: the eight flushes make one between them. A
+// residue past half goes as it is.
 func TestRouteShortResidueLeavesItsBatchBehind(t *testing.T) {
 	e := MustNew(Config{Sketch: routeConfig(), Shards: 1, FlushInterval: -1})
 	defer e.Close()
 	batch := e.cfg.BatchSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < 8; i++ {
 		if err := e.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert}); err != nil {
 			t.Fatal(err)
 		}
 		e.Flush()
+	}
+	runtime.ReadMemStats(&after)
+	if got, buf := after.TotalAlloc-before.TotalAlloc, uint64(batch*24); got >= 2*buf && !raceEnabled {
+		t.Errorf("eight one-edge flushes allocated %d B, want under two %d-byte batch buffers", got, buf)
 	}
 	if err := e.ProcessBatch(feasibleStream(batch*3/4, 50, 0, 9)); err != nil {
 		t.Fatal(err)

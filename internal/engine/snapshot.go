@@ -22,11 +22,9 @@ import (
 // journalEntry is one batch a shard worker applied. end is the shard's
 // processed count once the batch was in, so a reader's per-shard cursor is
 // at the same time the position in the journal it has replayed up to. The
-// batch slice is the engine-owned one the worker was handed: it is never
-// written again, so the journal holds it without copying. It may be a
-// stretch of the partition buffer of the ProcessBatch call it came in
-// (shard.add), and then keeps that whole buffer — the other shards' groups
-// of the same call included — reachable until it is evicted.
+// batch slice is the batch buffer the worker was handed, held without
+// copying: it is not written while the journal holds it, and once evicted it
+// goes back to the producers (shard.free) unless a reader may still be in it.
 type journalEntry struct {
 	batch []stream.Edge
 	end   uint64
@@ -46,9 +44,9 @@ type journalEntry struct {
 // journal replays in 20/16 ≈ 1.3 ns a word, about ten times under the
 // re-merge, and time alone would allow a journal several times longer. The
 // constant stays for the other half of the bound, what the journal pins:
-// words/16 edges of 24 bytes is under a fifth of the shard's array, a batch
-// can keep its call's whole partition buffer alive (see journalEntry), and
-// nothing measured shows reads falling back for want of journal.
+// words/16 edges of 24 bytes is under a fifth of the shard's array (a batch
+// buffer holds its own edges and nothing else), and nothing measured shows
+// reads falling back for want of journal.
 const journalWordsPerEdge = 16
 
 // stamp names one exact engine state, in the one coordinate type every
@@ -91,9 +89,23 @@ func journalAfter(j []journalEntry, at uint64) int {
 // cost more than the write did, the approximate top-K index, is left the
 // users of what it missed — or, while its next read owes every user a
 // re-banding whatever it finds (nothing read yet, or a rotation since), only
-// how far what it missed goes (see ann.go).
+// how far what it missed goes (see ann.go). An evicted batch buffer goes on
+// the shard's free list — here, inside jMu, and only while no reader is
+// between its cut and its last batch: a cut taken later cannot hold the
+// entry, one taken earlier has been counted out. Evicted under a reader, or
+// onto a full list, it is the collector's.
 func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 	s.jMu.Lock()
+	if len(s.journal) == cap(s.journal) {
+		// The window is at the end of its ring: back to the front — of a
+		// longer ring if it fills half of this one, as short residues make it.
+		if 2*len(s.journal) >= len(s.jRing) {
+			s.jRing = make([]journalEntry, max(8, 4*len(s.journal)))
+		}
+		n := copy(s.jRing, s.journal)
+		clear(s.jRing[n:])
+		s.journal = s.jRing[:n]
+	}
 	s.journal = append(s.journal, journalEntry{batch: batch, end: end})
 	drop := 0
 	for drop < len(s.journal) && end-s.jFrom > e.journalMax {
@@ -110,10 +122,16 @@ func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 				s.annSpill[ed.User] = evicted.end
 			}
 		}
+		if s.jReaders == 0 && cap(evicted.batch) == e.cfg.BatchSize {
+			select {
+			case s.free <- evicted.batch[:0]:
+			default:
+			}
+		}
 		drop++
 	}
 	if drop > 0 {
-		clear(s.journal[:drop]) // release the evicted batches
+		clear(s.journal[:drop]) // let go of the evicted batches
 		s.journal = s.journal[drop:]
 		e.journalEvicted.Add(uint64(drop))
 	}
@@ -124,11 +142,13 @@ func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 // to clipped to the shard's processed count inside its critical section, and
 // the count the cut reaches. ok is false when the journal no longer reaches
 // back to from (or from is not a count this shard has been at); cut is then
-// what is left of the range. The entries are copies, valid after the locks
-// are gone: the worker evicts underneath any reader.
+// what is left of the range. The entries are copies and the worker evicts
+// underneath any reader: the reader is counted in here, and the batches stay
+// its to read, with the locks gone, until it calls journalDone.
 func (s *shard) journalRange(from, to uint64) (cut []journalEntry, end uint64, ok bool) {
 	s.skMu.RLock()
 	s.jMu.Lock()
+	s.jReaders++
 	end = min(to, s.processed.Load())
 	if from <= end {
 		cut = append(cut, s.journal[journalAfter(s.journal, from):journalAfter(s.journal, end)]...)
@@ -137,6 +157,13 @@ func (s *shard) journalRange(from, to uint64) (cut []journalEntry, end uint64, o
 	s.jMu.Unlock()
 	s.skMu.RUnlock()
 	return cut, end, ok
+}
+
+// journalDone counts out a reader that has read the last batch of its cut.
+func (s *shard) journalDone() {
+	s.jMu.Lock()
+	s.jReaders--
+	s.jMu.Unlock()
 }
 
 // since brings a reader at st to the present: every batch the shards applied
@@ -155,11 +182,14 @@ func (e *Engine) since(st *stamp, apply func([]stream.Edge)) resident.Cause {
 	}
 	for i, s := range e.shards {
 		cut, end, ok := s.journalRange(st.at[i], math.MaxUint64)
+		if ok {
+			for _, en := range cut {
+				apply(en.batch)
+			}
+		}
+		s.journalDone()
 		if !ok {
 			return resident.Overflow
-		}
-		for _, en := range cut {
-			apply(en.batch)
 		}
 		st.at[i] = end
 	}

@@ -31,20 +31,43 @@ func ShardOf(u User, n int, seed uint64) int {
 // partitioning is the safe default for every method in this module.
 //
 // It is the one by-user split there is — the engine routes a batch to its
-// shards with it and the gateway fans a request out to its backends — and a
-// counting partition: one pass finds every edge's owner (ShardOf) and the
-// shard sizes, one allocation of exactly len(edges) holds the shards back to
-// back, one pass scatters the edges into it in arrival order. An edge is
-// copied once and the shards share no memory with edges; a shard's capacity
-// ends with it, so an append to one moves it out rather than running on
-// into the next, and a shard no user hashes to is nil. The owners are
-// scratch, garbage on return.
+// shards with it and the gateway fans a request out to its backends — here in
+// scratch of its own, which the shards keep.
 func PartitionByUser(edges []Edge, n int, seed uint64) [][]Edge {
+	return new(Partitioner).Partition(edges, n, seed)
+}
+
+// Partitioner is that split's scratch. It is a counting partition: one pass
+// finds every edge's owner (ShardOf) and the shard sizes, one pass scatters
+// the edges into a buffer, shards back to back in arrival order. An edge is
+// copied once and the shards share no memory with edges; a shard's capacity
+// ends with it, so an append to one moves it out rather than running on into
+// the next, and a shard no user hashes to is nil. Owners, offsets, buffer and
+// shard headers stay from call to call, never zeroed and remade only for a
+// longer call: a caller done with the shards before its next Partition — one
+// that copies or encodes them, from a sync.Pool — allocates nothing. The
+// zero value is ready to use.
+type Partitioner struct {
+	owner  []uint32 // wide enough: a shard is an array and a goroutine, or a node
+	at     []int    // at[i]: where shard i's next edge goes, once the sizes are summed
+	buf    []Edge
+	shards [][]Edge
+}
+
+// Partition is PartitionByUser into p's scratch: the shards are valid until
+// p's next Partition.
+func (p *Partitioner) Partition(edges []Edge, n int, seed uint64) [][]Edge {
 	if n <= 0 {
 		panic(fmt.Sprintf("stream: shard count %d must be positive", n))
 	}
-	owner := make([]uint32, len(edges)) // wide enough: a shard is an array and a goroutine, or a node
-	at := make([]int, n+1)              // at[i]: where shard i's next edge goes, once the sizes are summed
+	if cap(p.buf) < len(edges) {
+		p.owner, p.buf = make([]uint32, len(edges)), make([]Edge, len(edges))
+	}
+	if cap(p.shards) < n {
+		p.at, p.shards = make([]int, n+1), make([][]Edge, n)
+	}
+	owner, at, buf, shards := p.owner[:len(edges)], p.at[:n+1], p.buf[:len(edges)], p.shards[:n]
+	clear(at)
 	for k := range edges {
 		i := ShardOf(edges[k].User, n, seed)
 		owner[k] = uint32(i)
@@ -53,16 +76,15 @@ func PartitionByUser(edges []Edge, n int, seed uint64) [][]Edge {
 	for i := 1; i < n; i++ {
 		at[i+1] += at[i]
 	}
-	buf := make([]Edge, len(edges))
 	for k := range edges {
 		i := owner[k]
 		buf[at[i]] = edges[k]
 		at[i]++
 	}
 	// The scatter left at[i] at the end of shard i, the start of shard i+1.
-	shards := make([][]Edge, n)
 	lo := 0
 	for i, hi := range at[:n] {
+		shards[i] = nil
 		if hi > lo {
 			shards[i] = buf[lo:hi:hi]
 		}
