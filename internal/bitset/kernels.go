@@ -6,15 +6,14 @@
 //   - the *Ref form is the portable scalar loop — one index, one probe, one
 //     read-modify-write per bit. It is the reference semantics: simple
 //     enough to audit, and the form the equivalence tests trust.
-//   - the *Blocked form is the throughput shape: indices consumed in
-//     64-bit-output blocks through fixed-size array pointers (one bounds
-//     check per block), four independent probe chains per step so the
-//     out-of-order window can keep many array-word loads in flight (the
-//     shared array spills L1/L2 at paper scale, so the kernel is bound by
-//     memory-level parallelism, not ALU work), and the packed output word
-//     built in registers — the scalar loop's per-bit read-modify-write of
-//     the output word is a store-to-load dependency that serializes 64
-//     probes; accumulating in registers removes it.
+//   - the *Blocked form is the throughput shape: 64-index blocks through
+//     fixed-size array pointers (one bounds check a block), four probe
+//     chains a step, the output word built in registers (the scalar loop's
+//     per-bit read-modify-write serializes 64 probes). It is bound by its
+//     instructions, not the array's misses, so with AVX-512 an assembly
+//     body (kernels_amd64.s) takes each whole block up to the first with an
+//     index ≥ n, eight probes a gather; the Go loop takes the rest, that
+//     block included, so a panic is the reference's.
 //
 // Which form backs the public methods is decided per-platform by the
 // dispatch shims (kernels_fast.go, kernels_portable.go): the blocked form
@@ -22,8 +21,8 @@
 // elsewhere and under the purego build tag, which exists so CI can run the
 // whole suite against the reference implementation. The two forms must be
 // indistinguishable (results AND panics); kernels_test.go cross-checks
-// them on random and adversarial patterns regardless of which one the
-// build dispatches to.
+// them on random and adversarial patterns whatever the build dispatches to,
+// with and without the assembly.
 
 package bitset
 
@@ -58,8 +57,8 @@ func gatherWordsRef(dstW, src []uint64, n uint64, idx []uint64) uint64 {
 // gatherWordsBlocked is the blocked gather; see the package comment for the
 // shape. Semantics identical to gatherWordsRef.
 func gatherWordsBlocked(dstW, src []uint64, n uint64, idx []uint64) uint64 {
-	ones := uint64(0)
-	j := 0
+	blocks, ones := gatherVec(dstW, dstW, src, n, idx)
+	j := blocks * 64
 	for ; j+64 <= len(idx); j += 64 {
 		blk := (*[64]uint64)(idx[j:])
 		var a0, a1, a2, a3 uint64
@@ -138,8 +137,8 @@ func gatherXorCountRef(src []uint64, n uint64, idx []uint64, ows []uint64) uint6
 // gatherXorCountBlocked is the blocked fused gather-and-compare. Semantics
 // identical to gatherXorCountRef.
 func gatherXorCountBlocked(src []uint64, n uint64, idx []uint64, ows []uint64) uint64 {
-	ones := uint64(0)
-	j := 0
+	blocks, ones := gatherVec(nil, ows, src, n, idx)
+	j := blocks * 64
 	for ; j+64 <= len(idx); j += 64 {
 		blk := (*[64]uint64)(idx[j:])
 		var a0, a1, a2, a3 uint64

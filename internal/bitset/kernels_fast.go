@@ -2,8 +2,9 @@
 
 package bitset
 
-// On 64-bit targets the public methods dispatch to the blocked kernels;
-// build with -tags purego to force the portable reference everywhere.
+// On 64-bit targets the public methods dispatch to the blocked kernels
+// (with their AVX-512 body where the CPU has one); build with -tags purego
+// to force the portable reference everywhere.
 // The word-vs-word XOR-popcount is the same on both builds: its scalar
 // loop is already throughput-bound (see xorCountWordsRef).
 

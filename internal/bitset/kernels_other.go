@@ -1,0 +1,7 @@
+//go:build !amd64 || purego
+
+package bitset
+
+var useAVX512 = false
+
+func gatherVec(dst, ows, src []uint64, n uint64, idx []uint64) (int, uint64) { return 0, 0 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/vossketch/vos/internal/hashing"
 )
 
 // fillPattern materialises one named adversarial word pattern into b.
@@ -64,44 +66,58 @@ func kernelIndexSets(n uint64, size int, rng *rand.Rand) map[string][]uint64 {
 	return map[string][]uint64{"random": random, "dup": dup, "boundary": boundary, "seq": seq}
 }
 
+// bothGathers runs fn on the dispatched kernels, then with the AVX-512 body
+// switched off, so the Go loops are held to the same reference where the
+// assembly would otherwise take every whole block.
+func bothGathers(t *testing.T, fn func(t *testing.T)) {
+	t.Run("dispatched", fn)
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
+	t.Run("go", fn)
+}
+
 // The dispatched kernels, the blocked kernels, and the portable reference
 // must agree bit for bit on every pattern × index-shape × size, including
-// the maintained ones counts.
+// the maintained ones counts — up to the benchmark's arrays (2²¹ and
+// 2,048,000 bits) and its 6,400-index sketches.
 func TestKernelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sizes := []int{1, 3, 63, 64, 65, 127, 128, 200, 6400}
-	for _, nBits := range []uint64{64, 1000, 1 << 16} {
-		src := New(nBits)
-		for _, pat := range kernelPatterns {
-			src.Reset()
-			fillPattern(src, pat, rng)
-			for _, size := range sizes {
-				for shape, idx := range kernelIndexSets(nBits, size, rng) {
-					gotB := src.Gather(idx)
-					gotBlocked := New(uint64(size))
-					gotBlocked.ones = gatherWordsBlocked(gotBlocked.words, src.words, src.n, idx)
-					want := src.GatherRef(idx)
-					if !gotB.Equal(want) || gotB.Count() != want.Count() {
-						t.Fatalf("gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
-					}
-					if !gotBlocked.Equal(want) || gotBlocked.Count() != want.Count() {
-						t.Fatalf("blocked gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
-					}
+	bothGathers(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		sizes := []int{1, 3, 63, 64, 65, 127, 128, 200, 6400}
+		for _, nBits := range []uint64{64, 1000, 1 << 16, 1 << 21, 2048000} {
+			src := New(nBits)
+			for _, pat := range kernelPatterns {
+				src.Reset()
+				fillPattern(src, pat, rng)
+				for _, size := range sizes {
+					for shape, idx := range kernelIndexSets(nBits, size, rng) {
+						gotB := src.Gather(idx)
+						gotBlocked := New(uint64(size))
+						gotBlocked.ones = gatherWordsBlocked(gotBlocked.words, src.words, src.n, idx)
+						want := src.GatherRef(idx)
+						if !gotB.Equal(want) || gotB.Count() != want.Count() {
+							t.Fatalf("gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
+						}
+						if !gotBlocked.Equal(want) || gotBlocked.Count() != want.Count() {
+							t.Fatalf("blocked gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
+						}
 
-					other := New(uint64(size))
-					fillPattern(other, kernelPatterns[size%len(kernelPatterns)], rng)
-					if got, want := src.GatherXorCount(idx, other), src.GatherXorCountRef(idx, other); got != want {
-						t.Fatalf("gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
-							nBits, pat, shape, size, got, want)
-					}
-					if got, want := gatherXorCountBlocked(src.words, src.n, idx, other.words), src.GatherXorCountRef(idx, other); got != want {
-						t.Fatalf("blocked gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
-							nBits, pat, shape, size, got, want)
+						other := New(uint64(size))
+						fillPattern(other, kernelPatterns[size%len(kernelPatterns)], rng)
+						if got, want := src.GatherXorCount(idx, other), src.GatherXorCountRef(idx, other); got != want {
+							t.Fatalf("gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
+								nBits, pat, shape, size, got, want)
+						}
+						if got, want := gatherXorCountBlocked(src.words, src.n, idx, other.words), src.GatherXorCountRef(idx, other); got != want {
+							t.Fatalf("blocked gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
+								nBits, pat, shape, size, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestXorCountWordsKernelEquivalence(t *testing.T) {
@@ -127,36 +143,94 @@ func TestXorCountWordsKernelEquivalence(t *testing.T) {
 
 // Out-of-range indices must panic with the identical message from every
 // kernel, at every offset within a block (the blocked kernel checks four
-// at a time and must still report the first bad index).
+// at a time, the vector body a whole block, and both must still report the
+// first bad index) — whether the bad block is the first or follows blocks
+// the vector body completed, and whether the later bad indices of the
+// block lie inside the array's last word or far past its end.
 func TestKernelRangePanics(t *testing.T) {
-	src := New(100)
-	other64 := New(64)
-	for _, badAt := range []int{0, 1, 2, 3, 31, 62, 63} {
-		idx := make([]uint64, 64)
-		idx[badAt] = 100 // == n, out of range
-		wantMsg := "bitset: index 100 out of range [0, 100)"
-		for name, fn := range map[string]func(){
-			"Gather":            func() { src.Gather(idx) },
-			"GatherRef":         func() { src.GatherRef(idx) },
-			"blocked gather":    func() { gatherWordsBlocked(make([]uint64, 1), src.words, src.n, idx) },
-			"GatherXorCount":    func() { src.GatherXorCount(idx, other64) },
-			"GatherXorCountRef": func() { src.GatherXorCountRef(idx, other64) },
-			"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, other64.words) },
-		} {
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("%s badAt=%d: no panic", name, badAt)
+	bothGathers(t, func(t *testing.T) {
+		src := New(100)
+		for _, blocks := range []int{1, 3} {
+			for _, badAt := range []int{0, 1, 2, 3, 31, 62, 63} {
+				idx := make([]uint64, 64*blocks)
+				at := 64*(blocks-1) + badAt
+				idx[at] = 100 // == n, the first index out of range
+				for i, later := range []uint64{127, 1 << 40} {
+					if at+1+i < len(idx) {
+						idx[at+1+i] = later
 					}
+				}
+				other := New(uint64(len(idx)))
+				wantMsg := "bitset: index 100 out of range [0, 100)"
+				for name, fn := range map[string]func(){
+					"Gather":            func() { src.Gather(idx) },
+					"GatherRef":         func() { src.GatherRef(idx) },
+					"blocked gather":    func() { gatherWordsBlocked(make([]uint64, blocks), src.words, src.n, idx) },
+					"GatherXorCount":    func() { src.GatherXorCount(idx, other) },
+					"GatherXorCountRef": func() { src.GatherXorCountRef(idx, other) },
+					"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, other.words) },
+				} {
+					r := panicOf(fn)
 					if msg, ok := r.(string); !ok || !strings.Contains(msg, wantMsg) {
-						t.Fatalf("%s badAt=%d: panic %v, want %q", name, badAt, r, wantMsg)
+						t.Fatalf("%s blocks=%d badAt=%d: panic %v, want %q", name, blocks, badAt, r, wantMsg)
 					}
-				}()
-				fn()
-			}()
+				}
+			}
 		}
-	}
+	})
+}
+
+// panicOf runs fn and returns what it panicked with, nil if it returned.
+func panicOf(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// FuzzKernels holds the dispatched fill, gather and gather-XOR-count to
+// their references (HashRange, GatherRef, GatherXorCountRef): positions of
+// a random key in a random range n, then the same key's positions in an
+// array of at most 2²¹ bits gathered from random words — with one index
+// pushed out of range when bad is odd, where the panics must agree.
+func FuzzKernels(f *testing.F) {
+	f.Add(uint64(1<<21), uint64(7), uint16(6399), uint16(0))
+	f.Add(uint64(2048000), uint64(1), uint16(6402), uint16(1))
+	f.Add(uint64(1<<32+7), ^uint64(0), uint16(8), uint16(3))
+	f.Add(uint64(1<<63), uint64(0), uint16(63), uint16(127))
+	fam := hashing.NewFamily(6403, 5)
+	f.Fuzz(func(t *testing.T, n, key uint64, k, bad uint16) {
+		pos := make([]uint64, int(k)%6403+1)
+		fam.HashRangeInto(pos, key, n)
+		for j, p := range pos {
+			if want := fam.HashRange(j, key, n); p != want {
+				t.Fatalf("n=%d key=%#x: HashRangeInto member %d = %d, HashRange %d", n, key, j, p, want)
+			}
+		}
+		m := n%(1<<21) + 1
+		fam.HashRangeInto(pos, key, m)
+		if bad%2 == 1 {
+			pos[int(bad/2)%len(pos)] = m + uint64(bad)
+		}
+		rng := rand.New(rand.NewSource(int64(key)))
+		src, other := New(m), New(uint64(len(pos)))
+		for _, b := range []*Bitset{src, other} {
+			for i := range b.words {
+				b.words[i] = rng.Uint64()
+			}
+			b.words[len(b.words)-1] &= ^uint64(0) >> (63 - (b.n-1)%64)
+		}
+		var got, want *Bitset
+		if gp, wp := panicOf(func() { got = src.Gather(pos) }), panicOf(func() { want = src.GatherRef(pos) }); gp != wp {
+			t.Fatalf("m=%d: Gather panicked with %v, GatherRef with %v", m, gp, wp)
+		} else if wp == nil && (!got.Equal(want) || got.Count() != want.Count()) {
+			t.Fatalf("m=%d key=%#x k=%d: Gather differs from GatherRef", m, key, len(pos))
+		}
+		var gx, wx uint64
+		gp, wp := panicOf(func() { gx = src.GatherXorCount(pos, other) }), panicOf(func() { wx = src.GatherXorCountRef(pos, other) })
+		if gp != wp || gx != wx {
+			t.Fatalf("m=%d key=%#x k=%d: GatherXorCount %d (panic %v), GatherXorCountRef %d (panic %v)", m, key, len(pos), gx, gp, wx, wp)
+		}
+	})
 }
 
 // A short tail (under one block) with a bad index must also panic from the

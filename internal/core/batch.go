@@ -46,13 +46,13 @@ func (v *VOS) Positions(u stream.User) []uint64 {
 // lookupPositions is Positions for transient use inside a single query: a
 // cache hit (or a miss that fills the cache) returns the durable table,
 // while the cache-less path fills a pooled scratch buffer instead of
-// allocating k words per query. scratch reports which case happened; when
-// true the caller must hand the slice back via releasePositions as soon as
-// the query is done with it. sync.Pool is concurrency-safe, so the read
-// paths stay race-clean.
-func (v *VOS) lookupPositions(u stream.User) (pos []uint64, scratch bool) {
+// allocating k words per query. scratch is nil in the first case; in the
+// second the caller puts that same pointer back into posScratch as soon as
+// the query is done with pos (a new pointer to pos would cost an allocation
+// a read). sync.Pool is concurrency-safe, so the read paths stay race-clean.
+func (v *VOS) lookupPositions(u stream.User) (pos []uint64, scratch *[]uint64) {
 	if v.pos != nil {
-		return v.Positions(u), false
+		return v.Positions(u), nil
 	}
 	p, ok := v.posScratch.Get().(*[]uint64)
 	if !ok {
@@ -60,11 +60,8 @@ func (v *VOS) lookupPositions(u stream.User) (pos []uint64, scratch bool) {
 		p = &buf
 	}
 	v.fillPositions(*p, u)
-	return *p, true
+	return *p, p
 }
-
-// releasePositions returns a scratch table to the pool.
-func (v *VOS) releasePositions(p []uint64) { v.posScratch.Put(&p) }
 
 // Recovered is a dense snapshot of one user's virtual odd sketch, reusable
 // across queries against a fixed sketch state. It is invalidated by any
@@ -125,8 +122,8 @@ func (v *VOS) recoverBits(u stream.User) *bitset.Bitset {
 func (v *VOS) gatherBits(u stream.User) *bitset.Bitset {
 	pos, scratch := v.lookupPositions(u)
 	bits := v.arr.Gather(pos)
-	if scratch {
-		v.releasePositions(pos)
+	if scratch != nil {
+		v.posScratch.Put(scratch)
 	}
 	return bits
 }
@@ -152,8 +149,8 @@ func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 	}
 	pos, scratch := v.lookupPositions(w)
 	z := v.arr.GatherXorCount(pos, r.bits)
-	if scratch {
-		v.releasePositions(pos)
+	if scratch != nil {
+		v.posScratch.Put(scratch)
 	}
 	return v.estimateFrom(int(z), r.card, v.card.get(w), r.beta)
 }

@@ -62,6 +62,28 @@ func TestRecoverMatchesRecoverBit(t *testing.T) {
 	}
 }
 
+// A cold read takes its positions from the pooled scratch table and puts
+// back the pointer it got: QueryRecovered without the recovered-sketch
+// cache allocates nothing, RecoverSketch without a position cache only its
+// result (the Recovered, its Bitset and the Bitset's words).
+func TestColdReadAllocations(t *testing.T) {
+	v := buildBatchSketch(t)
+	v.SetRecoveredCacheCapacity(-1)
+	r := v.RecoverSketch(1)
+	for _, c := range []struct {
+		name   string
+		budget float64
+		read   func()
+	}{
+		{"QueryRecovered", 0, func() { _ = v.QueryRecovered(r, 2) }},
+		{"RecoverSketch", 3, func() { _ = v.RecoverSketch(2) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.read); got > c.budget {
+			t.Errorf("%s: %.0f allocations a call, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}
+
 func TestQueryManyEmptyCandidates(t *testing.T) {
 	v := buildBatchSketch(t)
 	if got := v.QueryMany(1, nil); len(got) != 0 {

@@ -1,0 +1,21 @@
+//go:build !purego
+
+package cpu
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low half of XCR0, the state components the OS saves.
+func xgetbv() uint32
+
+func init() {
+	const popcnt, osxsave = 1 << 23, 1 << 27
+	const state = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // SSE, AVX, opmask, both ZMM halves
+	const bmi2, avx512f, avx512dq = 1 << 8, 1 << 16, 1 << 17
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	if maxLeaf < 7 || ecx1&(popcnt|osxsave) != popcnt|osxsave || xgetbv()&state != state {
+		return
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	AVX512 = ebx7&(bmi2|avx512f|avx512dq) == bmi2|avx512f|avx512dq
+}

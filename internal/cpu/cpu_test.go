@@ -1,0 +1,35 @@
+package cpu
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestKernelDispatch logs which body the read-path kernels run on this
+// machine, so a green run without AVX-512 is not read as coverage of the
+// assembly. Where /proc/cpuinfo exists it must not contradict the answer: a
+// flag it lacks means the vector bodies stay off.
+func TestKernelDispatch(t *testing.T) {
+	if AVX512 {
+		t.Log("kernel dispatch: AVX-512 bodies (fill and gathers run the assembly)")
+	} else {
+		t.Log("kernel dispatch: Go loops only (no AVX-512F/DQ, BMI2, POPCNT or OS ZMM state, another target, or -tags purego)")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if !strings.HasPrefix(line, "flags") {
+			continue
+		}
+		flags := " " + line[strings.IndexByte(line, ':')+1:] + " "
+		for _, f := range []string{"avx512f", "avx512dq", "bmi2", "popcnt"} {
+			if AVX512 && !strings.Contains(flags, " "+f+" ") {
+				t.Fatalf("AVX512 is true but /proc/cpuinfo lacks %q", f)
+			}
+		}
+		return
+	}
+}

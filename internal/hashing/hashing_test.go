@@ -2,6 +2,7 @@ package hashing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -270,27 +271,47 @@ func TestMulMod61AgainstBigIntStyle(t *testing.T) {
 	}
 }
 
+// bothFills runs fn on the dispatched fill, then with the AVX-512 body
+// switched off, so the Go loop is held to the same reference where the
+// assembly would otherwise take every full group of eight.
+func bothFills(t *testing.T, fn func(t *testing.T)) {
+	t.Run("dispatched", fn)
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
+	t.Run("go", fn)
+}
+
+// Every length around the eight-member groups, every reduction the vector
+// body takes (a shift for powers of two, two 32-bit products below 2³²) and
+// the ones it leaves to the Go loop (2³²+7), against per-member HashRange.
 func TestHashRangeIntoMatchesHashRange(t *testing.T) {
-	f := NewFamily(257, 42)
-	for _, n := range []uint64{1, 2, 1 << 10, 1<<24 - 3, 1 << 63} {
-		for _, key := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
-			// Full family and a short prefix (dst shorter than K).
-			for _, k := range []int{257, 1, 64} {
-				dst := make([]uint64, k)
-				f.HashRangeInto(dst, key, n)
-				for j, got := range dst {
-					if want := f.HashRange(j, key, n); got != want {
-						t.Fatalf("HashRangeInto k=%d n=%d key=%#x member %d = %d, want %d",
-							k, n, key, j, got, want)
+	f := NewFamily(6403, 42)
+	rng := rand.New(rand.NewSource(3))
+	keys := []uint64{0, ^uint64(0)}
+	for len(keys) < 202 {
+		keys = append(keys, rng.Uint64())
+	}
+	bothFills(t, func(t *testing.T) {
+		for _, n := range []uint64{1, 2, 3, 1 << 20, 1 << 21, 2048000, 1<<32 - 1, 1 << 32, 1<<32 + 7, 1 << 63} {
+			for _, key := range keys {
+				for _, k := range []int{1, 7, 8, 9, 63, 64, 6400, 6403} {
+					dst := make([]uint64, k)
+					f.HashRangeInto(dst, key, n)
+					for j, got := range dst {
+						if want := f.HashRange(j, key, n); got != want {
+							t.Fatalf("HashRangeInto k=%d n=%d key=%#x member %d = %d, want %d",
+								k, n, key, j, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// benchSink keeps benchmark results live: HashRangeInto is inlineable, so
-// without a consumer the compiler deletes most of the measured work.
+// benchSink keeps benchmark results live, so the compiler cannot delete
+// the measured work.
 var benchSink uint64
 
 func BenchmarkHashRangePerMember(b *testing.B) {
