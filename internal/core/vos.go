@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"github.com/vossketch/vos/internal/bitset"
 	"github.com/vossketch/vos/internal/hashing"
@@ -218,9 +219,11 @@ func (v *VOS) RecoveredCacheStats() (st poscache.Stats, ok bool) {
 	return v.rec.Stats(), true
 }
 
+const slotSeedTag = 0x5f4dcc3b5aa765d6 // separates ψ's seed from the sketch seed
+
 // slot returns ψ(item) ∈ [0, k).
 func (v *VOS) slot(i stream.Item) int {
-	return int(hashing.HashToRange(uint64(i), v.cfg.Seed^0x5f4dcc3b5aa765d6, uint64(v.cfg.SketchBits)))
+	return int(hashing.HashToRange(uint64(i), v.cfg.Seed^slotSeedTag, uint64(v.cfg.SketchBits)))
 }
 
 // position returns f_j(u) ∈ [0, m).
@@ -258,11 +261,24 @@ func (v *VOS) Process(e stream.Edge) {
 // counters are bumped.
 const blockLen = 256
 
+// edgeWords is stream.Edge's size in words.
+const edgeWords = int(unsafe.Sizeof(stream.Edge{}) / 8)
+
 // togglePositions writes to pos[i] the array position edges[i] toggles,
-// f_ψ(item)(user). len(pos) == len(edges).
+// f_ψ(item)(user). len(pos) == len(edges). With AVX-512 the family's
+// EdgePositions takes eight edges a step, reading each as edgeWords words,
+// user first and item second (TestTogglePositionsMatchPosition pins that
+// layout); the rest is this loop, the reference.
 func (v *VOS) togglePositions(pos []uint64, edges []stream.Edge) {
-	for i, e := range edges {
-		pos[i] = v.position(e.User, v.slot(e.Item))
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(edges))), len(edges)*edgeWords)
+	var i int
+	if v.fslots != nil {
+		i = v.fslots.EdgePositions(pos, words, edgeWords, v.cfg.Seed^slotSeedTag, v.cfg.MemoryBits)
+	} else {
+		i = v.slots.EdgePositions(pos, words, edgeWords, v.cfg.Seed^slotSeedTag, v.cfg.MemoryBits)
+	}
+	for ; i < len(edges); i++ {
+		pos[i] = v.position(edges[i].User, v.slot(edges[i].Item))
 	}
 }
 
@@ -292,12 +308,13 @@ func (v *VOS) ProcessBatch(edges []stream.Edge) {
 	}
 }
 
-// opDelta maps an action onto its cardinality delta.
+// opDelta maps an action onto its cardinality delta: an undefined Op is an
+// insert, as the element codec encodes it (stream.Op).
 func opDelta(op stream.Op) int64 {
-	if op == stream.Insert {
-		return 1
+	if op == stream.Delete {
+		return -1
 	}
-	return -1
+	return 1
 }
 
 // Cardinality returns n_u, the tracked number of items user u currently

@@ -1,5 +1,5 @@
 // Package cpu reports, once at start-up, whether the processor and the OS run
-// the AVX-512 bodies of hashing.Family.HashRangeInto and the bitset gathers.
+// the AVX-512 bodies of the hashing kernels and the bitset gathers.
 package cpu
 
 // AVX512: CPUID has AVX-512F, AVX-512DQ, BMI2 and POPCNT, and XGETBV shows the

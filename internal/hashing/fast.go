@@ -138,6 +138,13 @@ func PositionFromState(x uint64, j int, n uint64) uint64 {
 	return Reduce(Mix64(x+(uint64(j)+1)*golden), n)
 }
 
+// EdgePositions is Family.EdgePositions for the fast family, k members:
+// dst[i] = PositionFromState(f.State(user), int(HashToRange(item, psiSeed,
+// k)), m) over the prefix whose length it returns, 0 for m > 2³².
+func (f *FastFamily) EdgePositions(dst, pairs []uint64, stride int, psiSeed, m uint64) int {
+	return edgePositionsVec(dst, pairs, stride, nil, uint64(f.k), psiSeed, f.seed^fastSeedTag, m)
+}
+
 // HashRange returns member j's position for key, reduced onto [0, n) —
 // random access into the same sequence HashRangeInto streams, in O(1):
 // counter-based generation has no sequential dependency.

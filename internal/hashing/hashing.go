@@ -132,6 +132,15 @@ func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
 	}
 }
 
+// EdgePositions sets dst[i] = f.HashRange(int(HashToRange(item, psiSeed,
+// K())), user, m) for pair i, user pairs[i*stride] and item pairs[i*stride+1],
+// eight pairs a step where the CPU has AVX-512 (hashing_amd64.s). It returns
+// how many it set: the longest prefix a multiple of eight long, or 0 without
+// the vector body or for m ≥ 2³² not a power of two. The rest is the caller's.
+func (f *Family) EdgePositions(dst, pairs []uint64, stride int, psiSeed, m uint64) int {
+	return edgePositionsVec(dst, pairs, stride, f.seeds, uint64(len(f.seeds)), psiSeed, 0, m)
+}
+
 // MersennePrime61 is 2^61 - 1, the modulus of the 2-universal family below.
 const MersennePrime61 = (1 << 61) - 1
 

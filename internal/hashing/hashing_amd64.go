@@ -24,3 +24,23 @@ func hashRangeVec(dst, seeds []uint64, key, n uint64) int {
 	hashRangeAVX512(dst[:blocks], seeds[:blocks], key, n)
 	return blocks
 }
+
+// edgePositionsAVX512 sets dst[i] to pair i's position (Family.EdgePositions)
+// eight pairs at a time, len(dst) a positive multiple of eight: under the
+// classic family's seeds, or the fast family's userSeed when seeds is empty.
+//
+//go:noescape
+func edgePositionsAVX512(dst, pairs []uint64, stride int, seeds []uint64, psiSeed, k, userSeed, m uint64)
+
+// edgePositionsVec fills the longest prefix of dst a multiple of eight long
+// and returns its length: 0 without AVX-512, for k ≥ 2³², or for an m the
+// family does not reduce exactly (classic: 2^b or < 2³²; fast: ≤ 2³²).
+func edgePositionsVec(dst, pairs []uint64, stride int, seeds []uint64, k, psiSeed, userSeed, m uint64) int {
+	blocks := len(dst) &^ 7
+	if !useAVX512 || blocks == 0 || k>>32 != 0 || m == 0 || m&(m-1) != 0 && m>>32 != 0 || len(seeds) == 0 && m > 1<<32 {
+		return 0
+	}
+	_ = pairs[(blocks-1)*stride+1] // the last item the kernel reads
+	edgePositionsAVX512(dst[:blocks], pairs, stride, seeds, psiSeed, k, userSeed, m)
+	return blocks
+}

@@ -335,3 +335,95 @@ func BenchmarkHashRangeInto(b *testing.B) {
 		benchSink += dst[i&4095]
 	}
 }
+
+// checkEdgePositions holds both families' EdgePositions over pairs — stride
+// three like stream.Edge, the third word noise — to the scalar position of
+// each pair, and the length they fill to the dispatch rule: every whole
+// group of eight where the vector body runs and the family reduces m
+// exactly, nothing otherwise.
+func checkEdgePositions(t *testing.T, k int, seed, psiSeed, m uint64, pairs []uint64) {
+	t.Helper()
+	const stride = 3
+	n := len(pairs) / stride
+	classic, fast := NewFamily(k, seed), NewFastFamily(k, seed)
+	for _, fam := range []struct {
+		name  string
+		fill  func(dst, pairs []uint64, stride int, psiSeed, m uint64) int
+		exact bool
+		hash  func(j int, key, n uint64) uint64
+	}{
+		{"classic", classic.EdgePositions, m&(m-1) == 0 || m < 1<<32, classic.HashRange},
+		{"fast", fast.EdgePositions, m <= 1<<32, fast.HashRange},
+	} {
+		dst := make([]uint64, n)
+		want := 0
+		if useAVX512 && fam.exact {
+			want = n &^ 7
+		}
+		if got := fam.fill(dst, pairs, stride, psiSeed, m); got != want {
+			t.Fatalf("%s m=%d k=%d n=%d: EdgePositions filled %d, want %d", fam.name, m, k, n, got, want)
+		}
+		for i, got := range dst[:want] {
+			user, item := pairs[i*stride], pairs[i*stride+1]
+			if w := fam.hash(int(HashToRange(item, psiSeed, uint64(k))), user, m); got != w {
+				t.Fatalf("%s m=%d k=%d pair %d (%#x, %#x) = %d, want %d", fam.name, m, k, i, user, item, got, w)
+			}
+		}
+	}
+}
+
+// Every block length around the groups of eight up to ProcessBatch's 256,
+// every reduction each family's vector body takes and one it leaves to the
+// Go loop (2³²+7; 2⁶³ too for the fast family), extreme keys and random
+// ones, against the scalar formula.
+func TestEdgePositionsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pool []uint64
+	for _, user := range []uint64{0, 1<<63 - 1, ^uint64(0)} {
+		for _, item := range []uint64{0, ^uint64(0)} {
+			pool = append(pool, user, item, rng.Uint64())
+		}
+	}
+	for range 200 {
+		pool = append(pool, rng.Uint64(), rng.Uint64(), rng.Uint64())
+	}
+	shapes := []struct {
+		m uint64
+		k int
+	}{{1 << 21, 6400}, {2048000, 6400}, {1 << 20, 1600}, {1 << 32, 64}, {1<<32 + 7, 64}, {1 << 63, 8}, {3, 1}}
+	bothFills(t, func(t *testing.T) {
+		for _, sh := range shapes {
+			for _, n := range []int{1, 7, 8, 9, 255, 256} {
+				// Blocks of n pairs, wrapping round the pool, until each pair
+				// has been in one.
+				for start := 0; start < len(pool)/3; start += n {
+					pairs := make([]uint64, 0, 3*n)
+					for i := range n {
+						p := (start + i) % (len(pool) / 3) * 3
+						pairs = append(pairs, pool[p:p+3]...)
+					}
+					checkEdgePositions(t, sh.k, 42, 0x5f4dcc3b5aa765d6^42, sh.m, pairs)
+				}
+			}
+		}
+	})
+}
+
+// FuzzEdgePositions: any m, k, seeds and pairs, both families, against the
+// scalar formula.
+func FuzzEdgePositions(f *testing.F) {
+	f.Add(uint64(1<<21), uint16(6399), uint64(1), uint64(2), int64(3), uint16(256), false)
+	f.Add(uint64(1<<20), uint16(1599), uint64(1), uint64(2), int64(3), uint16(17), false)
+	f.Add(uint64(20), uint16(0), uint64(0), uint64(0), int64(0), uint16(8), true)
+	f.Fuzz(func(t *testing.T, m uint64, k uint16, seed, psiSeed uint64, pairSeed int64, n uint16, pow2 bool) {
+		if pow2 {
+			m = 1 << (m % 64)
+		}
+		rng := rand.New(rand.NewSource(pairSeed))
+		pairs := make([]uint64, 3*int(n%300))
+		for i := range pairs {
+			pairs[i] = rng.Uint64()
+		}
+		checkEdgePositions(t, int(k)+1, seed, psiSeed, max(m, 1), pairs)
+	})
+}

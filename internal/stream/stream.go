@@ -27,7 +27,9 @@ type User uint64
 // Item identifies an item node of the bipartite graph.
 type Item uint64
 
-// Op is an edge action: subscription or unsubscription.
+// Op is an edge action: subscription or unsubscription. Every layer reads
+// any value other than Delete as Insert: the sketch applies it as +1 and the
+// element codec encodes it as an insert.
 type Op uint8
 
 const (
@@ -85,12 +87,12 @@ func NewStats() *Stats {
 
 // Observe folds one element into the statistics.
 func (st *Stats) Observe(e Edge) {
-	if e.Op == Insert {
-		st.Inserts++
-		st.liveEdge++
-	} else {
+	if e.Op == Delete {
 		st.Deletes++
 		st.liveEdge--
+	} else {
+		st.Inserts++
+		st.liveEdge++
 	}
 	st.users[e.User] = struct{}{}
 	st.items[e.Item] = struct{}{}

@@ -34,19 +34,20 @@ func TestStats(t *testing.T) {
 	st.Observe(Edge{1, 11, Insert})
 	st.Observe(Edge{2, 10, Insert})
 	st.Observe(Edge{1, 10, Delete})
-	if st.Inserts != 3 || st.Deletes != 1 {
+	st.Observe(Edge{2, 11, 2}) // an undefined Op is an insert
+	if st.Inserts != 4 || st.Deletes != 1 {
 		t.Errorf("counts: +%d −%d", st.Inserts, st.Deletes)
 	}
 	if st.Users() != 2 || st.Items() != 2 {
 		t.Errorf("distinct: users=%d items=%d", st.Users(), st.Items())
 	}
-	if st.LiveEdges() != 2 {
+	if st.LiveEdges() != 3 {
 		t.Errorf("live = %d", st.LiveEdges())
 	}
-	if st.Elements() != 4 {
+	if st.Elements() != 5 {
 		t.Errorf("elements = %d", st.Elements())
 	}
-	if !strings.Contains(st.String(), "elements=4") {
+	if !strings.Contains(st.String(), "elements=5") {
 		t.Errorf("String() = %q", st.String())
 	}
 }
