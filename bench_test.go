@@ -903,8 +903,9 @@ var topKSink []vos.TopKResult
 // candidates at the paper-scale configuration — on the per-bit baseline
 // (per-pair scalar queries plus a full sort, the pre-materialization
 // TopSimilar shape), the sequential materialized heap (cold and warm
-// position cache), and the engine's parallel fan-out over the merged
-// snapshot. All paths return identical rankings and estimates.
+// position cache), and the engine over its merged snapshot; then the
+// fan-out rule at embed-churn's shape (the fresh/ cases). All paths return
+// identical rankings and estimates.
 func BenchmarkTopK(b *testing.B) {
 	sk, candidates := querySketch(b)
 	const n = 10
@@ -974,6 +975,43 @@ func BenchmarkTopK(b *testing.B) {
 			topKSink = eng.TopK(1, candidates, n)
 		}
 	})
+	// The fan-out rule at embed-churn's shape: m = 2^21, k = 6400, no
+	// position cache. A cold case writes one edge before every call, so the
+	// recovered-sketch cache misses on every candidate; a warm case serves
+	// every candidate from it. Run with -cpu 1,2: the helper joins cold-64,
+	// where each participant is owed over 100 µs, and leaves cold-16 (too
+	// little work) and both warm cases (cache hits, which a second core
+	// only contends for) to the caller.
+	fresh := vos.MustNew(vos.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 1})
+	for u := vos.User(1); u <= 1001; u++ {
+		for i := 0; i < 40; i++ {
+			fresh.Process(vos.Edge{User: u, Item: vos.Item(int(u)*7 + i*13), Op: vos.Insert})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cold bool
+		size int
+	}{{"cold-16", true, 16}, {"cold-64", true, 64}, {"warm-64", false, 64}, {"warm-1000", false, 1000}} {
+		b.Run("fresh/"+c.name, func(b *testing.B) {
+			cands := candidates[:c.size]
+			fresh.TopK(1, cands, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.cold {
+					// User 0 is no candidate: inserting and deleting one
+					// of its edges in turn moves the write version and
+					// leaves the array as it was every second call.
+					op := vos.Insert
+					if i%2 == 1 {
+						op = vos.Delete
+					}
+					fresh.Process(vos.Edge{User: 0, Item: 1, Op: op})
+				}
+				topKSink = fresh.TopK(1, cands, n)
+			}
+		})
+	}
 }
 
 // wireFixture starts an engine-backed /v1/ server on a loopback httptest

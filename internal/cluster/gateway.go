@@ -327,8 +327,8 @@ func (g *Gateway) Similarity(ctx context.Context, u, v vos.User) (vos.Estimate, 
 }
 
 // TopK implements vos.SimilarityService from the full cluster merge,
-// ranked with the same core.RankBefore total order the engine's parallel
-// fan-out uses — so the ranking is bit-identical to a single engine's.
+// scored by the same core.TopKRecoveredContext scan a single engine runs —
+// so the ranking is bit-identical to that engine's.
 func (g *Gateway) TopK(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, error) {
 	snap, err := g.acquire(ctx)
 	if err != nil {

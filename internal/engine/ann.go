@@ -284,7 +284,7 @@ func (e *Engine) TopKApprox(u stream.User, n int) ([]core.TopKResult, error) {
 
 // TopKApproxContext is TopKApprox with lifecycle and cancellation checks,
 // mirroring TopKContext: ErrClosed once Close has begun, and ctx is
-// plumbed into the scoring fan-out so cancellation aborts mid-scan.
+// plumbed into the candidate scan so cancellation aborts mid-scan.
 func (e *Engine) TopKApproxContext(ctx context.Context, u stream.User, n int) ([]core.TopKResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -303,7 +303,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	}
 	e.maybeAdvance()
 	view := e.acquire()
-	defer view.Release() // held through maintenance and the scoring fan-out
+	defer view.Release() // held through maintenance and the scoring
 	return e.topKApproxOn(ctx, a, view, u, n)
 }
 
@@ -351,7 +351,7 @@ func (e *Engine) topKApproxOn(ctx context.Context, a *annIndex, view *view, u st
 			live = append(live, w)
 		}
 	}
-	return e.rankCandidates(ctx, snap, r, live, n)
+	return snap.TopKRecoveredContext(ctx, r, live, n)
 }
 
 // annMaintain reconciles the band index with the view under a.mu: read what

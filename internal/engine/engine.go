@@ -41,7 +41,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -703,27 +702,26 @@ func (e *Engine) Query(u, v stream.User) core.Estimate {
 // TopK returns the n candidates most similar to u from the merged global
 // snapshot — highest estimated Jaccard first, ties broken by user ID, with
 // the full estimates attached. The probe's virtual sketch is recovered
-// once; candidates are then split into ranges fanned out across up to
-// GOMAXPROCS goroutines, each streaming its range against the packed probe
-// with a bounded min-heap, and the per-worker tops are merged. The
-// snapshot view is not written while the call holds it and the shared
-// caches are internally locked, so the fan-out is read-only and race-clean.
+// once and the candidates are scored by core.TopKRecoveredContext, which
+// spreads them over spare cores only when the work owed pays for a helper.
+// The snapshot view is not written while the call holds it, the shared
+// caches are internally locked, and no helper outlives the call, so the
+// scan is read-only and race-clean.
 //
 // The result is identical to snapshot.TopK(u, candidates, n) — and to
-// sorting per-pair Query estimates — regardless of worker count: every
-// global top-n result is inside its worker's top n, and the merge sorts
-// with the same total order (core.RankBefore) the workers used.
+// sorting per-pair Query estimates — regardless of how many cores scored
+// it.
 func (e *Engine) TopK(u stream.User, candidates []stream.User, n int) []core.TopKResult {
 	out, _ := e.topK(context.Background(), u, candidates, n)
 	return out
 }
 
 // TopKContext is TopK with lifecycle and cancellation checks: it returns
-// ErrClosed once Close has begun, and ctx is plumbed into every worker's
-// candidate loop (core.TopKRecoveredContext), so cancelling the context
-// actually aborts an in-flight fan-out instead of letting it run to
-// completion — the contract vos.SimilarityService and the /v1/topk handler
-// rely on for request-scoped deadlines.
+// ErrClosed once Close has begun, and ctx is plumbed into the candidate
+// scan (core.TopKRecoveredContext), so cancelling the context actually
+// aborts an in-flight scan instead of letting it run to completion — the
+// contract vos.SimilarityService and the /v1/topk handler rely on for
+// request-scoped deadlines.
 func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -734,59 +732,12 @@ func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []st
 	return e.topK(ctx, u, candidates, n)
 }
 
-// topK is the shared body of TopK and TopKContext: snapshot, fan out, merge.
+// topK is the shared body of TopK and TopKContext: snapshot, recover, scan.
 func (e *Engine) topK(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	e.maybeAdvance()
 	snap := e.acquire()
-	defer snap.Release() // held through the whole fan-out
-	return e.rankCandidates(ctx, snap.Sk, snap.Sk.RecoverSketch(u), candidates, n)
-}
-
-// rankCandidates scores the candidates against a recovered probe and
-// returns the top n by core.RankBefore — the parallel fan-out shared by
-// the exact scan (topK) and the ANN probe (topKApprox), which differ only
-// in where the candidate list comes from.
-func (e *Engine) rankCandidates(ctx context.Context, snap *core.VOS, r *core.Recovered, candidates []stream.User, n int) ([]core.TopKResult, error) {
-	// Below ~2 full ranges the goroutine and merge overhead outweighs the
-	// fan-out; answer sequentially.
-	const minPerWorker = 64
-	workers := runtime.GOMAXPROCS(0)
-	if maxW := len(candidates) / minPerWorker; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 || n <= 0 {
-		return snap.TopKRecoveredContext(ctx, r, candidates, n)
-	}
-	tops := make([][]core.TopKResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	// Exact partition: worker w gets [w*len/workers, (w+1)*len/workers).
-	// Unlike ceil-chunking this never produces lo > hi, whatever the
-	// workers/len ratio.
-	for w := 0; w < workers; w++ {
-		lo := w * len(candidates) / workers
-		hi := (w + 1) * len(candidates) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tops[w], errs[w] = snap.TopKRecoveredContext(ctx, r, candidates[lo:hi], n)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var all []core.TopKResult
-	for _, t := range tops {
-		all = append(all, t...)
-	}
-	sort.Slice(all, func(i, j int) bool { return core.RankBefore(all[i], all[j]) })
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n], nil
+	defer snap.Release() // held through the whole scan
+	return snap.Sk.TopKRecoveredContext(ctx, snap.Sk.RecoverSketch(u), candidates, n)
 }
 
 // PositionCacheStats reports the shared position cache's hit/miss/eviction

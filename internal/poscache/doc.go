@@ -30,7 +30,7 @@
 // # Concurrency
 //
 // A Cache is safe for concurrent use: query paths race on it from many
-// goroutines (engine snapshots, parallel top-K workers). Cached slices are
+// goroutines (engine snapshots, top-K helpers). Cached slices are
 // immutable by contract — callers must treat a returned table as
 // read-only, and must not modify a slice after handing it to Put.
 package poscache

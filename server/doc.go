@@ -26,7 +26,7 @@
 //     its shard queues. JSON and NDJSON bodies are decoded into fresh
 //     memory. A user id above vos.MaxUser is refused (400) in any format,
 //   - request contexts plumbed into the service, so a disconnected or
-//     timed-out caller actually aborts its in-flight top-K fan-out,
+//     timed-out caller actually aborts its in-flight top-K scan,
 //   - health (/v1/healthz) and readiness (/v1/readyz) probes plus
 //     graceful drain: Drain flips readiness, rejects new work with the
 //     "draining" code (distinct from "unavailable", so a rotating

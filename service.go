@@ -19,8 +19,8 @@ import (
 //     remote vosd daemon is a one-constructor change.
 //
 // All methods honour ctx: a cancelled or expired context aborts the call
-// with ctx.Err() (for Engine-backed TopK the cancellation is cooperative —
-// it actually stops the worker fan-out mid-scan, not just the return).
+// with ctx.Err() (for TopK the cancellation is cooperative — it actually
+// stops the candidate scan mid-way, not just the return).
 // Lifecycle errors are typed: ErrClosed after the backing engine has shut
 // down, ErrQueryUnavailable for query paths the current state cannot serve.
 type SimilarityService interface {
@@ -50,8 +50,8 @@ type SimilarityService interface {
 	// there are no silent zero answers.
 	Similarity(ctx context.Context, u, v User) (Estimate, error)
 	// TopK returns the n candidates most similar to u, best first.
-	// Cancelling ctx aborts an Engine-backed fan-out mid-scan with
-	// ctx.Err(); ErrClosed and ErrQueryUnavailable as for Similarity.
+	// Cancelling ctx aborts the candidate scan mid-way with ctx.Err();
+	// ErrClosed and ErrQueryUnavailable as for Similarity.
 	TopK(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, error)
 	// Cardinality returns n_u, the tracked item count of user u (over
 	// the live window on windowed engines). ErrClosed after shutdown.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,6 +277,54 @@ func TestEngineTopKCancellationAborts(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled TopK never returned")
+	}
+}
+
+// TestTopKHelpersNeverOutliveTheCall holds the sketch service's read lock
+// to the top-K fan-out: the lock covers the sketch only until TopK returns,
+// so a helper still scoring after a cancelled call returned would read the
+// array while the Ingest queued behind the lock writes it — a race the
+// detector reports. The candidates are cold and many, so the call owes
+// enough work to start helpers and is still scanning when the cancel lands.
+func TestTopKHelpersNeverOutliveTheCall(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	svc := vos.NewSketchService(vos.MustNew(vos.Config{MemoryBits: 1 << 22, SketchBits: 4096, Seed: 3}))
+	ctx := context.Background()
+	var edges []vos.Edge
+	for u := vos.User(0); u < 200; u++ {
+		for i := 0; i < 20; i++ {
+			edges = append(edges, vos.Edge{User: u, Item: vos.Item(int(u)*100 + i), Op: vos.Insert})
+		}
+	}
+	if err := svc.Ingest(ctx, edges); err != nil {
+		t.Fatal(err)
+	}
+	candidates := make([]vos.User, 30_000)
+	for i := range candidates {
+		candidates[i] = vos.User(i)
+	}
+	for round := 0; round < 3; round++ {
+		topCtx, cancel := context.WithCancel(ctx)
+		topDone := make(chan error, 1)
+		go func() {
+			_, err := svc.TopK(topCtx, 1, candidates, 10)
+			topDone <- err
+		}()
+		time.Sleep(5 * time.Millisecond) // the scan holds the read lock
+		ingestDone := make(chan error, 1)
+		go func() {
+			ingestDone <- svc.Ingest(ctx, []vos.Edge{{User: 1, Item: vos.Item(1<<20 + round), Op: vos.Insert}})
+		}()
+		time.Sleep(2 * time.Millisecond) // the Ingest waits on the write lock
+		cancel()
+		if err := <-topDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: cancelled TopK returned %v, want context.Canceled", round, err)
+		}
+		if err := <-ingestDone; err != nil {
+			t.Fatalf("round %d: Ingest behind the cancelled TopK: %v", round, err)
+		}
 	}
 }
 
