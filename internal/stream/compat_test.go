@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"github.com/vossketch/vos/internal/core"
+	"github.com/vossketch/vos/internal/engine"
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/netproto"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/internal/wal"
@@ -21,7 +26,9 @@ import (
 // tree of PR 26, before the element codec's kernel was rewritten: the stream
 // of `streamgen -scale 0.002` (seed 2) with some ids widened so that one-,
 // two-, three-, nine- and ten-byte varints all occur, as a stream file, as a
-// WAL segment and as a capture of VOSSTRM1 data frames.
+// WAL segment and as a capture of VOSSTRM1 data frames. Beside them lie the
+// checkpoints Engine.Checkpoint writes after that stream, written by the tree
+// of PR 32: a flat engine's and a windowed one's, under each hash family.
 //
 // A tree that changes a format adds a generation beside this one and keeps
 // reading it; -write-compat-corpus exists to write a new generation's files,
@@ -111,6 +118,174 @@ func compatSegment(t *testing.T, records [][]stream.Edge) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// compatBuckets is the windowed checkpoints' ring size, and compatCuts their
+// clock: before the edge at eighth at of the stream, the engine crosses cross
+// bucket boundaries. Crossing two at once leaves one live bucket empty.
+const compatBuckets = 4
+
+var compatCuts = []struct{ eighth, cross int }{{1, 1}, {2, 1}, {3, 2}, {5, 1}, {6, 1}}
+
+// compatEngine is the engine configuration the checkpoints are written and
+// reopened under; the clock stands still, so only compatCuts rotate.
+func compatEngine(dir string, fam hashing.Kind, windowed bool) engine.Config {
+	cfg := engine.Config{
+		Sketch:             core.Config{MemoryBits: 1 << 14, SketchBits: 128, Seed: 11, Family: fam},
+		Shards:             2,
+		FlushInterval:      -1,
+		PositionCacheUsers: -1,
+		Durability:         &engine.DurabilityConfig{Dir: dir, Sync: wal.SyncOff},
+	}
+	if windowed {
+		cfg.Window = &engine.WindowConfig{Buckets: compatBuckets, BucketDuration: time.Second,
+			Now: func() time.Time { return time.Unix(1000, 0) }}
+	}
+	return cfg
+}
+
+// compatBucketOf returns how many bucket boundaries the windowed engine has
+// crossed before each edge, and how many it crosses in all.
+func compatBucketOf(n int) (of []int, total int) {
+	of = make([]int, n)
+	for k := range of {
+		for _, cut := range compatCuts {
+			if k == n*cut.eighth/8 {
+				total += cut.cross
+			}
+		}
+		of[k] = total
+	}
+	return of, total
+}
+
+// compatCheckpoint runs edges through a durable engine — rotating at
+// compatCuts when windowed — and returns the checkpoint file it writes.
+func compatCheckpoint(t *testing.T, edges []stream.Edge, fam hashing.Kind, windowed bool) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	e, err := engine.New(compatEngine(dir, fam, windowed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	of, _ := compatBucketOf(len(edges))
+	for from := 0; from < len(edges); {
+		to := from + 1
+		for to < len(edges) && to-from < compatRecord && of[to] == of[from] {
+			to++
+		}
+		if err := e.ProcessBatch(edges[from:to]); err != nil {
+			t.Fatal(err)
+		}
+		if windowed && to < len(edges) && of[to] != of[from] {
+			e.Flush()
+			end := 1001 + of[from] // the ring's end: the clock starts in [1000 s, 1001 s)
+			if got, want := e.AdvanceWindowTo(time.Unix(int64(end+of[to]-of[from]-1), 0)), of[to]-of[from]; got != want {
+				t.Fatalf("engine crossed %d boundaries, want %d", got, want)
+			}
+		}
+		from = to
+	}
+	pos, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(wal.CheckpointPath(dir, pos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// sameSketch fails unless got serializes to the bytes of a fresh sketch of
+// edges.
+func sameSketch(t *testing.T, what string, got *core.VOS, edges []stream.Edge) {
+	t.Helper()
+	fresh := core.MustNew(got.Config())
+	fresh.ProcessBatch(edges)
+	gb, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := fresh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, fb) {
+		t.Fatalf("%s differs from a fresh sketch of its %d edges", what, len(edges))
+	}
+}
+
+// checkCompatCheckpoint decodes a checkpoint file of the corpus, checks its
+// state against the stream, re-encodes it, and has an engine reopened on it
+// write it again — each byte for byte.
+func checkCompatCheckpoint(t *testing.T, name string, data []byte, edges []stream.Edge, fam hashing.Kind, windowed bool) {
+	pos, sk, err := wal.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var again []byte
+	if windowed {
+		w, err := core.UnmarshalWindow(sk)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if w.Config().Family != fam || w.Buckets() != compatBuckets {
+			t.Fatalf("%s: a %v window of %d buckets", name, w.Config().Family, w.Buckets())
+		}
+		of, total := compatBucketOf(len(edges))
+		first := 0
+		for first < len(edges) && of[first] <= total-compatBuckets {
+			first++
+		}
+		sameSketch(t, name+": Merged()", w.Merged(), edges[first:])
+		for k := 0; k < compatBuckets; k++ {
+			var in []stream.Edge
+			for i, e := range edges {
+				if of[i] == total-(compatBuckets-1)+k {
+					in = append(in, e)
+				}
+			}
+			sameSketch(t, fmt.Sprintf("%s: Bucket(%d)", name, k), w.Bucket(k), in)
+		}
+		again, err = w.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		v, err := core.UnmarshalVOS(sk)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.Config().Family != fam {
+			t.Fatalf("%s: a %v sketch", name, v.Config().Family)
+		}
+		sameSketch(t, name, v, edges)
+		again, err = v.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(wal.EncodeCheckpoint(pos, again), data) {
+		t.Fatalf("%s: re-encoding the decoded state writes a different checkpoint", name)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(wal.CheckpointPath(dir, pos), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.Open(compatEngine(dir, fam, windowed))
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", name, err)
+	}
+	defer e.Close()
+	if got, err := e.Checkpoint(); err != nil || got != pos {
+		t.Fatalf("%s: reopened engine checkpoints at %d (%v), want %d", name, got, err, pos)
+	}
+	if rewritten, err := os.ReadFile(wal.CheckpointPath(dir, pos)); err != nil || !bytes.Equal(rewritten, data) {
+		t.Fatalf("%s: a reopened engine writes a different checkpoint (%v)", name, err)
+	}
 }
 
 func sameEdges(t *testing.T, what string, got, want []stream.Edge) {
@@ -234,5 +409,22 @@ func TestCompatCorpus(t *testing.T) {
 	sameEdges(t, "frames.cap", framed, edges)
 	if !bytes.Equal(compatFrames(t, framed), capture) {
 		t.Fatal("frames.cap: framing the decoded edges again writes different frames")
+	}
+
+	for _, fam := range []hashing.Kind{hashing.KindClassic, hashing.KindFast} {
+		for _, shape := range []string{"flat", "window"} {
+			name := "ckpt-" + shape + "-" + fam.String() + ".bin"
+			path := filepath.Join(compatDir, name)
+			if *writeCorpus {
+				if err := os.WriteFile(path, compatCheckpoint(t, edges, fam, shape == "window"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCompatCheckpoint(t, name, data, edges, fam, shape == "window")
+		}
 	}
 }
