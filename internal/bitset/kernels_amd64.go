@@ -4,9 +4,6 @@ package bitset
 
 import "github.com/vossketch/vos/internal/cpu"
 
-// useAVX512 selects gatherXorAVX512; tests turn it off to run the Go loops alone.
-var useAVX512 = cpu.AVX512
-
 // gatherXorAVX512 gathers idx's whole 64-index blocks up to the first that
 // holds an index ≥ n: block b's word w goes to dst[b] unless dst is nil, and
 // ones sums popcount(w ^ ows[b]).
@@ -17,7 +14,7 @@ func gatherXorAVX512(dst, ows, src []uint64, n uint64, idx []uint64) (blocks int
 // gatherVec runs gatherXorAVX512 where the CPU has it. dst is nil, or ows
 // zeroed, against which the plain gather counts.
 func gatherVec(dst, ows, src []uint64, n uint64, idx []uint64) (int, uint64) {
-	if !useAVX512 {
+	if !cpu.AVX512 {
 		return 0, 0
 	}
 	return gatherXorAVX512(dst, ows[:len(idx)/64], src, n, idx)

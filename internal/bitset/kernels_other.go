@@ -2,6 +2,4 @@
 
 package bitset
 
-var useAVX512 = false
-
 func gatherVec(dst, ows, src []uint64, n uint64, idx []uint64) (int, uint64) { return 0, 0 }

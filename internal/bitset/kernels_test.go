@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/hashing"
 )
 
@@ -71,9 +72,9 @@ func kernelIndexSets(n uint64, size int, rng *rand.Rand) map[string][]uint64 {
 // assembly would otherwise take every whole block.
 func bothGathers(t *testing.T, fn func(t *testing.T)) {
 	t.Run("dispatched", fn)
-	saved := useAVX512
-	useAVX512 = false
-	defer func() { useAVX512 = saved }()
+	saved := cpu.AVX512
+	cpu.AVX512 = false
+	defer func() { cpu.AVX512 = saved }()
 	t.Run("go", fn)
 }
 

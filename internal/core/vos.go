@@ -492,18 +492,25 @@ func (v *VOS) Merge(other *VOS) error {
 		return fmt.Errorf("core: cannot merge sketches with different configs (%+v vs %+v)",
 			v.cfg, other.cfg)
 	}
+	v.fold(other, 1)
+	return nil
+}
+
+// fold is Merge (sign 1) and Unmerge (sign −1) once the configs are known to
+// agree: XOR other's array into v's and add sign times each of other's
+// counters to v's.
+func (v *VOS) fold(other *VOS, sign int64) {
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
 	if v.card.live == 0 {
-		// Merging into an empty sketch (every snapshot rebuild starts this
+		// Folding into an empty sketch (every snapshot rebuild starts this
 		// way): size the table once instead of growing it from nothing by
 		// doubling.
 		v.card.reserve(other.card.live)
 	}
 	for u, c := range other.card.all {
-		v.card.bump(u, c)
+		v.card.bump(u, sign*c)
 	}
-	return nil
 }
 
 // Partition is Merge read backwards: it splits v into n sketches of v's
@@ -542,11 +549,7 @@ func (v *VOS) Unmerge(other *VOS) error {
 		return fmt.Errorf("core: cannot unmerge sketches with different configs (%+v vs %+v)",
 			v.cfg, other.cfg)
 	}
-	v.version++ // invalidates every cached recovered sketch
-	v.arr.Xor(other.arr)
-	for u, c := range other.card.all {
-		v.card.bump(u, -c)
-	}
+	v.fold(other, -1)
 	return nil
 }
 

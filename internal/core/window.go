@@ -1,13 +1,14 @@
 package core
 
 // Sliding windows. VOS state is a pure XOR of its edge stream, so a
-// sliding window falls out structurally: keep B time-bucketed sub-sketches
-// in a ring, land every edge in the current bucket AND in a running
-// XOR-merge of all live buckets, and retire the oldest bucket by re-XORing
-// it out of the merge (Unmerge) — one O(sketch) array pass per rotation,
-// no per-edge expiry tracking, no timers in the hot path. The merged view
-// is an ordinary *VOS, so the whole materialized read path (Query, TopK,
-// position and recovered-sketch caches) works on it unchanged.
+// sliding window falls out structurally: the live view is the XOR-merge of
+// B time buckets, and the oldest bucket retires by being XOR-ed back out
+// (Unmerge) — O(sketch) work per rotation, no per-edge expiry tracking, no
+// timers in the hot path. Each edge is one plain VOS write on the merged
+// view: the current bucket is not stored but is merged ⊕ base, base being
+// the merged view as the last rotation left it (arrays XOR, counters
+// subtract; linearity makes it exact). The merged view is an ordinary *VOS,
+// so the whole materialized read path works on it unchanged.
 
 import (
 	"bytes"
@@ -18,11 +19,12 @@ import (
 	"github.com/vossketch/vos/internal/stream"
 )
 
-// Window is a sliding-window VOS: a ring of B bucket sub-sketches plus the
-// live merged view covering the last B bucket intervals (the oldest B−1
-// full buckets and the current, still-filling one). Like VOS it is not
-// safe for concurrent mutation — the engine wraps per-shard windows in its
-// own locking; read-only access to Merged follows the VOS rules.
+// Window is a sliding-window VOS: the live merged view covering the last B
+// bucket intervals (B−1 closed buckets and the current, still-filling one),
+// the closed buckets' sub-sketches, and base, their XOR-merge — B+1 arrays.
+// Like VOS it is not safe for concurrent mutation — the engine wraps
+// per-shard windows in its own locking; read-only access to Merged follows
+// the VOS rules.
 //
 // Time model: the window owns a bucket duration and the exclusive end
 // instant of the current bucket, epoch-aligned so independently created
@@ -35,11 +37,21 @@ type Window struct {
 	bucketNS int64
 	endNS    int64 // exclusive end of the current bucket, unix nanoseconds
 
-	buckets []*VOS // ring; cur indexes the bucket accepting writes
-	cur     int
-	merged  *VOS // XOR-merge of all live buckets; pointer is stable
+	closed []*VOS // ring of the B−1 closed buckets; oldest indexes the oldest
+	oldest int
+	merged *VOS // XOR-merge of all live buckets; pointer is stable
+	base   *VOS // merged as the last rotation left it: the XOR-merge of closed
 
 	rotations uint64
+}
+
+// accumulator returns an empty sketch for state the window keeps but never
+// queries (closed buckets, base, a derived current bucket): without the
+// recovered-sketch cache, which would be dead weight B times over.
+func accumulator(cfg Config) *VOS {
+	v := MustNew(cfg)
+	v.SetRecoveredCacheCapacity(-1)
+	return v
 }
 
 // NewWindow creates an empty window of buckets sub-sketches of duration d
@@ -48,9 +60,6 @@ type Window struct {
 // be at least 1 — a single bucket is a tumbling window that forgets
 // everything on each rotation — and d must be positive.
 func NewWindow(cfg Config, buckets int, d time.Duration, now time.Time) (*Window, error) {
-	if buckets < 1 {
-		return nil, fmt.Errorf("core: window needs at least 1 bucket, got %d", buckets)
-	}
 	if d <= 0 {
 		return nil, fmt.Errorf("core: bucket duration must be positive, got %v", d)
 	}
@@ -77,16 +86,12 @@ func NewWindowAt(cfg Config, buckets int, d time.Duration, end time.Time) (*Wind
 		cfg:      cfg,
 		bucketNS: d.Nanoseconds(),
 		endNS:    end.UnixNano(),
-		buckets:  make([]*VOS, buckets),
+		closed:   make([]*VOS, buckets-1),
 		merged:   merged,
+		base:     accumulator(cfg),
 	}
-	for i := range w.buckets {
-		b := MustNew(cfg)
-		// Buckets are write-only accumulators — they are never queried, so
-		// the default recovered-sketch cache would be dead weight B times
-		// over. The merged view keeps its caches.
-		b.SetRecoveredCacheCapacity(-1)
-		w.buckets[i] = b
+	for i := range w.closed {
+		w.closed[i] = accumulator(cfg)
 	}
 	return w, nil
 }
@@ -95,7 +100,7 @@ func NewWindowAt(cfg Config, buckets int, d time.Duration, end time.Time) (*Wind
 func (w *Window) Config() Config { return w.cfg }
 
 // Buckets returns B, the ring size.
-func (w *Window) Buckets() int { return len(w.buckets) }
+func (w *Window) Buckets() int { return len(w.closed) + 1 }
 
 // BucketDuration returns the time span of one bucket.
 func (w *Window) BucketDuration() time.Duration { return time.Duration(w.bucketNS) }
@@ -103,7 +108,7 @@ func (w *Window) BucketDuration() time.Duration { return time.Duration(w.bucketN
 // Start returns the inclusive start of the live window: the instant the
 // oldest live bucket began, End − B·BucketDuration.
 func (w *Window) Start() time.Time {
-	return time.Unix(0, w.endNS-int64(len(w.buckets))*w.bucketNS)
+	return time.Unix(0, w.endNS-int64(w.Buckets())*w.bucketNS)
 }
 
 // End returns the exclusive end of the current bucket — the next rotation
@@ -116,86 +121,72 @@ func (w *Window) Rotations() uint64 { return w.rotations }
 // Merged returns the live window sketch: the XOR-merge of every live
 // bucket, maintained incrementally. It is an ordinary *VOS — Query, TopK,
 // caches, and serialization all apply — and the pointer is stable for the
-// window's lifetime (rotation mutates it in place). Treat it as read-only:
-// writes must go through Process so bucket and merge stay in lockstep.
+// window's lifetime (rotation mutates it in place). Its Process and
+// ProcessBatch are the window's own writes, into the current bucket, so the
+// engine's shard workers apply batches straight to it; any other mutation
+// must go through the window (MergeBucket), or base goes stale.
 func (w *Window) Merged() *VOS { return w.merged }
 
-// Bucket returns the k-th oldest live bucket, k ∈ [0, B); k = B−1 is the
-// current bucket. Read-only: the engine's checkpoint path merges bucket
-// state across shards through this accessor.
+// Bucket returns the k-th oldest live bucket, k ∈ [0, B); k = B−1, the
+// current bucket, is not stored, so each call derives a fresh copy of it in
+// O(sketch). Read-only: the engine's checkpoint path merges bucket state
+// across shards through this accessor.
 func (w *Window) Bucket(k int) *VOS {
-	return w.buckets[(w.cur+1+k)%len(w.buckets)]
+	if k == len(w.closed) {
+		cur := accumulator(w.cfg)
+		w.derive(cur)
+		return cur
+	}
+	return w.closed[(w.oldest+k)%len(w.closed)]
 }
 
-// MergeBucket folds src into the k-th oldest bucket and into the merged
-// view — the cross-shard composition step: bucket k of a global window is
-// the exact merge of bucket k of every per-shard window, because VOS
-// merging is exact for any partition of the stream.
+// derive overwrites dst with the current bucket, merged ⊕ base.
+func (w *Window) derive(dst *VOS) {
+	dst.Reset()
+	dst.fold(w.merged, 1)
+	dst.fold(w.base, -1)
+}
+
+// MergeBucket folds src into the k-th oldest bucket and the merged view (and
+// base, for a closed bucket) — the cross-shard composition step: bucket k of
+// a global window is the exact merge of bucket k of every per-shard window,
+// because VOS merging is exact for any partition of the stream.
 func (w *Window) MergeBucket(k int, src *VOS) error {
-	if err := w.Bucket(k).Merge(src); err != nil {
+	if err := w.merged.Merge(src); err != nil {
 		return err
 	}
-	return w.merged.Merge(src)
+	if k < len(w.closed) {
+		w.base.fold(src, 1)
+		w.Bucket(k).fold(src, 1)
+	}
+	return nil
 }
 
-// Process folds one stream element into the current bucket and the merged
-// view — still O(1) per edge: the hashes are computed once and the single
-// bit flip lands in both arrays.
-func (w *Window) Process(e stream.Edge) {
-	m, b := w.merged, w.buckets[w.cur]
-	j := m.slot(e.Item)
-	p := m.position(e.User, j)
-	d := opDelta(e.Op)
-	m.version++ // invalidates cached recovered sketches on the live view
-	m.arr.Flip(p)
-	m.card.bump(e.User, d)
-	b.version++
-	b.arr.Flip(p)
-	b.card.bump(e.User, d)
-}
+// Process folds one stream element into the current bucket: VOS.Process on
+// the merged view.
+func (w *Window) Process(e stream.Edge) { w.merged.Process(e) }
 
-// ProcessBatch folds a slice of stream elements into the current bucket
-// and the merged view — the same state transition as calling Process per
-// element, byte for byte in both — by the block step of VOS.ProcessBatch:
-// a block's positions are computed once, toggled back to back in the merged
-// array and then in the bucket's,
-// and the two counter tables adjusted last, a block each (the tables differ
-// in size and content, so each computes its own home slots). One write
-// version per sketch covers the whole slice; the slice is only read, and not
-// kept.
-func (w *Window) ProcessBatch(edges []stream.Edge) {
-	if len(edges) == 0 {
-		return
-	}
-	m, b := w.merged, w.buckets[w.cur]
-	m.version++ // one write event: invalidates cached recovered sketches
-	b.version++
-	var buf [blockLen]uint64
-	for len(edges) > 0 {
-		blk := edges[:min(len(edges), blockLen)]
-		edges = edges[len(blk):]
-		pos := buf[:len(blk)]
-		m.togglePositions(pos, blk)
-		m.arr.FlipAll(pos)
-		b.arr.FlipAll(pos)
-		m.card.bumpAll(blk)
-		b.card.bumpAll(blk)
-	}
-}
+// ProcessBatch folds a slice of stream elements into the current bucket:
+// VOS.ProcessBatch on the merged view.
+func (w *Window) ProcessBatch(edges []stream.Edge) { w.merged.ProcessBatch(edges) }
 
 // Rotate retires the oldest bucket and opens a fresh current one: the
-// retired bucket is XOR-ed back out of the merged view (Unmerge — exactly
-// one O(m/64) array pass plus its counter entries, independent of how many
-// edges the bucket absorbed), reset in place, and reused as the new
-// current bucket. The window's end advances by one bucket duration.
+// retired bucket is XOR-ed back out of the merged view and base, the closing
+// bucket is derived into the storage it freed, and base catches up with the
+// merged view — five O(m/64) array passes plus a walk of the window's live
+// counters, independent of how many edges the buckets absorbed. The
+// window's end advances by one bucket duration.
 func (w *Window) Rotate() {
-	w.cur = (w.cur + 1) % len(w.buckets)
-	old := w.buckets[w.cur] // the oldest bucket; becomes the new current
-	if err := w.merged.Unmerge(old); err != nil {
-		// Impossible: every bucket shares w.cfg by construction.
-		panic(fmt.Sprintf("core: window unmerge failed: %v", err))
+	if len(w.closed) == 0 {
+		w.merged.Reset() // B = 1: the current bucket is the whole window
+	} else {
+		old := w.closed[w.oldest]
+		w.merged.fold(old, -1)
+		w.base.fold(old, -1)
+		w.derive(old)
+		w.base.fold(old, 1) // base = merged
+		w.oldest = (w.oldest + 1) % len(w.closed)
 	}
-	old.Reset()
 	w.endNS += w.bucketNS
 	w.rotations++
 }
@@ -215,7 +206,7 @@ func (w *Window) AdvanceTo(t time.Time) int {
 	}
 	steps := (ns-w.endNS)/w.bucketNS + 1
 	rot := steps
-	if max := int64(len(w.buckets)); rot > max {
+	if max := int64(w.Buckets()); rot > max {
 		rot = max
 	}
 	for i := int64(0); i < rot; i++ {
@@ -236,14 +227,16 @@ func (w *Window) Query(u, v stream.User) Estimate { return w.merged.Query(u, v) 
 func (w *Window) Cardinality(u stream.User) int64 { return w.merged.Cardinality(u) }
 
 // Stats summarises the live window view, with the window metadata fields
-// set and MemoryBytes covering the whole ring (B buckets + merged view).
+// set and MemoryBytes covering the whole ring (closed buckets, base and
+// merged view).
 func (w *Window) Stats() Stats {
 	st := w.merged.Stats()
-	for _, b := range w.buckets {
+	st.MemoryBytes += w.base.Stats().MemoryBytes
+	for _, b := range w.closed {
 		st.MemoryBytes += b.Stats().MemoryBytes
 	}
-	st.WindowSeconds = (time.Duration(w.bucketNS) * time.Duration(len(w.buckets))).Seconds()
-	st.WindowBuckets = len(w.buckets)
+	st.WindowSeconds = (time.Duration(w.bucketNS) * time.Duration(w.Buckets())).Seconds()
+	st.WindowBuckets = w.Buckets()
 	return st
 }
 
@@ -252,10 +245,10 @@ func (w *Window) Stats() Stats {
 var windowMagic = [4]byte{'V', 'W', 'N', '1'}
 
 // MarshalBinary encodes the full window state: bucket duration, current
-// bucket end, and every bucket oldest-first. The merged view is not
-// stored — it is the XOR of the buckets and is rebuilt on load, so the
-// serialized form cannot desynchronise from its own invariant. Restore
-// with UnmarshalWindow.
+// bucket end, and every bucket oldest-first, the current one derived. The
+// merged view and base are not stored — they are XORs of the buckets and
+// are rebuilt on load, so the serialized form cannot desynchronise from its
+// own invariant. Restore with UnmarshalWindow.
 func (w *Window) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(windowMagic[:])
@@ -266,8 +259,8 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 	}
 	writeU64(uint64(w.bucketNS))
 	writeU64(uint64(w.endNS))
-	writeU64(uint64(len(w.buckets)))
-	for k := 0; k < len(w.buckets); k++ {
+	writeU64(uint64(w.Buckets()))
+	for k := 0; k < w.Buckets(); k++ {
 		bb, err := w.Bucket(k).MarshalBinary()
 		if err != nil {
 			return nil, err
@@ -286,7 +279,7 @@ func IsWindowData(data []byte) bool {
 }
 
 // UnmarshalWindow decodes a window produced by Window.MarshalBinary and
-// rebuilds the merged view from the buckets.
+// rebuilds base and the merged view from the buckets.
 func UnmarshalWindow(data []byte) (*Window, error) {
 	if !IsWindowData(data) {
 		return nil, fmt.Errorf("%w: bad window magic", ErrCorrupt)
@@ -350,22 +343,18 @@ func UnmarshalWindow(data []byte) (*Window, error) {
 	if off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after window", ErrCorrupt, len(data)-off)
 	}
-	merged, err := New(buckets[0].Config())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
 	w := &Window{
 		cfg:      buckets[0].Config(),
 		bucketNS: int64(bucketNS),
 		endNS:    int64(endNS),
-		buckets:  buckets, // serialized oldest-first; cur = newest = last
-		cur:      len(buckets) - 1,
-		merged:   merged,
+		closed:   buckets[:nb-1], // serialized oldest-first, the current bucket last
+		merged:   buckets[nb-1],
+		base:     accumulator(buckets[0].Config()),
 	}
-	for _, b := range buckets {
-		if err := merged.Merge(b); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	for _, b := range w.closed {
+		w.base.fold(b, 1)
 	}
+	w.merged.fold(w.base, 1)
+	w.merged.SetRecoveredCacheCapacity(0) // the one sketch that is queried
 	return w, nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -74,6 +76,124 @@ func TestWindowParity(t *testing.T) {
 		}
 		if w.Rotations() != uint64(6*buckets) {
 			t.Fatalf("rotations = %d, want %d", w.Rotations(), 6*buckets)
+		}
+	}
+}
+
+// bucketModel is a window kept as B plain sketches, oldest first, every
+// write landing in the last: the reference TestWindowMatchesBucketModel holds
+// Window's derived current bucket and its base against.
+type bucketModel []*VOS
+
+func (m bucketModel) rotate() {
+	old := m[0]
+	copy(m, m[1:])
+	old.Reset()
+	m[len(m)-1] = old
+}
+
+func (m bucketModel) merged() *VOS {
+	out := MustNew(m[0].Config())
+	for _, b := range m {
+		if err := out.Merge(b); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// TestWindowMatchesBucketModel drives a window and the bucket model through
+// one seeded mix of every window operation — single and block writes (block
+// sizes around blockLen), rotations, clock jumps across 0, 1, B and B+3
+// boundaries, a bucket merge into each k in turn, and a serialization round
+// trip — and after each one requires every bucket and the merged view to
+// serialize as the model's do, and Merged() to keep its pointer.
+func TestWindowMatchesBucketModel(t *testing.T) {
+	for _, fam := range []hashing.Kind{hashing.KindClassic, hashing.KindFast} {
+		cfg := winTestCfg
+		cfg.Family = fam
+		for _, buckets := range []int{1, 2, 3, 8} {
+			r := rand.New(rand.NewSource(int64(buckets)<<8 | int64(fam)))
+			w, err := NewWindowAt(cfg, buckets, time.Second, time.Unix(1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := make(bucketModel, buckets)
+			for k := range model {
+				model[k] = MustNew(cfg)
+			}
+			merged, nextMerge := w.Merged(), 0
+			for op := 0; op < 200; op++ {
+				var what string
+				switch r.Intn(6) {
+				case 0:
+					what = "Process"
+					e := winEdge(r)
+					w.Process(e)
+					model[buckets-1].Process(e)
+				case 1:
+					n := []int{0, 1, 256, 257}[r.Intn(4)]
+					what = fmt.Sprintf("ProcessBatch(%d)", n)
+					edges := make([]stream.Edge, n)
+					for i := range edges {
+						edges[i] = winEdge(r)
+					}
+					w.ProcessBatch(edges)
+					model[buckets-1].ProcessBatch(edges)
+				case 2:
+					what = "Rotate"
+					w.Rotate()
+					model.rotate()
+				case 3:
+					cross := []int{0, 1, buckets, buckets + 3}[r.Intn(4)]
+					what = fmt.Sprintf("AdvanceTo across %d", cross)
+					end := w.End()
+					if got := w.AdvanceTo(end.Add(time.Duration(cross-1) * time.Second)); got != cross {
+						t.Fatalf("B=%d %v: %s crossed %d", buckets, fam, what, got)
+					}
+					if !w.End().Equal(end.Add(time.Duration(cross) * time.Second)) {
+						t.Fatalf("B=%d %v: %s moved the end to %v from %v", buckets, fam, what, w.End(), end)
+					}
+					for i := 0; i < min(cross, buckets); i++ {
+						model.rotate()
+					}
+				case 4:
+					k := nextMerge % buckets
+					nextMerge++
+					what = fmt.Sprintf("MergeBucket(%d)", k)
+					src := MustNew(cfg)
+					for i := 0; i < 40; i++ {
+						src.Process(winEdge(r))
+					}
+					if err := w.MergeBucket(k, src); err != nil {
+						t.Fatal(err)
+					}
+					if err := model[k].Merge(src); err != nil {
+						t.Fatal(err)
+					}
+				case 5:
+					what = "MarshalBinary → UnmarshalWindow"
+					data, err := w.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w, err = UnmarshalWindow(data); err != nil {
+						t.Fatal(err)
+					}
+					merged = w.Merged()
+				}
+				msg := fmt.Sprintf("B=%d %v op %d (%s)", buckets, fam, op, what)
+				if w.Merged() != merged {
+					t.Fatalf("%s: Merged() changed pointer", msg)
+				}
+				mustEqualSketchBytes(t, w.Merged(), model.merged(), msg+": merged view")
+				for k := range model {
+					mustEqualSketchBytes(t, w.Bucket(k), model[k], fmt.Sprintf("%s: bucket %d", msg, k))
+				}
+			}
+			if nextMerge < buckets {
+				t.Fatalf("B=%d %v: the op mix merged into %d of %d buckets", buckets, fam, nextMerge, buckets)
+			}
 		}
 	}
 }

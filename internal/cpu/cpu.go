@@ -4,4 +4,6 @@ package cpu
 
 // AVX512: CPUID has AVX-512F, AVX-512DQ, BMI2 and POPCNT, and XGETBV shows the
 // OS saving opmask and ZMM state. False on other targets and under -tags purego.
+// The kernels read it on every call, so their tests switch it off to hold the
+// Go loops to the same reference the assembly meets.
 var AVX512 bool

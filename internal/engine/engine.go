@@ -178,9 +178,9 @@ type shard struct {
 	sk   *core.VOS
 
 	// win is the shard's bucket ring in sliding-window mode (nil
-	// otherwise). sk then aliases win.Merged() — the stable live view —
-	// so every read path works unchanged; only the worker's write path
-	// branches, landing edges in the current bucket as well.
+	// otherwise). sk then aliases win.Merged() — the stable live view, whose
+	// writes are the current bucket's — so the worker and every read path
+	// work unchanged; rotation, folds and checkpoints go through win.
 	win *core.Window
 
 	// enqueued counts edges accepted by Process/ProcessBatch for this
@@ -430,11 +430,7 @@ func (e *Engine) worker(s *shard) {
 	defer e.wg.Done()
 	for batch := range s.ch {
 		s.skMu.Lock()
-		if s.win != nil {
-			s.win.ProcessBatch(batch) // current bucket + live merged view
-		} else {
-			s.sk.ProcessBatch(batch)
-		}
+		s.sk.ProcessBatch(batch)
 		end := s.processed.Load() + uint64(len(batch))
 		e.record(s, batch, end)
 		s.processed.Store(end)

@@ -2,13 +2,13 @@ package engine
 
 // Sliding windows over the sharded engine.
 //
-// Each shard owns a core.Window instead of a bare sketch: edges land in
-// the shard's current bucket, the shard's live view is the window's merged
-// sketch, and the engine's global snapshot merges those views exactly as
-// before — windowing changes what each shard's sketch *contains*, not how
-// shards compose. Because VOS merging is exact for any stream partition,
-// the merged windowed snapshot is bit-identical to a single Window that
-// consumed the whole stream.
+// Each shard owns a core.Window instead of a bare sketch: the shard's live
+// view is the window's merged sketch, which the worker writes as any shard
+// sketch (core.Window keeps the current bucket implicit), and the engine's
+// global snapshot merges those views exactly as before — windowing changes
+// what each shard's sketch *contains*, not how shards compose. Because VOS
+// merging is exact for any stream partition, the merged windowed snapshot
+// is bit-identical to a single Window that consumed the whole stream.
 //
 // Rotation is coordinated: every shard window is created with the same
 // epoch-aligned boundaries and only ever advances under the engine's
@@ -18,7 +18,7 @@ package engine
 // and a snapshot refresh never replays a journal across a rotation. The
 // lock order is stateMu before any shard's skMu; the ingest workers take
 // only skMu and are blocked per shard exactly for that shard's O(sketch)
-// retire pass.
+// rotation.
 //
 // Time advances from three places, all funnelled through AdvanceWindowTo:
 // the ingest and query paths poll the clock (one atomic load when nothing

@@ -4,9 +4,6 @@ package hashing
 
 import "github.com/vossketch/vos/internal/cpu"
 
-// useAVX512 selects hashRangeAVX512; tests turn it off to run the Go loop alone.
-var useAVX512 = cpu.AVX512
-
 // hashRangeAVX512 sets dst[j] = Reduce(Hash64(key, seeds[j]), n) eight at a
 // time, len(dst) a positive multiple of eight. It reduces by a shift when n
 // is a power of two, else from two 32-bit products: exact for n < 2³² only.
@@ -18,7 +15,7 @@ func hashRangeAVX512(dst, seeds []uint64, key, n uint64)
 // returns its length: 0 without AVX-512, or for n ≥ 2³² not a power of two.
 func hashRangeVec(dst, seeds []uint64, key, n uint64) int {
 	blocks := len(dst) &^ 7
-	if !useAVX512 || blocks == 0 || n == 0 || n&(n-1) != 0 && n>>32 != 0 {
+	if !cpu.AVX512 || blocks == 0 || n == 0 || n&(n-1) != 0 && n>>32 != 0 {
 		return 0
 	}
 	hashRangeAVX512(dst[:blocks], seeds[:blocks], key, n)
@@ -37,7 +34,7 @@ func edgePositionsAVX512(dst, pairs []uint64, stride int, seeds []uint64, psiSee
 // family does not reduce exactly (classic: 2^b or < 2³²; fast: ≤ 2³²).
 func edgePositionsVec(dst, pairs []uint64, stride int, seeds []uint64, k, psiSeed, userSeed, m uint64) int {
 	blocks := len(dst) &^ 7
-	if !useAVX512 || blocks == 0 || k>>32 != 0 || m == 0 || m&(m-1) != 0 && m>>32 != 0 || len(seeds) == 0 && m > 1<<32 {
+	if !cpu.AVX512 || blocks == 0 || k>>32 != 0 || m == 0 || m&(m-1) != 0 && m>>32 != 0 || len(seeds) == 0 && m > 1<<32 {
 		return 0
 	}
 	_ = pairs[(blocks-1)*stride+1] // the last item the kernel reads

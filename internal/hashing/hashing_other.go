@@ -2,8 +2,6 @@
 
 package hashing
 
-var useAVX512 = false
-
 func hashRangeVec(dst, seeds []uint64, key, n uint64) int { return 0 }
 
 func edgePositionsVec(dst, pairs []uint64, stride int, seeds []uint64, k, psiSeed, userSeed, m uint64) int {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/vossketch/vos/internal/cpu"
 )
 
 func TestSplitMix64Deterministic(t *testing.T) {
@@ -276,9 +278,9 @@ func TestMulMod61AgainstBigIntStyle(t *testing.T) {
 // assembly would otherwise take every full group of eight.
 func bothFills(t *testing.T, fn func(t *testing.T)) {
 	t.Run("dispatched", fn)
-	saved := useAVX512
-	useAVX512 = false
-	defer func() { useAVX512 = saved }()
+	saved := cpu.AVX512
+	cpu.AVX512 = false
+	defer func() { cpu.AVX512 = saved }()
 	t.Run("go", fn)
 }
 
@@ -357,7 +359,7 @@ func checkEdgePositions(t *testing.T, k int, seed, psiSeed, m uint64, pairs []ui
 	} {
 		dst := make([]uint64, n)
 		want := 0
-		if useAVX512 && fam.exact {
+		if cpu.AVX512 && fam.exact {
 			want = n &^ 7
 		}
 		if got := fam.fill(dst, pairs, stride, psiSeed, m); got != want {

@@ -27,8 +27,9 @@ import (
 // of `streamgen -scale 0.002` (seed 2) with some ids widened so that one-,
 // two-, three-, nine- and ten-byte varints all occur, as a stream file, as a
 // WAL segment and as a capture of VOSSTRM1 data frames. Beside them lie the
-// checkpoints Engine.Checkpoint writes after that stream, written by the tree
-// of PR 32: a flat engine's and a windowed one's, under each hash family.
+// checkpoints Engine.Checkpoint writes after that stream — a flat engine's and
+// a windowed one's, under each hash family — written by a tree whose windows
+// still stored the current bucket as a sketch of its own.
 //
 // A tree that changes a format adds a generation beside this one and keeps
 // reading it; -write-compat-corpus exists to write a new generation's files,

@@ -1,13 +1,13 @@
 package vos
 
 // Sliding-window similarity. VOS state is a pure XOR of its edge stream,
-// so a sliding window falls out structurally: keep B time-bucketed
-// sub-sketches, land edges in the current bucket, serve queries from the
-// XOR-merge of all live buckets, and retire the oldest bucket by XOR-ing
-// it back out of the merge — one O(sketch) pass per rotation, with no
-// per-edge expiry tracking. "Who is similar to u over the last hour" is
-// then an ordinary query against the merged view, and deletions inside
-// the window still cost nothing, exactly as in the unwindowed sketch.
+// so a sliding window falls out structurally: serve queries from the
+// XOR-merge of B time buckets, land each edge in that merged view alone
+// (the current bucket is what it gained since the last rotation), and
+// retire the oldest bucket by XOR-ing it back out — O(sketch) per
+// rotation, O(1) per edge, no per-edge expiry tracking. "Who is similar
+// to u over the last hour" is then an ordinary query against the merged
+// view, and deletions inside the window still cost nothing.
 //
 // Three shapes, mirroring the unwindowed lineup:
 //
@@ -25,9 +25,11 @@ import (
 	"github.com/vossketch/vos/internal/engine"
 )
 
-// WindowedSketch is a sliding-window VOS: a ring of time-bucketed Sketch
-// sub-sketches whose XOR-merge is the live view of the last
-// buckets·bucketDuration of stream time. Like Sketch it is NOT safe for
+// WindowedSketch is a sliding-window VOS: the XOR-merge of buckets
+// time-bucketed sub-sketches, the live view of the last
+// buckets·bucketDuration of stream time. It holds buckets+1 arrays (see
+// core.Window); a rotation costs a few array passes plus a walk of the live
+// counters, whatever the edge count. Like Sketch it is NOT safe for
 // concurrent use — wire EngineConfig.Window for a concurrent, sharded
 // window. Rotation is explicit (Rotate / AdvanceTo), so callers own the
 // clock; the Engine adds the wall-clock and event-time plumbing on top.
