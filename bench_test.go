@@ -615,10 +615,10 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 // 50 bands of 32 rows, 368 users, position cache off): two 256-edge
 // ProcessBatches, Flush, then one TopKApprox. The probe has to bring the
 // band index up to the view first; as a reader of the shard journals that
-// is one band re-keyed per distinct (user, band) the 512 edges touched —
-// so the benchmark fails if a timed probe re-banded a user whole or fell
-// back to the spill set, and unless the last answer is the one an index
-// built from scratch on the same stream gives.
+// is one stored band bit toggled and its band re-keyed per edge of the 512
+// that lands in the banded bits — so the benchmark fails if a timed probe
+// re-banded a user whole or fell back to the spill set, and unless the last
+// answer is the one an index built from scratch on the same stream gives.
 func BenchmarkANNFreshProbe(b *testing.B) {
 	const users, mates, common, private, light, batch, topN = 368, 12, 392, 8, 16, 256, 10
 	newEngine := func() *vos.Engine {

@@ -634,27 +634,6 @@ func (v *VOS) Stats() Stats {
 
 // Slot returns ψ(i) ∈ [0, k): the one bit of a user's virtual odd sketch
 // that an element carrying item i toggles. A reader of the applied stream
-// (the engine's approximate top-K index) uses it to name the part of a
-// recovered sketch a write can have changed.
+// (the engine's approximate top-K index) uses it to apply the write to a
+// copy of the recovered sketch.
 func (v *VOS) Slot(i stream.Item) int { return v.slot(i) }
-
-// RecoverRange writes bits [from, from+n) of user u's virtual odd sketch
-// into dst packed from bit 0 — bit j of dst is A[f_{from+j}(u)], the bit
-// RecoverSketch(u) holds at from+j — and touches nothing else: both hash
-// families are random-access in j, so no position table is filled or cached
-// and the cost is n hash evaluations and n array probes, not k. The caller
-// guarantees 0 ≤ from, from+n ≤ k and len(dst) ≥ ⌈n/64⌉.
-func (v *VOS) RecoverRange(dst []uint64, u stream.User, from, n int) {
-	clear(dst[:(n+63)/64])
-	m := v.cfg.MemoryBits
-	if v.fslots != nil {
-		x := v.fslots.State(uint64(u))
-		for j := 0; j < n; j++ {
-			dst[j>>6] |= v.arr.GetBit(hashing.PositionFromState(x, from+j, m)) << (j & 63)
-		}
-		return
-	}
-	for j := 0; j < n; j++ {
-		dst[j>>6] |= v.arr.GetBit(v.slots.HashRange(from+j, uint64(u), m)) << (j & 63)
-	}
-}

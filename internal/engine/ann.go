@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,19 +28,25 @@ import (
 // carries — and a probe brings it to the acquired view's stamp by reading each
 // shard's journal range (index cursor, view cursor] (shard.journalRange). The
 // paper's update rule is that an element (u, i, ±) flips exactly bit ψ(i) of
-// u's virtual sketch, hence exactly band ⌊ψ(i)/Rows⌋ of u's banded signature,
-// so every edge maps to one (user, band) pair, and per distinct pair the probe
-// recovers only that band's Rows bits from the view (core.VOS.RecoverRange)
-// and re-keys that one band (lsh.BandIndex.PutBand). Reading exactly up to the
-// view's cursor is what makes a view the workers have moved past safe: a
-// write the view does not hold yet stays in the journal for the probe whose
-// view does.
+// u's virtual sketch, and the index keeps every member's band bits, so the
+// probe applies each edge of the range to them as it reads it
+// (lsh.BandIndex.Toggle): one stored bit flipped and its band re-keyed, O(1)
+// an edge, with no array read and nothing recovered from the view. Only two
+// kinds of user are noted for later: users the index does not hold yet (a
+// whole banding) and written members the view holds at zero cardinality (to
+// be dropped: in a window, or after a delete-before-insert, an insert can
+// zero a negative count too). Reading exactly up to the view's cursor is
+// what makes a view the workers have moved past safe: a write the view does
+// not hold yet stays in the journal for the probe whose view does.
 //
 // Bits that other users' writes flip under a member (noise: the array is
-// shared) are not tracked, and need not be. They are as likely before a key
-// was taken as after it, so a key that predates one collides with a fresh
-// probe exactly as often as a key that follows it — a maintained index and
-// one rebuilt from scratch have the same recall (TestANNIncrementalRecall).
+// shared) are not tracked, not even in a band the member's own write
+// re-keys, and need not be. They are as likely before a key was taken as
+// after it, so a key that predates one collides with a fresh probe exactly
+// as often as a key that follows it — a maintained index and one rebuilt
+// from scratch have the same recall (TestANNIncrementalRecall).
+// On a config where no two users share an array position there is no noise,
+// and the toggled keys equal a full recovery's (TestANNDifferential).
 //
 // A whole user is re-banded — all k bits recovered, every band re-keyed —
 // only where no journal range says which bands changed: a user the index
@@ -58,7 +62,7 @@ import (
 // (shard.annSkip); a read whose cursor is behind that mark is a whole one, so
 // a view that does not reach the mark leaves the read after it whole as well.
 // ANNConfig.RebandBudget spreads any of it over the probes that follow; what
-// is still owed is kept per user (annIndex.dirty).
+// is still owed is kept per user (annIndex.dirty). Toggles are never owed.
 //
 // The correctness contract is deliberately asymmetric: band membership may
 // lag the stream (that only costs recall — a recently rewritten user might
@@ -80,18 +84,19 @@ type ANNConfig struct {
 	// Bands is b, the number of LSH bands. More bands raise recall and
 	// candidate count — the collision probability for a pair whose
 	// recovered sketches agree on a fraction p of their bits is
-	// 1 − (1 − p^Rows)^Bands — and cost ~16 bytes of index per user each.
-	// Default: 64.
+	// 1 − (1 − p^Rows)^Bands — and cost ~24 bytes of index per user each
+	// (8 more per 64 rows past the first 64). Default: 64.
 	Bands int
 	// Rows is r, the bits per band. More rows sharpen the S-curve
 	// (fewer noise collisions, steeper recall falloff below the
 	// threshold (1/b)^(1/r) of per-bit agreement). Bands·Rows must not
 	// exceed Sketch.SketchBits. Default: 16.
 	Rows int
-	// RebandBudget bounds how many stale users one probe re-bands before
-	// answering, amortising bulk invalidations (initial build excepted —
-	// the first probe indexes every user); re-keying single bands spends it
-	// at Bands re-keys a user. Negative is unbounded. Default: 16384.
+	// RebandBudget bounds how many stale users one probe re-bands (or drops,
+	// at zero cardinality) before answering, amortising bulk invalidations
+	// (initial build excepted — the first probe indexes every user). Edges
+	// applied to members' band bits spend none of it. Negative is unbounded.
+	// Default: 16384.
 	RebandBudget int
 }
 
@@ -114,10 +119,10 @@ type ANNStats struct {
 	// Indexed is the number of users currently banded.
 	Indexed int `json:"indexed"`
 	// DirtyBacklog is the maintenance still owed: users awaiting a whole
-	// (re-)banding, spilled users no probe has taken yet, single band keys
-	// awaiting a re-key, and one for each shard whose journal has dropped
-	// writes the next probe answers by re-banding everyone. It drains by up
-	// to RebandBudget per probe.
+	// (re-)banding or a cardinality check, spilled users no probe has taken
+	// yet, and one for each shard whose journal has dropped writes the next
+	// probe answers by re-banding everyone. It drains by up to RebandBudget
+	// per probe.
 	DirtyBacklog int `json:"dirty_backlog"`
 	// Entries is the index's total bucket entries: one per indexed user
 	// and band.
@@ -130,8 +135,9 @@ type ANNStats struct {
 	Removals  uint64 `json:"removals"`
 	Probes    uint64 `json:"probes"`
 	Rotations uint64 `json:"rotations"`
-	// BandRekeys counts single bands re-keyed from a journal range — the
-	// path a write takes when the index follows it within a journal bound.
+	// BandRekeys counts band bits toggled from a journal range, each
+	// re-keying its band — the path a write to a member takes when the index
+	// follows it within a journal bound.
 	BandRekeys uint64 `json:"band_rekeys"`
 	// JournalFallbacks counts shard reads that found the journal evicted
 	// past the index's cursor and took the spilled users instead, and
@@ -162,11 +168,9 @@ type annIndex struct {
 	read    stamp
 	readRot atomic.Uint64
 
-	// dirty is the work owed per user: a nil value for a whole re-banding,
-	// else the set of bands to re-key (bit b for band b; bit Bands for a write
-	// outside the banded bits, which can only have changed membership).
-	dirty map[stream.User][]uint64
-	band  []uint64 // one band's recovered bits
+	// dirty is the work owed per user: true for a whole (re-)banding, false
+	// for a look at its cardinality alone (it was zero when marked).
+	dirty map[stream.User]bool
 
 	rebands   uint64
 	removals  uint64
@@ -184,7 +188,7 @@ type annIndex struct {
 	// coordinates hold: same user, same merged snapshot state (its publish
 	// generation — unique across both resident views and across refreshes
 	// of one, where a pointer would not be), and same index-mutation stamp (the
-	// monotone sum rebands+rekeys+removals+rotations: any Put, PutBand,
+	// monotone sum rebands+rekeys+removals+rotations: any Put, Toggle,
 	// Remove, or rotation invalidation advances it, so a probe never reuses
 	// across an index change). lastCands is read-only once cached — the
 	// liveness filter copies instead of compacting in place.
@@ -210,8 +214,7 @@ func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, erro
 		cfg:   cfg,
 		ix:    ix,
 		read:  stamp{at: make([]uint64, shards)},
-		dirty: make(map[stream.User][]uint64),
-		band:  make([]uint64, lsh.BandWords(cfg.Rows)),
+		dirty: make(map[stream.User]bool),
 	}
 	a.readRot.Store(noRot)
 	return a, nil
@@ -235,6 +238,7 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 	defer a.mu.Unlock()
 	st = ANNStats{
 		Indexed:          a.ix.Len(),
+		DirtyBacklog:     len(a.dirty),
 		Entries:          a.ix.Len() * a.ix.Params().Bands,
 		Rebands:          a.rebands,
 		Removals:         a.removals,
@@ -244,14 +248,6 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 		JournalFallbacks: a.fallbacks,
 		SpilledUsers:     a.spilled,
 		ProbeReuses:      a.reuses,
-	}
-	for _, mask := range a.dirty {
-		if mask == nil {
-			st.DirtyBacklog++
-		}
-		for _, w := range mask {
-			st.DirtyBacklog += bits.OnesCount64(w)
-		}
 	}
 	for i, s := range e.shards {
 		s.jMu.Lock()
@@ -272,9 +268,10 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 // subset-ordered prefix of what the exact scan would return over the
 // candidate set. Returns ErrNoANN on an engine built without Config.ANN.
 //
-// Probes are where index maintenance happens: each call re-bands up to
-// ANNConfig.RebandBudget users written since their last banding (all of
-// them on the first call, which builds the index). Recall against the
+// Probes are where index maintenance happens: each call applies the edges
+// written since the last one to the members' stored band bits and re-bands
+// up to ANNConfig.RebandBudget users whole (all of them on the first call,
+// which builds the index). Recall against the
 // exact scan is workload- and parameter-dependent; the repository
 // benchmark's udp-window-ann workload measures it (lsh.recall_at_10) and
 // withholds its numbers below 0.95.
@@ -399,11 +396,11 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 		// Every user of the view, and every member (it may be gone from the
 		// view) for a look.
 		v.Sk.ForEachUser(func(u stream.User, _ int64) bool {
-			a.dirty[u] = nil
+			a.dirty[u] = true
 			return true
 		})
 		a.ix.ForEachMember(func(u stream.User) bool {
-			a.dirty[u] = nil
+			a.dirty[u] = true
 			return true
 		})
 	}
@@ -411,16 +408,18 @@ func (e *Engine) annMaintain(a *annIndex, v *view) error {
 }
 
 // annRead moves the index's cursor on shard s from from to to: every edge of
-// the journal range (from, to] goes to dirty as its (user, band) pair. Where
-// the journal no longer reaches back to from, the users of the evicted part
-// are in the spill set, each under the processed count of its last evicted
-// batch, and those the view holds in full (count ≤ to) are owed a whole
-// re-banding; the rest wait for a view that does. whole is set when every
-// user is owed one anyway and only the spill set needs settling; it is
-// returned set when the range holds a batch the worker evicted without
-// spilling (shard.annSkip). The range is cut before the spill set is settled: a
-// batch the worker evicts in between is then in both, where the other order
-// would find it in neither.
+// the journal range (from, to] toggles its bit of its user's stored bands,
+// or marks a user the index does not hold for a whole banding; a member the
+// view holds at zero cardinality is marked to be dropped. Where the journal
+// no longer reaches back to from, the users of the evicted part are in the
+// spill set, each under the processed count of its last evicted batch, and
+// those the view holds in full (count ≤ to) are owed a whole re-banding; the
+// rest wait for a view that does. whole is set when every user is owed one
+// anyway and only the spill set needs settling; it is returned set when the
+// range holds a batch the worker evicted without spilling (shard.annSkip).
+// The range is cut before the spill set is settled: a batch the worker
+// evicts in between is then in both, where the other order would find it in
+// neither.
 func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, whole bool) bool {
 	var cut []journalEntry
 	reaches := true
@@ -435,7 +434,7 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 			continue
 		}
 		if end > from && !whole { // else read already, or marked already
-			a.dirty[u] = nil
+			a.dirty[u] = true
 			a.spilled++
 		}
 		delete(s.annSpill, u)
@@ -448,48 +447,32 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 		a.fallbacks++
 	}
 
-	rows, banded := a.cfg.Rows, a.cfg.Bands*a.cfg.Rows
+	banded := a.cfg.Bands * a.cfg.Rows
 	for _, en := range cut {
 		for _, ed := range en.batch {
-			mask, owed := a.dirty[ed.User]
-			if owed && mask == nil {
-				continue // already owed a whole re-banding
+			j := sk.Slot(ed.Item)
+			if !a.ix.Toggle(ed.User, j) {
+				a.dirty[ed.User] = true // not banded yet
+				continue
 			}
-			if !owed {
-				mask = make([]uint64, a.cfg.Bands/64+1) // Bands+1 bits
-				a.dirty[ed.User] = mask
+			if j < banded {
+				a.rekeys++
 			}
-			band := a.cfg.Bands // outside the banded bits
-			if j := sk.Slot(ed.Item); j < banded {
-				band = j / rows
+			if sk.Cardinality(ed.User) == 0 {
+				if _, owed := a.dirty[ed.User]; !owed {
+					a.dirty[ed.User] = false
+				}
 			}
-			mask[band>>6] |= 1 << (band & 63)
 		}
 	}
 	return false
 }
 
 // annDrain works dirty off against the snapshot, spending the budget (in
-// users; Bands single-band re-keys spend one).
+// users re-banded or dropped; negative is unbounded).
 func (e *Engine) annDrain(a *annIndex, snap *core.VOS, budget int) error {
-	if len(a.dirty) == 0 {
-		return nil
-	}
-	bands, rows := a.cfg.Bands, a.cfg.Rows
-	credit := -1 // band re-keys left; negative is unbounded
-	if budget >= 0 {
-		credit = math.MaxInt
-		if budget < math.MaxInt/bands {
-			credit = budget * bands
-		}
-	}
-	spend := func(n int) {
-		if credit >= 0 {
-			credit = max(credit-n, 0)
-		}
-	}
-	for u, mask := range a.dirty {
-		if credit == 0 {
+	for u, whole := range a.dirty {
+		if budget == 0 {
 			break
 		}
 		member := a.ix.Has(u)
@@ -501,32 +484,13 @@ func (e *Engine) annDrain(a *annIndex, snap *core.VOS, budget int) error {
 				a.ix.Remove(u)
 				a.removals++
 			}
-			spend(1)
-		case mask == nil || !member:
+			budget--
+		case whole || !member:
 			if err := a.ix.Put(u, snap.RecoverSketch(u).Words()); err != nil {
 				return err // impossible by construction: sized from the same config
 			}
 			a.rebands++
-			spend(bands)
-		default:
-			for w := range mask {
-				for mask[w] != 0 && credit != 0 {
-					band := w<<6 + bits.TrailingZeros64(mask[w])
-					mask[w] &= mask[w] - 1
-					if band == bands {
-						continue // membership only, and u is a member
-					}
-					snap.RecoverRange(a.band, u, band*rows, rows)
-					if err := a.ix.PutBand(u, band, a.band); err != nil {
-						return err // impossible by construction, as above
-					}
-					a.rekeys++
-					spend(1)
-				}
-			}
-			if slices.ContainsFunc(mask, func(w uint64) bool { return w != 0 }) {
-				continue // the budget ran out inside this user's bands
-			}
+			budget--
 		}
 		delete(a.dirty, u)
 	}

@@ -106,20 +106,30 @@ func assertANNEqualsView(t *testing.T, e *Engine, sk *core.VOS, at string) {
 // index a full re-banding would. Whenever a probe leaves no backlog the
 // index is compared with the view that probe held; the counters then show
 // that small writes took the re-key path and that each whole-user fallback
-// (new member, rotation, new base, spill) was met on the way.
+// (new member, rotation, new base, spill) was met on the way. Besides 7
+// bands of 16 rows, each shape runs once with a band two words wide.
 func TestANNDifferential(t *testing.T) {
 	const users = 20
+	narrow, wide := ANNConfig{Bands: 7, Rows: 16}, ANNConfig{Bands: 1, Rows: 100}
 	for _, fam := range []hashing.Kind{hashing.KindClassic, hashing.KindFast} {
 		sketch := collisionFreeSketch(t, fam, users)
 		for _, shape := range []string{"plain", "lagged", "windowed"} {
-			for _, shards := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%v/%s/shards=%d", fam, shape, shards), func(t *testing.T) {
+			for _, tc := range []struct {
+				shards int
+				band   ANNConfig
+			}{{1, narrow}, {2, narrow}, {4, narrow}, {1, wide}, {2, wide}, {4, wide}} {
+				shards, band := tc.shards, tc.band
+				name := fmt.Sprintf("%v/%s/shards=%d", fam, shape, shards)
+				if band != narrow {
+					name += fmt.Sprintf("/bands=%dx%d", band.Bands, band.Rows)
+				}
+				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(len(shape))*100 + int64(shards)))
 					gen := &diffEdges{rng: rng, users: users - 1} // the last joins in the tail
 					cfg := Config{
 						Sketch: sketch, Shards: shards, BatchSize: 16, FlushInterval: -1,
 						// Bands·Rows < SketchBits: some writes land outside the banded bits.
-						ANN: &ANNConfig{Bands: 7, Rows: 16, RebandBudget: -1},
+						ANN: &ANNConfig{Bands: band.Bands, Rows: band.Rows, RebandBudget: -1},
 					}
 					now := time.Unix(1000, 0)
 					switch shape {

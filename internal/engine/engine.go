@@ -186,10 +186,11 @@ type shard struct {
 	// enqueued counts edges accepted by Process/ProcessBatch for this
 	// shard (including edges still pending or queued); processed counts
 	// edges applied to sk. enqueued is advanced inside pendMu, together with
-	// the edges' arrival in pend, so whoever holds pendMu knows that every
-	// counted edge is in pend, in a full batch its producer is sending, on the
-	// queue, or applied — what lets Flush cut a target and take the residue
-	// in one step. processed is advanced inside skMu, so a reader holding
+	// the edges' arrival in pend, and a batch leaves pend for the queue in
+	// the same section, so whoever holds pendMu knows that every counted edge
+	// is in pend, on the queue, or applied, and that the queue applies them in
+	// counting order — what lets Flush cut a target and take the residue in
+	// one step. processed is advanced inside skMu, so a reader holding
 	// RLock sees exactly the count reflected in sk.
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
@@ -488,34 +489,41 @@ func (e *Engine) linger() {
 }
 
 // handOver puts the shard's pending residue, if any, on the queue (blocking
-// while that is full) and returns the enqueued count it cut in the same
+// while that is full) and returns the enqueued count it cut, both in one
 // pendMu section (see shard.enqueued). The journal keeps what the worker is
 // handed, so a residue under half a batch goes in memory of its own size — a
 // trickle of flushed edges must not pin a batch's worth each — and its buffer
 // stays the pending batch.
 func (s *shard) handOver() (target uint64) {
 	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
 	target = s.enqueued.Load()
 	out := s.pend
 	s.pend = nil
 	if 2*len(out) < cap(out) {
 		out, s.pend = slices.Clone(out), out[:0]
 	}
-	s.pendMu.Unlock()
 	if len(out) > 0 {
 		s.ch <- out
 	}
 	return target
 }
 
+// atCut, when set, runs as add cuts a full batch, before sending it (a test
+// hook).
+var atCut func()
+
 // add accepts a group of edges for one shard, in order behind what is
 // pending: they are copied onto the pending batch — the group's memory is not
 // kept — and each batch they fill goes to the worker at once (blocking when
-// the queue is full: backpressure), outside pendMu. Every batch is exactly
-// BatchSize edges, so the queue's capacity in edges really is bounded by
-// Config.QueueSize (rounded up to whole batches) however large the slices
-// passed to ProcessBatch are; the residue stays pending (always shorter than
-// one batch at rest).
+// the queue is full: backpressure). Every batch is exactly BatchSize edges,
+// so the queue's capacity in edges really is bounded by Config.QueueSize
+// (rounded up to whole batches) however large the slices passed to
+// ProcessBatch are; the residue stays pending (always shorter than one batch
+// at rest). A batch is sent inside the pendMu section that cut it, so batches
+// are applied in the order enqueued counted them and a Flush target is
+// reached only once every edge it counted is applied (the worker never takes
+// pendMu, and record's send to free never blocks).
 func (s *shard) add(edges []stream.Edge, batchSize int) {
 	for len(edges) > 0 {
 		s.pendMu.Lock()
@@ -529,14 +537,14 @@ func (s *shard) add(edges []stream.Edge, batchSize int) {
 		n := copy(s.pend[len(s.pend):batchSize], edges)
 		s.enqueued.Add(uint64(n))
 		edges = edges[n:]
-		var full []stream.Edge
 		if s.pend = s.pend[:len(s.pend)+n]; len(s.pend) == batchSize {
-			full, s.pend = s.pend, nil
+			if atCut != nil {
+				atCut()
+			}
+			s.ch <- s.pend
+			s.pend = nil
 		}
 		s.pendMu.Unlock()
-		if full != nil {
-			s.ch <- full
-		}
 	}
 }
 

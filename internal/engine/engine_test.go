@@ -343,3 +343,77 @@ func TestFlushRacingClose(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushWaitsForEveryBatchCutBeforeIt pins read-your-writes against a
+// producer stalled between cutting a full batch and sending it. Client C's
+// 100 edges pend; producer P tops them up to a full batch X and stalls at
+// the cut (the atCut hook); C calls Flush, whose target counts X; producer Q
+// then cuts and sends a batch Z of its own. Were batches applied in an order
+// other than the one they were cut in, Z would bring the processed count to
+// Flush's target while X — C's edges — still waited behind P, and Flush
+// would return without them. P is released when Flush has returned or
+// after a grace period in which it could have.
+func TestFlushWaitsForEveryBatchCutBeforeIt(t *testing.T) {
+	const batch = 256
+	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: batch, FlushInterval: -1})
+	defer e.Close()
+	edges := func(u stream.User, n int) []stream.Edge {
+		out := make([]stream.Edge, n)
+		for i := range out {
+			out[i] = stream.Edge{User: u, Item: stream.Item(i), Op: stream.Insert}
+		}
+		return out
+	}
+	if err := e.ProcessBatch(edges(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	cut, release := make(chan struct{}), make(chan struct{})
+	cuts := 0
+	atCut = func() {
+		if cuts++; cuts == 1 {
+			close(cut)
+			<-release
+		}
+	}
+	defer func() { atCut = nil }()
+
+	var wg sync.WaitGroup
+	produce := func(u stream.User, n int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.ProcessBatch(edges(u, n)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	produce(2, batch-100) // P: cuts X and stalls
+	<-cut
+	seen := make(chan int64, 1)
+	go func() {
+		e.Flush()
+		seen <- e.Cardinality(1)
+	}()
+	// Q must come after Flush has cut its target, or that target counts Z as
+	// well and the interleaving is not met: wait for Flush to park.
+	grace := time.Now().Add(100 * time.Millisecond)
+	for e.shards[0].waiters.Load() == 0 && time.Now().Before(grace) {
+		time.Sleep(time.Millisecond)
+	}
+	produce(3, batch) // Q: cuts and sends Z
+	var got int64
+	select {
+	case got = <-seen:
+	case <-time.After(100 * time.Millisecond):
+		close(release)
+		got = <-seen
+		release = nil
+	}
+	if release != nil {
+		close(release)
+	}
+	wg.Wait()
+	if got != 100 {
+		t.Fatalf("Flush returned with %d of the caller's 100 edges applied", got)
+	}
+}

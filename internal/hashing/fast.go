@@ -114,7 +114,7 @@ func NewFastFamily(k int, seed uint64) *FastFamily {
 // State derives the per-key splitmix64 state — the one strong hash the whole
 // table is expanded from, and the value PositionFromState consumes. It is the
 // family's only per-key hash work: a caller reading several positions of one
-// key (core.VOS.RecoverRange) derives it once. The state is seed-dependent —
+// key derives it once. The state is seed-dependent —
 // never reuse one across families.
 func (f *FastFamily) State(key uint64) uint64 { return Hash64(key, f.seed^fastSeedTag) }
 

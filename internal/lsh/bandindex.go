@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/vossketch/vos/internal/hashing"
@@ -11,31 +12,55 @@ import (
 // BandIndex is a mutable banded LSH index over packed bit signatures — in
 // this module, the packed recovered virtual sketches that
 // core.VOS.RecoverSketch produces. It bands the raw bits of a packed
-// signature (band j covers bits [j·r, (j+1)·r)) and supports replacement
-// and removal, so a serving engine can keep it in sync with a stream that
-// rewrites users in place.
+// signature (band j covers bits [j·r, (j+1)·r)) and supports replacement,
+// single-bit toggles and removal, so a serving engine can keep it in sync
+// with a stream that rewrites users in place.
 //
-// Mutation is by key: each member remembers the bucket key it currently
-// holds in every band, which is what lets a re-key take the member out of
-// the bucket it is leaving, so buckets hold exactly their members' current
-// keys — Len()·Bands entries, one per (member, band), no stale ones — and
-// probes only read. Put re-keys only the bands whose bits changed and
-// PutBand re-keys one band from that band's bits alone, so a write that
-// flips one bit of a signature costs one key hash, one bucket removal and
-// one bucket append, and an unchanged band costs nothing.
+// Each member holds a slot (freed slots are reused), and each (slot, band)
+// pair a node: the band's bits, the key they hash to, and its links in the
+// chain of nodes sharing that key. One open-addressing table maps (band, key)
+// to the head of its chain, so buckets hold exactly their members' current
+// keys — Len()·Bands nodes, one per (member, band), no stale ones. Put
+// re-keys only the bands whose bits changed, and Toggle flips one stored bit
+// and re-keys its band: one key hash, an unlink and a link, with no map
+// operation and no allocation. Candidates dedupes by stamping slots, so it
+// writes scratch state too.
 //
-// Memory: a member costs one map entry plus, per band, its remembered key
-// and one bucket entry (8 bytes each before map/slice overhead), so sizing
-// Bands is a memory knob as much as a recall knob.
+// Memory: a member costs one map entry plus, per band, its bits (8 bytes per
+// 64 rows), its key (8) and two links (8), and the table 32–64 bytes per
+// distinct key, so sizing Bands is a memory knob as much as a recall knob.
 //
-// BandIndex is not safe for concurrent use. Callers serialise access
-// (internal/engine holds one mutex across maintenance and probing).
+// BandIndex is not safe for concurrent use, probes included. Callers
+// serialise access (internal/engine holds one mutex across maintenance and
+// probing).
 type BandIndex struct {
 	params  Params
 	sigBits int
 	words   int // minimum signature length in words
-	buckets []map[uint64][]stream.User
-	members map[stream.User][]uint64 // member → its current key in every band
+	bw      int // words of one band's bits
+
+	slots map[stream.User]int32
+	users []stream.User // slot → member (stale on a freed slot)
+	free  []int32
+
+	// Node n = slot·Bands + band: bits[n·bw:(n+1)·bw], keys[n], and its
+	// neighbours in its chain (-1: none).
+	bits       []uint64
+	keys       []uint64
+	next, prev []int32
+
+	table []bucket // a power of two long, at most half of it used
+	used  int
+
+	stamps []uint32 // per slot: the last Candidates call that took it
+	stamp  uint32
+}
+
+// bucket is a table entry: the head node of band's chain for key, or a free
+// entry when head is -1.
+type bucket struct {
+	key        uint64
+	band, head int32
 }
 
 // NewBandIndex creates an empty index over packed signatures of sigBits
@@ -46,17 +71,22 @@ func NewBandIndex(params Params, sigBits int) (*BandIndex, error) {
 	if err := validateBandParams(params, sigBits); err != nil {
 		return nil, err
 	}
-	buckets := make([]map[uint64][]stream.User, params.Bands)
-	for i := range buckets {
-		buckets[i] = make(map[uint64][]stream.User)
-	}
 	return &BandIndex{
 		params:  params,
 		sigBits: sigBits,
 		words:   (sigBits + 63) / 64,
-		buckets: buckets,
-		members: make(map[stream.User][]uint64),
+		bw:      BandWords(params.Rows),
+		slots:   make(map[stream.User]int32),
+		table:   newTable(16),
 	}, nil
+}
+
+func newTable(n int) []bucket {
+	t := make([]bucket, n)
+	for i := range t {
+		t[i].head = -1
+	}
+	return t
 }
 
 // validateBandParams checks a band structure against a packed signature
@@ -98,24 +128,6 @@ func BandKeys(p Params, words []uint64, sigBits int) ([]uint64, error) {
 		keys[band] = packedBandKey(p, band, words, band*p.Rows)
 	}
 	return keys, nil
-}
-
-// BandKey returns the bucket key of one band from that band's bits alone:
-// bits holds the band's Rows bits packed from bit 0, and the result equals
-// BandKeys(...)[band] of any signature carrying those bits at
-// [band·Rows, (band+1)·Rows). It is what lets a caller that knows which band
-// a write touched re-key it without materialising the rest of the signature.
-func BandKey(p Params, band int, bits []uint64) (uint64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if band < 0 || band >= p.Bands {
-		return 0, fmt.Errorf("lsh: band %d outside [0, %d)", band, p.Bands)
-	}
-	if need := BandWords(p.Rows); len(bits) < need {
-		return 0, fmt.Errorf("lsh: band has %d words, %d rows need %d", len(bits), p.Rows, need)
-	}
-	return packedBandKey(p, band, bits, 0), nil
 }
 
 // BandWords is the number of 64-bit words one band's rows pack into.
@@ -161,23 +173,30 @@ func (ix *BandIndex) Params() Params { return ix.params }
 func (ix *BandIndex) SignatureBits() int { return ix.sigBits }
 
 // Len returns the number of indexed users.
-func (ix *BandIndex) Len() int { return len(ix.members) }
+func (ix *BandIndex) Len() int { return len(ix.slots) }
 
 // Has reports whether u is currently indexed.
 func (ix *BandIndex) Has(u stream.User) bool {
-	_, ok := ix.members[u]
+	_, ok := ix.slots[u]
 	return ok
 }
 
 // Keys returns the bucket key member u currently holds in every band (nil
 // when u is not indexed). The slice is the index's own: read-only, and
 // valid until the next mutation.
-func (ix *BandIndex) Keys(u stream.User) []uint64 { return ix.members[u] }
+func (ix *BandIndex) Keys(u stream.User) []uint64 {
+	s, ok := ix.slots[u]
+	if !ok {
+		return nil
+	}
+	b := ix.params.Bands
+	return ix.keys[int(s)*b : (int(s)+1)*b : (int(s)+1)*b]
+}
 
 // ForEachMember calls fn for every member in unspecified order,
 // stopping early when fn returns false. fn must not mutate the index.
 func (ix *BandIndex) ForEachMember(fn func(u stream.User) bool) {
-	for u := range ix.members {
+	for u := range ix.slots {
 		if !fn(u) {
 			return
 		}
@@ -191,66 +210,77 @@ func (ix *BandIndex) Put(u stream.User, words []uint64) error {
 	if len(words) < ix.words {
 		return fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
-	keys, member := ix.members[u]
+	s, member := ix.slots[u]
 	if !member {
-		keys = make([]uint64, ix.params.Bands)
-		ix.members[u] = keys
-	}
-	for band := range ix.buckets {
-		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
-		if member {
-			if keys[band] == key {
-				continue
-			}
-			ix.unplace(band, keys[band], u)
+		switch nodes := ix.params.Bands; {
+		case len(ix.free) > 0:
+			s, ix.free = ix.free[len(ix.free)-1], ix.free[:len(ix.free)-1]
+		case (len(ix.users)+1)*nodes > math.MaxInt32: // node numbers are int32
+			return fmt.Errorf("lsh: index is full at %d members", len(ix.users))
+		default:
+			s = int32(len(ix.users))
+			ix.users = append(ix.users, u)
+			ix.stamps = append(ix.stamps, 0)
+			ix.bits = append(ix.bits, make([]uint64, nodes*ix.bw)...)
+			ix.keys = append(ix.keys, make([]uint64, nodes)...)
+			ix.next = append(ix.next, make([]int32, nodes)...)
+			ix.prev = append(ix.prev, make([]int32, nodes)...)
 		}
-		keys[band] = key
-		ix.buckets[band][key] = append(ix.buckets[band][key], u)
+		ix.slots[u], ix.users[s] = s, u
+	}
+	rows := ix.params.Rows
+	for band := 0; band < ix.params.Bands; band++ {
+		n := int(s)*ix.params.Bands + band
+		bits, changed := ix.bits[n*ix.bw:(n+1)*ix.bw], !member
+		for w := range bits {
+			if v := extractBits(words, band*rows+w*64, min(rows-w*64, 64)); v != bits[w] {
+				bits[w], changed = v, true
+			}
+		}
+		if !changed {
+			continue
+		}
+		if member {
+			ix.unlink(n, band)
+		}
+		ix.keys[n] = packedBandKey(ix.params, band, bits, 0)
+		ix.link(n, band)
 	}
 	return nil
 }
 
-// PutBand re-keys one band of member u from that band's bits alone (packed
-// from bit 0, as BandKey reads them), leaving its other bands as they are.
-// u must be indexed: a new member needs a key in every band, which only Put
-// can give it.
-func (ix *BandIndex) PutBand(u stream.User, band int, bits []uint64) error {
-	key, err := BandKey(ix.params, band, bits)
-	if err != nil {
-		return err
+// Toggle flips bit j of member u's signature — what an element (u, i, ±)
+// does to bit ψ(i) of u's virtual sketch — and re-keys the band holding it.
+// A bit outside the banded bits [0, Bands·Rows) changes no key. It reports
+// whether u is indexed; a non-member is left alone, as it needs a key in
+// every band, which only Put can give it.
+func (ix *BandIndex) Toggle(u stream.User, j int) bool {
+	s, ok := ix.slots[u]
+	if !ok || j < 0 || j >= ix.params.SignatureLen() {
+		return ok
 	}
-	keys, member := ix.members[u]
-	if !member {
-		return fmt.Errorf("lsh: user %d is not indexed", u)
-	}
-	if keys[band] != key {
-		ix.unplace(band, keys[band], u)
-		keys[band] = key
-		ix.buckets[band][key] = append(ix.buckets[band][key], u)
-	}
-	return nil
-}
-
-// unplace takes member u out of the band's bucket for key, the one its
-// remembered key says it is in, and deletes the bucket when u was alone.
-func (ix *BandIndex) unplace(band int, key uint64, u stream.User) {
-	bucket := ix.buckets[band][key]
-	if len(bucket) == 1 {
-		delete(ix.buckets[band], key)
-		return
-	}
-	i, last := slices.Index(bucket, u), len(bucket)-1
-	bucket[i] = bucket[last]
-	ix.buckets[band][key] = bucket[:last]
+	band, r := j/ix.params.Rows, j%ix.params.Rows
+	n := int(s)*ix.params.Bands + band
+	bits := ix.bits[n*ix.bw : (n+1)*ix.bw]
+	bits[r>>6] ^= 1 << (r & 63)
+	ix.unlink(n, band)
+	ix.keys[n] = packedBandKey(ix.params, band, bits, 0)
+	ix.link(n, band)
+	return true
 }
 
 // Remove drops user u from the index and from every bucket it is in;
 // removing an absent user is a no-op.
 func (ix *BandIndex) Remove(u stream.User) {
-	for band, key := range ix.members[u] {
-		ix.unplace(band, key, u)
+	s, ok := ix.slots[u]
+	if !ok {
+		return
 	}
-	delete(ix.members, u)
+	for band := 0; band < ix.params.Bands; band++ {
+		ix.unlink(int(s)*ix.params.Bands+band, band)
+	}
+	delete(ix.slots, u)
+	ix.free = append(ix.free, s)
 }
 
 // Candidates returns the distinct users sharing at least one band bucket
@@ -259,19 +289,90 @@ func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User
 	if len(words) < ix.words {
 		return nil, fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
-	seen := make(map[stream.User]struct{})
-	for band := range ix.buckets {
-		key := packedBandKey(ix.params, band, words, band*ix.params.Rows)
-		for _, u := range ix.buckets[band][key] {
-			if u != self {
-				seen[u] = struct{}{}
+	if ix.stamp++; ix.stamp == 0 {
+		clear(ix.stamps)
+		ix.stamp = 1
+	}
+	out := []stream.User{}
+	for band := 0; band < ix.params.Bands; band++ {
+		i, ok := ix.find(band, packedBandKey(ix.params, band, words, band*ix.params.Rows))
+		if !ok {
+			continue
+		}
+		for n := ix.table[i].head; n >= 0; n = ix.next[n] {
+			s := int(n) / ix.params.Bands
+			if u := ix.users[s]; u != self && ix.stamps[s] != ix.stamp {
+				ix.stamps[s] = ix.stamp
+				out = append(out, u)
 			}
 		}
 	}
-	out := make([]stream.User, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
 	slices.Sort(out)
 	return out, nil
+}
+
+// home is where the table's probe for (band, key) starts.
+func (ix *BandIndex) home(band int, key uint64) int {
+	return int((key ^ uint64(band)*0x9e3779b97f4a7c15) & uint64(len(ix.table)-1))
+}
+
+// find returns the table entry of (band, key) and true, or the free entry
+// its probe ended on and false.
+func (ix *BandIndex) find(band int, key uint64) (int, bool) {
+	mask := len(ix.table) - 1
+	for i := ix.home(band, key); ; i = (i + 1) & mask {
+		if b := ix.table[i]; b.head < 0 || b.key == key && int(b.band) == band {
+			return i, b.head >= 0
+		}
+	}
+}
+
+// link makes node n, of band and holding keys[n], the head of its chain.
+func (ix *BandIndex) link(n, band int) {
+	i, ok := ix.find(band, ix.keys[n])
+	ix.prev[n], ix.next[n] = -1, -1
+	if ok {
+		ix.next[n] = ix.table[i].head
+		ix.prev[ix.next[n]] = int32(n)
+		ix.table[i].head = int32(n)
+		return
+	}
+	ix.table[i] = bucket{key: ix.keys[n], band: int32(band), head: int32(n)}
+	if ix.used++; 2*ix.used > len(ix.table) {
+		old := ix.table
+		ix.table = newTable(2 * len(old))
+		for _, b := range old {
+			if b.head >= 0 {
+				i, _ := ix.find(int(b.band), b.key)
+				ix.table[i] = b
+			}
+		}
+	}
+}
+
+// unlink takes node n, of band and holding keys[n], out of its chain, and
+// the chain's entry out of the table when n was alone in it.
+func (ix *BandIndex) unlink(n, band int) {
+	p, nx := ix.prev[n], ix.next[n]
+	if nx >= 0 {
+		ix.prev[nx] = p
+	}
+	if p >= 0 {
+		ix.next[p] = nx
+		return
+	}
+	i, _ := ix.find(band, ix.keys[n])
+	if ix.table[i].head = nx; nx >= 0 {
+		return
+	}
+	// Backward-shift deletion: pull later entries of the probe run into the
+	// hole wherever their probe passes it, so no run is cut short.
+	ix.used--
+	mask := len(ix.table) - 1
+	for j := (i + 1) & mask; ix.table[j].head >= 0; j = (j + 1) & mask {
+		if h := ix.home(int(ix.table[j].band), ix.table[j].key); (j-h)&mask >= (j-i)&mask {
+			ix.table[i], i = ix.table[j], j
+		}
+	}
+	ix.table[i].head = -1
 }

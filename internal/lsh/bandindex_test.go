@@ -168,41 +168,93 @@ func bandBits(words []uint64, band, rows int) []uint64 {
 	return out
 }
 
-// checkBucketsExact walks every bucket: no bucket may be empty or hold a
-// user twice, every entry must be a member sitting under the key it holds
-// for that band, and there must be exactly one entry per (member, band).
-// Together: bucket contents == members' keys.
-func checkBucketsExact(t *testing.T, ix *BandIndex) {
+// walkBuckets calls fn for every bucket of the index — its band, its key and
+// its members, chain order — after checking the structure under it: every
+// table entry is where a probe for it finds it and heads its chain, the
+// chain's links agree both ways, and each node on it belongs to the entry's
+// band, holds the entry's key, hashes its stored bits to that key, sits on
+// no other chain and is a member's.
+func walkBuckets(t testing.TB, ix *BandIndex, fn func(band int, key uint64, members []stream.User)) {
+	t.Helper()
+	bands := ix.params.Bands
+	onChain := map[int32]bool{}
+	entries := 0
+	for i, b := range ix.table {
+		if b.head < 0 {
+			continue
+		}
+		entries++
+		band := int(b.band)
+		if j, ok := ix.find(band, b.key); !ok || j != i {
+			t.Fatalf("table entry %d (band %d key %x) is not where its probe finds it (%d, %v)", i, band, b.key, j, ok)
+		}
+		var members []stream.User
+		for n, p := b.head, int32(-1); n >= 0; p, n = n, ix.next[n] {
+			s := int(n) / bands
+			bits := ix.bits[int(n)*ix.bw : (int(n)+1)*ix.bw]
+			switch {
+			case onChain[n]:
+				t.Fatalf("node %d is on two chains", n)
+			case ix.prev[n] != p:
+				t.Fatalf("node %d links back to %d, its predecessor is %d", n, ix.prev[n], p)
+			case int(n)%bands != band || ix.keys[n] != b.key:
+				t.Fatalf("node %d (band %d, key %x) on the chain of band %d key %x", n, int(n)%bands, ix.keys[n], band, b.key)
+			case packedBandKey(ix.params, band, bits, 0) != b.key:
+				t.Fatalf("node %d holds key %x, its bits hash to %x", n, b.key, packedBandKey(ix.params, band, bits, 0))
+			case ix.slots[ix.users[s]] != int32(s) || !ix.Has(ix.users[s]):
+				t.Fatalf("node %d is in slot %d, which no member holds", n, s)
+			}
+			onChain[n] = true
+			members = append(members, ix.users[s])
+		}
+		fn(band, b.key, members)
+	}
+	if entries != ix.used {
+		t.Fatalf("table holds %d entries, counts %d", entries, ix.used)
+	}
+}
+
+// checkBucketsExact walks every bucket: no bucket may hold a user twice,
+// every entry must be a member sitting under the key it holds for that
+// band, and there must be exactly one entry per (member, band). Together:
+// bucket contents == members' keys.
+func checkBucketsExact(t testing.TB, ix *BandIndex) {
 	t.Helper()
 	total := 0
-	for band, buckets := range ix.buckets {
-		for key, entries := range buckets {
-			if len(entries) == 0 {
-				t.Fatalf("band %d keeps an empty bucket %x", band, key)
+	walkBuckets(t, ix, func(band int, key uint64, entries []stream.User) {
+		total += len(entries)
+		in := map[stream.User]bool{}
+		for _, u := range entries {
+			if in[u] {
+				t.Fatalf("band %d bucket %x holds user %d twice", band, key, u)
 			}
-			total += len(entries)
-			in := map[stream.User]bool{}
-			for _, u := range entries {
-				if in[u] {
-					t.Fatalf("band %d bucket %x holds user %d twice", band, key, u)
-				}
-				in[u] = true
-				if keys := ix.Keys(u); keys == nil || keys[band] != key {
-					t.Fatalf("band %d bucket %x holds user %d, whose keys are %x", band, key, u, keys)
-				}
+			in[u] = true
+			if keys := ix.Keys(u); keys == nil || keys[band] != key {
+				t.Fatalf("band %d bucket %x holds user %d, whose keys are %x", band, key, u, keys)
 			}
 		}
-	}
+	})
 	if want := ix.Len() * ix.Params().Bands; total != want {
 		t.Fatalf("buckets hold %d entries, %d members x %d bands is %d", total, ix.Len(), ix.Params().Bands, want)
 	}
+}
+
+// bucketOf returns the members of band's bucket for key.
+func bucketOf(t testing.TB, ix *BandIndex, band int, key uint64) []stream.User {
+	var out []stream.User
+	walkBuckets(t, ix, func(b int, k uint64, members []stream.User) {
+		if b == band && k == key {
+			out = members
+		}
+	})
+	return out
 }
 
 // TestBandIndexRekey pins mutation by key: a changed band is the only one
 // re-keyed and its member leaves the old bucket as it joins the new one, so
 // after every step the buckets hold exactly the members' keys — an
 // identical re-Put, a return to a key held before (A→B→A) and a remove and
-// re-add all leave one entry a band — and PutBand agrees with Put, also
+// re-add all leave one entry a band — and Toggle agrees with Put, also
 // where Rows exceeds a word and bands straddle one.
 func TestBandIndexRekey(t *testing.T) {
 	p := Params{Bands: 3, Rows: 70, Seed: 11} // bands at bits 0, 70, 140
@@ -232,8 +284,8 @@ func TestBandIndexRekey(t *testing.T) {
 			if got[band] != want[band] {
 				t.Fatalf("user %d band %d holds key %x, signature says %x", u, band, got[band], want[band])
 			}
-			if one, err := BandKey(p, band, bandBits(words, band, p.Rows)); err != nil || one != want[band] {
-				t.Fatalf("band %d: key from its bits %x (%v), from the signature %x", band, one, err, want[band])
+			if one := packedBandKey(p, band, bandBits(words, band, p.Rows), 0); one != want[band] {
+				t.Fatalf("band %d: key from its bits %x, from the signature %x", band, one, want[band])
 			}
 		}
 	}
@@ -242,37 +294,37 @@ func TestBandIndexRekey(t *testing.T) {
 	put(1, a) // identical: nothing moves
 	put(1, b) // one band moved: user 1 leaves the bucket it shared with 2
 	wantKeys(1, b)
-	if old := ix.buckets[1][ix.Keys(2)[1]]; len(old) != 1 || old[0] != 2 {
+	if old := bucketOf(t, ix, 1, ix.Keys(2)[1]); len(old) != 1 || old[0] != 2 {
 		t.Fatalf("after a one-band change the old bucket holds %v, want [2]", old)
 	}
 	put(1, a) // back again: one entry, beside user 2
 	wantKeys(1, a)
-	if got := ix.buckets[1][ix.Keys(2)[1]]; len(got) != 2 {
+	if got := bucketOf(t, ix, 1, ix.Keys(2)[1]); len(got) != 2 {
 		t.Fatalf("after A-B-A the bucket holds %v, want users 1 and 2 once each", got)
 	}
 	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("after A-B-A, Candidates = %v, want [1]", cands)
 	}
 
-	// The same moves through PutBand.
-	if err := ix.PutBand(1, 1, bandBits(b, 1, p.Rows)); err != nil {
-		t.Fatal(err)
+	// The same moves through Toggle: bit 74 is the one a and b differ in.
+	toggle := func(u stream.User, j int, member bool) {
+		t.Helper()
+		if got := ix.Toggle(u, j); got != member {
+			t.Fatalf("Toggle(%d, %d) reports membership %v", u, j, got)
+		}
+		checkBucketsExact(t, ix)
 	}
-	checkBucketsExact(t, ix)
+	toggle(1, 74, true)
 	wantKeys(1, b)
-	if err := ix.PutBand(1, 1, bandBits(a, 1, p.Rows)); err != nil {
-		t.Fatal(err)
-	}
-	checkBucketsExact(t, ix)
+	toggle(1, 74, true)
 	wantKeys(1, a)
-	if err := ix.PutBand(9, 1, bandBits(a, 1, p.Rows)); err == nil || ix.Has(9) {
-		t.Fatalf("PutBand of a non-member = %v (indexed: %v)", err, ix.Has(9))
+	for _, j := range []int{-1, sigBits, sigBits + 64} { // no band holds these
+		toggle(1, j, true)
+		wantKeys(1, a)
 	}
-	if err := ix.PutBand(1, p.Bands, bandBits(a, 1, p.Rows)); err == nil {
-		t.Error("band out of range accepted")
-	}
-	if err := ix.PutBand(1, 0, []uint64{1}); err == nil {
-		t.Error("70 rows accepted in one word")
+	toggle(9, 74, false)
+	if ix.Has(9) {
+		t.Fatal("Toggle indexed a non-member")
 	}
 
 	// Remove, then re-add under the same signature: one entry a band.
@@ -290,7 +342,7 @@ func TestBandIndexRekey(t *testing.T) {
 
 // TestBandIndexCompaction pins that the index carries no garbage to
 // compact: under churn that is never probed — whole signatures, single
-// bands, removals and re-adds — the buckets hold exactly the members' keys
+// bits, removals and re-adds — the buckets hold exactly the members' keys
 // after every step, and a probe changes nothing.
 func TestBandIndexCompaction(t *testing.T) {
 	p := Params{Bands: 2, Rows: 32, Seed: 5}
@@ -313,7 +365,7 @@ func TestBandIndexCompaction(t *testing.T) {
 			// leave from the middle of them.
 			err = ix.Put(u, []uint64{uint64(rng.IntN(8)) * 0x0101010101010101})
 		case i%3 == 1:
-			err = ix.PutBand(u, rng.IntN(p.Bands), []uint64{uint64(rng.IntN(8))})
+			ix.Toggle(u, rng.IntN(p.Bands)*p.Rows+rng.IntN(3)) // within the few signatures
 		default:
 			ix.Remove(u)
 		}
@@ -323,8 +375,8 @@ func TestBandIndexCompaction(t *testing.T) {
 		checkBucketsExact(t, ix)
 	}
 
-	// Probes are read-only: members that moved away are already gone from
-	// the bucket, and walking it leaves it as it was.
+	// Members that moved away are already gone from the bucket a probe
+	// walks, and the walk leaves the buckets as they were.
 	ix2, err := NewBandIndex(p, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package lsh
 
 import (
 	"encoding/binary"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/vossketch/vos/internal/stream"
@@ -50,8 +52,8 @@ func FuzzBandExtraction(f *testing.F) {
 			if keys[i] != again[i] {
 				t.Fatalf("band %d key not deterministic", i)
 			}
-			if one, err := BandKey(p, i, bandBits(words, i, p.Rows)); err != nil || one != keys[i] {
-				t.Fatalf("band %d: key from its bits %x (%v), from the signature %x", i, one, err, keys[i])
+			if one := packedBandKey(p, i, bandBits(words, i, p.Rows), 0); one != keys[i] {
+				t.Fatalf("band %d: key from its bits %x, from the signature %x", i, one, keys[i])
 			}
 		}
 
@@ -80,6 +82,160 @@ func FuzzBandExtraction(f *testing.F) {
 			t.Fatal("identical signature did not collide")
 		}
 	})
+}
+
+// FuzzBandIndexOps drives a BandIndex through sequences of Put, Toggle,
+// Remove and Candidates against a reference that keeps each member's whole
+// signature and bands it from scratch. After every op the structure is
+// exact (checkBucketsExact), every member holds the keys of its reference
+// signature, and Candidates equals the reference's answer. Rows cover one
+// bit, part of a word, exactly a word and two words; members draw from
+// three signatures, so buckets are shared and members leave them at the
+// head, in the middle and at the tail. The seed corpus is held to reaching
+// every one of those paths, slot reuse, table growth and deletion.
+func FuzzBandIndexOps(f *testing.F) {
+	var reached opPaths
+	for seed := uint64(0); seed < 14; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 99))
+		data := make([]byte, 3+4*400)
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		data[0] = byte(seed) // every Rows value, twice
+		f.Add(data)
+		reached |= runBandOps(f, data)
+	}
+	if reached != allOpPaths {
+		f.Fatalf("the seed corpus reaches paths %06b of %06b", reached, allOpPaths)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runBandOps(t, data) })
+}
+
+// opPaths records which index paths a sequence of ops went through.
+type opPaths uint8
+
+const (
+	pathSlotReuse opPaths = 1 << iota
+	pathGrowth
+	pathDeletion // a bucket's last member left: the table entry went
+	pathUnlinkHead
+	pathUnlinkMiddle
+	pathUnlinkTail
+	allOpPaths = 1<<iota - 1
+)
+
+// runBandOps interprets data as a band structure and ops of four bytes each
+// (see FuzzBandIndexOps) and checks the index against the reference after
+// every op.
+func runBandOps(t testing.TB, data []byte) (reached opPaths) {
+	if len(data) < 3 {
+		return 0
+	}
+	rowsSet := []int{1, 7, 32, 63, 64, 65, 100}
+	p := Params{Bands: 1 + int(data[1])%4, Rows: rowsSet[int(data[0])%len(rowsSet)], Seed: uint64(data[2])}
+	sigBits := p.SignatureLen() + int(data[2])%64 // some bits outside every band
+	words := (sigBits + 63) / 64
+	ix, err := NewBandIndex(p, sigBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(v int) []uint64 {
+		rng := rand.New(rand.NewPCG(uint64(v), 7))
+		out := make([]uint64, words)
+		for i := range out {
+			out[i] = rng.Uint64()
+		}
+		return out
+	}
+	ref := map[stream.User][]uint64{}
+	keysOf := func(sig []uint64) []uint64 {
+		keys, err := BandKeys(p, sig, sigBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	// classify notes where the unlink of node n happens.
+	classify := func(n int) {
+		switch prev, next := ix.prev[n], ix.next[n]; {
+		case prev < 0 && next < 0:
+			reached |= pathDeletion
+		case prev < 0:
+			reached |= pathUnlinkHead
+		case next < 0:
+			reached |= pathUnlinkTail
+		default:
+			reached |= pathUnlinkMiddle
+		}
+	}
+	for ops := data[3:]; len(ops) >= 4; ops = ops[4:] {
+		u, arg := stream.User(ops[1]%8), int(ops[2])|int(ops[3])<<8
+		s, member := ix.slots[u]
+		tableLen := len(ix.table)
+		switch ops[0] % 8 {
+		case 0, 1: // Put one of the three signatures
+			if !member && len(ix.free) > 0 {
+				reached |= pathSlotReuse
+			}
+			sig := variant(arg % 3)
+			if err := ix.Put(u, sig); err != nil {
+				t.Fatal(err)
+			}
+			ref[u] = sig
+		case 2, 3, 4: // Toggle a bit, now and then one outside the signature
+			j := arg%(sigBits+2) - 1
+			if member && j >= 0 && j < p.SignatureLen() {
+				classify(int(s)*p.Bands + j/p.Rows)
+			}
+			if got := ix.Toggle(u, j); got != member {
+				t.Fatalf("Toggle(%d, %d) reports membership %v, reference %v", u, j, got, member)
+			}
+			if member && j >= 0 && j < sigBits {
+				sig := slices.Clone(ref[u])
+				sig[j/64] ^= 1 << (j % 64)
+				ref[u] = sig
+			}
+		case 5: // Remove
+			for band := 0; member && band < p.Bands; band++ {
+				classify(int(s)*p.Bands + band)
+			}
+			ix.Remove(u)
+			delete(ref, u)
+		}
+		if len(ix.table) > tableLen {
+			reached |= pathGrowth
+		}
+
+		checkBucketsExact(t, ix)
+		if ix.Len() != len(ref) {
+			t.Fatalf("index holds %d members, reference %d", ix.Len(), len(ref))
+		}
+		for w, sig := range ref {
+			if got, want := ix.Keys(w), keysOf(sig); !slices.Equal(got, want) {
+				t.Fatalf("user %d holds keys %x, its signature says %x", w, got, want)
+			}
+		}
+		probe := variant(arg % 4) // the fourth shares no band with a Put
+		if sig, ok := ref[u]; ok && ops[0]%2 == 0 {
+			probe = sig
+		}
+		want := []stream.User{}
+		pk := keysOf(probe)
+		for w, sig := range ref {
+			for band, k := range keysOf(sig) {
+				if w != u && k == pk[band] {
+					want = append(want, w)
+					break
+				}
+			}
+		}
+		slices.Sort(want)
+		got, err := ix.Candidates(u, probe)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("Candidates(%d) = %v (%v), reference %v", u, got, err, want)
+		}
+	}
+	return reached
 }
 
 // bytesOf packs words little-endian, matching the recovered-sketch layout.
