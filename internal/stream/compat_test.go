@@ -5,12 +5,20 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/cluster"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/engine"
 	"github.com/vossketch/vos/internal/gen"
@@ -18,6 +26,7 @@ import (
 	"github.com/vossketch/vos/internal/netproto"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/internal/wal"
+	"github.com/vossketch/vos/server"
 )
 
 // The compat corpus is bytes an earlier tree wrote, kept so that every later
@@ -29,7 +38,9 @@ import (
 // WAL segment and as a capture of VOSSTRM1 data frames. Beside them lie the
 // checkpoints Engine.Checkpoint writes after that stream — a flat engine's and
 // a windowed one's, under each hash family — written by a tree whose windows
-// still stored the current bucket as a sketch of its own.
+// still stored the current bucket as a sketch of its own. And the cluster
+// tier's bytes, written by the tree of PR 34: a vosd's answer to a ?since=
+// cursor (the body and the cursor header), a ring and a manifest.
 //
 // A tree that changes a format adds a generation beside this one and keeps
 // reading it; -write-compat-corpus exists to write a new generation's files,
@@ -427,5 +438,172 @@ func TestCompatCorpus(t *testing.T) {
 			}
 			checkCompatCheckpoint(t, name, data, edges, fam, shape == "window")
 		}
+	}
+
+	checkCompatDelta(t, edges)
+	checkCompatDocuments(t)
+}
+
+// compatDeltaEdges is the stream's tail that the delta response carries: past
+// the cursor it answers, well inside the journals of compatDeltaEngine.
+const compatDeltaEdges = 1000
+
+// compatDeltaEngine is the memory-only engine the delta response is written
+// by. Its array holds 1024 journalled edges a shard.
+func compatDeltaEngine() engine.Config {
+	return engine.Config{
+		Sketch:             core.Config{MemoryBits: 1 << 20, SketchBits: 128, Seed: 11},
+		Shards:             2,
+		FlushInterval:      -1,
+		PositionCacheUsers: -1,
+	}
+}
+
+// compatDelta is a vosd's answer to GET /v1/cluster/sketch?since=, where the
+// cursor is the one a full export issued before the stream's last
+// compatDeltaEdges edges: the response body and its cursor header.
+func compatDelta(t *testing.T, edges []stream.Edge) (body []byte, cursor string) {
+	t.Helper()
+	e, err := engine.New(compatDeltaEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	cut := len(edges) - compatDeltaEdges
+	if err := e.ProcessBatch(edges[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	full, err := e.ExportSince("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ProcessBatch(edges[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(vos.NewEngineService(e), server.Options{}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + server.RouteClusterSketch + "?since=" + url.QueryEscape(full.Cursor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(server.HeaderSketchFallback) != "" {
+		t.Fatalf("delta response: status %d, fallback %q", resp.StatusCode, resp.Header.Get(server.HeaderSketchFallback))
+	}
+	return body, resp.Header.Get(server.HeaderSketchCursor)
+}
+
+// checkCompatDelta reads the delta response of the corpus: the body decodes to
+// the stream's tail in per-shard order and encodes to the same bytes, this
+// tree's engine takes the cursor header for a cursor, and writing the response
+// again gives the same body and the same cursor but for the boot draw that
+// opens it (random by design: it tells one engine life from another).
+func checkCompatDelta(t *testing.T, edges []stream.Edge) {
+	bodyPath := filepath.Join(compatDir, "delta.bin")
+	cursorPath := filepath.Join(compatDir, "delta.cursor")
+	if *writeCorpus {
+		body, cursor := compatDelta(t, edges)
+		if err := os.WriteFile(bodyPath, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cursorPath, []byte(cursor), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := os.ReadFile(bodyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor, err := os.ReadFile(cursorPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := engine.New(compatDeltaEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var want []stream.Edge
+	for shard := 0; shard < e.Shards(); shard++ {
+		for _, ed := range edges[len(edges)-compatDeltaEdges:] {
+			if e.ShardOf(ed.User) == shard {
+				want = append(want, ed)
+			}
+		}
+	}
+	got, err := stream.DecodeBinary(body)
+	if err != nil {
+		t.Fatalf("delta.bin: %v", err)
+	}
+	sameEdges(t, "delta.bin", got, want)
+	if again, err := stream.AppendBinary(nil, got); err != nil || !bytes.Equal(again, body) {
+		t.Fatalf("delta.bin: encoding the decoded edges again writes different bytes (%v)", err)
+	}
+	if d, err := e.ExportSince(string(cursor)); err != nil || d.Fallback != engine.FallbackEpoch {
+		t.Fatalf("delta.cursor %q: another engine answers %v with fallback %q, want the %q fallback", cursor, err, d.Fallback, engine.FallbackEpoch)
+	}
+
+	body2, cursor2 := compatDelta(t, edges)
+	if !bytes.Equal(body2, body) {
+		t.Fatal("delta.bin: this tree answers the same cursor with a different body")
+	}
+	_, epoch, _ := strings.Cut(string(cursor), ".")
+	_, epoch2, _ := strings.Cut(cursor2, ".")
+	if epoch2 != epoch || epoch == "" {
+		t.Fatalf("delta.cursor: this tree writes %q where the corpus has %q (past the boot draw)", cursor2, cursor)
+	}
+}
+
+// compatRing and compatManifest are the cluster documents of the corpus: a
+// ring after two handoffs and the manifest of a checkpoint taken under it.
+var (
+	compatRing = cluster.Ring{Version: 3, RouteSeed: 7, Shards: []string{
+		"http://10.0.0.1:7070", "http://10.0.0.4:7070", "https://vosd-2.internal:7443",
+	}}
+	compatManifest = cluster.Manifest{RingVersion: 3, RouteSeed: 7, Shards: []cluster.ManifestShard{
+		{Shard: 0, Node: "http://10.0.0.1:7070", Position: 1 << 33},
+		{Shard: 1, Node: "http://10.0.0.4:7070", Position: 0},
+		{Shard: 2, Node: "https://vosd-2.internal:7443", Position: 918273},
+	}}
+)
+
+// checkCompatDocuments reads the ring and the manifest of the corpus to the
+// values they were written from and encodes those values to the same bytes.
+func checkCompatDocuments(t *testing.T) {
+	ringPath := filepath.Join(compatDir, "ring.json")
+	manifestPath := filepath.Join(compatDir, "manifest.json")
+	if *writeCorpus {
+		if err := cluster.SaveRing(ringPath, &compatRing); err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.SaveManifest(manifestPath, &compatManifest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ringFile, err := os.ReadFile(ringPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := cluster.DecodeRing(ringFile)
+	if err != nil || !reflect.DeepEqual(*ring, compatRing) {
+		t.Fatalf("ring.json decodes to %+v (%v), want %+v", ring, err, compatRing)
+	}
+	if again, err := cluster.EncodeRing(ring); err != nil || !bytes.Equal(again, ringFile) {
+		t.Fatalf("ring.json: encoding the decoded ring writes different bytes (%v)", err)
+	}
+	manifestFile, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cluster.DecodeManifest(manifestFile)
+	if err != nil || !reflect.DeepEqual(*m, compatManifest) {
+		t.Fatalf("manifest.json decodes to %+v (%v), want %+v", m, err, compatManifest)
+	}
+	if again, err := cluster.EncodeManifest(m); err != nil || !bytes.Equal(again, manifestFile) {
+		t.Fatalf("manifest.json: encoding the decoded manifest writes different bytes (%v)", err)
 	}
 }
