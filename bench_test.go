@@ -726,11 +726,13 @@ func BenchmarkANNFreshProbe(b *testing.B) {
 // the shape of the repository benchmark's cluster-gather workload: a
 // gateway over K = 2 one-shard loopback backends (m = 2^21, k = 6400, 20k
 // live users), one 256-edge Ingest, then a pair read. The read has to bring
-// the gateway's merged view current first; with resident views fed by the
-// backends' journal suffixes that is two small round trips and a replay of
-// the last two writes, not two full exports decoded and merged. After the
-// loop the gateway's export must be byte-identical to a single sketch fed
-// the same stream, and every timed refresh must have replayed.
+// the gateway's merged view current first; the backends acknowledged each
+// forward with where its edges landed, so that is a replay of the last two
+// writes from the gateway's own log, with no backend asked — not two round
+// trips for the backends' journal suffixes, nor two full exports decoded and
+// merged. After the loop the gateway's export must be byte-identical to a
+// single sketch fed the same stream, and every timed refresh must have
+// replayed without asking a backend.
 func BenchmarkGatewayFreshQuery(b *testing.B) {
 	const users, batch, backends = 20_000, 256, 2
 	ctx := context.Background()
@@ -799,8 +801,8 @@ func BenchmarkGatewayFreshQuery(b *testing.B) {
 	b.StopTimer()
 
 	after := gw.SnapshotStats()
-	if replays := after.Replays - before.Replays; replays != uint64(b.N) || after.Rebuilds() != before.Rebuilds() {
-		b.Fatalf("%d timed reads after writes took %d replays and %d full gathers", b.N, replays, after.Rebuilds()-before.Rebuilds())
+	if replays, local := after.Replays-before.Replays, after.LocalReplays-before.LocalReplays; replays != uint64(b.N) || local != replays || after.Rebuilds() != before.Rebuilds() {
+		b.Fatalf("%d timed reads after writes took %d replays (%d asking no backend) and %d full gathers", b.N, replays, local, after.Rebuilds()-before.Rebuilds())
 	}
 	b.ReportMetric(float64(after.GatheredBytes-before.GatheredBytes)/float64(b.N), "gathered-B/op")
 	for _, ed := range preload {

@@ -231,11 +231,11 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 		c.pend = nil
 	}
 	c.mu.Unlock()
-	if acked, err := c.send(ctx, own); err != nil {
+	if acked, _, err := c.send(ctx, own); err != nil {
 		c.requeue(own[min(acked+size, len(own)):], direct)
 		return err
 	}
-	if acked, err := c.send(ctx, direct); err != nil {
+	if acked, _, err := c.send(ctx, direct); err != nil {
 		c.requeue(direct[min(acked+size, len(direct)):])
 		return err
 	}
@@ -253,23 +253,35 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 // other's edges); a stream wants Ingest's buffering. The slice stays the
 // caller's; a user id the encoding cannot carry (stream.ErrUserRange)
 // refuses it whole, before the first request.
-func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, err error) {
+//
+// span is where the edges landed when every request came back with a span
+// (vos.DeltaExporter) chaining on from the one before; empty otherwise.
+func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, span vos.SketchSpan, err error) {
 	if err := stream.CheckUsers(edges); err != nil {
-		return 0, err
+		return 0, span, err
 	}
 	return c.send(ctx, edges)
 }
 
 // send is Send for edges whose users the caller has checked.
-func (c *Client) send(ctx context.Context, edges []vos.Edge) (acked int, err error) {
+func (c *Client) send(ctx context.Context, edges []vos.Edge) (acked int, span vos.SketchSpan, err error) {
 	for acked < len(edges) {
 		batch := edges[acked:min(acked+c.opt.BatchSize, len(edges))]
-		if err := c.ship(ctx, batch); err != nil {
-			return acked, err
+		got, err := c.ship(ctx, batch)
+		if err != nil {
+			return acked, vos.SketchSpan{}, err
+		}
+		switch {
+		case acked == 0:
+			span = got
+		case span.After != "" && got.Before == span.After:
+			span.After = got.After
+		default:
+			span = vos.SketchSpan{}
 		}
 		acked += len(batch)
 	}
-	return acked, nil
+	return acked, span, nil
 }
 
 // requeue puts never-attempted runs of edges back at the head of the
@@ -322,7 +334,8 @@ func (c *Client) flushLocked(ctx context.Context) error {
 	if len(out) == 0 {
 		return nil
 	}
-	return c.ship(ctx, out)
+	_, err := c.ship(ctx, out)
+	return err
 }
 
 // Close flushes buffered edges and stops the linger ticker. The client is
@@ -340,25 +353,30 @@ func (c *Client) Close() error {
 	return c.Flush(context.Background())
 }
 
-// ship POSTs one batch in the binary stream format. Not retried: ingest is
-// an XOR toggle, and a retry after an ambiguous failure (request possibly
-// applied) would corrupt parity. Callers that need exactly-once on top of
-// an unreliable link should run the server durable and re-checkpoint.
-func (c *Client) ship(ctx context.Context, edges []vos.Edge) error {
+// ship POSTs one batch in the binary stream format and returns its span, if
+// any. Not retried: ingest is an XOR toggle, and a retry after an ambiguous
+// failure (request possibly applied) would corrupt parity. Callers that need
+// exactly-once on top of an unreliable link should run the server durable.
+func (c *Client) ship(ctx context.Context, edges []vos.Edge) (vos.SketchSpan, error) {
 	// One buffer of the batch's exact size, not pooled: the transport may
 	// still be reading a request body after the response has arrived.
 	body, err := stream.AppendBinary(nil, edges)
 	if err != nil {
-		return err
+		return vos.SketchSpan{}, err
 	}
+	raw, hdr, err := c.call(ctx, http.MethodPost, server.RouteEdges, server.ContentTypeBinary, body)
 	var ack server.IngestResponse
-	if err := c.do(ctx, http.MethodPost, server.RouteEdges, server.ContentTypeBinary, body, &ack); err != nil {
-		return err
+	if err == nil {
+		err = decodeJSON(server.RouteEdges, raw, &ack)
 	}
-	if ack.Accepted != len(edges) {
-		return fmt.Errorf("client: server accepted %d of %d edges", ack.Accepted, len(edges))
+	if err == nil && ack.Accepted != len(edges) {
+		err = fmt.Errorf("client: server accepted %d of %d edges", ack.Accepted, len(edges))
 	}
-	return nil
+	span := vos.SketchSpan{Before: hdr.Get(server.HeaderSketchBefore), After: hdr.Get(server.HeaderSketchCursor)}
+	if err != nil || span.Before == "" || span.After == "" {
+		return vos.SketchSpan{}, err
+	}
+	return span, nil
 }
 
 // Similarity implements vos.SimilarityService.

@@ -593,7 +593,7 @@ func TestSendShipsNowAndReportsAcked(t *testing.T) {
 	ctx := context.Background()
 	five := []vos.Edge{edge(1, 1), edge(1, 2), edge(2, 1), edge(2, 2), edge(3, 1)}
 
-	if acked, err := cl.Send(ctx, five); err != nil || acked != 5 {
+	if acked, _, err := cl.Send(ctx, five); err != nil || acked != 5 {
 		t.Fatalf("Send = %d, %v; want 5, nil", acked, err)
 	}
 	if b.ingests.Load() != 3 || b.edges.Load() != 5 {
@@ -601,7 +601,7 @@ func TestSendShipsNowAndReportsAcked(t *testing.T) {
 	}
 
 	refuseFrom.Store(4) // one more batch, then refusals
-	acked, err := cl.Send(ctx, five)
+	acked, _, err := cl.Send(ctx, five)
 	var apiErr *client.Error
 	if acked != 2 || !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("Send = %d, %v; want 2 acknowledged and the server's 429", acked, err)

@@ -132,9 +132,11 @@ func TestIngestDoesNotKeepTheSlice(t *testing.T) {
 // TestIngestRequestAllocBudget is the request path's allocation budget, so
 // that a copy put back into it fails a test instead of a benchmark. One
 // request of 1,024 edges, client.Client → server.New → NewEngineService over
-// a durable 2-shard engine, costs 15.7 KB in 112 objects, none of them a copy
+// a durable 2-shard engine, costs 16.0 KB in 118 objects, none of them a copy
 // of the edge slice (the engine partitions in pooled scratch onto batch
-// buffers that cycle); with a partition buffer a request it was 61 KB in 118,
+// buffers that cycle); six of them carry the answer's span headers (one
+// string for both cursors, one slice for both values, and the client's parse
+// of the two lines). With a partition buffer a request it was 61 KB in 118,
 // and with the client's pending copy, a fresh decoded slice and a body read
 // by doubling 143 KB in 137.
 func TestIngestRequestAllocBudget(t *testing.T) {

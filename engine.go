@@ -80,6 +80,11 @@ type SnapshotStats = engine.SnapshotStats
 // cursor, or the whole serialized sketch, with the cursor to send next.
 type SketchDelta = engine.Delta
 
+// SketchSpan is where one write landed, in SketchDelta cursors: the state
+// just before its edges and the state with them and nothing else
+// (Engine.ProcessBatchSpan); empty when another write came between.
+type SketchSpan = engine.Span
+
 // Why a SketchDelta answered a cursor with the full sketch (its Fallback
 // field): the cursor is older than the engine's bounded journals reach, or
 // from another epoch — the engine restarted, imported state or rotated its

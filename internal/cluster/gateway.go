@@ -71,12 +71,15 @@ type Gateway struct {
 	// counter and the next query refreshes.
 	ingests atomic.Uint64
 
-	// views is the merged query snapshot (see snapshot.go): two resident
-	// merged views, kept current from the backends' journal suffixes. src
-	// drives it; gathered counts the bytes the backends sent for it.
-	views    resident.Pair[gatherStamp]
-	src      *gatherSource
-	gathered atomic.Uint64
+	// views is the merged query snapshot (see snapshot.go), kept current from
+	// the writes logged per slot in logs and the backends' journal suffixes.
+	// src drives it; gathered counts the bytes the backends sent for it, and
+	// localReplays the refreshes that asked no backend.
+	views        resident.Pair[gatherStamp]
+	src          *gatherSource
+	logs         []slotLog
+	gathered     atomic.Uint64
+	localReplays atomic.Uint64
 
 	// pcache is shared across every merged view, same as the engine's:
 	// position tables depend only on user and config.
@@ -98,6 +101,7 @@ func New(ring *Ring, opt Options) (*Gateway, error) {
 		ring:     ring.Clone(),
 		backends: make(map[string]*client.Client),
 		gates:    make([]sync.RWMutex, ring.NumShards()),
+		logs:     make([]slotLog, ring.NumShards()),
 		pcache:   poscache.New(4096),
 	}
 	g.src = &gatherSource{g}
@@ -242,9 +246,16 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 	}
 	send(last, groups[last])
 	wg.Wait()
+	// The gateway has no word of a slot this call did not reach.
+	for shard, group := range groups {
+		if len(group) == 0 {
+			g.logs[shard].add(nil, vos.SketchSpan{})
+		}
+	}
 	partitioners.Put(p)
 	// Invalidate on failure too: a forward that errored or timed out may
-	// still have applied, and the shards that acked certainly did.
+	// still have applied, and the shards that acked certainly did. The logs
+	// have the call's entries by now, so a read that sees the count sees them.
 	g.ingests.Add(1)
 	err := errors.Join(errs...)
 	if err != nil && !allRefused {
@@ -270,17 +281,21 @@ func (e partialIngest) Is(target error) bool { return errors.Is(e.err, target) }
 // the new owner — resolving earlier could write to a node whose state was
 // already exported, losing the edges from every future merge. refused
 // reports a failure that is the backend turning the whole group away: its
-// first batch came back a 4xx, so none of the group was applied.
+// first batch came back a 4xx, so none of the group was applied. The slot's
+// log gets the group and its span, or a mark when the landing is unknown.
 func (g *Gateway) forward(ctx context.Context, shard int, edges []vos.Edge) (refused bool, err error) {
 	g.gates[shard].RLock()
 	defer g.gates[shard].RUnlock()
+	var span vos.SketchSpan
+	defer func() { g.logs[shard].add(edges, span) }()
 	url := g.ringRef().Shards[shard]
 	c, err := g.backend(url)
 	if err != nil {
 		return false, err
 	}
-	acked, err := c.Send(ctx, edges)
+	acked, landed, err := c.Send(ctx, edges)
 	if err == nil {
+		span = landed
 		return false, nil
 	}
 	var apiErr *client.Error

@@ -23,7 +23,8 @@ import (
 var diffSketchCfg = vos.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 5}
 
 // diffBackend is a loopback backend whose engine can be swapped under a
-// fixed URL (a restart) and whose sketch exports are counted.
+// fixed URL (a restart), whose sketch exports are counted, and whose next
+// ingest answer can be made to fail after the batch was applied.
 type diffBackend struct {
 	ts      *httptest.Server
 	handler atomic.Pointer[server.Server]
@@ -31,11 +32,28 @@ type diffBackend struct {
 	cfg     vos.EngineConfig
 	dir     string
 	exports atomic.Int64
+	fault   atomic.Int32 // one of the faults below, for the next POST /v1/edges
 }
 
+const (
+	applyThen500  = iota + 1 // the batch is applied, the answer is a 500
+	applyThenDrop            // the batch is applied, the connection is cut
+)
+
 func (b *diffBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == server.RouteClusterSketch {
+	switch r.URL.Path {
+	case server.RouteClusterSketch:
 		b.exports.Add(1)
+	case server.RouteEdges:
+		switch b.fault.Swap(0) {
+		case applyThen500:
+			b.handler.Load().ServeHTTP(httptest.NewRecorder(), r)
+			server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, "applied, then failed")
+			return
+		case applyThenDrop:
+			b.handler.Load().ServeHTTP(httptest.NewRecorder(), r)
+			panic(http.ErrAbortHandler)
+		}
 	}
 	b.handler.Load().ServeHTTP(w, r)
 }
@@ -109,6 +127,7 @@ func addStats(a, b vos.SnapshotStats) vos.SnapshotStats {
 	a.RebuildsRing += b.RebuildsRing
 	a.RebuildsNoDelta += b.RebuildsNoDelta
 	a.GatheredBytes += b.GatheredBytes
+	a.LocalReplays += b.LocalReplays
 	return a
 }
 
@@ -124,6 +143,10 @@ func addStats(a, b vos.SnapshotStats) vos.SnapshotStats {
 // A gateway knows of the writes it forwarded, so each read here follows an
 // ingest through the same gateway — as a gateway's reads do in production —
 // and sees everything any gateway and any out-of-band operation did before.
+// Where the gateway's own writes are all a backend applied since the view,
+// the read folds them in from their spans and asks no backend; everything
+// else here (the other gateway's writes, restarts, imports, rotations, a
+// handoff) must send it to the backends instead.
 func TestGatewaySnapshotDifferential(t *testing.T) {
 	const users = 60
 	ctx := context.Background()
@@ -326,6 +349,8 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 				switch {
 				case st.Replays == 0 || st.ReplayedEdges == 0:
 					t.Fatalf("gateway %d never took the delta path: %+v", i+1, st)
+				case st.LocalReplays == 0 || st.LocalReplays == st.Replays:
+					t.Fatalf("gateway %d never folded its own writes without asking, or never had to ask: %+v", i+1, st)
 				case st.Replays < st.Rebuilds():
 					t.Fatalf("gateway %d rebuilt more often than it replayed: %+v", i+1, st)
 				case st.RebuildsOverflow == 0:
@@ -350,7 +375,8 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 
 // TestGatewaySingleFlightRefresh pins the refresh-under-the-lock rule with
 // counting backends: eight concurrent first readers after one write share
-// one request per backend, and a quiet read asks nothing of anyone.
+// one refresh — one request per backend while the views are built, none
+// after — and a quiet read asks nothing of anyone.
 func TestGatewaySingleFlightRefresh(t *testing.T) {
 	ctx := context.Background()
 	backends := []*diffBackend{newDiffBackend(t, nil), newDiffBackend(t, nil)}
@@ -384,19 +410,26 @@ func TestGatewaySingleFlightRefresh(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := exports() - before; got != int64(len(backends)) {
-			t.Fatalf("round %d: 8 concurrent reads after one write made %d export requests, want one per backend", round, got)
+		// Building a view takes every backend's full export. Once both are
+		// built, the write itself told the gateway where its edges landed on
+		// each backend, so the shared refresh folds them in and asks nobody.
+		want := int64(len(backends))
+		if round >= 2 {
+			want = 0
+		}
+		if got := exports() - before; got != want {
+			t.Fatalf("round %d: 8 concurrent reads after one write made %d export requests, want %d", round, got, want)
 		}
 		if _, err := gw.TopK(ctx, 1, []vos.User{2, 3}, 2); err != nil {
 			t.Fatal(err)
 		}
-		if got := exports() - before; got != int64(len(backends)) {
-			t.Fatalf("round %d: a quiet read made %d export requests", round, got-int64(len(backends)))
+		if got := exports() - before; got != want {
+			t.Fatalf("round %d: a quiet read made %d export requests", round, got-want)
 		}
 	}
 	st := gw.SnapshotStats()
-	if st.Replays != 2 || st.Rebuilds() != 2 {
-		t.Fatalf("4 refreshes took %d replays and %d rebuilds, want 2 and 2: %+v", st.Replays, st.Rebuilds(), st)
+	if st.Replays != 2 || st.LocalReplays != 2 || st.Rebuilds() != 2 {
+		t.Fatalf("4 refreshes took %d replays (%d asking no backend) and %d rebuilds, want 2 (2) and 2: %+v", st.Replays, st.LocalReplays, st.Rebuilds(), st)
 	}
 
 	// The same counters are what vosgw's /v1/stats carries, in the object
@@ -461,13 +494,222 @@ func TestGatewayMixedVersions(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: export over a backend without the delta export diverges", round)
 		}
-		// The delta a capable backend sent is of no use next to a full
-		// export, so it is asked once more, in full: three requests, not four.
-		if n := neu.exports.Load() + old.exports.Load() - before; round >= 2 && n != 3 {
-			t.Fatalf("round %d: %d export requests, want 3", round, n)
+		// The capable backend's share is the gateway's own write, which its
+		// span lets the gateway fold in without asking; the other backend sends
+		// no span, so it is asked, and answers in full. A fresh view then needs
+		// the capable backend's full export after all: two requests, not four.
+		if n := neu.exports.Load() + old.exports.Load() - before; round >= 2 && n != 2 {
+			t.Fatalf("round %d: %d export requests, want 2", round, n)
 		}
 	}
 	if st := gw.SnapshotStats(); st.RebuildsFirst != 2 || st.RebuildsNoDelta != 3 || st.Replays != 0 || st.Rebuilds() != 5 {
 		t.Fatalf("5 refreshes over a backend without the delta export: %+v", st)
+	}
+}
+
+// assertSame fails unless the gateway's export is byte-identical to ref's.
+func assertSame(t *testing.T, gw *Gateway, ref *core.VOS, at string) {
+	t.Helper()
+	got, err := gw.ExportSketch(context.Background())
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: gateway export diverges from a single sketch of the same stream", at)
+	}
+}
+
+// TestGatewayFoldsConcurrentIngests: one gateway, writers and readers at
+// once, and an outsider writing straight to the backends. Each writer owns a
+// user on each backend and, after every acknowledged Ingest, reads both
+// users' cardinalities off the merged view: they must count every edge the
+// writer has had acknowledged, whether the refresh folded the spans in or
+// asked the backends (concurrent writes interleave on a backend's shards, so
+// many spans come back empty or out of order, and the outsider's never show
+// in the gateway's logs at all). Once quiet, the gateway is bit-identical to
+// one sketch of every edge written. Run under -race.
+func TestGatewayFoldsConcurrentIngests(t *testing.T) {
+	const writers, rounds, noise = 4, 60, 30
+	ctx := context.Background()
+	backends := []*diffBackend{newDiffBackend(t, nil), newDiffBackend(t, nil)}
+	opt := Options{}
+	opt.Client.MaxRetries = -1
+	ring := &Ring{Version: 1, RouteSeed: 9, Shards: []string{backends[0].ts.URL, backends[1].ts.URL}}
+	gw, err := New(ring, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	var mu sync.Mutex
+	ref := core.MustNew(diffSketchCfg)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ { // readers that only refresh
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := gw.TopK(ctx, 1000, []vos.User{1001, 1002, 1003}, 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var writing sync.WaitGroup
+	writing.Add(1)
+	go func() { // the outsider: a span racing its writes must not name them as the gateway's
+		defer writing.Done()
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < writers*rounds; i++ {
+			slot := i % 2
+			var edges []vos.Edge
+			for u := vos.User(rng.Intn(60)); len(edges) < 8; u = (u + 1) % 60 {
+				if ring.ShardOf(u) == slot {
+					edges = append(edges, vos.Edge{User: u, Item: 1<<50 | vos.Item(i)<<8 | vos.Item(len(edges)), Op: vos.Insert})
+				}
+			}
+			mu.Lock()
+			ref.ProcessBatch(edges)
+			mu.Unlock()
+			if err := backends[slot].eng.ProcessBatch(edges); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var own [2]vos.User // a user of each slot, so every write reaches both
+			for u := vos.User(1000 + 64*w); own[0] == 0 || own[1] == 0; u++ {
+				own[ring.ShardOf(u)] = u
+			}
+			for i := 0; i < rounds; i++ {
+				edges := []vos.Edge{{User: own[0], Item: vos.Item(i), Op: vos.Insert}, {User: own[1], Item: vos.Item(i), Op: vos.Insert}}
+				for j := 0; j < 1+rng.Intn(noise); j++ {
+					edges = append(edges, vos.Edge{User: vos.User(rng.Intn(60)), Item: vos.Item(w)<<40 | vos.Item(i)<<20 | vos.Item(j), Op: vos.Insert})
+				}
+				if err := gw.Ingest(ctx, edges); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				ref.ProcessBatch(edges)
+				mu.Unlock()
+				est, err := gw.Similarity(ctx, own[0], own[1])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if est.CardinalityU != int64(i+1) || est.CardinalityV != int64(i+1) {
+					t.Errorf("writer %d: a read after its acknowledged write %d counts %d and %d of its edges", w, i+1, est.CardinalityU, est.CardinalityV)
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := gw.Ingest(ctx, []vos.Edge{{User: 1, Item: 1, Op: vos.Insert}, {User: 2, Item: 1, Op: vos.Insert}}); err != nil {
+		t.Fatal(err)
+	}
+	ref.ProcessBatch([]vos.Edge{{User: 1, Item: 1, Op: vos.Insert}, {User: 2, Item: 1, Op: vos.Insert}})
+	assertSame(t, gw, ref, "quiet")
+	st := gw.SnapshotStats()
+	t.Logf("%+v", st)
+	if st.Replays == 0 {
+		t.Fatalf("no refresh replayed: %+v", st)
+	}
+}
+
+// TestGatewayFaultFallback: a forward whose landing the gateway cannot know
+// — the backend applied the batch and then answered 500, or its answer was
+// lost, or its service hides the span — makes the next read ask that backend
+// instead of folding, and the read stays exact; once each of the two views
+// has been asked past the fault, the reads fold again where they can.
+func TestGatewayFaultFallback(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		fault int32
+		hide  bool
+	}{
+		{"applied then 500", applyThen500, false},
+		{"applied then dropped", applyThenDrop, false},
+		{"span hidden", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, good := newDiffBackend(t, nil), newDiffBackend(t, nil)
+			if tc.hide {
+				bad.handler.Store(server.New(hideDelta{vos.NewEngineService(bad.eng)}, server.Options{}))
+			}
+			opt := Options{}
+			opt.Client.MaxRetries = -1
+			ring := &Ring{Version: 1, RouteSeed: 9, Shards: []string{bad.ts.URL, good.ts.URL}}
+			gw, err := New(ring, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			gen := &diffStream{rng: rand.New(rand.NewSource(3))}
+			ref := core.MustNew(diffSketchCfg)
+			write := func() error {
+				edges := gen.next(40, 60)
+				hits := 0
+				for _, ed := range edges {
+					if ring.ShardOf(ed.User) == 0 {
+						hits++
+					}
+				}
+				if hits == 0 || hits == len(edges) {
+					t.Fatal("the write does not reach both backends")
+				}
+				ref.ProcessBatch(edges) // applied either way: the faults strike after the apply
+				return gw.Ingest(ctx, edges)
+			}
+			for round := 0; round < 6; round++ {
+				armed := round == 3
+				if armed {
+					bad.fault.Store(tc.fault)
+				}
+				err := write()
+				if armed && tc.fault != 0 && err == nil {
+					t.Fatal("a forward that failed was acknowledged")
+				} else if (!armed || tc.fault == 0) && err != nil {
+					t.Fatal(err)
+				}
+				before, st := bad.exports.Load(), gw.SnapshotStats()
+				assertSame(t, gw, ref, fmt.Sprintf("%s, round %d", tc.name, round))
+				asked := bad.exports.Load() > before
+				local := gw.SnapshotStats().LocalReplays > st.LocalReplays
+				switch {
+				case round < 2: // the views are being built
+				case armed || tc.hide:
+					if !asked || local {
+						t.Fatalf("round %d: the read after an unknown landing asked the backend: %v, folded locally: %v", round, asked, local)
+					}
+				case round > 4 && !tc.hide: // by now both views have asked past the fault
+					if asked || !local {
+						t.Fatalf("round %d: a clean write after the fault was not folded locally (asked: %v)", round, asked)
+					}
+				}
+			}
+		})
 	}
 }

@@ -58,16 +58,21 @@ type cursor struct {
 	stamp
 }
 
-func (c cursor) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%x.%d.%d:", c.boot, c.gen, c.rot)
+func (c cursor) String() string { return string(c.appendTo(nil)) }
+
+// appendTo appends the cursor's text to b.
+func (c cursor) appendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, c.boot, 16)
+	b = strconv.AppendUint(append(b, '.'), c.gen, 10)
+	b = strconv.AppendUint(append(b, '.'), c.rot, 10)
+	b = append(b, ':')
 	for i, at := range c.at {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatUint(at, 10))
+		b = strconv.AppendUint(b, at, 10)
 	}
-	return b.String()
+	return b
 }
 
 // maxCursorShards bounds the positions a cursor may carry, far above any

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/vossketch/vos/internal/core"
+	"github.com/vossketch/vos/internal/stream"
 )
 
 // deltaReader is a remote reader's side of ExportSince: a sketch of its
@@ -152,6 +153,92 @@ func TestExportSince(t *testing.T) {
 		if err != nil || d.Full == nil || d.Fallback == "" {
 			t.Fatalf("ExportSince(%q) = %+v, %v, want the full sketch with a reason", alien, d, err)
 		}
+	}
+}
+
+// TestExportSinceFromInsideABatch: a cursor position may fall inside a
+// journalled batch — the cursor of a write that shared its batch with
+// another's (Engine.ProcessBatchSpan) does — and is then answered with the
+// rest of that batch, not the whole of it: the edges before the position are
+// the reader's already, and sending them again would cancel them.
+func TestExportSinceFromInsideABatch(t *testing.T) {
+	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: 16, FlushInterval: -1})
+	defer e.Close()
+	gen := &diffEdges{rng: rand.New(rand.NewSource(14)), users: 60}
+	edges := gen.next(40) // batches end at 16, 32 and 40
+	if err := e.ProcessBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.ExportSince("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []uint64{35, 32, 20, 1} {
+		c, err := parseCursor(d.Cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.at[0] = at
+		r := newDeltaReader()
+		r.sk.ProcessBatch(edges[:at])
+		r.cursor = c.String()
+		got := r.pull(t, e, "a cursor inside a batch")
+		if len(got.Edges) != len(edges)-int(at) || got.Edges[0] != edges[at] {
+			t.Fatalf("from position %d: sent %d edges, want the %d past it", at, len(got.Edges), len(edges)-int(at))
+		}
+	}
+}
+
+// TestProcessBatchSpan: a span names the states just before and just after
+// the call's edges — ExportSince its Before answers exactly them, under its
+// After — and there is none when another write lands on a shard, or the
+// epoch moves, between the two readings route takes (the atCut hook lands
+// them inside the hand-over, after the first shard's count was read).
+func TestProcessBatchSpan(t *testing.T) {
+	for _, between := range []string{"nothing", "a write", "an import"} {
+		t.Run(between, func(t *testing.T) {
+			e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 4, FlushInterval: -1})
+			defer e.Close()
+			var users [2][]stream.User
+			for u := stream.User(1); len(users[0]) < 3 || len(users[1]) < 4; u++ {
+				users[e.ShardOf(u)] = append(users[e.ShardOf(u)], u)
+			}
+			var edges []stream.Edge // two to shard 0, no cut; four to shard 1, one cut
+			for i, u := range append(users[0][:2:2], users[1][:4]...) {
+				edges = append(edges, stream.Edge{User: u, Item: stream.Item(i), Op: stream.Insert})
+			}
+			other := core.MustNew(testConfig())
+			other.Process(stream.Edge{User: 1, Item: 99, Op: stream.Insert})
+			state, err := other.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			atCut = func() {
+				switch between {
+				case "a write":
+					e.shards[0].add([]stream.Edge{{User: users[0][2], Item: 7, Op: stream.Insert}}, e.cfg.BatchSize)
+				case "an import":
+					if err := e.ImportSketch(state); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			defer func() { atCut = nil }()
+			span, err := e.ProcessBatchSpan(edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if between != "nothing" {
+				if span != (Span{}) {
+					t.Fatalf("%s between the readings, and still a span: %+v", between, span)
+				}
+				return
+			}
+			d, err := e.ExportSince(span.Before)
+			if err != nil || d.Full != nil || len(d.Edges) != len(edges) || d.Cursor != span.After {
+				t.Fatalf("since the span's start: %d edges, full %v, cursor %q (%v); want the %d edges under %q", len(d.Edges), d.Full != nil, d.Cursor, err, len(edges), span.After)
+			}
+		})
 	}
 }
 

@@ -150,7 +150,7 @@ func Open(cfg Config) (*Engine, error) {
 	// Replay the suffix through the routing path directly — the log is not
 	// attached yet, so replayed edges are not re-appended.
 	err = log.Replay(ckptPos, func(_ uint64, edges []stream.Edge) error {
-		e.route(edges)
+		e.route(edges, nil)
 		return nil
 	})
 	if err != nil {

@@ -586,7 +586,20 @@ func (e *Engine) Process(ed stream.Edge) error {
 // (stream.ErrUserRange) if it names a user id the log's encoding cannot
 // carry. The slice stays the caller's: the engine keeps no reference to it,
 // and it may be reused as soon as ProcessBatch returns.
-func (e *Engine) ProcessBatch(edges []stream.Edge) error {
+func (e *Engine) ProcessBatch(edges []stream.Edge) error { return e.processBatch(edges, nil) }
+
+// Span says where one ProcessBatchSpan call's edges landed, in export cursors
+// (delta.go): a reader holding Before holds After once it has applied them.
+// Empty when another write or an epoch change came between.
+type Span struct{ Before, After string }
+
+// ProcessBatchSpan is ProcessBatch that also says where the edges landed.
+func (e *Engine) ProcessBatchSpan(edges []stream.Edge) (span Span, err error) {
+	return span, e.processBatch(edges, &span)
+}
+
+// processBatch is ProcessBatch, filling span when one is asked for.
+func (e *Engine) processBatch(edges []stream.Edge, span *Span) error {
 	e.maybeAdvance() // see Process
 	e.lifeMu.RLock() // see Process
 	defer e.lifeMu.RUnlock()
@@ -606,7 +619,7 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 			return err
 		}
 	}
-	e.route(edges)
+	e.route(edges, span)
 	return nil
 }
 
@@ -617,17 +630,43 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error {
 // twice on its way to the worker, into memory that is warm and never zeroed,
 // and the caller's slice is free the moment route returns. With one shard
 // there is nothing to partition.
-func (e *Engine) route(edges []stream.Edge) {
-	n := len(e.shards)
-	if n == 1 {
-		e.shards[0].add(edges, e.cfg.BatchSize)
+//
+// Asked for a span, route reads the epoch and the shards' enqueued counts
+// around the hand-over: when each count moved by exactly its own group and
+// the epoch held, the two readings name the states around these edges alone.
+func (e *Engine) route(edges []stream.Edge, span *Span) {
+	groups := [][]stream.Edge{edges}
+	if n := len(e.shards); n > 1 {
+		p := partitioners.Get().(*stream.Partitioner)
+		defer partitioners.Put(p)
+		groups = p.Partition(edges, n, e.routeSeed)
+	}
+	if span == nil {
+		for i, group := range groups {
+			e.shards[i].add(group, e.cfg.BatchSize)
+		}
 		return
 	}
-	p := partitioners.Get().(*stream.Partitioner)
-	defer partitioners.Put(p)
-	for i, group := range p.Partition(edges, n, e.routeSeed) {
+	gen, rot := e.imports.Load(), e.winRot.Load()
+	at := make([]uint64, 2*len(groups))
+	before, after := at[:len(groups)], at[len(groups):]
+	for i, group := range groups {
+		before[i] = e.shards[i].enqueued.Load()
 		e.shards[i].add(group, e.cfg.BatchSize)
 	}
+	for i, group := range groups {
+		if after[i] = e.shards[i].enqueued.Load(); after[i]-before[i] != uint64(len(group)) {
+			return
+		}
+	}
+	if gen != e.imports.Load() || rot != e.winRot.Load() {
+		return
+	}
+	var text [128]byte
+	b := cursor{e.boot, stamp{gen, rot, before}}.appendTo(text[:0])
+	cut := len(b)
+	both := string(cursor{e.boot, stamp{gen, rot, after}}.appendTo(b)) // one allocation for the two
+	*span = Span{both[:cut], both[cut:]}
 }
 
 var partitioners = sync.Pool{New: func() any { return new(stream.Partitioner) }}

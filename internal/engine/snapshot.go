@@ -140,11 +140,12 @@ func (e *Engine) record(s *shard, batch []stream.Edge, end uint64) {
 
 // journalRange is the one journal read there is: the entries in (from, to],
 // to clipped to the shard's processed count inside its critical section, and
-// the count the cut reaches. ok is false when the journal no longer reaches
-// back to from (or from is not a count this shard has been at); cut is then
-// what is left of the range. The entries are copies and the worker evicts
-// underneath any reader: the reader is counted in here, and the batches stay
-// its to read, with the locks gone, until it calls journalDone.
+// the count the cut reaches; a from inside a batch (Engine.ProcessBatchSpan)
+// cuts that batch there. ok is false when the journal no longer reaches back
+// to from (or from is past the processed count); cut is then what is left.
+// The entries are copies and the worker evicts underneath any reader: the
+// reader is counted in here, and the batches stay its to read, with the
+// locks gone, until it calls journalDone.
 func (s *shard) journalRange(from, to uint64) (cut []journalEntry, end uint64, ok bool) {
 	s.skMu.RLock()
 	s.jMu.Lock()
@@ -153,6 +154,9 @@ func (s *shard) journalRange(from, to uint64) (cut []journalEntry, end uint64, o
 	if from <= end {
 		cut = append(cut, s.journal[journalAfter(s.journal, from):journalAfter(s.journal, end)]...)
 		ok = s.jFrom <= from
+		if len(cut) > 0 && cut[0].end-from < uint64(len(cut[0].batch)) {
+			cut[0].batch = cut[0].batch[uint64(len(cut[0].batch))-(cut[0].end-from):]
+		}
 	}
 	s.jMu.Unlock()
 	s.skMu.RUnlock()

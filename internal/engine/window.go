@@ -149,10 +149,13 @@ func (e *Engine) maybeAdvance() {
 // Instants at or before the current boundary are a no-op — the window
 // never moves backwards, so clock-skewed or late timestamps cannot unwind
 // retired state. On an unwindowed engine it returns 0.
+// Edges accepted before the call are applied first, in the bucket current
+// when they were accepted.
 func (e *Engine) AdvanceWindowTo(t time.Time) int {
-	if e.cfg.Window == nil {
+	if e.cfg.Window == nil || t.UnixNano() < e.winEnd.Load() {
 		return 0
 	}
+	e.Flush()
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	if t.UnixNano() < e.winEnd.Load() {

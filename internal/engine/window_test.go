@@ -62,6 +62,35 @@ func windowStream(n, spans int, seed int64) [][]stream.Edge {
 	return out
 }
 
+// TestRotationTakesAcceptedEdgesAlong: edges accepted before a rotation
+// belong to the bucket that was current when they were accepted, even when
+// they still sit in a shard's pending batch — so rotating every bucket out
+// retires them, and a rotation racing nothing changes nothing about where an
+// acknowledged write lands.
+func TestRotationTakesAcceptedEdgesAlong(t *testing.T) {
+	const buckets = 3
+	clk := newFakeClock(time.Unix(1000, 0))
+	e := MustNew(windowConfig(2, buckets, clk))
+	defer e.Close()
+	if err := e.ProcessBatch(feasibleStream(40, 10, 0, 15)); err != nil { // under a batch a shard: pending
+		t.Fatal(err)
+	}
+	if n := e.AdvanceWindowTo(time.Unix(1000+buckets, 0)); n != buckets {
+		t.Fatalf("crossed %d boundaries, want %d", n, buckets)
+	}
+	got, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.MustNew(testConfig()).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("edges accepted before the window rotated every bucket out are still in it")
+	}
+}
+
 // TestEngineWindowParity is the tentpole bar at the engine layer: after
 // any sequence of ingests and rotations, a K-shard windowed engine's
 // serialized live view is bit-identical to a fresh single sketch built

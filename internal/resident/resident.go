@@ -9,8 +9,8 @@
 // term in the array size or the number of users. What the parts are is the
 // driver's business (Source): the engine's are its shards, replayed from
 // their journals in memory and re-merged from their sketches; the gateway's
-// are its backends, replayed from the journal suffixes they ship and
-// re-merged from their full exports.
+// are its backends, replayed from its own forwarded writes or the journal
+// suffixes they ship, and re-merged from their full exports.
 //
 // Two views, because readers can be long (an exact top-K over 100k
 // candidates) and everything downstream relies on a published sketch never
@@ -200,6 +200,8 @@ type Stats struct {
 	// GatheredBytes (gateway) counts response bytes of backend exports,
 	// deltas and full sketches alike.
 	GatheredBytes uint64 `json:"gathered_bytes"`
+	// LocalReplays (gateway) counts the Replays that asked no backend.
+	LocalReplays uint64 `json:"local_replays,omitempty"`
 }
 
 // Rebuilds is the total number of fresh views built.

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -323,5 +324,44 @@ func TestTopKPartialHeader(t *testing.T) {
 	}
 	if got := resp.Header.Get(server.HeaderPartial); got != "" {
 		t.Fatalf("complete top-K carried %s: %q", server.HeaderPartial, got)
+	}
+}
+
+// TestIngestSpan pins the span a POST /v1/edges answer carries: the cursor of
+// the state just before the batch and of the state with it and nothing else.
+// ?since= the first is answered with exactly the batch — though it began
+// inside batches the engine journalled — under the second, so a reader
+// holding the first holds the second once it has applied the batch itself.
+func TestIngestSpan(t *testing.T) {
+	eng, cl, _ := newWired(t, server.Options{}, client.Options{MaxRetries: -1, Linger: -1})
+	ctx := context.Background()
+	edges := feasibleStream(400, 80, 0.25, 46)
+	if err := eng.ProcessBatch(edges[:300]); err != nil { // 100 a shard: residues pending
+		t.Fatal(err)
+	}
+	mirror := vos.MustNew(testEngineConfig().Sketch)
+	mirror.ProcessBatch(edges[:300])
+	acked, span, err := cl.Send(ctx, edges[300:340])
+	if err != nil || acked != 40 || span.Before == "" || span.After == "" || span.Before == span.After {
+		t.Fatalf("Send = %d, %+v, %v; want 40 edges and a span", acked, span, err)
+	}
+	d, _, err := cl.ExportSince(ctx, span.Before)
+	if err != nil || d.Full != nil || len(d.Edges) != 40 || d.Cursor != span.After {
+		t.Fatalf("since the span's start: %d edges, full %v, cursor %q (%v); want the 40 edges under %q", len(d.Edges), d.Full != nil, d.Cursor, err, span.After)
+	}
+	mirror.ProcessBatch(edges[300:340])
+	got, err := mirror.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := eng.MarshalBinary(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the state before the span plus the batch differs from the engine's (%v)", err)
+	}
+	if d, _, err := cl.ExportSince(ctx, span.After); err != nil || d.Full != nil || len(d.Edges) != 0 || d.Cursor != span.After {
+		t.Fatalf("since the span's end: %d edges, full %v, cursor %q (%v); want none under the same cursor", len(d.Edges), d.Full != nil, d.Cursor, err)
+	}
+	// The next batch starts where this one ended.
+	if _, next, err := cl.Send(ctx, edges[340:]); err != nil || next.Before != span.After {
+		t.Fatalf("the next span starts at %q (%v), want %q", next.Before, err, span.After)
 	}
 }

@@ -106,6 +106,7 @@ func TestOpenAPIStructure(t *testing.T) {
 		"name: since",        // the delta export's cursor parameter
 		HeaderSketchCursor,   // ... and the cursor it is answered with
 		HeaderSketchFallback, // ... or the reason it was answered in full
+		HeaderSketchBefore,   // a POST /v1/edges answer's span opens here
 	} {
 		if !strings.Contains(spec, anchor) {
 			t.Errorf("spec is missing required anchor %q", anchor)

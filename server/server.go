@@ -66,9 +66,13 @@ const HeaderPartial = "X-Vos-Partial"
 // "journal" (the cursor is older than the backend's bounded journal
 // reaches) or "epoch" (the backend restarted, imported state or rotated its
 // window since).
+//
+// On a POST /v1/edges answer, HeaderSketchBefore and HeaderSketchCursor are
+// the batch's span (vos.SketchSpan), absent when the backend cannot tell.
 const (
 	HeaderSketchCursor   = "X-Vos-Sketch-Cursor"
 	HeaderSketchFallback = "X-Vos-Sketch-Fallback"
+	HeaderSketchBefore   = "X-Vos-Sketch-Before"
 )
 
 // HeaderBatchTs optionally carries a whole ingest batch's event time as
@@ -405,9 +409,19 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := s.svc.Ingest(r.Context(), edges); err != nil {
+	var span vos.SketchSpan
+	if de, ok := s.svc.(vos.DeltaExporter); ok {
+		span, err = de.IngestSpan(r.Context(), edges)
+	} else {
+		err = s.svc.Ingest(r.Context(), edges)
+	}
+	if err != nil {
 		WriteServiceError(w, err)
 		return
+	}
+	if span.After != "" {
+		vals := []string{span.Before, span.After}
+		w.Header()[HeaderSketchBefore], w.Header()[HeaderSketchCursor] = vals[:1:1], vals[1:]
 	}
 	WriteJSON(w, http.StatusOK, IngestResponse{Accepted: len(edges)})
 }

@@ -52,6 +52,14 @@ func (goldenReporter) SnapshotStats() vos.SnapshotStats {
 	}
 }
 
+// goldenGateway reports a gateway's snapshot counters, whose local replays an
+// engine's never have.
+type goldenGateway struct{ goldenService }
+
+func (goldenGateway) SnapshotStats() vos.SnapshotStats {
+	return vos.SnapshotStats{Replays: 5, ReplayedEdges: 1280, RebuildsFirst: 2, GatheredBytes: 700, LocalReplays: 4}
+}
+
 func (goldenReporter) ANNStats() (vos.ANNStats, bool) {
 	return vos.ANNStats{
 		Indexed: 1, DirtyBacklog: 2, Entries: 3, Rebands: 4, Removals: 5, Probes: 6,
@@ -109,6 +117,9 @@ func TestWireGolden(t *testing.T) {
 				`"udp":{"frames_received":1,"frames_applied":2,"edges_applied":3,"malformed":4,"gaps_detected":5,"replays_dropped":6,"late_applied":7,"stale_dropped":8,"admit_rejected":9,"sink_errors":10,"acks_sent":11,"sessions":12,"sessions_evicted":13},` +
 				`"snapshot":{"replays":1,"replayed_edges":2,"rebuilds_first":3,"rebuilds_overflow":4,"rebuilds_rotation":5,"rebuilds_import":6,"rebuilds_busy":7,"rebuilds_epoch":8,"rebuilds_ring":9,"rebuilds_no_delta":10,"journal_overflows":11,"gathered_bytes":12},` +
 				`"ann":{"indexed":1,"dirty_backlog":2,"entries":3,"rebands":4,"removals":5,"probes":6,"rotations":7,"band_rekeys":8,"journal_fallbacks":9,"spilled_users":10,"probe_reuses":11}}` + "\n"},
+		{name: "stats of a gateway", svc: goldenGateway{goldenService{stats: plainStats}}, method: "GET", path: "/v1/stats",
+			want: `{"memory_bits":262144,"sketch_bits":512,"ones_count":4096,"beta":0.015625,"users":80,"memory_bytes":34048,"hash_family":"classic",` +
+				`"snapshot":{"replays":5,"replayed_edges":1280,"rebuilds_first":2,"rebuilds_overflow":0,"rebuilds_rotation":0,"rebuilds_import":0,"rebuilds_busy":0,"rebuilds_epoch":0,"rebuilds_ring":0,"rebuilds_no_delta":0,"journal_overflows":0,"gathered_bytes":700,"local_replays":4}}` + "\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))

@@ -121,9 +121,10 @@ type StateExporter interface {
 
 // DeltaExporter is the incremental form of StateExporter, for readers that
 // keep their own merged view of the state (the cluster gateway): they hold
-// a cursor from the last answer and fetch the change, not the state.
-// GET /v1/cluster/sketch probes for it; a service without it is served by
-// ExportSketch every time — never wrong, only slow.
+// a cursor from the last answer and fetch the change, not the state, and
+// fold in their own writes. GET /v1/cluster/sketch and POST /v1/edges probe
+// for it; a service without it is served by ExportSketch every time — never
+// wrong, only slow.
 type DeltaExporter interface {
 	// ExportSince returns the edges applied since the state the cursor
 	// names — or the full serialized state when since is empty or no journal
@@ -132,6 +133,9 @@ type DeltaExporter interface {
 	// call changes nothing in the service, so it is safe to repeat.
 	// ErrBadCursor for a since that is not a cursor.
 	ExportSince(ctx context.Context, since string) (SketchDelta, error)
+	// IngestSpan is Ingest that also says where the edges landed (empty when
+	// that cannot be told).
+	IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error)
 }
 
 // StateImporter is the receiving half of a shard handoff: ImportSketch
@@ -280,6 +284,14 @@ func (s *engineService) ExportSince(ctx context.Context, since string) (SketchDe
 		return SketchDelta{}, err
 	}
 	return s.e.ExportSince(since)
+}
+
+// IngestSpan implements DeltaExporter (see Engine.ProcessBatchSpan).
+func (s *engineService) IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error) {
+	if err := ctx.Err(); err != nil {
+		return SketchSpan{}, err
+	}
+	return s.e.ProcessBatchSpan(edges)
 }
 
 // ImportSketch implements StateImporter (see Engine.ImportSketch for the

@@ -80,7 +80,7 @@ func TestUserRangeRefusedAtEveryEncoder(t *testing.T) {
 			func() error { return hc.Ingest(ctx, outOfRange) },
 			func() int64 { _ = hc.Flush(ctx); return requests.Load() }},
 		{"client.Client.Send",
-			func() error { _, err := hc.Send(ctx, outOfRange); return err },
+			func() error { _, _, err := hc.Send(ctx, outOfRange); return err },
 			func() int64 { return requests.Load() }},
 		{"client.UDPClient.Ingest",
 			func() error { return uc.Ingest(ctx, outOfRange) },
