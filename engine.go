@@ -47,13 +47,6 @@ type PositionCacheStats = poscache.Stats
 // ShardStat is one engine shard's health snapshot (counters, backlog, β).
 type ShardStat = metrics.ShardStat
 
-// RateMeter converts a monotone counter (e.g. summed ShardStat.Processed)
-// into windowed per-second rates for dashboards and harnesses.
-type RateMeter = metrics.RateMeter
-
-// TotalShardStats folds Engine.ShardStats into one aggregate row.
-func TotalShardStats(stats []ShardStat) ShardStat { return metrics.TotalShardStats(stats) }
-
 // ErrEngineClosed is returned by Engine.Process after Engine.Close.
 var ErrEngineClosed = engine.ErrClosed
 

@@ -34,29 +34,10 @@ type ShardStat struct {
 // Backlog returns the number of accepted-but-unapplied edges.
 func (s ShardStat) Backlog() uint64 { return s.Enqueued - s.Processed }
 
-// String renders the stat compactly for logs and examples.
+// String renders the stat compactly for logs.
 func (s ShardStat) String() string {
 	return fmt.Sprintf("shard %d: %d applied (%d backlog), β=%.5f, %d users, %.0f edges/s",
 		s.Shard, s.Processed, s.Backlog(), s.Beta, s.Users, s.EdgesPerSec)
-}
-
-// TotalShardStats folds a per-shard fleet into one aggregate row: counters,
-// queue depths, users, and throughput are summed; Beta becomes the mean
-// shard load; Shard is set to -1 to mark the row as an aggregate.
-func TotalShardStats(stats []ShardStat) ShardStat {
-	t := ShardStat{Shard: -1}
-	for _, s := range stats {
-		t.Enqueued += s.Enqueued
-		t.Processed += s.Processed
-		t.QueueBatches += s.QueueBatches
-		t.Beta += s.Beta
-		t.Users += s.Users
-		t.EdgesPerSec += s.EdgesPerSec
-	}
-	if len(stats) > 0 {
-		t.Beta /= float64(len(stats))
-	}
-	return t
 }
 
 // RateMeter converts a monotonically increasing event counter into

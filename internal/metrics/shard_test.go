@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,23 +16,6 @@ func TestShardStatBacklogAndString(t *testing.T) {
 		if !strings.Contains(str, frag) {
 			t.Fatalf("String() = %q, missing %q", str, frag)
 		}
-	}
-}
-
-func TestTotalShardStats(t *testing.T) {
-	total := TotalShardStats([]ShardStat{
-		{Enqueued: 10, Processed: 8, QueueBatches: 1, Beta: 0.2, Users: 5, EdgesPerSec: 50},
-		{Enqueued: 20, Processed: 20, QueueBatches: 0, Beta: 0.4, Users: 7, EdgesPerSec: 70},
-	})
-	if total.Shard != -1 || total.Enqueued != 30 || total.Processed != 28 ||
-		total.QueueBatches != 1 || total.Users != 12 || total.EdgesPerSec != 120 {
-		t.Fatalf("aggregate = %+v", total)
-	}
-	if math.Abs(total.Beta-0.3) > 1e-12 {
-		t.Fatalf("mean beta = %v, want 0.3", total.Beta)
-	}
-	if empty := TotalShardStats(nil); empty.Beta != 0 || empty.Enqueued != 0 {
-		t.Fatalf("empty aggregate = %+v", empty)
 	}
 }
 

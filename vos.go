@@ -32,7 +32,7 @@
 // sketches with one ingest goroutine each and answers queries from an
 // exactly merged snapshot — because VOS merging is exact for any partition
 // of the stream, sharded ingest costs no accuracy, and one shard is the
-// plain thread-safe sketch. See examples/sharded.
+// plain thread-safe sketch.
 //
 // # Sliding windows
 //
@@ -61,8 +61,9 @@
 //	est := sk.Query(alice, bob)
 //	fmt.Println(est.Common, est.Jaccard)
 //
-// See examples/ for complete programs and README.md for
-// the architecture map and reproduction methodology.
+// The package Examples carry complete application loops (similar users,
+// collaborative filtering, near-duplicates); README.md has the
+// architecture map and reproduction methodology.
 package vos
 
 import (
