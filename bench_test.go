@@ -527,10 +527,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 // 256-edge ProcessBatch, Flush, then a pair Query, at the shape of the
 // repository benchmark's embed-churn workload (2 shards, m = 2^21, k =
 // 6400, 20k live users, position cache off). The query has to bring the
-// merged snapshot current first; with resident views that is a replay of
-// the last two writes, not a re-merge of both shards and 20k counters.
-// After the loop the engine's export must be byte-identical to a single
-// sketch fed the same stream, and every timed refresh must have replayed.
+// merged snapshot current first; with a resident view that is a replay of
+// the last write, not a re-merge of both shards and 20k counters. After the
+// loop the engine's export must be byte-identical to a single sketch fed
+// the same stream, and every timed refresh must have replayed its write's
+// edges and no others.
 func BenchmarkEngineFreshQuery(b *testing.B) {
 	const users, batch = 20_000, 256
 	cfg := vos.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 1}
@@ -569,7 +570,7 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 	if err := eng.ProcessBatch(preload); err != nil {
 		b.Fatal(err)
 	}
-	const warm = 2 // one re-merge per resident view
+	const warm = 1 // the first view's re-merge
 	for i := 0; i < warm; i++ {
 		step(i)
 	}
@@ -583,6 +584,9 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 	after := eng.SnapshotStats()
 	if replays := after.Replays - before.Replays; replays != uint64(b.N) || after.Rebuilds() != before.Rebuilds() {
 		b.Fatalf("%d timed reads after writes took %d replays and %d re-merges", b.N, replays, after.Rebuilds()-before.Rebuilds())
+	}
+	if edges := after.ReplayedEdges - before.ReplayedEdges; edges != uint64(b.N*batch) {
+		b.Fatalf("%d timed %d-edge writes were replayed as %d edges, want each edge once", b.N, batch, edges)
 	}
 	for _, ed := range preload {
 		ref.Process(ed)
@@ -727,8 +731,8 @@ func BenchmarkANNFreshProbe(b *testing.B) {
 // gateway over K = 2 one-shard loopback backends (m = 2^21, k = 6400, 20k
 // live users), one 256-edge Ingest, then a pair read. The read has to bring
 // the gateway's merged view current first; the backends acknowledged each
-// forward with where its edges landed, so that is a replay of the last two
-// writes from the gateway's own log, with no backend asked — not two round
+// forward with where its edges landed, so that is a replay of the last
+// write from the gateway's own log, with no backend asked — not two round
 // trips for the backends' journal suffixes, nor two full exports decoded and
 // merged. After the loop the gateway's export must be byte-identical to a
 // single sketch fed the same stream, and every timed refresh must have
@@ -789,7 +793,7 @@ func BenchmarkGatewayFreshQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	const warm = 2 // one full gather per resident view
+	const warm = 1 // the first view's full gather
 	for i := 0; i < warm; i++ {
 		step(i)
 	}

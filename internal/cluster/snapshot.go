@@ -18,9 +18,9 @@ import (
 // hold — because the estimator's β and collision-noise terms are properties
 // of the GLOBAL array: per-node answers cannot be combined after the fact,
 // but per-node STATE can, exactly. And state is linear, so the merge is
-// kept the way the engine keeps its own (internal/resident): two resident
-// merged views, the spare brought forward slot by slot by folding in what
-// each backend applied since the view's cursor for it.
+// kept the way the engine keeps its own (internal/resident): a resident
+// merged view brought forward slot by slot by folding in what each backend
+// applied since the view's cursor for it.
 //
 // Mostly that is what the gateway forwarded: each forward is acknowledged with
 // its span (vos.SketchSpan), and a slot whose log of forwarded groups chains
@@ -32,10 +32,10 @@ import (
 // matches, so nothing is folded twice or past what a round trip covered.
 //
 // A fresh view — full exports from every backend, merged from zero — is the
-// fallback, counted by cause in SnapshotStats: the first two refreshes, a
-// cursor older than a backend's bounded journal, a backend whose epoch
-// changed (it restarted, imported a handed-off shard, or rotated its
-// window), a new ring version, a spare still held by a long read, and a
+// fallback, counted by cause in SnapshotStats: the first refresh, a cursor
+// older than a backend's bounded journal, a backend whose epoch changed (it
+// restarted, imported a handed-off shard, or rotated its window), a new ring
+// version, a published view held by a long read with no spare free, and a
 // backend that does not offer the delta export (a vosd that predates it, or
 // a service wrapped in a decorator that hides it), which costs a full
 // gather on every refresh — never wrong, only slow.
@@ -69,7 +69,7 @@ type slotLog struct {
 	base    uint64 // the number of entries[0]
 	entries []logEntry
 	size    int    // the edges in entries, plus one an entry
-	newest  uint64 // the accounting (gatherStamp.next) of the newest published view
+	newest  uint64 // the accounting (gatherStamp.next) of the published view
 }
 
 // logEntry is an acknowledged group (a copy, never written) with its span, or
@@ -80,8 +80,9 @@ type logEntry struct {
 }
 
 // add logs a group and its span (none: a mark), dropping the oldest entries
-// past the bound. With both views behind what the log still holds, each asks
-// its backend next anyway, so a mark does as well as a copy.
+// past the bound. With the published view behind what the log still holds,
+// the spare is too and each asks its backend next anyway, so a mark does as
+// well as a copy.
 func (l *slotLog) add(edges []vos.Edge, span vos.SketchSpan) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -103,7 +104,8 @@ func (l *slotLog) end() uint64 {
 }
 
 // publish records the accounting of a view about to be published and drops
-// the entries both it and the view published before it have accounted for.
+// the entries both it and the view published before it have accounted for:
+// a spare older than that asks its backends, as a view past the bound does.
 func (l *slotLog) publish(next uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -174,23 +176,24 @@ func (s *gatherSource) Current(st *gatherStamp) bool {
 	return st.seq == s.g.ingests.Load() && st.ver == s.g.ringRef().Version
 }
 
-// Refresh brings the spare forward, each slot from its log where the log
-// chains from the spare's cursor and from its backend's journal suffix where
-// not; if any backend answers in full instead (or there is no spare), it
-// merges a fresh view from full exports. The pair's mutex is held throughout,
-// so concurrent first readers after a write share one round of requests.
-func (s *gatherSource) Refresh(ctx context.Context, spare *gatherView) (*gatherView, resident.Cause, int, error) {
+// Refresh brings from forward, each slot from its log where the log chains
+// from the view's cursor and from its backend's journal suffix where not; if
+// any backend answers in full instead (or there is no view to bring
+// forward), it merges a fresh view from full exports. The pair's mutex is
+// held throughout, so concurrent first readers after a write share one round
+// of requests.
+func (s *gatherSource) Refresh(ctx context.Context, from *gatherView) (*gatherView, resident.Cause, int, error) {
 	g := s.g
 	seq, ring := g.ingests.Load(), g.ringRef() // before the gather: a racing ingest can only make the view refresh early
 	parts := make([]part, ring.NumShards())
-	cause := resident.First // without a spare the pair counts its own cause
+	cause := resident.First // without a view the pair counts its own cause
 	switch {
-	case spare == nil:
-	case spare.Stamp.ver != ring.Version:
+	case from == nil:
+	case from.Stamp.ver != ring.Version:
 		// Another ring is another set of parts; nothing connects the views.
 		cause = resident.Ring
 	default:
-		st := &spare.Stamp
+		st := &from.Stamp
 		asked := false
 		for i := range parts {
 			p := &parts[i]
@@ -208,7 +211,7 @@ func (s *gatherSource) Refresh(ctx context.Context, spare *gatherView) (*gatherV
 			// they account for, and only when every slot has its edges.
 			edges := 0
 			for i := range parts {
-				spare.Sk.ProcessBatch(parts[i].d.Edges)
+				from.Sk.ProcessBatch(parts[i].d.Edges)
 				edges += len(parts[i].d.Edges)
 				st.cursors[i], st.next[i] = parts[i].d.Cursor, parts[i].end
 			}
@@ -217,7 +220,7 @@ func (s *gatherSource) Refresh(ctx context.Context, spare *gatherView) (*gatherV
 				g.localReplays.Add(1)
 			}
 			g.published(st.next)
-			return spare, cause, edges, nil
+			return from, cause, edges, nil
 		}
 		for i := range parts {
 			parts[i].local = false // a fresh view takes every slot whole

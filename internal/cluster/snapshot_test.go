@@ -319,10 +319,10 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 				t.Fatal("the sequence never handed a shard off")
 			}
 
-			// Left alone, both gateways settle on the delta path: two reads
-			// each may still bring a view back, the next two replay exactly
-			// the writes both gateways made since — and those replays ask
-			// nothing of a backend's own views.
+			// Left alone, both gateways settle on the delta path: one read
+			// each may still bring the view back, the next three replay
+			// exactly the writes both gateways made since — and those replays
+			// ask nothing of a backend's own views.
 			for round := 0; round < 4; round++ {
 				for i, gw := range gws() {
 					engBefore := backends[0].eng.SnapshotStats()
@@ -331,12 +331,12 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 					write(gw, 10)
 					assertExport(gw, fmt.Sprintf("settled round %d gateway %d", round, i+1))
 					d := gw.SnapshotStats()
-					if round >= 2 && (d.Replays != before.Replays+1 || d.Rebuilds() != before.Rebuilds() || d.ReplayedEdges != before.ReplayedEdges+40) {
-						t.Fatalf("settled round %d: gateway %d read after a small write did not replay the 40 edges written since its spare was current: %+v → %+v", round, i+1, before, d)
+					if round >= 1 && (d.Replays != before.Replays+1 || d.Rebuilds() != before.Rebuilds() || d.ReplayedEdges != before.ReplayedEdges+20) {
+						t.Fatalf("settled round %d: gateway %d read after a small write did not replay the 20 edges written since its view was current: %+v → %+v", round, i+1, before, d)
 					}
 					engAfter := backends[0].eng.SnapshotStats()
 					engAfter.JournalOverflows = 0
-					if round >= 2 && engAfter != engBefore {
+					if round >= 1 && engAfter != engBefore {
 						t.Fatalf("a delta export moved the backend's own views: %+v → %+v", engBefore, engAfter)
 					}
 				}
@@ -363,11 +363,11 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 					t.Fatalf("gateway %d gathered no bytes: %+v", i+1, st)
 				}
 			}
-			if stats[0].RebuildsFirst != 2 || stats[0].RebuildsRing == 0 {
-				t.Fatalf("gateway 1: RebuildsFirst = %d (want 2, one per view), RebuildsRing = %d (want > 0 after a handoff)", stats[0].RebuildsFirst, stats[0].RebuildsRing)
+			if stats[0].RebuildsFirst != 1 || stats[0].RebuildsRing == 0 {
+				t.Fatalf("gateway 1: RebuildsFirst = %d (want 1, the first view), RebuildsRing = %d (want > 0 after a handoff)", stats[0].RebuildsFirst, stats[0].RebuildsRing)
 			}
-			if want := uint64(2 * (handoffs + 1)); stats[1].RebuildsFirst != want || stats[1].RebuildsRing != 0 {
-				t.Fatalf("gateway 2: RebuildsFirst = %d (want %d, two per incarnation), RebuildsRing = %d (want 0)", stats[1].RebuildsFirst, want, stats[1].RebuildsRing)
+			if want := uint64(handoffs + 1); stats[1].RebuildsFirst != want || stats[1].RebuildsRing != 0 {
+				t.Fatalf("gateway 2: RebuildsFirst = %d (want %d, one per incarnation), RebuildsRing = %d (want 0)", stats[1].RebuildsFirst, want, stats[1].RebuildsRing)
 			}
 		})
 	}
@@ -375,7 +375,7 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 
 // TestGatewaySingleFlightRefresh pins the refresh-under-the-lock rule with
 // counting backends: eight concurrent first readers after one write share
-// one refresh — one request per backend while the views are built, none
+// one refresh — one request per backend while the view is built, none
 // after — and a quiet read asks nothing of anyone.
 func TestGatewaySingleFlightRefresh(t *testing.T) {
 	ctx := context.Background()
@@ -394,7 +394,7 @@ func TestGatewaySingleFlightRefresh(t *testing.T) {
 		}
 		return n
 	}
-	for round := 0; round < 4; round++ { // the first two rounds build the views, the rest replay
+	for round := 0; round < 4; round++ { // the first round builds the view, the rest replay
 		if err := gw.Ingest(ctx, gen.next(40, 60)); err != nil {
 			t.Fatal(err)
 		}
@@ -410,11 +410,11 @@ func TestGatewaySingleFlightRefresh(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		// Building a view takes every backend's full export. Once both are
+		// Building the view takes every backend's full export. Once it is
 		// built, the write itself told the gateway where its edges landed on
 		// each backend, so the shared refresh folds them in and asks nobody.
 		want := int64(len(backends))
-		if round >= 2 {
+		if round >= 1 {
 			want = 0
 		}
 		if got := exports() - before; got != want {
@@ -428,8 +428,8 @@ func TestGatewaySingleFlightRefresh(t *testing.T) {
 		}
 	}
 	st := gw.SnapshotStats()
-	if st.Replays != 2 || st.LocalReplays != 2 || st.Rebuilds() != 2 {
-		t.Fatalf("4 refreshes took %d replays (%d asking no backend) and %d rebuilds, want 2 (2) and 2: %+v", st.Replays, st.LocalReplays, st.Rebuilds(), st)
+	if st.Replays != 3 || st.LocalReplays != 3 || st.Rebuilds() != 1 {
+		t.Fatalf("4 refreshes took %d replays (%d asking no backend) and %d rebuilds, want 3 (3) and 1: %+v", st.Replays, st.LocalReplays, st.Rebuilds(), st)
 	}
 
 	// The same counters are what vosgw's /v1/stats carries, in the object
@@ -498,11 +498,11 @@ func TestGatewayMixedVersions(t *testing.T) {
 		// span lets the gateway fold in without asking; the other backend sends
 		// no span, so it is asked, and answers in full. A fresh view then needs
 		// the capable backend's full export after all: two requests, not four.
-		if n := neu.exports.Load() + old.exports.Load() - before; round >= 2 && n != 2 {
+		if n := neu.exports.Load() + old.exports.Load() - before; round >= 1 && n != 2 {
 			t.Fatalf("round %d: %d export requests, want 2", round, n)
 		}
 	}
-	if st := gw.SnapshotStats(); st.RebuildsFirst != 2 || st.RebuildsNoDelta != 3 || st.Replays != 0 || st.Rebuilds() != 5 {
+	if st := gw.SnapshotStats(); st.RebuildsFirst != 1 || st.RebuildsNoDelta != 4 || st.Replays != 0 || st.Rebuilds() != 5 {
 		t.Fatalf("5 refreshes over a backend without the delta export: %+v", st)
 	}
 }
@@ -520,6 +520,79 @@ func assertSame(t *testing.T, gw *Gateway, ref *core.VOS, at string) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: gateway export diverges from a single sketch of the same stream", at)
+	}
+}
+
+// TestGatewayHeldViewTakesSpare: a read that finds a reader on the published
+// view brings the spare forward instead. The slot logs were trimmed to the
+// published view as it was brought forward in place, so the spare asks each
+// backend for its journal suffix — one delta request a backend, never a full
+// export — and reads exact.
+func TestGatewayHeldViewTakesSpare(t *testing.T) {
+	ctx := context.Background()
+	backends := []*diffBackend{newDiffBackend(t, nil), newDiffBackend(t, nil)}
+	opt := Options{}
+	opt.Client.MaxRetries = -1
+	gw, err := New(&Ring{Version: 1, RouteSeed: 9, Shards: []string{backends[0].ts.URL, backends[1].ts.URL}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	gen := &diffStream{rng: rand.New(rand.NewSource(4))}
+	ref := core.MustNew(diffSketchCfg)
+	exports := func() (n int64) {
+		for _, b := range backends {
+			n += b.exports.Load()
+		}
+		return n
+	}
+	// round writes 20 edges and reads them back, and returns how the read
+	// moved the counters and how many export requests it made.
+	round := func(at string) (vos.SnapshotStats, int64) {
+		t.Helper()
+		edges := gen.next(20, 60)
+		if err := gw.Ingest(ctx, edges); err != nil {
+			t.Fatal(err)
+		}
+		ref.ProcessBatch(edges)
+		before, asked := gw.SnapshotStats(), exports()
+		assertSame(t, gw, ref, at)
+		d := gw.SnapshotStats()
+		return vos.SnapshotStats{
+			Replays:       d.Replays - before.Replays,
+			ReplayedEdges: d.ReplayedEdges - before.ReplayedEdges,
+			LocalReplays:  d.LocalReplays - before.LocalReplays,
+			RebuildsFirst: d.RebuildsFirst - before.RebuildsFirst,
+			RebuildsBusy:  d.RebuildsBusy - before.RebuildsBusy,
+		}, exports() - asked
+	}
+	if d, n := round("first view"); d.RebuildsFirst != 1 || n != 2 {
+		t.Fatalf("first view: %+v, %d export requests", d, n)
+	}
+	// With a reader on the only view, the read builds a second one.
+	parked, err := gw.acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, n := round("second view"); d.RebuildsBusy != 1 || n != 2 {
+		t.Fatalf("second view: %+v, %d export requests", d, n)
+	}
+	parked.Release()
+	// Nobody holds the published view: it folds each write in place.
+	for i := 0; i < 2; i++ {
+		if d, n := round("in place"); d.Replays != 1 || d.LocalReplays != 1 || d.ReplayedEdges != 20 || n != 0 {
+			t.Fatalf("in place: %+v, %d export requests", d, n)
+		}
+	}
+	// A reader on it now: the spare, four writes behind, folds them all
+	// from its backends' journals.
+	if parked, err = gw.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	d, n := round("spare")
+	parked.Release()
+	if d.Replays != 1 || d.LocalReplays != 0 || d.ReplayedEdges != 80 || d.RebuildsBusy != 0 || n != 2 {
+		t.Fatalf("spare: %+v, %d export requests, want one 80-edge replay from 2 delta requests", d, n)
 	}
 }
 
@@ -641,8 +714,8 @@ func TestGatewayFoldsConcurrentIngests(t *testing.T) {
 // TestGatewayFaultFallback: a forward whose landing the gateway cannot know
 // — the backend applied the batch and then answered 500, or its answer was
 // lost, or its service hides the span — makes the next read ask that backend
-// instead of folding, and the read stays exact; once each of the two views
-// has been asked past the fault, the reads fold again where they can.
+// instead of folding, and the read stays exact; once the view has been
+// asked past the fault, the next read folds again where it can.
 func TestGatewayFaultFallback(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -699,12 +772,12 @@ func TestGatewayFaultFallback(t *testing.T) {
 				asked := bad.exports.Load() > before
 				local := gw.SnapshotStats().LocalReplays > st.LocalReplays
 				switch {
-				case round < 2: // the views are being built
+				case round < 1: // the view is being built
 				case armed || tc.hide:
 					if !asked || local {
 						t.Fatalf("round %d: the read after an unknown landing asked the backend: %v, folded locally: %v", round, asked, local)
 					}
-				case round > 4 && !tc.hide: // by now both views have asked past the fault
+				case round > 3 && !tc.hide: // the view has asked past the fault
 					if asked || !local {
 						t.Fatalf("round %d: a clean write after the fault was not folded locally (asked: %v)", round, asked)
 					}

@@ -186,7 +186,7 @@ type annIndex struct {
 	// buckets per call is pure waste. The last probe's recovered sketch and
 	// candidate set are kept and served again while all three freshness
 	// coordinates hold: same user, same merged snapshot state (its publish
-	// generation — unique across both resident views and across refreshes
+	// generation — unique across the resident views and across refreshes
 	// of one, where a pointer would not be), and same index-mutation stamp (the
 	// monotone sum rebands+rekeys+removals+rotations: any Put, Toggle,
 	// Remove, or rotation invalidation advances it, so a probe never reuses

@@ -250,9 +250,10 @@ type Engine struct {
 	stop   chan struct{} // stops the linger ticker
 	start  time.Time
 
-	// views is the merged query snapshot (see snapshot.go): two resident
-	// merged views, each carrying the stamp — import generation, rotation
-	// count, per-shard processed counts — of the state it equals.
+	// views is the merged query snapshot (see snapshot.go): the resident
+	// merged view and its spare, each carrying the stamp — import
+	// generation, rotation count, per-shard processed counts — of the state
+	// it equals.
 	views          resident.Pair[stamp]
 	journalMax     uint64 // per-shard journal bound in edges, fixed by the array size
 	journalEvicted atomic.Uint64
@@ -289,7 +290,7 @@ type Engine struct {
 	// first shard to their last, so none ever sees shard A before the event
 	// and shard B after it. Lock order: stateMu before any shard's skMu.
 	// imports and winRot count the two events and stamp every reader's
-	// coordinates (stamp, snapshot.go), so either retires both resident
+	// coordinates (stamp, snapshot.go), so either retires the resident
 	// views, every export cursor and the ANN index's cursor without touching
 	// the views' mutex (avoiding a lock cycle with stateMu). winEnd mirrors
 	// the shards' current bucket end (unix ns) for the lock-free

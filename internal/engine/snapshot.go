@@ -11,13 +11,14 @@ import (
 	"github.com/vossketch/vos/internal/stream"
 )
 
-// The merged query snapshot is a resident.Pair (see that package for the
-// left-right scheme) whose parts are this engine's shards: a refresh brings
-// the spare view forward by replaying the batches the shard workers applied
-// since it was last current — core.VOS.ProcessBatch over each shard's
-// journal suffix — and re-merges every shard only when replay is impossible.
-// The same journals answer remote readers (ExportSince, delta.go), so
-// nothing here may assume the engine's own two views are the only cursors.
+// The merged query snapshot is a resident.Pair (see that package for when a
+// view is brought forward in place) whose parts are this engine's shards: a
+// refresh brings a view forward by replaying the batches the shard workers
+// applied since it was last current — core.VOS.ProcessBatch over each
+// shard's journal suffix — and re-merges every shard only when replay is
+// impossible. The same journals answer remote readers (ExportSince,
+// delta.go), so nothing here may assume the engine's own views are the only
+// cursors.
 
 // journalEntry is one batch a shard worker applied. end is the shard's
 // processed count once the batch was in, so a reader's per-shard cursor is
@@ -229,23 +230,23 @@ func (s viewSource) Current(st *stamp) bool {
 	return true
 }
 
-// Refresh implements resident.Source: the spare brought forward by journal
+// Refresh implements resident.Source: from brought forward by journal
 // replay when that is possible, a full re-merge into a fresh view otherwise.
 // The state read-lock is held across the whole refresh, so the view never
 // observes shard A before a rotation or an import and shard B after it.
-func (s viewSource) Refresh(_ context.Context, spare *view) (*view, resident.Cause, int, error) {
+func (s viewSource) Refresh(_ context.Context, from *view) (*view, resident.Cause, int, error) {
 	e := s.e
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	cause := resident.First // without a spare the pair counts its own cause
-	if spare != nil {
+	cause := resident.First // without a view the pair counts its own cause
+	if from != nil {
 		edges := 0
-		cause = e.since(&spare.Stamp, func(batch []stream.Edge) {
-			spare.Sk.ProcessBatch(batch)
+		cause = e.since(&from.Stamp, func(batch []stream.Edge) {
+			from.Sk.ProcessBatch(batch)
 			edges += len(batch)
 		})
 		if cause == resident.Replayed {
-			return spare, cause, edges, nil
+			return from, cause, edges, nil
 		}
 	}
 	return e.rebuild(), cause, 0, nil

@@ -18,7 +18,7 @@ import (
 // into the shard that owns the user. Like a window rotation that is shard
 // state changing without a journal entry, so it runs under the lock that
 // orders rotations against multi-shard reads (stateMu) and moves the epoch:
-// the import generation it bumps retires both resident query views, every
+// the import generation it bumps retires the resident query views, every
 // remote reader's cursor and the ANN index's cursor — each names the
 // generation it was read under, and a reader of another generation is never
 // brought forward, only rebuilt. A read racing an import therefore answers

@@ -3,24 +3,25 @@
 //
 // Merging is linear: the merged sketch at t₂ is the merged sketch at t₁
 // with the edges applied in between folded in. So instead of re-merging
-// every part whenever something has been written, a Pair keeps two resident
-// merged views and brings one forward by replaying what its parts applied
-// since that view was last current. A refresh then costs the churn, with no
-// term in the array size or the number of users. What the parts are is the
-// driver's business (Source): the engine's are its shards, replayed from
-// their journals in memory and re-merged from their sketches; the gateway's
-// are its backends, replayed from its own forwarded writes or the journal
+// every part whenever something has been written, a Pair keeps a resident
+// merged view and brings it forward by replaying what its parts applied
+// since it was last current. A refresh then costs the churn, with no term in
+// the array size or the number of users. What the parts are is the driver's
+// business (Source): the engine's are its shards, replayed from their
+// journals in memory and re-merged from their sketches; the gateway's are
+// its backends, replayed from its own forwarded writes or the journal
 // suffixes they ship, and re-merged from their full exports.
 //
-// Two views, because readers can be long (an exact top-K over 100k
-// candidates) and everything downstream relies on a published sketch never
-// changing under a reader. Readers register on the published view for the
-// duration of the read (Acquire/Release); a refresh only ever writes the
-// OTHER view, and only when its readers — registered two generations ago —
-// have drained. The refreshed view is then published and the previously
-// published one becomes the spare. A spare that is still busy is left to
-// its reader and the garbage collector, and the refresh builds a fresh view
-// instead: a long read never blocks a refresh, a write, or another read.
+// Readers can be long (an exact top-K over 100k candidates) and everything
+// downstream relies on a published sketch never changing under a reader.
+// Readers register on the published view for the duration of the read
+// (Acquire/Release), and only under the pair's mutex, which a refresh
+// holds: a refresh that finds the published view unread owns it, brings it
+// forward in place and republishes it. One that finds it held brings the
+// spare — the view published before — forward instead and publishes that,
+// and one that finds both held builds a fresh view and leaves the old spare
+// to its reader and the garbage collector: a long read never blocks a
+// refresh, a write, or another read.
 //
 // Building a fresh view is the one fallback, taken when replay is
 // impossible — never wrong, only slow. Its causes are the Stats counters.
@@ -49,7 +50,7 @@ type View[S any] struct {
 
 	// readers counts reads in flight on this view. It only ever rises under
 	// Pair.mu on the published view, so a refresh (which holds the mutex)
-	// that finds the spare at zero owns it exclusively.
+	// that finds a view at zero owns it exclusively.
 	readers atomic.Int64
 }
 
@@ -65,10 +66,10 @@ func (v *View[S]) Release() { v.readers.Add(-1) }
 type Cause int
 
 const (
-	// Replayed is the non-cause: the spare was brought forward.
+	// Replayed is the non-cause: a resident view was brought forward.
 	Replayed Cause = iota - 1
-	First          // no second view yet: the pair's first two refreshes
-	Busy           // the spare still has readers
+	First          // no view yet: the pair's first refresh
+	Busy           // the published view has readers, and the spare too or there is none
 	Overflow       // a part's journal no longer reaches back to the view
 	Rotation       // engine: the window rotated since the view was merged
 	Import         // engine: ImportSketch published a new base
@@ -83,18 +84,19 @@ type Source[S any] interface {
 	// Current reports whether a view with stamp s may be served as it is.
 	// It runs on every read, under the pair's mutex.
 	Current(s *S) bool
-	// Refresh returns a view that is current as of the call. Given a spare
-	// it may bring it forward — folding into spare.Sk what the parts applied
-	// since spare.Stamp, and moving the stamp only together with what it
-	// folds in — and return it with Replayed and the number of edges folded
-	// in; or it builds a fresh view (Sk and Stamp set) and says why the
-	// spare would not do. spare is nil when there is nothing to bring
-	// forward, which the pair counts under its own causes (First, Busy).
-	// On error nothing is published and the spare stays what its stamp says.
-	Refresh(ctx context.Context, spare *View[S]) (v *View[S], cause Cause, edges int, err error)
+	// Refresh returns a view that is current as of the call. Given a view
+	// (the published one when no reader holds it) it may bring it forward —
+	// folding into from.Sk what the parts applied since from.Stamp, and
+	// moving the stamp only together with what it folds in — and return it
+	// with Replayed and the number of edges folded in; or it builds a fresh
+	// view (Sk and Stamp set) and says why from would not do. from is nil
+	// when there is nothing to bring forward, which the pair counts under its
+	// own causes (First, Busy). On error nothing is published and from stays
+	// exactly what its stamp says.
+	Refresh(ctx context.Context, from *View[S]) (v *View[S], cause Cause, edges int, err error)
 }
 
-// Pair is the left-right pair of resident views. The zero value is ready.
+// Pair is the resident view and its spare. The zero value is ready.
 type Pair[S any] struct {
 	// mu guards cur, spare and gen, and is held across a refresh: readers
 	// that arrive while one runs wait for it rather than each starting
@@ -102,8 +104,8 @@ type Pair[S any] struct {
 	mu         sync.Mutex
 	cur, spare *View[S]
 	gen        uint64
-	// rcache is the one recovered-sketch cache both views share (stamped by
-	// generation), so two resident views do not pin two sets of recovered
+	// rcache is the one recovered-sketch cache the views share (stamped by
+	// generation), so a spare does not pin a second set of recovered
 	// sketches.
 	rcache *poscache.Cache
 
@@ -132,21 +134,26 @@ func (p *Pair[S]) Acquire(ctx context.Context, src Source[S]) (*View[S], error) 
 	return v, nil
 }
 
-// refresh publishes a view that is current as of the call and retires the
-// previously published one to spare. Caller holds mu.
+// refresh publishes a view that is current as of the call: the published
+// view brought forward in place when no reader holds it, else the spare
+// brought forward or a fresh view, with the previously published view
+// retired to spare. Caller holds mu.
 func (p *Pair[S]) refresh(ctx context.Context, src Source[S]) (*View[S], error) {
-	spare, cause := p.spare, Replayed
+	from, cause := p.cur, Replayed
 	switch {
-	case spare == nil:
+	case from == nil:
 		cause = First
-	case spare.readers.Load() != 0:
-		spare, cause = nil, Busy
+	case from.readers.Load() == 0:
+	case p.spare == nil || p.spare.readers.Load() != 0:
+		from, cause = nil, Busy
+	default:
+		from = p.spare
 	}
-	v, why, edges, err := src.Refresh(ctx, spare)
+	v, why, edges, err := src.Refresh(ctx, from)
 	if err != nil {
 		return nil, err
 	}
-	if spare != nil {
+	if from != nil {
 		cause = why
 	}
 	if cause == Replayed {
@@ -161,7 +168,9 @@ func (p *Pair[S]) refresh(ctx context.Context, src Source[S]) (*View[S], error) 
 	p.gen++
 	v.gen = p.gen
 	v.Sk.ShareRecoveredCache(p.rcache, v.gen)
-	p.cur, p.spare = v, p.cur
+	if v != p.cur {
+		p.cur, p.spare = v, p.cur
+	}
 	return v, nil
 }
 
@@ -175,15 +184,13 @@ type Stats struct {
 	Replays       uint64 `json:"replays"`
 	ReplayedEdges uint64 `json:"replayed_edges"`
 	// The Rebuilds* fields count fresh views (a full re-merge in the engine,
-	// a gather of full exports in the gateway) by cause. Both tiers: no
-	// second view yet (the first two refreshes), a journal that no longer
-	// reached back to the view, a spare view still held by a reader. Engine:
-	// a window rotation, an ImportSketch. Gateway: a backend whose epoch
+	// a gather of full exports in the gateway) by cause. Both tiers: no view
+	// yet (the first refresh), a journal that no longer reached back to the
+	// view, a published view held by a reader with no free spare. Engine: a
+	// window rotation, an ImportSketch. Gateway: a backend whose epoch
 	// changed (it restarted, imported or rotated), a new ring version, a
-	// backend without the delta export. After every cause but Busy and
-	// NoDelta the next refresh rebuilds for the same reason once more, to
-	// bring the other view back; a backend without the delta export costs a
-	// rebuild on every refresh.
+	// backend without the delta export, which costs a rebuild on every
+	// refresh.
 	RebuildsFirst    uint64 `json:"rebuilds_first"`
 	RebuildsOverflow uint64 `json:"rebuilds_overflow"`
 	RebuildsRotation uint64 `json:"rebuilds_rotation"`

@@ -249,8 +249,8 @@ func TestStatsSnapshotOnWire(t *testing.T) {
 	if want := eng.SnapshotStats(); *got != want {
 		t.Fatalf("snapshot on the wire %+v, in-process %+v", *got, want)
 	}
-	if got.RebuildsFirst != 2 || got.Replays != 1 || got.ReplayedEdges != 80 {
-		t.Fatalf("three reads after writes should be two first re-merges and one 80-edge replay: %+v", *got)
+	if got.RebuildsFirst != 1 || got.Replays != 2 || got.ReplayedEdges != 80 || got.Rebuilds() != 1 {
+		t.Fatalf("three reads after writes should be one first re-merge and two 40-edge replays: %+v", *got)
 	}
 
 	plain := httptest.NewServer(server.New(vos.NewSketchService(vos.MustNew(testEngineConfig().Sketch)), server.Options{}))
