@@ -255,7 +255,7 @@ func (c *Client) Ingest(ctx context.Context, edges []vos.Edge) error {
 // refuses it whole, before the first request.
 //
 // span is where the edges landed when every request came back with a span
-// (vos.DeltaExporter) chaining on from the one before; empty otherwise.
+// (vos.StateSync) chaining on from the one before; empty otherwise.
 func (c *Client) Send(ctx context.Context, edges []vos.Edge) (acked int, span vos.SketchSpan, err error) {
 	if err := stream.CheckUsers(edges); err != nil {
 		return 0, span, err

@@ -14,23 +14,19 @@ import (
 
 // ExportSketch implements vos.StateExporter over GET /v1/cluster/sketch:
 // the remote service's complete serialized state (core wire format, as
-// vos.Unmarshal reads). It is a read, so it retries per the client's
-// RetryPolicy.
+// vos.Unmarshal reads) — ExportSince's answer to an empty cursor. It is a
+// read, so it retries per the client's RetryPolicy.
 func (c *Client) ExportSketch(ctx context.Context) ([]byte, error) {
-	var data []byte
-	err := c.retry(ctx, func() (err error) {
-		data, _, err = c.call(ctx, http.MethodGet, server.RouteClusterSketch, "", nil)
-		return err
-	})
-	return data, err
+	d, _, err := c.ExportSince(ctx, "")
+	return d.Full, err
 }
 
 // ExportSince is ExportSketch for a caller that keeps its own merged view of
-// the remote state (the cluster gateway): GET /v1/cluster/sketch?since=, the
-// wire form of vos.DeltaExporter. The answer is the edges applied since the
-// cursor, or the full state — when since is empty, when the remote cannot
-// serve the cursor (Fallback says why), or, with an empty Cursor, when the
-// remote does not offer the delta export at all and will answer in full
+// the remote state (the cluster gateway): GET /v1/cluster/sketch?since=,
+// the wire form of vos.StateSync.ExportSince. The answer is the edges applied
+// since the cursor, or the full state — when since is empty, when the remote
+// cannot serve the cursor (Fallback says why), or, with an empty Cursor, when
+// the remote does not offer the delta export at all and will answer in full
 // every time. n is the size of the response body. The remote changes
 // nothing to answer, so like every read this retries per the RetryPolicy.
 func (c *Client) ExportSince(ctx context.Context, since string) (d vos.SketchDelta, n int, err error) {
@@ -70,7 +66,7 @@ func decodeSketchDelta(body []byte, cursor, fallback string) (vos.SketchDelta, e
 	return d, nil
 }
 
-// ImportSketch implements vos.StateImporter over POST /v1/cluster/import.
+// ImportSketch is vos.StateSync.ImportSketch over POST /v1/cluster/import.
 // Like every write it is NEVER retried: sketch state is parity, so a
 // duplicate import XOR-cancels the first — an ambiguous outcome must be
 // resolved by the handoff coordinator (fresh target), not by resending.
@@ -78,11 +74,8 @@ func (c *Client) ImportSketch(ctx context.Context, data []byte) error {
 	return c.do(ctx, http.MethodPost, server.RouteClusterImport, server.ContentTypeBinary, data, nil)
 }
 
-// Compile-time checks: the HTTP client is a full state-transfer peer.
-var (
-	_ vos.StateExporter = (*Client)(nil)
-	_ vos.StateImporter = (*Client)(nil)
-)
+// Compile-time check: the HTTP client serves as a full-export source.
+var _ vos.StateExporter = (*Client)(nil)
 
 // ClusterClient speaks to a vosgw gateway. The embedded Client provides
 // the whole vos.SimilarityService surface (the gateway serves the same

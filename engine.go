@@ -87,7 +87,7 @@ const (
 	SketchFallbackEpoch   = engine.FallbackEpoch
 )
 
-// ErrBadCursor is returned by Engine.ExportSince (and the DeltaExporter
+// ErrBadCursor is returned by Engine.ExportSince (and the StateSync
 // service extension) for a cursor no engine ever issued.
 var ErrBadCursor = engine.ErrBadCursor
 

@@ -36,10 +36,10 @@ type Options struct {
 
 // Gateway is the vosgw routing tier: one instance fans ingest to the
 // ring's backends by user shard and answers every read from the XOR-merge
-// of their sketches. It implements vos.SimilarityService (plus the
-// Checkpointer, StateExporter, PartialTopK and SnapshotReporter extensions), so
-// server.New serves it exactly as it serves an engine — the cluster
-// speaks the same /v1/ API as a single node.
+// of their sketches. It implements vos.SimilarityService, the Checkpointer,
+// PartialTopK and SnapshotReporter extensions and, of state transfer,
+// StateExporter only (no StateSync), so server.New serves it exactly as it
+// serves an engine — the cluster speaks the same /v1/ API as a single node.
 //
 // Parity model: VOS state is pure parity, so for ANY partition of the
 // stream the XOR of the parts' sketches equals the sketch of the whole.

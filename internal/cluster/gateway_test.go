@@ -310,7 +310,8 @@ func TestGatewayHandoffRacingIngest(t *testing.T) {
 
 // TestGatewayHandoffRejects pins the membership guardrails: out-of-range
 // shards, malformed targets, and — the parity-critical one — targets
-// already in the ring (whose state a second merge would XOR-cancel).
+// already in the ring (whose state a second merge would XOR-cancel). A
+// windowed target refuses the import, and its 501 reaches the caller.
 func TestGatewayHandoffRejects(t *testing.T) {
 	gw, backends := newTestCluster(t, 2, Options{})
 	ctx := context.Background()
@@ -322,6 +323,12 @@ func TestGatewayHandoffRejects(t *testing.T) {
 	}
 	if _, err := gw.Handoff(ctx, 0, backends[1].URL()); !errors.Is(err, ErrBadRing) {
 		t.Fatalf("in-ring target: want ErrBadRing, got %v", err)
+	}
+	win := newDiffBackend(t, &vos.WindowConfig{Buckets: 2, BucketDuration: time.Hour})
+	if _, err := gw.Handoff(ctx, 0, win.ts.URL); err == nil {
+		t.Fatal("handoff to a windowed target succeeded")
+	} else if status, code := server.StatusFor(err); status != http.StatusNotImplemented || code != server.CodeUnsupported {
+		t.Fatalf("windowed target: %d %s (%v), want 501 %s", status, code, err, server.CodeUnsupported)
 	}
 	if ring := gw.Ring(); ring.Version != 1 {
 		t.Fatalf("failed handoffs must not bump the ring: version %d", ring.Version)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/vossketch/vos/internal/core"
@@ -31,13 +32,14 @@ import (
 //
 // Importing the same state twice XOR-cancels it — parity state has no
 // idempotent union. Callers coordinating a handoff must not retry a
-// completed import against the same target (see internal/cluster).
+// completed import against the same target (see internal/cluster). A
+// windowed engine refuses it with an error wrapping errors.ErrUnsupported.
 func (e *Engine) ImportSketch(data []byte) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	if e.cfg.Window != nil {
-		return fmt.Errorf("engine: ImportSketch is not supported on windowed engines: a flat sketch carries no bucket attribution to retire")
+		return fmt.Errorf("engine: ImportSketch on a windowed engine: %w: a flat sketch carries no bucket attribution to retire", errors.ErrUnsupported)
 	}
 	imported, err := core.UnmarshalVOS(data)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	neturl "net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
@@ -209,40 +210,158 @@ func TestClusterSketchSince(t *testing.T) {
 	}
 }
 
-// TestClusterRoutesUnsupported: a service without the state-transfer
-// interfaces answers 501 unsupported on both handoff routes — the probe
-// contract every optional capability follows.
+// exportOnly is a service decorator of the kind that hides optional
+// interfaces: it forwards the base service and the full export only, which
+// makes the engine behind it look like a vosd that predates ?since=.
+type exportOnly struct{ vos.SimilarityService }
+
+func (s exportOnly) ExportSketch(ctx context.Context) ([]byte, error) {
+	return s.SimilarityService.(vos.StateExporter).ExportSketch(ctx)
+}
+
+// TestClusterRoutesUnsupported pins the state-transfer capability matrix,
+// one row per kind of service: what GET /v1/cluster/sketch answers, with
+// and without ?since=, what POST /v1/cluster/import answers, and whether a
+// POST /v1/edges answer carries the batch's span. A missing capability is
+// 501 unsupported — the probe contract every optional capability follows —
+// and so is one the instance cannot deliver (a windowed engine's import).
 func TestClusterRoutesUnsupported(t *testing.T) {
-	sk, err := vos.New(vos.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 3})
+	const (
+		none   = iota // 501 unsupported
+		full          // the full sketch, no cursor, with or without ?since=
+		delta         // a cursor, and a VOSSTRM1 body to ?since=<cursor>
+		unseen        // not checked
+	)
+	cfg := testEngineConfig()
+	engine := func(t *testing.T, window bool) *vos.Engine {
+		c := cfg
+		if window {
+			c.Window = &vos.WindowConfig{Buckets: 3, BucketDuration: time.Hour}
+		}
+		eng, err := vos.NewEngine(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	rows := []struct {
+		name   string
+		svc    func(t *testing.T) (vos.SimilarityService, *vos.Engine)
+		export int
+		imp    int // status of a well-formed import
+		span   int // none, delta (both span headers) or unseen
+	}{
+		{"sketch service", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
+			return vos.NewSketchService(vos.MustNew(cfg.Sketch)), nil
+		}, none, http.StatusNotImplemented, none},
+		{"export-only decorator", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
+			eng := engine(t, false)
+			return exportOnly{vos.NewEngineService(eng)}, eng
+		}, full, http.StatusNotImplemented, none},
+		{"engine service", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
+			eng := engine(t, false)
+			return vos.NewEngineService(eng), eng
+		}, delta, http.StatusOK, delta},
+		{"windowed engine service", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
+			eng := engine(t, true)
+			return vos.NewEngineService(eng), eng
+		}, unseen, http.StatusNotImplemented, unseen},
+	}
+	other := vos.MustNew(cfg.Sketch)
+	other.ProcessBatch(feasibleStream(50, 80, 0, 47))
+	state, err := other.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(vos.NewSketchService(sk), server.Options{}))
-	t.Cleanup(ts.Close)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			svc, eng := row.svc(t)
+			ts := httptest.NewServer(server.New(svc, server.Options{}))
+			t.Cleanup(ts.Close)
+			do := func(method, path, contentType string, body []byte) (*http.Response, []byte) {
+				t.Helper()
+				req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if contentType != "" {
+					req.Header.Set("Content-Type", contentType)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				data, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp, data
+			}
+			unsupported := func(what string, resp *http.Response, body []byte) {
+				t.Helper()
+				var env server.ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusNotImplemented || env.Error.Code != server.CodeUnsupported {
+					t.Fatalf("%s: status %d body %s, want 501 %s", what, resp.StatusCode, body, server.CodeUnsupported)
+				}
+			}
 
-	resp, err := http.Get(ts.URL + server.RouteClusterSketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env server.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented || env.Error.Code != server.CodeUnsupported {
-		t.Fatalf("sketch export on non-exporter: status %d code %q", resp.StatusCode, env.Error.Code)
-	}
+			resp, body := do(http.MethodPost, server.RouteEdges, server.ContentTypeJSON, []byte(`[{"user":1,"item":10},{"user":2,"item":10}]`))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest: status %d body %s", resp.StatusCode, body)
+			}
+			before, after := resp.Header.Get(server.HeaderSketchBefore), resp.Header.Get(server.HeaderSketchCursor)
+			switch row.span {
+			case none:
+				if before != "" || after != "" {
+					t.Fatalf("ingest answer carries a span %q..%q", before, after)
+				}
+			case delta:
+				if before == "" || after == "" {
+					t.Fatalf("ingest answer carries the span %q..%q, want both ends", before, after)
+				}
+			}
 
-	resp, err = http.Post(ts.URL+server.RouteClusterImport, server.ContentTypeBinary, strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented || env.Error.Code != server.CodeUnsupported {
-		t.Fatalf("sketch import on non-importer: status %d code %q", resp.StatusCode, env.Error.Code)
+			switch row.export {
+			case none:
+				resp, body = do(http.MethodGet, server.RouteClusterSketch, "", nil)
+				unsupported("sketch export", resp, body)
+			case full:
+				want, err := eng.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := eng.ExportSince("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range []string{"", "?since=" + neturl.QueryEscape(d.Cursor)} {
+					resp, body = do(http.MethodGet, server.RouteClusterSketch+q, "", nil)
+					if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) || resp.Header.Get(server.HeaderSketchCursor) != "" {
+						t.Fatalf("export%s: status %d, body equals the full sketch: %v, cursor %q; want the full sketch and no cursor",
+							q, resp.StatusCode, bytes.Equal(body, want), resp.Header.Get(server.HeaderSketchCursor))
+					}
+				}
+			case delta:
+				resp, _ = do(http.MethodGet, server.RouteClusterSketch, "", nil)
+				cursor := resp.Header.Get(server.HeaderSketchCursor)
+				if resp.StatusCode != http.StatusOK || cursor == "" {
+					t.Fatalf("export: status %d cursor %q, want a cursor", resp.StatusCode, cursor)
+				}
+				resp, body = do(http.MethodGet, server.RouteClusterSketch+"?since="+neturl.QueryEscape(cursor), "", nil)
+				if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, []byte("VOSSTRM1")) {
+					t.Fatalf("export since the cursor: status %d, body %.8q; want a VOSSTRM1 body", resp.StatusCode, body)
+				}
+			}
+
+			resp, body = do(http.MethodPost, server.RouteClusterImport, server.ContentTypeBinary, state)
+			if row.imp == http.StatusNotImplemented {
+				unsupported("sketch import", resp, body)
+			} else if resp.StatusCode != row.imp {
+				t.Fatalf("sketch import: status %d body %s, want %d", resp.StatusCode, body, row.imp)
+			}
+		})
 	}
 }
 

@@ -35,9 +35,9 @@ const (
 	RouteMetrics     = "/v1/metrics"     // GET per-endpoint counters
 
 	// Backend-side cluster state-transfer routes, served when the backing
-	// service implements vos.StateExporter / vos.StateImporter (an
-	// engine-backed vosd does; 501 otherwise). The gateway uses them for
-	// scatter-gather queries and shard handoff.
+	// service implements vos.StateSync (an engine-backed vosd does) or, for
+	// the export alone, vos.StateExporter; 501 otherwise. The gateway uses
+	// them for scatter-gather queries and shard handoff.
 	RouteClusterSketch = "/v1/cluster/sketch" // GET [?since=cursor]: serialized engine state, or the edges since the cursor (binary)
 	RouteClusterImport = "/v1/cluster/import" // POST: merge serialized state (handoff target)
 )
@@ -58,7 +58,7 @@ const (
 const HeaderPartial = "X-Vos-Partial"
 
 // HeaderSketchCursor, on a GET /v1/cluster/sketch response from a backend
-// that offers the delta export (vos.DeltaExporter), names the state the
+// that offers the delta export (vos.StateSync), names the state the
 // caller holds once it has applied the body: send it back as ?since= to
 // get only what was applied in between. Its absence tells a gateway the
 // backend can only ever answer in full. HeaderSketchFallback is set when a
@@ -410,8 +410,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var span vos.SketchSpan
-	if de, ok := s.svc.(vos.DeltaExporter); ok {
-		span, err = de.IngestSpan(r.Context(), edges)
+	if ss, ok := s.svc.(vos.StateSync); ok {
+		span, err = ss.IngestSpan(r.Context(), edges)
 	} else {
 		err = s.svc.Ingest(r.Context(), edges)
 	}
@@ -858,8 +858,8 @@ const MaxSketchBytes = 1 << 30
 // export ignores since, as a vosd that predates it does.
 func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 	var data []byte
-	if de, ok := s.svc.(vos.DeltaExporter); ok {
-		d, err := de.ExportSince(r.Context(), r.URL.Query().Get("since"))
+	if ss, ok := s.svc.(vos.StateSync); ok {
+		d, err := ss.ExportSince(r.Context(), r.URL.Query().Get("since"))
 		if err != nil {
 			WriteServiceError(w, err)
 			return
@@ -893,7 +893,7 @@ func (s *Server) handleClusterSketch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
-	imp, ok := s.svc.(vos.StateImporter)
+	ss, ok := s.svc.(vos.StateSync)
 	if !ok {
 		WriteError(w, http.StatusNotImplemented, CodeUnsupported, "backing service does not import sketch state")
 		return
@@ -908,7 +908,7 @@ func (s *Server) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, err)
 		return
 	}
-	if err := imp.ImportSketch(r.Context(), data); err != nil {
+	if err := ss.ImportSketch(r.Context(), data); err != nil {
 		WriteServiceError(w, err)
 		return
 	}
@@ -1019,9 +1019,10 @@ func StatusFor(err error) (int, string) {
 		// A memory-only engine satisfies Checkpointer but cannot deliver:
 		// the capability, not the instance, is missing.
 		return http.StatusNotImplemented, CodeUnsupported
-	case errors.Is(err, vos.ErrNoANN):
-		// Same shape for approximate top-K: an engine-backed service
-		// satisfies ApproxTopK, but the engine has no band index.
+	case errors.Is(err, vos.ErrNoANN), errors.Is(err, errors.ErrUnsupported):
+		// Same shape for approximate top-K (an engine-backed service
+		// satisfies ApproxTopK, but the engine has no band index) and for
+		// an import into a windowed engine.
 		return http.StatusNotImplemented, CodeUnsupported
 	case errors.Is(err, vos.ErrOutsideWindow):
 		// Well-formed but unanswerable: the requested instant's edges have

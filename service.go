@@ -111,7 +111,7 @@ type ApproxTopK interface {
 // half of a cluster shard handoff and what the gateway merges — pair
 // estimates depend on the merged array's global fill, so a cluster query
 // is answered from the XOR-merge of every backend's state (kept current by
-// DeltaExporter where the backend offers it, gathered in full through this
+// StateSync where the backend offers it, gathered in full through this
 // interface where it does not). GET /v1/cluster/sketch probes for it.
 type StateExporter interface {
 	// ExportSketch returns the serialized state covering every edge
@@ -119,13 +119,16 @@ type StateExporter interface {
 	ExportSketch(ctx context.Context) ([]byte, error)
 }
 
-// DeltaExporter is the incremental form of StateExporter, for readers that
-// keep their own merged view of the state (the cluster gateway): they hold
-// a cursor from the last answer and fetch the change, not the state, and
-// fold in their own writes. GET /v1/cluster/sketch and POST /v1/edges probe
-// for it; a service without it is served by ExportSketch every time — never
-// wrong, only slow.
-type DeltaExporter interface {
+// StateSync is the whole state-transfer protocol of a service whose state
+// is pure parity: the full export, the change since a cursor for readers
+// that keep their own merged view (the cluster gateway: it holds a cursor
+// from the last answer, fetches the change, not the state, and folds in its
+// own writes), a write that says where it landed, and the import that
+// receives a shard handoff. GET /v1/cluster/sketch, POST /v1/edges and POST
+// /v1/cluster/import probe for it; a service with only StateExporter is
+// exported in full every time — never wrong, only slow.
+type StateSync interface {
+	StateExporter
 	// ExportSince returns the edges applied since the state the cursor
 	// names — or the full serialized state when since is empty or no journal
 	// connects it to the present — covering every edge acknowledged before
@@ -136,15 +139,10 @@ type DeltaExporter interface {
 	// IngestSpan is Ingest that also says where the edges landed (empty when
 	// that cannot be told).
 	IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error)
-}
-
-// StateImporter is the receiving half of a shard handoff: ImportSketch
-// XOR-merges a serialized sketch into the implementation's state (and, on
-// a durable engine, checkpoints before acknowledging — the imported edges
-// exist in no local WAL record). Importing the same state twice cancels
-// it; callers must not retry a completed import against the same target.
-// POST /v1/cluster/import probes for it.
-type StateImporter interface {
+	// ImportSketch XOR-merges a serialized sketch into the state (and, on a
+	// durable engine, checkpoints before acknowledging — the imported edges
+	// exist in no local WAL record). Importing the same state twice cancels
+	// it; callers must not retry a completed import against the same target.
 	ImportSketch(ctx context.Context, data []byte) error
 }
 
@@ -278,7 +276,7 @@ func (s *engineService) ExportSketch(ctx context.Context) ([]byte, error) {
 	return s.e.MarshalBinary()
 }
 
-// ExportSince implements DeltaExporter (see Engine.ExportSince).
+// ExportSince implements StateSync (see Engine.ExportSince).
 func (s *engineService) ExportSince(ctx context.Context, since string) (SketchDelta, error) {
 	if err := ctx.Err(); err != nil {
 		return SketchDelta{}, err
@@ -286,7 +284,7 @@ func (s *engineService) ExportSince(ctx context.Context, since string) (SketchDe
 	return s.e.ExportSince(since)
 }
 
-// IngestSpan implements DeltaExporter (see Engine.ProcessBatchSpan).
+// IngestSpan implements StateSync (see Engine.ProcessBatchSpan).
 func (s *engineService) IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error) {
 	if err := ctx.Err(); err != nil {
 		return SketchSpan{}, err
@@ -294,7 +292,7 @@ func (s *engineService) IngestSpan(ctx context.Context, edges []Edge) (SketchSpa
 	return s.e.ProcessBatchSpan(edges)
 }
 
-// ImportSketch implements StateImporter (see Engine.ImportSketch for the
+// ImportSketch implements StateSync (see Engine.ImportSketch for the
 // merge, durability, and double-import semantics).
 func (s *engineService) ImportSketch(ctx context.Context, data []byte) error {
 	if err := ctx.Err(); err != nil {

@@ -132,7 +132,7 @@ func ParseHashFamily(s string) (HashFamily, error) { return hashing.ParseKind(s)
 var ErrFamilyMismatch = core.ErrFamilyMismatch
 
 // ErrCorruptSketch reports serialized sketch bytes that do not decode:
-// every Unmarshal (and StateImporter.ImportSketch) failure on malformed
+// every Unmarshal (and StateSync.ImportSketch) failure on malformed
 // input wraps it. Use errors.Is to detect it.
 var ErrCorruptSketch = core.ErrCorrupt
 
