@@ -245,29 +245,57 @@ func BenchmarkWindowedIngest(b *testing.B) {
 }
 
 // BenchmarkWindowRotate measures retiring one bucket at paper scale
-// (m=2^24, B=8): the retired bucket is XOR-ed out of the merged view and
-// the last rotation's base, the closing bucket derived into its storage, and
-// base caught up — five array passes, a reset and a walk of the window's
-// live counters, independent of how many edges the buckets absorbed. Each
-// iteration refills the current bucket (untimed) and times only the
-// rotation.
+// (m=2^24, B=8) and at the shape of one udp-window-ann shard (m=2^20, B=4,
+// k=1600, the fast family, a bucket of 32,768 edges over 368 users). A
+// rotation is one pass over the three arrays it changes — merged and base
+// lose the retired bucket, whose storage takes the closing one — a walk of
+// the retired bucket's counters, the closing bucket's counters derived from
+// merged's and base's, and merged's table copied into base's; independent of
+// how many edges the buckets absorbed. 2·B rotations before the timer starts
+// grow every table, after which a rotation allocates nothing. Each iteration
+// refills the current bucket (untimed) and times only the rotation.
 func BenchmarkWindowRotate(b *testing.B) {
-	edges := ingestStream(b)
-	w, err := vos.NewWindowed(ingestConfig(), 8, time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const fill = 50_000
-	pos := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := 0; j < fill; j++ {
-			w.Process(edges[pos%len(edges)])
-			pos++
-		}
-		b.StartTimer()
-		w.Rotate()
+	p := gen.YouTube
+	p.Users = 368
+	p.Items = 1 << 14
+	p.Edges = 4 * 32_768
+	base := gen.Bipartite(p, 7)
+	udp := gen.Dynamize(base, gen.PaperDynamize(len(base), 8))
+	for _, c := range []struct {
+		name    string
+		cfg     vos.Config
+		buckets int
+		edges   []vos.Edge
+		fill    int
+	}{
+		{"m=2^24,B=8", ingestConfig(), 8, ingestStream(b), 50_000},
+		{"udp-window-ann", vos.Config{MemoryBits: 1 << 20, SketchBits: 1600, Seed: 1, Family: vos.FamilyFast}, 4, udp, 32_768},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w, err := vos.NewWindowed(c.cfg, c.buckets, time.Hour)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pos := 0
+			refill := func() {
+				for j := 0; j < c.fill; j++ {
+					w.Process(c.edges[pos%len(c.edges)])
+					pos++
+				}
+			}
+			for i := 0; i < 2*c.buckets; i++ {
+				refill()
+				w.Rotate()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				refill()
+				b.StartTimer()
+				w.Rotate()
+			}
+		})
 	}
 }
 

@@ -156,6 +156,26 @@ func (b *Bitset) Xor(o *Bitset) {
 	b.ones = ones
 }
 
+// Slide is a sliding window's rotation over its three arrays in one pass:
+// merged and base both become merged ⊕ retired (the retired bucket XOR-ed
+// out), and retired becomes merged ⊕ base, the bucket that closes. Each
+// keeps its ones count. All three must have the same length.
+func Slide(merged, base, retired *Bitset) {
+	if merged.n != base.n || merged.n != retired.n {
+		panic("bitset: length mismatch in Slide")
+	}
+	mw := merged.words
+	bw, rw := base.words[:len(mw)], retired.words[:len(mw)]
+	var mOnes, rOnes uint64
+	for i, m := range mw {
+		x, y := m^rw[i], m^bw[i]
+		mw[i], bw[i], rw[i] = x, x, y
+		mOnes += uint64(bits.OnesCount64(x))
+		rOnes += uint64(bits.OnesCount64(y))
+	}
+	merged.ones, base.ones, retired.ones = mOnes, mOnes, rOnes
+}
+
 // XorCount returns the number of positions where b and o differ (the
 // popcount of b XOR o) without materialising the XOR. Both bitsets must have
 // the same length.

@@ -150,6 +150,32 @@ func TestXorCountMatchesXor(t *testing.T) {
 	}
 }
 
+// TestSlideMatchesXor holds Slide to the three Xor steps it fuses: merged
+// and base lose retired, and retired becomes the old merged ⊕ base, every
+// ones count kept.
+func TestSlideMatchesXor(t *testing.T) {
+	err := quick.Check(func(ms, bs, rs []uint16) bool {
+		const n = 257
+		fill := func(xs []uint16) *Bitset {
+			b := New(n)
+			for _, x := range xs {
+				b.Flip(uint64(x) % n)
+			}
+			return b
+		}
+		m, b, r := fill(ms), fill(bs), fill(rs)
+		wantM, wantR := m.Clone(), m.Clone()
+		wantM.Xor(r)
+		wantR.Xor(b)
+		Slide(m, b, r)
+		same := func(got, want *Bitset) bool { return got.Equal(want) && got.Count() == want.Count() }
+		return same(m, wantM) && same(b, wantM) && same(r, wantR)
+	}, nil)
+	if err != nil {
+		t.Error(err)
+	}
+}
+
 func TestXorSelfIsZero(t *testing.T) {
 	b := New(500)
 	for i := uint64(0); i < 500; i += 3 {
@@ -259,6 +285,8 @@ func TestPanicsOutOfRange(t *testing.T) {
 		"flip":          func() { b.Flip(10) },
 		"xor mismatch":  func() { b.Xor(New(11)) },
 		"xorcount":      func() { b.XorCount(New(11)) },
+		"slide base":    func() { Slide(b, New(11), New(10)) },
+		"slide retired": func() { Slide(b, New(10), New(11)) },
 		"zero-size new": func() { New(0) },
 	} {
 		func() {

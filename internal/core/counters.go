@@ -192,3 +192,14 @@ func (t *counters) clear() {
 	clear(t.slots)
 	t.live = 0
 }
+
+// copyFrom makes t hold src's entries, slot for slot: a copy, not a rehash.
+// t's storage is reused when it can hold src's slots.
+func (t *counters) copyFrom(src *counters) {
+	if cap(t.slots) < len(src.slots) {
+		t.slots = make([]counterSlot, len(src.slots))
+	}
+	t.slots = t.slots[:len(src.slots)]
+	copy(t.slots, src.slots)
+	t.mask, t.live, t.seed = src.mask, src.live, src.seed
+}

@@ -16,12 +16,14 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/vossketch/vos/internal/bitset"
 	"github.com/vossketch/vos/internal/stream"
 )
 
 // Window is a sliding-window VOS: the live merged view covering the last B
 // bucket intervals (B−1 closed buckets and the current, still-filling one),
-// the closed buckets' sub-sketches, and base, their XOR-merge — B+1 arrays.
+// the closed buckets' sub-sketches, and base, their XOR-merge — B+1 arrays,
+// of which a rotation rewrites three in one pass (Rotate).
 // Like VOS it is not safe for concurrent mutation — the engine wraps
 // per-shard windows in its own locking; read-only access to Merged follows
 // the VOS rules.
@@ -143,8 +145,22 @@ func (w *Window) Bucket(k int) *VOS {
 // derive overwrites dst with the current bucket, merged ⊕ base.
 func (w *Window) derive(dst *VOS) {
 	dst.Reset()
-	dst.fold(w.merged, 1)
-	dst.fold(w.base, -1)
+	dst.arr.Xor(w.merged.arr)
+	dst.arr.Xor(w.base.arr)
+	w.deriveCounters(&dst.card)
+}
+
+// deriveCounters fills the empty table dst with the current bucket's
+// counters, merged's minus base's, sized once for merged's users as a fold
+// into an empty sketch is.
+func (w *Window) deriveCounters(dst *counters) {
+	dst.reserve(w.merged.card.live)
+	for u, c := range w.merged.card.all {
+		dst.bump(u, c)
+	}
+	for u, c := range w.base.card.all {
+		dst.bump(u, -c)
+	}
 }
 
 // MergeBucket folds src into the k-th oldest bucket and the merged view (and
@@ -170,21 +186,31 @@ func (w *Window) Process(e stream.Edge) { w.merged.Process(e) }
 // VOS.ProcessBatch on the merged view.
 func (w *Window) ProcessBatch(edges []stream.Edge) { w.merged.ProcessBatch(edges) }
 
-// Rotate retires the oldest bucket and opens a fresh current one: the
-// retired bucket is XOR-ed back out of the merged view and base, the closing
-// bucket is derived into the storage it freed, and base catches up with the
-// merged view — five O(m/64) array passes plus a walk of the window's live
-// counters, independent of how many edges the buckets absorbed. The
-// window's end advances by one bucket duration.
+// Rotate retires the oldest bucket and opens a fresh current one. With m, b
+// and o the merged, base and retired arrays, one pass writes m ⊕ o (the
+// retired bucket XOR-ed out) to merged and base and m ⊕ b, the closing
+// bucket, to o's storage (bitset.Slide). The counters follow: one walk of
+// the retired bucket's entries takes them out of merged and base, the
+// closing bucket's are derived from the two into its own cleared table, and
+// base's table becomes a copy of merged's. The cost is independent of how
+// many edges the buckets absorbed, and nothing is allocated once the tables
+// have grown. The window's end advances by one bucket duration.
 func (w *Window) Rotate() {
 	if len(w.closed) == 0 {
 		w.merged.Reset() // B = 1: the current bucket is the whole window
 	} else {
-		old := w.closed[w.oldest]
-		w.merged.fold(old, -1)
-		w.base.fold(old, -1)
-		w.derive(old)
-		w.base.fold(old, 1) // base = merged
+		m, b, old := w.merged, w.base, w.closed[w.oldest]
+		m.version++ // invalidates every cached recovered sketch
+		b.version++
+		old.version++
+		bitset.Slide(m.arr, b.arr, old.arr)
+		for u, c := range old.card.all {
+			m.card.bump(u, -c)
+			b.card.bump(u, -c)
+		}
+		old.card.clear()
+		w.deriveCounters(&old.card)
+		b.card.copyFrom(&m.card) // base = merged
 		w.oldest = (w.oldest + 1) % len(w.closed)
 	}
 	w.endNS += w.bucketNS

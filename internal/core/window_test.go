@@ -102,12 +102,26 @@ func (m bucketModel) merged() *VOS {
 	return out
 }
 
+// mustEqualState asserts what the serialized bytes do not carry: the array's
+// ones count (Beta, recomputed on unmarshal) and the live user count.
+func mustEqualState(t *testing.T, got, want *VOS, msg string) {
+	t.Helper()
+	if got.Beta() != want.Beta() || got.Users() != want.Users() {
+		t.Fatalf("%s: beta %v, users %d; want beta %v, users %d",
+			msg, got.Beta(), got.Users(), want.Beta(), want.Users())
+	}
+}
+
 // TestWindowMatchesBucketModel drives a window and the bucket model through
 // one seeded mix of every window operation — single and block writes (block
 // sizes around blockLen), rotations, clock jumps across 0, 1, B and B+3
 // boundaries, a bucket merge into each k in turn, and a serialization round
 // trip — and after each one requires every bucket and the merged view to
-// serialize as the model's do, and Merged() to keep its pointer.
+// serialize as the model's do, with the model's Beta and Users, and Merged()
+// to keep its pointer. One pair is queried on the merged view before each op,
+// so that its recovered sketch sits in the cache, and again after it: the
+// answer must be the model's, which a write that leaves the cache stale
+// would not give.
 func TestWindowMatchesBucketModel(t *testing.T) {
 	for _, fam := range []hashing.Kind{hashing.KindClassic, hashing.KindFast} {
 		cfg := winTestCfg
@@ -123,7 +137,9 @@ func TestWindowMatchesBucketModel(t *testing.T) {
 				model[k] = MustNew(cfg)
 			}
 			merged, nextMerge := w.Merged(), 0
+			const pu, pv = 1, 2
 			for op := 0; op < 200; op++ {
+				w.Merged().Query(pu, pv)
 				var what string
 				switch r.Intn(6) {
 				case 0:
@@ -186,15 +202,47 @@ func TestWindowMatchesBucketModel(t *testing.T) {
 				if w.Merged() != merged {
 					t.Fatalf("%s: Merged() changed pointer", msg)
 				}
-				mustEqualSketchBytes(t, w.Merged(), model.merged(), msg+": merged view")
+				want := model.merged()
+				mustEqualSketchBytes(t, w.Merged(), want, msg+": merged view")
+				mustEqualState(t, w.Merged(), want, msg+": merged view")
+				if got, want := w.Merged().Query(pu, pv), want.Query(pu, pv); got != want {
+					t.Fatalf("%s: cached query %+v, want %+v", msg, got, want)
+				}
 				for k := range model {
-					mustEqualSketchBytes(t, w.Bucket(k), model[k], fmt.Sprintf("%s: bucket %d", msg, k))
+					bucket := fmt.Sprintf("%s: bucket %d", msg, k)
+					mustEqualSketchBytes(t, w.Bucket(k), model[k], bucket)
+					mustEqualState(t, w.Bucket(k), model[k], bucket)
 				}
 			}
 			if nextMerge < buckets {
 				t.Fatalf("B=%d %v: the op mix merged into %d of %d buckets", buckets, fam, nextMerge, buckets)
 			}
 		}
+	}
+}
+
+// TestWindowRotateAllocations: once every table of a filled window has grown
+// to the window's users, a rotation allocates nothing — the sweep writes the
+// three arrays in place, the closing bucket's counters go into the retired
+// bucket's cleared table, and base's table is overwritten with merged's.
+func TestWindowRotateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	const buckets = 4
+	w, err := NewWindowAt(winTestCfg, buckets, time.Second, time.Unix(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k <= buckets; k++ { // the last rotation is the warm one
+		for i := 0; i < 400; i++ {
+			w.Process(winEdge(r))
+		}
+		w.Rotate()
+	}
+	if got := testing.AllocsPerRun(2*buckets, w.Rotate); got != 0 {
+		t.Fatalf("a rotation of a filled window made %.1f allocations, want 0", got)
 	}
 }
 
