@@ -1073,26 +1073,42 @@ func wireFixture(b *testing.B, cfg vos.EngineConfig, clOpts client.Options) (*vo
 // BenchmarkServerIngest measures acknowledged ingest through the full wire
 // path — client binary batching → HTTP → server decode → engine — in
 // ns/edge, the number to put beside BenchmarkEngineIngest's in-process
-// cost. One iteration ships one 512-edge batch synchronously (the client's
-// linger ticker is disabled so batch boundaries are deterministic).
+// cost. One iteration ships one batch synchronously (the client's linger
+// ticker is disabled so batch boundaries are deterministic). "memory" is a
+// memory-only engine taking 512-edge batches; "durable" is http-durable's
+// shape — the paper configuration for 640 users on 2 shards behind a WAL
+// that is not fsynced, 1,024-edge requests — where the log writes each
+// body's own bytes as its record (Engine.ProcessBatchSpan).
 func BenchmarkServerIngest(b *testing.B) {
-	const batch = 512
-	eng, cl, cleanup := wireFixture(b, vos.EngineConfig{
-		Sketch: vos.Config{MemoryBits: 1 << 24, SketchBits: 6400, Seed: 1},
-		Shards: 2,
-	}, client.Options{BatchSize: batch, Linger: -1})
+	b.Run("memory", func(b *testing.B) {
+		serverIngest(b, 512, 997, vos.EngineConfig{
+			Sketch: vos.Config{MemoryBits: 1 << 24, SketchBits: 6400, Seed: 1},
+			Shards: 2,
+		})
+	})
+	b.Run("durable", func(b *testing.B) {
+		serverIngest(b, 1024, 640, vos.EngineConfig{
+			Sketch:     vos.PaperConfig(640, 100, 2, 1),
+			Shards:     2,
+			Durability: &vos.DurabilityConfig{Dir: b.TempDir(), Sync: vos.SyncOff},
+		})
+	})
+}
+
+// serverIngest is one BenchmarkServerIngest case: b.N requests of batch
+// edges over users distinct users, each (user, item) pair new.
+func serverIngest(b *testing.B, batch, users int, cfg vos.EngineConfig) {
+	_, cl, cleanup := wireFixture(b, cfg, client.Options{BatchSize: batch, Linger: -1})
 	defer cleanup()
-	_ = eng
 	ctx := context.Background()
 	edges := make([]vos.Edge, batch)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range edges {
-			// Fresh (user, item) pairs per iteration keep the stream
-			// feasible-shaped without touching the timer.
 			edges[j] = vos.Edge{
-				User: vos.User(uint64(j) % 997),
-				Item: vos.Item(uint64(i)*batch + uint64(j)),
+				User: vos.User(j % users),
+				Item: vos.Item(i*batch + j),
 				Op:   vos.Insert,
 			}
 		}

@@ -224,7 +224,7 @@ func TestProcessBatchSpan(t *testing.T) {
 				}
 			}
 			defer func() { atCut = nil }()
-			span, err := e.ProcessBatchSpan(edges)
+			span, err := e.ProcessBatchSpan(edges, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

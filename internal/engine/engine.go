@@ -587,7 +587,7 @@ func (e *Engine) Process(ed stream.Edge) error {
 // (stream.ErrUserRange) if it names a user id the log's encoding cannot
 // carry. The slice stays the caller's: the engine keeps no reference to it,
 // and it may be reused as soon as ProcessBatch returns.
-func (e *Engine) ProcessBatch(edges []stream.Edge) error { return e.processBatch(edges, nil) }
+func (e *Engine) ProcessBatch(edges []stream.Edge) error { return e.processBatch(edges, nil, nil) }
 
 // Span says where one ProcessBatchSpan call's edges landed, in export cursors
 // (delta.go): a reader holding Before holds After once it has applied them.
@@ -595,12 +595,18 @@ func (e *Engine) ProcessBatch(edges []stream.Edge) error { return e.processBatch
 type Span struct{ Before, After string }
 
 // ProcessBatchSpan is ProcessBatch that also says where the edges landed.
-func (e *Engine) ProcessBatchSpan(edges []stream.Edge) (span Span, err error) {
-	return span, e.processBatch(edges, &span)
+// A non-nil encoded is the batch as a binary stream body carries it behind
+// the magic (stream.BinaryElements of the body the edges were decoded from):
+// a durable engine logs those bytes as the WAL record instead of encoding
+// the edges again (wal.Log.AppendEncoded). Nil encodes them. Either way the
+// bytes stay the caller's.
+func (e *Engine) ProcessBatchSpan(edges []stream.Edge, encoded []byte) (span Span, err error) {
+	return span, e.processBatch(edges, encoded, &span)
 }
 
-// processBatch is ProcessBatch, filling span when one is asked for.
-func (e *Engine) processBatch(edges []stream.Edge, span *Span) error {
+// processBatch is ProcessBatch, logging encoded when given and filling span
+// when one is asked for.
+func (e *Engine) processBatch(edges []stream.Edge, encoded []byte, span *Span) error {
 	e.maybeAdvance() // see Process
 	e.lifeMu.RLock() // see Process
 	defer e.lifeMu.RUnlock()
@@ -616,7 +622,7 @@ func (e *Engine) processBatch(edges []stream.Edge, span *Span) error {
 		// the shards (see durability.go).
 		e.walMu.RLock()
 		defer e.walMu.RUnlock()
-		if err := e.log.Append(edges); err != nil {
+		if err := e.log.AppendEncoded(edges, encoded); err != nil {
 			return err
 		}
 	}

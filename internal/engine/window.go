@@ -56,7 +56,9 @@ type WindowConfig struct {
 	BucketDuration time.Duration
 	// Now supplies the clock that drives rotation on untimestamped ingest
 	// and on queries. nil means time.Now. Tests inject a fake clock here
-	// for deterministic rotation.
+	// for deterministic rotation. It must be safe for concurrent use: the
+	// engine calls it from callers' goroutines and from its own background
+	// goroutine, which hands idle batches over every FlushInterval.
 	Now func() time.Time
 }
 

@@ -313,6 +313,12 @@ func DecodeBinaryInto(dst []Edge, data []byte) ([]Edge, error) {
 	return out, nil
 }
 
+// BinaryElements is a binary stream DecodeBinary accepted, less its magic:
+// the uvarint element count and the elements, the WAL record payload's shape
+// (internal/wal), so that the body can be logged as it came instead of
+// encoded again.
+func BinaryElements(data []byte) []byte { return data[len(binaryMagic):] }
+
 // writeChunk is how many elements WriteBinary encodes between writes: the
 // encode buffer stays a few hundred KiB however long the stream is.
 const writeChunk = 1 << 14

@@ -20,7 +20,9 @@
 //	u32 LE payload length | u32 LE CRC-32C of payload | payload
 //
 // where the payload is a uvarint edge count followed by count edges in the
-// stream binary-codec shape — uvarint (user<<1 | opBit), uvarint item. The
+// stream binary-codec shape — uvarint (user<<1 | opBit), uvarint item: a
+// binary stream body behind its magic, which is how AppendEncoded logs one
+// byte for byte (varints the encoder would have made shorter included). The
 // CRC makes torn or bit-rotted tails detectable: iteration stops cleanly at
 // the first invalid frame of the last segment (a crash mid-append), and
 // Open truncates that tail so the file ends at a record boundary again.

@@ -362,17 +362,32 @@ func (l *Log) rotate() error {
 // torn tail (which would make recovery silently discard every later,
 // acknowledged record). If even the rollback fails, the log latches the
 // error and refuses further appends.
-func (l *Log) Append(edges []stream.Edge) error {
+func (l *Log) Append(edges []stream.Edge) error { return l.AppendEncoded(edges, nil) }
+
+// AppendEncoded is Append for a batch whose record payload the caller already
+// holds: a non-nil payload is written as the record instead of encoding edges
+// again. It must decode to exactly edges (DecodeEdges) — the uvarint count and
+// the elements, in any varint form the decoder reads back, as a binary stream
+// body carries them behind its magic (stream.BinaryElements); one whose count
+// is not len(edges) is refused before the log is touched. The bytes are
+// copied, so payload is the caller's again when AppendEncoded returns. A nil
+// payload is Append.
+func (l *Log) AppendEncoded(edges []stream.Edge, payload []byte) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	// The frame length field is 32-bit. An element encodes to at most 20
-	// bytes, so this cap keeps any accepted payload comfortably below
-	// 4 GiB — a larger batch must be rejected loudly, not written with a
-	// wrapped length that recovery would discard as a torn tail.
+	// The frame length field is 32-bit. An element takes at most 20 bytes in
+	// any varint form, so this cap keeps any accepted payload comfortably
+	// below 4 GiB — a larger batch must be rejected loudly, not written with
+	// a wrapped length that recovery would discard as a torn tail.
 	const maxBatchEdges = (1<<32 - 64) / 20
 	if len(edges) > maxBatchEdges {
 		return fmt.Errorf("wal: batch of %d edges exceeds the %d-edge record limit; split it", len(edges), maxBatchEdges)
+	}
+	if payload != nil {
+		if count, n := binary.Uvarint(payload); n <= 0 || count != uint64(len(edges)) {
+			return fmt.Errorf("wal: the payload does not open with the batch's count of %d edges", len(edges))
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -384,8 +399,11 @@ func (l *Log) Append(edges []stream.Edge) error {
 	}
 	// One buffer, one Write call: frame header and payload land together
 	// or are rolled back together.
-	rec, err := appendEdges(append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), edges)
-	if err != nil {
+	var err error
+	rec := append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	if payload != nil {
+		rec = append(rec, payload...)
+	} else if rec, err = appendEdges(rec, edges); err != nil {
 		return fmt.Errorf("wal: %w", err) // refused before the log was touched
 	}
 	if l.size >= l.opts.SegmentBytes {
@@ -393,7 +411,7 @@ func (l *Log) Append(edges []stream.Edge) error {
 			return err
 		}
 	}
-	payload := rec[8:]
+	payload = rec[8:] // the record's own copy from here on
 	binary.LittleEndian.PutUint32(rec[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := l.f.Write(rec); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/vossketch/vos/internal/stream"
@@ -739,5 +740,46 @@ func TestAppendRefusesUserOutOfRange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("edge %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestAppendEncodedLogsThePayload: a ready payload is the record as given,
+// in whatever varint form it came (here overlong ones), copied so that the
+// caller's bytes are free when the call returns; one whose count is not the
+// batch's is refused with nothing written and the position where it was.
+func TestAppendEncodedLogsThePayload(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	edges := []stream.Edge{{User: 1, Item: 2}, {User: 3, Item: 4, Op: stream.Delete}}
+	payload := []byte{0x82, 0x00, 0x02, 0x82, 0x00, 0x87, 0x80, 0x00, 0x04} // count, user·op, item, …; some overlong
+	if got, err := DecodeEdges(payload); err != nil || len(got) != 2 || got[0] != edges[0] || got[1] != edges[1] {
+		t.Fatalf("the hand-built payload decodes to %v, %v", got, err)
+	}
+	if err := l.AppendEncoded(edges[:1], payload); err == nil {
+		t.Fatal("a payload of 2 edges was logged for a batch of 1")
+	}
+	if got := l.Pos(); got != 0 {
+		t.Fatalf("Pos = %d after the refusal, want 0", got)
+	}
+	if err := l.AppendEncoded(edges, payload); err != nil {
+		t.Fatal(err)
+	}
+	logged := slices.Clone(payload)
+	for i := range payload {
+		payload[i] = 0xa5
+	}
+	if got := collect(t, l, 0); !slices.Equal(got, edges) {
+		t.Fatalf("replayed %v, want %v", got, edges)
+	}
+	seg, err := os.ReadFile(SegmentPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg[segHeaderLen+8:], logged) {
+		t.Fatalf("the record's payload is %x, want the bytes handed in, %x", seg[segHeaderLen+8:], logged)
 	}
 }

@@ -32,12 +32,18 @@ func binaryBody(t testing.TB, edges []vos.Edge) []byte {
 // service kept nothing. Four connections post batches of uneven size at
 // once (and bodies the decoder refuses, whose buffers go back too); the
 // engine behind them must end up holding exactly the stream.
+//
+// The engine is durable, and its log is written from the body's own bytes
+// (TestLoggedBodyIsWhatAppendWrites): every body is scribbled over the moment
+// its request returns, and an engine reopened from the log must still replay
+// the stream — the log may keep nothing of the caller's memory either.
 func TestIngestDoesNotKeepTheSlice(t *testing.T) {
-	eng, err := vos.NewEngine(testEngineConfig())
+	dir := t.TempDir()
+	eng, err := vos.OpenEngine(dir, durableTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	defer server.ScribbleReleasedBodies()()
 	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{}))
 	defer ts.Close()
 
@@ -89,6 +95,7 @@ func TestIngestDoesNotKeepTheSlice(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the engine's state is not the stream's: a pooled slice was decoded into while a service still read it")
 	}
+	assertReplays(t, dir, stream)
 }
 
 func postBinary(base string, body []byte, wantStatus int) error {

@@ -368,14 +368,15 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)
 	var edges []vos.Edge
-	var maxTs float64 // the binary format carries no timestamps; HeaderBatchTs is its clock
+	var encoded []byte // a binary body's count and elements, which a durable engine logs as they came
+	var maxTs float64  // the binary format carries no timestamps; HeaderBatchTs is its clock
 	if isBinary {
 		// Read and decoded in pooled memory, handed back once svc.Ingest
-		// has returned: the service does not keep the slice
-		// (vos.SimilarityService.Ingest).
+		// has returned: the service does not keep the slice or the bytes
+		// (vos.SimilarityService.Ingest, vos.StateSync.IngestSpan).
 		buf := ingestBufs.Get().(*ingestBuf)
 		defer buf.release()
-		edges, err = buf.decodeBinary(body, wire)
+		edges, encoded, err = buf.decodeBinary(body, wire)
 	} else {
 		edges, maxTs, err = decodeEdges(r.Header.Get("Content-Type"), body)
 	}
@@ -411,7 +412,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	var span vos.SketchSpan
 	if ss, ok := s.svc.(vos.StateSync); ok {
-		span, err = ss.IngestSpan(r.Context(), edges)
+		span, err = ss.IngestSpan(r.Context(), edges, encoded)
 	} else {
 		err = s.svc.Ingest(r.Context(), edges)
 	}
@@ -471,33 +472,42 @@ var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
 const maxPooledBytes = 1 << 20
 
 // decodeBinary reads a binary body of wire bytes — the Content-Length the
-// handler demands of the format — and decodes it, both in b's memory. A body
-// shorter or longer than it promised is refused.
-func (b *ingestBuf) decodeBinary(body io.Reader, wire int64) ([]vos.Edge, error) {
+// handler demands of the format — and decodes it, both in b's memory, and
+// returns the edges with the body's count and elements
+// (stream.BinaryElements). A body shorter or longer than it promised is
+// refused.
+func (b *ingestBuf) decodeBinary(body io.Reader, wire int64) ([]vos.Edge, []byte, error) {
 	// Room for one byte past the promise, so that a longer body shows.
 	if int64(cap(b.body)) <= wire {
 		b.body = make([]byte, wire+1)
 	}
 	n, err := io.ReadFull(body, b.body[:wire+1])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("binary body: %w", err)
+		return nil, nil, fmt.Errorf("binary body: %w", err)
 	}
 	switch {
 	case int64(n) < wire:
-		return nil, fmt.Errorf("binary body: ends after %d of the %d bytes Content-Length promised", n, wire)
+		return nil, nil, fmt.Errorf("binary body: ends after %d of the %d bytes Content-Length promised", n, wire)
 	case int64(n) > wire:
-		return nil, fmt.Errorf("binary body: runs past the %d bytes Content-Length promised", wire)
+		return nil, nil, fmt.Errorf("binary body: runs past the %d bytes Content-Length promised", wire)
 	}
 	edges, err := stream.DecodeBinaryInto(b.edges, b.body[:n])
 	if err != nil {
-		return nil, fmt.Errorf("binary body: %w", err)
+		return nil, nil, fmt.Errorf("binary body: %w", err)
 	}
 	b.edges = edges
-	return edges, nil
+	return edges, stream.BinaryElements(b.body[:n]), nil
 }
+
+// released, when set, sees each buffer as release takes it back (a test
+// hook).
+var released func(*ingestBuf)
 
 // release returns b to the pool, less any buffer past maxPooledBytes.
 func (b *ingestBuf) release() {
+	if released != nil {
+		released(b)
+	}
 	if cap(b.body) > maxPooledBytes {
 		b.body = nil
 	}

@@ -137,8 +137,11 @@ type StateSync interface {
 	// ErrBadCursor for a since that is not a cursor.
 	ExportSince(ctx context.Context, since string) (SketchDelta, error)
 	// IngestSpan is Ingest that also says where the edges landed (empty when
-	// that cannot be told).
-	IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error)
+	// that cannot be told). A non-nil encoded is the binary stream body the
+	// edges were decoded from, less its magic: a durable engine logs those
+	// bytes instead of encoding the edges again. Nil encodes them. The bytes
+	// are the caller's again when the call returns, as the slice is.
+	IngestSpan(ctx context.Context, edges []Edge, encoded []byte) (SketchSpan, error)
 	// ImportSketch XOR-merges a serialized sketch into the state (and, on a
 	// durable engine, checkpoints before acknowledging — the imported edges
 	// exist in no local WAL record). Importing the same state twice cancels
@@ -285,11 +288,11 @@ func (s *engineService) ExportSince(ctx context.Context, since string) (SketchDe
 }
 
 // IngestSpan implements StateSync (see Engine.ProcessBatchSpan).
-func (s *engineService) IngestSpan(ctx context.Context, edges []Edge) (SketchSpan, error) {
+func (s *engineService) IngestSpan(ctx context.Context, edges []Edge, encoded []byte) (SketchSpan, error) {
 	if err := ctx.Err(); err != nil {
 		return SketchSpan{}, err
 	}
-	return s.e.ProcessBatchSpan(edges)
+	return s.e.ProcessBatchSpan(edges, encoded)
 }
 
 // ImportSketch implements StateSync (see Engine.ImportSketch for the
