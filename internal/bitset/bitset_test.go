@@ -307,21 +307,6 @@ func BenchmarkFlip(b *testing.B) {
 	}
 }
 
-func BenchmarkXorCount(b *testing.B) {
-	x := New(1 << 16)
-	y := New(1 << 16)
-	for i := uint64(0); i < 1<<16; i += 7 {
-		x.Set(i)
-		y.Set(i + 1)
-	}
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += x.XorCount(y)
-	}
-	_ = sink
-}
-
 func TestGatherMatchesPerBitReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := New(10_000)

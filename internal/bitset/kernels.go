@@ -1,4 +1,4 @@
-// Compare kernels: the word-blocked inner loops behind Gather,
+// Compare kernels: the inner loops behind Gather,
 // GatherXorCount, and XorCountWords.
 //
 // Two implementations of each kernel live here, both always compiled:
@@ -14,6 +14,9 @@
 //     body (kernels_amd64.s) takes each whole block up to the first with an
 //     index ≥ n, eight probes a gather; the Go loop takes the rest, that
 //     block included, so a panic is the reference's.
+//
+// XorCountWords has no *Blocked form; with AVX512_VPOPCNTDQ an assembly
+// body takes its first len &^ 7 words (kernels_fast.go).
 //
 // Which form backs the public methods is decided per-platform by the
 // dispatch shims (kernels_fast.go, kernels_portable.go): the blocked form
@@ -170,11 +173,11 @@ func gatherXorCountBlocked(src []uint64, n uint64, idx []uint64, ows []uint64) u
 }
 
 // xorCountWordsRef is the reference XOR-popcount over two equal-length
-// word slices. It is also the dispatched kernel on every build: unlike the
-// gathers this loop reads both operands sequentially and the compiler
-// already emits a popcount per word, so it runs at throughput — blocked
-// multi-accumulator variants were measured slower at every size (100 to
-// 8192 words) and are deliberately not kept.
+// word slices, and the Go loop of the dispatched kernel. It reads both
+// operands sequentially, one POPCNT a word, but is bound by the latency of
+// that chain: 100 words take 102–165 ns on a 2-vCPU Xeon, and four
+// accumulators in Go were no faster (125–164 ns), so they are not kept. The
+// lever is AVX512_VPOPCNTDQ's eight-word step (kernels_amd64.s): 24–33 ns.
 func xorCountWordsRef(a, b []uint64) uint64 {
 	ones := uint64(0)
 	for i, w := range a {

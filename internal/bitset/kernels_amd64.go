@@ -19,3 +19,17 @@ func gatherVec(dst, ows, src []uint64, n uint64, idx []uint64) (int, uint64) {
 	}
 	return gatherXorAVX512(dst, ows[:len(idx)/64], src, n, idx)
 }
+
+// xorCountAVX512 counts the differing bits of a's and b's first
+// len(a) &^ 7 words, eight words a step; b is at least as long as a.
+//
+//go:noescape
+func xorCountAVX512(a, b []uint64) (words int, ones uint64)
+
+// xorCountVec runs xorCountAVX512 where the CPU has the vector popcount.
+func xorCountVec(a, b []uint64) (int, uint64) {
+	if !cpu.AVX512VPOPCNTDQ {
+		return 0, 0
+	}
+	return xorCountAVX512(a, b[:len(a)])
+}

@@ -66,3 +66,39 @@ done:
 	MOVQ R12, ones+112(FP)
 	VZEROUPPER
 	RET
+
+// func xorCountAVX512(a, b []uint64) (words int, ones uint64)
+TEXT ·xorCountAVX512(SB), NOSPLIT, $0-64
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	ANDQ   $-8, CX
+	XORQ   AX, AX
+	VPXORQ Z0, Z0, Z0
+	TESTQ  CX, CX
+	JZ     sum
+
+	// Eight words a step: Z0's lane i sums popcount(a[j] ^ b[j]) over the
+	// words j ≡ i mod 8.
+words:
+	VMOVDQU64 (SI)(AX*8), Z1
+	VPXORQ    (DI)(AX*8), Z1, Z1
+	VPOPCNTQ  Z1, Z1
+	VPADDQ    Z1, Z0, Z0
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JNE       words
+
+	// Fold the eight lanes: 8 → 4 → 2 → 1.
+sum:
+	VEXTRACTI64X4 $1, Z0, Y1
+	VPADDQ        Y1, Y0, Y0
+	VEXTRACTI128  $1, Y0, X1
+	VPADDQ        X1, X0, X0
+	VPSHUFD       $0x4e, X0, X1
+	VPADDQ        X1, X0, X0
+	VMOVQ         X0, DX
+	MOVQ          CX, words+48(FP)
+	MOVQ          DX, ones+56(FP)
+	VZEROUPPER
+	RET

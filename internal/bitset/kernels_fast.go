@@ -5,8 +5,9 @@ package bitset
 // On 64-bit targets the public methods dispatch to the blocked kernels
 // (with their AVX-512 body where the CPU has one); build with -tags purego
 // to force the portable reference everywhere.
-// The word-vs-word XOR-popcount is the same on both builds: its scalar
-// loop is already throughput-bound (see xorCountWordsRef).
+// The word-against-word XOR-popcount has no blocked Go form (see
+// xorCountWordsRef): where the CPU has AVX512_VPOPCNTDQ a vector body takes
+// eight words a step and the Go loop the last len mod 8.
 
 func gatherWords(dstW, src []uint64, n uint64, idx []uint64) uint64 {
 	return gatherWordsBlocked(dstW, src, n, idx)
@@ -17,5 +18,6 @@ func gatherXorCountWords(src []uint64, n uint64, idx []uint64, ows []uint64) uin
 }
 
 func xorCountWordsKernel(a, b []uint64) uint64 {
-	return xorCountWordsRef(a, b)
+	words, ones := xorCountVec(a, b)
+	return ones + xorCountWordsRef(a[words:], b[words:])
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -67,15 +68,21 @@ func kernelIndexSets(n uint64, size int, rng *rand.Rand) map[string][]uint64 {
 	return map[string][]uint64{"random": random, "dup": dup, "boundary": boundary, "seq": seq}
 }
 
-// bothGathers runs fn on the dispatched kernels, then with the AVX-512 body
-// switched off, so the Go loops are held to the same reference where the
-// assembly would otherwise take every whole block.
-func bothGathers(t *testing.T, fn func(t *testing.T)) {
+// bothBodies runs fn on the dispatched kernels, then with the AVX-512
+// bodies switched off, so the Go loops are held to the same reference where
+// the assembly would otherwise take every whole block or eight-word step.
+func bothBodies(t *testing.T, fn func(t *testing.T)) {
 	t.Run("dispatched", fn)
-	saved := cpu.AVX512
-	cpu.AVX512 = false
-	defer func() { cpu.AVX512 = saved }()
+	defer goLoopsOnly()()
 	t.Run("go", fn)
+}
+
+// goLoopsOnly switches every bitset kernel's vector body off and returns
+// what switches them back.
+func goLoopsOnly() (restore func()) {
+	gather, popcnt := cpu.AVX512, cpu.AVX512VPOPCNTDQ
+	cpu.AVX512, cpu.AVX512VPOPCNTDQ = false, false
+	return func() { cpu.AVX512, cpu.AVX512VPOPCNTDQ = gather, popcnt }
 }
 
 // The dispatched kernels, the blocked kernels, and the portable reference
@@ -83,7 +90,7 @@ func bothGathers(t *testing.T, fn func(t *testing.T)) {
 // the maintained ones counts — up to the benchmark's arrays (2²¹ and
 // 2,048,000 bits) and its 6,400-index sketches.
 func TestKernelEquivalence(t *testing.T) {
-	bothGathers(t, func(t *testing.T) {
+	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		sizes := []int{1, 3, 63, 64, 65, 127, 128, 200, 6400}
 		for _, nBits := range []uint64{64, 1000, 1 << 16, 1 << 21, 2048000} {
@@ -121,25 +128,55 @@ func TestKernelEquivalence(t *testing.T) {
 	})
 }
 
+// The dispatched XOR-popcount must equal the reference on both sides of
+// the vector body's eight-word step: word counts 1, 2, 4, 7, 8, 9, 15, 16,
+// 17, 25 (k = 1,600) and 100 (k = 6,400), partial last words included.
 func TestXorCountWordsKernelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, nBits := range []uint64{1, 63, 64, 65, 256, 6400} {
-		for _, patA := range kernelPatterns {
-			for _, patB := range kernelPatterns {
-				a := New(nBits)
-				b := New(nBits)
-				fillPattern(a, patA, rng)
-				fillPattern(b, patB, rng)
-				want := a.XorCountWordsRef(b.UnsafeWords())
-				if got := a.XorCountWords(b.UnsafeWords()); got != want {
-					t.Fatalf("n=%d %s^%s: dispatch %d != ref %d", nBits, patA, patB, got, want)
-				}
-				if want != a.XorCount(b) {
-					t.Fatalf("n=%d %s^%s: XorCount disagrees with words path", nBits, patA, patB)
+	bothBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, nBits := range []uint64{1, 63, 64, 65, 256, 420, 512, 545, 960, 1024, 1030, 1600, 6400} {
+			for _, patA := range kernelPatterns {
+				for _, patB := range kernelPatterns {
+					a := New(nBits)
+					b := New(nBits)
+					fillPattern(a, patA, rng)
+					fillPattern(b, patB, rng)
+					want := a.XorCountWordsRef(b.UnsafeWords())
+					if got := a.XorCountWords(b.UnsafeWords()); got != want {
+						t.Fatalf("n=%d %s^%s: dispatch %d != ref %d", nBits, patA, patB, got, want)
+					}
+					if want != a.XorCount(b) {
+						t.Fatalf("n=%d %s^%s: XorCount disagrees with words path", nBits, patA, patB)
+					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// FuzzXorCountWords holds the dispatched XOR-popcount to the reference on
+// 0–300 random words at any word offset, b sharing a's words except where
+// flips says, so counts near zero are reached as well as near half.
+func FuzzXorCountWords(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint64(1), uint64(0))
+	f.Add(uint16(25), uint8(3), uint64(2), ^uint64(0))
+	f.Add(uint16(100), uint8(0), uint64(3), uint64(1<<40))
+	f.Add(uint16(17), uint8(7), uint64(4), uint64(0x8000_0000_0000_0001))
+	f.Fuzz(func(t *testing.T, n uint16, off uint8, seed, flips uint64) {
+		words, at := int(n)%301, int(off)%8
+		rng := rand.New(rand.NewSource(int64(seed)))
+		a, b := make([]uint64, at+words), make([]uint64, at+words)
+		for i := range a {
+			a[i] = rng.Uint64()
+			if b[i] = a[i]; flips>>(uint(i)%64)&1 == 1 {
+				b[i] = rng.Uint64()
+			}
+		}
+		a, b = a[at:], b[at:]
+		if got, want := xorCountWordsKernel(a, b), xorCountWordsRef(a, b); got != want {
+			t.Fatalf("%d words at offset %d: dispatched %d, reference %d", words, at, got, want)
+		}
+	})
 }
 
 // Out-of-range indices must panic with the identical message from every
@@ -149,7 +186,7 @@ func TestXorCountWordsKernelEquivalence(t *testing.T) {
 // the vector body completed, and whether the later bad indices of the
 // block lie inside the array's last word or far past its end.
 func TestKernelRangePanics(t *testing.T) {
-	bothGathers(t, func(t *testing.T) {
+	bothBodies(t, func(t *testing.T) {
 		src := New(100)
 		for _, blocks := range []int{1, 3} {
 			for _, badAt := range []int{0, 1, 2, 3, 31, 62, 63} {
@@ -297,4 +334,28 @@ func benchGather(b *testing.B, fn func(*Bitset, []uint64) uint64) {
 		benchOnes += fn(src, idx)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/probe")
+}
+
+// BenchmarkXorCount times the word-against-word XOR-popcount at k = 1,600
+// and 6,400 (25 and 100 words, a warm pair score's compare) and at 2¹⁶
+// bits, dispatched and with the vector body off.
+func BenchmarkXorCount(b *testing.B) {
+	for _, body := range []string{"dispatched", "go"} {
+		for _, words := range []int{25, 100, 1024} {
+			b.Run(fmt.Sprintf("%s/words=%d", body, words), func(b *testing.B) {
+				if body == "go" {
+					defer goLoopsOnly()()
+				}
+				rng := rand.New(rand.NewSource(1))
+				x, y := New(uint64(64*words)), New(uint64(64*words))
+				for i := range x.words {
+					x.words[i], y.words[i] = rng.Uint64(), rng.Uint64()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchOnes += x.XorCount(y)
+				}
+			})
+		}
+	}
 }

@@ -421,13 +421,15 @@ func (v *VOS) estimateFrom(z int, nu, nv int64, beta float64) Estimate {
 		saturated = true
 	}
 
+	// Both estimates share ln|1−2α| − 2·ln|1−2β|, each logarithm taken once.
+	logs := math.Log(absA) - 2*math.Log(absB)
 	// n̂Δ = −k·(ln(1−2α) − 2·ln(1−2β)) / 2
-	nDelta := -k * (math.Log(absA) - 2*math.Log(absB)) / 2
+	nDelta := -k * logs / 2
 	if nDelta < 0 {
 		nDelta = 0
 	}
 	// ŝ = (n_u+n_v)/2 + k·(ln|1−2α| − 2·ln|1−2β|)/4
-	common := float64(nu+nv)/2 + k*(math.Log(absA)-2*math.Log(absB))/4
+	common := float64(nu+nv)/2 + k*logs/4
 
 	clamped := common
 	maxCommon := float64(nu)

@@ -1,5 +1,6 @@
 // Package cpu reports, once at start-up, whether the processor and the OS run
-// the AVX-512 bodies of the hashing kernels and the bitset gathers.
+// the AVX-512 bodies of the hashing kernels, the bitset gathers and the
+// bitset XOR-popcount.
 package cpu
 
 // AVX512: CPUID has AVX-512F, AVX-512DQ, BMI2 and POPCNT, and XGETBV shows the
@@ -7,3 +8,8 @@ package cpu
 // The kernels read it on every call, so their tests switch it off to hold the
 // Go loops to the same reference the assembly meets.
 var AVX512 bool
+
+// AVX512VPOPCNTDQ: AVX512 holds and CPUID also has AVX512_VPOPCNTDQ, the
+// vector popcount the bitset XOR-popcount's body runs on. Read on every call
+// and switched off by the tests in the same way as AVX512.
+var AVX512VPOPCNTDQ bool

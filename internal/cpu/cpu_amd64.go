@@ -11,11 +11,13 @@ func init() {
 	const popcnt, osxsave = 1 << 23, 1 << 27
 	const state = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // SSE, AVX, opmask, both ZMM halves
 	const bmi2, avx512f, avx512dq = 1 << 8, 1 << 16, 1 << 17
+	const vpopcntdq = 1 << 14 // CPUID.(7,0):ECX
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
 	if maxLeaf < 7 || ecx1&(popcnt|osxsave) != popcnt|osxsave || xgetbv()&state != state {
 		return
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, ebx7, ecx7, _ := cpuid(7, 0)
 	AVX512 = ebx7&(bmi2|avx512f|avx512dq) == bmi2|avx512f|avx512dq
+	AVX512VPOPCNTDQ = AVX512 && ecx7&vpopcntdq != 0
 }

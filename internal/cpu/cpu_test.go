@@ -6,15 +6,23 @@ import (
 	"testing"
 )
 
-// TestKernelDispatch logs which body the read- and write-path kernels run on
-// this machine, so a green run without AVX-512 is not read as coverage of the
-// assembly. Where /proc/cpuinfo exists it must not contradict the answer: a
-// flag it lacks means the vector bodies stay off.
+// TestKernelDispatch logs which body the read- and write-path kernels and the
+// XOR-popcount run on this machine, so a green run without AVX-512 is not
+// read as coverage of the assembly. Where /proc/cpuinfo exists it must not
+// contradict the answer: a flag it lacks means the vector bodies stay off.
 func TestKernelDispatch(t *testing.T) {
 	if AVX512 {
 		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers and edge positions run the assembly)")
 	} else {
 		t.Log("kernel dispatch: Go loops only (no AVX-512F/DQ, BMI2, POPCNT or OS ZMM state, another target, or -tags purego)")
+	}
+	if AVX512VPOPCNTDQ {
+		t.Log("XOR-popcount: AVX-512 body (VPOPCNTQ, eight words a step)")
+	} else {
+		t.Log("XOR-popcount: Go loop (no AVX512_VPOPCNTDQ, no AVX512 above, another target, or -tags purego)")
+	}
+	if AVX512VPOPCNTDQ && !AVX512 {
+		t.Fatal("AVX512VPOPCNTDQ is true but AVX512 is false")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -29,6 +37,9 @@ func TestKernelDispatch(t *testing.T) {
 			if AVX512 && !strings.Contains(flags, " "+f+" ") {
 				t.Fatalf("AVX512 is true but /proc/cpuinfo lacks %q", f)
 			}
+		}
+		if AVX512VPOPCNTDQ && !strings.Contains(flags, " avx512_vpopcntdq ") {
+			t.Fatal(`AVX512VPOPCNTDQ is true but /proc/cpuinfo lacks "avx512_vpopcntdq"`)
 		}
 		return
 	}
