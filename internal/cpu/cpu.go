@@ -1,6 +1,6 @@
 // Package cpu reports, once at start-up, whether the processor and the OS run
-// the AVX-512 bodies of the hashing kernels, the bitset gathers and the
-// bitset XOR-popcount.
+// the AVX-512 bodies of the hashing kernels, the bitset gathers, the bitset
+// XOR-popcount and the stream element codec.
 package cpu
 
 // AVX512: CPUID has AVX-512F, AVX-512DQ, BMI2 and POPCNT, and XGETBV shows the
@@ -13,3 +13,9 @@ var AVX512 bool
 // vector popcount the bitset XOR-popcount's body runs on. Read on every call
 // and switched off by the tests in the same way as AVX512.
 var AVX512VPOPCNTDQ bool
+
+// AVX512VBMI2: AVX512 holds and CPUID also has AVX512BW, AVX512CD,
+// AVX512_VBMI and AVX512_VBMI2, the byte permutes, leading-zero counts and
+// byte compression the element codec's bodies (internal/stream) run on. Read
+// on every call and switched off by the tests in the same way as AVX512.
+var AVX512VBMI2 bool

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestKernelDispatch logs which body the read- and write-path kernels and the
-// XOR-popcount run on this machine, so a green run without AVX-512 is not
-// read as coverage of the assembly. Where /proc/cpuinfo exists it must not
-// contradict the answer: a flag it lacks means the vector bodies stay off.
+// TestKernelDispatch logs which body the read- and write-path kernels, the
+// XOR-popcount and the element codec run on this machine, so a green run
+// without AVX-512 is not read as coverage of the assembly. Where
+// /proc/cpuinfo exists it must not contradict the answer: a flag it lacks
+// means the vector bodies stay off.
 func TestKernelDispatch(t *testing.T) {
 	if AVX512 {
 		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers and edge positions run the assembly)")
@@ -21,8 +22,16 @@ func TestKernelDispatch(t *testing.T) {
 	} else {
 		t.Log("XOR-popcount: Go loop (no AVX512_VPOPCNTDQ, no AVX512 above, another target, or -tags purego)")
 	}
+	if AVX512VBMI2 {
+		t.Log("element codec: AVX-512 bodies (length pass and encoder four edges a step, decoder eight varints a step)")
+	} else {
+		t.Log("element codec: Go loops (no AVX512BW, AVX512CD, AVX512_VBMI or AVX512_VBMI2, no AVX512 above, another target, or -tags purego)")
+	}
 	if AVX512VPOPCNTDQ && !AVX512 {
 		t.Fatal("AVX512VPOPCNTDQ is true but AVX512 is false")
+	}
+	if AVX512VBMI2 && !AVX512 {
+		t.Fatal("AVX512VBMI2 is true but AVX512 is false")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -40,6 +49,11 @@ func TestKernelDispatch(t *testing.T) {
 		}
 		if AVX512VPOPCNTDQ && !strings.Contains(flags, " avx512_vpopcntdq ") {
 			t.Fatal(`AVX512VPOPCNTDQ is true but /proc/cpuinfo lacks "avx512_vpopcntdq"`)
+		}
+		for _, f := range []string{"avx512bw", "avx512cd", "avx512vbmi", "avx512_vbmi2"} {
+			if AVX512VBMI2 && !strings.Contains(flags, " "+f+" ") {
+				t.Fatalf("AVX512VBMI2 is true but /proc/cpuinfo lacks %q", f)
+			}
 		}
 		return
 	}

@@ -6,8 +6,28 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"github.com/vossketch/vos/internal/cpu"
 )
+
+// bothBodies runs fn on the dispatched codec, then with the AVX-512 bodies
+// switched off, so the Go loops are held to the same reference where the
+// assembly would otherwise take every whole group.
+func bothBodies(t *testing.T, fn func(t *testing.T)) {
+	t.Run("dispatched", fn)
+	defer goLoopsOnly()()
+	t.Run("go", fn)
+}
+
+// goLoopsOnly switches the codec's vector bodies off and returns what
+// switches them back.
+func goLoopsOnly() (restore func()) {
+	was := cpu.AVX512VBMI2
+	cpu.AVX512VBMI2 = false
+	return func() { cpu.AVX512VBMI2 = was }
+}
 
 // The element codec as it stood before the append-based kernel, written
 // with encoding/binary: a scratch array and two appends to encode, the
@@ -74,10 +94,11 @@ func equalEdges(a, b []Edge) bool {
 }
 
 // FuzzElementCodec feeds arbitrary bytes and an arbitrary count to the
-// kernel's decoder and the reference's: they must agree on accept or
-// reject and on every edge, into fresh memory and into a caller's buffer
-// alike; what is accepted must encode to the same bytes under both, and
-// decode back.
+// kernel's decoder and the reference's, on the dispatched codec and on its
+// Go loops alone: they must agree on accept or reject, on the error's text
+// and on every edge, into fresh memory and into a caller's buffer alike;
+// what is accepted must encode to the same bytes under both, and decode
+// back.
 func FuzzElementCodec(f *testing.F) {
 	var good []byte
 	for _, e := range []Edge{{1, 2, Insert}, {300, 70000, Delete}, {MaxUser, 1<<64 - 1, Delete}, {0, 0, Insert}} {
@@ -114,40 +135,83 @@ func FuzzElementCodec(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte{0x80}, 10), bytes.Repeat(short, 10)...), uint64(11)) // eleven bytes of continuation, in reach
 	f.Add(append(bytes.Repeat([]byte{0xff}, 8), bytes.Repeat(short, 10)...), uint64(10))  // eight, then a terminator
 
+	// The vector bodies take groups of four elements — eight varints — from a
+	// 64-byte window, and only while 64 bytes are left: bodies of 63, 64 and 65
+	// bytes, alone and behind a first group, whole and cut short.
+	three := one(Edge{64, 1, Insert}) // 2+1 bytes
+	for _, lead := range []int{0, 4} {
+		for _, tail := range []struct{ shorts, threes int }{{30, 1}, {32, 0}, {31, 1}} {
+			body := append(bytes.Repeat(short, lead+tail.shorts), bytes.Repeat(three, tail.threes)...)
+			n := uint64(lead + tail.shorts + tail.threes)
+			f.Add(body, n)
+			f.Add(body[:len(body)-1], n)
+			f.Add(body, n-1)
+		}
+	}
+	// A group that fills the window to its last byte, whole and with that
+	// byte cut off while the memory behind the slice still holds it.
+	full := append(bytes.Repeat(nine[:9], 7), 0x05)
+	f.Add(full, uint64(4))
+	f.Add(full[:63], uint64(4))
+	// A nine- and a ten-byte varint in each of a group's eight lanes, and in
+	// each a ten-byte one whose last byte overflows.
+	pad := bytes.Repeat(short, 40)
+	for lane := range 8 {
+		for _, long := range [][]byte{nine[:9], nine[9:], ten[:10], ten[10:], overflow[:10]} {
+			body := append(bytes.Repeat([]byte{0x05}, lane), long...)
+			body = append(append(body, bytes.Repeat([]byte{0x05}, 7-lane)...), pad...)
+			f.Add(body, uint64(44))
+		}
+	}
+	// Eight nine-byte varints: the group's eighth end lies outside the window,
+	// so the body hands the whole batch to the Go loop.
+	nines := bytes.Repeat(one(Edge{1 << 56, 1 << 60, Delete}), 4)
+	f.Add(append(nines, pad...), uint64(44))
+	f.Add(append(bytes.Repeat(ten, 5), pad...), uint64(45)) // five elements of ten-byte ids, then short ones
+	// Counts that are not a multiple of four, the window full.
+	for n := uint64(41); n <= 43; n++ {
+		f.Add(bytes.Repeat(mid, int(n)), n)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte, count uint64) {
-		want, wantErr := refDecodeElements(data, count)
-		got, err := DecodeElements(data, count)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("verdicts differ: kernel %v, reference %v", err, wantErr)
-		}
-		into, intoErr := DecodeElementsInto(make([]Edge, 3, 5), data, count)
-		if (intoErr == nil) != (wantErr == nil) {
-			t.Fatalf("verdicts differ: kernel (into) %v, reference %v", intoErr, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		if !equalEdges(got, want) || !equalEdges(into, want) {
-			t.Fatalf("decoded edges differ:\nkernel    %v\ninto      %v\nreference %v", got, into, want)
-		}
-		var ref []byte
-		for _, e := range want {
-			ref = refAppendElement(ref, e)
-		}
-		all, err := AppendElements([]byte("prefix"), want)
-		if err != nil {
-			t.Fatalf("AppendElements refused decoded edges: %v", err)
-		}
-		if !bytes.Equal(all, append([]byte("prefix"), ref...)) {
-			t.Fatalf("encodings differ:\nelements  %x\nreference %x", all, ref)
-		}
-		if size, _ := elementsLen(want); size != len(ref) {
-			t.Fatalf("elementsLen = %d, encoding is %d bytes", size, len(ref))
-		}
-		again, err := DecodeElements(ref, uint64(len(want)))
-		if err != nil || !equalEdges(again, want) {
-			t.Fatalf("canonical encoding did not decode back: %v", err)
-		}
+		bothBodies(t, func(t *testing.T) {
+			want, wantErr := refDecodeElements(data, count)
+			got, err := DecodeElements(data, count)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("verdicts differ: kernel %v, reference %v", err, wantErr)
+			}
+			into, intoErr := DecodeElementsInto(make([]Edge, 3, 5), data, count)
+			if (intoErr == nil) != (wantErr == nil) {
+				t.Fatalf("verdicts differ: kernel (into) %v, reference %v", intoErr, wantErr)
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() || intoErr.Error() != wantErr.Error() {
+					t.Fatalf("errors differ:\nkernel    %v\ninto      %v\nreference %v", err, intoErr, wantErr)
+				}
+				return
+			}
+			if !equalEdges(got, want) || !equalEdges(into, want) {
+				t.Fatalf("decoded edges differ:\nkernel    %v\ninto      %v\nreference %v", got, into, want)
+			}
+			var ref []byte
+			for _, e := range want {
+				ref = refAppendElement(ref, e)
+			}
+			all, err := AppendElements([]byte("prefix"), want)
+			if err != nil {
+				t.Fatalf("AppendElements refused decoded edges: %v", err)
+			}
+			if !bytes.Equal(all, append([]byte("prefix"), ref...)) {
+				t.Fatalf("encodings differ:\nelements  %x\nreference %x", all, ref)
+			}
+			if size, _ := elementsLen(want); size != len(ref) {
+				t.Fatalf("elementsLen = %d, encoding is %d bytes", size, len(ref))
+			}
+			again, err := DecodeElements(ref, uint64(len(want)))
+			if err != nil || !equalEdges(again, want) {
+				t.Fatalf("canonical encoding did not decode back: %v", err)
+			}
+		})
 	})
 }
 
@@ -169,6 +233,10 @@ func randomEdges(rng *rand.Rand, n int) []Edge {
 // the reference's, and DecodeBinary, DecodeBinaryInto and ReadBinary read
 // them back alike.
 func TestBinaryKernelAgreesWithWrappers(t *testing.T) {
+	bothBodies(t, testBinaryKernelAgreesWithWrappers)
+}
+
+func testBinaryKernelAgreesWithWrappers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 1024, writeChunk, writeChunk + 1, 2*writeChunk + 17} {
 		edges := randomEdges(rng, n)
@@ -212,7 +280,9 @@ func TestBinaryKernelAgreesWithWrappers(t *testing.T) {
 // TestUserRangeRefusedByTheCodec: a user id whose top bit the encoding
 // would drop is an ErrUserRange error from every entry of the package, the
 // destination untouched; the largest id that fits round-trips.
-func TestUserRangeRefusedByTheCodec(t *testing.T) {
+func TestUserRangeRefusedByTheCodec(t *testing.T) { bothBodies(t, testUserRangeRefusedByTheCodec) }
+
+func testUserRangeRefusedByTheCodec(t *testing.T) {
 	fits := []Edge{{User: MaxUser, Item: 7, Op: Delete}}
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, fits); err != nil {
@@ -239,6 +309,88 @@ func TestUserRangeRefusedByTheCodec(t *testing.T) {
 	}
 	if err := CheckUsers(fits); err != nil {
 		t.Errorf("CheckUsers refused MaxUser: %v", err)
+	}
+
+	// At every position of the first two groups of four, behind a second
+	// one: the error names the first.
+	for at := range 8 {
+		edges := make([]Edge, 13)
+		edges[at].User, edges[at+4].User = 1<<63|User(at), 1<<64-1
+		want := fmt.Sprintf("element %d has user %d", at, 1<<63|uint64(at))
+		if _, err := AppendElements(nil, edges); !errors.Is(err, ErrUserRange) || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("user above MaxUser at %d: %v, want one that ends %q", at, err, want)
+		}
+	}
+}
+
+// codecMixes are BenchmarkElementCodec's id mixes. "flat" is the traffic of
+// the unwindowed benchmark workloads (http-durable, cluster-gather): Zipf
+// users, two- and three-byte items, one edge in fourteen a planted 1<<60
+// item of nine bytes. "windowed" is udp-window-ann's: its four epochs'
+// background items start at e<<44, so in three epochs of four they are
+// seven-byte varints. Then ids
+// of at most three bytes, and ten-byte ids only, the no-regression guard for
+// the vector bodies' long varints.
+var codecMixes = []struct {
+	name string
+	edge func(rng *rand.Rand, zipf *rand.Zipf) Edge
+}{
+	{"flat", func(rng *rand.Rand, zipf *rand.Zipf) Edge {
+		return plantedOneIn14(rng, Edge{User: User(zipf.Uint64()), Item: Item(rng.Intn(1 << 16)), Op: Op(rng.Intn(2))})
+	}},
+	{"windowed", func(rng *rand.Rand, zipf *rand.Zipf) Edge {
+		item := Item(rng.Intn(4))<<44 | Item(rng.Intn(1<<16))
+		return plantedOneIn14(rng, Edge{User: User(zipf.Uint64()), Item: item, Op: Op(rng.Intn(2))})
+	}},
+	{"short", func(rng *rand.Rand, _ *rand.Zipf) Edge {
+		return Edge{User: User(rng.Intn(1 << 20)), Item: Item(rng.Intn(1 << 21)), Op: Op(rng.Intn(2))}
+	}},
+	{"ten-byte", func(rng *rand.Rand, _ *rand.Zipf) Edge {
+		return Edge{User: MaxUser, Item: 1<<64 - 1, Op: Op(rng.Intn(2))}
+	}},
+}
+
+// plantedOneIn14 gives e a planted 1<<60 item one time in fourteen.
+func plantedOneIn14(rng *rand.Rand, e Edge) Edge {
+	if rng.Intn(14) == 0 {
+		e.Item = Item(1<<60 | rng.Uint64()&(1<<52-1))
+	}
+	return e
+}
+
+// BenchmarkElementCodec times AppendElements (length pass and encoder) and
+// DecodeElementsInto on 1,024-edge batches of each id mix: "dispatched" runs
+// the vector bodies where the CPU has them, "go" the Go loops alone.
+func BenchmarkElementCodec(b *testing.B) {
+	const batch = 1024
+	for _, body := range []string{"dispatched", "go"} {
+		for _, mix := range codecMixes {
+			rng := rand.New(rand.NewSource(5))
+			zipf := rand.NewZipf(rng, 1.6, 8, 639)
+			edges := make([]Edge, batch)
+			for i := range edges {
+				edges[i] = mix.edge(rng, zipf)
+			}
+			data, _ := AppendElements(nil, edges)
+			buf, dst := make([]byte, 0, len(data)), make([]Edge, batch)
+			for _, op := range []struct {
+				name string
+				run  func()
+			}{
+				{"encode", func() { buf, _ = AppendElements(buf[:0], edges) }},
+				{"decode", func() { dst, _ = DecodeElementsInto(dst, data, batch) }},
+			} {
+				b.Run(body+"/"+op.name+"/"+mix.name, func(b *testing.B) {
+					if body == "go" {
+						defer goLoopsOnly()()
+					}
+					for b.Loop() {
+						op.run()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")
+				})
+			}
+		}
 	}
 }
 

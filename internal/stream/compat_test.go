@@ -20,6 +20,7 @@ import (
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/internal/cluster"
 	"github.com/vossketch/vos/internal/core"
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/engine"
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/hashing"
@@ -313,8 +314,16 @@ func sameEdges(t *testing.T, what string, got, want []stream.Edge) {
 }
 
 // TestCompatCorpus reads each file of the corpus to the same edges and writes
-// it again, byte for byte, with this tree's encoders.
+// it again, byte for byte, with this tree's encoders: on the dispatched
+// element codec, then on its Go loops alone.
 func TestCompatCorpus(t *testing.T) {
+	t.Run("dispatched", testCompatCorpus)
+	defer func(was bool) { cpu.AVX512VBMI2 = was }(cpu.AVX512VBMI2)
+	cpu.AVX512VBMI2 = false
+	t.Run("go", testCompatCorpus)
+}
+
+func testCompatCorpus(t *testing.T) {
 	streamPath := filepath.Join(compatDir, "stream.bin")
 	segPath := filepath.Join(compatDir, "wal.seg")
 	framesPath := filepath.Join(compatDir, "frames.cap")
