@@ -20,11 +20,6 @@ type UDPOptions struct {
 	// BatchSize is how many edges Ingest buffers per frame. Default 256
 	// (~0.5-2.5 KiB on the wire, under a common MTU at typical ids).
 	BatchSize int
-	// Session identifies this sender to the receiver's sequence tracker.
-	// 0 (the default) mints a random id — the right choice: a session id
-	// must be fresh per process, because the receiver treats a reused id
-	// whose sequence restarted as stale traffic and drops it.
-	Session uint64
 	// AckEvery requests a delivery ack every N data frames (default 16;
 	// negative disables acks entirely). Acks double as flow control: at
 	// most AckWindow requests ride unacknowledged, so the sender can
@@ -46,13 +41,6 @@ type UDPOptions struct {
 func (o UDPOptions) withDefaults() UDPOptions {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
-	}
-	if o.Session == 0 {
-		var b [8]byte
-		if _, err := crand.Read(b[:]); err != nil {
-			panic("client: reading random session id: " + err.Error())
-		}
-		o.Session = binary.LittleEndian.Uint64(b[:])
 	}
 	if o.AckEvery == 0 {
 		o.AckEvery = 16
@@ -101,6 +89,10 @@ const maxRTTSamples = 1 << 20
 type UDPClient struct {
 	conn net.Conn
 	opt  UDPOptions
+	// session identifies this sender to the receiver's sequence tracker: a
+	// random id minted per client, because the receiver treats a reused id
+	// whose sequence restarted as stale traffic and drops it.
+	session uint64
 
 	mu        sync.Mutex
 	pend      []vos.Edge
@@ -118,6 +110,10 @@ type UDPClient struct {
 // NewUDP creates a UDPClient for the vosd datagram listener at addr
 // (e.g. "host:9090").
 func NewUDP(addr string, opt UDPOptions) (*UDPClient, error) {
+	var session [8]byte
+	if _, err := crand.Read(session[:]); err != nil {
+		return nil, fmt.Errorf("client: reading random session id: %w", err)
+	}
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, err
@@ -125,6 +121,7 @@ func NewUDP(addr string, opt UDPOptions) (*UDPClient, error) {
 	c := &UDPClient{
 		conn:      conn,
 		opt:       opt.withDefaults(),
+		session:   binary.LittleEndian.Uint64(session[:]),
 		pending:   make(map[uint64]time.Time),
 		ackNotify: make(chan struct{}),
 	}
@@ -134,9 +131,6 @@ func NewUDP(addr string, opt UDPOptions) (*UDPClient, error) {
 	}
 	return c, nil
 }
-
-// Session returns the session id frames are stamped with.
-func (c *UDPClient) Session() uint64 { return c.opt.Session }
 
 // Ingest ships every full BatchSize chunk as one data frame and buffers the
 // residue. Frames are never retried (an XOR batch must not risk double
@@ -292,7 +286,7 @@ func (c *UDPClient) shipLocked(ctx context.Context, edges []vos.Edge, forceAck b
 	if ackReq {
 		flags = netproto.FlagAckRequest
 	}
-	frame, err := netproto.AppendDataFrame(c.buf[:0], c.opt.Session, c.seq, flags, edges)
+	frame, err := netproto.AppendDataFrame(c.buf[:0], c.session, c.seq, flags, edges)
 	if err != nil {
 		return false, err
 	}
@@ -387,7 +381,7 @@ func (c *UDPClient) readAcks() {
 			continue
 		}
 		ack, err := f.DecodeAck()
-		if err != nil || ack.Session != c.opt.Session {
+		if err != nil || ack.Session != c.session {
 			continue
 		}
 		c.mu.Lock()

@@ -2,7 +2,8 @@
 // a per-batch size cap and an in-flight byte budget with worst-case
 // pre-charging and trim-to-real-footprint accounting.
 //
-// The policy was born in the HTTP server (see server.Options) and is the
+// This package is the one home of the ingest limits and their defaults
+// (server.Options.Admission takes a Controller), and the policy is the
 // same for every ingest transport: before a batch is read or decoded, the
 // transport charges the batch's worst-case memory — wire bytes plus the
 // largest edge slice the payload could decode to — against a shared

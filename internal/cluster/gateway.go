@@ -37,7 +37,7 @@ type Options struct {
 // Gateway is the vosgw routing tier: one instance fans ingest to the
 // ring's backends by user shard and answers every read from the XOR-merge
 // of their sketches. It implements vos.SimilarityService, the Checkpointer,
-// PartialTopK and SnapshotReporter extensions and, of state transfer,
+// PartialTopK and StatsReporter extensions and, of state transfer,
 // StateExporter only (no StateSync), so server.New serves it exactly as it
 // serves an engine — the cluster speaks the same /v1/ API as a single node.
 //
@@ -125,7 +125,7 @@ var (
 	_ vos.Checkpointer      = (*Gateway)(nil)
 	_ vos.StateExporter     = (*Gateway)(nil)
 	_ vos.PartialTopK       = (*Gateway)(nil)
-	_ vos.SnapshotReporter  = (*Gateway)(nil)
+	_ vos.StatsReporter     = (*Gateway)(nil)
 )
 
 // Ring returns a copy of the live membership table.

@@ -158,7 +158,7 @@ func (g *Gateway) acquire(ctx context.Context) (*gatherView, error) {
 	return g.views.Acquire(ctx, g.src)
 }
 
-// SnapshotStats implements vos.SnapshotReporter: how the merged views have
+// SnapshotStats implements vos.StatsReporter: how the merged views have
 // been kept current, and the bytes backends sent to that end.
 func (g *Gateway) SnapshotStats() vos.SnapshotStats {
 	st := g.views.Stats()
@@ -166,6 +166,10 @@ func (g *Gateway) SnapshotStats() vos.SnapshotStats {
 	st.LocalReplays = g.localReplays.Load()
 	return st
 }
+
+// ANNStats implements vos.StatsReporter: a gateway keeps no approximate
+// top-K index, so /v1/stats carries no `ann` object for it.
+func (g *Gateway) ANNStats() (vos.ANNStats, bool) { return vos.ANNStats{}, false }
 
 // gatherSource drives the gateway's view pair (resident.Source).
 type gatherSource struct{ g *Gateway }

@@ -549,34 +549,16 @@ func (s *shard) add(edges []stream.Edge, batchSize int) {
 	}
 }
 
-// Process routes one stream element to its owning shard. It blocks only
-// when that shard's queue is full (or, on durable engines, while a
-// checkpoint is in progress). It must not be called after Close. On a
-// durable engine the edge is WAL-appended — durable per the sync policy —
-// before Process returns; an append error means the edge was not accepted —
-// among them stream.ErrUserRange, a user id the log's encoding cannot carry.
+// Process routes one stream element to its owning shard: ProcessBatch of
+// one edge, held on the caller's stack. It blocks only when that shard's
+// queue is full (or, on durable engines, while a checkpoint is in progress).
+// It must not be called after Close. On a durable engine the edge is
+// WAL-appended — durable per the sync policy — before Process returns; an
+// append error means the edge was not accepted — among them
+// stream.ErrUserRange, a user id the log's encoding cannot carry.
 func (e *Engine) Process(ed stream.Edge) error {
-	// Retire expired buckets before accepting new work (one atomic load on
-	// the fast path; no-op unwindowed). Done before the locks below so the
-	// rotation path never nests inside walMu.
-	e.maybeAdvance()
-	// The read lock makes "check closed, append, hand to shards" atomic
-	// with respect to Close's channel teardown — see lifeMu.
-	e.lifeMu.RLock()
-	defer e.lifeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	edges := [1]stream.Edge{ed}
-	if e.log != nil {
-		e.walMu.RLock()
-		defer e.walMu.RUnlock()
-		if err := e.log.Append(edges[:]); err != nil {
-			return err
-		}
-	}
-	e.shards[e.ShardOf(ed.User)].add(edges[:], e.cfg.BatchSize)
-	return nil
+	return e.processBatch(edges[:], nil, nil)
 }
 
 // ProcessBatch routes a slice of stream elements, grouping them by owning
@@ -607,8 +589,13 @@ func (e *Engine) ProcessBatchSpan(edges []stream.Edge, encoded []byte) (span Spa
 // processBatch is ProcessBatch, logging encoded when given and filling span
 // when one is asked for.
 func (e *Engine) processBatch(edges []stream.Edge, encoded []byte, span *Span) error {
-	e.maybeAdvance() // see Process
-	e.lifeMu.RLock() // see Process
+	// Retire expired buckets before accepting new work (one atomic load on
+	// the fast path; no-op unwindowed). Done before the locks below so the
+	// rotation path never nests inside walMu.
+	e.maybeAdvance()
+	// The read lock makes "check closed, append, hand to shards" atomic
+	// with respect to Close's channel teardown — see lifeMu.
+	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
 	if e.closed.Load() {
 		return ErrClosed

@@ -228,6 +228,26 @@ func TestRouteAllocations(t *testing.T) {
 			t.Errorf("shard.add made %d allocations in %d calls: the batch buffers do not cycle", n, res.N)
 		}
 	})
+
+	// Process is processBatch over a one-edge array on its own stack.
+	t.Run("one-edge Process", func(t *testing.T) {
+		for _, ed := range edges { // warm-up, as above
+			if err := e.Process(ed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+		i := 0
+		allocs := testing.AllocsPerRun(len(edges), func() {
+			if err := e.Process(edges[i%len(edges)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("Process made %.3f allocations a call, want 0", allocs)
+		}
+	})
 }
 
 // oddAllocs counts the allocations the memory profile has seen under the

@@ -5,9 +5,9 @@ package server
 // to it, done at once — until the returned func is called. Call it before
 // the server under test starts and undo it after the server has stopped.
 func ScribbleReleasedBodies() (undo func()) {
-	released = func(b *ingestBuf) {
-		for i := range b.body {
-			b.body[i] = 0xa5
+	released = func(b *reqBuf) {
+		for i := range b.b {
+			b.b[i] = 0xa5
 		}
 	}
 	return func() { released = nil }

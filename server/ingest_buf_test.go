@@ -11,14 +11,14 @@ import (
 // maxPooledBytes, so resident memory does not ratchet up to the largest
 // request ever seen.
 func TestIngestBufDropsWhatOutgrewThePool(t *testing.T) {
-	small := &ingestBuf{body: make([]byte, 4<<10), edges: make([]vos.Edge, 1024)}
+	small := &reqBuf{b: make([]byte, 4<<10), edges: make([]vos.Edge, 1024)}
 	small.release()
-	if small.body == nil || small.edges == nil {
+	if small.b == nil || small.edges == nil {
 		t.Error("release dropped the buffers of a 1,024-edge batch")
 	}
-	huge := &ingestBuf{body: make([]byte, maxPooledBytes+1), edges: make([]vos.Edge, maxPooledBytes/24+1)}
+	huge := &reqBuf{b: make([]byte, maxPooledBytes+1), edges: make([]vos.Edge, maxPooledBytes/24+1)}
 	huge.release()
-	if huge.body != nil || huge.edges != nil {
-		t.Errorf("release kept %d body bytes and %d edges", cap(huge.body), cap(huge.edges))
+	if huge.b != nil || huge.edges != nil {
+		t.Errorf("release kept %d body bytes and %d edges", cap(huge.b), cap(huge.edges))
 	}
 }

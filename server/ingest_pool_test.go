@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/admit"
 	"github.com/vossketch/vos/server"
 )
 
@@ -171,7 +172,7 @@ func TestBinaryBodyLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := server.New(vos.NewEngineService(eng), server.Options{MaxBatchBytes: 64})
+	srv := server.New(vos.NewEngineService(eng), server.Options{Admission: admit.NewController(64, 0)})
 	two := binaryBody(t, []vos.Edge{{User: 1, Item: 2}, {User: 3, Item: 4}})
 	one := binaryBody(t, []vos.Edge{{User: 1, Item: 2}})
 	cases := []struct {

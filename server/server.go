@@ -96,28 +96,13 @@ const (
 
 // Options tunes the server. The zero value selects the defaults.
 type Options struct {
-	// MaxBatchBytes caps a single ingest request body; larger payloads get
-	// 413/too_large. Default 8 MiB.
-	MaxBatchBytes int64
-	// MaxInFlightBytes bounds the memory of concurrently executing ingest
-	// requests — the backpressure budget. On admission each request
-	// charges its worst-case footprint: wire bytes plus the largest edge
-	// slice the body could decode to (compact binary bodies decode at up
-	// to ~12x amplification, so a binary request holds up to 13x its wire
-	// size until parsing reveals the real count), keeping the budget a
-	// bound on decoded memory, not just bodies. When admission would
-	// exceed the budget, the server answers 429/backpressure with a
-	// Retry-After hint instead of buffering without bound; a single batch
-	// whose worst case exceeds the whole budget gets 413/too_large (it
-	// could never be admitted — with an explicit budget, the largest
-	// acceptable binary batch is about MaxInFlightBytes/13 wire bytes).
-	// Default 128 MiB, sized so one maximal binary batch under the
-	// default MaxBatchBytes (13 x 8 MiB = 104 MiB) is admissible.
-	MaxInFlightBytes int64
-	// Admission, when non-nil, replaces the controller the server would
-	// build from the two byte limits above — the way vosd makes the HTTP
-	// handlers and the UDP listener share one process-wide ingest budget.
-	// The controller's own limits win over MaxBatchBytes/MaxInFlightBytes.
+	// Admission is the ingest admission budget: the per-request body cap
+	// (413/too_large past it) and the in-flight byte budget every ingest
+	// request charges its worst-case footprint against (429/backpressure
+	// with a Retry-After hint while it is exhausted) — see package admit.
+	// Nil builds admit.NewController(0, 0), the package's defaults; vosd
+	// passes one controller here and to its UDP listener, so both planes
+	// share one process-wide budget.
 	Admission *admit.Controller
 	// UDPStats, when non-nil, is polled by /v1/stats to report the UDP
 	// ingest plane's counters alongside the engine's (vosd wires it to the
@@ -126,21 +111,6 @@ type Options struct {
 	// Logger, when non-nil, receives one line per request: method, route,
 	// status, duration, and body size.
 	Logger *log.Logger
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 8 << 20
-	}
-	if o.MaxInFlightBytes <= 0 {
-		o.MaxInFlightBytes = 128 << 20
-	}
-	if o.MaxInFlightBytes < o.MaxBatchBytes {
-		// A budget smaller than one full batch would deadlock chunked
-		// requests, which charge MaxBatchBytes up front.
-		o.MaxInFlightBytes = o.MaxBatchBytes
-	}
-	return o
 }
 
 // endpointStats is one route's counters. RateMeter is not concurrency-safe
@@ -187,15 +157,9 @@ type Server struct {
 // New builds a Server over svc. The handler is ready immediately; pair it
 // with an http.Server (or httptest) owned by the caller.
 func New(svc vos.SimilarityService, opt Options) *Server {
-	opt = opt.withDefaults()
 	adm := opt.Admission
 	if adm == nil {
-		adm = admit.NewController(opt.MaxBatchBytes, opt.MaxInFlightBytes)
-	} else {
-		// An injected controller owns the limits; the handler-side checks
-		// (MaxBytesReader, chunked-length substitution) must agree with it.
-		opt.MaxBatchBytes = adm.MaxBatchBytes()
-		opt.MaxInFlightBytes = adm.MaxInFlightBytes()
+		adm = admit.NewController(0, 0)
 	}
 	s := &Server{
 		svc:     svc,
@@ -345,7 +309,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// hold is trimmed to the real footprint once parsing reveals the edge
 	// count. Only the length handling is HTTP-specific: chunked binary
 	// would have to charge the cap's worst case — a fixed ~13x
-	// MaxBatchBytes no matter how small the body, which under a tight
+	// the batch cap no matter how small the body, which under a tight
 	// budget rejects requests that splitting cannot save. Binary senders
 	// buffer batches anyway (the Go client does), so demand the length
 	// instead of guessing.
@@ -357,7 +321,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 				"binary ingest requires Content-Length")
 			return
 		}
-		wire = s.opt.MaxBatchBytes
+		wire = s.adm.MaxBatchBytes()
 	}
 	hold, err := s.adm.Admit(wire, isBinary)
 	if err != nil {
@@ -366,7 +330,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	defer hold.Close()
 
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBatchBytes)
+	body := http.MaxBytesReader(w, r.Body, s.adm.MaxBatchBytes())
 	var edges []vos.Edge
 	var encoded []byte // a binary body's count and elements, which a durable engine logs as they came
 	var maxTs float64  // the binary format carries no timestamps; HeaderBatchTs is its clock
@@ -374,7 +338,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		// Read and decoded in pooled memory, handed back once svc.Ingest
 		// has returned: the service does not keep the slice or the bytes
 		// (vos.SimilarityService.Ingest, vos.StateSync.IngestSpan).
-		buf := ingestBufs.Get().(*ingestBuf)
+		buf := reqBufs.Get().(*reqBuf)
 		defer buf.release()
 		edges, encoded, err = buf.decodeBinary(body, wire)
 	} else {
@@ -454,21 +418,25 @@ func normalizeCT(contentType string) string {
 	return strings.TrimSpace(strings.ToLower(contentType))
 }
 
-// ingestBuf is the memory one binary POST /v1/edges is read and decoded
-// in: the body, then the edges the service is handed. Requests take one from
-// ingestBufs and give it back when the service has returned, so steady
-// ingest allocates neither.
-type ingestBuf struct {
-	body  []byte
+// reqBuf is the memory one request is read into: a binary POST /v1/edges
+// body and the edges decoded from it, or a query's body and the answer
+// appended after it (answerjson.go). A handler takes one from reqBufs and
+// releases it once the service has returned and w.Write has copied the
+// answer, so steady traffic allocates neither.
+type reqBuf struct {
+	b     []byte
 	edges []vos.Edge
+	// limit is decodeBinary's io.LimitReader, kept here because a fresh one
+	// would escape to the heap on every request.
+	limit io.LimitedReader
 }
 
-var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+var reqBufs = sync.Pool{New: func() any { return new(reqBuf) }}
 
 // maxPooledBytes bounds what release keeps of each of the two buffers: a
-// rare huge batch (bodies run to MaxBatchBytes, their edges to 12x that) is
-// allocated for the request and collected after it, as every batch was
-// before the pool, instead of sitting in it for the process's life.
+// rare huge request (bodies run to the batch cap, their edges to 12x that) is
+// allocated for the request and collected after it instead of sitting in the
+// pool for the process's life.
 const maxPooledBytes = 1 << 20
 
 // decodeBinary reads a binary body of wire bytes — the Content-Length the
@@ -476,45 +444,65 @@ const maxPooledBytes = 1 << 20
 // returns the edges with the body's count and elements
 // (stream.BinaryElements). A body shorter or longer than it promised is
 // refused.
-func (b *ingestBuf) decodeBinary(body io.Reader, wire int64) ([]vos.Edge, []byte, error) {
+func (b *reqBuf) decodeBinary(body io.Reader, wire int64) ([]vos.Edge, []byte, error) {
 	// Room for one byte past the promise, so that a longer body shows.
-	if int64(cap(b.body)) <= wire {
-		b.body = make([]byte, wire+1)
+	if int64(cap(b.b)) <= wire {
+		b.b = make([]byte, 0, wire+1)
 	}
-	n, err := io.ReadFull(body, b.body[:wire+1])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+	b.limit = io.LimitedReader{R: body, N: wire + 1}
+	var err error
+	b.b, err = readInto(b.b[:0], &b.limit)
+	b.limit.R = nil // the pool keeps no request's body
+	if err != nil {
 		return nil, nil, fmt.Errorf("binary body: %w", err)
 	}
-	switch {
-	case int64(n) < wire:
+	switch n := int64(len(b.b)); {
+	case n < wire:
 		return nil, nil, fmt.Errorf("binary body: ends after %d of the %d bytes Content-Length promised", n, wire)
-	case int64(n) > wire:
+	case n > wire:
 		return nil, nil, fmt.Errorf("binary body: runs past the %d bytes Content-Length promised", wire)
 	}
-	edges, err := stream.DecodeBinaryInto(b.edges, b.body[:n])
+	edges, err := stream.DecodeBinaryInto(b.edges, b.b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("binary body: %w", err)
 	}
 	b.edges = edges
-	return edges, stream.BinaryElements(b.body[:n]), nil
+	return edges, stream.BinaryElements(b.b), nil
+}
+
+// readInto appends r to b until EOF: io.ReadAll into memory the caller owns.
+func readInto(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // released, when set, sees each buffer as release takes it back (a test
 // hook).
-var released func(*ingestBuf)
+var released func(*reqBuf)
 
 // release returns b to the pool, less any buffer past maxPooledBytes.
-func (b *ingestBuf) release() {
+func (b *reqBuf) release() {
 	if released != nil {
 		released(b)
 	}
-	if cap(b.body) > maxPooledBytes {
-		b.body = nil
+	if cap(b.b) > maxPooledBytes {
+		b.b = nil
 	}
 	if int64(cap(b.edges))*admit.EdgeMemBytes > maxPooledBytes {
 		b.edges = nil
 	}
-	ingestBufs.Put(b)
+	reqBufs.Put(b)
 }
 
 // decodeEdges parses an ingest body in either of the two text formats (the
@@ -687,7 +675,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		WriteServiceError(w, err)
 		return
 	}
-	buf := answerBufs.Get().(*answerBuf)
+	buf := reqBufs.Get().(*reqBuf)
 	defer buf.release()
 	var ok bool
 	if buf.b, ok = AppendEstimate(buf.b[:0], est); !ok {
@@ -700,11 +688,11 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// The body is read and the answer appended in the same pooled bytes: the
 	// request is a value of its own by the time there is a ranking to write.
-	buf := answerBufs.Get().(*answerBuf)
+	buf := reqBufs.Get().(*reqBuf)
 	defer buf.release()
 	var req TopKRequest
 	var err error
-	if buf.b, err = readInto(buf.b[:0], http.MaxBytesReader(nil, r.Body, s.opt.MaxBatchBytes)); err == nil {
+	if buf.b, err = readInto(buf.b[:0], http.MaxBytesReader(nil, r.Body, s.adm.MaxBatchBytes())); err == nil {
 		req, err = decodeTopKRequest(buf.b)
 	}
 	if err != nil {
@@ -781,38 +769,6 @@ func decodeTopKRequest(body []byte) (TopKRequest, error) {
 	return req, err
 }
 
-// answerBuf is the memory a query handler reads its request body into and
-// appends its answer to (answerjson.go); w.Write has copied the bytes when it
-// returns, so the next request may have them.
-type answerBuf struct{ b []byte }
-
-var answerBufs = sync.Pool{New: func() any { return new(answerBuf) }}
-
-// release returns a to the pool unless one huge request grew it past what
-// the pool keeps (maxPooledBytes).
-func (a *answerBuf) release() {
-	if cap(a.b) <= maxPooledBytes {
-		answerBufs.Put(a)
-	}
-}
-
-// readInto appends r to b until EOF: io.ReadAll into memory the caller owns.
-func readInto(b []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
-
 func (s *Server) handleCardinality(w http.ResponseWriter, r *http.Request) {
 	u, ok := parseID(r.URL.Query().Get("user"))
 	if !ok {
@@ -838,12 +794,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		udp := s.opt.UDPStats()
 		resp.UDP = &udp
 	}
-	if sr, ok := s.svc.(vos.SnapshotReporter); ok {
+	if sr, ok := s.svc.(vos.StatsReporter); ok {
 		snap := sr.SnapshotStats()
 		resp.Snapshot = &snap
-	}
-	if ar, ok := s.svc.(vos.ANNReporter); ok {
-		if ann, ok := ar.ANNStats(); ok {
+		if ann, ok := sr.ANNStats(); ok {
 			resp.ANN = &ann
 		}
 	}

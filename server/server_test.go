@@ -15,6 +15,7 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/admit"
 	"github.com/vossketch/vos/server"
 )
 
@@ -344,7 +345,7 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{MaxBatchBytes: 1 << 10}))
+	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{Admission: admit.NewController(1<<10, 0)}))
 	defer ts.Close()
 
 	cases := []struct {
@@ -384,14 +385,15 @@ func TestErrorEnvelope(t *testing.T) {
 // TestTopKBodyIsStrict: POST /v1/topk reads its body as strictly as every
 // other route — a misspelt field (an "at" assertion that would otherwise be
 // dropped in silence) and data after the object are refused, and a body over
-// MaxBatchBytes is 413 too_large as it is on POST /v1/edges.
+// the admission controller's batch cap is 413 too_large as it is on POST
+// /v1/edges.
 func TestTopKBodyIsStrict(t *testing.T) {
 	eng, err := vos.NewEngine(testEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{MaxBatchBytes: 1 << 10}))
+	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{Admission: admit.NewController(1<<10, 0)}))
 	defer ts.Close()
 
 	for _, tc := range []struct {
@@ -423,12 +425,11 @@ func TestBinaryWorstCaseTooLarge(t *testing.T) {
 	}
 	defer eng.Close()
 	ts := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{
-		MaxBatchBytes:    1 << 20,
-		MaxInFlightBytes: 1 << 20,
+		Admission: admit.NewController(1<<20, 1<<20),
 	}))
 	defer ts.Close()
 
-	// 512 KiB wire is under MaxBatchBytes but holds up to 512Ki/2 edges,
+	// 512 KiB wire is under the batch cap but holds up to 512Ki/2 edges,
 	// a ~6 MiB decoded slice — far over the 1 MiB budget. The body is
 	// never read, so junk bytes suffice.
 	status, code := errorCode(t, http.MethodPost, ts.URL+server.RouteEdges,
@@ -438,8 +439,45 @@ func TestBinaryWorstCaseTooLarge(t *testing.T) {
 	}
 }
 
+// TestDefaultBodyCap: a server built without an admission controller takes
+// admit's default batch cap. A binary POST that promises one byte more is
+// 413 too_large before a byte is read; one that promises exactly the cap is
+// admitted and read, and then refused (400) only because the body never
+// came.
+func TestDefaultBodyCap(t *testing.T) {
+	eng, err := vos.NewEngine(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := server.New(vos.NewEngineService(eng), server.Options{})
+	for _, tc := range []struct {
+		promised int64
+		status   int
+		code     string
+		msg      string
+	}{
+		{admit.DefaultMaxBatchBytes + 1, http.StatusRequestEntityTooLarge, server.CodeTooLarge, "limit"},
+		{admit.DefaultMaxBatchBytes, http.StatusBadRequest, server.CodeBadRequest, "ends after 0 of"},
+	} {
+		req := httptest.NewRequest(http.MethodPost, server.RouteEdges, http.NoBody)
+		req.Header.Set("Content-Type", server.ContentTypeBinary)
+		req.ContentLength = tc.promised
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var env server.ErrorEnvelope
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != tc.status || env.Error.Code != tc.code || !strings.Contains(env.Error.Message, tc.msg) {
+			t.Errorf("Content-Length %d: got %d/%s %q, want %d/%s containing %q",
+				tc.promised, rec.Code, env.Error.Code, env.Error.Message, tc.status, tc.code, tc.msg)
+		}
+	}
+}
+
 // TestChunkedBinaryRequiresLength: a binary body of unknown length would
-// have to charge the cap-derived worst case (~13x MaxBatchBytes) no matter
+// have to charge the cap-derived worst case (~13x the batch cap) no matter
 // how small it really is, so the server demands Content-Length up front.
 func TestChunkedBinaryRequiresLength(t *testing.T) {
 	eng, err := vos.NewEngine(testEngineConfig())
@@ -539,8 +577,7 @@ func TestBackpressure(t *testing.T) {
 		release:           make(chan struct{}),
 	}
 	ts := httptest.NewServer(server.New(blocker, server.Options{
-		MaxBatchBytes:    1 << 10,
-		MaxInFlightBytes: 1 << 10,
+		Admission: admit.NewController(1<<10, 1<<10),
 	}))
 	defer ts.Close()
 
@@ -549,7 +586,7 @@ func TestBackpressure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Chunked (no Content-Length) charges the full MaxBatchBytes, so
+		// Chunked (no Content-Length) charges the full batch cap, so
 		// this one request drains the budget no matter how small it is.
 		req, err := http.NewRequest(http.MethodPost, ts.URL+server.RouteEdges, &chunkedReader{s: body})
 		if err != nil {

@@ -103,13 +103,13 @@ type StatsResponse struct {
 	UDP *metrics.UDPStats `json:"udp,omitempty"`
 	// Snapshot reports how the service's merged query snapshot has been
 	// kept current, present when the backing service is a
-	// vos.SnapshotReporter (an in-process Engine, or the cluster gateway —
+	// vos.StatsReporter (an in-process Engine, or the cluster gateway —
 	// both send the same object; the fields only the other tier counts stay
 	// zero).
 	Snapshot *vos.SnapshotStats `json:"snapshot,omitempty"`
 	// ANN reports the approximate top-K index's occupancy and maintenance,
-	// present when the backing service is a vos.ANNReporter with an index
-	// configured (vosd -ann).
+	// present when the backing service is a vos.StatsReporter with an index
+	// configured (vosd -ann; never the gateway).
 	ANN *vos.ANNStats `json:"ann,omitempty"`
 }
 
@@ -180,10 +180,12 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeNotFound: no such route.
 	CodeNotFound = "not_found"
-	// CodeTooLarge: one ingest payload exceeds Options.MaxBatchBytes.
+	// CodeTooLarge: one request body exceeds the admission controller's
+	// batch cap (Options.Admission), or a binary batch's worst case exceeds
+	// its whole in-flight budget; split the batch.
 	CodeTooLarge = "too_large"
-	// CodeBackpressure: the in-flight ingest byte budget
-	// (Options.MaxInFlightBytes) is exhausted; retry after a delay.
+	// CodeBackpressure: the admission controller's in-flight ingest byte
+	// budget (Options.Admission) is exhausted; retry after a delay.
 	CodeBackpressure = "backpressure"
 	// CodeUnavailable: the service is closed or the query path cannot
 	// answer in the engine's current state.

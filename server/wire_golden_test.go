@@ -60,6 +60,8 @@ func (goldenGateway) SnapshotStats() vos.SnapshotStats {
 	return vos.SnapshotStats{Replays: 5, ReplayedEdges: 1280, RebuildsFirst: 2, GatheredBytes: 700, LocalReplays: 4}
 }
 
+func (goldenGateway) ANNStats() (vos.ANNStats, bool) { return vos.ANNStats{}, false }
+
 func (goldenReporter) ANNStats() (vos.ANNStats, bool) {
 	return vos.ANNStats{
 		Indexed: 1, DirtyBacklog: 2, Entries: 3, Rebands: 4, Removals: 5, Probes: 6,

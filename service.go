@@ -161,22 +161,18 @@ type PartialTopK interface {
 	TopKPartial(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, bool, error)
 }
 
-// SnapshotReporter is the optional read-path observability extension of
-// SimilarityService: services that answer reads from a resident merged
-// snapshot (an Engine over its shards, the cluster gateway over its
-// backends) report how it has been kept current. GET /v1/stats probes for
-// it and carries the counters as its `snapshot` object.
-type SnapshotReporter interface {
+// StatsReporter is the optional observability extension of
+// SimilarityService that GET /v1/stats probes for. SnapshotStats reports how
+// a service that answers reads from a resident merged snapshot (an Engine
+// over its shards, the cluster gateway over its backends) has kept it
+// current; /v1/stats carries it as its `snapshot` object. ANNStats reports
+// how an approximate top-K index (an Engine with EngineConfig.ANN) has
+// followed the stream — single bands re-keyed from the shard journals
+// against whole users re-banded, and what is still owed; ok is false when no
+// index is configured (always, on the gateway), and /v1/stats then leaves
+// out its `ann` object.
+type StatsReporter interface {
 	SnapshotStats() SnapshotStats
-}
-
-// ANNReporter is the optional observability extension of services that
-// maintain an approximate top-K index (an Engine with EngineConfig.ANN):
-// how the index has followed the stream — single bands re-keyed from the
-// shard journals against whole users re-banded, and what is still owed.
-// ok is false when no index is configured. GET /v1/stats probes for it and
-// carries the counters as its `ann` object.
-type ANNReporter interface {
 	ANNStats() (st ANNStats, ok bool)
 }
 
@@ -252,10 +248,10 @@ func (s *engineService) Stats(ctx context.Context) (Stats, error) {
 	return s.e.StatsContext(ctx)
 }
 
-// SnapshotStats implements SnapshotReporter.
+// SnapshotStats implements StatsReporter.
 func (s *engineService) SnapshotStats() SnapshotStats { return s.e.SnapshotStats() }
 
-// ANNStats implements ANNReporter.
+// ANNStats implements StatsReporter.
 func (s *engineService) ANNStats() (ANNStats, bool) { return s.e.ANNStats() }
 
 // Checkpoint implements Checkpointer; ErrEngineNoDurability on a
