@@ -1,6 +1,6 @@
 // Package cpu reports, once at start-up, whether the processor and the OS run
-// the AVX-512 bodies of the hashing kernels, the bitset gathers, the bitset
-// XOR-popcount and the stream element codec.
+// the AVX-512 bodies of the hashing kernels (the route's owner pass among them),
+// the bitset gathers, the bitset XOR-popcount and the stream element codec.
 package cpu
 
 // AVX512: CPUID has AVX-512F, AVX-512DQ, BMI2 and POPCNT, and XGETBV shows the

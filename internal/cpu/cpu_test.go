@@ -7,13 +7,13 @@ import (
 )
 
 // TestKernelDispatch logs which body the read- and write-path kernels, the
-// XOR-popcount and the element codec run on this machine, so a green run
-// without AVX-512 is not read as coverage of the assembly. Where
-// /proc/cpuinfo exists it must not contradict the answer: a flag it lacks
-// means the vector bodies stay off.
+// route's owner pass, the XOR-popcount and the element codec run on this
+// machine, so a green run without AVX-512 is not read as coverage of the
+// assembly. Where /proc/cpuinfo exists it must not contradict the answer: a
+// flag it lacks means the vector bodies stay off.
 func TestKernelDispatch(t *testing.T) {
 	if AVX512 {
-		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers and edge positions run the assembly)")
+		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers, edge positions and the route's shard owners run the assembly)")
 	} else {
 		t.Log("kernel dispatch: Go loops only (no AVX-512F/DQ, BMI2, POPCNT or OS ZMM state, another target, or -tags purego)")
 	}

@@ -41,3 +41,20 @@ func edgePositionsVec(dst, pairs []uint64, stride int, seeds []uint64, k, psiSee
 	edgePositionsAVX512(dst[:blocks], pairs, stride, seeds, psiSeed, k, userSeed, m)
 	return blocks
 }
+
+// usersToRangeAVX512 is UsersToRange's body: len(dst) a positive multiple of eight, n < 2³².
+//
+//go:noescape
+func usersToRangeAVX512(dst []uint32, pairs []uint64, stride int, seed, n uint64)
+
+// UsersToRange sets dst[i] = HashToRange(pairs[i*stride], seed, n) over the
+// longest prefix of dst a multiple of eight long and returns its length: 0
+// without AVX-512 or for n ≥ 2³².
+func UsersToRange(dst []uint32, pairs []uint64, stride int, seed, n uint64) int {
+	blocks := len(dst) &^ 7
+	if !cpu.AVX512 || blocks == 0 || n>>32 != 0 {
+		return 0
+	}
+	usersToRangeAVX512(dst[:blocks], pairs[:(blocks-1)*stride+1], stride, seed, n) // up to the last user read
+	return blocks
+}

@@ -188,3 +188,34 @@ store:
 	JNZ       edge
 	VZEROUPPER
 	RET
+
+// func usersToRangeAVX512(dst []uint32, pairs []uint64, stride int, seed, n uint64)
+//
+// Eight users a step, pairs[i·stride] each: dst[i] = Reduce(Hash64(user,
+// seed), n), by REDUCE32 (n < 2³²), stored as eight dwords.
+TEXT ·usersToRangeAVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	SHRQ $3, CX
+	MOVQ pairs_base+24(FP), SI
+	MOVQ stride+48(FP), AX
+	VPBROADCASTQ AX, Z20
+	VPMULLQ lanes<>(SB), Z20, Z20 // word offsets of the eight users
+	SHLQ $6, AX
+	MOVQ AX, R10                  // bytes from one step's users to the next's
+	VPBROADCASTQ seed+56(FP), Z21
+	VPBROADCASTQ n+64(FP), Z14
+	MULTIPLIERS
+
+user:
+	KXNORB     K1, K1, K1
+	VPGATHERQQ (SI)(Z20*8), K1, Z3
+	HASH64(Z21, Z3, Z1)
+	REDUCE32(Z14, Z1)
+	VPMOVQD    Z1, (DI)
+	ADDQ       $32, DI
+	ADDQ       R10, SI
+	DECQ       CX
+	JNZ        user
+	VZEROUPPER
+	RET

@@ -12,21 +12,21 @@ import (
 	"github.com/vossketch/vos/internal/cpu"
 )
 
-// bothBodies runs fn on the dispatched codec, then with the AVX-512 bodies
-// switched off, so the Go loops are held to the same reference where the
-// assembly would otherwise take every whole group.
+// bothBodies runs fn on the dispatched codec and partition owner pass, then
+// with the AVX-512 bodies switched off, so the Go loops are held to the same
+// reference where the assembly would otherwise take every whole group.
 func bothBodies(t *testing.T, fn func(t *testing.T)) {
 	t.Run("dispatched", fn)
 	defer goLoopsOnly()()
 	t.Run("go", fn)
 }
 
-// goLoopsOnly switches the codec's vector bodies off and returns what
-// switches them back.
+// goLoopsOnly switches the codec's and the owner pass's vector bodies off and
+// returns what switches them back.
 func goLoopsOnly() (restore func()) {
-	was := cpu.AVX512VBMI2
-	cpu.AVX512VBMI2 = false
-	return func() { cpu.AVX512VBMI2 = was }
+	avx512, vbmi2 := cpu.AVX512, cpu.AVX512VBMI2
+	cpu.AVX512, cpu.AVX512VBMI2 = false, false
+	return func() { cpu.AVX512, cpu.AVX512VBMI2 = avx512, vbmi2 }
 }
 
 // The element codec as it stood before the append-based kernel, written

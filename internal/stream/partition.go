@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/vossketch/vos/internal/hashing"
 )
@@ -14,9 +15,16 @@ import (
 // an engine's shards.
 func ShardOf(u User, n int, seed uint64) int {
 	if n <= 0 {
-		panic(fmt.Sprintf("stream: shard count %d must be positive", n))
+		panic(badShardCount(n))
 	}
 	return int(hashing.HashToRange(uint64(u), seed, uint64(n)))
+}
+
+// badShardCount is the panic for n ≤ 0 shards, formatted only if printed: ShardOf inlines.
+type badShardCount int
+
+func (n badShardCount) Error() string {
+	return fmt.Sprintf("stream: shard count %d must be positive", int(n))
 }
 
 // PartitionByUser splits a stream into n shards by hashing the user ID,
@@ -38,15 +46,15 @@ func PartitionByUser(edges []Edge, n int, seed uint64) [][]Edge {
 }
 
 // Partitioner is that split's scratch. It is a counting partition: one pass
-// finds every edge's owner (ShardOf) and the shard sizes, one pass scatters
-// the edges into a buffer, shards back to back in arrival order. An edge is
-// copied once and the shards share no memory with edges; a shard's capacity
-// ends with it, so an append to one moves it out rather than running on into
-// the next, and a shard no user hashes to is nil. Owners, offsets, buffer and
-// shard headers stay from call to call, never zeroed and remade only for a
-// longer call: a caller done with the shards before its next Partition — one
-// that copies or encodes them, from a sync.Pool — allocates nothing. The
-// zero value is ready to use.
+// finds every edge's owner (ShardOf, eight a step with AVX-512) and the shard
+// sizes, one pass scatters the edges into a buffer, shards back to back in
+// arrival order. An edge is copied once and the shards share no memory with
+// edges; a shard's capacity ends with it, so an append to one moves it out
+// rather than running on into the next, and a shard no user hashes to is nil.
+// Owners, offsets, buffer and shard headers stay from call to call, never
+// zeroed and remade only for a longer call: a caller done with the shards
+// before its next Partition — one that copies or encodes them, from a sync.Pool
+// — allocates nothing. The zero value is ready to use.
 type Partitioner struct {
 	owner  []uint32 // wide enough: a shard is an array and a goroutine, or a node
 	at     []int    // at[i]: where shard i's next edge goes, once the sizes are summed
@@ -58,7 +66,7 @@ type Partitioner struct {
 // p's next Partition.
 func (p *Partitioner) Partition(edges []Edge, n int, seed uint64) [][]Edge {
 	if n <= 0 {
-		panic(fmt.Sprintf("stream: shard count %d must be positive", n))
+		panic(badShardCount(n))
 	}
 	if cap(p.buf) < len(edges) {
 		p.owner, p.buf = make([]uint32, len(edges)), make([]Edge, len(edges))
@@ -68,9 +76,12 @@ func (p *Partitioner) Partition(edges []Edge, n int, seed uint64) [][]Edge {
 	}
 	owner, at, buf, shards := p.owner[:len(edges)], p.at[:n+1], p.buf[:len(edges)], p.shards[:n]
 	clear(at)
-	for k := range edges {
-		i := ShardOf(edges[k].User, n, seed)
-		owner[k] = uint32(i)
+	const stride = int(unsafe.Sizeof(Edge{}) / 8) // an Edge read as words, user first
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(edges))), len(edges)*stride)
+	for k := hashing.UsersToRange(owner, words, stride, seed, uint64(n)); k < len(edges); k++ {
+		owner[k] = uint32(hashing.HashToRange(uint64(edges[k].User), seed, uint64(n)))
+	}
+	for _, i := range owner {
 		at[i+1]++
 	}
 	for i := 1; i < n; i++ {
@@ -99,7 +110,7 @@ func (p *Partitioner) Partition(edges []Edge, n int, seed uint64) [][]Edge {
 // exact sketches such as VOS.
 func RoundRobin(edges []Edge, n int) [][]Edge {
 	if n <= 0 {
-		panic(fmt.Sprintf("stream: shard count %d must be positive", n))
+		panic(badShardCount(n))
 	}
 	shards := make([][]Edge, n)
 	for i, e := range edges {
