@@ -403,9 +403,14 @@ func BenchmarkMutexIngest(b *testing.B) {
 // is the scaling floor. Edges flow through ProcessBatch in chunks, the
 // high-throughput path, and each sub-benchmark ends with a Flush so the
 // timing covers applied edges, not just enqueued ones.
+//
+// It can witness a write-path change of about a fifth or more, not a few
+// percent: on a 2-vCPU Xeon at -cpu 2, twelve runs of shards=2 read
+// 23.6–46.4 ns/op with quartiles 26.6–32.0, shards=1 19.9–43.2 with
+// quartiles 24.5–31.0. A smaller claim needs the repository benchmark's
+// alternating pairs.
 func BenchmarkEngineIngest(b *testing.B) {
 	edges := ingestStream(b)
-	const chunk = 512
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			eng := vos.MustNewEngine(vos.EngineConfig{
@@ -413,31 +418,46 @@ func BenchmarkEngineIngest(b *testing.B) {
 				Shards: shards,
 			})
 			defer eng.Close()
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				buf := make([]vos.Edge, 0, chunk)
-				for pb.Next() {
-					i := next.Add(1)
-					buf = append(buf, edges[i%uint64(len(edges))])
-					if len(buf) == chunk {
-						if err := eng.ProcessBatch(buf); err != nil {
-							b.Error(err)
-							return
-						}
-						buf = buf[:0]
-					}
-				}
-				if len(buf) > 0 {
-					if err := eng.ProcessBatch(buf); err != nil {
-						b.Error(err)
-					}
-				}
-			})
-			eng.Flush()
-			b.StopTimer()
+			ingestParallel(b, eng, edges)
 		})
 	}
+}
+
+// ingestParallel times edges flowing into eng from RunParallel's producers,
+// one edge an op and 512 to a ProcessBatch, then a Flush. Each producer
+// reserves a run of 512 stream positions per atomic add, so the producers
+// meet on the shared counter once a batch rather than once an edge, and the
+// timing is the engine's rather than that cache line's.
+func ingestParallel(b *testing.B, eng *vos.Engine, edges []vos.Edge) {
+	const chunk = 512
+	var next atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]vos.Edge, 0, chunk)
+		var at, end uint64
+		for pb.Next() {
+			if at == end {
+				end = next.Add(chunk)
+				at = end - chunk
+			}
+			buf = append(buf, edges[at%uint64(len(edges))])
+			at++
+			if len(buf) == chunk {
+				if err := eng.ProcessBatch(buf); err != nil {
+					b.Error(err)
+					return
+				}
+				buf = buf[:0]
+			}
+		}
+		if len(buf) > 0 {
+			if err := eng.ProcessBatch(buf); err != nil {
+				b.Error(err)
+			}
+		}
+	})
+	eng.Flush()
+	b.StopTimer()
 }
 
 // BenchmarkEngineFlushAfterWrite measures what a read-your-writes caller
@@ -478,7 +498,6 @@ func BenchmarkEngineFlushAfterWrite(b *testing.B) {
 // SyncEveryBatch fsyncs per 512-edge chunk (acknowledged = durable).
 func BenchmarkEngineIngestDurable(b *testing.B) {
 	edges := ingestStream(b)
-	const chunk = 512
 	policies := []struct {
 		name string
 		d    vos.DurabilityConfig
@@ -498,29 +517,7 @@ func BenchmarkEngineIngestDurable(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer eng.Close()
-			var next atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				buf := make([]vos.Edge, 0, chunk)
-				for pb.Next() {
-					i := next.Add(1)
-					buf = append(buf, edges[i%uint64(len(edges))])
-					if len(buf) == chunk {
-						if err := eng.ProcessBatch(buf); err != nil {
-							b.Error(err)
-							return
-						}
-						buf = buf[:0]
-					}
-				}
-				if len(buf) > 0 {
-					if err := eng.ProcessBatch(buf); err != nil {
-						b.Error(err)
-					}
-				}
-			})
-			eng.Flush()
-			b.StopTimer()
+			ingestParallel(b, eng, edges)
 		})
 	}
 }

@@ -112,9 +112,6 @@ func NewController(maxBatchBytes, maxInFlightBytes int64) *Controller {
 // MaxBatchBytes returns the per-batch wire-size cap.
 func (c *Controller) MaxBatchBytes() int64 { return c.maxBatch }
 
-// MaxInFlightBytes returns the total in-flight budget.
-func (c *Controller) MaxInFlightBytes() int64 { return c.budget }
-
 // InFlightBytes returns the budget currently held by admitted batches.
 func (c *Controller) InFlightBytes() int64 {
 	c.mu.Lock()
@@ -151,9 +148,6 @@ type Hold struct {
 	wire int64
 	held int64
 }
-
-// Held returns the bytes currently charged by this hold.
-func (h *Hold) Held() int64 { return h.held }
 
 // Trim shrinks the pessimistic hold to the batch's real footprint — wire
 // bytes plus edges decoded slots — freeing budget for concurrent batches

@@ -11,14 +11,14 @@ func TestDefaultsAndFloor(t *testing.T) {
 	if c.MaxBatchBytes() != DefaultMaxBatchBytes {
 		t.Fatalf("default batch cap = %d, want %d", c.MaxBatchBytes(), DefaultMaxBatchBytes)
 	}
-	if c.MaxInFlightBytes() != DefaultMaxInFlightBytes {
-		t.Fatalf("default budget = %d, want %d", c.MaxInFlightBytes(), DefaultMaxInFlightBytes)
+	if c.budget != DefaultMaxInFlightBytes {
+		t.Fatalf("default budget = %d, want %d", c.budget, DefaultMaxInFlightBytes)
 	}
 	// A budget below the batch cap is floored at the cap: transports that
 	// charge the cap up front (chunked HTTP) must never deadlock.
 	c = NewController(1<<20, 1<<10)
-	if c.MaxInFlightBytes() != 1<<20 {
-		t.Fatalf("budget = %d, want floored to batch cap %d", c.MaxInFlightBytes(), 1<<20)
+	if c.budget != 1<<20 {
+		t.Fatalf("budget = %d, want floored to batch cap %d", c.budget, 1<<20)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestAdmitOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Admit(1000): %v", err)
 	}
-	for c.InFlightBytes()+1000 <= c.MaxInFlightBytes() {
+	for c.InFlightBytes()+1000 <= c.budget {
 		if _, err := c.Admit(1000, false); err != nil {
 			t.Fatalf("filling budget: %v", err)
 		}
@@ -85,22 +85,22 @@ func TestTrimAndClose(t *testing.T) {
 		t.Fatalf("Admit: %v", err)
 	}
 	worst := WorstCase(100, true)
-	if h.Held() != worst || c.InFlightBytes() != worst {
-		t.Fatalf("held = %d / in-flight = %d, want %d", h.Held(), c.InFlightBytes(), worst)
+	if h.held != worst || c.InFlightBytes() != worst {
+		t.Fatalf("held = %d / in-flight = %d, want %d", h.held, c.InFlightBytes(), worst)
 	}
 
 	// Trimming to the real footprint releases the pessimism.
 	h.Trim(3)
 	actual := int64(100) + 3*EdgeMemBytes
-	if h.Held() != actual || c.InFlightBytes() != actual {
-		t.Fatalf("after Trim(3): held = %d / in-flight = %d, want %d", h.Held(), c.InFlightBytes(), actual)
+	if h.held != actual || c.InFlightBytes() != actual {
+		t.Fatalf("after Trim(3): held = %d / in-flight = %d, want %d", h.held, c.InFlightBytes(), actual)
 	}
 
 	// A footprint at or above the hold never grows the charge (text
 	// bodies, whose decoded slice exceeds the wire-only hold).
 	h.Trim(1 << 20)
-	if h.Held() != actual {
-		t.Fatalf("Trim up grew the hold to %d", h.Held())
+	if h.held != actual {
+		t.Fatalf("Trim up grew the hold to %d", h.held)
 	}
 
 	h.Close()

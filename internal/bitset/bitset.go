@@ -69,16 +69,6 @@ func (b *Bitset) Set(i uint64) {
 	}
 }
 
-// Clear sets bit i to 0.
-func (b *Bitset) Clear(i uint64) {
-	b.check(i)
-	w, m := i>>6, uint64(1)<<(i&63)
-	if b.words[w]&m != 0 {
-		b.words[w] &^= m
-		b.ones--
-	}
-}
-
 // Flip toggles bit i and returns its new value. This is the O(1) XOR update
 // at the heart of VOS.
 func (b *Bitset) Flip(i uint64) bool {
@@ -195,17 +185,7 @@ func (b *Bitset) XorCountWords(ws []uint64) uint64 {
 	if len(ws) != len(b.words) {
 		panic("bitset: word-count mismatch in XorCountWords")
 	}
-	return xorCountWordsKernel(b.words, ws)
-}
-
-// XorCountWordsRef is XorCountWords pinned to the portable reference
-// kernel, regardless of platform dispatch — for cross-checking and for
-// benchmarking the dispatch win.
-func (b *Bitset) XorCountWordsRef(ws []uint64) uint64 {
-	if len(ws) != len(b.words) {
-		panic("bitset: word-count mismatch in XorCountWords")
-	}
-	return xorCountWordsRef(b.words, ws)
+	return xorCountWords(b.words, ws)
 }
 
 // UnsafeWords exposes the backing word slice, least-significant bit first,
@@ -236,16 +216,7 @@ func FromWordsCountedUnsafe(ws []uint64, n, ones uint64) *Bitset {
 // a large shared array. Every index must be in [0, b.Len()).
 func (b *Bitset) Gather(idx []uint64) *Bitset {
 	out := New(uint64(len(idx)))
-	out.ones = gatherWords(out.words, b.words, b.n, idx)
-	return out
-}
-
-// GatherRef is Gather pinned to the portable reference kernel, regardless
-// of platform dispatch — for cross-checking and for benchmarking the
-// dispatch win.
-func (b *Bitset) GatherRef(idx []uint64) *Bitset {
-	out := New(uint64(len(idx)))
-	out.ones = gatherWordsRef(out.words, b.words, b.n, idx)
+	out.ones = gatherXor(out.words, out.words, b.words, b.n, idx)
 	return out
 }
 
@@ -262,24 +233,14 @@ func (b *Bitset) GatherXorCount(idx []uint64, o *Bitset) uint64 {
 	if o.n != uint64(len(idx)) {
 		panic("bitset: length mismatch in GatherXorCount")
 	}
-	return gatherXorCountWords(b.words, b.n, idx, o.words)
-}
-
-// GatherXorCountRef is GatherXorCount pinned to the portable reference
-// kernel, regardless of platform dispatch — for cross-checking and for
-// benchmarking the dispatch win.
-func (b *Bitset) GatherXorCountRef(idx []uint64, o *Bitset) uint64 {
-	if o.n != uint64(len(idx)) {
-		panic("bitset: length mismatch in GatherXorCount")
-	}
-	return gatherXorCountRef(b.words, b.n, idx, o.words)
+	return gatherXor(nil, o.words, b.words, b.n, idx)
 }
 
 // check panics when i is out of range. The tail bits of the last word are
 // never addressable, so the ones count stays exact.
 func (b *Bitset) check(i uint64) {
 	if i >= b.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0, %d)", i, b.n))
+		panicRange(i, b.n)
 	}
 }
 

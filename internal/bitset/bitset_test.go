@@ -28,15 +28,10 @@ func TestBasicOps(t *testing.T) {
 	if b.Get(1) || b.GetBit(63) != 0 {
 		t.Error("unset bits read as set")
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
-		t.Errorf("after clear: get=%v count=%d", b.Get(64), b.Count())
-	}
-	// Idempotence of Set/Clear must not corrupt the count.
+	// Idempotence of Set must not corrupt the count.
 	b.Set(0)
-	b.Clear(64)
-	if b.Count() != 2 {
-		t.Errorf("idempotent ops changed count to %d", b.Count())
+	if b.Count() != 3 {
+		t.Errorf("idempotent Set changed count to %d", b.Count())
 	}
 }
 
@@ -76,14 +71,11 @@ func TestCountMatchesNaiveProperty(t *testing.T) {
 		naive := make([]bool, n)
 		for _, op := range ops {
 			i := uint64(op) % n
-			switch op % 3 {
+			switch op % 2 {
 			case 0:
 				b.Set(i)
 				naive[i] = true
 			case 1:
-				b.Clear(i)
-				naive[i] = false
-			case 2:
 				b.Flip(i)
 				naive[i] = !naive[i]
 			}
@@ -281,7 +273,6 @@ func TestPanicsOutOfRange(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"get":           func() { b.Get(10) },
 		"set":           func() { b.Set(10) },
-		"clear":         func() { b.Clear(10) },
 		"flip":          func() { b.Flip(10) },
 		"xor mismatch":  func() { b.Xor(New(11)) },
 		"xorcount":      func() { b.XorCount(New(11)) },

@@ -85,10 +85,44 @@ func goLoopsOnly() (restore func()) {
 	return func() { cpu.AVX512, cpu.AVX512VPOPCNTDQ = gather, popcnt }
 }
 
-// The dispatched kernels, the blocked kernels, and the portable reference
-// must agree bit for bit on every pattern × index-shape × size, including
-// the maintained ones counts — up to the benchmark's arrays (2²¹ and
-// 2,048,000 bits) and its 6,400-index sketches.
+// gatherRef is the tests' oracle for Gather: one index, one probe, one
+// Set per bit, the ones count maintained by Set.
+func gatherRef(b *Bitset, idx []uint64) *Bitset {
+	out := New(uint64(len(idx)))
+	for j, p := range idx {
+		if b.Get(p) {
+			out.Set(uint64(j))
+		}
+	}
+	return out
+}
+
+// gatherXorCountRef is the oracle for GatherXorCount: the positions j
+// where b's bit idx[j] differs from o's bit j, counted one at a time.
+func gatherXorCountRef(b *Bitset, idx []uint64, o *Bitset) uint64 {
+	ones := uint64(0)
+	for j, p := range idx {
+		ones += b.GetBit(p) ^ o.GetBit(uint64(j))
+	}
+	return ones
+}
+
+// xorCountWordsRef is the oracle for XorCountWords: each differing bit
+// cleared and counted in turn, no popcount instruction.
+func xorCountWordsRef(a, b []uint64) uint64 {
+	ones := uint64(0)
+	for i, w := range a {
+		for x := w ^ b[i]; x != 0; x &= x - 1 {
+			ones++
+		}
+	}
+	return ones
+}
+
+// Gather and GatherXorCount must agree with their per-bit oracles bit for
+// bit on every pattern × index-shape × size, including the maintained ones
+// counts — up to the benchmark's arrays (2²¹ and 2,048,000 bits) and its
+// 6,400-index sketches.
 func TestKernelEquivalence(t *testing.T) {
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
@@ -100,25 +134,15 @@ func TestKernelEquivalence(t *testing.T) {
 				fillPattern(src, pat, rng)
 				for _, size := range sizes {
 					for shape, idx := range kernelIndexSets(nBits, size, rng) {
-						gotB := src.Gather(idx)
-						gotBlocked := New(uint64(size))
-						gotBlocked.ones = gatherWordsBlocked(gotBlocked.words, src.words, src.n, idx)
-						want := src.GatherRef(idx)
-						if !gotB.Equal(want) || gotB.Count() != want.Count() {
+						got, want := src.Gather(idx), gatherRef(src, idx)
+						if !got.Equal(want) || got.Count() != want.Count() {
 							t.Fatalf("gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
-						}
-						if !gotBlocked.Equal(want) || gotBlocked.Count() != want.Count() {
-							t.Fatalf("blocked gather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
 						}
 
 						other := New(uint64(size))
 						fillPattern(other, kernelPatterns[size%len(kernelPatterns)], rng)
-						if got, want := src.GatherXorCount(idx, other), src.GatherXorCountRef(idx, other); got != want {
+						if got, want := src.GatherXorCount(idx, other), gatherXorCountRef(src, idx, other); got != want {
 							t.Fatalf("gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
-								nBits, pat, shape, size, got, want)
-						}
-						if got, want := gatherXorCountBlocked(src.words, src.n, idx, other.words), src.GatherXorCountRef(idx, other); got != want {
-							t.Fatalf("blocked gatherxor mismatch: n=%d pat=%s shape=%s size=%d: %d != %d",
 								nBits, pat, shape, size, got, want)
 						}
 					}
@@ -128,7 +152,7 @@ func TestKernelEquivalence(t *testing.T) {
 	})
 }
 
-// The dispatched XOR-popcount must equal the reference on both sides of
+// The XOR-popcount must equal its oracle on both sides of
 // the vector body's eight-word step: word counts 1, 2, 4, 7, 8, 9, 15, 16,
 // 17, 25 (k = 1,600) and 100 (k = 6,400), partial last words included.
 func TestXorCountWordsKernelEquivalence(t *testing.T) {
@@ -141,9 +165,9 @@ func TestXorCountWordsKernelEquivalence(t *testing.T) {
 					b := New(nBits)
 					fillPattern(a, patA, rng)
 					fillPattern(b, patB, rng)
-					want := a.XorCountWordsRef(b.UnsafeWords())
+					want := xorCountWordsRef(a.UnsafeWords(), b.UnsafeWords())
 					if got := a.XorCountWords(b.UnsafeWords()); got != want {
-						t.Fatalf("n=%d %s^%s: dispatch %d != ref %d", nBits, patA, patB, got, want)
+						t.Fatalf("n=%d %s^%s: kernel %d != ref %d", nBits, patA, patB, got, want)
 					}
 					if want != a.XorCount(b) {
 						t.Fatalf("n=%d %s^%s: XorCount disagrees with words path", nBits, patA, patB)
@@ -154,7 +178,7 @@ func TestXorCountWordsKernelEquivalence(t *testing.T) {
 	})
 }
 
-// FuzzXorCountWords holds the dispatched XOR-popcount to the reference on
+// FuzzXorCountWords holds the dispatched XOR-popcount to its oracle on
 // 0–300 random words at any word offset, b sharing a's words except where
 // flips says, so counts near zero are reached as well as near half.
 func FuzzXorCountWords(f *testing.F) {
@@ -173,15 +197,15 @@ func FuzzXorCountWords(f *testing.F) {
 			}
 		}
 		a, b = a[at:], b[at:]
-		if got, want := xorCountWordsKernel(a, b), xorCountWordsRef(a, b); got != want {
-			t.Fatalf("%d words at offset %d: dispatched %d, reference %d", words, at, got, want)
+		if got, want := xorCountWords(a, b), xorCountWordsRef(a, b); got != want {
+			t.Fatalf("%d words at offset %d: dispatched %d, oracle %d", words, at, got, want)
 		}
 	})
 }
 
-// Out-of-range indices must panic with the identical message from every
-// kernel, at every offset within a block (the blocked kernel checks four
-// at a time, the vector body a whole block, and both must still report the
+// Out-of-range indices must panic with Bitset.check's message from both
+// kernels, at every offset within a block (the Go loop checks four at a
+// time, the vector body a whole block, and both must still report the
 // first bad index) — whether the bad block is the first or follows blocks
 // the vector body completed, and whether the later bad indices of the
 // block lie inside the array's last word or far past its end.
@@ -201,12 +225,8 @@ func TestKernelRangePanics(t *testing.T) {
 				other := New(uint64(len(idx)))
 				wantMsg := "bitset: index 100 out of range [0, 100)"
 				for name, fn := range map[string]func(){
-					"Gather":            func() { src.Gather(idx) },
-					"GatherRef":         func() { src.GatherRef(idx) },
-					"blocked gather":    func() { gatherWordsBlocked(make([]uint64, blocks), src.words, src.n, idx) },
-					"GatherXorCount":    func() { src.GatherXorCount(idx, other) },
-					"GatherXorCountRef": func() { src.GatherXorCountRef(idx, other) },
-					"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, other.words) },
+					"Gather":         func() { src.Gather(idx) },
+					"GatherXorCount": func() { src.GatherXorCount(idx, other) },
 				} {
 					r := panicOf(fn)
 					if msg, ok := r.(string); !ok || !strings.Contains(msg, wantMsg) {
@@ -226,7 +246,7 @@ func panicOf(fn func()) (r any) {
 }
 
 // FuzzKernels holds the dispatched fill, gather and gather-XOR-count to
-// their references (HashRange, GatherRef, GatherXorCountRef): positions of
+// their oracles (HashRange, gatherRef, gatherXorCountRef): positions of
 // a random key in a random range n, then the same key's positions in an
 // array of at most 2²¹ bits gathered from random words — with one index
 // pushed out of range when bad is odd, where the panics must agree.
@@ -258,68 +278,41 @@ func FuzzKernels(f *testing.F) {
 			b.words[len(b.words)-1] &= ^uint64(0) >> (63 - (b.n-1)%64)
 		}
 		var got, want *Bitset
-		if gp, wp := panicOf(func() { got = src.Gather(pos) }), panicOf(func() { want = src.GatherRef(pos) }); gp != wp {
-			t.Fatalf("m=%d: Gather panicked with %v, GatherRef with %v", m, gp, wp)
+		if gp, wp := panicOf(func() { got = src.Gather(pos) }), panicOf(func() { want = gatherRef(src, pos) }); gp != wp {
+			t.Fatalf("m=%d: Gather panicked with %v, gatherRef with %v", m, gp, wp)
 		} else if wp == nil && (!got.Equal(want) || got.Count() != want.Count()) {
-			t.Fatalf("m=%d key=%#x k=%d: Gather differs from GatherRef", m, key, len(pos))
+			t.Fatalf("m=%d key=%#x k=%d: Gather differs from gatherRef", m, key, len(pos))
 		}
 		var gx, wx uint64
-		gp, wp := panicOf(func() { gx = src.GatherXorCount(pos, other) }), panicOf(func() { wx = src.GatherXorCountRef(pos, other) })
+		gp, wp := panicOf(func() { gx = src.GatherXorCount(pos, other) }), panicOf(func() { wx = gatherXorCountRef(src, pos, other) })
 		if gp != wp || gx != wx {
-			t.Fatalf("m=%d key=%#x k=%d: GatherXorCount %d (panic %v), GatherXorCountRef %d (panic %v)", m, key, len(pos), gx, gp, wx, wp)
+			t.Fatalf("m=%d key=%#x k=%d: GatherXorCount %d (panic %v), gatherXorCountRef %d (panic %v)", m, key, len(pos), gx, gp, wx, wp)
 		}
 	})
 }
 
 // A short tail (under one block) with a bad index must also panic from the
-// tail loops.
+// tail loop.
 func TestKernelRangePanicsTail(t *testing.T) {
 	src := New(50)
 	idx := []uint64{1, 2, 50}
 	for name, fn := range map[string]func(){
-		"blocked gather":    func() { gatherWordsBlocked(make([]uint64, 1), src.words, src.n, idx) },
-		"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, New(3).words) },
-		"ref gather":        func() { src.GatherRef(idx) },
+		"Gather":         func() { src.Gather(idx) },
+		"GatherXorCount": func() { src.GatherXorCount(idx, New(3)) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: no panic for tail out-of-range", name)
-				}
-			}()
-			fn()
-		}()
+		if panicOf(fn) == nil {
+			t.Fatalf("%s: no panic for tail out-of-range", name)
+		}
 	}
-}
-
-func BenchmarkGatherScalar(b *testing.B) {
-	benchGather(b, func(src *Bitset, idx []uint64) uint64 { return src.GatherRef(idx).Count() })
-}
-
-func BenchmarkGatherBlocked(b *testing.B) {
-	out := make([]uint64, 100)
-	benchGather(b, func(src *Bitset, idx []uint64) uint64 {
-		return gatherWordsBlocked(out, src.words, src.n, idx)
-	})
-}
-
-func BenchmarkGatherXorCountScalar(b *testing.B) {
-	o := New(6400)
-	benchGather(b, func(src *Bitset, idx []uint64) uint64 { return src.GatherXorCountRef(idx, o) })
-}
-
-func BenchmarkGatherXorCountBlocked(b *testing.B) {
-	o := New(6400)
-	benchGather(b, func(src *Bitset, idx []uint64) uint64 {
-		return gatherXorCountBlocked(src.words, src.n, idx, o.words)
-	})
 }
 
 var benchOnes uint64
 
-// benchGather times fn over k=6400 random probes into a 2 MiB array — the
-// paper-scale compare shape.
-func benchGather(b *testing.B, fn func(*Bitset, []uint64) uint64) {
+// BenchmarkGather times the gather and the gather-XOR-count over k = 6,400
+// random probes into a 2 MiB array (the paper-scale compare shape), in ns a
+// probe, dispatched and with the vector body off. The kernel is called
+// directly, the gather into a reused word slice, so neither arm allocates.
+func BenchmarkGather(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := New(1 << 24)
 	for i := 0; i < 1<<20; i++ {
@@ -329,11 +322,25 @@ func benchGather(b *testing.B, fn func(*Bitset, []uint64) uint64) {
 	for i := range idx {
 		idx[i] = uint64(rng.Int63n(1 << 24))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchOnes += fn(src, idx)
+	out, zero := make([]uint64, 100), make([]uint64, 100)
+	o := New(6400)
+	for _, kernel := range []string{"gather", "xorcount"} {
+		for _, body := range []string{"dispatched", "go"} {
+			b.Run(kernel+"/"+body, func(b *testing.B) {
+				if body == "go" {
+					defer goLoopsOnly()()
+				}
+				dst, ows := out, zero
+				if kernel == "xorcount" {
+					dst, ows = nil, o.words
+				}
+				for i := 0; i < b.N; i++ {
+					benchOnes += gatherXor(dst, ows, src.words, src.n, idx)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/probe")
+			})
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/probe")
 }
 
 // BenchmarkXorCount times the word-against-word XOR-popcount at k = 1,600

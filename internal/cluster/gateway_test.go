@@ -521,7 +521,7 @@ func TestGatewayClusterCheckpoint(t *testing.T) {
 			t.Fatalf("manifest row %d: %+v", i, s)
 		}
 	}
-	onDisk, err := LoadManifest(manifestPath)
+	onDisk, err := loadManifest(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,5 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return decodeDocument(data, new(Manifest), ErrBadManifest)
 }
 
-// LoadManifest reads and decodes the manifest at path.
-func LoadManifest(path string) (*Manifest, error) {
-	return loadDocument("manifest", path, new(Manifest), ErrBadManifest)
-}
-
 // SaveManifest writes the manifest to path atomically.
 func SaveManifest(path string, m *Manifest) error { return saveDocument(path, m) }

@@ -180,19 +180,6 @@ func decodeDocument[D document](data []byte, d D, bad error) (D, error) {
 	return d, nil
 }
 
-// loadDocument reads and decodes the document at path; what names it in the
-// error.
-func loadDocument[D document](what, path string, d D, bad error) (out D, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return out, err
-	}
-	if out, err = decodeDocument(data, d, bad); err != nil {
-		err = fmt.Errorf("%s %s: %w", what, path, err)
-	}
-	return out, err
-}
-
 // saveDocument writes the document to path atomically and durably
 // (wal.WriteFileAtomic): a crash mid-write leaves either the old document
 // or the new one, never a torn half — membership must survive the same
@@ -214,7 +201,17 @@ func EncodeRing(r *Ring) ([]byte, error) { return encodeDocument(r) }
 func DecodeRing(data []byte) (*Ring, error) { return decodeDocument(data, new(Ring), ErrBadRing) }
 
 // LoadRing reads and decodes the ring at path.
-func LoadRing(path string) (*Ring, error) { return loadDocument("ring", path, new(Ring), ErrBadRing) }
+func LoadRing(path string) (*Ring, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	r, err := DecodeRing(data)
+	if err != nil {
+		return nil, fmt.Errorf("ring %s: %w", path, err)
+	}
+	return r, nil
+}
 
 // SaveRing writes the ring to path atomically.
 func SaveRing(path string, r *Ring) error { return saveDocument(path, r) }

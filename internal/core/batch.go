@@ -74,12 +74,6 @@ type Recovered struct {
 	beta float64
 }
 
-// User returns the user the snapshot belongs to.
-func (r *Recovered) User() stream.User { return r.user }
-
-// Card returns the user's cardinality n_u at recovery time.
-func (r *Recovered) Card() int64 { return r.card }
-
 // Words exposes the packed recovered sketch as 64-bit words — bit j of
 // the virtual sketch lives at words[j/64] >> (j%64). The slice aliases the
 // snapshot's (and possibly the recovered-sketch cache's) backing memory:
@@ -128,9 +122,9 @@ func (v *VOS) gatherBits(u stream.User) *bitset.Bitset {
 	return bits
 }
 
-// QueryRecovered estimates the similarity between a recovered snapshot
-// and user w, equivalent to Query(r.User(), w) against the sketch state
-// at recovery time. When w's recovered sketch is cached at the current
+// QueryRecovered estimates the similarity between a recovered snapshot of
+// user u and user w, equivalent to Query(u, w) against the sketch state at
+// recovery time. When w's recovered sketch is cached at the current
 // write version the comparison is a pure XOR+popcount over ~k/64 words —
 // no hashing, no array probes; otherwise w's bits are gathered (and
 // cached), fused with the XOR 64 virtual slots at a time.
@@ -153,16 +147,4 @@ func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 		v.posScratch.Put(scratch)
 	}
 	return v.estimateFrom(int(z), r.card, v.card.get(w), r.beta)
-}
-
-// QueryMany estimates u against every candidate in one pass, recovering u
-// once. The result order matches candidates; querying u against itself
-// yields the degenerate self estimate like Query does.
-func (v *VOS) QueryMany(u stream.User, candidates []stream.User) []Estimate {
-	r := v.RecoverSketch(u)
-	out := make([]Estimate, len(candidates))
-	for i, w := range candidates {
-		out[i] = v.QueryRecovered(r, w)
-	}
-	return out
 }

@@ -179,6 +179,12 @@ func TestPositionsMatchPerMemberHashing(t *testing.T) {
 	}
 }
 
+// RecoverBit returns Ô_u[j] = A[f_j(u)], the rebuilt bit j of user u's
+// virtual odd sketch, one probe at a time: the oracle of the packed gather.
+func (v *VOS) RecoverBit(u stream.User, j int) bool {
+	return v.arr.Get(v.position(u, j))
+}
+
 // TestRecoverSketchMatchesRecoverBit checks the packed gather against the
 // public single-bit recovery, slot by slot.
 func TestRecoverSketchMatchesRecoverBit(t *testing.T) {

@@ -85,7 +85,10 @@ func TestTopKFanOutMatchesSortedQueries(t *testing.T) {
 		{"rec-cold", func([]stream.User) { v.SetRecoveredCacheCapacity(0) }},
 		{"rec-warm", func(cands []stream.User) {
 			v.SetRecoveredCacheCapacity(0)
-			v.QueryMany(probe, cands)
+			r := v.RecoverSketch(probe)
+			for _, w := range cands {
+				v.QueryRecovered(r, w)
+			}
 		}},
 		{"rec-half-warm", func(cands []stream.User) {
 			v.SetRecoveredCacheCapacity(0)

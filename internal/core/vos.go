@@ -93,8 +93,8 @@ func (c Config) validate() error {
 
 // VOS is the sketch. It is not safe for concurrent mutation; wrap with a
 // mutex or shard by stream partition and Merge (see Merge). Read-only
-// methods (Query, QueryMany, TopK, Recover*, Cardinality, Beta, Stats) may
-// run concurrently with each other on a quiescent sketch — the engine's
+// methods (Query, QueryRecovered, TopK, Recover*, Cardinality, Beta, Stats)
+// may run concurrently with each other on a quiescent sketch — the engine's
 // merged snapshots and the parallel top-K path rely on this. Nothing at run
 // time enforces the single writer: where a Go map aborts the process on a
 // concurrent read and write, the counter table, like the array, silently
@@ -336,12 +336,6 @@ func (v *VOS) Beta() float64 { return v.arr.OnesFraction() }
 // the table never holds a zero and its live count is the answer in O(1).
 func (v *VOS) Users() int { return v.card.live }
 
-// RecoverBit returns Ô_u[j] = A[f_j(u)], the rebuilt bit j of user u's
-// virtual odd sketch.
-func (v *VOS) RecoverBit(u stream.User, j int) bool {
-	return v.arr.Get(v.position(u, j))
-}
-
 // xorOnes counts the slots where the two users' recovered sketches differ.
 func (v *VOS) xorOnes(u, w stream.User) int {
 	z := 0
@@ -475,11 +469,6 @@ func (v *VOS) EstimateJaccard(u, w stream.User) float64 {
 	return v.Query(u, w).Jaccard
 }
 
-// EstimateSymmetricDifference returns n̂Δ = |S_u Δ S_w| estimated.
-func (v *VOS) EstimateSymmetricDifference(u, w stream.User) float64 {
-	return v.Query(u, w).SymmetricDifference
-}
-
 // Merge folds other into v. Merging is exact for any partition of a stream
 // across sketches with identical configurations: the shared arrays XOR
 // (parities add mod 2) and the cardinality counters add — one linear scan of
@@ -494,14 +483,13 @@ func (v *VOS) Merge(other *VOS) error {
 		return fmt.Errorf("core: cannot merge sketches with different configs (%+v vs %+v)",
 			v.cfg, other.cfg)
 	}
-	v.fold(other, 1)
+	v.fold(other)
 	return nil
 }
 
-// fold is Merge (sign 1) and Unmerge (sign −1) once the configs are known to
-// agree: XOR other's array into v's and add sign times each of other's
-// counters to v's.
-func (v *VOS) fold(other *VOS, sign int64) {
+// fold is Merge once the configs are known to agree: XOR other's array into
+// v's and add each of other's counters to v's.
+func (v *VOS) fold(other *VOS) {
 	v.version++ // invalidates every cached recovered sketch
 	v.arr.Xor(other.arr)
 	if v.card.live == 0 {
@@ -511,7 +499,7 @@ func (v *VOS) fold(other *VOS, sign int64) {
 		v.card.reserve(other.card.live)
 	}
 	for u, c := range other.card.all {
-		v.card.bump(u, sign*c)
+		v.card.bump(u, c)
 	}
 }
 
@@ -533,26 +521,6 @@ func (v *VOS) Partition(n int, seed uint64) []*VOS {
 		parts[stream.ShardOf(u, n, seed)].card.bump(u, c)
 	}
 	return parts
-}
-
-// Unmerge removes other's contribution from v — the inverse of Merge. XOR
-// is self-inverse, so the shared arrays XOR exactly as in Merge while the
-// cardinality counters subtract; after v.Merge(o) followed by v.Unmerge(o),
-// v is bit-identical to its state before the Merge. This is the O(sketch)
-// primitive behind sliding windows: re-XORing a retired time bucket out of
-// the merged view deletes every edge it absorbed at once, with no per-edge
-// bookkeeping (see Window).
-func (v *VOS) Unmerge(other *VOS) error {
-	if v.cfg.Family != other.cfg.Family {
-		return fmt.Errorf("%w: cannot unmerge %v-family sketch from %v-family sketch",
-			ErrFamilyMismatch, other.cfg.Family, v.cfg.Family)
-	}
-	if v.cfg != other.cfg {
-		return fmt.Errorf("core: cannot unmerge sketches with different configs (%+v vs %+v)",
-			v.cfg, other.cfg)
-	}
-	v.fold(other, -1)
-	return nil
 }
 
 // Reset returns the sketch to its empty state in place, keeping the

@@ -232,9 +232,6 @@ func TestEstimatorConvenienceMethods(t *testing.T) {
 	if v.EstimateJaccard(1, 2) != est.Jaccard {
 		t.Error("EstimateJaccard inconsistent with Query")
 	}
-	if v.EstimateSymmetricDifference(1, 2) != est.SymmetricDifference {
-		t.Error("EstimateSymmetricDifference inconsistent with Query")
-	}
 }
 
 func TestMergeEqualsSequential(t *testing.T) {
@@ -621,7 +618,10 @@ func TestQueryIsReadOnly(t *testing.T) {
 	}
 	before, _ := v.MarshalBinary()
 	_ = v.Query(1, 2)
-	_ = v.QueryMany(1, []stream.User{2, 3, 4})
+	r := v.RecoverSketch(1)
+	for _, w := range []stream.User{2, 3, 4} {
+		_ = v.QueryRecovered(r, w)
+	}
 	_ = v.EstimateJaccard(2, 1)
 	_ = v.Beta()
 	after, _ := v.MarshalBinary()

@@ -3,7 +3,7 @@ package core
 // Sliding windows. VOS state is a pure XOR of its edge stream, so a
 // sliding window falls out structurally: the live view is the XOR-merge of
 // B time buckets, and the oldest bucket retires by being XOR-ed back out
-// (Unmerge) — O(sketch) work per rotation, no per-edge expiry tracking, no
+// (Rotate) — O(sketch) work per rotation, no per-edge expiry tracking, no
 // timers in the hot path. Each edge is one plain VOS write on the merged
 // view: the current bucket is not stored but is merged ⊕ base, base being
 // the merged view as the last rotation left it (arrays XOR, counters
@@ -172,8 +172,8 @@ func (w *Window) MergeBucket(k int, src *VOS) error {
 		return err
 	}
 	if k < len(w.closed) {
-		w.base.fold(src, 1)
-		w.Bucket(k).fold(src, 1)
+		w.base.fold(src)
+		w.Bucket(k).fold(src)
 	}
 	return nil
 }
@@ -378,9 +378,9 @@ func UnmarshalWindow(data []byte) (*Window, error) {
 		base:     accumulator(buckets[0].Config()),
 	}
 	for _, b := range w.closed {
-		w.base.fold(b, 1)
+		w.base.fold(b)
 	}
-	w.merged.fold(w.base, 1)
+	w.merged.fold(w.base)
 	w.merged.SetRecoveredCacheCapacity(0) // the one sketch that is queried
 	return w, nil
 }

@@ -407,39 +407,6 @@ func TestWindowUnmarshalHostileBucketCount(t *testing.T) {
 	}
 }
 
-func TestUnmerge(t *testing.T) {
-	a := MustNew(winTestCfg)
-	b := MustNew(winTestCfg)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		a.Process(winEdge(r))
-	}
-	before, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		b.Process(winEdge(r))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Unmerge(b); err != nil {
-		t.Fatal(err)
-	}
-	after, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("Merge followed by Unmerge did not restore the sketch")
-	}
-	other := MustNew(Config{MemoryBits: 1 << 10, SketchBits: 64, Seed: 7})
-	if err := a.Unmerge(other); err == nil {
-		t.Fatal("Unmerge accepted a mismatched config")
-	}
-}
-
 func TestWindowConstructorValidation(t *testing.T) {
 	if _, err := NewWindow(winTestCfg, 0, time.Second, time.Unix(0, 0)); err == nil {
 		t.Error("accepted 0 buckets")

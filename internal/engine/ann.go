@@ -223,10 +223,6 @@ func newANNIndex(cfg ANNConfig, sketch core.Config, shards int) (*annIndex, erro
 // noRot is annIndex.readRot before the first read: no rotation count.
 const noRot = math.MaxUint64
 
-// ANNEnabled reports whether the engine maintains an approximate top-K
-// index (Config.ANN was set).
-func (e *Engine) ANNEnabled() bool { return e.ann != nil }
-
 // ANNStats reports the approximate top-K index's occupancy and
 // maintenance counters; ok is false on an engine without Config.ANN.
 func (e *Engine) ANNStats() (st ANNStats, ok bool) {

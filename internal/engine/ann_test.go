@@ -60,9 +60,6 @@ func TestTopKApproxRequiresANN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.ANNEnabled() {
-		t.Error("ANNEnabled on an engine without Config.ANN")
-	}
 	if _, ok := e.ANNStats(); ok {
 		t.Error("ANNStats ok on an engine without Config.ANN")
 	}

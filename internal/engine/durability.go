@@ -200,15 +200,6 @@ func (e *Engine) fold(sk *core.VOS, k int) {
 	}
 }
 
-// MustOpen is Open for static configurations; it panics on error.
-func MustOpen(cfg Config) *Engine {
-	e, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Checkpoint atomically persists the engine's merged sketch together with
 // the WAL position it covers, then deletes WAL segments every retained
 // checkpoint has covered (the newest two checkpoint files are kept, so

@@ -15,6 +15,15 @@ import (
 	"github.com/vossketch/vos/internal/wal"
 )
 
+// MustOpen is Open for static configurations; it panics on error.
+func MustOpen(cfg Config) *Engine {
+	e, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 // durableConfig builds a durable engine config over dir with small WAL
 // segments so rotation and truncation paths are exercised. The directory
 // flock is disabled: these tests simulate crashes by abandoning an engine

@@ -119,12 +119,6 @@ func (s *Store) Jaccard(u, v stream.User) float64 {
 	return float64(inter) / float64(union)
 }
 
-// SymmetricDifference returns |S_u Δ S_v|.
-func (s *Store) SymmetricDifference(u, v stream.User) int {
-	inter := s.CommonItems(u, v)
-	return len(s.sets[u]) + len(s.sets[v]) - 2*inter
-}
-
 // TopUsers returns the n users with the largest current cardinality,
 // breaking ties by user ID for determinism. This mirrors the paper's
 // selection of the "5,000 users with largest cardinalities".

@@ -27,9 +27,6 @@ func TestStoreBasics(t *testing.T) {
 	if got, want := s.Jaccard(1, 2), 1.0/2.0; got != want {
 		t.Errorf("jaccard = %v, want %v", got, want)
 	}
-	if s.SymmetricDifference(1, 2) != 1 {
-		t.Errorf("symdiff = %d", s.SymmetricDifference(1, 2))
-	}
 
 	s.MustApply(stream.Edge{User: 1, Item: 10, Op: stream.Delete})
 	if s.Cardinality(1) != 1 || s.CommonItems(1, 2) != 0 {

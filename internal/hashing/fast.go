@@ -157,7 +157,7 @@ func (f *FastFamily) HashRange(j int, key, n uint64) uint64 {
 // HashRange at every index, exactly. One Hash64 total, then one finalizer
 // per two positions (n ≤ 2^32) or per position (wider): O(1) amortized
 // hash work per position, no seed-table traffic, and every iteration
-// independent so the multiplies pipeline. dst must not be longer than K().
+// independent so the multiplies pipeline. dst must not be longer than k.
 func (f *FastFamily) HashRangeInto(dst []uint64, key, n uint64) {
 	x := f.State(key)
 	if n <= 1<<32 {

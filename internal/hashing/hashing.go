@@ -102,10 +102,7 @@ func NewFamily(k int, seed uint64) *Family {
 	return &Family{seeds: seeds}
 }
 
-// K returns the number of functions in the family.
-func (f *Family) K() int { return len(f.seeds) }
-
-// Hash applies member j of the family to key. j must be in [0, K()).
+// Hash applies member j of the family to key. j must be in [0, k).
 func (f *Family) Hash(j int, key uint64) uint64 {
 	return Hash64(key, f.seeds[j])
 }
@@ -120,7 +117,7 @@ func (f *Family) HashRange(j int, key, n uint64) uint64 {
 // HashRange for callers that need a user's whole position vector (sketch
 // recovery, position-table fills): the seeds slice is walked inline with
 // the Lemire reduction fused in, so the loop carries no per-member method
-// call or repeated bounds check. dst must not be longer than K().
+// call or repeated bounds check. dst must not be longer than k.
 //
 // dst[j] == f.HashRange(j, key, n) for every j, exactly.
 func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
@@ -133,7 +130,7 @@ func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
 }
 
 // EdgePositions sets dst[i] = f.HashRange(int(HashToRange(item, psiSeed,
-// K())), user, m) for pair i, user pairs[i*stride] and item pairs[i*stride+1],
+// k)), user, m) for pair i, user pairs[i*stride] and item pairs[i*stride+1],
 // eight pairs a step where the CPU has AVX-512 (hashing_amd64.s). It returns
 // how many it set: the longest prefix a multiple of eight long, or 0 without
 // the vector body or for m ≥ 2³² not a power of two. The rest is the caller's.

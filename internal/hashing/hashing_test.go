@@ -147,10 +147,10 @@ func TestFloat01Range(t *testing.T) {
 
 func TestFamilyMembersDiffer(t *testing.T) {
 	f := NewFamily(8, 77)
-	if f.K() != 8 {
-		t.Fatalf("K() = %d, want 8", f.K())
+	if len(f.seeds) != 8 {
+		t.Fatalf("%d members, want 8", len(f.seeds))
 	}
-	for j := 1; j < f.K(); j++ {
+	for j := 1; j < len(f.seeds); j++ {
 		same := 0
 		for x := uint64(0); x < 1000; x++ {
 			if f.Hash(0, x) == f.Hash(j, x) {

@@ -34,10 +34,9 @@ import (
 // serialise access (internal/engine holds one mutex across maintenance and
 // probing).
 type BandIndex struct {
-	params  Params
-	sigBits int
-	words   int // minimum signature length in words
-	bw      int // words of one band's bits
+	params Params
+	words  int // minimum signature length in words
+	bw     int // words of one band's bits
 
 	slots map[stream.User]int32
 	users []stream.User // slot → member (stale on a freed slot)
@@ -72,12 +71,11 @@ func NewBandIndex(params Params, sigBits int) (*BandIndex, error) {
 		return nil, err
 	}
 	return &BandIndex{
-		params:  params,
-		sigBits: sigBits,
-		words:   (sigBits + 63) / 64,
-		bw:      BandWords(params.Rows),
-		slots:   make(map[stream.User]int32),
-		table:   newTable(16),
+		params: params,
+		words:  (sigBits + 63) / 64,
+		bw:     BandWords(params.Rows),
+		slots:  make(map[stream.User]int32),
+		table:  newTable(16),
 	}, nil
 }
 
@@ -168,9 +166,6 @@ func extractBits(words []uint64, off, n int) uint64 {
 
 // Params returns the index's band structure.
 func (ix *BandIndex) Params() Params { return ix.params }
-
-// SignatureBits returns the packed signature width the index was built for.
-func (ix *BandIndex) SignatureBits() int { return ix.sigBits }
 
 // Len returns the number of indexed users.
 func (ix *BandIndex) Len() int { return len(ix.slots) }

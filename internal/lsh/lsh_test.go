@@ -53,3 +53,44 @@ func TestThreshold(t *testing.T) {
 		t.Errorf("collision at threshold = %v", c)
 	}
 }
+
+// CollisionProbability returns 1 − (1 − J^r)^b, the probability that a
+// pair with Jaccard similarity j collides in at least one band.
+func (p Params) CollisionProbability(j float64) float64 {
+	if j <= 0 {
+		return 0
+	}
+	if j >= 1 {
+		return 1
+	}
+	pr := 1.0
+	for i := 0; i < p.Rows; i++ {
+		pr *= j
+	}
+	q := 1.0
+	for i := 0; i < p.Bands; i++ {
+		q *= 1 - pr
+	}
+	return 1 - q
+}
+
+// Threshold returns the approximate similarity at the S-curve's steepest
+// point, (1/b)^(1/r): pairs above it are likely candidates.
+func (p Params) Threshold() float64 {
+	// binary search on [0, 1] for t^r = 1/b
+	lo, hi := 0.0, 1.0
+	target := 1 / float64(p.Bands)
+	for i := 0; i < 64; i++ {
+		mid := (lo + hi) / 2
+		pr := 1.0
+		for j := 0; j < p.Rows; j++ {
+			pr *= mid
+		}
+		if pr < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}

@@ -107,10 +107,6 @@ func (st *Stats) Users() int { return len(st.users) }
 // Items returns the number of distinct items observed.
 func (st *Stats) Items() int { return len(st.items) }
 
-// LiveEdges returns inserts minus deletes; for a feasible stream this is the
-// number of edges currently present in the graph.
-func (st *Stats) LiveEdges() int64 { return st.liveEdge }
-
 // String summarises the statistics.
 func (st *Stats) String() string {
 	return fmt.Sprintf("elements=%d (+%d/−%d) users=%d items=%d live=%d",

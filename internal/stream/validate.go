@@ -62,9 +62,6 @@ func (v *Validator) Observe(e Edge) error {
 	return nil
 }
 
-// LiveEdges returns the number of edges currently present.
-func (v *Validator) LiveEdges() int { return len(v.live) }
-
 // Validate checks an entire edge slice and returns the first violation, or
 // nil if the stream is feasible.
 func Validate(edges []Edge) error {
