@@ -577,10 +577,10 @@ func BenchmarkEngineFreshQuery(b *testing.B) {
 		out := make([]vos.Edge, 0, batch)
 		for j := 0; j < batch/2; j++ {
 			u := vos.User((i*batch/2 + j) * 7919 % users)
-			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40) + vos.Item(i), Op: vos.Insert})
 			if i > 0 {
 				prev := vos.User(((i-1)*batch/2 + j) * 7919 % users)
-				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40) + vos.Item(i-1), Op: vos.Delete})
 			}
 		}
 		return out
@@ -679,7 +679,7 @@ func BenchmarkANNFreshProbe(b *testing.B) {
 		for j := 0; j < n; j++ {
 			item := vos.Item(u<<16 + j)
 			if u < mates && j < common {
-				item = vos.Item(1<<32 + j)
+				item = vos.Item(1<<32) + vos.Item(j)
 			}
 			preload = append(preload, vos.Edge{User: vos.User(u), Item: item, Op: vos.Insert})
 		}
@@ -690,9 +690,9 @@ func BenchmarkANNFreshProbe(b *testing.B) {
 	write := func(i int) []vos.Edge {
 		out := make([]vos.Edge, 0, batch)
 		for j := 0; j < batch/2; j++ {
-			out = append(out, vos.Edge{User: vos.User((i*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			out = append(out, vos.Edge{User: vos.User((i*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40) + vos.Item(i), Op: vos.Insert})
 			if i > 0 {
-				out = append(out, vos.Edge{User: vos.User(((i-1)*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+				out = append(out, vos.Edge{User: vos.User(((i-1)*batch/2 + j) * 7919 % users), Item: vos.Item(1<<40) + vos.Item(i-1), Op: vos.Delete})
 			}
 		}
 		return out
@@ -795,10 +795,10 @@ func BenchmarkGatewayFreshQuery(b *testing.B) {
 		out := make([]vos.Edge, 0, batch)
 		for j := 0; j < batch/2; j++ {
 			u := vos.User((i*batch/2 + j) * 7919 % users)
-			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40 + i), Op: vos.Insert})
+			out = append(out, vos.Edge{User: u, Item: vos.Item(1<<40) + vos.Item(i), Op: vos.Insert})
 			if i > 0 {
 				prev := vos.User(((i-1)*batch/2 + j) * 7919 % users)
-				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40 + i - 1), Op: vos.Delete})
+				out = append(out, vos.Edge{User: prev, Item: vos.Item(1<<40) + vos.Item(i-1), Op: vos.Delete})
 			}
 		}
 		return out

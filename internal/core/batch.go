@@ -71,7 +71,7 @@ type Recovered struct {
 	user stream.User
 	bits *bitset.Bitset
 	card int64
-	beta float64
+	load load
 }
 
 // Words exposes the packed recovered sketch as 64-bit words — bit j of
@@ -91,7 +91,7 @@ func (v *VOS) RecoverSketch(u stream.User) *Recovered {
 		user: u,
 		bits: v.recoverBits(u),
 		card: v.card.get(u),
-		beta: v.Beta(),
+		load: v.loadAt(v.Beta()),
 	}
 }
 
@@ -133,18 +133,18 @@ func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 		// Hot path: compare the packed snapshots word for word, straight
 		// off the cached slice — no gather, no allocation, no recount.
 		if ws, _, ok := v.rec.GetVersioned(w, v.version); ok {
-			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card.get(w), r.beta)
+			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card.get(w), r.load)
 		}
 		// Miss: materialise w's bits (rather than fusing the XOR into the
 		// gather) so the cache warms and the next pass runs probe-free.
 		bits := v.gatherBits(w)
 		v.rec.PutVersioned(w, v.version, bits.UnsafeWords(), bits.Count())
-		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card.get(w), r.beta)
+		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card.get(w), r.load)
 	}
 	pos, scratch := v.lookupPositions(w)
 	z := v.arr.GatherXorCount(pos, r.bits)
 	if scratch != nil {
 		v.posScratch.Put(scratch)
 	}
-	return v.estimateFrom(int(z), r.card, v.card.get(w), r.beta)
+	return v.estimateFrom(int(z), r.card, v.card.get(w), r.load)
 }

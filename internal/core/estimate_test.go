@@ -67,7 +67,7 @@ func TestEstimateFromBitIdentical(t *testing.T) {
 		for _, z := range []int{0, 1, k/2 - 1, k / 2, k/2 + 1, k - 1, k} {
 			for _, beta := range []float64{0, 0.0575, 0.25, 0.5 - 1/m, 0.5 - 1/(8*m), 0.5, 0.5 + 1/(8*m), 0.75} {
 				for _, c := range cards {
-					got := v.estimateFrom(z, c[0], c[1], beta)
+					got := v.estimateFrom(z, c[0], c[1], v.loadAt(beta))
 					want := fourLogEstimate(float64(k), m, z, c[0], c[1], beta)
 					if !sameEstimate(got, want) {
 						t.Fatalf("k=%d m=%g z=%d β=%g n=%v:\n got %+v\nwant %+v", k, m, z, beta, c, got, want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -297,7 +298,7 @@ func TestTopKEmptyAndDegenerate(t *testing.T) {
 	// A huge or negative n — e.g. straight from an untrusted request body —
 	// must clamp instead of panicking in the heap's capacity allocation.
 	want := topKReference(v, 1, users, len(users))
-	if got := v.TopK(1, users, 1<<62); len(got) != len(want) {
+	if got := v.TopK(1, users, 1<<(bits.UintSize-2)); len(got) != len(want) {
 		t.Errorf("huge n: %d results, want %d", len(got), len(want))
 	}
 	if got := v.TopK(1, users, -1); len(got) != 0 {

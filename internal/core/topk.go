@@ -268,6 +268,11 @@ func (v *VOS) fanOut(ctx context.Context, h *topHeap, r *Recovered, candidates [
 	for i := range helpers {
 		go f.help(i)
 	}
+	// A new goroutine waits in its spawner's runnext slot, which an idle P
+	// steals from only after a sleep of ≥ 50 µs (runtime.runqgrab). Yield
+	// once, so this P runs a helper now and the caller goes on where a P is
+	// free; with none free the helper scores alone until the caller is back.
+	runtime.Gosched()
 	f.scan(h)
 	// The cursor is exhausted: only chunks already claimed are left, at
 	// most one a helper. Yield to them rather than park on a WaitGroup —

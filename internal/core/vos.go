@@ -390,33 +390,48 @@ func (v *VOS) Query(u, w stream.User) Estimate {
 // since α is computed from the same recovered bits) and as the baseline
 // the query benchmarks compare against.
 func (v *VOS) QueryPerBit(u, w stream.User) Estimate {
-	return v.estimateFrom(v.xorOnes(u, w), v.card.get(u), v.card.get(w), v.Beta())
+	return v.estimateFrom(v.xorOnes(u, w), v.card.get(u), v.card.get(w), v.loadAt(v.Beta()))
+}
+
+// load is the array load β with 2·ln|1−2β|, |1−2β| clamped as estimateFrom
+// says (clamped then true): a recovery takes that logarithm once for every
+// candidate it is scored against.
+type load struct {
+	beta, log2 float64
+	clamped    bool
+}
+
+func (v *VOS) loadAt(beta float64) load {
+	l := load{beta: beta}
+	absB := math.Abs(1 - 2*beta)
+	if absB < 1/(2*float64(v.cfg.MemoryBits)) {
+		absB = 1 / (2 * float64(v.cfg.MemoryBits))
+		l.clamped = true
+	}
+	l.log2 = 2 * math.Log(absB)
+	return l
 }
 
 // estimateFrom computes the full Estimate from the differing-slot count z,
 // the two cardinalities, and the array load — the §IV estimator chain
 // shared by Query and the batch path.
-func (v *VOS) estimateFrom(z int, nu, nv int64, beta float64) Estimate {
+func (v *VOS) estimateFrom(z int, nu, nv int64, l load) Estimate {
 	k := float64(v.cfg.SketchBits)
 	alpha := float64(z) / k
 
-	// |1−2α| and |1−2β| enter logarithms; clamp them a half-step above
-	// zero (the resolution of the underlying counts) so estimates stay
+	// |1−2α| and |1−2β| (loadAt) enter logarithms; clamp them a half-step
+	// above zero (the resolution of the underlying counts) so estimates stay
 	// finite. The paper's ŝ expression already takes absolute values.
-	saturated := false
+	saturated := l.clamped
 	absA := math.Abs(1 - 2*alpha)
 	if absA < 1/(2*k) {
 		absA = 1 / (2 * k)
 		saturated = true
 	}
-	absB := math.Abs(1 - 2*beta)
-	if absB < 1/(2*float64(v.cfg.MemoryBits)) {
-		absB = 1 / (2 * float64(v.cfg.MemoryBits))
-		saturated = true
-	}
 
-	// Both estimates share ln|1−2α| − 2·ln|1−2β|, each logarithm taken once.
-	logs := math.Log(absA) - 2*math.Log(absB)
+	// Both estimates share ln|1−2α| − 2·ln|1−2β|: one logarithm here, the
+	// other taken with the load.
+	logs := math.Log(absA) - l.log2
 	// n̂Δ = −k·(ln(1−2α) − 2·ln(1−2β)) / 2
 	nDelta := -k * logs / 2
 	if nDelta < 0 {
@@ -452,7 +467,7 @@ func (v *VOS) estimateFrom(z int, nu, nv int64, beta float64) Estimate {
 		Jaccard:             jac,
 		SymmetricDifference: nDelta,
 		Alpha:               alpha,
-		Beta:                beta,
+		Beta:                l.beta,
 		CardinalityU:        nu,
 		CardinalityV:        nv,
 		Saturated:           saturated,

@@ -18,7 +18,7 @@ import (
 type seqStream struct{ producers, each int }
 
 func (q seqStream) edge(p, n int) stream.Edge {
-	return stream.Edge{User: stream.User((n*7 + p*13) % 200), Item: stream.Item(p<<32 | n), Op: stream.Insert}
+	return stream.Edge{User: stream.User((n*7 + p*13) % 200), Item: stream.Item(p)<<32 | stream.Item(n), Op: stream.Insert}
 }
 
 // seqReader is what one journal reader has been handed so far. Its cursor

@@ -87,6 +87,9 @@ func Float01(h uint64) float64 {
 // (MinHash registers, the f_1 … f_k user hashes of VOS) use a Family.
 type Family struct {
 	seeds []uint64
+	// mul[j] = seeds[j]·0x9e3779b97f4a7c15, the product Hash64 takes first,
+	// which does not depend on the key: the vector fill loads it.
+	mul []uint64
 }
 
 // NewFamily derives a family of k hash functions from seed.
@@ -95,11 +98,12 @@ func NewFamily(k int, seed uint64) *Family {
 		panic("hashing: family size must be positive")
 	}
 	state := seed
-	seeds := make([]uint64, k)
+	seeds, mul := make([]uint64, k), make([]uint64, k)
 	for i := range seeds {
 		seeds[i] = SplitMix64(&state)
+		mul[i] = seeds[i] * 0x9e3779b97f4a7c15
 	}
-	return &Family{seeds: seeds}
+	return &Family{seeds: seeds, mul: mul}
 }
 
 // Hash applies member j of the family to key. j must be in [0, k).
@@ -124,7 +128,7 @@ func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
 	// With AVX-512, hashing_amd64.s fills eight members a step; the rest is
 	// this loop, where Hash64 and Reduce inline: HashRange by construction.
 	seeds := f.seeds[:len(dst)]
-	for j := hashRangeVec(dst, seeds, key, n); j < len(seeds); j++ {
+	for j := hashRangeVec(dst, seeds, f.mul, key, n); j < len(seeds); j++ {
 		dst[j] = Reduce(Hash64(key, seeds[j]), n)
 	}
 }

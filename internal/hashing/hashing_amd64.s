@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// HASH64(s, x, h) leaves in h Hash64(x, s) (hashing.go) of each lane; s and x
-// are kept. Z11–Z13 hold the three multipliers; Z2 is scratch.
-#define HASH64(s, x, h) \
-	VPMULLQ Z11, s, h;  \
-	VPXORQ  x, h, h;    \
+// HASH64M(s, sm, x, h) leaves in h Hash64(x, s) (hashing.go) of each lane,
+// given sm = s·0x9e3779b97f4a7c15, the product that does not depend on the
+// key; s and x are kept, sm too unless it is h. Z12 and Z13 hold the other
+// two multipliers; Z2 is scratch.
+#define HASH64M(s, sm, x, h) \
+	VPXORQ  x, sm, h;   \
 	VPSRLQ  $33, h, Z2; \
 	VPXORQ  Z2, h, h;   \
 	VPMULLQ Z12, h, h;  \
@@ -16,6 +17,11 @@
 	VPMULLQ Z13, h, h;  \
 	VPSRLQ  $33, h, Z2; \
 	VPXORQ  Z2, h, h
+
+// HASH64(s, x, h) is HASH64M with the seed's product taken first, from Z11.
+#define HASH64(s, x, h) \
+	VPMULLQ Z11, s, h; \
+	HASH64M(s, h, x, h)
 
 // REDUCE32(n, h) sets h to Reduce(h, n) for n < 2³² in every lane of n:
 // hi64(h·n) = ((h>>32)·n + ((h mod 2³²)·n >> 32)) >> 32, and the sum is
@@ -44,42 +50,49 @@
 	MOVQ $0xc4ceb9fe1a85ec53, AX; \
 	VPBROADCASTQ AX, Z13
 
-// func hashRangeAVX512(dst, seeds []uint64, key, n uint64)
-TEXT ·hashRangeAVX512(SB), NOSPLIT, $0-64
+// func hashRangeAVX512(dst, seeds, mul []uint64, key, n uint64)
+//
+// Each step loads eight seeds and their products from the family's tables.
+TEXT ·hashRangeAVX512(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	SHRQ $3, CX
 	MOVQ seeds_base+24(FP), SI
-	VPBROADCASTQ key+48(FP), Z10
-	VPBROADCASTQ n+56(FP), Z14
+	MOVQ mul_base+48(FP), R8
+	VPBROADCASTQ key+72(FP), Z10
+	VPBROADCASTQ n+80(FP), Z14
 	MULTIPLIERS
-	MOVQ n+56(FP), AX
+	MOVQ n+80(FP), AX
 	LEAQ -1(AX), BX
 	TESTQ AX, BX
-	JNZ  mul
+	JNZ  products
 	POW2SHIFT(AX, Z9)
 
 pow2:
 	VMOVDQU64 (SI), Z0
-	HASH64(Z0, Z10, Z1)
+	VMOVDQU64 (R8), Z3
+	HASH64M(Z0, Z3, Z10, Z1)
 	VPSRLVQ   Z9, Z1, Z1
 	VMOVDQU64 Z1, (DI)
 	ADDQ      $64, SI
+	ADDQ      $64, R8
 	ADDQ      $64, DI
 	DECQ      CX
 	JNZ       pow2
 	VZEROUPPER
 	RET
 
-mul:
+products:
 	VMOVDQU64 (SI), Z0
-	HASH64(Z0, Z10, Z1)
+	VMOVDQU64 (R8), Z3
+	HASH64M(Z0, Z3, Z10, Z1)
 	REDUCE32(Z14, Z1)
 	VMOVDQU64 Z1, (DI)
 	ADDQ      $64, SI
+	ADDQ      $64, R8
 	ADDQ      $64, DI
 	DECQ      CX
-	JNZ       mul
+	JNZ       products
 	VZEROUPPER
 	RET
 
@@ -98,7 +111,9 @@ GLOBL lanes<>(SB), RODATA|NOPTR, $64
 // Eight pairs a step. ψ = Reduce(Hash64(item, psiSeed), k); the classic
 // family (seeds non-empty) then hashes the user under seeds[ψ], the fast one
 // (seeds empty) expands Hash64(user, userSeed) as PositionFromState does.
-// Both end in the reduction onto m: a shift for m = 2^b, else REDUCE32. The
+// Both end in the reduction onto m: a shift for m = 2^b, else REDUCE32.
+// psiSeed and userSeed are the same in every lane, so their products with
+// 0x9e3779b97f4a7c15 are taken once, before the loop (Z24, Z25). The
 // fast family's word is first shifted left by Z19 — 64-b, or 32 — since
 // (w << (64-b)) >> (64-b) = w mod 2^b and hi64((w<<32)·m) = (uint32(w)·m) >> 32.
 TEXT ·edgePositionsAVX512(SB), NOSPLIT, $0-112
@@ -118,6 +133,8 @@ TEXT ·edgePositionsAVX512(SB), NOSPLIT, $0-112
 	VPBROADCASTQ userSeed+96(FP), Z23
 	VPBROADCASTQ m+104(FP), Z14
 	MULTIPLIERS
+	VPMULLQ Z11, Z21, Z24
+	VPMULLQ Z11, Z23, Z25
 	MOVQ $0xbf58476d1ce4e5b9, AX
 	VPBROADCASTQ AX, Z16
 	MOVQ $0x94d049bb133111eb, AX
@@ -142,7 +159,7 @@ edge:
 	VPGATHERQQ (SI)(Z20*8), K1, Z3
 	KXNORB     K1, K1, K1
 	VPGATHERQQ 8(SI)(Z20*8), K1, Z4
-	HASH64(Z21, Z4, Z5)
+	HASH64M(Z21, Z24, Z4, Z5)
 	REDUCE32(Z22, Z5)
 	TESTQ      R9, R9
 	JZ         fast
@@ -153,7 +170,7 @@ edge:
 
 	// w = Mix64(Hash64(user, userSeed) + (ψ>>1 + 1)·γ), >> 32 for odd ψ.
 fast:
-	HASH64(Z23, Z3, Z1)
+	HASH64M(Z23, Z25, Z3, Z1)
 	VPSRLQ  $1, Z5, Z6
 	VPADDQ  Z18, Z6, Z6
 	VPMULLQ Z11, Z6, Z6
@@ -206,11 +223,12 @@ TEXT ·usersToRangeAVX512(SB), NOSPLIT, $0-72
 	VPBROADCASTQ seed+56(FP), Z21
 	VPBROADCASTQ n+64(FP), Z14
 	MULTIPLIERS
+	VPMULLQ Z11, Z21, Z24 // the seed's product, the same in every lane
 
 user:
 	KXNORB     K1, K1, K1
 	VPGATHERQQ (SI)(Z20*8), K1, Z3
-	HASH64(Z21, Z3, Z1)
+	HASH64M(Z21, Z24, Z3, Z1)
 	REDUCE32(Z14, Z1)
 	VPMOVQD    Z1, (DI)
 	ADDQ       $32, DI

@@ -2,7 +2,7 @@
 
 package hashing
 
-func hashRangeVec(dst, seeds []uint64, key, n uint64) int { return 0 }
+func hashRangeVec(dst, seeds, mul []uint64, key, n uint64) int { return 0 }
 
 func edgePositionsVec(dst, pairs []uint64, stride int, seeds []uint64, k, psiSeed, userSeed, m uint64) int {
 	return 0

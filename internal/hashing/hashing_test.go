@@ -1,6 +1,7 @@
 package hashing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -298,18 +299,43 @@ func TestHashRangeIntoMatchesHashRange(t *testing.T) {
 		for _, n := range []uint64{1, 2, 3, 1 << 20, 1 << 21, 2048000, 1<<32 - 1, 1 << 32, 1<<32 + 7, 1 << 63} {
 			for _, key := range keys {
 				for _, k := range []int{1, 7, 8, 9, 63, 64, 6400, 6403} {
-					dst := make([]uint64, k)
-					f.HashRangeInto(dst, key, n)
-					for j, got := range dst {
-						if want := f.HashRange(j, key, n); got != want {
-							t.Fatalf("HashRangeInto k=%d n=%d key=%#x member %d = %d, want %d",
-								k, n, key, j, got, want)
-						}
-					}
+					checkHashRangeInto(t, f, k, key, n)
 				}
 			}
 		}
 	})
+}
+
+// FuzzHashRangeInto: any key, seed and k up to 6,403, and n below 2³³ —
+// every reduction the vector body takes and the wide ones it leaves to the
+// Go loop — both bodies against per-member HashRange.
+func FuzzHashRangeInto(f *testing.F) {
+	f.Add(uint64(0), uint64(1), uint64(2048000), uint16(6400), false)
+	f.Add(^uint64(0), uint64(42), uint64(24), uint16(6403), true)
+	f.Add(uint64(7), uint64(3), uint64(1<<32+7), uint16(9), false)
+	f.Fuzz(func(t *testing.T, key, seed, n uint64, k uint16, pow2 bool) {
+		n %= 1 << 33
+		if pow2 {
+			n = 1 << (n % 33)
+		}
+		fam := NewFamily(int(k)%6403+1, seed)
+		bothFills(t, func(t *testing.T) {
+			checkHashRangeInto(t, fam, len(fam.seeds), key, max(n, 1))
+		})
+	})
+}
+
+// checkHashRangeInto holds HashRangeInto of f's first k members to
+// HashRange, member by member.
+func checkHashRangeInto(t *testing.T, f *Family, k int, key, n uint64) {
+	t.Helper()
+	dst := make([]uint64, k)
+	f.HashRangeInto(dst, key, n)
+	for j, got := range dst {
+		if want := f.HashRange(j, key, n); got != want {
+			t.Fatalf("HashRangeInto k=%d n=%d key=%#x member %d = %d, want %d", k, n, key, j, got, want)
+		}
+	}
 }
 
 // benchSink keeps benchmark results live, so the compiler cannot delete
@@ -328,13 +354,19 @@ func BenchmarkHashRangePerMember(b *testing.B) {
 	}
 }
 
+// BenchmarkHashRangeInto times one cold read's fill, k = 6,400, at a power
+// of two (the shift) and at m = 2,048,000 (REDUCE32, the m of http-durable
+// and cluster-gather).
 func BenchmarkHashRangeInto(b *testing.B) {
 	f := NewFamily(6400, 1)
 	dst := make([]uint64, 6400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.HashRangeInto(dst, uint64(i), 1<<24)
-		benchSink += dst[i&4095]
+	for _, n := range []uint64{1 << 24, 2048000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.HashRangeInto(dst, uint64(i), n)
+				benchSink += dst[i&4095]
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 
@@ -19,8 +20,9 @@ func TestBandIndexValidation(t *testing.T) {
 	if _, err := NewBandIndex(Params{Bands: 4, Rows: 4}, 15); err == nil {
 		t.Error("band structure wider than the signature accepted")
 	}
-	// Bands·Rows overflowing int must be rejected, not used as slice math.
-	if _, err := NewBandIndex(Params{Bands: 1 << 62, Rows: 16}, 64); err == nil {
+	// Bands·Rows overflowing int must be rejected, not used as slice math:
+	// 2^62·16 where int has 64 bits, 2^30·16 where it has 32.
+	if _, err := NewBandIndex(Params{Bands: 1 << (bits.UintSize - 2), Rows: 16}, 64); err == nil {
 		t.Error("overflowing bands x rows accepted")
 	}
 	ix, err := NewBandIndex(Params{Bands: 4, Rows: 4, Seed: 9}, 64)
