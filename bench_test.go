@@ -26,6 +26,7 @@ import (
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
 	"github.com/vossketch/vos/internal/cluster"
+	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/experiments"
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/poscache"
@@ -234,13 +235,14 @@ func ingestConfig() vos.Config {
 // so the expected cost is BenchmarkSequentialIngest's.
 func BenchmarkWindowedIngest(b *testing.B) {
 	edges := ingestStream(b)
-	w, err := vos.NewWindowed(ingestConfig(), 8, time.Hour)
+	w, err := core.NewWindow(ingestConfig(), 8, time.Hour, time.Now())
 	if err != nil {
 		b.Fatal(err)
 	}
+	live := w.Merged()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Process(edges[i%len(edges)])
+		live.Process(edges[i%len(edges)])
 	}
 }
 
@@ -272,14 +274,14 @@ func BenchmarkWindowRotate(b *testing.B) {
 		{"udp-window-ann", vos.Config{MemoryBits: 1 << 20, SketchBits: 1600, Seed: 1, Family: vos.FamilyFast}, 4, udp, 32_768},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			w, err := vos.NewWindowed(c.cfg, c.buckets, time.Hour)
+			w, err := core.NewWindow(c.cfg, c.buckets, time.Hour, time.Now())
 			if err != nil {
 				b.Fatal(err)
 			}
 			pos := 0
 			refill := func() {
 				for j := 0; j < c.fill; j++ {
-					w.Process(c.edges[pos%len(c.edges)])
+					w.Merged().Process(c.edges[pos%len(c.edges)])
 					pos++
 				}
 			}
@@ -374,26 +376,6 @@ func BenchmarkSketchProcessBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*call), "ns/edge")
 		})
 	}
-}
-
-// BenchmarkMutexIngest measures one sketch behind NewSketchService's
-// read-write mutex under parallel single-edge writers: every Ingest
-// serialises on one lock, so adding cores does not add throughput — the
-// bottleneck the Engine removes.
-func BenchmarkMutexIngest(b *testing.B) {
-	edges := ingestStream(b)
-	svc := vos.NewSketchService(vos.MustNew(ingestConfig()))
-	ctx := context.Background()
-	var next atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1) % uint64(len(edges))
-			if err := svc.Ingest(ctx, edges[i:i+1]); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 // BenchmarkEngineIngest measures sharded-engine ingest at 1/2/4/8 shards

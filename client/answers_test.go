@@ -69,7 +69,7 @@ func TestResponsePastTheCapIsAnError(t *testing.T) {
 
 	for _, n := range []int{limit + 1, -(limit + 1), len(body)} {
 		d, _, err := c.ExportSince(context.Background(), strconv.Itoa(n))
-		if err == nil || !strings.Contains(err.Error(), "response exceeds the limit of 3000 bytes") || Retryable(err) {
+		if err == nil || !strings.Contains(err.Error(), "response exceeds the limit of 3000 bytes") || retryable(err) {
 			t.Errorf("a body of %d bytes under a cap of %d: got %d bytes and error %v", n, limit, len(d.Full), err)
 		}
 		var apiErr *Error

@@ -561,18 +561,6 @@ func (c *Client) getRetry(ctx context.Context, path string, out any) error {
 	return c.retry(ctx, func() error { return c.do(ctx, http.MethodGet, path, "", nil, out) })
 }
 
-// retry applies the client's RetryPolicy (see retry.go) to attempt.
-func (c *Client) retry(ctx context.Context, attempt func() error) error {
-	return c.Retry().Do(ctx, attempt)
-}
-
-// Retry returns the client's resolved read-retry policy, so a caller
-// coordinating several clients (one per cluster backend) can share one
-// policy definition across all of them.
-func (c *Client) Retry() RetryPolicy {
-	return RetryPolicy{MaxRetries: c.opt.MaxRetries, Backoff: c.opt.RetryBackoff}
-}
-
 // do is call for JSON answers: a 2xx body is decoded into out (out may be
 // nil to discard).
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
@@ -609,7 +597,7 @@ func (c *Client) call(ctx context.Context, method, path, contentType string, bod
 }
 
 // errResponseTooLarge is a response longer than Client.maxResponse: the same
-// answer would come back again, so it is not retried (Retryable).
+// answer would come back again, so it is not retried (retryable).
 var errResponseTooLarge = errors.New("response exceeds the limit")
 
 // doRaw executes the request and returns a 2xx response's raw body and

@@ -15,7 +15,7 @@ import (
 // ExportSketch implements vos.StateExporter over GET /v1/cluster/sketch:
 // the remote service's complete serialized state (core wire format, as
 // vos.Unmarshal reads) — ExportSince's answer to an empty cursor. It is a
-// read, so it retries per the client's RetryPolicy.
+// read, so it retries per Options.MaxRetries.
 func (c *Client) ExportSketch(ctx context.Context) ([]byte, error) {
 	d, _, err := c.ExportSince(ctx, "")
 	return d.Full, err
@@ -28,7 +28,7 @@ func (c *Client) ExportSketch(ctx context.Context) ([]byte, error) {
 // cannot serve the cursor (Fallback says why), or, with an empty Cursor, when
 // the remote does not offer the delta export at all and will answer in full
 // every time. n is the size of the response body. The remote changes
-// nothing to answer, so like every read this retries per the RetryPolicy.
+// nothing to answer, so like every read this retries per Options.MaxRetries.
 func (c *Client) ExportSince(ctx context.Context, since string) (d vos.SketchDelta, n int, err error) {
 	path := server.RouteClusterSketch
 	if since != "" {
@@ -95,8 +95,7 @@ func NewCluster(gatewayURL string, opt Options) *ClusterClient {
 // answers from the reachable portion of the cluster and flags the
 // degradation with the X-Vos-Partial response header, which this method
 // surfaces as complete=false. A retryable failure (transport, 5xx) is
-// retried per the client's RetryPolicy before the degraded answer is
-// accepted.
+// retried per Options.MaxRetries before the degraded answer is accepted.
 func (c *ClusterClient) TopKPartial(ctx context.Context, u vos.User, candidates []vos.User, n int) ([]vos.TopKResult, bool, error) {
 	return c.postTopK(ctx, server.TopKRequest{User: u, Candidates: candidates, N: n})
 }

@@ -230,95 +230,6 @@ func TestClusterClientCheckpointUnsupported(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyDo pins the extracted policy's attempt accounting: n
-// retries mean n+1 attempts, non-retryable errors stop immediately, and a
-// cancelled context interrupts the backoff wait.
-func TestRetryPolicyDo(t *testing.T) {
-	p := client.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		return &client.Error{Status: 500, Code: server.CodeInternal}
-	})
-	if calls != 3 {
-		t.Fatalf("2 retries made %d attempts, want 3", calls)
-	}
-	var ce *client.Error
-	if !errors.As(err, &ce) || ce.Status != 500 {
-		t.Fatalf("exhausted retry returned %v", err)
-	}
-
-	calls = 0
-	err = p.Do(context.Background(), func() error {
-		calls++
-		return &client.Error{Status: 400, Code: server.CodeBadRequest}
-	})
-	if calls != 1 || err == nil {
-		t.Fatalf("non-retryable error: %d attempts, err %v", calls, err)
-	}
-
-	calls = 0
-	if err := p.Do(context.Background(), func() error { calls++; return nil }); err != nil || calls != 1 {
-		t.Fatalf("success path: %d attempts, err %v", calls, err)
-	}
-
-	// Negative retries disable retrying entirely.
-	calls = 0
-	p = client.RetryPolicy{MaxRetries: -1}
-	p.Do(context.Background(), func() error {
-		calls++
-		return &client.Error{Status: 503, Code: server.CodeDraining}
-	})
-	if calls != 1 {
-		t.Fatalf("MaxRetries -1 made %d attempts, want 1", calls)
-	}
-
-	// A cancelled context stops the loop during the wait.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p = client.RetryPolicy{MaxRetries: 5, Backoff: time.Hour}
-	err = p.Do(ctx, func() error { return &client.Error{Status: 500} })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled backoff wait returned %v", err)
-	}
-}
-
-// TestRetryable pins the shared classification the single-node client and
-// the gateway's per-backend calls both use.
-func TestRetryable(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"transport", errors.New("connection refused"), true},
-		{"500", &client.Error{Status: 500}, true},
-		{"503 draining", &client.Error{Status: 503, Code: server.CodeDraining}, true},
-		{"501 unsupported", &client.Error{Status: 501, Code: server.CodeUnsupported}, false},
-		{"400", &client.Error{Status: 400}, false},
-		{"404", &client.Error{Status: 404}, false},
-		{"context canceled", context.Canceled, false},
-		{"deadline exceeded", context.DeadlineExceeded, false},
-	}
-	for _, tc := range cases {
-		if got := client.Retryable(tc.err); got != tc.want {
-			t.Errorf("Retryable(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestClientRetryMatchesOptions: Client.Retry exposes the policy the
-// client itself runs, built from its options.
-func TestClientRetryMatchesOptions(t *testing.T) {
-	cl := client.New("http://127.0.0.1:1", client.Options{MaxRetries: 7, RetryBackoff: 3 * time.Second})
-	defer cl.Close()
-	p := cl.Retry()
-	if p.MaxRetries != 7 || p.Backoff != 3*time.Second {
-		t.Fatalf("Retry() = %+v", p)
-	}
-}
-
 // TestImportSketchNotRetried: a transient 500 on the import route must
 // surface immediately — replaying an import that may have landed would
 // XOR-cancel it.

@@ -14,8 +14,8 @@
 //	# query a user pair against a saved sketch
 //	vosinspect -sketch youtube.vos -query 17,42
 //
-//	# dump an engine durability directory: checkpoint, WAL segments, and
-//	# the recovered (checkpoint + replayed suffix) sketch state
+//	# dump an engine durability directory, flat or windowed: checkpoint,
+//	# WAL segments, and the recovered (checkpoint + replayed suffix) state
 //	vosinspect -wal /var/lib/vos -query 17,42
 package main
 
@@ -25,8 +25,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/wal"
 )
 
@@ -118,21 +120,33 @@ func main() {
 // dumpWAL prints a durability directory's checkpoint and segment layout,
 // then reconstructs the state an engine would recover: the checkpointed
 // sketch (or a fresh one from cfg when no checkpoint exists) with the WAL
-// suffix replayed into it.
+// suffix replayed into it. A windowed engine's checkpoint is its bucket
+// ring; the suffix then lands in the ring's merged view, as it is when
+// persisted (a restarted engine first retires the buckets its clock has
+// left behind).
 func dumpWAL(dir string, cfg vos.Config) (*vos.Sketch, error) {
 	pos, skBytes, found, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
 	var sk *vos.Sketch
-	if found {
+	switch {
+	case found && core.IsWindowData(skBytes):
+		w, err := core.UnmarshalWindow(skBytes)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
+		}
+		sk = w.Merged()
+		fmt.Printf("checkpoint:  position %d, %d window bytes (%d buckets of %v ending %s; m=%d k=%d)\n",
+			pos, len(skBytes), w.Buckets(), w.BucketDuration(), w.End().UTC().Format(time.RFC3339), sk.MemoryBits(), sk.K())
+	case found:
 		sk, err = vos.Unmarshal(skBytes)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
 		}
 		fmt.Printf("checkpoint:  position %d, %d sketch bytes (m=%d k=%d)\n",
 			pos, len(skBytes), sk.MemoryBits(), sk.K())
-	} else {
+	default:
 		sk, err = vos.New(cfg)
 		if err != nil {
 			return nil, err

@@ -15,8 +15,8 @@ import (
 // merging is exact for any partition of the stream, a K-shard Engine
 // returns (after Flush) bit-identical estimates to a single Sketch that
 // consumed the whole stream — sharding costs no accuracy. It is the one
-// concurrent shape: Shards: 1 is a thread-safe sketch (NewSketchService is
-// the same thing behind SimilarityService without the ingest goroutine).
+// concurrent shape: Shards: 1 is a thread-safe sketch, EngineConfig.Window
+// makes it a sliding window, and NewEngineService serves it.
 // For the offline equivalent, see PartitionByUser plus Sketch.Merge.
 //
 // All methods are safe for concurrent use, with one lifecycle rule: no

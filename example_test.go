@@ -2,6 +2,7 @@ package vos_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/vossketch/vos"
@@ -91,31 +92,42 @@ func ExampleSketch_Merge() {
 	// merged equals sequential: true
 }
 
-// Sliding-window similarity: edges land in the current time bucket,
-// queries cover only the live window, and rotating retires the oldest
-// bucket in O(sketch) — here a tumbling two-bucket window forgets the
-// first bucket's subscriptions while keeping the second's.
-func ExampleNewWindowed() {
-	w, err := vos.NewWindowedAt(
-		vos.Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 42},
-		2, time.Minute, time.Unix(60, 0), // two 1-minute buckets
-	)
+// Sliding-window similarity: EngineConfig.Window keeps the last
+// Buckets·BucketDuration of stream time, queries cover only that window,
+// and rotating retires the oldest bucket in O(sketch) — here a two-bucket
+// window on a fixed clock forgets the first minute's subscriptions while
+// keeping the second's.
+func ExampleWindowConfig() {
+	var clock atomic.Int64 // seconds since the Unix epoch
+	clock.Store(30)
+	eng, err := vos.NewEngine(vos.EngineConfig{
+		Sketch: vos.Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 42},
+		Shards: 1,
+		Window: &vos.WindowConfig{
+			Buckets:        2, // two 1-minute buckets
+			BucketDuration: time.Minute,
+			Now:            func() time.Time { return time.Unix(clock.Load(), 0) },
+		},
+	})
 	if err != nil {
 		panic(err)
 	}
+	defer eng.Close()
 
 	// Minute one: alice and bob both pick up item 7.
-	w.Process(vos.Edge{User: 1, Item: 7, Op: vos.Insert})
-	w.Process(vos.Edge{User: 2, Item: 7, Op: vos.Insert})
-	fmt.Printf("minute 1: common=%.0f\n", w.Query(1, 2).CommonClamped)
+	eng.Process(vos.Edge{User: 1, Item: 7, Op: vos.Insert})
+	eng.Process(vos.Edge{User: 2, Item: 7, Op: vos.Insert})
+	eng.Flush()
+	fmt.Printf("minute 1: common=%.0f\n", eng.Query(1, 2).CommonClamped)
 
 	// Two minutes later the shared pick has aged out of the window; only
 	// bob's fresh subscription from minute two survives.
-	w.AdvanceTo(time.Unix(61, 0))
-	w.Process(vos.Edge{User: 2, Item: 9, Op: vos.Insert})
-	w.AdvanceTo(time.Unix(121, 0))
+	clock.Store(61)
+	eng.Process(vos.Edge{User: 2, Item: 9, Op: vos.Insert})
+	clock.Store(121)
+	eng.Flush()
 	fmt.Printf("minute 3: common=%.0f, bob still holds %d item\n",
-		w.Query(1, 2).CommonClamped, w.Cardinality(2))
+		eng.Query(1, 2).CommonClamped, eng.Cardinality(2))
 	// Output:
 	// minute 1: common=1
 	// minute 3: common=0, bob still holds 1 item

@@ -65,10 +65,6 @@ func TestIngestDoesNotKeepTheSlice(t *testing.T) {
 	}
 	frozen := time.Unix(1_700_000_000, 0)
 	cases := map[string]func(*testing.T) (vos.SimilarityService, func() ([]byte, error)){
-		"sketch": func(*testing.T) (vos.SimilarityService, func() ([]byte, error)) {
-			sk := vos.MustNew(cfg)
-			return vos.NewSketchService(sk), sk.MarshalBinary
-		},
 		"engine/1 shard":  engine(vos.EngineConfig{Shards: 1}, ""),
 		"engine/2 shards": engine(vos.EngineConfig{Shards: 2}, ""),
 		"engine/durable": engine(vos.EngineConfig{Shards: 2,

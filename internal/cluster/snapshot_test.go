@@ -211,7 +211,7 @@ func TestGatewaySnapshotDifferential(t *testing.T) {
 				}
 				for _, ed := range edges {
 					if ring.ShardOf(ed.User) == winSlot {
-						win.ProcessBatch([]vos.Edge{ed})
+						win.Merged().ProcessBatch([]vos.Edge{ed})
 					} else {
 						plain.Process(ed)
 					}

@@ -264,15 +264,15 @@ func TestWindowProcessBatchMatchesProcess(t *testing.T) {
 			})
 		}
 		for _, e := range edges[:100] {
-			one.Process(e)
+			one.Merged().Process(e)
 		}
-		bat.ProcessBatch(edges[:100])
+		bat.Merged().ProcessBatch(edges[:100])
 		one.Rotate()
 		bat.Rotate()
 		for _, e := range edges[100:] {
-			one.Process(e)
+			one.Merged().Process(e)
 		}
-		bat.ProcessBatch(edges[100:])
+		bat.Merged().ProcessBatch(edges[100:])
 		a, _ := one.MarshalBinary()
 		b, _ := bat.MarshalBinary()
 		if !bytes.Equal(a, b) {
@@ -351,9 +351,9 @@ func TestWindowProcessBatchBlockParity(t *testing.T) {
 			for round := int64(0); round < 2; round++ {
 				edges := blockEdges(n, 50+round)
 				for _, e := range edges {
-					one.Process(e)
+					one.Merged().Process(e)
 				}
-				bat.ProcessBatch(edges)
+				bat.Merged().ProcessBatch(edges)
 				msg := fmt.Sprintf("family %v, %d edges, round %d", cfg.Family, n, round)
 				mustEqualSketchBytes(t, bat.Merged(), one.Merged(), msg+", merged view")
 				mustEqualSketchBytes(t, bat.Bucket(2), one.Bucket(2), msg+", current bucket")
@@ -428,18 +428,18 @@ func TestProcessBatchCounterBlocks(t *testing.T) {
 			for _, e := range tc.prefix {
 				one.Process(e)
 				bat.Process(e)
-				wone.Process(e)
-				wbat.Process(e)
+				wone.Merged().Process(e)
+				wbat.Merged().Process(e)
 			}
 			if tc.atLoadLimit && !(atLimit(bat) && atLimit(wbat.Merged()) && atLimit(wbat.Bucket(1))) {
 				t.Fatalf("%s: a table is not at its load limit before the block", msg)
 			}
 			for _, e := range tc.block {
 				one.Process(e)
-				wone.Process(e)
+				wone.Merged().Process(e)
 			}
 			bat.ProcessBatch(tc.block)
-			wbat.ProcessBatch(tc.block)
+			wbat.Merged().ProcessBatch(tc.block)
 			mustEqualSketchBytes(t, bat, one, msg)
 			mustEqualSketchBytes(t, wbat.Merged(), wone.Merged(), msg+", merged view")
 			mustEqualSketchBytes(t, wbat.Bucket(1), wone.Bucket(1), msg+", current bucket")

@@ -79,9 +79,9 @@ func FuzzUnmarshalWindow(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.Process(edgeFor(1, 2, true))
+	w.Merged().Process(edgeFor(1, 2, true))
 	w.Rotate()
-	w.Process(edgeFor(2, 3, true))
+	w.Merged().Process(edgeFor(2, 3, true))
 	seed, _ := w.MarshalBinary()
 	f.Add(seed)
 	f.Add([]byte{})

@@ -156,9 +156,9 @@ var forceFanOut = false
 // Done channel is nil and the poll is skipped.
 //
 // This is the one exact top-K every read path shares (the engine's scan
-// and its ANN scoring, the gateway's merged and partial views, the
-// in-process sketch service), and the one place it runs on more than one
-// core: see fanOutShare for when helpers start. The caller never parks —
+// and its ANN scoring, the gateway's merged and partial views), and the
+// one place it runs on more than one core: see fanOutShare for when
+// helpers start. The caller never parks —
 // it scores beside its helpers until the candidates run out, and returns
 // only once every helper that claimed candidates has finished with them,
 // on cancellation too, so nothing reads the sketch after the call returns

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/vossketch/vos/internal/bitset"
-	"github.com/vossketch/vos/internal/stream"
 )
 
 // Window is a sliding-window VOS: the live merged view covering the last B
@@ -43,8 +42,6 @@ type Window struct {
 	oldest int
 	merged *VOS // XOR-merge of all live buckets; pointer is stable
 	base   *VOS // merged as the last rotation left it: the XOR-merge of closed
-
-	rotations uint64
 }
 
 // accumulator returns an empty sketch for state the window keeps but never
@@ -107,18 +104,9 @@ func (w *Window) Buckets() int { return len(w.closed) + 1 }
 // BucketDuration returns the time span of one bucket.
 func (w *Window) BucketDuration() time.Duration { return time.Duration(w.bucketNS) }
 
-// Start returns the inclusive start of the live window: the instant the
-// oldest live bucket began, End − B·BucketDuration.
-func (w *Window) Start() time.Time {
-	return time.Unix(0, w.endNS-int64(w.Buckets())*w.bucketNS)
-}
-
 // End returns the exclusive end of the current bucket — the next rotation
 // boundary.
 func (w *Window) End() time.Time { return time.Unix(0, w.endNS) }
-
-// Rotations returns how many buckets have been retired since creation.
-func (w *Window) Rotations() uint64 { return w.rotations }
 
 // Merged returns the live window sketch: the XOR-merge of every live
 // bucket, maintained incrementally. It is an ordinary *VOS — Query, TopK,
@@ -178,14 +166,6 @@ func (w *Window) MergeBucket(k int, src *VOS) error {
 	return nil
 }
 
-// Process folds one stream element into the current bucket: VOS.Process on
-// the merged view.
-func (w *Window) Process(e stream.Edge) { w.merged.Process(e) }
-
-// ProcessBatch folds a slice of stream elements into the current bucket:
-// VOS.ProcessBatch on the merged view.
-func (w *Window) ProcessBatch(edges []stream.Edge) { w.merged.ProcessBatch(edges) }
-
 // Rotate retires the oldest bucket and opens a fresh current one. With m, b
 // and o the merged, base and retired arrays, one pass writes m ⊕ o (the
 // retired bucket XOR-ed out) to merged and base and m ⊕ b, the closing
@@ -214,7 +194,6 @@ func (w *Window) Rotate() {
 		w.oldest = (w.oldest + 1) % len(w.closed)
 	}
 	w.endNS += w.bucketNS
-	w.rotations++
 }
 
 // AdvanceTo rotates once per bucket boundary crossed up to t and returns
@@ -241,16 +220,9 @@ func (w *Window) AdvanceTo(t time.Time) int {
 	if skipped := steps - rot; skipped > 0 {
 		// Every bucket is already empty; just move the boundaries.
 		w.endNS += skipped * w.bucketNS
-		w.rotations += uint64(skipped)
 	}
 	return int(steps)
 }
-
-// Query estimates the similarity of users u and v over the live window.
-func (w *Window) Query(u, v stream.User) Estimate { return w.merged.Query(u, v) }
-
-// Cardinality returns n_u over the live window.
-func (w *Window) Cardinality(u stream.User) int64 { return w.merged.Cardinality(u) }
 
 // Stats summarises the live window view, with the window metadata fields
 // set and MemoryBytes covering the whole ring (closed buckets, base and

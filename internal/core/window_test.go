@@ -59,7 +59,7 @@ func TestWindowParity(t *testing.T) {
 		for round := 0; round < 6*buckets; round++ {
 			for i := 0; i < 200; i++ {
 				e := winEdge(r)
-				w.Process(e)
+				w.Merged().Process(e)
 				inWindow[buckets-1] = append(inWindow[buckets-1], e)
 			}
 			fresh := MustNew(winTestCfg)
@@ -74,8 +74,8 @@ func TestWindowParity(t *testing.T) {
 			copy(inWindow, inWindow[1:])
 			inWindow[buckets-1] = nil
 		}
-		if w.Rotations() != uint64(6*buckets) {
-			t.Fatalf("rotations = %d, want %d", w.Rotations(), 6*buckets)
+		if want := time.Unix(int64(1+6*buckets), 0); !w.End().Equal(want) {
+			t.Fatalf("after %d rotations the window ends at %v, want %v", 6*buckets, w.End(), want)
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestWindowMatchesBucketModel(t *testing.T) {
 				case 0:
 					what = "Process"
 					e := winEdge(r)
-					w.Process(e)
+					w.Merged().Process(e)
 					model[buckets-1].Process(e)
 				case 1:
 					n := []int{0, 1, 256, 257}[r.Intn(4)]
@@ -154,7 +154,7 @@ func TestWindowMatchesBucketModel(t *testing.T) {
 					for i := range edges {
 						edges[i] = winEdge(r)
 					}
-					w.ProcessBatch(edges)
+					w.Merged().ProcessBatch(edges)
 					model[buckets-1].ProcessBatch(edges)
 				case 2:
 					what = "Rotate"
@@ -237,7 +237,7 @@ func TestWindowRotateAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for k := 0; k <= buckets; k++ { // the last rotation is the warm one
 		for i := 0; i < 400; i++ {
-			w.Process(winEdge(r))
+			w.Merged().Process(winEdge(r))
 		}
 		w.Rotate()
 	}
@@ -254,7 +254,7 @@ func TestWindowTumbling(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		w.Process(winEdge(r))
+		w.Merged().Process(winEdge(r))
 	}
 	if w.Merged().Stats().OnesCount == 0 {
 		t.Fatal("expected a loaded array before rotation")
@@ -293,7 +293,7 @@ func TestWindowAdvanceTo(t *testing.T) {
 	// A gap much longer than the window: boundary count is reported in
 	// full, physical rotations are capped at B, and the clock lands on the
 	// right boundary.
-	w.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert})
+	w.Merged().Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert})
 	if n := w.AdvanceTo(time.Unix(1000, 1)); n != 989 {
 		t.Fatalf("long-gap advance reported %d boundaries, want 989", n)
 	}
@@ -313,12 +313,12 @@ func TestWindowMarshalRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 150; i++ {
-			w.Process(winEdge(r))
+			w.Merged().Process(winEdge(r))
 		}
 		w.Rotate()
 	}
 	for i := 0; i < 70; i++ {
-		w.Process(winEdge(r)) // current bucket partially filled
+		w.Merged().Process(winEdge(r)) // current bucket partially filled
 	}
 	data, err := w.MarshalBinary()
 	if err != nil {
@@ -346,7 +346,7 @@ func TestWindowMarshalRoundTrip(t *testing.T) {
 
 func TestWindowMarshalRejectsCorrupt(t *testing.T) {
 	w, _ := NewWindowAt(winTestCfg, 2, time.Second, time.Unix(2, 0))
-	w.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert})
+	w.Merged().Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert})
 	data, err := w.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +376,7 @@ func TestWindowUnmarshalHostileBucketCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert})
+	w.Merged().Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert})
 	data, err := w.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

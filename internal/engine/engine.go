@@ -5,8 +5,8 @@
 // core.VOS.Merge is exact for every way of splitting the input. That makes
 // "one sketch per shard, merge for queries" a lossless parallelisation —
 // the same partition-then-merge structure gSketch (VLDB'12) uses to
-// localise stream updates — where a single mutex-guarded sketch
-// (vos.NewSketchService) serialises every update on one lock.
+// localise stream updates — where a single mutex-guarded sketch would
+// serialise every update on one lock.
 //
 // Topology: N independent core.VOS shards with identical Config, each owned
 // by one ingest goroutine fed through a buffered channel of edge batches.
@@ -838,10 +838,9 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 // Stats summarises the merged global sketch (see core.VOS.Stats). In
 // window mode the window metadata fields are set, the state covers the
 // live window only, and MemoryBytes counts the full resident footprint —
-// every shard's bucket ring plus the flattened snapshot, matching what
-// WindowedSketch.Stats reports for the single-threaded shape — so an
-// operator sizing a windowed deployment from /v1/stats sees the rings,
-// not just one array.
+// every shard's bucket ring (core.Window.Stats) plus the flattened
+// snapshot — so an operator sizing a windowed deployment from /v1/stats
+// sees the rings, not just one array.
 func (e *Engine) Stats() core.Stats {
 	e.maybeAdvance()
 	snap := e.acquire()

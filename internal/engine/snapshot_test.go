@@ -30,7 +30,7 @@ type diffRef struct {
 
 func (r *diffRef) apply(edges []stream.Edge) {
 	if r.win != nil {
-		r.win.ProcessBatch(edges)
+		r.win.Merged().ProcessBatch(edges)
 		return
 	}
 	r.sk.ProcessBatch(edges)

@@ -252,8 +252,9 @@ func TestClusterRoutesUnsupported(t *testing.T) {
 		imp    int // status of a well-formed import
 		span   int // none, delta (both span headers) or unseen
 	}{
+		// The bare interface: no capability shows through the wrapper.
 		{"sketch service", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
-			return vos.NewSketchService(vos.MustNew(cfg.Sketch)), nil
+			return struct{ vos.SimilarityService }{vos.NewEngineService(engine(t, false))}, nil
 		}, none, http.StatusNotImplemented, none},
 		{"export-only decorator", func(t *testing.T) (vos.SimilarityService, *vos.Engine) {
 			eng := engine(t, false)

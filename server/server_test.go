@@ -206,7 +206,7 @@ func TestStatsHashFamilyOnWire(t *testing.T) {
 // TestStatsSnapshotOnWire: /v1/stats carries the engine's snapshot
 // maintenance counters — after the two re-merges that build the resident
 // views, a read that follows a write shows up as a replay — and leaves the
-// object out for a service with no engine behind it.
+// object out for a service that hides its engine behind the bare interface.
 func TestStatsSnapshotOnWire(t *testing.T) {
 	ctx := context.Background()
 	eng, err := vos.NewEngine(testEngineConfig())
@@ -254,10 +254,16 @@ func TestStatsSnapshotOnWire(t *testing.T) {
 		t.Fatalf("three reads after writes should be one first re-merge and two 40-edge replays: %+v", *got)
 	}
 
-	plain := httptest.NewServer(server.New(vos.NewSketchService(vos.MustNew(testEngineConfig().Sketch)), server.Options{}))
+	// A service that offers no capability beyond SimilarityService.
+	bare, err := vos.NewEngine(testEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	plain := httptest.NewServer(server.New(struct{ vos.SimilarityService }{vos.NewEngineService(bare)}, server.Options{}))
 	defer plain.Close()
 	if snap := stats(plain.URL).Snapshot; snap != nil {
-		t.Fatalf("sketch-backed /v1/stats carries a snapshot object: %+v", *snap)
+		t.Fatalf("capability-less /v1/stats carries a snapshot object: %+v", *snap)
 	}
 }
 

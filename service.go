@@ -2,7 +2,6 @@ package vos
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/vossketch/vos/internal/engine"
@@ -12,8 +11,8 @@ import (
 // one contract for "ingest a dynamic graph stream, answer similarity
 // queries over it" that every deployment shape satisfies —
 //
-//   - NewSketchService wraps an in-process sketch,
-//   - NewEngineService wraps the sharded (optionally durable) Engine,
+//   - NewEngineService wraps the in-process Engine (one shard or many,
+//     optionally windowed, durable or with the top-K index),
 //   - package client implements it over the versioned HTTP API that
 //     package server exposes, so swapping an in-process engine for a
 //     remote vosd daemon is a one-constructor change.
@@ -345,67 +344,4 @@ func (s *engineService) flush(ctx context.Context) error {
 	}
 	s.e.Flush()
 	return nil
-}
-
-// sketchService adapts a bare *Sketch to SimilarityService behind one
-// read-write mutex — the sketch itself is not safe for concurrent
-// mutation, and a service handed to an HTTP server will be called from
-// many goroutines. Writes take the lock exclusively; reads share it, which
-// the sketch allows on quiescent state (see core.VOS). It is the one-array,
-// single-core deployment shape; use NewEngineService when ingest must scale.
-type sketchService struct {
-	mu sync.RWMutex
-	sk *Sketch
-}
-
-// NewSketchService wraps a bare Sketch in the SimilarityService interface.
-// Calls synchronise on an internal read-write mutex, so the service is safe
-// for concurrent use even though the sketch is not; the caller must not
-// touch the sketch directly afterwards.
-func NewSketchService(sk *Sketch) SimilarityService { return &sketchService{sk: sk} }
-
-func (s *sketchService) Ingest(ctx context.Context, edges []Edge) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sk.ProcessBatch(edges)
-	return nil
-}
-
-func (s *sketchService) Similarity(ctx context.Context, u, v User) (Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return Estimate{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sk.Query(u, v), nil
-}
-
-func (s *sketchService) TopK(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sk.TopKRecoveredContext(ctx, s.sk.RecoverSketch(u), candidates, n)
-}
-
-func (s *sketchService) Cardinality(ctx context.Context, u User) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sk.Cardinality(u), nil
-}
-
-func (s *sketchService) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sk.Stats(), nil
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,15 +16,12 @@ func serviceSketchConfig() vos.Config {
 	return vos.Config{MemoryBits: 1 << 18, SketchBits: 512, Seed: 7}
 }
 
-// inProcessServices builds the two in-process adapters over one config.
-func inProcessServices(t *testing.T) map[string]vos.SimilarityService {
+// engineService builds the in-process adapter over a 2-shard engine.
+func engineService(t *testing.T) vos.SimilarityService {
 	t.Helper()
 	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
 	t.Cleanup(func() { eng.Close() })
-	return map[string]vos.SimilarityService{
-		"engine": vos.NewEngineService(eng),
-		"sketch": vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
-	}
+	return vos.NewEngineService(eng)
 }
 
 // startReaders calls read from n goroutines, over and over, until the
@@ -56,176 +52,110 @@ func startReaders(n int, read func() bool) (stop func()) {
 	}
 }
 
-// TestServiceAdaptersAgree: the two in-process adapters answer the same
-// stream identically — the interface is a veneer, not a second estimator.
-// Readers run against both while the stream is being ingested, so -race
-// covers the sketch adapter's shared read lock against its writer.
+// TestServiceAdaptersAgree: the in-process adapter answers a stream as one
+// plain Sketch fed the same stream does — the interface is a veneer, not a
+// second estimator. Readers run against the service while the stream is
+// being ingested, so -race covers its reads against the shard workers.
 func TestServiceAdaptersAgree(t *testing.T) {
 	ctx := context.Background()
 	edges := engineTestStream(8_000, 60, 0.25, 21)
-	services := inProcessServices(t)
+	svc := engineService(t)
+	ref := vos.MustNew(serviceSketchConfig())
 	candidates := make([]vos.User, 50)
 	for i := range candidates {
 		candidates[i] = vos.User(i)
 	}
 
-	var stops []func()
-	for name, svc := range services {
-		stops = append(stops, startReaders(3, func() bool {
-			est, err := svc.Similarity(ctx, 1, 4)
-			if err != nil || est.Jaccard < 0 || est.Jaccard > 1 {
-				t.Errorf("%s: mid-stream Similarity = %+v, %v", name, est, err)
-				return false
-			}
-			_, topErr := svc.TopK(ctx, 1, candidates, 5)
-			_, cardErr := svc.Cardinality(ctx, 1)
-			_, statsErr := svc.Stats(ctx)
-			if err := errors.Join(topErr, cardErr, statsErr); err != nil {
-				t.Errorf("%s: mid-stream read: %v", name, err)
-				return false
-			}
-			return true
-		}))
-	}
+	stop := startReaders(3, func() bool {
+		est, err := svc.Similarity(ctx, 1, 4)
+		if err != nil || est.Jaccard < 0 || est.Jaccard > 1 {
+			t.Errorf("mid-stream Similarity = %+v, %v", est, err)
+			return false
+		}
+		_, topErr := svc.TopK(ctx, 1, candidates, 5)
+		_, cardErr := svc.Cardinality(ctx, 1)
+		_, statsErr := svc.Stats(ctx)
+		if err := errors.Join(topErr, cardErr, statsErr); err != nil {
+			t.Errorf("mid-stream read: %v", err)
+			return false
+		}
+		return true
+	})
 	for lo := 0; lo < len(edges); lo += 500 {
-		for name, svc := range services {
-			if err := svc.Ingest(ctx, edges[lo:lo+500]); err != nil {
-				t.Fatalf("%s: Ingest: %v", name, err)
-			}
+		if err := svc.Ingest(ctx, edges[lo:lo+500]); err != nil {
+			t.Fatalf("Ingest: %v", err)
 		}
+		ref.ProcessBatch(edges[lo : lo+500])
 	}
-	for _, stop := range stops {
-		stop()
-	}
+	stop()
 
-	ref := services["sketch"]
-	wantTop, err := ref.TopK(ctx, 1, candidates, 5)
-	if err != nil {
-		t.Fatal(err)
+	for u := vos.User(0); u < 20; u++ {
+		got, err := svc.Similarity(ctx, u, u+3)
+		if err != nil {
+			t.Fatalf("Similarity: %v", err)
+		}
+		if want := ref.Query(u, u+3); got != want {
+			t.Fatalf("Similarity(%d,%d) = %+v, sketch %+v", u, u+3, got, want)
+		}
+		gotCard, err := svc.Cardinality(ctx, u)
+		if err != nil {
+			t.Fatalf("Cardinality: %v", err)
+		}
+		if want := ref.Cardinality(u); gotCard != want {
+			t.Fatalf("Cardinality(%d) = %d, want %d", u, gotCard, want)
+		}
 	}
-	for name, svc := range services {
-		for u := vos.User(0); u < 20; u++ {
-			got, err := svc.Similarity(ctx, u, u+3)
-			if err != nil {
-				t.Fatalf("%s: Similarity: %v", name, err)
-			}
-			want, err := ref.Similarity(ctx, u, u+3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s: Similarity(%d,%d) = %+v, reference %+v", name, u, u+3, got, want)
-			}
-			gotCard, err := svc.Cardinality(ctx, u)
-			if err != nil {
-				t.Fatalf("%s: Cardinality: %v", name, err)
-			}
-			wantCard, _ := ref.Cardinality(ctx, u)
-			if gotCard != wantCard {
-				t.Fatalf("%s: Cardinality(%d) = %d, want %d", name, u, gotCard, wantCard)
-			}
-		}
-		gotTop, err := svc.TopK(ctx, 1, candidates, 5)
-		if err != nil {
-			t.Fatalf("%s: TopK: %v", name, err)
-		}
-		if !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("%s: TopK = %+v, want %+v", name, gotTop, wantTop)
-		}
-		gotStats, err := svc.Stats(ctx)
-		if err != nil {
-			t.Fatalf("%s: Stats: %v", name, err)
-		}
-		wantStats, _ := ref.Stats(ctx)
-		if gotStats != wantStats {
-			t.Fatalf("%s: Stats = %+v, want %+v", name, gotStats, wantStats)
-		}
+	gotTop, err := svc.TopK(ctx, 1, candidates, 5)
+	if err != nil {
+		t.Fatalf("TopK: %v", err)
+	}
+	if want := ref.TopK(1, candidates, 5); !reflect.DeepEqual(gotTop, want) {
+		t.Fatalf("TopK = %+v, want %+v", gotTop, want)
+	}
+	gotStats, err := svc.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if want := ref.Stats(); gotStats != want {
+		t.Fatalf("Stats = %+v, want %+v", gotStats, want)
 	}
 }
 
-// TestServicePreCancelledContext: every method of every adapter refuses an
-// already-cancelled context with ctx.Err() — before it takes any lock, so
-// while live readers hold the sketch adapter's read lock too.
+// TestServicePreCancelledContext: every method of the adapter refuses an
+// already-cancelled context with ctx.Err() — also while live readers hold
+// the engine's merged view.
 func TestServicePreCancelledContext(t *testing.T) {
-	services := inProcessServices(t)
+	svc := engineService(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	edges := []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}
 
-	sketch := services["sketch"]
 	stop := startReaders(3, func() bool {
-		if _, err := sketch.Similarity(context.Background(), 1, 2); err != nil {
+		if _, err := svc.Similarity(context.Background(), 1, 2); err != nil {
 			t.Errorf("live reader: %v", err)
 			return false
 		}
 		return true
 	})
-	for name, svc := range services {
-		if err := svc.Ingest(ctx, edges); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Ingest on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Similarity on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.TopK(ctx, 1, []vos.User{2, 3}, 1); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: TopK on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Cardinality on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Stats(ctx); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Stats on cancelled ctx: %v", name, err)
-		}
+	if err := svc.Ingest(ctx, edges); !errors.Is(err, context.Canceled) {
+		t.Errorf("Ingest on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("Similarity on cancelled ctx: %v", err)
+	}
+	if _, err := svc.TopK(ctx, 1, []vos.User{2, 3}, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("TopK on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("Cardinality on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Stats(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stats on cancelled ctx: %v", err)
 	}
 	stop()
 	// The refused Ingest applied nothing.
-	if n, err := sketch.Cardinality(context.Background(), 1); err != nil || n != 0 {
-		t.Errorf("sketch: Cardinality after refused Ingest = %d, %v", n, err)
-	}
-}
-
-// flipContext reports no error on its first Err call and Canceled from the
-// second on: a cancellation that lands after Ingest's entry check.
-type flipContext struct {
-	context.Context
-	calls atomic.Int32
-}
-
-func (c *flipContext) Err() error {
-	if c.calls.Add(1) >= 2 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestSketchServiceIngestAllOrNothing: XOR updates are not idempotent, so
-// an Ingest that a mid-call cancellation stops part-way leaves a write the
-// caller can neither retry nor assume lost. Either Ingest reports an error
-// and the sketch is untouched, or it reports nil and holds every edge.
-func TestSketchServiceIngestAllOrNothing(t *testing.T) {
-	edges := engineTestStream(5_000, 60, 0.25, 33)
-	svc := vos.NewSketchService(vos.MustNew(serviceSketchConfig()))
-	err := svc.Ingest(&flipContext{Context: context.Background()}, edges)
-
-	want := vos.MustNew(serviceSketchConfig())
-	if err == nil {
-		want.ProcessBatch(edges)
-	}
-	got, serr := svc.Stats(context.Background())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if got != want.Stats() {
-		t.Fatalf("Ingest returned %v but left %+v; all-or-nothing state is %+v", err, got, want.Stats())
-	}
-	for u := vos.User(0); u < 60; u++ {
-		n, cerr := svc.Cardinality(context.Background(), u)
-		if cerr != nil {
-			t.Fatal(cerr)
-		}
-		if n != want.Cardinality(u) {
-			t.Fatalf("Ingest returned %v but user %d holds %d items, want %d", err, u, n, want.Cardinality(u))
-		}
+	if n, err := svc.Cardinality(context.Background(), 1); err != nil || n != 0 {
+		t.Errorf("Cardinality after refused Ingest = %d, %v", n, err)
 	}
 }
 
@@ -280,25 +210,30 @@ func TestEngineTopKCancellationAborts(t *testing.T) {
 	}
 }
 
-// TestTopKHelpersNeverOutliveTheCall holds the sketch service's read lock
-// to the top-K fan-out: the lock covers the sketch only until TopK returns,
-// so a helper still scoring after a cancelled call returned would read the
-// array while the Ingest queued behind the lock writes it — a race the
-// detector reports. The candidates are cold and many, so the call owes
-// enough work to start helpers and is still scanning when the cancel lands.
+// TestTopKHelpersNeverOutliveTheCall holds the engine's top-K fan-out to
+// the merged view's lifetime: the call holds the view only until TopK
+// returns, and the next read after a write brings the released view forward
+// in place, so a helper still scoring after a cancelled call returned would
+// read the array while that refresh writes it — a race the detector
+// reports. The candidates are cold and many, so the call owes enough work
+// to start helpers and is still scanning when the cancel lands.
 func TestTopKHelpersNeverOutliveTheCall(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	svc := vos.NewSketchService(vos.MustNew(vos.Config{MemoryBits: 1 << 22, SketchBits: 4096, Seed: 3}))
-	ctx := context.Background()
+	eng := vos.MustNewEngine(vos.EngineConfig{
+		Sketch:             vos.Config{MemoryBits: 1 << 22, SketchBits: 4096, Seed: 3},
+		Shards:             1,
+		PositionCacheUsers: -1,
+	})
+	defer eng.Close()
 	var edges []vos.Edge
 	for u := vos.User(0); u < 200; u++ {
 		for i := 0; i < 20; i++ {
 			edges = append(edges, vos.Edge{User: u, Item: vos.Item(int(u)*100 + i), Op: vos.Insert})
 		}
 	}
-	if err := svc.Ingest(ctx, edges); err != nil {
+	if err := eng.ProcessBatch(edges); err != nil {
 		t.Fatal(err)
 	}
 	candidates := make([]vos.User, 30_000)
@@ -306,25 +241,23 @@ func TestTopKHelpersNeverOutliveTheCall(t *testing.T) {
 		candidates[i] = vos.User(i)
 	}
 	for round := 0; round < 3; round++ {
-		topCtx, cancel := context.WithCancel(ctx)
-		topDone := make(chan error, 1)
-		go func() {
-			_, err := svc.TopK(topCtx, 1, candidates, 10)
-			topDone <- err
-		}()
-		time.Sleep(5 * time.Millisecond) // the scan holds the read lock
-		ingestDone := make(chan error, 1)
-		go func() {
-			ingestDone <- svc.Ingest(ctx, []vos.Edge{{User: 1, Item: vos.Item(1<<20 + round), Op: vos.Insert}})
-		}()
-		time.Sleep(2 * time.Millisecond) // the Ingest waits on the write lock
-		cancel()
-		if err := <-topDone; !errors.Is(err, context.Canceled) {
+		eng.Query(1, 2) // the published view is current: the scan holds it as is
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(5*time.Millisecond, cancel)
+		if _, err := eng.TopKContext(ctx, 1, candidates, 10); !errors.Is(err, context.Canceled) {
 			t.Fatalf("round %d: cancelled TopK returned %v, want context.Canceled", round, err)
 		}
-		if err := <-ingestDone; err != nil {
-			t.Fatalf("round %d: Ingest behind the cancelled TopK: %v", round, err)
+		// Words all over the array, written into the released view right
+		// after the return: a helper still scoring reads some of them.
+		fresh := make([]vos.Edge, 64)
+		for u := range fresh {
+			fresh[u] = vos.Edge{User: vos.User(u), Item: vos.Item(1<<20 + round), Op: vos.Insert}
 		}
+		if err := eng.ProcessBatch(fresh); err != nil {
+			t.Fatal(err)
+		}
+		eng.Flush()
+		eng.Query(1, 2)
 	}
 }
 

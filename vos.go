@@ -37,20 +37,19 @@
 // # Sliding windows
 //
 // Because the state is pure parity, a sliding window — "who is similar
-// to u over the last hour" — is structural: WindowedSketch keeps a ring
-// of time-bucketed sub-sketches, queries their XOR-merge, and retires
-// the oldest bucket by XOR-ing it back out in O(sketch), with no
-// per-edge expiry tracking. EngineConfig.Window is the sharded form.
+// to u over the last hour" — is structural: EngineConfig.Window gives
+// each engine shard a ring of time-bucketed sub-sketches, queries their
+// XOR-merge, and retires the oldest bucket by XOR-ing it back out in
+// O(sketch), with no per-edge expiry tracking.
 //
 // # Serving
 //
 // SimilarityService is the context-aware serving interface all deployment
-// shapes satisfy: NewSketchService (one array behind a read-write mutex)
-// and NewEngineService adapt the in-process types, package server exposes any
-// SimilarityService over a versioned HTTP API, package client implements
-// it over the wire, and cmd/vosd is the runnable daemon. Optional
-// capabilities (Checkpointer, Windowed) are probed at runtime. See the
-// README's "Serving" section and docs/ARCHITECTURE.md for the layer map.
+// shapes satisfy: NewEngineService adapts the in-process Engine, package
+// server exposes any SimilarityService over a versioned HTTP API, package
+// client implements it over the wire, and cmd/vosd is the runnable daemon.
+// Optional capabilities (Checkpointer, Windowed) are probed at runtime. See
+// the README's "Serving" section and docs/ARCHITECTURE.md for the layer map.
 //
 // # Quick start
 //
@@ -94,8 +93,8 @@ type Edge = stream.Edge
 
 // Sketch is the VOS sketch. See the package documentation for the model
 // and core.VOS for implementation details. Not safe for concurrent use;
-// see NewEngine for the concurrent shape (sharded, multicore ingestion) and
-// NewSketchService for one sketch behind a lock.
+// see NewEngine for the concurrent shape (sharded, multicore ingestion;
+// Shards: 1 is one sketch behind a single writer).
 type Sketch = core.VOS
 
 // Config parameterises a Sketch: total shared memory m in bits, virtual

@@ -9,61 +9,15 @@ package vos
 // to u over the last hour" is then an ordinary query against the merged
 // view, and deletions inside the window still cost nothing.
 //
-// Three shapes, mirroring the unwindowed lineup:
+// The window is a mode of the Engine, from Shards: 1 up:
 //
-//   - WindowedSketch (NewWindowed) is the single-threaded bucket ring;
-//   - EngineConfig.Window puts the sharded Engine in window mode, with
-//     rotation coordinated across shards and windowed checkpoints;
+//   - EngineConfig.Window gives every shard a bucket ring, with rotation
+//     coordinated across shards and windowed checkpoints;
 //   - the server/client layers carry the window over the wire: timestamped
 //     ingest advances event time, GET /v1/stats reports window_seconds,
 //     and a query instant older than the window answers ErrOutsideWindow.
 
-import (
-	"time"
-
-	"github.com/vossketch/vos/internal/core"
-	"github.com/vossketch/vos/internal/engine"
-)
-
-// WindowedSketch is a sliding-window VOS: the XOR-merge of buckets
-// time-bucketed sub-sketches, the live view of the last
-// buckets·bucketDuration of stream time. It holds buckets+1 arrays (see
-// core.Window); a rotation costs a few array passes plus a walk of the live
-// counters, whatever the edge count. Like Sketch it is NOT safe for
-// concurrent use — wire EngineConfig.Window for a concurrent, sharded
-// window. Rotation is explicit (Rotate / AdvanceTo), so callers own the
-// clock; the Engine adds the wall-clock and event-time plumbing on top.
-//
-// The merged view (Merged) is an ordinary *Sketch: Query, TopK, the
-// position and recovered-sketch caches, and MarshalBinary all apply to it
-// unchanged. The parity guarantee matches the unwindowed sketch's: after
-// any sequence of ingests and rotations, the merged view serializes
-// bit-identically to a fresh Sketch built from only the in-window edges.
-type WindowedSketch = core.Window
-
-// NewWindowed creates an empty sliding-window sketch of buckets ring
-// slots of bucketDuration each, with the current bucket covering now
-// (boundaries are aligned to multiples of bucketDuration since the Unix
-// epoch, so independently created windows rotate on the same instants).
-// buckets must be ≥ 1 — buckets == 1 is a tumbling window — and
-// bucketDuration must be positive.
-func NewWindowed(cfg Config, buckets int, bucketDuration time.Duration) (*WindowedSketch, error) {
-	return core.NewWindow(cfg, buckets, bucketDuration, time.Now())
-}
-
-// NewWindowedAt is NewWindowed with an explicit current-bucket end
-// instant, taken verbatim — for deterministic tests and for restoring
-// persisted boundaries.
-func NewWindowedAt(cfg Config, buckets int, bucketDuration time.Duration, end time.Time) (*WindowedSketch, error) {
-	return core.NewWindowAt(cfg, buckets, bucketDuration, end)
-}
-
-// UnmarshalWindowed decodes a window serialized with
-// WindowedSketch.MarshalBinary, rebuilding the merged view from the
-// persisted buckets.
-func UnmarshalWindowed(data []byte) (*WindowedSketch, error) {
-	return core.UnmarshalWindow(data)
-}
+import "github.com/vossketch/vos/internal/engine"
 
 // WindowConfig is EngineConfig.Window: setting it puts the Engine in
 // sliding-window mode. Each shard keeps its own bucket ring; rotation is
