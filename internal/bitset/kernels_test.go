@@ -68,23 +68,6 @@ func kernelIndexSets(n uint64, size int, rng *rand.Rand) map[string][]uint64 {
 	return map[string][]uint64{"random": random, "dup": dup, "boundary": boundary, "seq": seq}
 }
 
-// bothBodies runs fn on the dispatched kernels, then with the AVX-512
-// bodies switched off, so the Go loops are held to the same reference where
-// the assembly would otherwise take every whole block or eight-word step.
-func bothBodies(t *testing.T, fn func(t *testing.T)) {
-	t.Run("dispatched", fn)
-	defer goLoopsOnly()()
-	t.Run("go", fn)
-}
-
-// goLoopsOnly switches every bitset kernel's vector body off and returns
-// what switches them back.
-func goLoopsOnly() (restore func()) {
-	gather, popcnt := cpu.AVX512, cpu.AVX512VPOPCNTDQ
-	cpu.AVX512, cpu.AVX512VPOPCNTDQ = false, false
-	return func() { cpu.AVX512, cpu.AVX512VPOPCNTDQ = gather, popcnt }
-}
-
 // gatherRef is the tests' oracle for Gather: one index, one probe, one
 // Set per bit, the ones count maintained by Set.
 func gatherRef(b *Bitset, idx []uint64) *Bitset {
@@ -124,7 +107,7 @@ func xorCountWordsRef(a, b []uint64) uint64 {
 // counts — up to the benchmark's arrays (2²¹ and 2,048,000 bits) and its
 // 6,400-index sketches.
 func TestKernelEquivalence(t *testing.T) {
-	bothBodies(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		sizes := []int{1, 3, 63, 64, 65, 127, 128, 200, 6400}
 		for _, nBits := range []uint64{64, 1000, 1 << 16, 1 << 21, 2048000} {
@@ -149,14 +132,17 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // The XOR-popcount must equal its oracle on both sides of
 // the vector body's eight-word step: word counts 1, 2, 4, 7, 8, 9, 15, 16,
 // 17, 25 (k = 1,600) and 100 (k = 6,400), partial last words included.
 func TestXorCountWordsKernelEquivalence(t *testing.T) {
-	bothBodies(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for _, nBits := range []uint64{1, 63, 64, 65, 256, 420, 512, 545, 960, 1024, 1030, 1600, 6400} {
 			for _, patA := range kernelPatterns {
@@ -175,7 +161,10 @@ func TestXorCountWordsKernelEquivalence(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // FuzzXorCountWords holds the dispatched XOR-popcount to its oracle on
@@ -210,7 +199,7 @@ func FuzzXorCountWords(f *testing.F) {
 // the vector body completed, and whether the later bad indices of the
 // block lie inside the array's last word or far past its end.
 func TestKernelRangePanics(t *testing.T) {
-	bothBodies(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		src := New(100)
 		for _, blocks := range []int{1, 3} {
 			for _, badAt := range []int{0, 1, 2, 3, 31, 62, 63} {
@@ -235,7 +224,10 @@ func TestKernelRangePanics(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // panicOf runs fn and returns what it panicked with, nil if it returned.
@@ -328,7 +320,7 @@ func BenchmarkGather(b *testing.B) {
 		for _, body := range []string{"dispatched", "go"} {
 			b.Run(kernel+"/"+body, func(b *testing.B) {
 				if body == "go" {
-					defer goLoopsOnly()()
+					defer cpu.GoLoopsOnly()()
 				}
 				dst, ows := out, zero
 				if kernel == "xorcount" {
@@ -351,7 +343,7 @@ func BenchmarkXorCount(b *testing.B) {
 		for _, words := range []int{25, 100, 1024} {
 			b.Run(fmt.Sprintf("%s/words=%d", body, words), func(b *testing.B) {
 				if body == "go" {
-					defer goLoopsOnly()()
+					defer cpu.GoLoopsOnly()()
 				}
 				rng := rand.New(rand.NewSource(1))
 				x, y := New(uint64(64*words)), New(uint64(64*words))

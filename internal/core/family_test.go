@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
@@ -205,10 +206,17 @@ func TestMergeFamilyMismatch(t *testing.T) {
 	}
 }
 
+// ProcessBatch is a pure performance path: folding a batch must leave state
+// bit-identical to processing its edges one at a time, for both families,
+// including deletes and repeated users — on the dispatched edge positions and
+// on the Go loop alone.
 func TestProcessBatchMatchesProcess(t *testing.T) {
-	// ProcessBatch is a pure performance path: folding a batch must leave
-	// state bit-identical to processing its edges one at a time, for both
-	// families, including deletes and repeated users.
+	t.Run("dispatched", testProcessBatchMatchesProcess)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testProcessBatchMatchesProcess)
+}
+
+func testProcessBatchMatchesProcess(t *testing.T) {
 	for _, cfg := range []Config{testConfig(), fastConfig()} {
 		rng := rand.New(rand.NewSource(21))
 		edges := make([]stream.Edge, 0, 600)

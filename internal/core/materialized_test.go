@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/poscache"
@@ -187,8 +188,15 @@ func (v *VOS) RecoverBit(u stream.User, j int) bool {
 }
 
 // TestRecoverSketchMatchesRecoverBit checks the packed gather against the
-// public single-bit recovery, slot by slot.
+// public single-bit recovery, slot by slot, on the dispatched fill and gather
+// and on their Go loops alone.
 func TestRecoverSketchMatchesRecoverBit(t *testing.T) {
+	t.Run("dispatched", testRecoverSketchMatchesRecoverBit)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testRecoverSketchMatchesRecoverBit)
+}
+
+func testRecoverSketchMatchesRecoverBit(t *testing.T) {
 	v, users := materializedWorkload(t, Config{MemoryBits: 1 << 16, SketchBits: 200, Seed: 3})
 	for _, u := range users[:10] {
 		r := v.RecoverSketch(u)

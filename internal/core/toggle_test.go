@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -28,9 +29,15 @@ func referencePositions(v *VOS, pos []uint64, edges []stream.Edge) {
 
 // TestTogglePositionsMatchPosition: every block length up to ProcessBatch's
 // 256 at both benchmark shapes, extreme and random keys, each edge's
-// position is f_ψ(item)(user) — and stream.Edge is laid out as the vector
-// body reads it.
+// position is f_ψ(item)(user), on the dispatched body and on the Go loop
+// alone — and stream.Edge is laid out as the vector body reads it.
 func TestTogglePositionsMatchPosition(t *testing.T) {
+	t.Run("dispatched", testTogglePositionsMatchPosition)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testTogglePositionsMatchPosition)
+}
+
+func testTogglePositionsMatchPosition(t *testing.T) {
 	var e stream.Edge
 	if unsafe.Sizeof(e) != 24 || unsafe.Offsetof(e.User) != 0 || unsafe.Offsetof(e.Item) != 8 {
 		t.Fatalf("stream.Edge: size %d, user at %d, item at %d; want 24, 0, 8",
@@ -59,8 +66,8 @@ func TestTogglePositionsMatchPosition(t *testing.T) {
 
 // BenchmarkTogglePositions times the write path's hash alone at both
 // benchmark shapes over 256-edge blocks of a Zipf stream over 20,000 users
-// and 2^16 items: "dispatched" is togglePositions, "go" the per-edge loop
-// it falls back to without AVX-512.
+// and 2^16 items: togglePositions, "dispatched" on the vector body where the
+// CPU has it, "go" on the Go loop a host without AVX-512 runs.
 func BenchmarkTogglePositions(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	zipf := rand.NewZipf(rng, 1.6, 8, 20_000-1)
@@ -71,14 +78,14 @@ func BenchmarkTogglePositions(b *testing.B) {
 	for _, cfg := range writeShapes {
 		v := MustNew(cfg)
 		var pos [blockLen]uint64
-		for _, body := range []struct {
-			name string
-			fill func(v *VOS, pos []uint64, edges []stream.Edge)
-		}{{"dispatched", (*VOS).togglePositions}, {"go", referencePositions}} {
-			b.Run(fmt.Sprintf("%v/m=%d/k=%d/%s", cfg.Family, cfg.MemoryBits, cfg.SketchBits, body.name), func(b *testing.B) {
+		for _, body := range []string{"dispatched", "go"} {
+			b.Run(fmt.Sprintf("%v/m=%d/k=%d/%s", cfg.Family, cfg.MemoryBits, cfg.SketchBits, body), func(b *testing.B) {
+				if body == "go" {
+					defer cpu.GoLoopsOnly()()
+				}
 				for i := 0; i < b.N; i++ {
 					off := i % 64 * blockLen
-					body.fill(v, pos[:], edges[off:off+blockLen])
+					v.togglePositions(pos[:], edges[off:off+blockLen])
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockLen), "ns/edge")
 			})

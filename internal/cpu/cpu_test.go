@@ -1,7 +1,10 @@
 package cpu
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -56,5 +59,59 @@ func TestKernelDispatch(t *testing.T) {
 			}
 		}
 		return
+	}
+}
+
+// TestGoLoopsOnly: the switch clears every flag cpu.go declares and every
+// flag a kernel reads, and restore brings each back — from the detected
+// values and from all of them on, so the check bites on any host.
+func TestGoLoopsOnly(t *testing.T) {
+	flags := map[string]*bool{"AVX512": &AVX512, "AVX512VPOPCNTDQ": &AVX512VPOPCNTDQ, "AVX512VBMI2": &AVX512VBMI2}
+	src, err := os.ReadFile("cpu.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`(?m)^var (\w+) bool`).FindAllStringSubmatch(string(src), -1)
+	// The kernel packages sit beside this one under internal/.
+	err = filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			src, err = os.ReadFile(path)
+			named = append(named, regexp.MustCompile(`\bcpu\.([A-Z]\w*)`).FindAllStringSubmatch(string(src), -1)...)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range named {
+		if flags[m[1]] == nil {
+			t.Fatalf("%s is declared or read, and this test does not check that GoLoopsOnly clears it", m[1])
+		}
+	}
+	detected := map[string]bool{}
+	for name, p := range flags {
+		detected[name] = *p
+	}
+	defer func() {
+		for name, p := range flags {
+			*p = detected[name]
+		}
+	}()
+	for _, allOn := range []bool{false, true} {
+		for _, p := range flags {
+			*p = *p || allOn
+		}
+		restore := GoLoopsOnly()
+		for name, p := range flags {
+			if *p {
+				t.Errorf("%s is still on under GoLoopsOnly", name)
+			}
+		}
+		restore()
+		for name, p := range flags {
+			if *p != (detected[name] || allOn) {
+				t.Errorf("restore left %s %v, want %v", name, *p, detected[name] || allOn)
+			}
+		}
 	}
 }

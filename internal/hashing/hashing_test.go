@@ -274,17 +274,6 @@ func TestMulMod61AgainstBigIntStyle(t *testing.T) {
 	}
 }
 
-// bothFills runs fn on the dispatched fill, then with the AVX-512 body
-// switched off, so the Go loop is held to the same reference where the
-// assembly would otherwise take every full group of eight.
-func bothFills(t *testing.T, fn func(t *testing.T)) {
-	t.Run("dispatched", fn)
-	saved := cpu.AVX512
-	cpu.AVX512 = false
-	defer func() { cpu.AVX512 = saved }()
-	t.Run("go", fn)
-}
-
 // Every length around the eight-member groups, every reduction the vector
 // body takes (a shift for powers of two, two 32-bit products below 2³²) and
 // the ones it leaves to the Go loop (2³²+7), against per-member HashRange.
@@ -295,7 +284,7 @@ func TestHashRangeIntoMatchesHashRange(t *testing.T) {
 	for len(keys) < 202 {
 		keys = append(keys, rng.Uint64())
 	}
-	bothFills(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		for _, n := range []uint64{1, 2, 3, 1 << 20, 1 << 21, 2048000, 1<<32 - 1, 1 << 32, 1<<32 + 7, 1 << 63} {
 			for _, key := range keys {
 				for _, k := range []int{1, 7, 8, 9, 63, 64, 6400, 6403} {
@@ -303,7 +292,10 @@ func TestHashRangeIntoMatchesHashRange(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // FuzzHashRangeInto: any key, seed and k up to 6,403, and n below 2³³ —
@@ -319,9 +311,12 @@ func FuzzHashRangeInto(f *testing.F) {
 			n = 1 << (n % 33)
 		}
 		fam := NewFamily(int(k)%6403+1, seed)
-		bothFills(t, func(t *testing.T) {
+		check := func(t *testing.T) {
 			checkHashRangeInto(t, fam, len(fam.seeds), key, max(n, 1))
-		})
+		}
+		t.Run("dispatched", check)
+		defer cpu.GoLoopsOnly()()
+		t.Run("go", check)
 	})
 }
 
@@ -425,7 +420,7 @@ func TestEdgePositionsMatchScalar(t *testing.T) {
 		m uint64
 		k int
 	}{{1 << 21, 6400}, {2048000, 6400}, {1 << 20, 1600}, {1 << 32, 64}, {1<<32 + 7, 64}, {1 << 63, 8}, {3, 1}}
-	bothFills(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		for _, sh := range shapes {
 			for _, n := range []int{1, 7, 8, 9, 255, 256} {
 				// Blocks of n pairs, wrapping round the pool, until each pair
@@ -440,7 +435,10 @@ func TestEdgePositionsMatchScalar(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // FuzzEdgePositions: any m, k, seeds and pairs, both families, against the

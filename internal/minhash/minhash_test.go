@@ -163,11 +163,3 @@ func TestNewPanicsOnBadK(t *testing.T) {
 	}()
 	similarity.NewMinHash(0, 1)
 }
-
-func BenchmarkProcessK100(b *testing.B) {
-	s := similarity.NewMinHash(100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})
-	}
-}

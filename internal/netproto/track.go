@@ -118,15 +118,6 @@ func (t *Tracker) Totals() SessionCounters {
 	return agg
 }
 
-// Session returns one live session's counters.
-func (t *Tracker) Session(session uint64) (SessionCounters, bool) {
-	s, ok := t.sessions[session]
-	if !ok {
-		return SessionCounters{}, false
-	}
-	return s.SessionCounters, true
-}
-
 // Observe rules on sequence seq of session. Sequence comparison is
 // serial-number arithmetic (distance < 2^63 means newer), so a session
 // whose counter wraps past 2^64 keeps working — the wrapped 0 is "newer"

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// Session returns one live session's counters: the tests' view of the
+// ledger the receiver reports only in aggregate.
+func (t *Tracker) Session(session uint64) (SessionCounters, bool) {
+	s, ok := t.sessions[session]
+	if !ok {
+		return SessionCounters{}, false
+	}
+	return s.SessionCounters, true
+}
+
 func TestTrackerInOrder(t *testing.T) {
 	trk := NewTracker(0)
 	for seq := uint64(0); seq < 200; seq++ {

@@ -226,11 +226,3 @@ func TestDensifyPanics(t *testing.T) {
 		}()
 	}
 }
-
-func BenchmarkProcessK100(b *testing.B) {
-	s := similarity.NewOPH(100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})
-	}
-}

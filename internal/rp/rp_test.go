@@ -251,11 +251,3 @@ func checkChiSquare(t *testing.T, counts []int, total int) {
 		t.Errorf("chi-square %.1f over %d categories (counts %v)", chi2, len(counts), counts)
 	}
 }
-
-func BenchmarkProcessK100(b *testing.B) {
-	s := similarity.NewRP(100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})
-	}
-}

@@ -126,6 +126,19 @@ func TestAllMethodsRoughAccuracyStatic(t *testing.T) {
 	}
 }
 
+// BenchmarkProcessK100 times one insert into each §III baseline at k = 100,
+// the users cycling over 1,000.
+func BenchmarkProcessK100(b *testing.B) {
+	for _, m := range []string{MethodMinHash, MethodOPH, MethodRP} {
+		b.Run(m, func(b *testing.B) {
+			s := MustNew(m, Budget{K32: 100, Users: 1000, Lambda: 2}, 1)
+			for i := 0; i < b.N; i++ {
+				s.Process(stream.Edge{User: stream.User(i % 1000), Item: stream.Item(i), Op: stream.Insert})
+			}
+		})
+	}
+}
+
 func TestExactOracle(t *testing.T) {
 	x := NewExact()
 	for _, e := range gen.PlantedPair(1, 2, 30, 20, 10, 9) {

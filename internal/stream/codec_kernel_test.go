@@ -12,23 +12,6 @@ import (
 	"github.com/vossketch/vos/internal/cpu"
 )
 
-// bothBodies runs fn on the dispatched codec and partition owner pass, then
-// with the AVX-512 bodies switched off, so the Go loops are held to the same
-// reference where the assembly would otherwise take every whole group.
-func bothBodies(t *testing.T, fn func(t *testing.T)) {
-	t.Run("dispatched", fn)
-	defer goLoopsOnly()()
-	t.Run("go", fn)
-}
-
-// goLoopsOnly switches the codec's and the owner pass's vector bodies off and
-// returns what switches them back.
-func goLoopsOnly() (restore func()) {
-	avx512, vbmi2 := cpu.AVX512, cpu.AVX512VBMI2
-	cpu.AVX512, cpu.AVX512VBMI2 = false, false
-	return func() { cpu.AVX512, cpu.AVX512VBMI2 = avx512, vbmi2 }
-}
-
 // The element codec as it stood before the append-based kernel, written
 // with encoding/binary: a scratch array and two appends to encode, the
 // generic Uvarint and an append to decode. FuzzElementCodec holds the
@@ -174,7 +157,7 @@ func FuzzElementCodec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, count uint64) {
-		bothBodies(t, func(t *testing.T) {
+		check := func(t *testing.T) {
 			want, wantErr := refDecodeElements(data, count)
 			got, err := DecodeElements(data, count)
 			if (err == nil) != (wantErr == nil) {
@@ -211,7 +194,10 @@ func FuzzElementCodec(f *testing.F) {
 			if err != nil || !equalEdges(again, want) {
 				t.Fatalf("canonical encoding did not decode back: %v", err)
 			}
-		})
+		}
+		t.Run("dispatched", check)
+		defer cpu.GoLoopsOnly()()
+		t.Run("go", check)
 	})
 }
 
@@ -233,7 +219,9 @@ func randomEdges(rng *rand.Rand, n int) []Edge {
 // the reference's, and DecodeBinary, DecodeBinaryInto and ReadBinary read
 // them back alike.
 func TestBinaryKernelAgreesWithWrappers(t *testing.T) {
-	bothBodies(t, testBinaryKernelAgreesWithWrappers)
+	t.Run("dispatched", testBinaryKernelAgreesWithWrappers)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testBinaryKernelAgreesWithWrappers)
 }
 
 func testBinaryKernelAgreesWithWrappers(t *testing.T) {
@@ -280,7 +268,11 @@ func testBinaryKernelAgreesWithWrappers(t *testing.T) {
 // TestUserRangeRefusedByTheCodec: a user id whose top bit the encoding
 // would drop is an ErrUserRange error from every entry of the package, the
 // destination untouched; the largest id that fits round-trips.
-func TestUserRangeRefusedByTheCodec(t *testing.T) { bothBodies(t, testUserRangeRefusedByTheCodec) }
+func TestUserRangeRefusedByTheCodec(t *testing.T) {
+	t.Run("dispatched", testUserRangeRefusedByTheCodec)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testUserRangeRefusedByTheCodec)
+}
 
 func testUserRangeRefusedByTheCodec(t *testing.T) {
 	fits := []Edge{{User: MaxUser, Item: 7, Op: Delete}}
@@ -382,7 +374,7 @@ func BenchmarkElementCodec(b *testing.B) {
 			} {
 				b.Run(body+"/"+op.name+"/"+mix.name, func(b *testing.B) {
 					if body == "go" {
-						defer goLoopsOnly()()
+						defer cpu.GoLoopsOnly()()
 					}
 					for b.Loop() {
 						op.run()

@@ -315,11 +315,10 @@ func sameEdges(t *testing.T, what string, got, want []stream.Edge) {
 
 // TestCompatCorpus reads each file of the corpus to the same edges and writes
 // it again, byte for byte, with this tree's encoders: on the dispatched
-// element codec, then on its Go loops alone.
+// kernels, then on the Go loops alone.
 func TestCompatCorpus(t *testing.T) {
 	t.Run("dispatched", testCompatCorpus)
-	defer func(was bool) { cpu.AVX512VBMI2 = was }(cpu.AVX512VBMI2)
-	cpu.AVX512VBMI2 = false
+	defer cpu.GoLoopsOnly()()
 	t.Run("go", testCompatCorpus)
 }
 

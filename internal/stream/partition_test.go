@@ -144,7 +144,7 @@ func TestShardOfAgreesWithPartition(t *testing.T) {
 		}
 		edges[k] = Edge{User: u, Item: Item(rng.Uint64()), Op: Op(rng.Intn(2))}
 	}
-	bothBodies(t, func(t *testing.T) {
+	check := func(t *testing.T) {
 		var p Partitioner
 		for _, seed := range []uint64{0, 5, 42, ^uint64(0)} {
 			for _, n := range []uint64{1, 2, 3, 4, 5, 8, 1 << 20, 1<<31 - 1, 1<<32 - 1, 1 << 32} {
@@ -167,7 +167,10 @@ func TestShardOfAgreesWithPartition(t *testing.T) {
 		if got := vectorOwners(t, edges[:8], 1<<32+7, 1); got != 0 {
 			t.Fatalf("the body set %d owners at n = 2³²+7", got)
 		}
-	})
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 	// Different seeds should (generically) route differently somewhere.
 	diff := false
 	for u := User(0); u < 64; u++ {
@@ -194,10 +197,13 @@ func FuzzPartition(f *testing.F) {
 		for k := range edges {
 			edges[k] = Edge{User: User(binary.LittleEndian.Uint64(users[8*k:])), Item: Item(k), Op: Op(k & 1)}
 		}
-		bothBodies(t, func(t *testing.T) {
+		check := func(t *testing.T) {
 			checkPartition(t, edges, new(Partitioner).Partition(edges, int(n)+1, seed), int(n)+1, seed)
 			vectorOwners(t, edges, uint64(wide)+1, seed)
-		})
+		}
+		t.Run("dispatched", check)
+		defer cpu.GoLoopsOnly()()
+		t.Run("go", check)
 	})
 }
 
@@ -216,7 +222,7 @@ func BenchmarkPartition(b *testing.B) {
 		for _, n := range []int{2, 4} {
 			b.Run(fmt.Sprintf("%s/n=%d", body, n), func(b *testing.B) {
 				if body == "go" {
-					defer goLoopsOnly()()
+					defer cpu.GoLoopsOnly()()
 				}
 				var p Partitioner
 				for i := 0; i < b.N; i++ {
