@@ -236,6 +236,19 @@ func (b *Bitset) GatherXorCount(idx []uint64, o *Bitset) uint64 {
 	return gatherXor(nil, o.words, b.words, b.n, idx)
 }
 
+// GatherXorWords is Gather and GatherXorCount on plain words: bit j of idx's
+// block j/64 is b's bit idx[j], its word w goes to dst[j/64] unless dst is
+// nil, and the result sums popcount(w ^ ows[j/64]), each block counted
+// before it is stored, so dst may be ows. ows (and dst) hold at least
+// (len(idx)+63)/64 words, ows's bits past len(idx) zero. Every index must be
+// in [0, b.Len()).
+func (b *Bitset) GatherXorWords(dst, ows, idx []uint64) uint64 {
+	if dst != nil {
+		dst = dst[:(len(idx)+63)/64] // the assembly body stores unchecked
+	}
+	return gatherXor(dst, ows, b.words, b.n, idx)
+}
+
 // check panics when i is out of range. The tail bits of the last word are
 // never addressable, so the ones count stays exact.
 func (b *Bitset) check(i uint64) {

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -348,9 +349,15 @@ func TestGatherXorCountMatchesMaterialised(t *testing.T) {
 				o.Set(uint64(j))
 			}
 		}
-		want := b.Gather(idx).XorCount(o)
+		g := b.Gather(idx)
+		want := g.XorCount(o)
 		if got := b.GatherXorCount(idx, o); got != want {
 			t.Fatalf("k=%d: GatherXorCount = %d, want %d", k, got, want)
+		}
+		// The word form: counted only, and stored in place of its operand.
+		ws := slices.Clone(o.UnsafeWords())
+		if got, gotIn := b.GatherXorWords(nil, ws, idx), b.GatherXorWords(ws, ws, idx); got != want || gotIn != want || !slices.Equal(ws, g.UnsafeWords()) {
+			t.Fatalf("k=%d: GatherXorWords = %d, in place %d, want %d (words equal: %v)", k, got, gotIn, want, slices.Equal(ws, g.UnsafeWords()))
 		}
 	}
 }

@@ -16,9 +16,12 @@ import (
 //     poscache.Cache when one is present, so hot users skip hashing
 //     entirely;
 //   - RecoverSketch gathers those k bits once into a packed k-bit bitset;
+//     without a position cache the classic family hashes them inside the
+//     gather instead (hashing.Family.GatherXor, whole 64-slot blocks), so
+//     no table is written;
 //   - QueryRecovered compares a candidate against the packed sketch with
 //     a fused gather + XOR + popcount, ~k/64 word operations instead of a
-//     per-bit comparison loop.
+//     per-bit comparison loop, hashing inside it the same way.
 //
 // Every path computes the differing-slot count z from the same recovered
 // bits the scalar path reads, so estimates are bit-identical to
@@ -41,26 +44,6 @@ func (v *VOS) Positions(u stream.User) []uint64 {
 		v.pos.Put(u, p)
 	}
 	return p
-}
-
-// lookupPositions is Positions for transient use inside a single query: a
-// cache hit (or a miss that fills the cache) returns the durable table,
-// while the cache-less path fills a pooled scratch buffer instead of
-// allocating k words per query. scratch is nil in the first case; in the
-// second the caller puts that same pointer back into posScratch as soon as
-// the query is done with pos (a new pointer to pos would cost an allocation
-// a read). sync.Pool is concurrency-safe, so the read paths stay race-clean.
-func (v *VOS) lookupPositions(u stream.User) (pos []uint64, scratch *[]uint64) {
-	if v.pos != nil {
-		return v.Positions(u), nil
-	}
-	p, ok := v.posScratch.Get().(*[]uint64)
-	if !ok {
-		buf := make([]uint64, v.cfg.SketchBits)
-		p = &buf
-	}
-	v.fillPositions(*p, u)
-	return *p, p
 }
 
 // Recovered is a dense snapshot of one user's virtual odd sketch, reusable
@@ -114,12 +97,46 @@ func (v *VOS) recoverBits(u stream.User) *bitset.Bitset {
 // gatherBits materialises u's packed recovered sketch from the shared
 // array, bypassing the recovered-sketch cache.
 func (v *VOS) gatherBits(u stream.User) *bitset.Bitset {
-	pos, scratch := v.lookupPositions(u)
-	bits := v.arr.Gather(pos)
-	if scratch != nil {
-		v.posScratch.Put(scratch)
+	ws := make([]uint64, (v.cfg.SketchBits+63)/64)
+	return bitset.FromWordsCountedUnsafe(ws, uint64(v.cfg.SketchBits), v.gatherXor(ws, ws, u))
+}
+
+// gatherXor gathers u's recovered bits as bitset.GatherXorWords does: block
+// b's word w goes to dst[b] unless dst is nil, and the result sums
+// popcount(w ^ ows[b]). A cached position table is gathered as it is.
+// Without one, the classic family hashes and gathers its whole 64-slot
+// blocks in one pass (hashing.Family.GatherXor) and fills the tail block's
+// positions on the stack; every case that pass declines fills a pooled
+// table (a new pointer to it would cost an allocation a read), then
+// gathers it.
+func (v *VOS) gatherXor(dst, ows []uint64, u stream.User) uint64 {
+	if v.pos != nil {
+		return v.arr.GatherXorWords(dst, ows, v.Positions(u))
 	}
-	return bits
+	if v.slots != nil {
+		blocks, ones := v.slots.GatherXor(dst, ows, v.arr.UnsafeWords(), uint64(u), v.cfg.MemoryBits)
+		if blocks > 0 {
+			var tail [63]uint64
+			from := blocks * 64
+			pos := tail[:v.cfg.SketchBits-from]
+			for j := range pos {
+				pos[j] = v.slots.HashRange(from+j, uint64(u), v.cfg.MemoryBits)
+			}
+			if dst != nil {
+				dst = dst[blocks:]
+			}
+			return ones + v.arr.GatherXorWords(dst, ows[blocks:], pos)
+		}
+	}
+	p, ok := v.posScratch.Get().(*[]uint64)
+	if !ok {
+		buf := make([]uint64, v.cfg.SketchBits)
+		p = &buf
+	}
+	v.fillPositions(*p, u)
+	ones := v.arr.GatherXorWords(dst, ows, *p)
+	v.posScratch.Put(p)
+	return ones
 }
 
 // QueryRecovered estimates the similarity between a recovered snapshot of
@@ -141,10 +158,6 @@ func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 		v.rec.PutVersioned(w, v.version, bits.UnsafeWords(), bits.Count())
 		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card.get(w), r.load)
 	}
-	pos, scratch := v.lookupPositions(w)
-	z := v.arr.GatherXorCount(pos, r.bits)
-	if scratch != nil {
-		v.posScratch.Put(scratch)
-	}
+	z := v.gatherXor(nil, r.bits.UnsafeWords(), w)
 	return v.estimateFrom(int(z), r.card, v.card.get(w), r.load)
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/bitset"
+	"github.com/vossketch/vos/internal/cpu"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -141,4 +144,47 @@ func edgeFor(u, i uint64, insert bool) stream.Edge {
 		op = stream.Delete
 	}
 	return stream.Edge{User: stream.User(u), Item: stream.Item(i), Op: op}
+}
+
+// FuzzRecoverSketch: any user and seed, k up to 6,403 and m up to 2²⁰ (a
+// power of two when pow2 is set), either family, over an array of random
+// words — the fused hash-and-gather pass, its tail and the fill-then-gather
+// path, dispatched and on the Go loops alone, each held to RecoverBit slot
+// by slot, and the count-only gather to QueryPerBit.
+func FuzzRecoverSketch(f *testing.F) {
+	f.Add(uint64(1), uint64(9), uint16(6400), uint32(1<<21), true, false)
+	f.Add(^uint64(0), uint64(3), uint16(200), uint32(100_003), false, false)
+	f.Add(uint64(5), uint64(4), uint16(63), uint32(20), true, true)
+	f.Fuzz(func(t *testing.T, user, seed uint64, k uint16, m uint32, pow2, fast bool) {
+		cfg := Config{SketchBits: int(k)%6403 + 1, Seed: seed}
+		if cfg.MemoryBits = uint64(m) % (1<<20 + 1); pow2 {
+			cfg.MemoryBits = 1 << (m % 21)
+		}
+		cfg.MemoryBits = max(cfg.MemoryBits, uint64(cfg.SketchBits))
+		if fast {
+			cfg.Family = hashing.KindFast
+		}
+		v := MustNew(cfg)
+		v.SetRecoveredCacheCapacity(-1) // each recovery gathers
+		ws, state := make([]uint64, (cfg.MemoryBits+63)/64), seed
+		ones := uint64(0)
+		for i := range ws {
+			ws[i] = hashing.SplitMix64(&state)
+			if rest := cfg.MemoryBits - uint64(i)*64; rest < 64 {
+				ws[i] &= 1<<rest - 1
+			}
+			ones += uint64(bits.OnesCount64(ws[i]))
+		}
+		v.arr = bitset.FromWordsCountedUnsafe(ws, cfg.MemoryBits, ones)
+		u, w := stream.User(user), stream.User(user^seed)
+		check := func(t *testing.T) {
+			checkRecoverSketch(t, v, u)
+			if got, ref := v.QueryRecovered(v.RecoverSketch(w), u), v.QueryPerBit(w, u); got != ref {
+				t.Fatalf("%+v: QueryRecovered(%d, %d) = %+v, per-bit %+v", cfg, w, u, got, ref)
+			}
+		}
+		t.Run("dispatched", check)
+		defer cpu.GoLoopsOnly()()
+		t.Run("go", check)
+	})
 }

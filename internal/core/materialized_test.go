@@ -32,45 +32,82 @@ func materializedWorkload(t testing.TB, cfg Config) (*VOS, []stream.User) {
 	return v, users
 }
 
+// readConfigs are the shapes the read-path parity tests cover: both
+// families, a power-of-two m (the fused pass's shift) and one that is not
+// (REDUCE32), and k with no whole 64-slot block, no tail block, and both.
+func readConfigs() []Config {
+	var cfgs []Config
+	for _, fam := range []hashing.Kind{hashing.KindClassic, hashing.KindFast} {
+		for _, m := range []uint64{1 << 16, 100_003} {
+			for _, k := range []int{63, 64, 200, 6400} {
+				cfgs = append(cfgs, Config{MemoryBits: m, SketchBits: k, Seed: 9, Family: fam})
+			}
+		}
+	}
+	return cfgs
+}
+
 // TestQueryParityPerBitVsMaterialized pins the tentpole invariant: the
 // packed word-level read path and the scalar per-bit path compute α from
 // the same recovered bits, so every field of every estimate — including
 // clamps and the Saturated flag — must be bit-identical, across every
-// cache configuration (none, position cache, recovered-sketch cache).
+// cache configuration (none, position cache, recovered-sketch cache), on
+// the dispatched kernels and on their Go loops alone.
 func TestQueryParityPerBitVsMaterialized(t *testing.T) {
-	v, users := materializedWorkload(t, Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 9})
-	check := func(label string, probes, candidates []stream.User) {
-		t.Helper()
-		for _, u := range probes {
-			for _, w := range candidates {
-				ref := v.QueryPerBit(u, w)
-				if got := v.Query(u, w); got != ref {
-					t.Fatalf("%s: Query(%d,%d) = %+v, per-bit %+v", label, u, w, got, ref)
+	t.Run("dispatched", testQueryParityPerBitVsMaterialized)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testQueryParityPerBitVsMaterialized)
+}
+
+func testQueryParityPerBitVsMaterialized(t *testing.T) {
+	for _, cfg := range readConfigs() {
+		v, users := materializedWorkload(t, cfg)
+		probes := users[:20]
+		if cfg.SketchBits > 1000 {
+			probes = users[:4] // the per-bit oracle costs 2k hashes a pair
+		}
+		refs := map[[2]stream.User]Estimate{} // the state is fixed: one oracle call a pair
+		check := func(label string, probes, candidates []stream.User) {
+			t.Helper()
+			for _, u := range probes {
+				for _, w := range candidates {
+					ref, ok := refs[[2]stream.User{u, w}]
+					if !ok {
+						ref = v.QueryPerBit(u, w)
+						refs[[2]stream.User{u, w}] = ref
+					}
+					if got := v.Query(u, w); got != ref {
+						t.Fatalf("%+v, %s: Query(%d,%d) = %+v, per-bit %+v", cfg, label, u, w, got, ref)
+					}
 				}
 			}
 		}
-	}
-	v.SetRecoveredCacheCapacity(-1) // isolate the gather path first
-	check("no caches", users[:20], users)
+		v.SetRecoveredCacheCapacity(-1) // isolate the gather path first
+		check("no caches", probes, users)
 
-	// Position cache smaller than the user set: the full sweep exercises
-	// misses and evictions, the narrow sweep repeat-queries a window that
-	// fits so hits occur too.
-	pc := poscache.New(16)
-	v.SetPositionCache(pc)
-	check("poscache cold", users[:20], users)
-	check("poscache narrow", users[:4], users[:10])
-	st := pc.Stats()
-	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
-		t.Fatalf("cache exercised no hit/miss/eviction paths: %+v", st)
-	}
+		// Position cache smaller than the user set: the full sweep exercises
+		// misses and evictions, the narrow sweep repeat-queries a window that
+		// fits so hits occur too.
+		pc := poscache.New(16)
+		v.SetPositionCache(pc)
+		check("poscache cold", probes, users)
+		check("poscache narrow", users[:4], users[:10])
+		st := pc.Stats()
+		if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 {
+			t.Fatalf("%+v: cache exercised no hit/miss/eviction paths: %+v", cfg, st)
+		}
 
-	// Recovered-sketch cache on top: repeat sweeps serve from packed words.
-	v.SetRecoveredCacheCapacity(0)
-	check("rec cold", users[:20], users)
-	check("rec warm", users[:20], users)
-	if rst, ok := v.RecoveredCacheStats(); !ok || rst.Hits == 0 {
-		t.Fatalf("warm sweep never hit the recovered-sketch cache: %+v", rst)
+		// Recovered-sketch cache on top: repeat sweeps serve from packed
+		// words. Without the position cache a miss takes the fused pass.
+		v.SetRecoveredCacheCapacity(0)
+		check("rec cold", probes, users)
+		check("rec warm", probes, users)
+		v.SetPositionCache(nil)
+		v.SetRecoveredCacheCapacity(0)
+		check("rec cold, no poscache", probes, users)
+		if rst, ok := v.RecoveredCacheStats(); !ok || rst.Hits == 0 {
+			t.Fatalf("%+v: repeat sweep never hit the recovered-sketch cache: %+v", cfg, rst)
+		}
 	}
 }
 
@@ -197,14 +234,29 @@ func TestRecoverSketchMatchesRecoverBit(t *testing.T) {
 }
 
 func testRecoverSketchMatchesRecoverBit(t *testing.T) {
-	v, users := materializedWorkload(t, Config{MemoryBits: 1 << 16, SketchBits: 200, Seed: 3})
-	for _, u := range users[:10] {
-		r := v.RecoverSketch(u)
-		for j := 0; j < v.K(); j++ {
-			if r.bits.Get(uint64(j)) != v.RecoverBit(u, j) {
-				t.Fatalf("user %d slot %d differs", u, j)
-			}
+	for _, cfg := range readConfigs() {
+		v, users := materializedWorkload(t, cfg)
+		for _, u := range users[:10] {
+			checkRecoverSketch(t, v, u)
 		}
+	}
+}
+
+// checkRecoverSketch holds u's recovered sketch to RecoverBit, slot by slot,
+// and its count to the bits.
+func checkRecoverSketch(t *testing.T, v *VOS, u stream.User) {
+	t.Helper()
+	r, ones := v.RecoverSketch(u), uint64(0)
+	for j := 0; j < v.K(); j++ {
+		if r.bits.Get(uint64(j)) != v.RecoverBit(u, j) {
+			t.Fatalf("%+v: user %d slot %d differs", v.Config(), u, j)
+		}
+		if r.bits.Get(uint64(j)) {
+			ones++
+		}
+	}
+	if r.bits.Count() != ones {
+		t.Fatalf("%+v: user %d: count %d, %d bits set", v.Config(), u, r.bits.Count(), ones)
 	}
 }
 

@@ -115,8 +115,9 @@ type VOS struct {
 	// thread-safe, so attaching one keeps the read paths race-clean.
 	pos *poscache.Cache
 
-	// posScratch pools k-word position buffers for the cache-less query
-	// path, so a transient query allocates no table (see lookupPositions).
+	// posScratch pools k-word position buffers for the cache-less reads
+	// that fill a table — the Go loops, the fast family and whatever the
+	// classic family's fused pass declines (see gatherXor).
 	posScratch sync.Pool
 
 	// rec caches packed recovered sketches (see batch.go). Entries are

@@ -16,7 +16,7 @@ import (
 // flag it lacks means the vector bodies stay off.
 func TestKernelDispatch(t *testing.T) {
 	if AVX512 {
-		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers, edge positions and the route's shard owners run the assembly)")
+		t.Log("kernel dispatch: AVX-512 bodies (fill, gathers, the classic family's fused fill-and-gather, edge positions and the route's shard owners run the assembly)")
 	} else {
 		t.Log("kernel dispatch: Go loops only (no AVX-512F/DQ, BMI2, POPCNT or OS ZMM state, another target, or -tags purego)")
 	}

@@ -133,6 +133,19 @@ func (f *Family) HashRangeInto(dst []uint64, key, n uint64) {
 	}
 }
 
+// GatherXor is HashRangeInto and a gather of those positions' bits from
+// words (a bitset's, at least n bits long) in one pass, over the family's
+// whole 64-member blocks where the CPU has AVX-512 (hashing_amd64.s): no
+// position is stored. Bit s of block b's word w is bit HashRange(64b+s,
+// key, n) of words; w goes to dst[b] unless dst is nil, and ones sums
+// popcount(w ^ ows[b]), each block counted before it is stored, so dst may
+// be ows. It returns how many blocks it did: 0 where HashRangeInto's body
+// does not run (no AVX-512, or n ≥ 2³² not a power of two). The tail block
+// and the rest are the caller's.
+func (f *Family) GatherXor(dst, ows, words []uint64, key, n uint64) (blocks int, ones uint64) {
+	return gatherXorVec(dst, ows, f.seeds, f.mul, words, key, n)
+}
+
 // EdgePositions sets dst[i] = f.HashRange(int(HashToRange(item, psiSeed,
 // k)), user, m) for pair i, user pairs[i*stride] and item pairs[i*stride+1],
 // eight pairs a step where the CPU has AVX-512 (hashing_amd64.s). It returns

@@ -16,11 +16,40 @@ func hashRangeAVX512(dst, seeds, mul []uint64, key, n uint64)
 // returns its length: 0 without AVX-512, or for n ≥ 2³² not a power of two.
 func hashRangeVec(dst, seeds, mul []uint64, key, n uint64) int {
 	blocks := len(dst) &^ 7
-	if !cpu.AVX512 || blocks == 0 || n == 0 || n&(n-1) != 0 && n>>32 != 0 {
+	if !reducesVec(n) || blocks == 0 {
 		return 0
 	}
 	hashRangeAVX512(dst[:blocks], seeds[:blocks], mul[:blocks], key, n)
 	return blocks
+}
+
+// reducesVec reports whether the classic family's bodies run for n: with
+// AVX-512, and for an n they reduce exactly (a power of two, or below 2³²).
+func reducesVec(n uint64) bool {
+	return cpu.AVX512 && n != 0 && (n&(n-1) == 0 || n>>32 == 0)
+}
+
+// gatherXorAVX512 is hashRangeAVX512 and a bitset gather in one pass: for
+// each of len(ows) blocks b, bit s of word w is bit p of words, p =
+// Reduce(Hash64(key, seeds[64b+s]), n); w goes to dst[b] unless dst is nil,
+// and ones sums popcount(w ^ ows[b]). len(ows) is positive, seeds and mul
+// hold 64 members a block, words at least n bits.
+//
+//go:noescape
+func gatherXorAVX512(dst, ows, seeds, mul, words []uint64, key, n uint64) (ones uint64)
+
+// gatherXorVec runs gatherXorAVX512 over every whole 64-member block of
+// seeds where hashRangeVec would fill, and returns how many it did.
+func gatherXorVec(dst, ows, seeds, mul, words []uint64, key, n uint64) (int, uint64) {
+	blocks := len(seeds) / 64
+	if !reducesVec(n) || blocks == 0 {
+		return 0, 0
+	}
+	_ = words[(n-1)>>6] // the word of the last position Reduce can give
+	if dst != nil {
+		dst = dst[:blocks]
+	}
+	return blocks, gatherXorAVX512(dst, ows[:blocks], seeds, mul, words, key, n)
 }
 
 // edgePositionsAVX512 sets dst[i] to pair i's position (Family.EdgePositions)

@@ -237,3 +237,113 @@ user:
 	JNZ        user
 	VZEROUPPER
 	RET
+
+// HASHAT(off, s, sm, h) loads the seeds and products off bytes into the
+// step's members (SI, R9) and leaves their hashes in h.
+#define HASHAT(off, s, sm, h) \
+	VMOVDQU64 off(SI), s;  \
+	VMOVDQU64 off(R9), sm; \
+	HASH64M(s, sm, Z10, h)
+
+// BITAT(p, w, g, k) sets k to bit p&63 of word p>>6 of DX, lane by lane:
+// w and g are scratch, p keeps p&63. The zeroed g keeps the gather off the
+// last one into it.
+#define BITAT(p, w, g, k) \
+	VPSRLQ     $6, p, w;        \
+	VPANDQ     Z8, p, p;        \
+	VPXORQ     g, g, g;         \
+	KXNORB     k, k, k;         \
+	VPGATHERQQ (DX)(w*8), k, g; \
+	VPSRLVQ    p, g, g;         \
+	VPTESTMQ   Z7, g, k
+
+// func gatherXorAVX512(dst, ows, seeds, mul, words []uint64, key, n uint64) (ones uint64)
+//
+// One 64-member block of the family a word: 32 members a step, four groups
+// of eight, each hashed as hashRangeAVX512 hashes it and reduced onto n,
+// then gathered from words and tested into the block's word BX (bit CX+i
+// of it is member i's bit) — no position is stored. Four groups in flight
+// keep more gathers outstanding than two. Reduce puts every position below
+// n, and words holds n bits, so no lane is masked. Each block is counted
+// against ows before it is stored, so dst may be ows.
+TEXT ·gatherXorAVX512(SB), NOSPLIT, $0-144
+	MOVQ dst_base+0(FP), DI
+	MOVQ ows_base+24(FP), R8
+	MOVQ ows_len+32(FP), R11
+	MOVQ seeds_base+48(FP), SI
+	MOVQ mul_base+72(FP), R9
+	MOVQ words_base+96(FP), DX
+	VPBROADCASTQ key+120(FP), Z10
+	VPBROADCASTQ n+128(FP), Z14
+	MULTIPLIERS
+	MOVQ $63, AX
+	VPBROADCASTQ AX, Z8
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z7
+	XORQ R10, R10
+	XORQ R12, R12
+	XORQ R13, R13                 // R13: n is a power of two
+	MOVQ n+128(FP), AX
+	LEAQ -1(AX), BX
+	TESTQ AX, BX
+	JNZ  block
+	INCQ R13
+	POW2SHIFT(AX, Z9)
+
+block:
+	XORQ BX, BX
+	XORQ CX, CX
+
+step:
+	HASHAT(0, Z0, Z3, Z1)
+	HASHAT(64, Z16, Z17, Z18)
+	HASHAT(128, Z21, Z22, Z23)
+	HASHAT(192, Z24, Z25, Z26)
+	TESTQ   R13, R13
+	JZ      products
+	VPSRLVQ Z9, Z1, Z1
+	VPSRLVQ Z9, Z18, Z18
+	VPSRLVQ Z9, Z23, Z23
+	VPSRLVQ Z9, Z26, Z26
+	JMP     gather
+
+products:
+	REDUCE32(Z14, Z1)
+	REDUCE32(Z14, Z18)
+	REDUCE32(Z14, Z23)
+	REDUCE32(Z14, Z26)
+
+gather:
+	BITAT(Z1, Z4, Z5, K1)
+	BITAT(Z18, Z19, Z20, K2)
+	BITAT(Z23, Z27, Z28, K3)
+	BITAT(Z26, Z29, Z30, K4)
+	KUNPCKBW K1, K2, K5 // the first group's bits low, the second's high
+	KUNPCKBW K3, K4, K6
+	KMOVW    K5, AX
+	KMOVW    K6, R14
+	SHLQ     $16, R14
+	ORQ      R14, AX
+	SHLXQ    CX, AX, AX
+	ORQ      AX, BX
+	ADDQ     $256, SI
+	ADDQ     $256, R9
+	ADDQ     $32, CX
+	CMPQ     CX, $64
+	JNE      step
+
+	MOVQ    (R8)(R10*8), AX
+	XORQ    BX, AX
+	POPCNTQ AX, AX
+	ADDQ    AX, R12
+	TESTQ   DI, DI
+	JZ      next
+	MOVQ    BX, (DI)(R10*8)
+
+next:
+	INCQ R10
+	CMPQ R10, R11
+	JNE  block
+	MOVQ R12, ones+136(FP)
+	VZEROUPPER
+	RET

@@ -3,6 +3,7 @@ package hashing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,59 @@ func checkHashRangeInto(t *testing.T, f *Family, k int, key, n uint64) {
 			t.Fatalf("HashRangeInto k=%d n=%d key=%#x member %d = %d, want %d", k, n, key, j, got, want)
 		}
 	}
+}
+
+// GatherXor against HashRange and a per-bit read of the words, on both
+// reductions and with dst nil, plus the n it must decline: 2³²+7 (no
+// exact reduction) returns no block, while 2³², which it takes, refuses a
+// words slice shorter than n bits before the body reads one — neither
+// needs an array that size.
+func TestGatherXorMatchesHashRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := make([]uint64, 1<<14)
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	check := func(t *testing.T) {
+		f := NewFamily(200, 9)
+		for _, n := range []uint64{1, 64, 100_003, 1 << 20} {
+			for _, key := range []uint64{0, 7, ^uint64(0)} {
+				ows := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+				dst := make([]uint64, 3)
+				blocks, ones := f.GatherXor(dst, ows, words, key, n)
+				if blocks != 3 && cpu.AVX512 || blocks != 0 && !cpu.AVX512 {
+					t.Fatalf("n=%d: %d blocks with AVX512 %v", n, blocks, cpu.AVX512)
+				}
+				want := uint64(0)
+				for b := range blocks {
+					w := uint64(0)
+					for s := range 64 {
+						p := f.HashRange(64*b+s, key, n)
+						w |= (words[p>>6] >> (p & 63) & 1) << s
+					}
+					if dst[b] != w {
+						t.Fatalf("n=%d key=%#x block %d = %#x, want %#x", n, key, b, dst[b], w)
+					}
+					want += uint64(bits.OnesCount64(w ^ ows[b]))
+				}
+				if _, counted := f.GatherXor(nil, ows, words, key, n); ones != want || counted != want {
+					t.Fatalf("n=%d key=%#x: ones %d, with dst nil %d, want %d", n, key, ones, counted, want)
+				}
+			}
+		}
+		if blocks, _ := f.GatherXor(nil, make([]uint64, 3), words[:1], 1, 1<<32+7); blocks != 0 {
+			t.Fatalf("n = 2³²+7: %d blocks, want the Go loops' 0", blocks)
+		}
+		defer func() {
+			if r := recover(); (r == nil) == cpu.AVX512 {
+				t.Fatalf("n = 2³² over one word: panic %v with AVX512 %v", r, cpu.AVX512)
+			}
+		}()
+		f.GatherXor(nil, make([]uint64, 3), words[:1], 1, 1<<32)
+	}
+	t.Run("dispatched", check)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", check)
 }
 
 // benchSink keeps benchmark results live, so the compiler cannot delete
