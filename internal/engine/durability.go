@@ -208,14 +208,14 @@ func (e *Engine) fold(sk *core.VOS, k int) {
 // returns the checkpoint covers every edge acknowledged before the call.
 // It returns the covered position.
 func (e *Engine) Checkpoint() (uint64, error) {
-	if e.log == nil {
-		return 0, ErrNoDurability
-	}
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	if e.closed.Load() {
 		// Close wrote the final checkpoint and is closing the log.
 		return 0, ErrClosed
+	}
+	if e.log == nil {
+		return 0, ErrNoDurability
 	}
 	return e.checkpointLocked()
 }

@@ -49,4 +49,12 @@
 // Close, every method fails; the directory flock is released on Close and
 // by the kernel on process death, so a crash never wedges its own
 // recovery.
+//
+// # Failures
+//
+// A failed write is cut back to the last record boundary and the log goes
+// on, as after a refused batch or a SkipTo that would regress. A failed
+// fsync, segment switch or rollback latches (Log.Append) until the
+// directory is reopened, which replays every append acknowledged durable
+// and, after a crash only, at most the one whose fsync failed past them.
 package wal

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +21,7 @@ import (
 // tolerated torn tail of the last segment.
 var ErrCorrupt = errors.New("wal: corrupt data")
 
-// ErrClosed is returned by Append/Sync after Close.
+// ErrClosed is returned by every method that changes the log after Close.
 var ErrClosed = errors.New("wal: closed")
 
 // SyncPolicy selects when appended records are fsynced to disk.
@@ -157,15 +158,35 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        *os.File // current segment, nil after Close
+	f        segFile  // current segment
 	lock     *dirLock // exclusive directory lock, nil when disabled
 	size     int64    // bytes written to the current segment
 	base     uint64   // stream position of the current segment's first edge
 	pos      uint64   // total edges appended across all segments
 	unsynced int      // edges appended since the last fsync
 	closed   bool
-	failed   error  // sticky: set when the segment may hold garbage bytes
+	failed   error  // sticky: see fail
 	buf      []byte // reusable record encode buffer
+}
+
+// segFile is what the log needs of an open segment file, and of the
+// directory handle syncDir fsyncs. *os.File is the one implementation.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
+// openFile opens a segment file, or a directory to fsync. The package's
+// tests swap it for a disk that fails on demand; nothing else sets it.
+var openFile = func(path string, flag int) (segFile, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Open opens (creating if needed) the log directory, takes an exclusive
@@ -196,35 +217,33 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if len(segs) == 0 {
-		if err := l.startSegment(0); err != nil {
-			return fail(err)
-		}
-		return l, nil
-	}
 	// Reopen the last segment for appending: scan its records, drop the
 	// torn tail if any, and derive the log position.
-	last := segs[len(segs)-1]
-	if fi, err := os.Stat(filepath.Join(dir, segName(last))); err == nil && fi.Size() < segHeaderLen {
-		// A crash between segment creation and header durability leaves a
-		// short file. No acknowledged record can live in it — appends only
-		// follow a synced header — so recreate it in place rather than
-		// bricking recovery with ErrCorrupt.
+	var last, edges uint64
+	var validLen int64
+	if len(segs) > 0 {
+		last = segs[len(segs)-1]
+		if edges, validLen, err = scanSegment(SegmentPath(dir, last)); err != nil {
+			return fail(err)
+		}
+	}
+	if validLen == 0 {
+		// An empty directory, or a last segment with no header: a crash
+		// between its creation and header durability leaves a short file, or
+		// zeros where a lost header was. No acknowledged record can live in
+		// it — appends only follow a synced header — so recreate it in place
+		// rather than bricking recovery with ErrCorrupt.
 		if err := l.startSegment(last); err != nil {
 			return fail(err)
 		}
-		l.pos = last
 		return l, nil
 	}
-	edges, validLen, err := scanSegment(filepath.Join(dir, segName(last)))
+	path := SegmentPath(dir, last)
+	f, err := openFile(path, os.O_RDWR)
 	if err != nil {
 		return fail(err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_RDWR, 0o644)
-	if err != nil {
-		return fail(err)
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > validLen {
+	if fi, err := os.Stat(path); err == nil && fi.Size() > validLen {
 		if err := f.Truncate(validLen); err != nil {
 			f.Close()
 			return fail(err)
@@ -234,18 +253,15 @@ func Open(dir string, opts Options) (*Log, error) {
 		f.Close()
 		return fail(err)
 	}
-	l.f = f
-	l.size = validLen
-	l.base = last
-	l.pos = last + edges
+	l.f, l.size, l.base, l.pos = f, validLen, last, last+edges
 	return l, nil
 }
 
 // createSegment creates, headers, and syncs a fresh segment file whose
 // first edge will have the given stream position, returning it open for
 // appending.
-func createSegment(dir string, base uint64) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(base)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+func createSegment(dir string, base uint64) (segFile, error) {
+	f, err := openFile(SegmentPath(dir, base), os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return nil, err
 	}
@@ -270,18 +286,49 @@ func createSegment(dir string, base uint64) (*os.File, error) {
 	return f, nil
 }
 
-// startSegment is createSegment plus installing the segment as the append
-// target. Callers hold l.mu (or own l exclusively) and must not have a
-// live l.f (Open and recovery paths).
+// startSegment makes a fresh segment at base the append target and moves
+// the position there: Open's first segment, a rotation (base = l.pos) and
+// SkipTo. The current segment, if any, is fsynced first and closed once its
+// successor is durable. Any failure latches (fail): a half-made successor
+// left in the directory ahead of records the old segment went on taking
+// would make replay refuse the directory. Callers hold l.mu or own l.
 func (l *Log) startSegment(base uint64) error {
-	f, err := createSegment(l.dir, base)
-	if err != nil {
-		return err
+	if l.f != nil {
+		if err := l.f.Sync(); err != nil {
+			return l.fail(err)
+		}
 	}
-	l.f = f
-	l.size = segHeaderLen
-	l.base = base
+	nf, err := createSegment(l.dir, base)
+	if err != nil {
+		return l.fail(err)
+	}
+	if l.f != nil {
+		if err := l.f.Close(); err != nil {
+			nf.Close()
+			return l.fail(err)
+		}
+	}
+	l.f, l.size, l.base, l.pos, l.unsynced = nf, segHeaderLen, base, base, 0
 	return nil
+}
+
+// fail latches err and returns it. After a writeback error Linux may drop
+// the unsynced pages and let the next fsync succeed, so what was written
+// since the last good one is not known to be on disk. Every method that
+// changes the log returns the latched error from then on (usable) until
+// the directory is reopened. Callers hold l.mu or own l.
+func (l *Log) fail(err error) error {
+	l.failed = fmt.Errorf("wal: log failed, reopen to recover: %w", err)
+	return l.failed
+}
+
+// usable is the check every method that changes the log makes first:
+// ErrClosed after Close, the latched error after a failure (fail), else nil.
+func (l *Log) usable() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.failed
 }
 
 // WriteFileAtomic replaces the file at path with data so that a crash at
@@ -317,7 +364,7 @@ func WriteFileAtomic(path string, data []byte) error {
 // syncDir fsyncs a directory so renames and file creations in it survive
 // a crash.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := openFile(dir, os.O_RDONLY)
 	if err != nil {
 		return err
 	}
@@ -328,30 +375,6 @@ func syncDir(dir string) error {
 	return err
 }
 
-// rotate closes the current segment (fsyncing it) and starts the next one
-// at the current position. The new segment is created before the old one
-// is released: a transient failure (say, ENOSPC) leaves the log appending
-// to the old segment and retryable, never wedged on a closed file.
-// Callers hold l.mu.
-func (l *Log) rotate() error {
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	nf, err := createSegment(l.dir, l.pos)
-	if err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		nf.Close()
-		return err
-	}
-	l.f = nf
-	l.size = segHeaderLen
-	l.base = l.pos
-	l.unsynced = 0
-	return nil
-}
-
 // Append writes one record holding the batch and advances the position by
 // len(edges). Whether the record is durable when Append returns depends on
 // the sync policy. Empty batches are a no-op; a batch naming a user id the
@@ -360,8 +383,11 @@ func (l *Log) rotate() error {
 // A failed write is rolled back: the segment is truncated to the last
 // record boundary so a partial frame cannot sit mid-file masquerading as a
 // torn tail (which would make recovery silently discard every later,
-// acknowledged record). If even the rollback fails, the log latches the
-// error and refuses further appends.
+// acknowledged record), and the log takes the next batch. A failed fsync,
+// segment switch or rollback latches instead: the error is returned, and
+// every later call that changes the log returns it until the directory is
+// reopened. A record whose own fsync failed is cut from the file, so only
+// a crash can bring it back.
 func (l *Log) Append(edges []stream.Edge) error { return l.AppendEncoded(edges, nil) }
 
 // AppendEncoded is Append for a batch whose record payload the caller already
@@ -391,11 +417,8 @@ func (l *Log) AppendEncoded(edges []stream.Edge, payload []byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return l.failed
+	if err := l.usable(); err != nil {
+		return err
 	}
 	// One buffer, one Write call: frame header and payload land together
 	// or are rolled back together.
@@ -407,7 +430,7 @@ func (l *Log) AppendEncoded(edges []stream.Edge, payload []byte) error {
 		return fmt.Errorf("wal: %w", err) // refused before the log was touched
 	}
 	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
+		if err := l.startSegment(l.pos); err != nil {
 			return err
 		}
 	}
@@ -416,48 +439,29 @@ func (l *Log) AppendEncoded(edges []stream.Edge, payload []byte) error {
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := l.f.Write(rec); err != nil {
 		// The file may now hold a partial frame past l.size. Cut it back
-		// to the record boundary; later appends then resume cleanly.
+		// to the record boundary; later appends then resume cleanly. Those
+		// bytes were never synced, so nothing acknowledged goes with them.
 		if terr := l.f.Truncate(l.size); terr != nil {
-			l.failed = fmt.Errorf("wal: append failed (%v) and rollback failed (%v): log is poisoned", err, terr)
-			return l.failed
+			return l.fail(fmt.Errorf("append failed (%v), rollback failed: %w", err, terr))
 		}
 		if _, serr := l.f.Seek(l.size, io.SeekStart); serr != nil {
-			l.failed = fmt.Errorf("wal: append failed (%v) and reseek failed (%v): log is poisoned", err, serr)
-			return l.failed
+			return l.fail(fmt.Errorf("append failed (%v), reseek failed: %w", err, serr))
 		}
 		return err
 	}
-	prevSize, prevUnsynced := l.size, l.unsynced
 	l.buf = rec[:0]
+	l.unsynced += len(edges)
+	if l.opts.Sync == SyncEveryBatch || (l.opts.Sync == SyncEveryN && l.unsynced >= l.opts.SyncEveryN) {
+		if err := l.f.Sync(); err != nil {
+			// The caller is told the batch failed: cut its record, or a
+			// restart replays it (best effort; the log is latched anyway).
+			l.f.Truncate(l.size)
+			return l.fail(err)
+		}
+		l.unsynced = 0
+	}
 	l.size += int64(len(rec))
 	l.pos += uint64(len(edges))
-	l.unsynced += len(edges)
-	needSync := l.opts.Sync == SyncEveryBatch ||
-		(l.opts.Sync == SyncEveryN && l.unsynced >= l.opts.SyncEveryN)
-	if !needSync {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		// The caller treats an Append error as "batch not accepted", so the
-		// record must not survive in the log: leaving it would let Pos()
-		// count edges the engine never routed (a later checkpoint would
-		// then claim to cover them while its sketch lacks them), and a
-		// caller retry would append the batch twice (XOR replay then
-		// erases it). Roll everything back to the acknowledged boundary.
-		if terr := l.f.Truncate(prevSize); terr != nil {
-			l.failed = fmt.Errorf("wal: fsync failed (%v) and rollback failed (%v): log is poisoned", err, terr)
-			return l.failed
-		}
-		if _, serr := l.f.Seek(prevSize, io.SeekStart); serr != nil {
-			l.failed = fmt.Errorf("wal: fsync failed (%v) and reseek failed (%v): log is poisoned", err, serr)
-			return l.failed
-		}
-		l.size = prevSize
-		l.pos -= uint64(len(edges))
-		l.unsynced = prevUnsynced
-		return err
-	}
-	l.unsynced = 0
 	return nil
 }
 
@@ -476,36 +480,34 @@ func (l *Log) Pos() uint64 {
 func (l *Log) Rotate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usable(); err != nil {
+		return err
 	}
 	if l.size <= segHeaderLen {
 		return nil
 	}
-	return l.rotate()
+	return l.startSegment(l.pos)
 }
 
-// Sync fsyncs the current segment regardless of policy.
+// Sync fsyncs the current segment regardless of policy. A failed fsync
+// latches, as on the append path: the log takes nothing more until it is
+// reopened.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.failed != nil {
-		return l.failed
-	}
-	// Reset the counter only on success: a failed fsync must leave the
-	// SyncEveryN schedule armed, or the loss window silently widens.
-	if err := l.f.Sync(); err != nil {
+	if err := l.usable(); err != nil {
 		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.fail(err)
 	}
 	l.unsynced = 0
 	return nil
 }
 
 // Close fsyncs and closes the current segment and releases the directory
-// lock. Further appends fail with ErrClosed. Close is idempotent.
+// lock; a failed log is closed without the fsync and Close returns its
+// latched error. Further appends fail with ErrClosed. Close is idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -513,7 +515,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.f.Sync()
+	err := l.failed
+	if err == nil {
+		err = l.f.Sync()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -533,8 +538,8 @@ func (l *Log) Close() error {
 func (l *Log) SkipTo(pos uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usable(); err != nil {
+		return err
 	}
 	if pos < l.pos {
 		return fmt.Errorf("wal: SkipTo(%d) would regress position %d", pos, l.pos)
@@ -542,23 +547,7 @@ func (l *Log) SkipTo(pos uint64) error {
 	if pos == l.pos {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	// Create-then-close, like rotate: a failure leaves the log usable.
-	nf, err := createSegment(l.dir, pos)
-	if err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		nf.Close()
-		return err
-	}
-	l.f = nf
-	l.size = segHeaderLen
-	l.base = pos
-	l.pos = pos
-	return nil
+	return l.startSegment(pos)
 }
 
 // TruncateBefore deletes segments every edge of which lies below pos —
@@ -567,8 +556,11 @@ func (l *Log) SkipTo(pos uint64) error {
 // deleted. Call after a successful checkpoint to bound replay work.
 func (l *Log) TruncateBefore(pos uint64) error {
 	l.mu.Lock()
-	cur := l.base
+	cur, err := l.base, l.usable()
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	segs, err := ListSegments(l.dir)
 	if err != nil {
 		return err
@@ -679,10 +671,11 @@ func readSegment(path string, fn func(edges []stream.Edge) error) error {
 // re-encoding (a CRC-valid frame with non-minimal varints would re-encode
 // to a different length).
 func readSegmentBytes(data []byte, name string, fn func(edges []stream.Edge) error) (consumed int64, err error) {
-	if len(data) < segHeaderLen {
-		// Shorter than a header: a crash between segment creation and
-		// header durability (the artifact Open recreates in place) — a
-		// torn tail holding nothing, not structural corruption.
+	if len(data) < segHeaderLen || len(bytes.TrimLeft(data, "\x00")) == 0 {
+		// Shorter than a header, or all zeros: a crash between segment
+		// creation and header durability (the artifact Open recreates in
+		// place) — a torn tail holding nothing. A zeroed header followed
+		// by data is corruption.
 		return 0, errTornTail
 	}
 	if [8]byte(data[:8]) != segMagic {
@@ -696,7 +689,9 @@ func readSegmentBytes(data []byte, name string, fn func(edges []stream.Edge) err
 		}
 		plen := binary.LittleEndian.Uint32(data[:4])
 		want := binary.LittleEndian.Uint32(data[4:8])
-		if uint64(len(data)-8) < uint64(plen) {
+		// No record has an empty payload, whose CRC is 0: a zero length is
+		// the zero fill a crash leaves where lost pages were, not a frame.
+		if plen == 0 || uint64(len(data)-8) < uint64(plen) {
 			return consumed, errTornTail
 		}
 		payload := data[8 : 8+plen]
@@ -770,18 +765,8 @@ func InspectSegment(path string) (SegmentInfo, error) {
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	if len(data) < segHeaderLen {
-		base, _ := parseSeq(filepath.Base(path), segPrefix, segSuffix)
-		return SegmentInfo{Base: base, Bytes: int64(len(data)), Torn: true}, nil
-	}
-	if [8]byte(data[:8]) != segMagic {
-		return SegmentInfo{}, fmt.Errorf("%w: bad segment header", ErrCorrupt)
-	}
-	info := SegmentInfo{
-		Base:  binary.LittleEndian.Uint64(data[8:16]),
-		Bytes: int64(len(data)),
-	}
-	_, err = readSegmentBytes(data, filepath.Base(path), func(edges []stream.Edge) error {
+	info := SegmentInfo{Bytes: int64(len(data))}
+	consumed, err := readSegmentBytes(data, filepath.Base(path), func(edges []stream.Edge) error {
 		info.Records++
 		info.Edges += uint64(len(edges))
 		return nil
@@ -789,6 +774,11 @@ func InspectSegment(path string) (SegmentInfo, error) {
 	if errors.Is(err, errTornTail) {
 		info.Torn = true
 		err = nil
+	}
+	if consumed == 0 {
+		info.Base, _ = parseSeq(filepath.Base(path), segPrefix, segSuffix)
+	} else {
+		info.Base = binary.LittleEndian.Uint64(data[8:16])
 	}
 	return info, err
 }

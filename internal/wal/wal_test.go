@@ -585,27 +585,6 @@ func TestTornSegmentCreationRecovered(t *testing.T) {
 	}
 }
 
-func TestPoisonedLogRefusesWrites(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// Simulate a failed rollback: the segment may hold garbage, so the
-	// log must latch the error and refuse all further writes.
-	poison := errors.New("poisoned")
-	l.mu.Lock()
-	l.failed = poison
-	l.mu.Unlock()
-	if err := l.Append(testEdges(0, 1)); !errors.Is(err, poison) {
-		t.Fatalf("Append on poisoned log = %v, want the latched error", err)
-	}
-	if err := l.Sync(); !errors.Is(err, poison) {
-		t.Fatalf("Sync on poisoned log = %v, want the latched error", err)
-	}
-}
-
 func TestDirLockExcludesSecondOpen(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("directory flock is a no-op off unix")

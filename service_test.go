@@ -262,34 +262,42 @@ func TestTopKHelpersNeverOutliveTheCall(t *testing.T) {
 }
 
 // TestEngineServiceClosed: after Close, every service method returns the
-// ErrClosed sentinel — typed lifecycle errors instead of stale answers.
+// ErrClosed sentinel — typed lifecycle errors instead of stale answers — on
+// a durable engine and a memory-only one alike (whose Checkpoint is closed,
+// not missing a capability).
 func TestEngineServiceClosed(t *testing.T) {
-	eng, err := vos.OpenEngine(t.TempDir(), vos.EngineConfig{Sketch: serviceSketchConfig()})
+	durable, err := vos.OpenEngine(t.TempDir(), vos.EngineConfig{Sketch: serviceSketchConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := vos.NewEngineService(eng)
-	ctx := context.Background()
-	if err := eng.Close(); err != nil {
+	memoryOnly, err := vos.NewEngine(vos.EngineConfig{Sketch: serviceSketchConfig()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.(vos.Checkpointer).Checkpoint(ctx); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("Checkpoint after Close: %v", err)
-	}
-	if err := svc.Ingest(ctx, []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("Ingest after Close: %v", err)
-	}
-	if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("Similarity after Close: %v", err)
-	}
-	if _, err := svc.TopK(ctx, 1, []vos.User{2}, 1); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("TopK after Close: %v", err)
-	}
-	if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("Cardinality after Close: %v", err)
-	}
-	if _, err := svc.Stats(ctx); !errors.Is(err, vos.ErrClosed) {
-		t.Fatalf("Stats after Close: %v", err)
+	for name, eng := range map[string]*vos.Engine{"durable": durable, "memory-only": memoryOnly} {
+		svc := vos.NewEngineService(eng)
+		ctx := context.Background()
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.(vos.Checkpointer).Checkpoint(ctx); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: Checkpoint after Close: %v", name, err)
+		}
+		if err := svc.Ingest(ctx, []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: Ingest after Close: %v", name, err)
+		}
+		if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: Similarity after Close: %v", name, err)
+		}
+		if _, err := svc.TopK(ctx, 1, []vos.User{2}, 1); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: TopK after Close: %v", name, err)
+		}
+		if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: Cardinality after Close: %v", name, err)
+		}
+		if _, err := svc.Stats(ctx); !errors.Is(err, vos.ErrClosed) {
+			t.Fatalf("%s: Stats after Close: %v", name, err)
+		}
 	}
 	// ErrClosed and the legacy ErrEngineClosed are the same sentinel.
 	if !errors.Is(vos.ErrClosed, vos.ErrEngineClosed) {
