@@ -1,7 +1,8 @@
 // Package daemon is the serving shell vosd and vosgw share: the flags every
 // daemon takes and the one safe order in which a process brings a
 // vos.SimilarityService up behind the /v1/ API and takes it down again. A
-// main builds its service from its own flags and hands it to Run.
+// main builds its service from its own flags and hands it to Run. It also
+// declares the sketch identity flags, which vosd and vosinspect share.
 package daemon
 
 import (
@@ -46,6 +47,24 @@ func AddFlags(fs *flag.FlagSet, listen string) *Flags {
 	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 	fs.BoolVar(&f.Verbose, "verbose", false, "log one line per request")
 	return f
+}
+
+// SketchFlags declares the flags that name a sketch's identity on fs: vosd
+// builds its engine from them, and vosinspect rebuilds a directory that has
+// no checkpoint from them, so both read one set of names and defaults. The
+// returned func reads the config once fs is parsed.
+func SketchFlags(fs *flag.FlagSet) func() (vos.Config, error) {
+	memoryBits := fs.Uint64("memory-bits", 1<<22, "m, shared array size in bits")
+	sketchBits := fs.Int("sketch-bits", 4096, "k, virtual sketch size in bits")
+	seed := fs.Uint64("seed", 1, "sketch seed (identical config required to merge or recover)")
+	hashFamily := fs.String("hash-family", "classic", `position hash family: "classic" or "fast" (part of the sketch identity; must match any existing checkpoint)`)
+	return func() (vos.Config, error) {
+		family, err := vos.ParseHashFamily(*hashFamily)
+		if err != nil {
+			return vos.Config{}, fmt.Errorf("-hash-family: %w", err)
+		}
+		return vos.Config{MemoryBits: *memoryBits, SketchBits: *sketchBits, Seed: *seed, Family: family}, nil
+	}
 }
 
 // Daemon is what differs between the processes the shell serves.

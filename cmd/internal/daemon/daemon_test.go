@@ -29,3 +29,25 @@ func TestSharedFlags(t *testing.T) {
 		t.Errorf("shared flag -%s is not declared", name)
 	}
 }
+
+// TestSketchFlags pins the sketch identity flags vosd and vosinspect share:
+// a directory written by one is read by the other under the same defaults.
+func TestSketchFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	SketchFlags(fs)
+	want := map[string]string{
+		"memory-bits": "4194304",
+		"sketch-bits": "4096",
+		"seed":        "1",
+		"hash-family": "classic",
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if def, ok := want[f.Name]; !ok || f.DefValue != def {
+			t.Errorf("flag -%s default %q: not one of the sketch flags %v", f.Name, f.DefValue, want)
+		}
+		delete(want, f.Name)
+	})
+	for name := range want {
+		t.Errorf("sketch flag -%s is not declared", name)
+	}
+}

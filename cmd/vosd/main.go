@@ -68,13 +68,9 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vosd", flag.ExitOnError)
 	shell := daemon.AddFlags(fs, "127.0.0.1:8080")
+	sketch := daemon.SketchFlags(fs)
 	var (
 		dir = fs.String("dir", "", "durability directory (WAL + checkpoints); empty runs memory-only")
-
-		memoryBits = fs.Uint64("memory-bits", 1<<22, "m, shared array size in bits")
-		sketchBits = fs.Int("sketch-bits", 4096, "k, virtual sketch size in bits")
-		seed       = fs.Uint64("seed", 1, "sketch seed (identical config required to merge or recover)")
-		hashFamily = fs.String("hash-family", "classic", `position hash family: "classic" or "fast" (part of the sketch identity; must match any existing checkpoint)`)
 
 		shards     = fs.Int("shards", 0, "ingest shards (0 = GOMAXPROCS)")
 		batchSize  = fs.Int("batch-size", 0, "edges per shard batch (0 = default 256)")
@@ -99,12 +95,12 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	family, err := vos.ParseHashFamily(*hashFamily)
+	skCfg, err := sketch()
 	if err != nil {
-		return fmt.Errorf("vosd: -hash-family: %w", err)
+		return fmt.Errorf("vosd: %w", err)
 	}
 	cfg := vos.EngineConfig{
-		Sketch:             vos.Config{MemoryBits: *memoryBits, SketchBits: *sketchBits, Seed: *seed, Family: family},
+		Sketch:             skCfg,
 		Shards:             *shards,
 		BatchSize:          *batchSize,
 		QueueSize:          *queueSize,

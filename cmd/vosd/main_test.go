@@ -314,6 +314,7 @@ func TestVosdBadFlags(t *testing.T) {
 		args []string
 	}{
 		{"bad -sync value", []string{"-dir", t.TempDir(), "-sync", "sometimes"}},
+		{"bad -hash-family value", []string{"-hash-family", "sideways"}},
 		{"negative -window", []string{"-window", "-1s"}},
 		{"-buckets 0 with -window", []string{"-window", "1m", "-buckets", "0"}},
 		{"-window not divisible by -buckets", []string{"-window", "1s", "-buckets", "7"}},

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	# build a sketch from a stream file (see cmd/streamgen)
-//	vosinspect -stream youtube.stream -m 4194304 -k 6400 -o youtube.vos
+//	vosinspect -stream youtube.stream -memory-bits 4194304 -sketch-bits 6400 -o youtube.vos
 //
 //	# inspect a saved sketch
 //	vosinspect -sketch youtube.vos
@@ -17,114 +17,133 @@
 //	# dump an engine durability directory, flat or windowed: checkpoint,
 //	# WAL segments, and the recovered (checkpoint + replayed suffix) state
 //	vosinspect -wal /var/lib/vos -query 17,42
+//
+// -memory-bits, -sketch-bits, -seed and -hash-family are vosd's flags, with
+// its defaults: -stream builds with them, and -wal rebuilds with them a
+// directory whose daemon stopped before its first checkpoint (the WAL
+// records edges, not the sketch's identity). Pass the daemon's own values.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/cmd/internal/daemon"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/wal"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vosinspect:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main minus the exit code, so tests can drive the command.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vosinspect", flag.ExitOnError)
+	sketch := daemon.SketchFlags(fs)
 	var (
-		streamPath = flag.String("stream", "", "binary stream file to build from")
-		memBits    = flag.Uint64("m", 1<<22, "shared array size in bits")
-		kBits      = flag.Int("k", 6400, "virtual sketch size in bits")
-		seed       = flag.Uint64("seed", 1, "sketch seed")
-		out        = flag.String("o", "", "write the built sketch to this file")
-		sketchPath = flag.String("sketch", "", "saved sketch file to inspect/query")
-		walDir     = flag.String("wal", "", "engine durability directory to dump and recover")
-		query      = flag.String("query", "", "user pair to query, as \"u,v\"")
+		streamPath = fs.String("stream", "", "binary stream file to build from")
+		out        = fs.String("o", "", "write the built sketch to this file")
+		sketchPath = fs.String("sketch", "", "saved sketch file to inspect/query")
+		walDir     = fs.String("wal", "", "engine durability directory to dump and recover")
+		query      = fs.String("query", "", "user pair to query, as \"u,v\"")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	cfg, err := sketch()
+	if err != nil {
+		return err
+	}
 
 	var sk *vos.Sketch
 	switch {
 	case *walDir != "":
-		var err error
-		sk, err = dumpWAL(*walDir, vos.Config{MemoryBits: *memBits, SketchBits: *kBits, Seed: *seed})
-		if err != nil {
-			fatal(err)
+		if sk, err = dumpWAL(stdout, *walDir, cfg); err != nil {
+			return err
 		}
 	case *streamPath != "":
 		f, err := os.Open(*streamPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		edges, err := vos.ReadStreamBinary(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		sk, err = vos.New(vos.Config{MemoryBits: *memBits, SketchBits: *kBits, Seed: *seed})
-		if err != nil {
-			fatal(err)
+		if sk, err = vos.New(cfg); err != nil {
+			return err
 		}
 		for _, e := range edges {
 			sk.Process(e)
 		}
-		fmt.Printf("built sketch from %d stream elements\n", len(edges))
+		fmt.Fprintf(stdout, "built sketch from %d stream elements\n", len(edges))
 		if *out != "" {
 			data, err := sk.MarshalBinary()
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("saved to %s (%d bytes)\n", *out, len(data))
+			fmt.Fprintf(stdout, "saved to %s (%d bytes)\n", *out, len(data))
 		}
 	case *sketchPath != "":
 		data, err := os.ReadFile(*sketchPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		sk, err = vos.Unmarshal(data)
-		if err != nil {
-			fatal(err)
+		if sk, err = vos.Unmarshal(data); err != nil {
+			return err
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("one of -stream, -sketch or -wal is required")
 	}
 
 	st := sk.Stats()
-	fmt.Printf("memory:      %d bits (%d bytes on wire)\n", st.MemoryBits, st.MemoryBytes)
-	fmt.Printf("virtual k:   %d bits\n", st.SketchBits)
-	fmt.Printf("array load:  β = %.4f (%d ones)\n", st.Beta, st.OnesCount)
-	fmt.Printf("users:       %d with nonzero cardinality\n", st.Users)
+	fmt.Fprintf(stdout, "memory:      %d bits (%d bytes on wire)\n", st.MemoryBits, st.MemoryBytes)
+	fmt.Fprintf(stdout, "virtual k:   %d bits\n", st.SketchBits)
+	fmt.Fprintf(stdout, "array load:  β = %.4f (%d ones)\n", st.Beta, st.OnesCount)
+	fmt.Fprintf(stdout, "users:       %d with nonzero cardinality\n", st.Users)
 
 	if *query != "" {
 		u, v, err := parsePair(*query)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		est := sk.Query(u, v)
-		fmt.Printf("query (%d, %d):\n", u, v)
-		fmt.Printf("  cardinalities:     n_u = %d, n_v = %d\n", est.CardinalityU, est.CardinalityV)
-		fmt.Printf("  common items ŝ:    %.2f (clamped %.2f)\n", est.Common, est.CommonClamped)
-		fmt.Printf("  jaccard Ĵ:         %.4f\n", est.Jaccard)
-		fmt.Printf("  symmetric diff:    %.2f\n", est.SymmetricDifference)
-		fmt.Printf("  diagnostics:       α = %.4f, β = %.4f, saturated = %v\n",
+		fmt.Fprintf(stdout, "query (%d, %d):\n", u, v)
+		fmt.Fprintf(stdout, "  cardinalities:     n_u = %d, n_v = %d\n", est.CardinalityU, est.CardinalityV)
+		fmt.Fprintf(stdout, "  common items ŝ:    %.2f (clamped %.2f)\n", est.Common, est.CommonClamped)
+		fmt.Fprintf(stdout, "  jaccard Ĵ:         %.4f\n", est.Jaccard)
+		fmt.Fprintf(stdout, "  symmetric diff:    %.2f\n", est.SymmetricDifference)
+		fmt.Fprintf(stdout, "  diagnostics:       α = %.4f, β = %.4f, saturated = %v\n",
 			est.Alpha, est.Beta, est.Saturated)
 	}
+	return nil
 }
 
 // dumpWAL prints a durability directory's checkpoint and segment layout,
 // then reconstructs the state an engine would recover: the checkpointed
-// sketch (or a fresh one from cfg when no checkpoint exists) with the WAL
+// sketch (or a fresh one from cfg, the sketch identity flags, when no checkpoint
+// exists) with the WAL
 // suffix replayed into it. A windowed engine's checkpoint is its bucket
 // ring; the suffix then lands in the ring's merged view, as it is when
 // persisted (a restarted engine first retires the buckets its clock has
 // left behind).
-func dumpWAL(dir string, cfg vos.Config) (*vos.Sketch, error) {
+func dumpWAL(w io.Writer, dir string, cfg vos.Config) (*vos.Sketch, error) {
 	pos, skBytes, found, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return nil, err
@@ -132,33 +151,33 @@ func dumpWAL(dir string, cfg vos.Config) (*vos.Sketch, error) {
 	var sk *vos.Sketch
 	switch {
 	case found && core.IsWindowData(skBytes):
-		w, err := core.UnmarshalWindow(skBytes)
+		ring, err := core.UnmarshalWindow(skBytes)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
 		}
-		sk = w.Merged()
-		fmt.Printf("checkpoint:  position %d, %d window bytes (%d buckets of %v ending %s; m=%d k=%d)\n",
-			pos, len(skBytes), w.Buckets(), w.BucketDuration(), w.End().UTC().Format(time.RFC3339), sk.MemoryBits(), sk.K())
+		sk = ring.Merged()
+		fmt.Fprintf(w, "checkpoint:  position %d, %d window bytes (%d buckets of %v ending %s; m=%d k=%d)\n",
+			pos, len(skBytes), ring.Buckets(), ring.BucketDuration(), ring.End().UTC().Format(time.RFC3339), sk.MemoryBits(), sk.K())
 	case found:
 		sk, err = vos.Unmarshal(skBytes)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
 		}
-		fmt.Printf("checkpoint:  position %d, %d sketch bytes (m=%d k=%d)\n",
+		fmt.Fprintf(w, "checkpoint:  position %d, %d sketch bytes (m=%d k=%d)\n",
 			pos, len(skBytes), sk.MemoryBits(), sk.K())
 	default:
 		sk, err = vos.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("checkpoint:  none (recovering from WAL alone with -m/-k/-seed config)\n")
+		fmt.Fprintf(w, "checkpoint:  none (recovering from WAL alone with the -memory-bits/-sketch-bits/-seed/-hash-family config)\n")
 	}
 
 	bases, err := wal.ListSegments(dir)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("wal:         %d segment(s)\n", len(bases))
+	fmt.Fprintf(w, "wal:         %d segment(s)\n", len(bases))
 	// The recovered position is the checkpoint's if the WAL ends short of
 	// it (possible under SyncOff: covered records lost with the page
 	// cache — engine recovery SkipTo()s the log forward to match).
@@ -172,7 +191,7 @@ func dumpWAL(dir string, cfg vos.Config) (*vos.Sketch, error) {
 		if info.Torn {
 			torn = "  TORN TAIL (discarded on recovery)"
 		}
-		fmt.Printf("  segment @%-12d %6d record(s) %8d edge(s) %8d bytes%s\n",
+		fmt.Fprintf(w, "  segment @%-12d %6d record(s) %8d edge(s) %8d bytes%s\n",
 			info.Base, info.Records, info.Edges, info.Bytes, torn)
 		if end := info.Base + info.Edges; end > tail {
 			tail = end
@@ -193,7 +212,7 @@ func dumpWAL(dir string, cfg vos.Config) (*vos.Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("recovered:   checkpoint @%d + %d replayed edge(s) -> position %d\n\n", pos, replayed, tail)
+	fmt.Fprintf(w, "recovered:   checkpoint @%d + %d replayed edge(s) -> position %d\n\n", pos, replayed, tail)
 	return sk, nil
 }
 
@@ -211,9 +230,4 @@ func parsePair(s string) (vos.User, vos.User, error) {
 		return 0, 0, err
 	}
 	return vos.User(u), vos.User(v), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vosinspect:", err)
-	os.Exit(1)
 }

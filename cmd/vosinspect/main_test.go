@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/wal"
 )
 
 // TestDumpWALRecoversEngineState: dumpWAL on a crashed engine's directory
@@ -43,7 +47,7 @@ func TestDumpWALRecoversEngineState(t *testing.T) {
 	}
 	// Hard stop: no Close, so the suffix lives only in the WAL.
 
-	sk, err := dumpWAL(dir, cfg)
+	sk, err := dumpWAL(io.Discard, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func TestDumpWALRecoversEngineState(t *testing.T) {
 
 	// No checkpoint and no WAL: falls back to the provided config.
 	empty := t.TempDir()
-	sk, err = dumpWAL(empty, cfg)
+	sk, err = dumpWAL(io.Discard, empty, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestDumpWALReadsWindowedCheckpoint(t *testing.T) {
 				}
 			}
 
-			sk, err := dumpWAL(dir, cfg)
+			sk, err := dumpWAL(io.Discard, dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,6 +144,70 @@ func TestDumpWALReadsWindowedCheckpoint(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("recovered sketch differs from the engine's merged state")
+			}
+		})
+	}
+}
+
+// TestRunRebuildsCheckpointlessWAL: a daemon that stops before its first
+// checkpoint leaves only a WAL, and run rebuilds it from the sketch identity
+// flags. With vosd's defaults, or vosd's -hash-family, the dump answers
+// -query as the engine did.
+func TestRunRebuildsCheckpointlessWAL(t *testing.T) {
+	var edges []vos.Edge
+	for u := vos.User(3); u < 203; u++ {
+		for i := 0; i < 40; i++ {
+			edges = append(edges, vos.Edge{User: u, Item: vos.Item(uint64(u)<<20 | uint64(i)), Op: vos.Insert})
+		}
+	}
+	// Users 1 and 2 share 150 of their 450 items.
+	for i := 0; i < 300; i++ {
+		edges = append(edges,
+			vos.Edge{User: 1, Item: vos.Item(1<<40 + i), Op: vos.Insert},
+			vos.Edge{User: 2, Item: vos.Item(1<<40 + 150 + i), Op: vos.Insert})
+	}
+	for _, tc := range []struct {
+		name   string
+		family vos.HashFamily
+		args   []string
+	}{
+		{"classic defaults", vos.FamilyClassic, nil},
+		{"fast", vos.FamilyFast, []string{"-hash-family", "fast"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// vosd's defaults but the family.
+			cfg := vos.Config{MemoryBits: 1 << 22, SketchBits: 4096, Seed: 1, Family: tc.family}
+			eng, err := vos.OpenEngine(dir, vos.EngineConfig{
+				Sketch: cfg,
+				Shards: 2,
+				// Abandoned below without Close, whose final checkpoint
+				// would leave the directory with one.
+				Durability: &vos.DurabilityConfig{DisableLock: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ProcessBatch(edges); err != nil {
+				t.Fatal(err)
+			}
+			eng.Flush()
+			est := eng.Query(1, 2)
+			if _, _, found, err := wal.LatestCheckpoint(dir); err != nil || found {
+				t.Fatalf("the directory has a checkpoint (%v, %v)", found, err)
+			}
+
+			var out strings.Builder
+			if err := run(append([]string{"-wal", dir, "-query", "1,2"}, tc.args...), &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				fmt.Sprintf("  common items ŝ:    %.2f (clamped %.2f)\n", est.Common, est.CommonClamped),
+				fmt.Sprintf("  jaccard Ĵ:         %.4f\n", est.Jaccard),
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output lacks %q; the engine answered %+v:\n%s", want, est, out.String())
+				}
 			}
 		})
 	}

@@ -21,9 +21,9 @@ import (
 //
 // All methods are safe for concurrent use, with one lifecycle rule: no
 // Process/ProcessBatch call may start after Close has begun. Once Close
-// begins, writes and the context-aware query methods return
-// ErrEngineClosed. Every pair read takes one path: acquire the merged
-// view, query it, release it.
+// begins, writes and the context-aware query methods return ErrClosed.
+// Every pair read takes one path: acquire the merged view, query it,
+// release it.
 //
 // See internal/engine for the full model.
 type Engine = engine.Engine
@@ -46,9 +46,6 @@ type PositionCacheStats = poscache.Stats
 
 // ShardStat is one engine shard's health snapshot (counters, backlog, β).
 type ShardStat = metrics.ShardStat
-
-// ErrEngineClosed is returned by Engine.Process after Engine.Close.
-var ErrEngineClosed = engine.ErrClosed
 
 // ANNConfig enables the engine's approximate top-K index: a maintained
 // banded-LSH index over packed recovered sketches, probed by

@@ -144,16 +144,15 @@ type ANNStats struct {
 	// SpilledUsers the users marked for a whole re-banding that way.
 	JournalFallbacks uint64 `json:"journal_fallbacks"`
 	SpilledUsers     uint64 `json:"spilled_users"`
-	// ProbeReuses counts probes answered from the last probe's recovered
-	// sketch and candidate set (same user, same snapshot, no index change
-	// in between) — the repeated-probe fast path.
+	// ProbeReuses is always 0: every probe recovers its sketch and walks
+	// its bands. The field stays so the stats wire keeps its shape.
 	ProbeReuses uint64 `json:"probe_reuses"`
 }
 
 // annIndex is the engine's ANN state: the band index, the engine state it
 // has been reconciled to, and what it still owes. mu serialises maintenance
-// and probing (the BandIndex is not safe for concurrent use);
-// candidate scoring happens outside mu on the snapshot view the probe holds.
+// and probing (the BandIndex is not safe for concurrent use); the probe's
+// recovery and candidate scoring happen outside mu on the view it holds.
 type annIndex struct {
 	mu  sync.Mutex
 	cfg ANNConfig
@@ -179,26 +178,6 @@ type annIndex struct {
 	rekeys    uint64
 	fallbacks uint64
 	spilled   uint64
-
-	// Probe reuse: a top-K poll loop ("who is similar to u right now?")
-	// probes the same user against the same quiescent state over and over,
-	// and re-recovering the probe's packed sketch plus re-walking its band
-	// buckets per call is pure waste. The last probe's recovered sketch and
-	// candidate set are kept and served again while all three freshness
-	// coordinates hold: same user, same merged snapshot state (its publish
-	// generation — unique across the resident views and across refreshes
-	// of one, where a pointer would not be), and same index-mutation stamp (the
-	// monotone sum rebands+rekeys+removals+rotations: any Put, Toggle,
-	// Remove, or rotation invalidation advances it, so a probe never reuses
-	// across an index change). lastCands is read-only once cached — the
-	// liveness filter copies instead of compacting in place.
-	lastUser  stream.User
-	lastGen   uint64
-	lastStamp uint64
-	lastRec   *core.Recovered
-	lastCands []stream.User
-	haveLast  bool
-	reuses    uint64
 }
 
 // newANNIndex validates and builds the engine's ANN state.
@@ -243,7 +222,6 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 		BandRekeys:       a.rekeys,
 		JournalFallbacks: a.fallbacks,
 		SpilledUsers:     a.spilled,
-		ProbeReuses:      a.reuses,
 	}
 	for i, s := range e.shards {
 		s.jMu.Lock()
@@ -303,42 +281,26 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 // topKApproxOn answers the probe from view, which the caller holds: by the
 // time a probe has a.mu another may have moved the index past its view.
 func (e *Engine) topKApproxOn(ctx context.Context, a *annIndex, view *view, u stream.User, n int) ([]core.TopKResult, error) {
+	// The recovery reads only the view and its internally locked caches, as
+	// Engine.TopK does with no lock at all.
 	snap := view.Sk
+	r := snap.RecoverSketch(u)
 	a.mu.Lock()
 	if err := e.annMaintain(a, view); err != nil {
 		a.mu.Unlock()
 		return nil, err
 	}
-	stamp := a.rebands + a.rekeys + a.removals + a.rotations
-	var r *core.Recovered
-	var cands []stream.User
-	if a.haveLast && a.lastUser == u && a.lastGen == view.Gen() && a.lastStamp == stamp {
-		// Repeated probe of the same user against unchanged state: serve
-		// the packed recovered sketch and candidate set from the last call.
-		r, cands = a.lastRec, a.lastCands
-		a.reuses++
-	} else {
-		r = snap.RecoverSketch(u)
-		var err error
-		cands, err = a.ix.Candidates(u, r.Words())
-		if err != nil {
-			a.probes++
-			a.mu.Unlock()
-			return nil, err
-		}
-		a.lastUser, a.lastGen, a.lastStamp = u, view.Gen(), stamp
-		a.lastRec, a.lastCands = r, cands
-		a.haveLast = true
-	}
 	a.probes++
+	cands, err := a.ix.Candidates(u, r.Words())
 	a.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	// A band entry may outlive its user (the reband budget may not have
 	// reached its removal yet): filter zero-cardinality users so a
-	// deleted user never surfaces, whatever the index's staleness. The
-	// filter copies rather than compacting cands in place — cands may be
-	// the cached slice a later probe will read again.
-	live := make([]stream.User, 0, len(cands))
+	// deleted user never surfaces, whatever the index's staleness.
+	live := cands[:0]
 	for _, w := range cands {
 		if snap.Cardinality(w) != 0 {
 			live = append(live, w)

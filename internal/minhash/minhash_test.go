@@ -122,13 +122,6 @@ func TestDeletionBiasExists(t *testing.T) {
 	}
 }
 
-func TestEstimateUnknownUsers(t *testing.T) {
-	s := similarity.NewMinHash(8, 1)
-	if s.EstimateJaccard(5, 6) != 0 {
-		t.Error("unknown users should estimate 0")
-	}
-}
-
 // TestFromSet: the static signature of an item set, the classic
 // (insertion-only) use of the method.
 func TestFromSet(t *testing.T) {
@@ -153,13 +146,4 @@ func TestFromSet(t *testing.T) {
 	if a.EstimateJaccard(0, 0) != 1 {
 		t.Error("self Jaccard should be 1")
 	}
-}
-
-func TestNewPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 should panic")
-		}
-	}()
-	similarity.NewMinHash(0, 1)
 }

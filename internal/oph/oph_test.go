@@ -124,16 +124,6 @@ func TestDeletionBiasExists(t *testing.T) {
 	}
 }
 
-func TestEstimateUnknownUsers(t *testing.T) {
-	s := similarity.NewOPH(8, 1)
-	if s.EstimateJaccard(5, 6) != 0 {
-		t.Error("unknown users should estimate 0")
-	}
-	if s.EstimateCommonItems(5, 6) != 0 {
-		t.Error("unknown users common should be 0")
-	}
-}
-
 func TestCommonItemsIdentity(t *testing.T) {
 	const size, common = 600, 300
 	s := similarity.NewOPH(256, 3)
@@ -142,15 +132,6 @@ func TestCommonItemsIdentity(t *testing.T) {
 	if math.Abs(est-common)/common > 0.25 {
 		t.Errorf("ŝ = %.1f, want ~%d", est, common)
 	}
-}
-
-func TestNewPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 should panic")
-		}
-	}()
-	similarity.NewOPH(0, 1)
 }
 
 func TestDensifiedAccuracySparse(t *testing.T) {

@@ -54,10 +54,6 @@ type View[S any] struct {
 	readers atomic.Int64
 }
 
-// Gen identifies the published state v holds, for callers that memoize
-// work against it.
-func (v *View[S]) Gen() uint64 { return v.gen }
-
 // Release ends the read Acquire began; the caller must not touch the view
 // afterwards.
 func (v *View[S]) Release() { v.readers.Add(-1) }

@@ -90,10 +90,10 @@ func TestPair(t *testing.T) {
 			t.Fatalf("%s: acquired a view at %d, now is %d", at, v.Stamp, src.now)
 		}
 		holds(t, v, at)
-		if v.Gen() < gen {
-			t.Fatalf("%s: generation went back from %d to %d", at, gen, v.Gen())
+		if v.gen < gen {
+			t.Fatalf("%s: generation went back from %d to %d", at, gen, v.gen)
 		}
-		gen = v.Gen()
+		gen = v.gen
 		return v
 	}
 	// refreshed is read after a write: the view must be newly stamped.
@@ -101,8 +101,8 @@ func TestPair(t *testing.T) {
 		t.Helper()
 		before := gen
 		v := read(at)
-		if v.Gen() <= before {
-			t.Fatalf("%s: a refreshed view kept generation %d", at, v.Gen())
+		if v.gen <= before {
+			t.Fatalf("%s: a refreshed view kept generation %d", at, v.gen)
 		}
 		return v
 	}
@@ -115,7 +115,7 @@ func TestPair(t *testing.T) {
 
 	a := read("first")
 	a.Release()
-	if again := read("quiet"); again != a || again.Gen() != a.Gen() {
+	if again := read("quiet"); again != a || again.gen != a.gen {
 		t.Fatal("a current view was not served as it is")
 	} else {
 		again.Release()
@@ -193,8 +193,8 @@ func TestPair(t *testing.T) {
 	if _, err := p.Acquire(ctx, src); !errors.Is(err, src.err) {
 		t.Fatalf("Acquire = %v, want the refresh's error", err)
 	}
-	if got, _ := pub.Sk.MarshalBinary(); pub.Stamp != 60 || pub.Gen() != pubGen || !bytes.Equal(got, want) {
-		t.Fatalf("a failed refresh moved the published view: stamp %d, gen %d → %d", pub.Stamp, pubGen, pub.Gen())
+	if got, _ := pub.Sk.MarshalBinary(); pub.Stamp != 60 || pub.gen != pubGen || !bytes.Equal(got, want) {
+		t.Fatalf("a failed refresh moved the published view: stamp %d, gen %d → %d", pub.Stamp, pubGen, pub.gen)
 	}
 	expect("failed refresh", Stats{RebuildsFirst: 1, Replays: 4, ReplayedEdges: 55, RebuildsBusy: 2})
 	src.err = nil

@@ -182,13 +182,6 @@ func TestEstimateUnbiasedAfterDeletions(t *testing.T) {
 	}
 }
 
-func TestEstimateUnknownUsers(t *testing.T) {
-	s := similarity.NewRP(4, 1)
-	if s.EstimateCommonItems(5, 6) != 0 || s.EstimateJaccard(5, 6) != 0 {
-		t.Error("unknown users should estimate 0")
-	}
-}
-
 func TestJaccardClamped(t *testing.T) {
 	// Tiny k: a single collision makes raw ŝ = n_u·n_v/k ≫ n; Jaccard
 	// must stay in [0, 1].
@@ -224,15 +217,6 @@ func TestDeterministic(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestNewPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 should panic")
-		}
-	}()
-	similarity.NewRP(0, 1)
 }
 
 // checkChiSquare verifies counts are consistent with a uniform draw of

@@ -182,8 +182,8 @@ type StatsReporter interface {
 var ErrQueryUnavailable = engine.ErrQueryUnavailable
 
 // ErrClosed is returned by every SimilarityService method once the backing
-// engine has been closed. It is the same sentinel as ErrEngineClosed, under
-// the name the service layer uses.
+// engine has been closed, and by Engine writes and context-aware queries
+// once Engine.Close has begun.
 var ErrClosed = engine.ErrClosed
 
 // engineService adapts *Engine to SimilarityService. Reads flush first —

@@ -299,8 +299,4 @@ func TestEngineServiceClosed(t *testing.T) {
 			t.Fatalf("%s: Stats after Close: %v", name, err)
 		}
 	}
-	// ErrClosed and the legacy ErrEngineClosed are the same sentinel.
-	if !errors.Is(vos.ErrClosed, vos.ErrEngineClosed) {
-		t.Fatal("ErrClosed and ErrEngineClosed diverged")
-	}
 }
