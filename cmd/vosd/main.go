@@ -73,9 +73,6 @@ func run(args []string, stdout io.Writer) error {
 		dir = fs.String("dir", "", "durability directory (WAL + checkpoints); empty runs memory-only")
 
 		shards     = fs.Int("shards", 0, "ingest shards (0 = GOMAXPROCS)")
-		batchSize  = fs.Int("batch-size", 0, "edges per shard batch (0 = default 256)")
-		queueSize  = fs.Int("queue-size", 0, "per-shard queue capacity in edges (0 = default 8192)")
-		linger     = fs.Duration("flush-interval", 0, "partial-batch linger interval (0 = default 50ms)")
 		cacheUsers = fs.Int("position-cache-users", 0, "position-table cache entries (0 = default 512, negative disables)")
 
 		window  = fs.Duration("window", 0, "sliding-window span: queries cover only the last this-much stream time (0 = retain everything)")
@@ -86,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		annRows         = fs.Int("ann-rows", 0, "LSH rows r per band (0 = default 16; requires -ann)")
 		annRebandBudget = fs.Int("ann-reband-budget", 0, "stale users re-banded per ANN probe (0 = default 16384, negative unbounded; requires -ann)")
 
-		syncMode   = fs.String("sync", "batch", `WAL fsync policy: "batch", "interval", or "off"`)
+		syncMode   = fs.String("sync", "batch", `WAL fsync policy: "batch", "interval", or "off" (requires -dir)`)
 		syncEveryN = fs.Int("sync-every-n", 0, `edges between fsyncs under -sync interval (0 = default 4096; requires -dir)`)
 		segBytes   = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB; requires -dir)")
 		ckptEvery  = fs.Duration("checkpoint-interval", 0, "automatic checkpoint period (0 disables; requires -dir)")
@@ -94,6 +91,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{} // the flags given on the command line, whatever their value
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	skCfg, err := sketch()
 	if err != nil {
@@ -102,9 +101,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg := vos.EngineConfig{
 		Sketch:             skCfg,
 		Shards:             *shards,
-		BatchSize:          *batchSize,
-		QueueSize:          *queueSize,
-		FlushInterval:      *linger,
 		PositionCacheUsers: *cacheUsers,
 	}
 	if *window > 0 {
@@ -120,6 +116,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	} else if *window < 0 {
 		return fmt.Errorf("vosd: -window must not be negative (got %v)", *window)
+	} else if set["buckets"] {
+		return fmt.Errorf("vosd: -buckets requires -window")
 	}
 	if *ann {
 		cfg.ANN = &vos.ANNConfig{Bands: *annBands, Rows: *annRows, RebandBudget: *annRebandBudget}
@@ -141,8 +139,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		cfg.Durability = &d
 		eng, err = vos.OpenEngine(*dir, cfg)
-	} else if *syncEveryN != 0 || *segBytes != 0 || *ckptEvery != 0 {
-		return fmt.Errorf("vosd: -sync-every-n/-segment-bytes/-checkpoint-interval require -dir")
+	} else if set["sync"] || *syncEveryN != 0 || *segBytes != 0 || *ckptEvery != 0 {
+		return fmt.Errorf("vosd: -sync/-sync-every-n/-segment-bytes/-checkpoint-interval require -dir")
 	} else {
 		eng, err = vos.NewEngine(cfg)
 	}

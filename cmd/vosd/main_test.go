@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -306,8 +307,10 @@ func TestVosdSmoke(t *testing.T) {
 }
 
 // TestVosdBadFlags: a flag value the daemon cannot honour fails fast
-// instead of starting a daemon with silent defaults — a durability or index
-// knob without the flag that turns the feature on included.
+// instead of starting a daemon with silent defaults — a durability or window
+// knob without the flag that turns the feature on included. A daemon that
+// takes its flags serves until the test binary exits, so a row that is not
+// refused within the timeout has been accepted.
 func TestVosdBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -318,13 +321,22 @@ func TestVosdBadFlags(t *testing.T) {
 		{"negative -window", []string{"-window", "-1s"}},
 		{"-buckets 0 with -window", []string{"-window", "1m", "-buckets", "0"}},
 		{"-window not divisible by -buckets", []string{"-window", "1s", "-buckets", "7"}},
+		{"-buckets without -window", []string{"-buckets", "7"}},
 		{"-ann-bands without -ann", []string{"-ann-bands", "32"}},
 		{"-checkpoint-interval without -dir", []string{"-checkpoint-interval", "30s"}},
 		{"-sync-every-n without -dir", []string{"-sync", "interval", "-sync-every-n", "100"}},
 		{"-segment-bytes without -dir", []string{"-segment-bytes", "1048576"}},
+		{"-sync without -dir", []string{"-sync", "off"}},
 	} {
-		if err := run(tc.args, &strings.Builder{}); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		done := make(chan error, 1)
+		go func() { done <- run(append([]string{"-listen", "127.0.0.1:0"}, tc.args...), io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s accepted", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s accepted: the daemon is serving", tc.name)
 		}
 	}
 }

@@ -74,13 +74,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vosgw", flag.ExitOnError)
 	shell := daemon.AddFlags(fs, "127.0.0.1:8070")
 	var (
-		ringPath = fs.String("ring", "", "path to the ring document (shard→node table, JSON; required)")
-		manifest = fs.String("manifest", "", "path where cluster checkpoints record their manifest (empty disables)")
-
-		batchSize    = fs.Int("backend-batch-size", 0, "edges per backend ingest batch (0 = default 256)")
-		maxRetries   = fs.Int("backend-max-retries", 0, "read retries per backend after transport errors/5xx (0 = default 2, negative disables)")
-		retryBackoff = fs.Duration("backend-retry-backoff", 0, "first backend retry delay, doubled per retry (0 = default 50ms)")
-		backendTO    = fs.Duration("backend-timeout", 30*time.Second, "per-backend HTTP request timeout")
+		ringPath  = fs.String("ring", "", "path to the ring document (shard→node table, JSON; required)")
+		manifest  = fs.String("manifest", "", "path where cluster checkpoints record their manifest (empty disables)")
+		backendTO = fs.Duration("backend-timeout", 30*time.Second, "per-backend HTTP request timeout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,12 +87,7 @@ func run(args []string, stdout io.Writer) error {
 
 	gw, err := cluster.Open(*ringPath, cluster.Options{
 		ManifestPath: *manifest,
-		Client: client.Options{
-			HTTPClient:   &http.Client{Timeout: *backendTO},
-			BatchSize:    *batchSize,
-			MaxRetries:   *maxRetries,
-			RetryBackoff: *retryBackoff,
-		},
+		Client:       client.Options{HTTPClient: &http.Client{Timeout: *backendTO}},
 	})
 	if err != nil {
 		return fmt.Errorf("vosgw: %w", err)

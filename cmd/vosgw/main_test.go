@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -400,5 +401,34 @@ func TestVosgwBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-listen", "127.0.0.1:0", "-ring", bad}, &strings.Builder{}); err == nil {
 		t.Fatal("invalid ring document accepted")
+	}
+}
+
+// TestReadmeNamesEveryFlag: every flag vosd and vosgw parse — read from
+// their -h output, not from a list kept beside them — is named in the
+// README, so an operator never meets a flag the documentation is silent on.
+func TestReadmeNamesEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct{ pkg, name string }{
+		{"github.com/vossketch/vos/cmd/vosd", "vosd"},
+		{".", "vosgw"},
+	} {
+		usage, err := exec.Command(buildBinary(t, b.pkg, b.name), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", b.name, err, usage)
+		}
+		flags := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllSubmatch(usage, -1)
+		if len(flags) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", b.name, usage)
+		}
+		for _, f := range flags {
+			named := regexp.MustCompile(`(?m)(^|[^\w-])-` + regexp.QuoteMeta(string(f[1])) + `([^\w-]|$)`)
+			if !named.Match(readme) {
+				t.Errorf("README never names %s's -%s", b.name, f[1])
+			}
+		}
 	}
 }

@@ -29,13 +29,13 @@ import (
 type Engine = engine.Engine
 
 // EngineConfig parameterises an Engine: the per-shard sketch Config plus
-// shard count, batch size, queue capacity, linger interval, and the
-// position-cache size. Zero values select defaults (Shards = GOMAXPROCS,
-// BatchSize = 256, QueueSize = 8192 edges, FlushInterval = 50ms,
-// PositionCacheUsers = 512; set PositionCacheUsers negative to disable
-// position caching). Setting Window puts the engine in sliding-window
-// mode (see WindowConfig); setting Durability makes it durable (see
-// DurabilityConfig) — the two compose.
+// shard count, batch size, linger interval, and the position-cache size.
+// Zero values select defaults (Shards = GOMAXPROCS, BatchSize = 256,
+// FlushInterval = 50ms, PositionCacheUsers = 512; set PositionCacheUsers
+// negative to disable position caching). Each shard queues up to 8,192
+// edges, rounded up to whole batches, before Process blocks. Setting Window
+// puts the engine in sliding-window mode (see WindowConfig); setting
+// Durability makes it durable (see DurabilityConfig) — the two compose.
 type EngineConfig = engine.Config
 
 // PositionCacheStats is a counter snapshot (hits, misses, evictions, fill)

@@ -87,11 +87,6 @@ type Config struct {
 	// residue. Default: 256.
 	BatchSize int
 
-	// QueueSize is the per-shard ingest queue capacity in edges (rounded
-	// up to whole batches). When a shard's queue is full, Process blocks —
-	// backpressure, not loss. Default: 8192.
-	QueueSize int
-
 	// FlushInterval bounds how long a partially filled producer batch can
 	// sit unapplied on an idle stream: a background ticker hands partial
 	// batches to the workers this often. Negative disables the ticker
@@ -128,9 +123,14 @@ type Config struct {
 	// ANN, when non-nil, maintains a banded-LSH index over recovered
 	// sketches so TopKApprox can answer candidates-free top-K probes
 	// without scanning every user (see ann.go). Zero fields select
-	// defaults; the resolved copy is visible via Config().
+	// defaults.
 	ANN *ANNConfig
 }
+
+// queueEdges is the per-shard ingest queue capacity in edges, rounded up to
+// whole batches. When a shard's queue is full, Process blocks —
+// backpressure, not loss.
+const queueEdges = 8192
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
@@ -139,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 8192
 	}
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 50 * time.Millisecond
@@ -323,7 +320,7 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 	if err := validateWindow(cfg.Window); err != nil {
 		return nil, err
 	}
-	batches := (cfg.QueueSize + cfg.BatchSize - 1) / cfg.BatchSize
+	batches := (queueEdges + cfg.BatchSize - 1) / cfg.BatchSize
 	e := &Engine{
 		cfg:        cfg,
 		shards:     make([]*shard, cfg.Shards),
@@ -409,9 +406,6 @@ func MustNew(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Config returns the resolved engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Closed reports whether Close has begun. Once true, writes and the
 // context-aware query methods return ErrClosed.
@@ -518,7 +512,7 @@ var atCut func()
 // pending: they are copied onto the pending batch — the group's memory is not
 // kept — and each batch they fill goes to the worker at once (blocking when
 // the queue is full: backpressure). Every batch is exactly BatchSize edges,
-// so the queue's capacity in edges really is bounded by Config.QueueSize
+// so the queue's capacity in edges really is bounded by queueEdges
 // (rounded up to whole batches) however large the slices passed to
 // ProcessBatch are; the residue stays pending (always shorter than one batch
 // at rest). A batch is sent inside the pendMu section that cut it, so batches

@@ -132,7 +132,7 @@ func TestShardingMatchesPartitionByUser(t *testing.T) {
 func TestConcurrentProducersAndQueries(t *testing.T) {
 	cfg := testConfig()
 	edges := feasibleStream(24_000, 150, 0.25, 9)
-	e := MustNew(Config{Sketch: cfg, Shards: 3, BatchSize: 32, QueueSize: 256})
+	e := MustNew(Config{Sketch: cfg, Shards: 3, BatchSize: 32})
 	defer e.Close()
 
 	const producers = 4
@@ -264,13 +264,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 // TestBatchCarving pins the queue-bound contract: no matter how large the
 // slice handed to ProcessBatch, channel batches are exactly BatchSize
-// edges and the pending residue stays below one batch — so QueueSize
-// (rounded to whole batches) really bounds the edges buffered per shard.
+// edges and the pending residue stays below one batch — so the queue's
+// capacity (rounded to whole batches) really bounds the edges buffered per
+// shard.
 func TestBatchCarving(t *testing.T) {
 	const batch = 4
 	e := MustNew(Config{
 		Sketch: testConfig(), Shards: 1,
-		BatchSize: batch, QueueSize: 64, FlushInterval: -1,
+		BatchSize: batch, FlushInterval: -1,
 	})
 	defer e.Close()
 	edges := make([]stream.Edge, 10)

@@ -74,7 +74,6 @@ func TestJournalReaderNeverSeesAReusedBatch(t *testing.T) {
 		Sketch:    core.Config{MemoryBits: 1 << 15, SketchBits: 256, Seed: 7}, // journalMax = 32 edges
 		Shards:    2,
 		BatchSize: 16,
-		QueueSize: 64,
 		ANN:       &ANNConfig{Bands: 16, Rows: 8},
 	}
 	e := MustNew(cfg)

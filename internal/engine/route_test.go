@@ -323,7 +323,7 @@ func TestRouteShortResidueLeavesItsBatchBehind(t *testing.T) {
 // off, so nothing but Flush hands a residue over: a target cut ahead of what
 // is pending would leave Flush waiting for edges nobody is going to send.
 func TestFlushUnderProducers(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 32, QueueSize: 256, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 32, FlushInterval: -1})
 	defer e.Close()
 	edges := feasibleStream(40_000, 300, 0.25, 17)
 

@@ -3,55 +3,11 @@
 package minhash_test
 
 import (
-	"math"
 	"testing"
 
-	"github.com/vossketch/vos/internal/gen"
 	"github.com/vossketch/vos/internal/similarity"
 	"github.com/vossketch/vos/internal/stream"
 )
-
-func process(s *similarity.MinHash, edges []stream.Edge) {
-	for _, e := range edges {
-		s.Process(e)
-	}
-}
-
-func TestStaticJaccardAccuracy(t *testing.T) {
-	// Insertion-only streams: MinHash is unbiased. Average over seeds.
-	const (
-		trials = 25
-		k      = 256
-		size   = 400
-	)
-	for _, wantJ := range []float64{0.1, 0.5, 0.9} {
-		common := gen.PlantedJaccard(size, wantJ)
-		trueJ := float64(common) / float64(2*size-common)
-		sum := 0.0
-		for trial := 0; trial < trials; trial++ {
-			s := similarity.NewMinHash(k, uint64(trial))
-			process(s, gen.PlantedPair(1, 2, size, size, common, int64(trial)))
-			sum += s.EstimateJaccard(1, 2)
-		}
-		avg := sum / trials
-		if math.Abs(avg-trueJ) > 0.04 {
-			t.Errorf("J=%.2f: mean estimate %.3f", trueJ, avg)
-		}
-	}
-}
-
-func TestCommonItemsIdentity(t *testing.T) {
-	const size, common = 300, 150
-	s := similarity.NewMinHash(512, 3)
-	process(s, gen.PlantedPair(1, 2, size, size, common, 5))
-	est := s.EstimateCommonItems(1, 2)
-	if math.Abs(est-common)/common > 0.25 {
-		t.Errorf("ŝ = %.1f, want ~%d", est, common)
-	}
-	if s.Cardinality(1) != size || s.Cardinality(2) != size {
-		t.Error("cardinality tracking wrong")
-	}
-}
 
 func TestDeletionEmptiesRegister(t *testing.T) {
 	s := similarity.NewMinHash(16, 1)
