@@ -141,23 +141,30 @@ func (v *VOS) gatherXor(dst, ows []uint64, u stream.User) uint64 {
 
 // QueryRecovered estimates the similarity between a recovered snapshot of
 // user u and user w, equivalent to Query(u, w) against the sketch state at
-// recovery time. When w's recovered sketch is cached at the current
-// write version the comparison is a pure XOR+popcount over ~k/64 words —
-// no hashing, no array probes; otherwise w's bits are gathered (and
-// cached), fused with the XOR 64 virtual slots at a time.
+// recovery time.
 func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
+	z, nw := v.score(r, w)
+	return v.estimateFrom(z, r.card, nw, r.load)
+}
+
+// score returns the number of slots where w's recovered bits differ from
+// r's, and w's cardinality: what an estimate of the pair is built from.
+// When w's recovered sketch is cached at the current write version the
+// count is a pure XOR+popcount over ~k/64 words — no hashing, no array
+// probes; otherwise w's bits are gathered (and cached), fused with the XOR
+// 64 virtual slots at a time.
+func (v *VOS) score(r *Recovered, w stream.User) (z int, nw int64) {
 	if v.rec != nil {
 		// Hot path: compare the packed snapshots word for word, straight
 		// off the cached slice — no gather, no allocation, no recount.
 		if ws, _, ok := v.rec.GetVersioned(w, v.version); ok {
-			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card.get(w), r.load)
+			return int(r.bits.XorCountWords(ws)), v.card.get(w)
 		}
 		// Miss: materialise w's bits (rather than fusing the XOR into the
 		// gather) so the cache warms and the next pass runs probe-free.
 		bits := v.gatherBits(w)
 		v.rec.PutVersioned(w, v.version, bits.UnsafeWords(), bits.Count())
-		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card.get(w), r.load)
+		return int(r.bits.XorCount(bits)), v.card.get(w)
 	}
-	z := v.gatherXor(nil, r.bits.UnsafeWords(), w)
-	return v.estimateFrom(int(z), r.card, v.card.get(w), r.load)
+	return int(v.gatherXor(nil, r.bits.UnsafeWords(), w)), v.card.get(w)
 }

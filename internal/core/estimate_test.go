@@ -90,3 +90,28 @@ func sameEstimate(a, b Estimate) bool {
 	}
 	return a.CardinalityU == b.CardinalityU && a.CardinalityV == b.CardinalityV && a.Saturated == b.Saturated
 }
+
+// TestLogAlphaTable pins the table estimateFrom reads ln|1−2α| from to the
+// expression it replaces, for every z a sketch of k slots can count, and
+// the clamp to the one z where estimateFrom reports it: 2z = k.
+func TestLogAlphaTable(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 4, 63, 64, 1600, 6400} {
+		v := MustNew(Config{MemoryBits: 1 << 16, SketchBits: k})
+		if len(v.lnA.ln) != k+1 {
+			t.Fatalf("k=%d: %d entries, want %d", k, len(v.lnA.ln), k+1)
+		}
+		kf := float64(k)
+		for z := 0; z <= k; z++ {
+			abs := math.Abs(1 - 2*(float64(z)/kf))
+			if clamped := abs < 1/(2*kf); clamped != (2*z == k) {
+				t.Fatalf("k=%d z=%d: clamp %v, want it exactly where 2z = k", k, z, clamped)
+			}
+			if want := math.Log(max(abs, 1/(2*kf))); math.Float64bits(v.lnA.ln[z]) != math.Float64bits(want) {
+				t.Fatalf("k=%d z=%d: table %v, want %v", k, z, v.lnA.ln[z], want)
+			}
+		}
+		if w := MustNew(Config{MemoryBits: 1 << 20, SketchBits: k, Seed: 5}); w.lnA != v.lnA {
+			t.Errorf("k=%d: two live sketches hold two tables", k)
+		}
+	}
+}

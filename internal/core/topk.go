@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,30 +24,45 @@ type TopKResult struct {
 // top-K answer is the same whichever participant of the fan-out scored
 // which candidate, and why callers can check a ranking against it.
 func RankBefore(a, b TopKResult) bool {
-	if a.Estimate.Jaccard != b.Estimate.Jaccard {
-		return a.Estimate.Jaccard > b.Estimate.Jaccard
-	}
-	return a.User < b.User
+	return rank(ranked{jac: a.Estimate.Jaccard, user: a.User}, ranked{jac: b.Estimate.Jaccard, user: b.User}) < 0
 }
 
-// better is RankBefore under the short name the heap reads naturally.
-func better(a, b TopKResult) bool { return RankBefore(a, b) }
+// ranked is one scored candidate as a scan's heaps hold it: Ĵ, which ranks
+// it, and the z and n_w its full Estimate is built from should it be among
+// the n kept — 32 bytes where a TopKResult is 80, and no estimate built for
+// a candidate that loses.
+type ranked struct {
+	jac  float64
+	user stream.User
+	z    int
+	card int64
+}
 
-// topHeap is a bounded min-heap of TopKResult keyed by better: the root is
-// the worst retained result, so offering a stream of candidates keeps the
-// best n seen in O(len · log n) with no full sort or per-candidate
-// allocation.
+// rank is RankBefore's order over records: negative when a outranks b.
+func rank(a, b ranked) int {
+	switch {
+	case a.jac > b.jac, a.jac == b.jac && a.user < b.user:
+		return -1
+	case a.jac == b.jac && a.user == b.user:
+		return 0
+	}
+	return 1
+}
+
+// topHeap is a bounded min-heap of ranked records: the root is the worst
+// retained one, so offering a stream of candidates keeps the best n seen
+// in O(len · log n) with no full sort or per-candidate allocation.
 type topHeap struct {
 	n  int
-	xs []TopKResult
+	xs []ranked
 }
 
 func newTopHeap(n int) *topHeap {
-	return &topHeap{n: n, xs: make([]TopKResult, 0, n)}
+	return &topHeap{n: n, xs: make([]ranked, 0, n)}
 }
 
-// offer considers one candidate result.
-func (h *topHeap) offer(r TopKResult) {
+// offer considers one candidate.
+func (h *topHeap) offer(r ranked) {
 	if h.n <= 0 {
 		return
 	}
@@ -56,7 +71,7 @@ func (h *topHeap) offer(r TopKResult) {
 		h.siftUp(len(h.xs) - 1)
 		return
 	}
-	if !better(r, h.xs[0]) {
+	if rank(r, h.xs[0]) >= 0 {
 		return
 	}
 	h.xs[0] = r
@@ -66,8 +81,8 @@ func (h *topHeap) offer(r TopKResult) {
 func (h *topHeap) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		// Min-heap on better: the parent must be no better than the child.
-		if !better(h.xs[p], h.xs[i]) {
+		// Min-heap on rank: the parent must be no better than the child.
+		if rank(h.xs[p], h.xs[i]) >= 0 {
 			return
 		}
 		h.xs[p], h.xs[i] = h.xs[i], h.xs[p]
@@ -78,10 +93,10 @@ func (h *topHeap) siftUp(i int) {
 func (h *topHeap) siftDown(i int) {
 	for {
 		worst := i
-		if l := 2*i + 1; l < len(h.xs) && better(h.xs[worst], h.xs[l]) {
+		if l := 2*i + 1; l < len(h.xs) && rank(h.xs[worst], h.xs[l]) < 0 {
 			worst = l
 		}
-		if r := 2*i + 2; r < len(h.xs) && better(h.xs[worst], h.xs[r]) {
+		if r := 2*i + 2; r < len(h.xs) && rank(h.xs[worst], h.xs[r]) < 0 {
 			worst = r
 		}
 		if worst == i {
@@ -92,10 +107,15 @@ func (h *topHeap) siftDown(i int) {
 	}
 }
 
-// sorted consumes the heap and returns its contents best-first.
-func (h *topHeap) sorted() []TopKResult {
-	sort.Slice(h.xs, func(i, j int) bool { return better(h.xs[i], h.xs[j]) })
-	return h.xs
+// results consumes the heap and returns its records best-first, each with
+// the full estimate against r.
+func (v *VOS) results(h *topHeap, r *Recovered) []TopKResult {
+	slices.SortFunc(h.xs, rank)
+	out := make([]TopKResult, len(h.xs))
+	for i, x := range h.xs {
+		out[i] = TopKResult{User: x.user, Estimate: v.estimateFrom(x.z, r.card, x.card, r.load)}
+	}
+	return out
 }
 
 // TopK returns the n candidates most similar to u — highest estimated
@@ -133,11 +153,11 @@ const cancelCheckStride = 256
 // time, and starts helpers only where every participant is owed at least
 // fanOutShare — less than that and the helper's start-up and the cores it
 // takes from the next reader cost more than it saves. Candidates that
-// average under fanOutMinCost are cache hits, most of whose time is spent
-// under the recovered-sketch cache's lock: a second core only contends for
-// it, so they stay with the caller however many there are. Participants
-// claim fanOutChunk candidates at a time from one shared cursor, so a slow
-// or late participant holds back at most one chunk.
+// average under fanOutMinCost are cache hits, about half of whose time is
+// the recovered-sketch cache's lock and lookup: a second core only
+// contends for it, so they stay with the caller however many there are.
+// Participants claim fanOutChunk candidates at a time from one shared
+// cursor, so a slow or late participant holds back at most one chunk.
 const (
 	fanOutSample  = 4
 	fanOutShare   = 100 * time.Microsecond
@@ -177,7 +197,7 @@ func (v *VOS) TopKRecoveredContext(ctx context.Context, r *Recovered, candidates
 	}
 	h := newTopHeap(n)
 	if n == 0 {
-		return h.sorted(), nil
+		return v.results(h, r), nil
 	}
 	done := ctx.Done()
 	if stopped(done) {
@@ -198,7 +218,7 @@ func (v *VOS) TopKRecoveredContext(ctx context.Context, r *Recovered, candidates
 		}
 		v.offerAll(h, r, candidates[lo:min(lo+cancelCheckStride, len(candidates))])
 	}
-	return h.sorted(), nil
+	return v.results(h, r), nil
 }
 
 // fanOutHelpers is how many helpers the rest candidates pay for, given that
@@ -216,11 +236,15 @@ func fanOutHelpers(elapsed time.Duration, sampled, rest, procs int) int {
 	return max(0, min(procs-1, int(per*time.Duration(rest)/fanOutShare)-1))
 }
 
-// offerAll scores every candidate but the probe into h.
+// offerAll scores every candidate but the probe into h, taking each one's
+// Ĵ alone: the estimates are built for the winners only (results).
 func (v *VOS) offerAll(h *topHeap, r *Recovered, candidates []stream.User) {
+	k := float64(v.cfg.SketchBits)
 	for _, w := range candidates {
 		if w != r.user {
-			h.offer(TopKResult{User: w, Estimate: v.QueryRecovered(r, w)})
+			z, nw := v.score(r, w)
+			_, _, jac := jaccardFrom(k, v.logTerm(z, r.load), r.card, nw)
+			h.offer(ranked{jac: jac, user: w, z: z, card: nw})
 		}
 	}
 }
@@ -290,7 +314,7 @@ func (v *VOS) fanOut(ctx context.Context, h *topHeap, r *Recovered, candidates [
 			}
 		}
 	}
-	return h.sorted(), nil
+	return v.results(h, r), nil
 }
 
 // help is helper i's whole life. One that starts after the cursor ran out

@@ -10,9 +10,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/cpu"
+	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/poscache"
 	"github.com/vossketch/vos/internal/stream"
 )
+
+// better is the top-K order written out on its own, so that the reference
+// rankings the tests sort with do not share the code they check: higher
+// Ĵ first, ties broken by smaller user ID.
+func better(a, b TopKResult) bool {
+	if a.Estimate.Jaccard != b.Estimate.Jaccard {
+		return a.Estimate.Jaccard > b.Estimate.Jaccard
+	}
+	return a.User < b.User
+}
 
 // withFanOut runs fn with every helper GOMAXPROCS allows forced on.
 func withFanOut(procs int, fn func()) {
@@ -190,4 +202,74 @@ func TestTopKHelpersNeverOutliveTheCall(t *testing.T) {
 			t.Fatalf("pre-cancelled scan left %d goroutines, %d before", g, base)
 		}
 	})
+}
+
+// TestTopKHitPathMatchesReference pins the scan that ranks by Ĵ alone and
+// builds estimates for the winners only to per-pair scalar queries and a
+// full sort, bit for bit: scans whose candidates all hit the
+// recovered-sketch cache, all miss it, or alternate, with the probe among
+// the candidates, for n from none to more than there are, sequential and
+// fanned out, on the dispatched kernels and on their Go loops alone.
+func TestTopKHitPathMatchesReference(t *testing.T) {
+	t.Run("dispatched", testTopKHitPathMatchesReference)
+	defer cpu.GoLoopsOnly()()
+	t.Run("go", testTopKHitPathMatchesReference)
+}
+
+func testTopKHitPathMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{MemoryBits: 1 << 16, SketchBits: 200, Seed: 9},
+		{MemoryBits: 100_003, SketchBits: 64, Seed: 9, Family: hashing.KindFast},
+	} {
+		v, users := materializedWorkload(t, cfg)
+		probe := users[3]
+		// The users with data, the probe among them, and a few past them,
+		// whose cardinality is zero.
+		cands := append(append([]stream.User{}, users...), 80, 81, 82)
+		ns := []int{0, 1, 10, len(cands) + 5}
+		want := make([][]TopKResult, len(ns))
+		for i, n := range ns {
+			want[i] = topKReference(v, probe, cands, n)
+		}
+		states := []struct {
+			name string
+			warm int // every warm-th candidate is cached before the scan; 0: none
+		}{{"all-hit", 1}, {"all-cold", 0}, {"mixed", 2}}
+		for _, fan := range []bool{false, true} {
+			for _, st := range states {
+				name := fmt.Sprintf("k=%d/fanout=%v/%s", cfg.SketchBits, fan, st.name)
+				t.Run(name, func(t *testing.T) {
+					run := func() {
+						for i, n := range ns {
+							v.SetRecoveredCacheCapacity(0)
+							r := v.RecoverSketch(probe)
+							for j := 0; st.warm > 0 && j < len(cands); j += st.warm {
+								v.RecoverSketch(cands[j])
+							}
+							before, _ := v.RecoveredCacheStats()
+							got := v.TopKRecovered(r, cands, n)
+							after, _ := v.RecoveredCacheStats()
+							if st.warm == 1 && n > 0 && after.Misses != before.Misses {
+								t.Fatalf("n=%d: %d misses in an all-hit scan", n, after.Misses-before.Misses)
+							}
+							if len(got) != len(want[i]) {
+								t.Fatalf("n=%d: %d results, want %d", n, len(got), len(want[i]))
+							}
+							for j, w := range want[i] {
+								if got[j].User != w.User || !sameEstimate(got[j].Estimate, w.Estimate) {
+									t.Fatalf("n=%d rank %d: got {%d %+v}, want {%d %+v}",
+										n, j, got[j].User, got[j].Estimate, w.User, w.Estimate)
+								}
+							}
+						}
+					}
+					if fan {
+						withFanOut(4, run)
+					} else {
+						run()
+					}
+				})
+			}
+		}
+	}
 }

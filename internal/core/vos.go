@@ -28,6 +28,7 @@ import (
 	"math"
 	"sync"
 	"unsafe"
+	"weak"
 
 	"github.com/vossketch/vos/internal/bitset"
 	"github.com/vossketch/vos/internal/hashing"
@@ -109,6 +110,9 @@ type VOS struct {
 	slots  *hashing.Family     // KindClassic: f_1 … f_k, one member per virtual slot
 	fslots *hashing.FastFamily // KindFast: one strong hash + splitmix64 expansion
 	card   counters            // n_u for every user with live state; holds no zero
+	// lnA.ln[z] is ln|1−2α| at α = z/k, the logarithm every estimate
+	// takes (see lnAlpha); sketches of one k share the table.
+	lnA *alphaLogs
 
 	// pos optionally caches per-user position tables (see Positions).
 	// nil means positions are recomputed per call. The cache is
@@ -147,6 +151,7 @@ func New(cfg Config) (*VOS, error) {
 		cfg:  cfg,
 		arr:  bitset.New(cfg.MemoryBits),
 		card: newCounters(counterSeed),
+		lnA:  lnAlpha(cfg.SketchBits),
 		rec:  poscache.New(DefaultRecoveredCacheEntries),
 	}
 	if cfg.Family == hashing.KindFast {
@@ -394,9 +399,9 @@ func (v *VOS) QueryPerBit(u, w stream.User) Estimate {
 	return v.estimateFrom(v.xorOnes(u, w), v.card.get(u), v.card.get(w), v.loadAt(v.Beta()))
 }
 
-// load is the array load β with 2·ln|1−2β|, |1−2β| clamped as estimateFrom
-// says (clamped then true): a recovery takes that logarithm once for every
-// candidate it is scored against.
+// load is the array load β with 2·ln|1−2β|, |1−2β| clamped a half-step
+// above zero as lnAlpha clamps |1−2α| (clamped then true): a recovery takes
+// that logarithm once for every candidate it is scored against.
 type load struct {
 	beta, log2 float64
 	clamped    bool
@@ -413,35 +418,76 @@ func (v *VOS) loadAt(beta float64) load {
 	return l
 }
 
+// alphaLogs holds ln|1−2α| for each α = z/k, z = 0 … k: the differing-slot
+// count takes only those k+1 values, so no estimate takes a logarithm of
+// its own.
+type alphaLogs struct{ ln []float64 }
+
+// alphaTables maps k to a weak.Pointer[alphaLogs]: sketches of one k share
+// a table while any of them lives, and a k that no sketch uses any more
+// costs an entry, not a table (the fuzzers build sketches of thousands of
+// k).
+var alphaTables sync.Map
+
+// lnAlpha returns the table of k, building it if no live sketch holds one.
+// |1−2α| enters a logarithm, so it is clamped a half-step above zero (the
+// resolution of the count) to keep estimates finite; over integer z that
+// clamp fires exactly where 2z = k, which is how estimateFrom reads it.
+func lnAlpha(k int) *alphaLogs {
+	if p, ok := alphaTables.Load(k); ok {
+		if t := p.(weak.Pointer[alphaLogs]).Value(); t != nil {
+			return t
+		}
+	}
+	t := &alphaLogs{ln: make([]float64, k+1)}
+	kf := float64(k)
+	for z := range t.ln {
+		alpha := float64(z) / kf
+		absA := math.Abs(1 - 2*alpha)
+		if absA < 1/(2*kf) {
+			absA = 1 / (2 * kf)
+		}
+		t.ln[z] = math.Log(absA)
+	}
+	alphaTables.Store(k, weak.Make(t))
+	return t
+}
+
+// logTerm is ln|1−2α| − 2·ln|1−2β|, the term both estimates share: the
+// first logarithm from the table, the second taken with the load.
+func (v *VOS) logTerm(z int, l load) float64 { return v.lnA.ln[z] - l.log2 }
+
 // estimateFrom computes the full Estimate from the differing-slot count z,
 // the two cardinalities, and the array load — the §IV estimator chain
 // shared by Query and the batch path.
 func (v *VOS) estimateFrom(z int, nu, nv int64, l load) Estimate {
 	k := float64(v.cfg.SketchBits)
-	alpha := float64(z) / k
-
-	// |1−2α| and |1−2β| (loadAt) enter logarithms; clamp them a half-step
-	// above zero (the resolution of the underlying counts) so estimates stay
-	// finite. The paper's ŝ expression already takes absolute values.
-	saturated := l.clamped
-	absA := math.Abs(1 - 2*alpha)
-	if absA < 1/(2*k) {
-		absA = 1 / (2 * k)
-		saturated = true
-	}
-
-	// Both estimates share ln|1−2α| − 2·ln|1−2β|: one logarithm here, the
-	// other taken with the load.
-	logs := math.Log(absA) - l.log2
+	logs := v.logTerm(z, l)
 	// n̂Δ = −k·(ln(1−2α) − 2·ln(1−2β)) / 2
 	nDelta := -k * logs / 2
 	if nDelta < 0 {
 		nDelta = 0
 	}
-	// ŝ = (n_u+n_v)/2 + k·(ln|1−2α| − 2·ln|1−2β|)/4
-	common := float64(nu+nv)/2 + k*logs/4
+	common, clamped, jac := jaccardFrom(k, logs, nu, nv)
+	return Estimate{
+		Common:              common,
+		CommonClamped:       clamped,
+		Jaccard:             jac,
+		SymmetricDifference: nDelta,
+		Alpha:               float64(z) / k,
+		Beta:                l.beta,
+		CardinalityU:        nu,
+		CardinalityV:        nv,
+		Saturated:           l.clamped || 2*z == v.cfg.SketchBits,
+	}
+}
 
-	clamped := common
+// jaccardFrom is ŝ, ŝ clamped to [0, min(n_u, n_v)], and Ĵ from the shared
+// logarithm term: all a top-K scan needs to rank a candidate.
+func jaccardFrom(k, logs float64, nu, nv int64) (common, clamped, jac float64) {
+	// ŝ = (n_u+n_v)/2 + k·(ln|1−2α| − 2·ln|1−2β|)/4
+	common = float64(nu+nv)/2 + k*logs/4
+	clamped = common
 	maxCommon := float64(nu)
 	if nv < nu {
 		maxCommon = float64(nv)
@@ -452,7 +498,6 @@ func (v *VOS) estimateFrom(z int, nu, nv int64, l load) Estimate {
 	if clamped > maxCommon {
 		clamped = maxCommon
 	}
-	jac := 0.0
 	if union := float64(nu+nv) - clamped; union > 0 {
 		jac = clamped / union
 	}
@@ -461,18 +506,7 @@ func (v *VOS) estimateFrom(z int, nu, nv int64, l load) Estimate {
 	} else if jac > 1 {
 		jac = 1
 	}
-
-	return Estimate{
-		Common:              common,
-		CommonClamped:       clamped,
-		Jaccard:             jac,
-		SymmetricDifference: nDelta,
-		Alpha:               alpha,
-		Beta:                l.beta,
-		CardinalityU:        nu,
-		CardinalityV:        nv,
-		Saturated:           saturated,
-	}
+	return common, clamped, jac
 }
 
 // EstimateCommonItems returns ŝ_uv (unclamped, the paper's estimator).

@@ -1,5 +1,5 @@
 // Package poscache caches per-user []uint64 tables for the materialized
-// VOS query path. It serves two table kinds with one LRU implementation:
+// VOS query path. It serves two table kinds with one CLOCK implementation:
 //
 //   - Position tables (Get/Put): a user's array positions f_1(u) … f_k(u)
 //     depend only on the user key, the sketch seed, and the array length m
