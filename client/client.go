@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/server"
 )
@@ -75,19 +76,18 @@ type Options struct {
 	// — the same knob as EngineConfig.BatchSize, one wire round-trip per
 	// batch. Default 256.
 	BatchSize int
-	// Linger bounds how long a partial batch sits unsent on an idle
-	// stream: a background ticker flushes this often. Negative disables
-	// the ticker (then only full batches, Flush, and Close ship edges).
+	// Linger bounds how long, on Clock, a partial batch sits unsent on an
+	// idle stream: a background goroutine flushes this often. Negative
+	// disables it (then only full batches, Flush, and Close ship edges).
 	// Default 50ms.
 	Linger time.Duration
 	// MaxRetries is how many times idempotent reads are retried after a
 	// transport error or 5xx (so MaxRetries+1 attempts total). Writes are
 	// never retried — replaying an XOR toggle would corrupt parity.
-	// Default 2; negative disables retries.
+	// Default 2; negative disables retries. Backoff: 50ms, then doubling.
 	MaxRetries int
-	// RetryBackoff is the first retry's delay; each subsequent retry
-	// doubles it. Default 50ms.
-	RetryBackoff time.Duration
+	// Clock times the linger and the backoff. Default: clock.Wall.
+	Clock clock.Clock
 }
 
 func (o Options) withDefaults() Options {
@@ -105,15 +105,15 @@ func (o Options) withDefaults() Options {
 	} else if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
+	if o.Clock == nil {
+		o.Clock = clock.Wall
 	}
 	return o
 }
 
 // Client implements vos.SimilarityService (and vos.Checkpointer) over the
 // /v1/ HTTP API. Safe for concurrent use. Close when done so buffered
-// edges are shipped and the linger ticker stops.
+// edges are shipped and the linger stops.
 type Client struct {
 	base string
 	opt  Options
@@ -159,18 +159,16 @@ func New(baseURL string, opt Options) *Client {
 	return c
 }
 
-// linger ships partial batches in the background, mirroring the engine's
-// producer ticker. Errors are parked in pendErr and surfaced by the next
-// Ingest or Flush — a background goroutine has nobody to return to.
+// linger ships partial batches every Options.Linger of Options.Clock, as
+// the engine's linger does. Errors are parked in pendErr and surfaced by
+// the next Ingest or Flush — a background goroutine has nobody to return to.
 func (c *Client) linger() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.opt.Linger)
-	defer t.Stop()
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-t.C:
+		case <-c.opt.Clock.After(c.opt.Linger):
 			c.flushMu.Lock()
 			if err := c.flushLocked(context.Background()); err != nil {
 				c.mu.Lock()
@@ -187,7 +185,7 @@ func (c *Client) linger() {
 // Ingest implements vos.SimilarityService: every full BatchSize chunk is
 // shipped synchronously and the residue waits in the pending buffer. A nil
 // return means shipped batches were accepted by the server; a trailing
-// partial batch may still be buffered (the linger ticker or Flush ships
+// partial batch may still be buffered (the linger or Flush ships
 // it). On a ship failure, only the batch that was actually attempted is in
 // an ambiguous state (and is not resent — see ship); every batch not yet
 // attempted goes back into the pending buffer, so one transport failure
@@ -338,7 +336,7 @@ func (c *Client) flushLocked(ctx context.Context) error {
 	return err
 }
 
-// Close flushes buffered edges and stops the linger ticker. The client is
+// Close flushes buffered edges and stops the linger. The client is
 // unusable afterwards.
 func (c *Client) Close() error {
 	c.mu.Lock()

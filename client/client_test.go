@@ -14,6 +14,7 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/server"
 )
@@ -103,23 +104,23 @@ func TestIngestBatching(t *testing.T) {
 }
 
 // TestLingerShipsPartialBatches: with a linger interval, a partial batch
-// reaches the server without an explicit Flush.
+// reaches the server without an explicit Flush, one Linger of the clock on.
 func TestLingerShipsPartialBatches(t *testing.T) {
 	b := &countingBackend{}
 	ts := httptest.NewServer(b.handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Linger: 2 * time.Millisecond})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Clock: clk})
 	defer cl.Close()
 
 	if err := cl.Ingest(context.Background(), []vos.Edge{edge(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.edges.Load() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending edge never shipped by the linger ticker")
-		}
-		time.Sleep(time.Millisecond)
+	clk.BlockUntil(1)
+	clk.Advance(50 * time.Millisecond)
+	clk.BlockUntil(1) // parked again: the ship is done
+	if b.edges.Load() != 1 {
+		t.Fatal("pending edge never shipped by the linger ticker")
 	}
 }
 
@@ -130,8 +131,15 @@ func TestRetryOnTransient(t *testing.T) {
 	b.failSimCalls.Store(2)
 	ts := httptest.NewServer(b.handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{MaxRetries: 2, RetryBackoff: time.Millisecond, Linger: -1})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{MaxRetries: 2, Clock: clk, Linger: -1})
 	defer cl.Close()
+	go func() {
+		clk.BlockUntil(1)
+		clk.Advance(50 * time.Millisecond)
+		clk.BlockUntil(1)
+		clk.Advance(100 * time.Millisecond)
+	}()
 
 	est, err := cl.Similarity(context.Background(), 1, 2)
 	if err != nil {
@@ -152,8 +160,10 @@ func TestRetryExhaustion(t *testing.T) {
 	b.failSimCalls.Store(100)
 	ts := httptest.NewServer(b.handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{MaxRetries: 1, RetryBackoff: time.Millisecond, Linger: -1})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{MaxRetries: 1, Clock: clk, Linger: -1})
 	defer cl.Close()
+	go func() { clk.BlockUntil(1); clk.Advance(50 * time.Millisecond) }()
 
 	_, err := cl.Similarity(context.Background(), 1, 2)
 	var apiErr *client.Error
@@ -171,7 +181,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 	b := &countingBackend{}
 	ts := httptest.NewServer(b.handler())
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{MaxRetries: 5, RetryBackoff: time.Millisecond, Linger: -1})
+	cl := client.New(ts.URL, client.Options{MaxRetries: 5, Linger: -1})
 	defer cl.Close()
 
 	_, err := cl.Cardinality(context.Background(), 1)
@@ -239,7 +249,7 @@ func TestContextCancellationNotRetried(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{MaxRetries: 5, RetryBackoff: time.Millisecond, Linger: -1})
+	cl := client.New(ts.URL, client.Options{MaxRetries: 5, Linger: -1})
 	defer cl.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -379,26 +389,23 @@ func TestLingerErrorSurfaces(t *testing.T) {
 			Code: server.CodeInternal, Message: "scripted ingest failure"}})
 	}))
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Linger: time.Millisecond})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Clock: clk})
 	defer cl.Close()
 
 	if err := cl.Ingest(context.Background(), []vos.Edge{edge(1, 2)}); err != nil {
 		t.Fatal(err) // buffered only, no wire contact yet
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := cl.Ingest(context.Background(), nil)
-		if err != nil {
-			var apiErr *client.Error
-			if !errors.As(err, &apiErr) || apiErr.Code != server.CodeInternal {
-				t.Fatalf("parked linger error: got %v", err)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background flush error never surfaced")
-		}
-		time.Sleep(time.Millisecond)
+	clk.BlockUntil(1)
+	clk.Advance(50 * time.Millisecond)
+	clk.BlockUntil(1) // parked again: the failed ship's error is parked
+	err := cl.Ingest(context.Background(), nil)
+	if err == nil {
+		t.Fatal("background flush error never surfaced")
+	}
+	var apiErr *client.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != server.CodeInternal {
+		t.Fatalf("parked linger error: got %v", err)
 	}
 }
 
@@ -489,25 +496,20 @@ func TestFlushKeepsBufferOnParkedError(t *testing.T) {
 		json.NewEncoder(w).Encode(server.IngestResponse{Accepted: len(edges)})
 	}))
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Linger: time.Millisecond})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Clock: clk})
 	defer cl.Close()
 
 	ctx := context.Background()
 	if err := cl.Ingest(ctx, []vos.Edge{edge(1, 2)}); err != nil {
-		t.Fatal(err) // buffered; the linger ticker will attempt and fail
+		t.Fatal(err) // buffered; the linger will attempt and fail
 	}
-	// Wait for a background failure to park.
-	deadline := time.Now().Add(5 * time.Second)
-	var parked error
-	for parked == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("no background error parked")
-		}
-		time.Sleep(2 * time.Millisecond)
-		cl2 := cl // parked error surfaces via Flush
-		if err := cl2.Flush(ctx); err != nil {
-			parked = err
-		}
+	// One linger round: a background failure parks, and Flush surfaces it.
+	clk.BlockUntil(1)
+	clk.Advance(50 * time.Millisecond)
+	clk.BlockUntil(1)
+	if err := cl.Flush(ctx); err == nil {
+		t.Fatal("no background error parked")
 	}
 	// Buffer a fresh edge AFTER the failure; heal the server; Flush must
 	// deliver it even though the previous Flush returned the parked error.
@@ -515,15 +517,8 @@ func TestFlushKeepsBufferOnParkedError(t *testing.T) {
 	if err := cl.Ingest(ctx, []vos.Edge{edge(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for edgesSeen.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("post-failure edge never delivered")
-		}
-		if err := cl.Flush(ctx); err != nil {
-			t.Logf("flush during recovery: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := cl.Flush(ctx); err != nil || edgesSeen.Load() == 0 {
+		t.Fatalf("post-failure edge never delivered (flush: %v)", err)
 	}
 }
 
@@ -546,7 +541,8 @@ func TestFlushWaitsForInFlightShip(t *testing.T) {
 		json.NewEncoder(w).Encode(server.IngestResponse{Accepted: len(edges)})
 	}))
 	defer ts.Close()
-	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Linger: time.Millisecond})
+	clk := clock.NewManual(time.Unix(0, 0))
+	cl := client.New(ts.URL, client.Options{BatchSize: 1 << 20, Clock: clk})
 	defer cl.Close()
 	unpark := sync.OnceFunc(func() { close(release) })
 	defer unpark() // before Close, which waits for the parked ship
@@ -555,6 +551,8 @@ func TestFlushWaitsForInFlightShip(t *testing.T) {
 	if err := cl.Ingest(ctx, []vos.Edge{edge(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
+	clk.BlockUntil(1)
+	clk.Advance(50 * time.Millisecond)
 	<-entered // the linger goroutine took the batch and is on the wire
 	flushed := make(chan error, 1)
 	go func() { flushed <- cl.Flush(ctx) }()

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
@@ -240,7 +239,7 @@ func TestImportSketchNotRetried(t *testing.T) {
 		w.WriteHeader(500)
 	}))
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL, client.Options{MaxRetries: 5, RetryBackoff: time.Millisecond})
+	cl := client.New(ts.URL, client.Options{MaxRetries: 5})
 	t.Cleanup(func() { cl.Close() })
 	if err := cl.ImportSketch(context.Background(), []byte("state")); err == nil {
 		t.Fatal("import against a failing backend must error")

@@ -8,9 +8,9 @@
 // Writes batch like the engine's producer path: full batches of
 // Options.BatchSize edges are shipped synchronously in the compact VOSSTRM1
 // binary format, the residue waits in a pending buffer, and a background
-// linger ticker ships partial batches so an idle stream's tail never sits
-// unsent (Flush forces the residue out, Close flushes and stops the
-// ticker). Writes are NEVER retried: ingest is an XOR toggle, and
+// linger ships partial batches every Options.Linger so an idle stream's
+// tail never sits unsent (Flush forces the residue out, Close flushes and
+// stops the linger). Writes are NEVER retried: ingest is an XOR toggle, and
 // replaying a batch after an ambiguous failure (request possibly applied)
 // would corrupt parity. A failed ship leaves only the attempted batch
 // ambiguous; batches never put on the wire return to the pending buffer.
@@ -31,8 +31,9 @@
 //
 // Reads — similarity, top-K, cardinality, stats — are idempotent and
 // retried on transient transport errors and 5xx responses with
-// exponential backoff (Options.MaxRetries/RetryBackoff); context
-// cancellation is honoured everywhere and is never retried.
+// exponential backoff (Options.MaxRetries: 50ms, then doubling, on
+// Options.Clock, which times the linger too); context cancellation is
+// honoured everywhere and is never retried.
 //
 // # Sliding windows
 //
@@ -56,6 +57,6 @@
 // # Concurrency and lifecycle
 //
 // A Client is safe for concurrent use by any number of goroutines. Close
-// flushes buffered edges and stops the linger ticker; after Close every
+// flushes buffered edges and stops the linger; after Close every
 // method returns vos.ErrClosed.
 package client

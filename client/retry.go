@@ -8,11 +8,11 @@ import (
 )
 
 // retry runs attempt up to 1+Options.MaxRetries times, backing off
-// exponentially from Options.RetryBackoff between tries (New resolves both
-// defaults). Only transient failures are retried — see retryable. Context
-// cancellation during a backoff wait returns ctx.Err().
+// exponentially on Options.Clock from 50ms between tries. Only
+// transient failures are retried — see retryable. Context cancellation
+// during a backoff wait returns ctx.Err().
 func (c *Client) retry(ctx context.Context, attempt func() error) error {
-	backoff := c.opt.RetryBackoff
+	backoff := 50 * time.Millisecond
 	for try := 0; ; try++ {
 		err := attempt()
 		if err == nil || try >= c.opt.MaxRetries || !retryable(err) {
@@ -21,7 +21,7 @@ func (c *Client) retry(ctx context.Context, attempt func() error) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(backoff):
+		case <-c.opt.Clock.After(backoff):
 		}
 		backoff *= 2
 	}

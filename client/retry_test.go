@@ -3,9 +3,13 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/server"
 )
 
@@ -22,7 +26,14 @@ func retryClient(t *testing.T, opt Options) *Client {
 // mean n+1 attempts, non-retryable errors stop immediately, and a cancelled
 // context interrupts the backoff wait.
 func TestRetryPolicyDo(t *testing.T) {
-	c := retryClient(t, Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	clk := clock.NewManual(time.Unix(0, 0))
+	c := retryClient(t, Options{MaxRetries: 2, Linger: -1, Clock: clk})
+	go func() {
+		clk.BlockUntil(1)
+		clk.Advance(50 * time.Millisecond)
+		clk.BlockUntil(1)
+		clk.Advance(100 * time.Millisecond)
+	}()
 	calls := 0
 	err := c.retry(context.Background(), func() error {
 		calls++
@@ -64,10 +75,52 @@ func TestRetryPolicyDo(t *testing.T) {
 	// A cancelled context stops the loop during the wait.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c = retryClient(t, Options{MaxRetries: 5, RetryBackoff: time.Hour})
+	c = retryClient(t, Options{MaxRetries: 5, Clock: clk}) // never advanced again
 	err = c.retry(ctx, func() error { return &Error{Status: 500} })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled backoff wait returned %v", err)
+	}
+}
+
+// TestRetrySchedule: a read that keeps failing with MaxRetries 3
+// waits out backoffs of 50, 100 and 200ms of the client's clock, each due
+// exactly then and not a nanosecond before, and no real time is slept: a
+// wait on the wall clock would leave BlockUntil waiting forever.
+func TestRetrySchedule(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	clk := clock.NewManual(time.Unix(0, 0))
+	c := New(ts.URL, Options{MaxRetries: 3, Linger: -1, Clock: clk})
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Similarity(context.Background(), 1, 2)
+		done <- err
+	}()
+	for i, d := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
+		clk.BlockUntil(1)
+		if n := calls.Load(); n != int64(i+1) {
+			t.Fatalf("%d attempts before backoff %d, want %d", n, i+1, i+1)
+		}
+		clk.Advance(d - time.Nanosecond)
+		if clk.Waiters() != 1 {
+			t.Fatalf("backoff %d fired before %v", i+1, d)
+		}
+		clk.Advance(time.Nanosecond)
+		if clk.Waiters() != 0 {
+			t.Fatalf("backoff %d still parked at %v", i+1, d)
+		}
+	}
+	var apiErr *Error
+	if err := <-done; !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Fatalf("exhausted retries returned %v, want the server's 500", err)
+	}
+	if n := calls.Load(); n != 4 {
+		t.Fatalf("%d attempts, want 4 (MaxRetries=3)", n)
 	}
 }
 

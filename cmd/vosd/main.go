@@ -56,6 +56,7 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/cmd/internal/daemon"
+	"github.com/vossketch/vos/internal/clock"
 )
 
 func main() {
@@ -152,7 +153,7 @@ func run(args []string, stdout io.Writer) error {
 	// the covered WAL prefix.
 	stopCkpt := func() {}
 	if *ckptEvery > 0 {
-		stopCkpt = checkpointEvery(eng, *ckptEvery, shell.Verbose)
+		stopCkpt = checkpointEvery(eng, *ckptEvery, clock.Wall, shell.Verbose)
 	}
 	windowDesc := "off"
 	if *window > 0 {
@@ -169,19 +170,17 @@ func run(args []string, stdout io.Writer) error {
 	}, stdout)
 }
 
-// checkpointEvery checkpoints eng every period until the returned stop is
-// called; stop returns once no checkpoint is running.
-func checkpointEvery(eng *vos.Engine, period time.Duration, verbose bool) (stop func()) {
+// checkpointEvery checkpoints eng every period of clk until the returned
+// stop is called; stop returns once no checkpoint is running.
+func checkpointEvery(eng *vos.Engine, period time.Duration, clk clock.Clock, verbose bool) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		t := time.NewTicker(period)
-		defer t.Stop()
 		for {
 			select {
 			case <-quit:
 				return
-			case <-t.C:
+			case <-clk.After(period):
 				if pos, err := eng.Checkpoint(); err != nil {
 					log.Printf("vosd: periodic checkpoint: %v", err)
 				} else if verbose {

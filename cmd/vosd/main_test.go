@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -16,6 +18,8 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/clock"
+	"github.com/vossketch/vos/internal/wal"
 	"github.com/vossketch/vos/server"
 )
 
@@ -380,5 +384,64 @@ func TestVosdWindowSmoke(t *testing.T) {
 	}
 	if card, err := cl.Cardinality(ctx, 1); err != nil || card != 0 {
 		t.Fatalf("cardinality after aging out = %d, %v; want 0", card, err)
+	}
+}
+
+// TestCheckpointEveryPeriod: -checkpoint-interval's loop writes one
+// checkpoint a period of its clock, and its stop returns with none in
+// flight — no half-written file, and the loop is gone, so a later period
+// writes nothing.
+func TestCheckpointEveryPeriod(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := vos.OpenEngine(dir, vos.EngineConfig{Sketch: vos.Config{MemoryBits: 1 << 16, SketchBits: 128, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ingest := func(item vos.Item) {
+		if err := eng.ProcessBatch([]vos.Edge{{User: 1, Item: item, Op: vos.Insert}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoints := func() []uint64 {
+		pos, err := wal.ListCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pos
+	}
+	clk := clock.NewManual(time.Unix(0, 0))
+	ingest(1)
+	stop := checkpointEvery(eng, time.Minute, clk, false)
+	clk.BlockUntil(1)
+	before := checkpoints()
+	clk.Advance(time.Minute)
+	clk.BlockUntil(1) // parked again: this period's checkpoint is written
+	fresh := 0
+	for _, pos := range checkpoints() {
+		if !slices.Contains(before, pos) {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d new checkpoints after one period (before: %v, after: %v), want 1", fresh, before, checkpoints())
+	}
+
+	ingest(2)
+	clk.Advance(time.Minute) // a checkpoint may be running now; stop waits it out
+	stop()
+	settled := checkpoints()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if strings.HasPrefix(ent.Name(), "tmp-") {
+			t.Fatalf("stop returned with %s half written", ent.Name())
+		}
+	}
+	clk.Advance(time.Minute)
+	if got := checkpoints(); !slices.Equal(got, settled) {
+		t.Fatalf("checkpoints %v after stop, then %v a period later: the loop outlived stop", settled, got)
 	}
 }

@@ -163,8 +163,8 @@ func TestRunRebuildsCheckpointlessWAL(t *testing.T) {
 	// Users 1 and 2 share 150 of their 450 items.
 	for i := 0; i < 300; i++ {
 		edges = append(edges,
-			vos.Edge{User: 1, Item: vos.Item(1<<40 + i), Op: vos.Insert},
-			vos.Edge{User: 2, Item: vos.Item(1<<40 + 150 + i), Op: vos.Insert})
+			vos.Edge{User: 1, Item: vos.Item(1<<40 + uint64(i)), Op: vos.Insert},
+			vos.Edge{User: 2, Item: vos.Item(1<<40 + 150 + uint64(i)), Op: vos.Insert})
 	}
 	for _, tc := range []struct {
 		name   string

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/lsh"
@@ -127,15 +128,15 @@ func TestANNDifferential(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(len(shape))*100 + int64(shards)))
 					gen := &diffEdges{rng: rng, users: users - 1} // the last joins in the tail
 					cfg := Config{
-						Sketch: sketch, Shards: shards, BatchSize: 16, FlushInterval: -1,
+						Sketch: sketch, Shards: shards, BatchSize: 16, Clock: clock.NewManual(time.Unix(1000, 0)),
 						// Bands·Rows < SketchBits: some writes land outside the banded bits.
 						ANN: &ANNConfig{Bands: band.Bands, Rows: band.Rows, RebandBudget: -1},
 					}
 					now := time.Unix(1000, 0)
 					switch shape {
 					case "windowed":
-						clk := newFakeClock(now) // pinned: only AdvanceWindowTo rotates
-						cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
+						// The clock is pinned: only AdvanceWindowTo rotates.
+						cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second}
 					}
 					e, err := New(cfg)
 					if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -207,7 +208,7 @@ func TestTopKApproxNeverSurfacesDeletedUser(t *testing.T) {
 // that user surfacing — via the live-cardinality filter, long before the
 // budget re-bands anyone — and (b) mark the membership for re-banding.
 func TestTopKApproxWindowRotation(t *testing.T) {
-	clk := newFakeClock(time.Unix(100, 0))
+	clk := clock.NewManual(time.Unix(100, 0))
 	cfg := windowConfig(2, 2, clk)
 	cfg.ANN = &ANNConfig{Bands: 16, Rows: 8}
 	e, err := New(cfg)
@@ -230,8 +231,7 @@ func TestTopKApproxWindowRotation(t *testing.T) {
 	}
 
 	// Rotate the whole population out of the window.
-	clk.Set(time.Unix(100, 0).Add(5 * time.Second))
-	if steps := e.AdvanceWindowTo(clk.Now()); steps == 0 {
+	if steps := e.AdvanceWindowTo(time.Unix(105, 0)); steps == 0 {
 		t.Fatal("window did not rotate")
 	}
 	res, err = e.TopKApprox(0, 3)
@@ -253,11 +253,12 @@ func TestTopKApproxWindowRotation(t *testing.T) {
 // the estimate/order contract, since the workload is racing.
 func TestTopKApproxDuringIngest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	clk := newFakeClock(time.Unix(100, 0))
+	clk := clock.NewManual(time.Unix(100, 0))
 	cfg := Config{
 		Sketch: core.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 13},
 		Shards: 2,
-		Window: &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now},
+		Window: &WindowConfig{Buckets: 3, BucketDuration: time.Second},
+		Clock:  clk,
 		ANN:    &ANNConfig{Bands: 8, Rows: 8, RebandBudget: 32},
 	}
 	e, err := New(cfg)
@@ -300,7 +301,7 @@ func TestTopKApproxDuringIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; i <= 4; i++ {
-			clk.Set(time.Unix(100, 0).Add(time.Duration(i) * 700 * time.Millisecond))
+			clk.Advance(700 * time.Millisecond)
 			e.AdvanceWindowTo(clk.Now())
 		}
 	}()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -67,7 +68,7 @@ func (r *deltaReader) pull(t *testing.T, e *Engine, at string) Delta {
 // behind, or one from before an import, is answered in full with the
 // reason; and serving a delta moves nothing in the engine.
 func TestExportSince(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	gen := &diffEdges{rng: rand.New(rand.NewSource(11)), users: 60}
 	write := func(n int) {
@@ -162,7 +163,7 @@ func TestExportSince(t *testing.T) {
 // rest of that batch, not the whole of it: the edges before the position are
 // the reader's already, and sending them again would cancel them.
 func TestExportSinceFromInsideABatch(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	gen := &diffEdges{rng: rand.New(rand.NewSource(14)), users: 60}
 	edges := gen.next(40) // batches end at 16, 32 and 40
@@ -197,7 +198,7 @@ func TestExportSinceFromInsideABatch(t *testing.T) {
 func TestProcessBatchSpan(t *testing.T) {
 	for _, between := range []string{"nothing", "a write", "an import"} {
 		t.Run(between, func(t *testing.T) {
-			e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 4, FlushInterval: -1})
+			e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 4, Clock: clock.NewManual(time.Time{})})
 			defer e.Close()
 			var users [2][]stream.User
 			for u := stream.User(1); len(users[0]) < 3 || len(users[1]) < 4; u++ {
@@ -249,7 +250,7 @@ func TestProcessBatchSpan(t *testing.T) {
 func TestExportSinceAcrossRestartAndRotation(t *testing.T) {
 	gen := &diffEdges{rng: rand.New(rand.NewSource(12)), users: 60}
 	cfg := durableConfig(t.TempDir(), 2)
-	cfg.FlushInterval = -1
+	cfg.Clock = clock.NewManual(time.Time{})
 	e := MustOpen(cfg)
 	r := newDeltaReader()
 	if err := e.ProcessBatch(gen.next(20)); err != nil {
@@ -269,7 +270,7 @@ func TestExportSinceAcrossRestartAndRotation(t *testing.T) {
 		t.Fatalf("cursor from before a restart: want the full sketch for %q, got fallback %q", FallbackEpoch, d.Fallback)
 	}
 
-	clk := newFakeClock(time.Unix(1000, 0))
+	clk := clock.NewManual(time.Unix(1000, 0))
 	w := MustNew(windowConfig(2, 3, clk))
 	defer w.Close()
 	wr := newDeltaReader()
@@ -298,7 +299,7 @@ func TestExportSinceAcrossRestartAndRotation(t *testing.T) {
 // each reader saw, once the writer stops one more pull leaves it holding
 // the engine's exact state. Run under -race.
 func TestExportSinceRacingWrites(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	gen := &diffEdges{rng: rand.New(rand.NewSource(13)), users: 60}
 	var deltas atomic.Int64 // received by the readers, together

@@ -145,7 +145,7 @@ func Open(cfg Config) (*Engine, error) {
 		// silently drop edges that are still inside the window. With a
 		// clock behind the checkpoint boundary (tests pin one) this is a
 		// no-op and attribution is exact.
-		e.AdvanceWindowTo(e.winNow())
+		e.AdvanceWindowTo(e.now())
 	}
 	// Replay the suffix through the routing path directly — the log is not
 	// attached yet, so replayed edges are not re-appended.

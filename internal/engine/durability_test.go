@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 	"github.com/vossketch/vos/internal/wal"
@@ -498,11 +499,11 @@ func TestReopenUnderDifferentShardCount(t *testing.T) {
 			t.Run(fmt.Sprintf("windowed=%v/%d→%d", windowed, shards[0], shards[1]), func(t *testing.T) {
 				dir := t.TempDir()
 				start := time.Unix(5000, 0)
-				clk := newFakeClock(start.Add(time.Millisecond)) // pinned: only AdvanceWindowTo rotates
+				clk := clock.NewManual(start.Add(time.Millisecond)) // pinned: only AdvanceWindowTo rotates
 				config := func(n int) Config {
 					cfg := durableConfig(dir, n)
 					if windowed {
-						cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
+						cfg.Window, cfg.Clock = &WindowConfig{Buckets: 3, BucketDuration: time.Second}, clk
 					}
 					return cfg
 				}

@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/metrics"
@@ -83,16 +84,15 @@ type Config struct {
 	// handed to the shard worker, and the unit the worker applies under one
 	// lock acquisition (and journals as one entry). Every queued batch has
 	// exactly this many edges, whatever the size of the ProcessBatch calls;
-	// only Flush, Close and the FlushInterval ticker hand over a shorter
-	// residue. Default: 256.
+	// only Flush, Close and the linger hand over a shorter residue.
+	// Default: 256.
 	BatchSize int
 
-	// FlushInterval bounds how long a partially filled producer batch can
-	// sit unapplied on an idle stream: a background ticker hands partial
-	// batches to the workers this often. Negative disables the ticker
-	// (then only full batches, Flush, and Close drain the buffers).
-	// Default: 50ms.
-	FlushInterval time.Duration
+	// Clock is the engine's time: the linger hands partial batches to the
+	// workers every 50ms of it, the window rotates on it (unless Window.Now
+	// is set) and ShardStats' rates divide by it. Default: clock.Wall; a
+	// clock.Manual never advanced stops the linger.
+	Clock clock.Clock
 
 	// PositionCacheUsers bounds the engine's shared position-table cache:
 	// the materialized query path caches each user's k array positions
@@ -140,8 +140,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
 	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 50 * time.Millisecond
+	if c.Clock == nil {
+		c.Clock = clock.Wall
 	}
 	if c.PositionCacheUsers == 0 {
 		c.PositionCacheUsers = 512
@@ -165,7 +165,7 @@ type shard struct {
 	free   chan []stream.Edge
 
 	// ch carries batches to the worker goroutine: BatchSize edges each, or a
-	// shorter residue from Flush, Close or the linger ticker.
+	// shorter residue from Flush, Close or the linger.
 	ch chan []stream.Edge
 
 	// skMu guards sk (and win): the worker writes under Lock, queries and
@@ -238,14 +238,15 @@ type Engine struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 	// lifeMu orders producer-side channel sends against Close: Flush and
-	// the linger ticker hold RLock across "check closed, then hand batches
+	// the linger hold RLock across "check closed, then hand batches
 	// to shard channels", and Close holds Lock while it drains the pending
 	// buffers and closes those channels. Without it, a Flush racing Close
 	// could send on a closed channel (panic) or park a batch behind an
 	// exited worker and spin forever waiting for it to apply.
 	lifeMu sync.RWMutex
-	stop   chan struct{} // stops the linger ticker
+	stop   chan struct{} // stops the linger
 	start  time.Time
+	now    func() time.Time // rotation's clock: Window.Now if set, else Clock.Now
 
 	// views is the merged query snapshot (see snapshot.go): the resident
 	// merged view and its spare, each carrying the stamp — import
@@ -325,13 +326,17 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 		cfg:        cfg,
 		shards:     make([]*shard, cfg.Shards),
 		stop:       make(chan struct{}),
-		start:      time.Now(),
+		start:      cfg.Clock.Now(),
+		now:        cfg.Clock.Now,
 		journalMax: cfg.Sketch.MemoryBits / 64 / journalWordsPerEdge,
 		boot:       rand.Uint64(),
 		// Derived from the sketch seed, so engines with equal sketch configs
 		// route alike, and kept distinct from the seeds the sketch itself
 		// consumes so routing and hashing stay independent.
 		routeSeed: hashing.Hash64(cfg.Sketch.Seed, 0x73686172644b6579),
+	}
+	if cfg.Window != nil && cfg.Window.Now != nil {
+		e.now = cfg.Window.Now
 	}
 	if cfg.ANN != nil {
 		// Resolve into a private copy so the caller's struct is never
@@ -351,7 +356,7 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 	// In window mode every shard ring gets the same boundaries, so rotation
 	// stays in lockstep: those of the epoch-aligned bucket covering now, or
 	// the recovered ring's, verbatim.
-	newRing, ringAt := core.NewWindow, e.winNow()
+	newRing, ringAt := core.NewWindow, e.now()
 	if ring != nil {
 		newRing, ringAt = core.NewWindowAt, ring.End()
 	}
@@ -382,7 +387,7 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 	if cfg.Window != nil {
 		e.winEnd.Store(e.shards[0].win.End().UnixNano())
 	}
-	// The recovered state goes in before the linger ticker can rotate: the
+	// The recovered state goes in before the linger can rotate: the
 	// ring bucket by bucket, so recovered edges keep retiring on the schedule
 	// they were written under.
 	if flat != nil {
@@ -391,10 +396,8 @@ func newEngine(cfg Config, flat *core.VOS, ring *core.Window) (*Engine, error) {
 	for k := 0; ring != nil && k < ring.Buckets(); k++ {
 		e.fold(ring.Bucket(k), k)
 	}
-	if cfg.FlushInterval > 0 {
-		e.wg.Add(1)
-		go e.linger()
-	}
+	e.wg.Add(1)
+	go e.linger()
 	return e, nil
 }
 
@@ -456,19 +459,18 @@ func (s *shard) await(target uint64) {
 	s.waitMu.Unlock()
 }
 
-// linger periodically hands partial producer batches to the workers so an
-// idle stream's tail does not sit unapplied forever.
+// linger hands partial producer batches to the workers every period of
+// Config.Clock, so an idle stream's tail does not sit unapplied forever.
 func (e *Engine) linger() {
 	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.FlushInterval)
-	defer t.Stop()
+	const period = 50 * time.Millisecond
 	for {
 		select {
 		case <-e.stop:
 			return
-		case <-t.C:
-			// Rotate first so an idle stream still retires buckets on wall
-			// time (no lifeMu needed: rotation is stateMu/skMu territory).
+		case <-e.cfg.Clock.After(period):
+			// Rotate first so an idle stream still retires buckets on the
+			// clock (no lifeMu needed: rotation is stateMu/skMu territory).
 			e.maybeAdvance()
 			e.lifeMu.RLock()
 			if !e.closed.Load() {
@@ -876,7 +878,7 @@ func (e *Engine) MarshalBinary() ([]byte, error) {
 // whole. A shard's β is a share of the merged array's, never an estimator
 // input.
 func (e *Engine) ShardStats() []metrics.ShardStat {
-	elapsed := time.Since(e.start).Seconds()
+	elapsed := e.cfg.Clock.Now().Sub(e.start).Seconds()
 	out := make([]metrics.ShardStat, len(e.shards))
 	for i, s := range e.shards {
 		s.skMu.RLock()

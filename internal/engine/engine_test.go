@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -186,22 +187,28 @@ func TestConcurrentProducersAndQueries(t *testing.T) {
 }
 
 // TestLingerFlushesPartialBatches verifies an idle stream's tail becomes
-// visible without an explicit Flush, via the background ticker.
+// visible without an explicit Flush, via the linger: one period of its
+// clock hands the partial batch to the worker.
 func TestLingerFlushesPartialBatches(t *testing.T) {
-	e := MustNew(Config{
-		Sketch: testConfig(), Shards: 2,
-		BatchSize: 1024, FlushInterval: 2 * time.Millisecond,
-	})
+	clk := clock.NewManual(time.Unix(1000, 0))
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 1024, Clock: clk})
 	defer e.Close()
 	if err := e.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Cardinality(1) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("pending edge never applied by linger ticker")
-		}
-		time.Sleep(time.Millisecond)
+	s := e.shards[e.ShardOf(1)]
+	clk.BlockUntil(1)
+	clk.Advance(50 * time.Millisecond)
+	clk.BlockUntil(1) // parked again: the hand-over is done
+	s.pendMu.Lock()
+	pending := len(s.pend)
+	s.pendMu.Unlock()
+	if pending != 0 {
+		t.Fatalf("linger left %d edges pending", pending)
+	}
+	s.await(1)
+	if e.Cardinality(1) != 1 {
+		t.Fatal("pending edge never applied by the linger")
 	}
 }
 
@@ -271,7 +278,7 @@ func TestBatchCarving(t *testing.T) {
 	const batch = 4
 	e := MustNew(Config{
 		Sketch: testConfig(), Shards: 1,
-		BatchSize: batch, FlushInterval: -1,
+		BatchSize: batch, Clock: clock.NewManual(time.Time{}),
 	})
 	defer e.Close()
 	edges := make([]stream.Edge, 10)
@@ -308,9 +315,10 @@ func TestBadConfig(t *testing.T) {
 // rounds because the window is a few instructions wide.
 func TestFlushRacingClose(t *testing.T) {
 	for round := 0; round < 25; round++ {
-		e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 64, FlushInterval: time.Millisecond})
-		// Leave partial batches pending so Flush and Close both have
-		// hand-over work to race on.
+		clk := clock.NewManual(time.Time{})
+		e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 64, Clock: clk})
+		// Leave partial batches pending so Flush, Close and the linger all
+		// have hand-over work to race on.
 		for i := 0; i < 100; i++ {
 			if err := e.Process(stream.Edge{User: stream.User(i % 7), Item: stream.Item(i), Op: stream.Insert}); err != nil {
 				t.Fatal(err)
@@ -334,6 +342,13 @@ func TestFlushRacingClose(t *testing.T) {
 				t.Error(err)
 			}
 		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			clk.BlockUntil(1) // the linger parks its wait even when Close has stopped it
+			clk.Advance(50 * time.Millisecond)
+		}()
 		close(start)
 		wg.Wait()
 		// Close drained everything regardless of how the race resolved.
@@ -356,7 +371,7 @@ func TestFlushRacingClose(t *testing.T) {
 // after a grace period in which it could have.
 func TestFlushWaitsForEveryBatchCutBeforeIt(t *testing.T) {
 	const batch = 256
-	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: batch, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 1, BatchSize: batch, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	edges := func(u stream.User, n int) []stream.Edge {
 		out := make([]stream.Edge, n)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
@@ -89,7 +90,7 @@ func TestOpenRejectsFamilyMismatch(t *testing.T) {
 // of TestOpenRejectsFamilyMismatch.
 func TestOpenRejectsFamilyMismatchWindowed(t *testing.T) {
 	dir := t.TempDir()
-	clk := &fakeClock{t: time.Unix(100, 0)}
+	clk := clock.NewManual(time.Unix(100, 0))
 	cfg := windowConfig(2, 4, clk)
 	cfg.Sketch.Family = hashing.KindFast
 	cfg.Durability = &DurabilityConfig{Dir: dir, Sync: wal.SyncEveryBatch, DisableLock: true}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -42,7 +43,7 @@ func TestRouteOwnsWhatItQueues(t *testing.T) {
 }
 
 func testRouteOwnership(t *testing.T, shards, batch int) {
-	e := MustNew(Config{Sketch: routeConfig(), Shards: shards, BatchSize: batch, FlushInterval: -1})
+	e := MustNew(Config{Sketch: routeConfig(), Shards: shards, BatchSize: batch, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 
 	// Users by owning shard, so a call can give every shard a group of a
@@ -179,7 +180,7 @@ func TestRouteAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector, which also empties sync.Pool at random")
 	}
-	e := MustNew(Config{Sketch: core.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 7}, Shards: 2, FlushInterval: -1})
+	e := MustNew(Config{Sketch: core.Config{MemoryBits: 1 << 21, SketchBits: 6400, Seed: 7}, Shards: 2, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	edges := feasibleStream(4096, 2000, 0.25, 3)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -283,7 +284,7 @@ func oddAllocs(fn string, size int64) (n int64) {
 // pending batch, not garbage: the eight flushes make one between them. A
 // residue past half goes as it is.
 func TestRouteShortResidueLeavesItsBatchBehind(t *testing.T) {
-	e := MustNew(Config{Sketch: routeConfig(), Shards: 1, FlushInterval: -1})
+	e := MustNew(Config{Sketch: routeConfig(), Shards: 1, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	batch := e.cfg.BatchSize
 	var before, after runtime.MemStats
@@ -319,11 +320,11 @@ func TestRouteShortResidueLeavesItsBatchBehind(t *testing.T) {
 }
 
 // TestFlushUnderProducers: Flush's contract with writers running — every
-// edge accepted before the call is applied when it returns. FlushInterval is
-// off, so nothing but Flush hands a residue over: a target cut ahead of what
+// edge accepted before the call is applied when it returns. The linger's
+// clock stands still, so nothing but Flush hands a residue over: a target cut ahead of what
 // is pending would leave Flush waiting for edges nobody is going to send.
 func TestFlushUnderProducers(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 32, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 32, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	edges := feasibleStream(40_000, 300, 0.25, 17)
 
@@ -379,7 +380,7 @@ func TestFlushUnderProducers(t *testing.T) {
 // shard 0 — and returns once shard 0 is let go. A Flush that finishes with
 // one shard before it hands the next its residue never gets past shard 0.
 func TestFlushHandsOverBeforeWaiting(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 64, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 3, BatchSize: 64, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	var edges []stream.Edge
 	perShard := make([]int, 3)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -110,13 +111,13 @@ func TestSnapshotDifferential(t *testing.T) {
 				gen := &diffEdges{rng: rng, users: users}
 				// BatchSize 16 against the test sketch's 256-edge journal
 				// bound: most writes replay, bursts overflow.
-				cfg := Config{Sketch: testConfig(), Shards: shards, BatchSize: 16, FlushInterval: -1}
+				cfg := Config{Sketch: testConfig(), Shards: shards, BatchSize: 16, Clock: clock.NewManual(time.Unix(1000, 0))}
 				ref := &diffRef{sk: core.MustNew(cfg.Sketch)}
 				now := time.Unix(1000, 0)
 				switch shape {
 				case "windowed":
-					clk := newFakeClock(now) // pinned: only AdvanceWindowTo rotates
-					cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
+					// The clock is pinned: only AdvanceWindowTo rotates.
+					cfg.Window = &WindowConfig{Buckets: 3, BucketDuration: time.Second}
 					win, err := core.NewWindow(cfg.Sketch, 3, time.Second, now)
 					if err != nil {
 						t.Fatal(err)
@@ -265,7 +266,7 @@ func TestSnapshotDifferential(t *testing.T) {
 // always rebuilds — or replays across a trigger, or replays an edge twice —
 // fails here.
 func TestSnapshotFallbackCauses(t *testing.T) {
-	clk := newFakeClock(time.Unix(1000, 0))
+	clk := clock.NewManual(time.Unix(1000, 0))
 	cfg := windowConfig(2, 3, clk)
 	cfg.BatchSize = 16
 	e := MustNew(cfg)
@@ -335,8 +336,8 @@ func TestSnapshotFallbackCauses(t *testing.T) {
 	}
 	step("replay after overflow", 20, replay(20))
 
-	clk.Set(time.Unix(1001, 0).Add(time.Millisecond))
-	if got, want := e.AdvanceWindowTo(clk.Now()), ref.win.AdvanceTo(clk.Now()); got != 1 || want != 1 {
+	at := time.Unix(1001, 0).Add(time.Millisecond) // the clock stays: only this call rotates
+	if got, want := e.AdvanceWindowTo(at), ref.win.AdvanceTo(at); got != 1 || want != 1 {
 		t.Fatalf("rotated %d buckets, oracle %d, want 1", got, want)
 	}
 	step("rotation", 20, rotation)
@@ -358,7 +359,7 @@ func TestSnapshotFallbackCauses(t *testing.T) {
 // costs the resident view one re-merge, with a recovery base already in
 // place, and the reads after it replay again.
 func TestSnapshotFallbackImport(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	ref := &diffRef{sk: core.MustNew(testConfig())}
 	gen := &diffEdges{rng: rand.New(rand.NewSource(9)), users: 60}
@@ -434,7 +435,7 @@ func (c *parkCtx) Done() <-chan struct{} {
 // second half adds live readers overlapping every refresh, for -race.
 func TestSnapshotParkedReader(t *testing.T) {
 	const users = 60
-	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	ref := &diffRef{sk: core.MustNew(testConfig())}
 	gen := &diffEdges{rng: rand.New(rand.NewSource(3)), users: users}
@@ -536,7 +537,7 @@ func TestSnapshotParkedReader(t *testing.T) {
 // acquire, and the engine stays exact. Under -race an in-place write to a
 // held view is also a reported race.
 func TestHeldViewNeverChanges(t *testing.T) {
-	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, FlushInterval: -1})
+	e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 16, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	ref := &diffRef{sk: core.MustNew(testConfig())}
 	gen := &diffEdges{rng: rand.New(rand.NewSource(11)), users: 60}

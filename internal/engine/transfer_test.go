@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
 )
@@ -151,10 +152,10 @@ func TestImportSketchRejects(t *testing.T) {
 
 	t.Run("windowed", func(t *testing.T) {
 		e := MustNew(Config{
-			Sketch:        cfg,
-			Shards:        1,
-			Window:        &WindowConfig{Buckets: 4, BucketDuration: time.Second},
-			FlushInterval: -1,
+			Sketch: cfg,
+			Shards: 1,
+			Window: &WindowConfig{Buckets: 4, BucketDuration: time.Second},
+			Clock:  clock.NewManual(time.Unix(1000, 0)),
 		})
 		defer e.Close()
 		err := e.ImportSketch(state)
@@ -257,7 +258,7 @@ func TestImportSketchRacingReaders(t *testing.T) {
 	const users = 24
 	cfg := testConfig()
 	local, remote := feasibleStream(3000, users, 0.2, 5), feasibleStream(3000, users, 0.2, 6)
-	e := MustNew(Config{Sketch: cfg, Shards: 3, FlushInterval: -1})
+	e := MustNew(Config{Sketch: cfg, Shards: 3, Clock: clock.NewManual(time.Time{})})
 	defer e.Close()
 	if err := e.ProcessBatch(local); err != nil {
 		t.Fatal(err)

@@ -22,9 +22,9 @@ package engine
 //
 // Time advances from three places, all funnelled through AdvanceWindowTo:
 // the ingest and query paths poll the clock (one atomic load when nothing
-// has expired), the linger ticker covers idle streams, and timestamped
-// ingest drives event time explicitly. The clock is WindowConfig.Now so
-// tests rotate deterministically.
+// has expired), the linger covers idle streams, and timestamped ingest
+// drives event time explicitly. The clock is Config.Clock, so a test that
+// hands the engine a clock.Manual rotates deterministically.
 
 import (
 	"errors"
@@ -54,11 +54,9 @@ type WindowConfig struct {
 	// BucketDuration is the time span of one bucket — the rotation period
 	// and the window's advancement granularity. Required, > 0.
 	BucketDuration time.Duration
-	// Now supplies the clock that drives rotation on untimestamped ingest
-	// and on queries. nil means time.Now. Tests inject a fake clock here
-	// for deterministic rotation. It must be safe for concurrent use: the
-	// engine calls it from callers' goroutines and from its own background
-	// goroutine, which hands idle batches over every FlushInterval.
+	// Now, when set, replaces Config.Clock.Now as rotation's clock, and must
+	// be safe for concurrent use. Outside tests only the benchmark sets it;
+	// ROADMAP item 15(c) moves the benchmark to Config.Clock and deletes it.
 	Now func() time.Time
 }
 
@@ -99,14 +97,6 @@ func validateWindow(w *WindowConfig) error {
 	return nil
 }
 
-// winNow reads the configured clock.
-func (e *Engine) winNow() time.Time {
-	if e.cfg.Window != nil && e.cfg.Window.Now != nil {
-		return e.cfg.Window.Now()
-	}
-	return time.Now()
-}
-
 // Windowed reports whether the engine runs in sliding-window mode.
 func (e *Engine) Windowed() bool { return e.cfg.Window != nil }
 
@@ -132,13 +122,13 @@ func (e *Engine) WindowInfo() (WindowInfo, bool) {
 // maybeAdvance rotates the window if the clock has crossed the current
 // bucket's end. The fast path — nothing expired — is one atomic load and a
 // compare; it is called from the ingest and query entry points, so an idle
-// or untimestamped stream still retires buckets on wall time. No-op on
+// or untimestamped stream still retires buckets on the clock. No-op on
 // unwindowed engines.
 func (e *Engine) maybeAdvance() {
 	if e.cfg.Window == nil {
 		return
 	}
-	now := e.winNow()
+	now := e.now()
 	if now.UnixNano() < e.winEnd.Load() {
 		return
 	}

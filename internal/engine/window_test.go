@@ -7,43 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/stream"
-	"github.com/vossketch/vos/internal/wal"
 )
 
-// fakeClock is a settable clock for deterministic rotation tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock(t time.Time) *fakeClock { return &fakeClock{t: t} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Set(t time.Time) {
-	c.mu.Lock()
-	c.t = t
-	c.mu.Unlock()
-}
-
-// windowConfig builds a windowed engine config with a fake clock pinned
-// inside the first bucket, so rotation happens only when the test says so.
-func windowConfig(shards, buckets int, clk *fakeClock) Config {
+// windowConfig builds a windowed engine config on a manual clock, so the
+// linger runs and the window rotates only when the test says so.
+func windowConfig(shards, buckets int, clk *clock.Manual) Config {
 	return Config{
 		Sketch: testConfig(),
 		Shards: shards,
-		Window: &WindowConfig{
-			Buckets:        buckets,
-			BucketDuration: time.Second,
-			Now:            clk.Now,
-		},
-		FlushInterval: -1, // no background linger: rotation fully test-driven
+		Window: &WindowConfig{Buckets: buckets, BucketDuration: time.Second},
+		Clock:  clk,
 	}
 }
 
@@ -69,7 +45,7 @@ func windowStream(n, spans int, seed int64) [][]stream.Edge {
 // acknowledged write lands.
 func TestRotationTakesAcceptedEdgesAlong(t *testing.T) {
 	const buckets = 3
-	clk := newFakeClock(time.Unix(1000, 0))
+	clk := clock.NewManual(time.Unix(1000, 0))
 	e := MustNew(windowConfig(2, buckets, clk))
 	defer e.Close()
 	if err := e.ProcessBatch(feasibleStream(40, 10, 0, 15)); err != nil { // under a batch a shard: pending
@@ -100,7 +76,7 @@ func TestEngineWindowParity(t *testing.T) {
 	spans := windowStream(6000, 8, 11)
 	for _, shards := range []int{1, 2, 4} {
 		base := time.Unix(1000, 0)
-		clk := newFakeClock(base.Add(100 * time.Millisecond))
+		clk := clock.NewManual(base.Add(100 * time.Millisecond))
 		e := MustNew(windowConfig(shards, buckets, clk))
 
 		// inWindow[k] holds the edges attributed to the k-th live bucket.
@@ -137,9 +113,9 @@ func TestEngineWindowParity(t *testing.T) {
 				t.Fatalf("shards=%d span=%d: Cardinality(3) = %d, want %d", shards, span, g, w)
 			}
 
-			// Advance one bucket boundary via the wall-clock path: bump the
-			// fake clock past the end and let a query-side poll rotate.
-			clk.Set(base.Add(time.Duration(span+1)*time.Second + 100*time.Millisecond))
+			// Advance one bucket boundary via the clock path: move the clock
+			// past the end and let a query-side poll (or the linger) rotate.
+			clk.Advance(time.Second)
 			info, ok := e.WindowInfo()
 			if !ok {
 				t.Fatal("WindowInfo not available on a windowed engine")
@@ -165,7 +141,7 @@ func TestEngineWindowParity(t *testing.T) {
 // backwards never unwind the window, and late edges land in the current
 // bucket rather than vanishing.
 func TestEngineWindowClockSkew(t *testing.T) {
-	clk := newFakeClock(time.Unix(1000, 100))
+	clk := clock.NewManual(time.Unix(1000, 100))
 	e := MustNew(windowConfig(2, 4, clk))
 	defer e.Close()
 
@@ -215,7 +191,7 @@ func TestEngineWindowClockSkew(t *testing.T) {
 // deterministic tests above.
 func TestEngineWindowRotationRace(t *testing.T) {
 	base := time.Unix(2000, 0)
-	clk := newFakeClock(base.Add(time.Millisecond))
+	clk := clock.NewManual(base.Add(time.Millisecond))
 	cfg := windowConfig(4, 2, clk)
 	cfg.BatchSize = 16
 	e := MustNew(cfg)
@@ -279,9 +255,8 @@ func TestEngineWindowRotationRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 1; i <= 40; i++ {
-			at := base.Add(time.Duration(i) * 100 * time.Millisecond)
-			clk.Set(at)
-			e.AdvanceWindowTo(at)
+			clk.Advance(100 * time.Millisecond)
+			e.AdvanceWindowTo(clk.Now())
 			time.Sleep(time.Millisecond)
 		}
 		close(stop)
@@ -296,24 +271,25 @@ func TestEngineWindowRotationRace(t *testing.T) {
 	}
 }
 
-// durableWindowConfig is durableConfig plus a window.
-func durableWindowConfig(dir string, shards, buckets int, clk *fakeClock) Config {
-	cfg := Config{
-		Sketch: testConfig(),
-		Shards: shards,
-		Window: &WindowConfig{
-			Buckets:        buckets,
-			BucketDuration: time.Second,
-			Now:            clk.Now,
-		},
-		FlushInterval: -1,
-		Durability: &DurabilityConfig{
-			Dir:          dir,
-			Sync:         wal.SyncEveryBatch,
-			SegmentBytes: 16 << 10,
-			DisableLock:  true,
-		},
+// TestLingerRotatesIdleWindow: an idle windowed engine retires a bucket once
+// its clock passes the boundary, through the linger alone — no ingest or
+// query polls the clock.
+func TestLingerRotatesIdleWindow(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	e := MustNew(windowConfig(2, 3, clk))
+	defer e.Close()
+	clk.BlockUntil(1)
+	clk.Advance(time.Second)
+	clk.BlockUntil(1) // parked again: the linger's round is done
+	if n := e.winRot.Load(); n != 1 {
+		t.Fatalf("%d rotations after one idle bucket, want 1", n)
 	}
+}
+
+// durableWindowConfig is durableConfig plus a window.
+func durableWindowConfig(dir string, shards, buckets int, clk *clock.Manual) Config {
+	cfg := windowConfig(shards, buckets, clk)
+	cfg.Durability = durableConfig(dir, shards).Durability
 	return cfg
 }
 
@@ -324,7 +300,7 @@ func durableWindowConfig(dir string, shards, buckets int, clk *fakeClock) Config
 func TestEngineWindowCheckpointRecovery(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Unix(3000, 0)
-	clk := newFakeClock(base.Add(time.Millisecond))
+	clk := clock.NewManual(base.Add(time.Millisecond))
 	const buckets = 3
 	e := MustOpen(durableWindowConfig(dir, 2, buckets, clk))
 
@@ -388,7 +364,7 @@ func TestEngineWindowCheckpointRecovery(t *testing.T) {
 func TestEngineWindowRecoveryAfterPostCheckpointRotations(t *testing.T) {
 	dir := t.TempDir()
 	base := time.Unix(7000, 0)
-	clk := newFakeClock(base.Add(time.Millisecond))
+	clk := clock.NewManual(base.Add(time.Millisecond))
 	const buckets = 3
 	e := MustOpen(durableWindowConfig(dir, 2, buckets, clk))
 
@@ -402,7 +378,7 @@ func TestEngineWindowRecoveryAfterPostCheckpointRotations(t *testing.T) {
 	}
 	// Two post-checkpoint rotations, then span B in the new current
 	// bucket, then crash (abandon) with the clock inside that bucket.
-	clk.Set(base.Add(2*time.Second + time.Millisecond))
+	clk.Advance(2 * time.Second)
 	e.AdvanceWindowTo(clk.Now())
 	if err := e.ProcessBatch(spans[1]); err != nil {
 		t.Fatal(err)
@@ -449,7 +425,7 @@ func TestEngineWindowCheckpointMidRotation(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		dir := t.TempDir()
 		base := time.Unix(4000, 0)
-		clk := newFakeClock(base.Add(time.Millisecond))
+		clk := clock.NewManual(base.Add(time.Millisecond))
 		const buckets = 3
 		e := MustOpen(durableWindowConfig(dir, 2, buckets, clk))
 
@@ -516,7 +492,7 @@ func TestEngineWindowCheckpointModeMismatch(t *testing.T) {
 	if _, err := plain.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	clk := newFakeClock(time.Unix(5000, 0))
+	clk := clock.NewManual(time.Unix(5000, 0))
 	wcfg := durableWindowConfig(dir, 1, 2, clk)
 	if _, err := Open(wcfg); err == nil {
 		t.Fatal("windowed engine opened an unwindowed checkpoint directory")

@@ -1,8 +1,8 @@
 package similarity_test
 
 // The baselines' bad-k, unknown-user, static-accuracy and common-items
-// checks, one test per method each, and MinHash's deletion and signature
-// tests.
+// checks, one test per method each, MinHash's deletion and signature
+// tests, and OPH's bin and deletion tests.
 
 import (
 	"math"
@@ -217,6 +217,90 @@ func TestOPHCommonItemsIdentity(t *testing.T) {
 	}
 }
 
+func TestOPHSparseSetsUseNonEmptyDenominator(t *testing.T) {
+	// Few items, many bins: the NIPS'12 estimator must divide by the
+	// non-empty bin count, not k, or sparse sets would be crushed to ~0.
+	const k = 512
+	s := similarity.NewOPH(k, 7)
+	items := []stream.Item{1, 2, 3, 4, 5}
+	for _, it := range items {
+		s.Process(stream.Edge{User: 1, Item: it, Op: stream.Insert})
+		s.Process(stream.Edge{User: 2, Item: it, Op: stream.Insert})
+	}
+	if got := s.EstimateJaccard(1, 2); got != 1 {
+		t.Errorf("identical sparse sets: Ĵ = %v, want 1", got)
+	}
+}
+
+func TestOPHProcessTouchesOneBin(t *testing.T) {
+	// O(1) semantics: an insert may change at most one register.
+	s := similarity.NewOPH(64, 3)
+	s.Process(stream.Edge{User: 1, Item: 100, Op: stream.Insert})
+	before, occBefore := s.Signature(1)
+	s.Process(stream.Edge{User: 1, Item: 200, Op: stream.Insert})
+	after, occAfter := s.Signature(1)
+	changed := 0
+	for j := range before {
+		if before[j] != after[j] || occBefore[j] != occAfter[j] {
+			changed++
+		}
+	}
+	if changed > 1 {
+		t.Errorf("insert changed %d bins", changed)
+	}
+}
+
+func TestOPHDeletionEmptiesOnlyOwningBin(t *testing.T) {
+	s := similarity.NewOPH(32, 5)
+	s.Process(stream.Edge{User: 1, Item: 42, Op: stream.Insert})
+	_, occ := s.Signature(1)
+	occupied := 0
+	for _, o := range occ {
+		if o {
+			occupied++
+		}
+	}
+	if occupied != 1 {
+		t.Fatalf("one insert occupied %d bins", occupied)
+	}
+	s.Process(stream.Edge{User: 1, Item: 42, Op: stream.Delete})
+	_, occ = s.Signature(1)
+	for j, o := range occ {
+		if o {
+			t.Errorf("bin %d still occupied after deleting its only item", j)
+		}
+	}
+}
+
+func TestOPHDeletionBiasExists(t *testing.T) {
+	// The §III sampling bias depends on the *history*, not just the
+	// final sets: user 1 inserts [100, 400) directly, user 2 inserts
+	// [0, 400) and then unsubscribes [0, 100). Both end with the same
+	// set, so true J = 1, but each bin of user 2 whose minimum fell in
+	// the deleted prefix (≈ 1/4 of bins) is emptied and never refills,
+	// capping the estimate well below 1.
+	const k = 128
+	sum := 0.0
+	const trials = 10
+	for trial := 0; trial < trials; trial++ {
+		s := similarity.NewOPH(k, uint64(trial))
+		for i := 100; i < 400; i++ {
+			s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
+		}
+		for i := 0; i < 400; i++ {
+			s.Process(stream.Edge{User: 2, Item: stream.Item(i), Op: stream.Insert})
+		}
+		for i := 0; i < 100; i++ {
+			s.Process(stream.Edge{User: 2, Item: stream.Item(i), Op: stream.Delete})
+		}
+		sum += s.EstimateJaccard(1, 2)
+	}
+	avg := sum / trials
+	if avg > 0.9 {
+		t.Errorf("expected visible deletion bias on identical sets (J=1), estimate %.3f"+
+			" (baseline no longer reproduces the paper's flaw)", avg)
+	}
+}
 func TestRPNewPanicsOnBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

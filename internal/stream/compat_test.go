@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/vossketch/vos"
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/internal/cluster"
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/cpu"
@@ -146,13 +147,12 @@ func compatEngine(dir string, fam hashing.Kind, windowed bool) engine.Config {
 	cfg := engine.Config{
 		Sketch:             core.Config{MemoryBits: 1 << 14, SketchBits: 128, Seed: 11, Family: fam},
 		Shards:             2,
-		FlushInterval:      -1,
+		Clock:              clock.NewManual(time.Unix(1000, 0)),
 		PositionCacheUsers: -1,
 		Durability:         &engine.DurabilityConfig{Dir: dir, Sync: wal.SyncOff},
 	}
 	if windowed {
-		cfg.Window = &engine.WindowConfig{Buckets: compatBuckets, BucketDuration: time.Second,
-			Now: func() time.Time { return time.Unix(1000, 0) }}
+		cfg.Window = &engine.WindowConfig{Buckets: compatBuckets, BucketDuration: time.Second}
 	}
 	return cfg
 }
@@ -462,7 +462,7 @@ func compatDeltaEngine() engine.Config {
 	return engine.Config{
 		Sketch:             core.Config{MemoryBits: 1 << 20, SketchBits: 128, Seed: 11},
 		Shards:             2,
-		FlushInterval:      -1,
+		Clock:              clock.NewManual(time.Time{}),
 		PositionCacheUsers: -1,
 	}
 }

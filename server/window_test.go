@@ -13,22 +13,18 @@ import (
 
 	"github.com/vossketch/vos"
 	"github.com/vossketch/vos/client"
+	"github.com/vossketch/vos/internal/clock"
 	"github.com/vossketch/vos/server"
 )
 
-// fakeClock pins the windowed engine's wall clock so only event time (ts
-// fields, the batch header) drives rotation in these tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) Now() time.Time { return c.t }
-
 // newWindowedWired builds a windowed engine behind a server, plus a
-// client, with 3 one-second buckets and a pinned clock.
-func newWindowedWired(t *testing.T) (*vos.Engine, *client.Client, string, *fakeClock) {
+// client, with 3 one-second buckets and a clock that stands still, so only
+// event time (ts fields, the batch header) drives rotation.
+func newWindowedWired(t *testing.T) (*vos.Engine, *client.Client, string) {
 	t.Helper()
-	clk := &fakeClock{t: time.Unix(1000, 0).Add(time.Millisecond)}
 	cfg := testEngineConfig()
-	cfg.Window = &vos.WindowConfig{Buckets: 3, BucketDuration: time.Second, Now: clk.Now}
+	cfg.Window = &vos.WindowConfig{Buckets: 3, BucketDuration: time.Second}
+	cfg.Clock = clock.NewManual(time.Unix(1000, 0).Add(time.Millisecond))
 	eng, err := vos.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,14 +36,14 @@ func newWindowedWired(t *testing.T) (*vos.Engine, *client.Client, string, *fakeC
 		ts.Close()
 		eng.Close()
 	})
-	return eng, cl, ts.URL, clk
+	return eng, cl, ts.URL
 }
 
 // TestWindowStats: /v1/stats reports window_seconds and window_buckets on
 // a windowed service and omits them otherwise — through the Go client in
 // both directions.
 func TestWindowStats(t *testing.T) {
-	_, cl, url, _ := newWindowedWired(t)
+	_, cl, url := newWindowedWired(t)
 	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +84,7 @@ func TestWindowStats(t *testing.T) {
 // ingest path drive event time — a batch stamped two buckets ahead
 // retires the oldest bucket before the new edges land.
 func TestTimestampedIngestAdvancesWindow(t *testing.T) {
-	eng, _, url, _ := newWindowedWired(t)
+	eng, _, url := newWindowedWired(t)
 
 	post := func(body string) *http.Response {
 		resp, err := http.Post(url+server.RouteEdges, server.ContentTypeJSON, strings.NewReader(body))
@@ -161,7 +157,7 @@ func TestTimestampedIngestAdvancesWindow(t *testing.T) {
 // TestBatchTsHeaderAndClientAdvance: the X-Vos-Batch-Ts header timestamps
 // binary batches, and client.AdvanceWindow drives it.
 func TestBatchTsHeaderAndClientAdvance(t *testing.T) {
-	eng, cl, url, _ := newWindowedWired(t)
+	eng, cl, url := newWindowedWired(t)
 	ctx := context.Background()
 
 	// No explicit Flush: AdvanceWindow must ship the pending buffer
@@ -207,7 +203,7 @@ func TestBatchTsHeaderAndClientAdvance(t *testing.T) {
 // onto vos.ErrOutsideWindow; instants inside the window are served; an
 // unwindowed service rejects at entirely.
 func TestQueryPredatesWindow(t *testing.T) {
-	_, cl, url, _ := newWindowedWired(t)
+	_, cl, url := newWindowedWired(t)
 	ctx := context.Background()
 
 	if err := cl.Ingest(ctx, []vos.Edge{{User: 1, Item: 10, Op: vos.Insert}, {User: 2, Item: 10, Op: vos.Insert}}); err != nil {
@@ -283,9 +279,8 @@ func TestQueryPredatesWindow(t *testing.T) {
 // the in-process adapters.
 func TestWindowedServiceCapability(t *testing.T) {
 	ctx := context.Background()
-	clk := &fakeClock{t: time.Unix(2000, 0)}
 	cfg := testEngineConfig()
-	cfg.Window = &vos.WindowConfig{Buckets: 2, BucketDuration: time.Second, Now: clk.Now}
+	cfg.Window, cfg.Clock = &vos.WindowConfig{Buckets: 2, BucketDuration: time.Second}, clock.NewManual(time.Unix(2000, 0))
 	eng, err := vos.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
