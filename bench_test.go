@@ -43,7 +43,6 @@ func benchOptions() experiments.Options {
 		K32:          100,
 		Lambda:       2,
 		TopUsers:     60,
-		MinCommon:    1,
 		MaxPairs:     200,
 		Checkpoints:  6,
 		RuntimeUsers: 500,

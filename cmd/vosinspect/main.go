@@ -137,39 +137,35 @@ func run(args []string, stdout io.Writer) error {
 
 // dumpWAL prints a durability directory's checkpoint and segment layout,
 // then reconstructs the state an engine would recover: the checkpointed
-// sketch (or a fresh one from cfg, the sketch identity flags, when no checkpoint
-// exists) with the WAL
-// suffix replayed into it. A windowed engine's checkpoint is its bucket
-// ring; the suffix then lands in the ring's merged view, as it is when
-// persisted (a restarted engine first retires the buckets its clock has
-// left behind).
+// sketch (or a fresh one from cfg, the sketch identity flags, when no
+// checkpoint exists) with the WAL suffix replayed into it. The checkpoint is
+// decoded by core.UnmarshalState and the suffix walked by wal.ReplayDir, as
+// engine.Open does. A windowed engine's checkpoint is its bucket ring; the
+// suffix then lands in the ring's merged view, as it is when persisted (a
+// restarted engine first retires the buckets its clock has left behind).
 func dumpWAL(w io.Writer, dir string, cfg vos.Config) (*vos.Sketch, error) {
 	pos, skBytes, found, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
 	var sk *vos.Sketch
-	switch {
-	case found && core.IsWindowData(skBytes):
-		ring, err := core.UnmarshalWindow(skBytes)
-		if err != nil {
+	var ring *core.Window
+	if found {
+		if sk, ring, err = core.UnmarshalState(skBytes); err != nil {
 			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
 		}
+	} else if sk, err = vos.New(cfg); err != nil {
+		return nil, err
+	}
+	switch {
+	case ring != nil:
 		sk = ring.Merged()
 		fmt.Fprintf(w, "checkpoint:  position %d, %d window bytes (%d buckets of %v ending %s; m=%d k=%d)\n",
 			pos, len(skBytes), ring.Buckets(), ring.BucketDuration(), ring.End().UTC().Format(time.RFC3339), sk.MemoryBits(), sk.K())
 	case found:
-		sk, err = vos.Unmarshal(skBytes)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint at %d: %w", pos, err)
-		}
 		fmt.Fprintf(w, "checkpoint:  position %d, %d sketch bytes (m=%d k=%d)\n",
 			pos, len(skBytes), sk.MemoryBits(), sk.K())
 	default:
-		sk, err = vos.New(cfg)
-		if err != nil {
-			return nil, err
-		}
 		fmt.Fprintf(w, "checkpoint:  none (recovering from WAL alone with the -memory-bits/-sketch-bits/-seed/-hash-family config)\n")
 	}
 

@@ -18,10 +18,6 @@ import (
 
 // Options tunes a Gateway. The zero value selects the defaults.
 type Options struct {
-	// RingPath, when set, is where membership changes are persisted
-	// (atomically rewritten on every handoff). A gateway built by Open
-	// has it set to the path it loaded.
-	RingPath string
 	// ManifestPath, when set, is where CheckpointCluster records its
 	// manifest.
 	ManifestPath string
@@ -49,7 +45,8 @@ type Options struct {
 // which the cluster parity tests pin for 2/3/4 nodes across crashes and
 // live handoffs.
 type Gateway struct {
-	opt Options
+	opt      Options
+	ringPath string // the ring document Open loaded; every handoff rewrites it
 
 	// mu guards ring and backends. The ring is replaced, never mutated, so
 	// readers take the pointer under RLock (ringRef) and use it lock-free.
@@ -115,8 +112,12 @@ func Open(ringPath string, opt Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.RingPath = ringPath
-	return New(ring, opt)
+	g, err := New(ring, opt)
+	if err != nil {
+		return nil, err
+	}
+	g.ringPath = ringPath
+	return g, nil
 }
 
 // Compile-time interface checks: the gateway is a full service peer.
@@ -484,11 +485,11 @@ func (g *Gateway) Handoff(ctx context.Context, shard int, to string) (uint64, er
 	next := ring.Clone()
 	next.Shards[shard] = to
 	next.Version++
-	if g.opt.RingPath != "" {
+	if g.ringPath != "" {
 		// Persist before publishing: a crash between the two leaves the
 		// on-disk ring ahead of (never behind) the served one, and a
 		// restart serving the new ring is correct — the state moved.
-		if err := SaveRing(g.opt.RingPath, next); err != nil {
+		if err := SaveRing(g.ringPath, next); err != nil {
 			return 0, fmt.Errorf("handoff shard %d: persist ring: %w", shard, err)
 		}
 	}

@@ -51,6 +51,7 @@ func FuzzUnmarshalVOS(f *testing.F) {
 	f.Add(swapped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsState(t, data)
 		got, err := UnmarshalVOS(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -111,6 +112,7 @@ func FuzzUnmarshalWindow(f *testing.F) {
 	f.Add(windowOf(swapped))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsState(t, data)
 		got, err := UnmarshalWindow(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -135,6 +137,44 @@ func FuzzUnmarshalWindow(f *testing.F) {
 			t.Fatal("round trip changed the rebuilt merged view")
 		}
 	})
+}
+
+// sameAsState holds UnmarshalState to the decoder data's magic selects —
+// UnmarshalWindow for "VWN1", else UnmarshalVOS: the same error-or-not and,
+// on success, exactly one state that re-marshals to the same bytes.
+func sameAsState(t *testing.T, data []byte) {
+	t.Helper()
+	var want []byte
+	var wantErr error
+	if isWindowData(data) {
+		var w *Window
+		if w, wantErr = UnmarshalWindow(data); wantErr == nil {
+			want, _ = w.MarshalBinary()
+		}
+	} else {
+		var v *VOS
+		if v, wantErr = UnmarshalVOS(data); wantErr == nil {
+			want, _ = v.MarshalBinary()
+		}
+	}
+	flat, ring, err := UnmarshalState(data)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("UnmarshalState error %v, its format's decoder %v", err, wantErr)
+	}
+	var got []byte
+	switch {
+	case err != nil:
+		return
+	case flat != nil && ring == nil:
+		got, _ = flat.MarshalBinary()
+	case ring != nil && flat == nil:
+		got, _ = ring.MarshalBinary()
+	default:
+		t.Fatalf("UnmarshalState returned flat %v and ring %v", flat != nil, ring != nil)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("UnmarshalState's state re-marshals to other bytes than its format's decoder's")
+	}
 }
 
 // edgeFor is a fuzz-test helper building one edge.

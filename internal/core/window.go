@@ -269,17 +269,28 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// IsWindowData reports whether data starts with the serialized-Window
-// magic — how recovery distinguishes a windowed checkpoint from a plain
-// sketch checkpoint.
-func IsWindowData(data []byte) bool {
+// isWindowData reports whether data starts with the serialized-Window
+// magic — how UnmarshalState tells a bucket ring from a plain sketch.
+func isWindowData(data []byte) bool {
 	return len(data) >= len(windowMagic) && bytes.Equal(data[:len(windowMagic)], windowMagic[:])
+}
+
+// UnmarshalState decodes a persisted engine state, the one place its kind is
+// decided: a bucket ring (UnmarshalWindow) when data carries the window magic,
+// else a plain sketch (UnmarshalVOS). On success one of flat and ring is set.
+func UnmarshalState(data []byte) (flat *VOS, ring *Window, err error) {
+	if isWindowData(data) {
+		ring, err = UnmarshalWindow(data)
+		return nil, ring, err
+	}
+	flat, err = UnmarshalVOS(data)
+	return flat, nil, err
 }
 
 // UnmarshalWindow decodes a window produced by Window.MarshalBinary and
 // rebuilds base and the merged view from the buckets.
 func UnmarshalWindow(data []byte) (*Window, error) {
-	if !IsWindowData(data) {
+	if !isWindowData(data) {
 		return nil, fmt.Errorf("%w: bad window magic", ErrCorrupt)
 	}
 	off := len(windowMagic)

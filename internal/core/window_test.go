@@ -324,8 +324,8 @@ func TestWindowMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsWindowData(data) {
-		t.Fatal("serialized window not recognised by IsWindowData")
+	if !isWindowData(data) {
+		t.Fatal("serialized window not recognised by isWindowData")
 	}
 	got, err := UnmarshalWindow(data)
 	if err != nil {

@@ -9,7 +9,9 @@ package engine
 // covers and then deletes fully covered WAL segments; Open loads the
 // newest valid checkpoint and replays only the WAL suffix, so restart cost
 // is proportional to the edges since the last checkpoint, not the whole
-// graph stream.
+// graph stream. The checkpoint is decoded by core.UnmarshalState and the
+// suffix walked by wal.ReplayDir — the decoder and walk vosinspect -wal
+// dumps a directory with, so the two readers cannot drift apart.
 //
 // Consistency model. Producers hold walMu.RLock across "append to WAL,
 // then route to shards", and Checkpoint holds walMu.Lock while it captures
@@ -91,27 +93,22 @@ func Open(cfg Config) (*Engine, error) {
 	var flat *core.VOS
 	var ring *core.Window
 	if found {
+		if flat, ring, err = core.UnmarshalState(skBytes); err != nil {
+			return nil, fmt.Errorf("engine: load checkpoint: %w", err)
+		}
 		var got core.Config
 		switch {
-		case core.IsWindowData(skBytes):
-			if cfg.Window == nil {
-				return nil, fmt.Errorf("engine: directory holds a windowed checkpoint but Config.Window is nil")
-			}
-			if ring, err = core.UnmarshalWindow(skBytes); err != nil {
-				return nil, fmt.Errorf("engine: load windowed checkpoint: %w", err)
-			}
-			if ring.Buckets() != cfg.Window.Buckets || ring.BucketDuration() != cfg.Window.BucketDuration {
-				return nil, fmt.Errorf("engine: checkpoint window (B=%d, bucket=%v) does not match engine config (B=%d, bucket=%v)",
-					ring.Buckets(), ring.BucketDuration(), cfg.Window.Buckets, cfg.Window.BucketDuration)
-			}
-			got = ring.Config()
-		case cfg.Window != nil:
+		case ring == nil && cfg.Window != nil:
 			return nil, fmt.Errorf("engine: directory holds an unwindowed checkpoint but Config.Window is set")
-		default:
-			if flat, err = core.UnmarshalVOS(skBytes); err != nil {
-				return nil, fmt.Errorf("engine: load checkpoint: %w", err)
-			}
+		case ring == nil:
 			got = flat.Config()
+		case cfg.Window == nil:
+			return nil, fmt.Errorf("engine: directory holds a windowed checkpoint but Config.Window is nil")
+		case ring.Buckets() != cfg.Window.Buckets || ring.BucketDuration() != cfg.Window.BucketDuration:
+			return nil, fmt.Errorf("engine: checkpoint window (B=%d, bucket=%v) does not match engine config (B=%d, bucket=%v)",
+				ring.Buckets(), ring.BucketDuration(), cfg.Window.Buckets, cfg.Window.BucketDuration)
+		default:
+			got = ring.Config()
 		}
 		if err := foldable("checkpoint", got, cfg.Sketch); err != nil {
 			return nil, err
@@ -149,7 +146,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	// Replay the suffix through the routing path directly — the log is not
 	// attached yet, so replayed edges are not re-appended.
-	err = log.Replay(ckptPos, func(_ uint64, edges []stream.Edge) error {
+	err = wal.ReplayDir(d.Dir, ckptPos, func(_ uint64, edges []stream.Edge) error {
 		e.route(edges, nil)
 		return nil
 	})

@@ -237,12 +237,13 @@ type Engine struct {
 	shards []*shard
 	wg     sync.WaitGroup
 	closed atomic.Bool
-	// lifeMu orders producer-side channel sends against Close: Flush and
-	// the linger hold RLock across "check closed, then hand batches
-	// to shard channels", and Close holds Lock while it drains the pending
-	// buffers and closes those channels. Without it, a Flush racing Close
-	// could send on a closed channel (panic) or park a batch behind an
-	// exited worker and spin forever waiting for it to apply.
+	// lifeMu orders producer-side channel sends against Close: processBatch
+	// and Flush hold RLock across "check closed, then hand batches to shard
+	// channels", and Close holds Lock while it drains the pending buffers
+	// and closes those channels, after which nothing pends again (so the
+	// linger, which hands over only what pends, takes no lock). Without it,
+	// a Flush racing Close could send on a closed channel (panic) or park a
+	// batch behind an exited worker and spin forever waiting for it to apply.
 	lifeMu sync.RWMutex
 	stop   chan struct{} // stops the linger
 	start  time.Time
@@ -470,17 +471,13 @@ func (e *Engine) linger() {
 			return
 		case <-e.cfg.Clock.After(period):
 			// Rotate first so an idle stream still retires buckets on the
-			// clock (no lifeMu needed: rotation is stateMu/skMu territory).
+			// clock. Neither step takes lifeMu (rotation: stateMu/skMu).
 			e.maybeAdvance()
-			e.lifeMu.RLock()
-			if !e.closed.Load() {
-				for _, s := range e.shards {
-					if len(s.ch) < cap(s.ch) { // else the residue stays pending for next time
-						s.handOver()
-					}
+			for _, s := range e.shards {
+				if len(s.ch) < cap(s.ch) { // else the residue stays pending for next time
+					s.handOver()
 				}
 			}
-			e.lifeMu.RUnlock()
 		}
 	}
 }
@@ -696,8 +693,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	close(e.stop)
-	// The exclusive lock waits out any Flush or linger kick that passed
-	// its closed check before the CAS above, so no sender can race the
+	// The exclusive lock waits out any producer or Flush that passed its
+	// closed check before the CAS above, so no sender can race the
 	// channel close below. Released before checkpointLocked, whose Flush
 	// call must be able to take the read lock (it sees closed and returns;
 	// the workers have already drained everything by then).
@@ -806,17 +803,6 @@ func (e *Engine) CardinalityContext(ctx context.Context, u stream.User) (int64, 
 		return 0, err
 	}
 	return e.Cardinality(u), nil
-}
-
-// StatsContext is Stats with lifecycle and cancellation checks.
-func (e *Engine) StatsContext(ctx context.Context) (core.Stats, error) {
-	if e.closed.Load() {
-		return core.Stats{}, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return core.Stats{}, err
-	}
-	return e.Stats(), nil
 }
 
 // Cardinality returns n_u over applied edges (over the live window, in

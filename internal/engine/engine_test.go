@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,6 +357,87 @@ func TestFlushRacingClose(t *testing.T) {
 		for _, s := range e.shards {
 			if got, want := s.processed.Load(), s.enqueued.Load(); got != want {
 				t.Fatalf("round %d: shard drained %d of %d edges after Close", round, got, want)
+			}
+		}
+	}
+}
+
+// TestCloseLeavesNothingPending pins what lets the linger hand batches over
+// without lifeMu: once Close has drained the pending batches under lifeMu,
+// nothing adds to one again, because processBatch and Flush check closed
+// under lifeMu. Producers, Flushes and linger ticks race Close; each
+// producer calls until it is refused, or for a few calls past Close's
+// return should it never be (one let through after Close leaves edges
+// pending). Afterwards every shard's pending batch is empty and every edge
+// enqueued was applied.
+func TestCloseLeavesNothingPending(t *testing.T) {
+	for round := 0; round < 25; round++ {
+		clk := clock.NewManual(time.Time{})
+		e := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 64, Clock: clk})
+		var wg sync.WaitGroup
+		var accepted atomic.Int64
+		start, closed := make(chan struct{}), make(chan struct{})
+		race := func(step func() bool) { // runs step until it returns false
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for step() {
+				}
+			}()
+		}
+		for p := 0; p < 3; p++ {
+			i, past := 0, 0
+			race(func() bool {
+				i++
+				batch := []stream.Edge{
+					{User: stream.User(100*p + i%7), Item: stream.Item(i), Op: stream.Insert},
+					{User: stream.User(100*p + i%5), Item: stream.Item(i + 1), Op: stream.Insert},
+				}
+				if e.ProcessBatch(batch) != nil {
+					return false
+				}
+				accepted.Add(1)
+				select {
+				case <-closed:
+					past++
+				default:
+				}
+				return past < 8
+			})
+		}
+		for f := 0; f < 2; f++ {
+			race(func() bool { e.Flush(); return !e.Closed() })
+		}
+		race(func() bool { // the linger's ticks
+			clk.Advance(50 * time.Millisecond)
+			select {
+			case <-closed:
+				return false
+			default:
+				return true
+			}
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for accepted.Load() < 20 {
+				runtime.Gosched()
+			}
+			if err := e.Close(); err != nil {
+				t.Error(err)
+			}
+			close(closed)
+		}()
+		close(start)
+		wg.Wait()
+		for i, s := range e.shards {
+			s.pendMu.Lock()
+			pending := len(s.pend)
+			s.pendMu.Unlock()
+			if got, want := s.processed.Load(), s.enqueued.Load(); pending != 0 || got != want {
+				t.Fatalf("round %d: shard %d holds %d pending edges and applied %d of %d after Close", round, i, pending, got, want)
 			}
 		}
 	}

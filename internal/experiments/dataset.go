@@ -28,9 +28,6 @@ type Options struct {
 	// TopUsers is how many highest-cardinality users seed the tracked
 	// pairs (paper: 5,000 at full scale; scaled default 100).
 	TopUsers int
-	// MinCommon is the common-item threshold for tracked pairs
-	// (paper: 1).
-	MinCommon int
 	// MaxPairs caps the tracked pair count to bound harness cost.
 	MaxPairs int
 	// Checkpoints is the number of evenly spaced measurement points for
@@ -49,6 +46,9 @@ type Options struct {
 	RuntimeKs []int
 }
 
+// minCommon is the common-item threshold for tracked pairs (paper: 1).
+const minCommon = 1
+
 // Defaults returns the laptop-scale configuration used throughout
 // README.md.
 func Defaults() Options {
@@ -58,7 +58,6 @@ func Defaults() Options {
 		K32:          100,
 		Lambda:       2,
 		TopUsers:     100,
-		MinCommon:    1,
 		MaxPairs:     500,
 		Checkpoints:  12,
 		Dataset:      "YouTube",
@@ -76,7 +75,6 @@ func (o Options) normalized() Options {
 	o.K32 = cmp.Or(o.K32, d.K32)
 	o.Lambda = cmp.Or(o.Lambda, d.Lambda)
 	o.TopUsers = cmp.Or(o.TopUsers, d.TopUsers)
-	o.MinCommon = cmp.Or(o.MinCommon, d.MinCommon)
 	o.MaxPairs = cmp.Or(o.MaxPairs, d.MaxPairs)
 	o.Checkpoints = cmp.Or(o.Checkpoints, d.Checkpoints)
 	o.Dataset = cmp.Or(o.Dataset, d.Dataset)
@@ -124,7 +122,7 @@ func BuildDataset(p gen.Profile, opts Options) Dataset {
 
 // TrackedPairs selects the pairs the accuracy experiments follow, using
 // the paper's rule: among the TopUsers highest-cardinality users at end of
-// stream, every pair sharing at least MinCommon items, capped at MaxPairs.
+// stream, every pair sharing at least minCommon items, capped at MaxPairs.
 // It also reports the median true common-item count of the selection, for
 // the table notes.
 func TrackedPairs(ds Dataset, opts Options) ([]exact.Pair, int, error) {
@@ -136,10 +134,10 @@ func TrackedPairs(ds Dataset, opts Options) ([]exact.Pair, int, error) {
 		}
 	}
 	top := store.TopUsers(opts.TopUsers)
-	pairs := store.PairsWithCommonItems(top, opts.MinCommon, opts.MaxPairs)
+	pairs := store.PairsWithCommonItems(top, minCommon, opts.MaxPairs)
 	if len(pairs) == 0 {
 		return nil, 0, fmt.Errorf("experiments: no pair among top %d users shares ≥ %d items",
-			opts.TopUsers, opts.MinCommon)
+			opts.TopUsers, minCommon)
 	}
 	commons := make([]int, len(pairs))
 	for i, p := range pairs {

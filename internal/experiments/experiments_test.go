@@ -21,7 +21,6 @@ func tinyOptions() Options {
 		K32:          50,
 		Lambda:       2,
 		TopUsers:     30,
-		MinCommon:    1,
 		MaxPairs:     60,
 		Checkpoints:  4,
 		RuntimeUsers: 50,

@@ -11,7 +11,7 @@ import (
 // all methods share the memory budget m = 32·K32·|U| bits (VOS with
 // λ = Lambda), the workload is the dynamized dataset stream, the tracked
 // pairs are those among the TopUsers highest-cardinality users sharing at
-// least MinCommon items, AAPE scores the common-item estimates ŝ and
+// least minCommon items, AAPE scores the common-item estimates ŝ and
 // ARMSE the Jaccard estimates Ĵ.
 //
 // Panels: (a) AAPE over time on YouTube, (b) final AAPE on all datasets,

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 var ckptMagic = [8]byte{'V', 'O', 'S', 'C', 'K', 'P', 'T', '1'}
@@ -86,23 +85,13 @@ func WriteCheckpoint(dir string, pos uint64, sketch []byte) error {
 }
 
 // ListCheckpoints returns the covered positions of the directory's
-// checkpoint files in ascending order.
+// checkpoint files in ascending order; a missing directory holds none.
 func ListCheckpoints(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
+	out, err := listSeq(dir, ckptPrefix, ckptSuffix)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	var out []uint64
-	for _, ent := range ents {
-		if pos, ok := parseSeq(ent.Name(), ckptPrefix, ckptSuffix); ok {
-			out = append(out, pos)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return out, err
 }
 
 // LatestCheckpoint loads the newest checkpoint that validates, skipping
@@ -122,14 +111,11 @@ func LatestCheckpoint(dir string) (pos uint64, sketch []byte, found bool, err er
 			}
 			return 0, nil, false, err
 		}
-		p, sk, err := DecodeCheckpoint(data)
-		if err != nil {
-			continue // corrupt: fall back to the previous checkpoint
+		// One that is corrupt, or whose filename and payload disagree, falls
+		// back to the previous checkpoint.
+		if p, sk, err := DecodeCheckpoint(data); err == nil && p == all[i] {
+			return p, sk, true, nil
 		}
-		if p != all[i] {
-			continue // filename and payload disagree: treat as corrupt
-		}
-		return p, sk, true, nil
 	}
 	return 0, nil, false, nil
 }

@@ -43,12 +43,14 @@
 // # Concurrency and lifecycle
 //
 // A Log serialises its own appends internally and is safe for concurrent
-// Append calls; Replay/SkipTo are start-up-time operations on a log not
-// yet receiving appends. The engine layers its own gate on top (appends
-// never straddle a checkpoint position — see internal/engine). After
-// Close, every method fails; the directory flock is released on Close and
-// by the kernel on process death, so a crash never wedges its own
-// recovery.
+// Append calls; SkipTo is a start-up-time operation on a log not yet
+// receiving appends. ReplayDir only reads the directory: engine recovery
+// and inspection tools walk a log with it alike, and Open measures its
+// last segment with InspectSegment, as those tools do. The engine layers
+// its own gate on top (appends never straddle a checkpoint position — see
+// internal/engine). After Close, every method fails; the directory flock
+// is released on Close and by the kernel on process death, so a crash
+// never wedges its own recovery.
 //
 // # Failures
 //

@@ -317,7 +317,7 @@ func checkReplay(dir string, run faultRun) error {
 	var got []faultRecord
 	replay := func() error {
 		got = got[:0]
-		return l.Replay(from, func(pos uint64, edges []stream.Edge) error {
+		return ReplayDir(l.dir, from, func(pos uint64, edges []stream.Edge) error {
 			got = append(got, faultRecord{pos: pos, edges: edges})
 			return nil
 		})

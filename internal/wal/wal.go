@@ -9,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -219,15 +219,15 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	// Reopen the last segment for appending: scan its records, drop the
 	// torn tail if any, and derive the log position.
-	var last, edges uint64
-	var validLen int64
+	var last uint64
+	var info SegmentInfo
 	if len(segs) > 0 {
 		last = segs[len(segs)-1]
-		if edges, validLen, err = scanSegment(SegmentPath(dir, last)); err != nil {
+		if info, err = InspectSegment(SegmentPath(dir, last)); err != nil {
 			return fail(err)
 		}
 	}
-	if validLen == 0 {
+	if info.ValidBytes == 0 {
 		// An empty directory, or a last segment with no header: a crash
 		// between its creation and header durability leaves a short file, or
 		// zeros where a lost header was. No acknowledged record can live in
@@ -238,22 +238,21 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		return l, nil
 	}
-	path := SegmentPath(dir, last)
-	f, err := openFile(path, os.O_RDWR)
+	f, err := openFile(SegmentPath(dir, last), os.O_RDWR)
 	if err != nil {
 		return fail(err)
 	}
-	if fi, err := os.Stat(path); err == nil && fi.Size() > validLen {
-		if err := f.Truncate(validLen); err != nil {
+	if info.Bytes > info.ValidBytes {
+		if err := f.Truncate(info.ValidBytes); err != nil {
 			f.Close()
 			return fail(err)
 		}
 	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+	if _, err := f.Seek(info.ValidBytes, io.SeekStart); err != nil {
 		f.Close()
 		return fail(err)
 	}
-	l.f, l.size, l.base, l.pos = f, validLen, last, last+edges
+	l.f, l.size, l.base, l.pos = f, info.ValidBytes, last, last+info.Edges
 	return l, nil
 }
 
@@ -577,19 +576,14 @@ func (l *Log) TruncateBefore(pos uint64) error {
 	return nil
 }
 
-// Replay invokes fn for every record whose edges all lie at or after from,
-// in append order, passing the record's starting position. Records fully
-// below from are skipped; a record straddling from is a corruption (records
-// are the checkpoint granularity, so a checkpoint position always falls on
-// a record boundary). The torn tail of the last segment, if Open has not
-// already truncated it, is ignored.
-func (l *Log) Replay(from uint64, fn func(pos uint64, edges []stream.Edge) error) error {
-	return ReplayDir(l.dir, from, fn)
-}
-
-// ReplayDir is Replay over a directory that is not opened for appending —
-// a strictly read-only walk for inspection tools (Open truncates torn
-// tails and creates the first segment; ReplayDir mutates nothing).
+// ReplayDir invokes fn for every record of dir's log whose edges all lie at
+// or after from, in append order, passing the record's starting position.
+// Records fully below from are skipped; a record straddling from is a
+// corruption (records are the checkpoint granularity, so a checkpoint
+// position always falls on a record boundary). The torn tail of the last
+// segment, if Open has not already truncated it, is ignored. The walk is
+// read-only — it mutates nothing, so it serves engine recovery and
+// inspection of a live or crashed directory alike.
 //
 // Coverage of [from, end-of-log) is verified, not assumed: the first
 // replayed segment must begin at or before from, and each later segment
@@ -618,10 +612,9 @@ func ReplayDir(dir string, from uint64, fn func(pos uint64, edges []stream.Edge)
 		} else if base != next {
 			return fmt.Errorf("%w: segment gap: expected base %d, found %d", ErrCorrupt, next, base)
 		}
-		path := filepath.Join(dir, segName(base))
 		pos := base
 		last := i == len(segs)-1
-		err := readSegment(path, func(edges []stream.Edge) error {
+		err := readSegment(SegmentPath(dir, base), func(edges []stream.Edge) error {
 			recBase := pos
 			pos += uint64(len(edges))
 			if pos <= from {
@@ -713,46 +706,34 @@ func readSegmentBytes(data []byte, name string, fn func(edges []stream.Edge) err
 	return consumed, nil
 }
 
-// scanSegment walks a segment counting edges and measuring the byte length
-// of its valid prefix, tolerating a torn tail.
-func scanSegment(path string) (edges uint64, validLen int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	validLen, err = readSegmentBytes(data, filepath.Base(path), func(batch []stream.Edge) error {
-		edges += uint64(len(batch))
-		return nil
-	})
-	if errors.Is(err, errTornTail) {
-		err = nil
-	}
-	return edges, validLen, err
-}
-
-// SegmentInfo summarises one on-disk segment for inspection tools.
+// SegmentInfo summarises one on-disk segment, for Open and inspection tools.
 type SegmentInfo struct {
-	Base    uint64 // stream position of the first edge
-	Records int
-	Edges   uint64
-	Bytes   int64
-	Torn    bool // ends in an incomplete or checksum-failing frame
+	Base       uint64 // stream position of the first edge
+	Records    int
+	Edges      uint64
+	Bytes      int64
+	ValidBytes int64 // the valid prefix: header and whole valid frames, where Open truncates
+	Torn       bool  // ends in an incomplete or checksum-failing frame
 }
 
 // ListSegments returns the base positions of the directory's segments in
 // ascending order.
-func ListSegments(dir string) ([]uint64, error) {
+func ListSegments(dir string) ([]uint64, error) { return listSeq(dir, segPrefix, segSuffix) }
+
+// listSeq returns the positions parseSeq reads from the directory's file
+// names of one kind, in ascending order.
+func listSeq(dir, prefix, suffix string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []uint64
 	for _, ent := range ents {
-		if base, ok := parseSeq(ent.Name(), segPrefix, segSuffix); ok {
-			out = append(out, base)
+		if n, ok := parseSeq(ent.Name(), prefix, suffix); ok {
+			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -766,7 +747,7 @@ func InspectSegment(path string) (SegmentInfo, error) {
 		return SegmentInfo{}, err
 	}
 	info := SegmentInfo{Bytes: int64(len(data))}
-	consumed, err := readSegmentBytes(data, filepath.Base(path), func(edges []stream.Edge) error {
+	info.ValidBytes, err = readSegmentBytes(data, filepath.Base(path), func(edges []stream.Edge) error {
 		info.Records++
 		info.Edges += uint64(len(edges))
 		return nil
@@ -775,7 +756,7 @@ func InspectSegment(path string) (SegmentInfo, error) {
 		info.Torn = true
 		err = nil
 	}
-	if consumed == 0 {
+	if info.ValidBytes == 0 {
 		info.Base, _ = parseSeq(filepath.Base(path), segPrefix, segSuffix)
 	} else {
 		info.Base = binary.LittleEndian.Uint64(data[8:16])

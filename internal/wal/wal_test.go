@@ -43,7 +43,7 @@ func testEdges(seq, n int) []stream.Edge {
 func collect(t *testing.T, l *Log, from uint64) []stream.Edge {
 	t.Helper()
 	var out []stream.Edge
-	if err := l.Replay(from, func(_ uint64, edges []stream.Edge) error {
+	if err := ReplayDir(l.dir, from, func(_ uint64, edges []stream.Edge) error {
 		out = append(out, edges...)
 		return nil
 	}); err != nil {
@@ -239,7 +239,7 @@ func TestCorruptMiddleSegmentRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = l.Replay(0, func(uint64, []stream.Edge) error { return nil })
+	err = ReplayDir(l.dir, 0, func(uint64, []stream.Edge) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Replay over corrupt middle segment = %v, want ErrCorrupt", err)
 	}
@@ -266,7 +266,7 @@ func TestReplayFromSkipsAndStraddleFails(t *testing.T) {
 		t.Fatalf("suffix starts at %v, want user 50", got[0])
 	}
 	// Replay point inside a record: corrupt.
-	err = l.Replay(55, func(uint64, []stream.Edge) error { return nil })
+	err = ReplayDir(l.dir, 55, func(uint64, []stream.Edge) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("straddling replay = %v, want ErrCorrupt", err)
 	}

@@ -25,7 +25,6 @@ func reproductionOptions() experiments.Options {
 		K32:         100,
 		Lambda:      2,
 		TopUsers:    80,
-		MinCommon:   1,
 		MaxPairs:    300,
 		Checkpoints: 6,
 	}

@@ -244,7 +244,7 @@ func (s *engineService) Stats(ctx context.Context) (Stats, error) {
 	if err := s.flush(ctx); err != nil {
 		return Stats{}, err
 	}
-	return s.e.StatsContext(ctx)
+	return s.e.Stats(), nil
 }
 
 // SnapshotStats implements StatsReporter.
