@@ -30,8 +30,9 @@ import (
 // paper's update rule is that an element (u, i, ±) flips exactly bit ψ(i) of
 // u's virtual sketch, and the index keeps every member's band bits, so the
 // probe applies each edge of the range to them as it reads it
-// (lsh.BandIndex.Toggle): one stored bit flipped and its band re-keyed, O(1)
-// an edge, with no array read and nothing recovered from the view. Only two
+// (lsh.BandIndex.Toggle): one stored bit flipped and its band noted, O(1) an
+// edge, with no array read and nothing recovered from the view; the index
+// re-keys each noted band once before Candidates reads it. Only two
 // kinds of user are noted for later: users the index does not hold yet (a
 // whole banding) and written members the view holds at zero cardinality (to
 // be dropped: in a window, or after a delete-before-insert, an insert can
@@ -84,8 +85,9 @@ type ANNConfig struct {
 	// Bands is b, the number of LSH bands. More bands raise recall and
 	// candidate count — the collision probability for a pair whose
 	// recovered sketches agree on a fraction p of their bits is
-	// 1 − (1 − p^Rows)^Bands — and cost ~24 bytes of index per user each
-	// (8 more per 64 rows past the first 64). Default: 64.
+	// 1 − (1 − p^Rows)^Bands — and cost 40 to 48 bytes of index per user
+	// each: a 32-byte node record and its share of the chain heads (8 more
+	// per 64 rows past the first 64). Default: 64.
 	Bands int
 	// Rows is r, the bits per band. More rows sharpen the S-curve
 	// (fewer noise collisions, steeper recall falloff below the
@@ -135,9 +137,9 @@ type ANNStats struct {
 	Removals  uint64 `json:"removals"`
 	Probes    uint64 `json:"probes"`
 	Rotations uint64 `json:"rotations"`
-	// BandRekeys counts band bits toggled from a journal range, each
-	// re-keying its band — the path a write to a member takes when the index
-	// follows it within a journal bound.
+	// BandRekeys counts band bits toggled from a journal range — the path a
+	// write to a member takes when the index follows it within a journal
+	// bound. A band toggled twice in one range is re-keyed once.
 	BandRekeys uint64 `json:"band_rekeys"`
 	// JournalFallbacks counts shard reads that found the journal evicted
 	// past the index's cursor and took the spilled users instead, and
@@ -406,6 +408,10 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 	}
 
 	banded := a.cfg.Bands * a.cfg.Rows
+	// A member's cardinality is the view's, the same at each of its edges: it
+	// is looked at once. looked[u%128] holds ^u (never 0) of the member looked
+	// at last there; only members sharing an entry are looked at again.
+	var looked [128]stream.User
 	for _, en := range cut {
 		for _, ed := range en.batch {
 			j := sk.Slot(ed.Item)
@@ -416,9 +422,12 @@ func (e *Engine) annRead(a *annIndex, s *shard, sk *core.VOS, from, to uint64, w
 			if j < banded {
 				a.rekeys++
 			}
-			if sk.Cardinality(ed.User) == 0 {
-				if _, owed := a.dirty[ed.User]; !owed {
-					a.dirty[ed.User] = false
+			if l := &looked[ed.User%stream.User(len(looked))]; *l != ^ed.User {
+				*l = ^ed.User
+				if sk.Cardinality(ed.User) == 0 {
+					if _, owed := a.dirty[ed.User]; !owed {
+						a.dirty[ed.User] = false
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -424,5 +425,101 @@ func TestANNDifferential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestANNCoalescedRekeys pins the deferred re-key on a probe's journal read.
+// One range toggles one band of member 0 twice at one bit, so the toggles
+// cancel, and one band of member 1 at two bits, so it is re-keyed once for
+// both. After the probe the index must hold exactly the keys, and answer
+// exactly the candidates, of an index built from scratch by Put over the
+// view's recovered sketches, on TestANNDifferential's collision-free config.
+func TestANNCoalescedRekeys(t *testing.T) {
+	const users = 6
+	band := ANNConfig{Bands: 7, Rows: 16, RebandBudget: -1}
+	sketch := collisionFreeSketch(t, hashing.KindFast, users)
+	e, err := New(Config{Sketch: sketch, Shards: 1, Clock: clock.NewManual(time.Unix(1000, 0)), ANN: &band})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	write := func(edges []stream.Edge) {
+		t.Helper()
+		if err := e.ProcessBatch(edges); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+	}
+	var preload []stream.Edge
+	for u := stream.User(0); u < users; u++ {
+		for j := 0; j < 8; j++ {
+			preload = append(preload, stream.Edge{User: u, Item: stream.Item(100*u) + stream.Item(j), Op: stream.Insert})
+		}
+	}
+	write(preload)
+	if _, err := e.TopKApprox(0, 5); err != nil { // builds the index
+		t.Fatal(err)
+	}
+
+	// Items whose bits lie in bands 2 (one) and 4 (two, at distinct bits).
+	slots := core.MustNew(sketch)
+	var cancel, pair []stream.Item
+	for it := stream.Item(1 << 20); len(cancel) < 1 || len(pair) < 2; it++ {
+		switch j := slots.Slot(it); {
+		case j/band.Rows == 2 && len(cancel) < 1:
+			cancel = append(cancel, it)
+		case j/band.Rows == 4 && len(pair) < 1, j/band.Rows == 4 && len(pair) < 2 && j != slots.Slot(pair[0]):
+			pair = append(pair, it)
+		}
+	}
+	keys0, keys1 := e.ann.ix.Keys(0), e.ann.ix.Keys(1)
+	before, _ := e.ANNStats()
+	write([]stream.Edge{
+		{User: 0, Item: cancel[0], Op: stream.Insert}, {User: 1, Item: pair[0], Op: stream.Insert},
+		{User: 0, Item: cancel[0], Op: stream.Delete}, {User: 1, Item: pair[1], Op: stream.Insert},
+	})
+	const probe = 2
+	got, err := e.TopKApprox(probe, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _ := e.ANNStats()
+	if after.BandRekeys-before.BandRekeys != 4 || after.Rebands != before.Rebands || after.DirtyBacklog != 0 {
+		t.Fatalf("the range was not read by toggles alone: %+v, then %+v", before, after)
+	}
+
+	v := e.acquire()
+	defer v.Release()
+	fresh, err := lsh.NewBandIndex(e.ann.ix.Params(), sketch.SketchBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Sk.ForEachUser(func(u stream.User, _ int64) bool {
+		if err := fresh.Put(u, v.Sk.RecoverSketch(u).Words()); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	for u := stream.User(0); u < users; u++ {
+		if got, want := e.ann.ix.Keys(u), fresh.Keys(u); !slices.Equal(got, want) {
+			t.Fatalf("user %d holds keys %x, an index built from scratch %x", u, got, want)
+		}
+		r := v.Sk.RecoverSketch(u).Words()
+		got, _ := e.ann.ix.Candidates(u, r)
+		want, _ := fresh.Candidates(u, r)
+		if !slices.Equal(got, want) {
+			t.Fatalf("user %d: candidates %v, from an index built from scratch %v", u, got, want)
+		}
+	}
+	if !slices.Equal(e.ann.ix.Keys(0), keys0) {
+		t.Fatal("member 0's cancelled toggles moved its keys")
+	}
+	if k := e.ann.ix.Keys(1); k[4] == keys1[4] || !slices.Equal(k[:4], keys1[:4]) || !slices.Equal(k[5:], keys1[5:]) {
+		t.Fatalf("member 1's keys went %x -> %x, want band 4 alone moved", keys1, k)
+	}
+	r := v.Sk.RecoverSketch(probe)
+	cands, _ := fresh.Candidates(probe, r.Words())
+	if want := v.Sk.TopKRecovered(r, cands, 5); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the probe answered %v, an index built from scratch %v", got, want)
 	}
 }

@@ -17,49 +17,57 @@ import (
 // with a stream that rewrites users in place.
 //
 // Each member holds a slot (freed slots are reused), and each (slot, band)
-// pair a node: the band's bits, the key they hash to, and its links in the
-// chain of nodes sharing that key. One open-addressing table maps (band, key)
-// to the head of its chain, so buckets hold exactly their members' current
-// keys — Len()·Bands nodes, one per (member, band), no stale ones. Put
-// re-keys only the bands whose bits changed, and Toggle flips one stored bit
-// and re-keys its band: one key hash, an unlink and a link, with no map
-// operation and no allocation. Candidates dedupes by stamping slots, so it
-// writes scratch state too.
+// pair a node: one record of the band's key, its first 64 bits and two
+// links (a band wider than 64 rows keeps the rest beside the records).
+// Nodes hang on doubly-linked chains off a power-of-two []int32 of heads,
+// indexed by the low bits of the key; a chain may carry other buckets'
+// nodes, which Candidates steps over. So buckets hold exactly their members'
+// current keys — Len()·Bands nodes, no stale ones — and moving a node is an
+// unlink and a link: a few stores, with no probe loop, no map operation and
+// no allocation. Put re-keys only the bands whose bits changed. Toggle flips
+// one stored bit and notes its band; noted bands are re-keyed, one hash
+// each, before the index is next read or restructured (Candidates, Keys,
+// Put, Remove), so a band toggled twice in between is re-keyed once, and
+// one whose toggles cancelled keeps its key and its place. Candidates
+// dedupes by stamping slots, so it writes scratch state too.
 //
-// Memory: a member costs one map entry plus, per band, its bits (8 bytes per
-// 64 rows), its key (8) and two links (8), and the table 32–64 bytes per
-// distinct key, so sizing Bands is a memory knob as much as a recall knob.
+// Memory: a member costs one map entry plus, per band, a 32-byte record
+// (8 bytes more per 64 rows past the first 64) and 8 to 16 bytes of heads
+// (at least two a node), so Bands is a memory knob as much as a recall knob.
 //
 // BandIndex is not safe for concurrent use, probes included. Callers
 // serialise access (internal/engine holds one mutex across maintenance and
 // probing).
 type BandIndex struct {
 	params Params
-	words  int // minimum signature length in words
-	bw     int // words of one band's bits
+	words  int      // minimum signature length in words
+	bw     int      // words of one band's bits
+	salts  []uint64 // per band: Hash64(band, Seed), where its key's fold starts
 
 	slots map[stream.User]int32
 	users []stream.User // slot → member (stale on a freed slot)
 	free  []int32
 
-	// Node n = slot·Bands + band: bits[n·bw:(n+1)·bw], keys[n], and its
-	// neighbours in its chain (-1: none).
-	bits       []uint64
-	keys       []uint64
-	next, prev []int32
-
-	table []bucket // a power of two long, at most half of it used
-	used  int
+	// Node n = slot·Bands + band: nodes[n], and its band's bits from 64 on
+	// at rest[n·(bw−1):].
+	nodes []node
+	rest  []uint64
+	heads []int32 // chain heads by key & (len−1), -1: none; len ≥ 2·len(nodes)
+	noted []int32 // nodes Toggle flipped a bit of since the last settle
 
 	stamps []uint32 // per slot: the last Candidates call that took it
 	stamp  uint32
 }
 
-// bucket is a table entry: the head node of band's chain for key, or a free
-// entry when head is -1.
-type bucket struct {
+// node is a (member, band) record: the key it is chained under, the band's
+// first 64 bits, its neighbours on its chain (-1: none), its member's slot,
+// and whether it is in BandIndex.noted.
+type node struct {
 	key        uint64
-	band, head int32
+	bits       uint64
+	next, prev int32
+	slot       int32
+	noted      bool
 }
 
 // NewBandIndex creates an empty index over packed signatures of sigBits
@@ -70,21 +78,18 @@ func NewBandIndex(params Params, sigBits int) (*BandIndex, error) {
 	if err := validateBandParams(params, sigBits); err != nil {
 		return nil, err
 	}
+	salts := make([]uint64, params.Bands)
+	for band := range salts {
+		salts[band] = hashing.Hash64(uint64(band), params.Seed)
+	}
 	return &BandIndex{
 		params: params,
 		words:  (sigBits + 63) / 64,
 		bw:     BandWords(params.Rows),
+		salts:  salts,
 		slots:  make(map[stream.User]int32),
-		table:  newTable(16),
+		heads:  []int32{-1},
 	}, nil
-}
-
-func newTable(n int) []bucket {
-	t := make([]bucket, n)
-	for i := range t {
-		t[i].head = -1
-	}
-	return t
 }
 
 // validateBandParams checks a band structure against a packed signature
@@ -123,7 +128,7 @@ func BandKeys(p Params, words []uint64, sigBits int) ([]uint64, error) {
 	}
 	keys := make([]uint64, p.Bands)
 	for band := range keys {
-		keys[band] = packedBandKey(p, band, words, band*p.Rows)
+		keys[band] = packedBandKey(hashing.Hash64(uint64(band), p.Seed), p, words, band*p.Rows)
 	}
 	return keys, nil
 }
@@ -131,16 +136,13 @@ func BandKeys(p Params, words []uint64, sigBits int) ([]uint64, error) {
 // BandWords is the number of 64-bit words one band's rows pack into.
 func BandWords(rows int) int { return (rows + 63) / 64 }
 
-// packedBandKey hashes the band's Rows bits, found at bit offset off of
-// words, into a bucket key, folding them in ≤64-bit chunks. Callers have
-// validated that the bits lie inside the slice.
-func packedBandKey(p Params, band int, words []uint64, off int) uint64 {
-	h := hashing.Hash64(uint64(band), p.Seed)
+// packedBandKey hashes a band's Rows bits, found at bit offset off of words,
+// into a bucket key, folding them in ≤64-bit chunks into the band's salt
+// Hash64(band, Seed). Callers have validated that the bits lie inside the
+// slice.
+func packedBandKey(h uint64, p Params, words []uint64, off int) uint64 {
 	for rem := p.Rows; rem > 0; {
-		n := rem
-		if n > 64 {
-			n = 64
-		}
+		n := min(rem, 64)
 		h = hashing.Hash64(h^extractBits(words, off, n), p.Seed)
 		off += n
 		rem -= n
@@ -177,15 +179,19 @@ func (ix *BandIndex) Has(u stream.User) bool {
 }
 
 // Keys returns the bucket key member u currently holds in every band (nil
-// when u is not indexed). The slice is the index's own: read-only, and
-// valid until the next mutation.
+// when u is not indexed), in a slice of its own.
 func (ix *BandIndex) Keys(u stream.User) []uint64 {
 	s, ok := ix.slots[u]
 	if !ok {
 		return nil
 	}
+	ix.settle()
 	b := ix.params.Bands
-	return ix.keys[int(s)*b : (int(s)+1)*b : (int(s)+1)*b]
+	keys := make([]uint64, b)
+	for band := range keys {
+		keys[band] = ix.nodes[int(s)*b+band].key
+	}
+	return keys
 }
 
 // ForEachMember calls fn for every member in unspecified order,
@@ -205,48 +211,53 @@ func (ix *BandIndex) Put(u stream.User, words []uint64) error {
 	if len(words) < ix.words {
 		return fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
+	ix.settle()
+	bands := ix.params.Bands
 	s, member := ix.slots[u]
 	if !member {
-		switch nodes := ix.params.Bands; {
+		switch {
 		case len(ix.free) > 0:
 			s, ix.free = ix.free[len(ix.free)-1], ix.free[:len(ix.free)-1]
-		case (len(ix.users)+1)*nodes > math.MaxInt32: // node numbers are int32
+		case (len(ix.users)+1)*bands > math.MaxInt32: // node numbers are int32
 			return fmt.Errorf("lsh: index is full at %d members", len(ix.users))
 		default:
 			s = int32(len(ix.users))
 			ix.users = append(ix.users, u)
 			ix.stamps = append(ix.stamps, 0)
-			ix.bits = append(ix.bits, make([]uint64, nodes*ix.bw)...)
-			ix.keys = append(ix.keys, make([]uint64, nodes)...)
-			ix.next = append(ix.next, make([]int32, nodes)...)
-			ix.prev = append(ix.prev, make([]int32, nodes)...)
+			ix.nodes = append(ix.nodes, make([]node, bands)...)
+			ix.rest = append(ix.rest, make([]uint64, bands*(ix.bw-1))...)
+			if 2*len(ix.nodes) > len(ix.heads) {
+				ix.grow()
+			}
 		}
 		ix.slots[u], ix.users[s] = s, u
 	}
 	rows := ix.params.Rows
-	for band := 0; band < ix.params.Bands; band++ {
-		n := int(s)*ix.params.Bands + band
-		bits, changed := ix.bits[n*ix.bw:(n+1)*ix.bw], !member
-		for w := range bits {
-			if v := extractBits(words, band*rows+w*64, min(rows-w*64, 64)); v != bits[w] {
-				bits[w], changed = v, true
+	for band := 0; band < bands; band++ {
+		n := int(s)*bands + band
+		ix.nodes[n].slot = s
+		changed := !member
+		for w := 0; w < ix.bw; w++ {
+			if v, at := extractBits(words, band*rows+w*64, min(rows-w*64, 64)), ix.word(n, w); v != *at {
+				*at, changed = v, true
 			}
 		}
 		if !changed {
 			continue
 		}
 		if member {
-			ix.unlink(n, band)
+			ix.unlink(n)
 		}
-		ix.keys[n] = packedBandKey(ix.params, band, bits, 0)
-		ix.link(n, band)
+		ix.nodes[n].key = ix.nodeKey(n, band)
+		ix.link(n)
 	}
 	return nil
 }
 
 // Toggle flips bit j of member u's signature — what an element (u, i, ±)
-// does to bit ψ(i) of u's virtual sketch — and re-keys the band holding it.
-// A bit outside the banded bits [0, Bands·Rows) changes no key. It reports
+// does to bit ψ(i) of u's virtual sketch — and notes the band holding it,
+// to be re-keyed once before the index is next read or restructured. A bit
+// outside the banded bits [0, Bands·Rows) changes no key. It reports
 // whether u is indexed; a non-member is left alone, as it needs a key in
 // every band, which only Put can give it.
 func (ix *BandIndex) Toggle(u stream.User, j int) bool {
@@ -256,11 +267,11 @@ func (ix *BandIndex) Toggle(u stream.User, j int) bool {
 	}
 	band, r := j/ix.params.Rows, j%ix.params.Rows
 	n := int(s)*ix.params.Bands + band
-	bits := ix.bits[n*ix.bw : (n+1)*ix.bw]
-	bits[r>>6] ^= 1 << (r & 63)
-	ix.unlink(n, band)
-	ix.keys[n] = packedBandKey(ix.params, band, bits, 0)
-	ix.link(n, band)
+	*ix.word(n, r>>6) ^= 1 << (r & 63)
+	if !ix.nodes[n].noted {
+		ix.nodes[n].noted = true
+		ix.noted = append(ix.noted, int32(n))
+	}
 	return true
 }
 
@@ -271,8 +282,9 @@ func (ix *BandIndex) Remove(u stream.User) {
 	if !ok {
 		return
 	}
+	ix.settle()
 	for band := 0; band < ix.params.Bands; band++ {
-		ix.unlink(int(s)*ix.params.Bands+band, band)
+		ix.unlink(int(s)*ix.params.Bands + band)
 	}
 	delete(ix.slots, u)
 	ix.free = append(ix.free, s)
@@ -284,20 +296,22 @@ func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User
 	if len(words) < ix.words {
 		return nil, fmt.Errorf("lsh: packed signature has %d words, index needs %d", len(words), ix.words)
 	}
+	ix.settle()
 	if ix.stamp++; ix.stamp == 0 {
 		clear(ix.stamps)
 		ix.stamp = 1
 	}
 	out := []stream.User{}
-	for band := 0; band < ix.params.Bands; band++ {
-		i, ok := ix.find(band, packedBandKey(ix.params, band, words, band*ix.params.Rows))
-		if !ok {
-			continue
-		}
-		for n := ix.table[i].head; n >= 0; n = ix.next[n] {
-			s := int(n) / ix.params.Bands
-			if u := ix.users[s]; u != self && ix.stamps[s] != ix.stamp {
-				ix.stamps[s] = ix.stamp
+	bands, mask := ix.params.Bands, uint64(len(ix.heads)-1)
+	for band := 0; band < bands; band++ {
+		key := packedBandKey(ix.salts[band], ix.params, words, band*ix.params.Rows)
+		for n := ix.heads[key&mask]; n >= 0; n = ix.nodes[n].next {
+			nd := &ix.nodes[n]
+			if nd.key != key || int(n)-int(nd.slot)*bands != band {
+				continue // another bucket's node on the same chain
+			}
+			if u := ix.users[nd.slot]; u != self && ix.stamps[nd.slot] != ix.stamp {
+				ix.stamps[nd.slot] = ix.stamp
 				out = append(out, u)
 			}
 		}
@@ -306,68 +320,80 @@ func (ix *BandIndex) Candidates(self stream.User, words []uint64) ([]stream.User
 	return out, nil
 }
 
-// home is where the table's probe for (band, key) starts.
-func (ix *BandIndex) home(band int, key uint64) int {
-	return int((key ^ uint64(band)*0x9e3779b97f4a7c15) & uint64(len(ix.table)-1))
+// word returns word w of node n's band bits.
+func (ix *BandIndex) word(n, w int) *uint64 {
+	if w == 0 {
+		return &ix.nodes[n].bits
+	}
+	return &ix.rest[n*(ix.bw-1)+w-1]
 }
 
-// find returns the table entry of (band, key) and true, or the free entry
-// its probe ended on and false.
-func (ix *BandIndex) find(band int, key uint64) (int, bool) {
-	mask := len(ix.table) - 1
-	for i := ix.home(band, key); ; i = (i + 1) & mask {
-		if b := ix.table[i]; b.head < 0 || b.key == key && int(b.band) == band {
-			return i, b.head >= 0
+// nodeKey hashes node n's stored bits, those of band, into its bucket key:
+// packedBandKey of the band's bits, folded from its salt.
+func (ix *BandIndex) nodeKey(n, band int) uint64 {
+	h := ix.salts[band]
+	for w := 0; w < ix.bw; w++ {
+		h = hashing.Hash64(h^*ix.word(n, w), ix.params.Seed)
+	}
+	return h
+}
+
+// settle re-keys every band Toggle noted since the last settle, once each:
+// a node whose key came out unchanged (its toggles cancelled) stays put.
+func (ix *BandIndex) settle() {
+	for _, n := range ix.noted {
+		nd := &ix.nodes[n]
+		nd.noted = false
+		if key := ix.nodeKey(int(n), int(n)-int(nd.slot)*ix.params.Bands); key != nd.key {
+			ix.unlink(int(n))
+			nd.key = key
+			ix.link(int(n))
 		}
+	}
+	ix.noted = ix.noted[:0]
+}
+
+// link makes node n, holding its key, the head of its home's chain.
+func (ix *BandIndex) link(n int) {
+	h := ix.nodes[n].key & uint64(len(ix.heads)-1)
+	head := ix.heads[h]
+	ix.nodes[n].prev, ix.nodes[n].next = -1, head
+	if head >= 0 {
+		ix.nodes[head].prev = int32(n)
+	}
+	ix.heads[h] = int32(n)
+}
+
+// unlink takes node n, still holding the key it was linked under, out of
+// its chain.
+func (ix *BandIndex) unlink(n int) {
+	nd := &ix.nodes[n]
+	if nd.next >= 0 {
+		ix.nodes[nd.next].prev = nd.prev
+	}
+	if nd.prev >= 0 {
+		ix.nodes[nd.prev].next = nd.next
+	} else {
+		ix.heads[nd.key&uint64(len(ix.heads)-1)] = nd.next
 	}
 }
 
-// link makes node n, of band and holding keys[n], the head of its chain.
-func (ix *BandIndex) link(n, band int) {
-	i, ok := ix.find(band, ix.keys[n])
-	ix.prev[n], ix.next[n] = -1, -1
-	if ok {
-		ix.next[n] = ix.table[i].head
-		ix.prev[ix.next[n]] = int32(n)
-		ix.table[i].head = int32(n)
-		return
+// grow doubles the heads until they are at least twice the nodes, and
+// re-links every chained node under the new mask.
+func (ix *BandIndex) grow() {
+	size, old := len(ix.heads), ix.heads
+	for size < 2*len(ix.nodes) {
+		size *= 2
 	}
-	ix.table[i] = bucket{key: ix.keys[n], band: int32(band), head: int32(n)}
-	if ix.used++; 2*ix.used > len(ix.table) {
-		old := ix.table
-		ix.table = newTable(2 * len(old))
-		for _, b := range old {
-			if b.head >= 0 {
-				i, _ := ix.find(int(b.band), b.key)
-				ix.table[i] = b
-			}
+	ix.heads = make([]int32, size)
+	for i := range ix.heads {
+		ix.heads[i] = -1
+	}
+	for _, n := range old {
+		for n >= 0 {
+			next := ix.nodes[n].next
+			ix.link(int(n))
+			n = next
 		}
 	}
-}
-
-// unlink takes node n, of band and holding keys[n], out of its chain, and
-// the chain's entry out of the table when n was alone in it.
-func (ix *BandIndex) unlink(n, band int) {
-	p, nx := ix.prev[n], ix.next[n]
-	if nx >= 0 {
-		ix.prev[nx] = p
-	}
-	if p >= 0 {
-		ix.next[p] = nx
-		return
-	}
-	i, _ := ix.find(band, ix.keys[n])
-	if ix.table[i].head = nx; nx >= 0 {
-		return
-	}
-	// Backward-shift deletion: pull later entries of the probe run into the
-	// hole wherever their probe passes it, so no run is cut short.
-	ix.used--
-	mask := len(ix.table) - 1
-	for j := (i + 1) & mask; ix.table[j].head >= 0; j = (j + 1) & mask {
-		if h := ix.home(int(ix.table[j].band), ix.table[j].key); (j-h)&mask >= (j-i)&mask {
-			ix.table[i], i = ix.table[j], j
-		}
-	}
-	ix.table[i].head = -1
 }

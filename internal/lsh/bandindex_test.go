@@ -1,12 +1,14 @@
 package lsh
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
 
 	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/gen"
+	"github.com/vossketch/vos/internal/hashing"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -171,49 +173,75 @@ func bandBits(words []uint64, band, rows int) []uint64 {
 }
 
 // walkBuckets calls fn for every bucket of the index — its band, its key and
-// its members, chain order — after checking the structure under it: every
-// table entry is where a probe for it finds it and heads its chain, the
-// chain's links agree both ways, and each node on it belongs to the entry's
-// band, holds the entry's key, hashes its stored bits to that key, sits on
-// no other chain and is a member's.
+// its members, chain order — after checking the structure under it: no
+// re-key is pending, and on every chain the links agree both ways and each
+// node homes there by its key, holds the key its stored bits hash to, sits
+// on no other chain and is a member's; every member's nodes are all on
+// chains, so there is exactly one node per (member, band).
 func walkBuckets(t testing.TB, ix *BandIndex, fn func(band int, key uint64, members []stream.User)) {
 	t.Helper()
-	bands := ix.params.Bands
+	if len(ix.noted) != 0 {
+		t.Fatalf("%d re-keys pending during a walk", len(ix.noted))
+	}
+	bands, mask := ix.params.Bands, uint64(len(ix.heads)-1)
+	type bucket struct {
+		band int
+		key  uint64
+	}
 	onChain := map[int32]bool{}
-	entries := 0
-	for i, b := range ix.table {
-		if b.head < 0 {
-			continue
-		}
-		entries++
-		band := int(b.band)
-		if j, ok := ix.find(band, b.key); !ok || j != i {
-			t.Fatalf("table entry %d (band %d key %x) is not where its probe finds it (%d, %v)", i, band, b.key, j, ok)
-		}
-		var members []stream.User
-		for n, p := b.head, int32(-1); n >= 0; p, n = n, ix.next[n] {
-			s := int(n) / bands
-			bits := ix.bits[int(n)*ix.bw : (int(n)+1)*ix.bw]
+	for h, head := range ix.heads {
+		var order []bucket
+		members := map[bucket][]stream.User{}
+		for n, p := head, int32(-1); n >= 0; p, n = n, ix.nodes[n].next {
+			nd := &ix.nodes[n]
+			s, band := int(n)/bands, int(n)%bands
 			switch {
 			case onChain[n]:
-				t.Fatalf("node %d is on two chains", n)
-			case ix.prev[n] != p:
-				t.Fatalf("node %d links back to %d, its predecessor is %d", n, ix.prev[n], p)
-			case int(n)%bands != band || ix.keys[n] != b.key:
-				t.Fatalf("node %d (band %d, key %x) on the chain of band %d key %x", n, int(n)%bands, ix.keys[n], band, b.key)
-			case packedBandKey(ix.params, band, bits, 0) != b.key:
-				t.Fatalf("node %d holds key %x, its bits hash to %x", n, b.key, packedBandKey(ix.params, band, bits, 0))
+				t.Fatalf("node %d is on two chains, or twice on one", n)
+			case nd.prev != p:
+				t.Fatalf("node %d links back to %d, its predecessor is %d", n, nd.prev, p)
+			case int(nd.key&mask) != h:
+				t.Fatalf("node %d holds key %x, which homes at %d, on the chain of %d", n, nd.key, nd.key&mask, h)
+			case nd.noted:
+				t.Fatalf("node %d is noted with no re-key pending", n)
+			case bandKey(ix.params, band, storedBits(ix, int(n)), 0) != nd.key:
+				t.Fatalf("node %d holds key %x, its bits hash to %x", n, nd.key, bandKey(ix.params, band, storedBits(ix, int(n)), 0))
 			case ix.slots[ix.users[s]] != int32(s) || !ix.Has(ix.users[s]):
 				t.Fatalf("node %d is in slot %d, which no member holds", n, s)
 			}
 			onChain[n] = true
-			members = append(members, ix.users[s])
+			b := bucket{band, nd.key}
+			if members[b] == nil {
+				order = append(order, b)
+			}
+			members[b] = append(members[b], ix.users[s])
 		}
-		fn(band, b.key, members)
+		for _, b := range order {
+			fn(b.band, b.key, members[b])
+		}
 	}
-	if entries != ix.used {
-		t.Fatalf("table holds %d entries, counts %d", entries, ix.used)
+	for u, s := range ix.slots {
+		for band := 0; band < bands; band++ {
+			if !onChain[s*int32(bands)+int32(band)] {
+				t.Fatalf("member %d's node of band %d is on no chain", u, band)
+			}
+		}
 	}
+	if len(onChain) != ix.Len()*bands {
+		t.Fatalf("chains hold %d nodes, %d members x %d bands is %d", len(onChain), ix.Len(), bands, ix.Len()*bands)
+	}
+}
+
+// bandKey is packedBandKey of band's bits at bit offset off of words.
+func bandKey(p Params, band int, words []uint64, off int) uint64 {
+	return packedBandKey(hashing.Hash64(uint64(band), p.Seed), p, words, off)
+}
+
+// storedBits is node n's band bits as one packed slice: the record's word,
+// then the rest.
+func storedBits(ix *BandIndex, n int) []uint64 {
+	rw := ix.bw - 1
+	return append([]uint64{ix.nodes[n].bits}, ix.rest[n*rw:(n+1)*rw]...)
 }
 
 // checkBucketsExact walks every bucket: no bucket may hold a user twice,
@@ -286,7 +314,7 @@ func TestBandIndexRekey(t *testing.T) {
 			if got[band] != want[band] {
 				t.Fatalf("user %d band %d holds key %x, signature says %x", u, band, got[band], want[band])
 			}
-			if one := packedBandKey(p, band, bandBits(words, band, p.Rows), 0); one != want[band] {
+			if one := bandKey(p, band, bandBits(words, band, p.Rows), 0); one != want[band] {
 				t.Fatalf("band %d: key from its bits %x, from the signature %x", band, one, want[band])
 			}
 		}
@@ -314,6 +342,7 @@ func TestBandIndexRekey(t *testing.T) {
 		if got := ix.Toggle(u, j); got != member {
 			t.Fatalf("Toggle(%d, %d) reports membership %v", u, j, got)
 		}
+		ix.Keys(u) // a read: the toggled band is re-keyed
 		checkBucketsExact(t, ix)
 	}
 	toggle(1, 74, true)
@@ -339,6 +368,29 @@ func TestBandIndexRekey(t *testing.T) {
 	wantKeys(1, a)
 	if cands, _ := ix.Candidates(2, a); len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("after remove and re-add, Candidates = %v, want [1]", cands)
+	}
+}
+
+// TestBandIndexChainWalkChecksTheBand pins that a chain walk matches a
+// bucket by band as well as by key. Keys are salted by band, so two bands
+// sharing a key takes a 64-bit collision; the test forges one, moving a
+// band-1 node under the key the probe asks of band 0.
+func TestBandIndexChainWalkChecksTheBand(t *testing.T) {
+	p := Params{Bands: 2, Rows: 8, Seed: 3}
+	ix, err := NewBandIndex(p, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Put(1, []uint64{0xa5a5}); err != nil {
+		t.Fatal(err)
+	}
+	probe := []uint64{0x0f0f}
+	n := int(ix.slots[1])*p.Bands + 1
+	ix.unlink(n)
+	ix.nodes[n].key = bandKey(p, 0, probe, 0)
+	ix.link(n)
+	if cands, err := ix.Candidates(2, probe); err != nil || len(cands) != 0 {
+		t.Fatalf("Candidates = %v, %v; a band-1 node matched the probe's band 0", cands, err)
 	}
 }
 
@@ -368,6 +420,7 @@ func TestBandIndexCompaction(t *testing.T) {
 			err = ix.Put(u, []uint64{uint64(rng.IntN(8)) * 0x0101010101010101})
 		case i%3 == 1:
 			ix.Toggle(u, rng.IntN(p.Bands)*p.Rows+rng.IntN(3)) // within the few signatures
+			ix.Keys(u)                                         // a read: the toggled band is re-keyed
 		default:
 			ix.Remove(u)
 		}
@@ -468,5 +521,56 @@ func TestBandIndexCollisionProbabilityBound(t *testing.T) {
 	if empirical < bound-slack {
 		t.Fatalf("empirical collision rate %.3f below CollisionProbability bound %.3f - %.3f",
 			empirical, bound, slack)
+	}
+}
+
+// BenchmarkBandIndexToggle times what a fresh approximate top-K asks of the
+// index at the repository benchmark's udp-window-ann shape (50 bands of 32
+// rows): 512 toggles of members' banded bits, one journal range's worth,
+// then the one Candidates that re-keys the bands they noted. Members hold
+// random signatures; at 368 the index stays in cache, at 20,000 it does not.
+func BenchmarkBandIndexToggle(b *testing.B) {
+	const toggles, rounds = 512, 16
+	p := Params{Bands: 50, Rows: 32, Seed: 1}
+	for _, members := range []int{368, 20_000} {
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			ix, err := NewBandIndex(p, p.SignatureLen())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(1, 2))
+			sig := func() []uint64 {
+				out := make([]uint64, p.SignatureLen()/64)
+				for i := range out {
+					out[i] = rng.Uint64()
+				}
+				return out
+			}
+			for u := 0; u < members; u++ {
+				if err := ix.Put(stream.User(u), sig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			type toggle struct {
+				u stream.User
+				j int
+			}
+			ts := make([]toggle, toggles*rounds)
+			for i := range ts {
+				ts[i] = toggle{stream.User(rng.IntN(members)), rng.IntN(p.SignatureLen())}
+			}
+			probe := sig()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round := ts[i%rounds*toggles : (i%rounds+1)*toggles]
+				for _, t := range round {
+					ix.Toggle(t.u, t.j)
+				}
+				if _, err := ix.Candidates(0, probe); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*toggles), "ns/toggle")
+		})
 	}
 }

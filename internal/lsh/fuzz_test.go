@@ -52,7 +52,7 @@ func FuzzBandExtraction(f *testing.F) {
 			if keys[i] != again[i] {
 				t.Fatalf("band %d key not deterministic", i)
 			}
-			if one := packedBandKey(p, i, bandBits(words, i, p.Rows), 0); one != keys[i] {
+			if one := bandKey(p, i, bandBits(words, i, p.Rows), 0); one != keys[i] {
 				t.Fatalf("band %d: key from its bits %x, from the signature %x", i, one, keys[i])
 			}
 		}
@@ -88,11 +88,14 @@ func FuzzBandExtraction(f *testing.F) {
 // Remove and Candidates against a reference that keeps each member's whole
 // signature and bands it from scratch. After every op the structure is
 // exact (checkBucketsExact), every member holds the keys of its reference
-// signature, and Candidates equals the reference's answer. Rows cover one
-// bit, part of a word, exactly a word and two words; members draw from
-// three signatures, so buckets are shared and members leave them at the
-// head, in the middle and at the tail. The seed corpus is held to reaching
-// every one of those paths, slot reuse, table growth and deletion.
+// signature, and Candidates equals the reference's answer; which of Keys and
+// Candidates reads first, and so settles the toggles, alternates. Rows cover
+// one bit, part of a word, exactly a word and two words; members draw from
+// three signatures, so buckets are shared and members leave their chains at
+// the head, in the middle and at the tail. The seed corpus is held to
+// reaching every one of those paths, slot reuse, heads growth, a chain
+// emptied, a chain shared by two buckets, and a band toggled more than once
+// before a read: re-keyed once, or not at all where the toggles cancel.
 func FuzzBandIndexOps(f *testing.F) {
 	var reached opPaths
 	for seed := uint64(0); seed < 14; seed++ {
@@ -106,23 +109,65 @@ func FuzzBandIndexOps(f *testing.F) {
 		reached |= runBandOps(f, data)
 	}
 	if reached != allOpPaths {
-		f.Fatalf("the seed corpus reaches paths %06b of %06b", reached, allOpPaths)
+		f.Fatalf("the seed corpus reaches paths %09b of %09b", reached, allOpPaths)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runBandOps(t, data) })
 }
 
 // opPaths records which index paths a sequence of ops went through.
-type opPaths uint8
+type opPaths uint16
 
 const (
 	pathSlotReuse opPaths = 1 << iota
 	pathGrowth
-	pathDeletion // a bucket's last member left: the table entry went
+	pathDeletion // a chain's last node left: its head went to -1
 	pathUnlinkHead
 	pathUnlinkMiddle
 	pathUnlinkTail
-	allOpPaths = 1<<iota - 1
+	pathSharedChain // a chain carried nodes of two buckets
+	pathCoalesced   // a band toggled more than once was re-keyed once
+	pathCancelled   // a noted band's toggles cancelled: no re-key
+	allOpPaths      = 1<<iota - 1
 )
+
+// settlePaths classifies, on a copy of ix, the unlinks that the next settle
+// and then unlinking the nodes of removed make; toggled counts the toggles
+// of each noted node.
+func settlePaths(ix *BandIndex, toggled map[int]int, removed []int) (reached opPaths) {
+	c := *ix
+	c.nodes, c.heads, c.noted = slices.Clone(ix.nodes), slices.Clone(ix.heads), slices.Clone(ix.noted)
+	unlink := func(n int) {
+		switch nd := c.nodes[n]; {
+		case nd.prev < 0 && nd.next < 0:
+			reached |= pathDeletion
+		case nd.prev < 0:
+			reached |= pathUnlinkHead
+		case nd.next < 0:
+			reached |= pathUnlinkTail
+		default:
+			reached |= pathUnlinkMiddle
+		}
+		c.unlink(n)
+	}
+	for _, n := range c.noted {
+		nd := &c.nodes[n]
+		key := c.nodeKey(int(n), int(n)%c.params.Bands)
+		switch {
+		case key == nd.key:
+			reached |= pathCancelled
+			continue
+		case toggled[int(n)] > 1:
+			reached |= pathCoalesced
+		}
+		unlink(int(n))
+		nd.key = key
+		c.link(int(n))
+	}
+	for _, n := range removed {
+		unlink(n)
+	}
+	return reached
+}
 
 // runBandOps interprets data as a band structure and ops of four bytes each
 // (see FuzzBandIndexOps) and checks the index against the reference after
@@ -155,23 +200,36 @@ func runBandOps(t testing.TB, data []byte) (reached opPaths) {
 		}
 		return keys
 	}
-	// classify notes where the unlink of node n happens.
-	classify := func(n int) {
-		switch prev, next := ix.prev[n], ix.next[n]; {
-		case prev < 0 && next < 0:
-			reached |= pathDeletion
-		case prev < 0:
-			reached |= pathUnlinkHead
-		case next < 0:
-			reached |= pathUnlinkTail
-		default:
-			reached |= pathUnlinkMiddle
+	toggled := map[int]int{} // node → toggles since the last read
+	toggle := func(u stream.User, j int) {
+		s, member := ix.slots[u]
+		if got := ix.Toggle(u, j); got != member {
+			t.Fatalf("Toggle(%d, %d) reports membership %v, reference %v", u, j, got, member)
 		}
+		if member && j >= 0 && j < p.SignatureLen() {
+			toggled[int(s)*p.Bands+j/p.Rows]++
+		}
+		if member && j >= 0 && j < sigBits {
+			sig := slices.Clone(ref[u])
+			sig[j/64] ^= 1 << (j % 64)
+			ref[u] = sig
+		}
+	}
+	remove := func(u stream.User) {
+		s, member := ix.slots[u]
+		var nodes []int
+		for band := 0; member && band < p.Bands; band++ {
+			nodes = append(nodes, int(s)*p.Bands+band)
+		}
+		reached |= settlePaths(ix, toggled, nodes)
+		clear(toggled)
+		ix.Remove(u)
+		delete(ref, u)
 	}
 	for ops := data[3:]; len(ops) >= 4; ops = ops[4:] {
 		u, arg := stream.User(ops[1]%8), int(ops[2])|int(ops[3])<<8
-		s, member := ix.slots[u]
-		tableLen := len(ix.table)
+		_, member := ix.slots[u]
+		headsLen := len(ix.heads)
 		switch ops[0] % 8 {
 		case 0, 1: // Put one of the three signatures
 			if !member && len(ix.free) > 0 {
@@ -183,59 +241,97 @@ func runBandOps(t testing.TB, data []byte) (reached opPaths) {
 			}
 			ref[u] = sig
 		case 2, 3, 4: // Toggle a bit, now and then one outside the signature
-			j := arg%(sigBits+2) - 1
-			if member && j >= 0 && j < p.SignatureLen() {
-				classify(int(s)*p.Bands + j/p.Rows)
-			}
-			if got := ix.Toggle(u, j); got != member {
-				t.Fatalf("Toggle(%d, %d) reports membership %v, reference %v", u, j, got, member)
-			}
-			if member && j >= 0 && j < sigBits {
-				sig := slices.Clone(ref[u])
-				sig[j/64] ^= 1 << (j % 64)
-				ref[u] = sig
-			}
+			toggle(u, arg%(sigBits+2)-1)
 		case 5: // Remove
-			for band := 0; member && band < p.Bands; band++ {
-				classify(int(s)*p.Bands + band)
+			remove(u)
+		case 6: // Toggle a bit of one band twice, and two bits of the next
+			b1 := arg % p.Bands
+			b2 := (b1 + 1) % p.Bands
+			r := arg / p.Bands % p.Rows
+			toggle(u, b1*p.Rows+r)
+			toggle(u, b1*p.Rows+r)
+			toggle(u, b2*p.Rows+r)
+			toggle(u, b2*p.Rows+(r+1)%p.Rows)
+		case 7: // Toggle a bit, then Remove or Put before any read
+			toggle(u, arg%p.SignatureLen())
+			if arg%2 == 0 {
+				remove(u)
+				break
 			}
-			ix.Remove(u)
-			delete(ref, u)
+			reached |= settlePaths(ix, toggled, nil)
+			clear(toggled)
+			sig := variant(arg % 3)
+			if err := ix.Put(u, sig); err != nil {
+				t.Fatal(err)
+			}
+			ref[u] = sig
 		}
-		if len(ix.table) > tableLen {
+		if len(ix.heads) > headsLen {
 			reached |= pathGrowth
 		}
+		if len(ix.noted) != len(toggled) {
+			t.Fatalf("%d bands noted for re-keying, %d toggled", len(ix.noted), len(toggled))
+		}
+		reached |= settlePaths(ix, toggled, nil)
+		clear(toggled)
 
-		checkBucketsExact(t, ix)
 		if ix.Len() != len(ref) {
 			t.Fatalf("index holds %d members, reference %d", ix.Len(), len(ref))
 		}
-		for w, sig := range ref {
-			if got, want := ix.Keys(w), keysOf(sig); !slices.Equal(got, want) {
-				t.Fatalf("user %d holds keys %x, its signature says %x", w, got, want)
-			}
-		}
-		probe := variant(arg % 4) // the fourth shares no band with a Put
-		if sig, ok := ref[u]; ok && ops[0]%2 == 0 {
-			probe = sig
-		}
-		want := []stream.User{}
-		pk := keysOf(probe)
-		for w, sig := range ref {
-			for band, k := range keysOf(sig) {
-				if w != u && k == pk[band] {
-					want = append(want, w)
-					break
+		checkKeys := func() {
+			for w, sig := range ref {
+				if got, want := ix.Keys(w), keysOf(sig); !slices.Equal(got, want) {
+					t.Fatalf("user %d holds keys %x, its signature says %x", w, got, want)
 				}
 			}
 		}
-		slices.Sort(want)
-		got, err := ix.Candidates(u, probe)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("Candidates(%d) = %v (%v), reference %v", u, got, err, want)
+		checkCandidates := func() {
+			// Now and then u's own signature, probed as u's neighbour: where
+			// the ops just toggled u, its one band must have moved already.
+			self, probe := u^1, variant(arg%4) // the fourth shares no band with a Put
+			if sig, ok := ref[u]; ok && ops[0]%2 == 0 {
+				probe = sig
+			}
+			want := []stream.User{}
+			pk := keysOf(probe)
+			for w, sig := range ref {
+				for band, k := range keysOf(sig) {
+					if w != self && k == pk[band] {
+						want = append(want, w)
+						break
+					}
+				}
+			}
+			slices.Sort(want)
+			got, err := ix.Candidates(self, probe)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("Candidates(%d) = %v (%v), reference %v", self, got, err, want)
+			}
 		}
+		if ops[3]%2 == 0 {
+			checkKeys()
+			checkCandidates()
+		} else {
+			checkCandidates()
+			checkKeys()
+		}
+		checkBucketsExact(t, ix)
+		reached |= sharedChains(ix)
 	}
 	return reached
+}
+
+// sharedChains reports pathSharedChain where some chain carries nodes of
+// two buckets.
+func sharedChains(ix *BandIndex) opPaths {
+	for _, head := range ix.heads {
+		for n := head; n >= 0; n = ix.nodes[n].next {
+			if nx := ix.nodes[n].next; nx >= 0 && (ix.nodes[nx].key != ix.nodes[n].key || int(nx)%ix.params.Bands != int(n)%ix.params.Bands) {
+				return pathSharedChain
+			}
+		}
+	}
+	return 0
 }
 
 // bytesOf packs words little-endian, matching the recovered-sketch layout.

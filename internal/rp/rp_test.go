@@ -10,54 +10,6 @@ import (
 	"github.com/vossketch/vos/internal/stream"
 )
 
-func TestCardinalityTracking(t *testing.T) {
-	s := similarity.NewRP(4, 1)
-	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Insert})
-	s.Process(stream.Edge{User: 1, Item: 11, Op: stream.Insert})
-	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Delete})
-	if s.Cardinality(1) != 1 {
-		t.Errorf("n = %d", s.Cardinality(1))
-	}
-	if s.Cardinality(9) != 0 {
-		t.Error("unknown user cardinality")
-	}
-}
-
-func TestSamplerHoldsAnItem(t *testing.T) {
-	s := similarity.NewRP(8, 2)
-	for i := 0; i < 20; i++ {
-		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
-	}
-	for j := 0; j < 8; j++ {
-		it, ok := s.Sample(1, j)
-		if !ok {
-			t.Fatalf("sampler %d empty after 20 inserts", j)
-		}
-		if it >= 20 {
-			t.Fatalf("sampler %d holds foreign item %d", j, it)
-		}
-	}
-}
-
-func TestUniformityInsertOnly(t *testing.T) {
-	// Chi-square of the sampled item over many independent samplers.
-	const n = 8
-	const k = 4000
-	s := similarity.NewRP(k, 3)
-	for i := 0; i < n; i++ {
-		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
-	}
-	var counts [n]int
-	for j := 0; j < k; j++ {
-		it, ok := s.Sample(1, j)
-		if !ok {
-			t.Fatalf("sampler %d empty", j)
-		}
-		counts[it]++
-	}
-	checkChiSquare(t, counts[:], k)
-}
-
 func TestUniformityAfterDeletions(t *testing.T) {
 	// The property MinHash/OPH lack: insert [0, 16), delete the even
 	// items; samples must be uniform over the surviving odd items.

@@ -2,7 +2,8 @@ package similarity_test
 
 // The baselines' bad-k, unknown-user, static-accuracy and common-items
 // checks, one test per method each, MinHash's deletion and signature
-// tests, and OPH's bin, deletion and densification tests.
+// tests, OPH's bin, deletion and densification tests, and RP's cardinality,
+// sampler and insert-only uniformity tests.
 
 import (
 	"math"
@@ -389,5 +390,70 @@ func TestRPEstimateUnknownUsers(t *testing.T) {
 	s := similarity.NewRP(4, 1)
 	if s.EstimateCommonItems(5, 6) != 0 || s.EstimateJaccard(5, 6) != 0 {
 		t.Error("unknown users should estimate 0")
+	}
+}
+
+func TestRPCardinalityTracking(t *testing.T) {
+	s := similarity.NewRP(4, 1)
+	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Insert})
+	s.Process(stream.Edge{User: 1, Item: 11, Op: stream.Insert})
+	s.Process(stream.Edge{User: 1, Item: 10, Op: stream.Delete})
+	if s.Cardinality(1) != 1 {
+		t.Errorf("n = %d", s.Cardinality(1))
+	}
+	if s.Cardinality(9) != 0 {
+		t.Error("unknown user cardinality")
+	}
+}
+
+func TestRPSamplerHoldsAnItem(t *testing.T) {
+	s := similarity.NewRP(8, 2)
+	for i := 0; i < 20; i++ {
+		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
+	}
+	for j := 0; j < 8; j++ {
+		it, ok := s.Sample(1, j)
+		if !ok {
+			t.Fatalf("sampler %d empty after 20 inserts", j)
+		}
+		if it >= 20 {
+			t.Fatalf("sampler %d holds foreign item %d", j, it)
+		}
+	}
+}
+
+func TestRPUniformityInsertOnly(t *testing.T) {
+	// Chi-square of the sampled item over many independent samplers.
+	const n = 8
+	const k = 4000
+	s := similarity.NewRP(k, 3)
+	for i := 0; i < n; i++ {
+		s.Process(stream.Edge{User: 1, Item: stream.Item(i), Op: stream.Insert})
+	}
+	var counts [n]int
+	for j := 0; j < k; j++ {
+		it, ok := s.Sample(1, j)
+		if !ok {
+			t.Fatalf("sampler %d empty", j)
+		}
+		counts[it]++
+	}
+	checkChiSquare(t, counts[:], k)
+}
+
+// checkChiSquare verifies counts are consistent with a uniform draw of
+// total samples over len(counts) categories at a very loose significance
+// level (guarding against gross non-uniformity, not statistical noise).
+func checkChiSquare(t *testing.T, counts []int, total int) {
+	t.Helper()
+	expected := float64(total) / float64(len(counts))
+	chi2 := 0.0
+	for _, c := range counts {
+		d := float64(c) - expected
+		chi2 += d * d / expected
+	}
+	// 99.99th percentile of chi-square with df ≤ 15 is < 45.
+	if chi2 > 45 {
+		t.Errorf("chi-square %.1f over %d categories (counts %v)", chi2, len(counts), counts)
 	}
 }
