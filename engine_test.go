@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/vossketch/vos"
 )
@@ -197,5 +199,88 @@ func TestEngineAccuracyParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// callerClock is a clock of the caller's own: any type with Now and After is
+// an EngineConfig.Clock, so code outside the module needs no package of
+// ours to drive the engine's timers. Now reads a time the test moves, and
+// each After parks its channel on waits for the test to fire.
+type callerClock struct {
+	mu    sync.Mutex
+	now   time.Time
+	waits chan chan time.Time
+}
+
+func newCallerClock(t time.Time) *callerClock {
+	// One slot: the linger asks for its next wait only once its last fired.
+	return &callerClock{now: t, waits: make(chan chan time.Time, 1)}
+}
+
+func (c *callerClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *callerClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+func (c *callerClock) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.waits <- ch
+	return ch
+}
+
+// TestEngineRunsOnCallerClock: a windowed engine's timers follow a clock
+// the caller wrote. Firing the linger's parked wait applies an edge left
+// below BatchSize without a Flush, and moving Now past a bucket boundary
+// rotates the window on the next read, until the first bucket's edge has
+// dropped out after Buckets boundaries.
+func TestEngineRunsOnCallerClock(t *testing.T) {
+	const buckets = 3
+	clk := newCallerClock(time.Unix(1000, 0))
+	eng := vos.MustNewEngine(vos.EngineConfig{
+		Sketch:    vos.Config{MemoryBits: 1 << 16, SketchBits: 256, Seed: 1},
+		Shards:    2,
+		BatchSize: 1024,
+		Clock:     clk,
+		Window:    &vos.WindowConfig{Buckets: buckets, BucketDuration: time.Second},
+	})
+	defer eng.Close()
+	if err := eng.Process(vos.Edge{User: 1, Item: 2, Op: vos.Insert}); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Cardinality(1); n != 0 {
+		t.Fatalf("n = %d before the linger fired, want 0 (the edge pends)", n)
+	}
+	wait := <-clk.waits
+	wait <- clk.Now()
+	<-clk.waits // parked again: the linger has handed the edge over
+	for deadline := time.Now().Add(10 * time.Second); eng.Cardinality(1) != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the linger's hand-over was never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	info, _ := eng.WindowInfo()
+	start := info.Start
+	for i := 1; i <= buckets; i++ {
+		clk.advance(time.Second)
+		info, _ := eng.WindowInfo()
+		if want := start.Add(time.Duration(i) * time.Second); !info.Start.Equal(want) {
+			t.Fatalf("after %d boundaries the window starts at %v, want %v", i, info.Start, want)
+		}
+		want := int64(1)
+		if i == buckets {
+			want = 0
+		}
+		if n := eng.Cardinality(1); n != want {
+			t.Fatalf("after %d boundaries n = %d, want %d", i, n, want)
+		}
 	}
 }
